@@ -17,16 +17,13 @@ from .errors import (
     DataError,
     GatedPfError,
     ModelConsistencyError,
-    UndefinedRatioError,
     WeightCollapseError,
 )
 from .rng import RandomSource
 from .particles import (
-    DynamicsModel,
     MeasurementDensity,
     ParticleEnsemble,
     effective_sample_size,
-    normalize,
     posterior_mean,
     predict,
     resample_systematic,
@@ -41,24 +38,20 @@ from .gates import (
     fisher_gate,
     fisher_statistic,
     gated_update,
-    likelihood_ratio,
     np_gate,
 )
 from .ctm import (
     BoundaryDemand,
     DemandProfile,
     DemandSchedule,
-    FlowRecord,
     FreewayNetwork,
     LinkParams,
     Trajectory,
     equilibrium_state,
     junction_flows,
     link_flow,
-    link_speed,
     simulate,
     speed_map,
-    step,
 )
 from .sensing import (
     FaultConfig,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .ctm import simulate
 from .errors import ConfigurationError, DataError, WeightCollapseError
-from .fileio import write_matrix_csv
+from .fileio import atomic_write_text, write_matrix_csv
 from .harness import (
     STREAM_TRUTH,
     FilterVariant,
@@ -26,7 +26,6 @@ from .harness import (
     sweep_alpha,
     write_decision_log,
 )
-from .fileio import atomic_write_text
 from .rng import RandomSource
 from .scenario import load_scenario, write_manifest
 from .sensing import read_measurement_log, write_measurement_log

@@ -13,9 +13,9 @@ All flow units are vehicles per timestep.  Speed parameters are converted
 to per-step fractions internally (``v_f * dt / L`` and ``w * dt / L``),
 which requires the CFL conditions ``v_f * dt <= L`` and ``w * dt <= L``.
 
-Everything here is a pure function of its inputs; batched variants operate
-on a ``(P, L)`` block of density states at once so particle populations can
-be propagated in one call.
+Everything here is a pure function of its inputs and batch-first: states
+are ``(P, L)`` blocks of densities, so a particle population is propagated
+in one call and the truth simulation is the ``P = 1`` case.
 """
 from __future__ import annotations
 
@@ -130,16 +130,12 @@ class BoundaryDemand:
     onramp_mean: np.ndarray
     onramp_std: np.ndarray
 
-    def sample(self, rng: RandomSource, size: int | None = None):
-        """Draw realized demands; with ``size`` one row per particle."""
-        if size is None:
-            upstream = max(0.0, float(rng.normal(self.upstream_mean, self.upstream_std)))
-            ramps = np.clip(
-                rng.normal(np.asarray(self.onramp_mean), np.asarray(self.onramp_std)),
-                0.0,
-                None,
-            )
-            return upstream, np.atleast_1d(ramps)
+    def sample(self, rng: RandomSource, size: int):
+        """Draw realized demands, one row per particle.
+
+        Returns the upstream demands, shape ``(size,)``, and the onramp
+        demands, shape ``(size, R)``.
+        """
         upstream = np.clip(
             rng.normal(self.upstream_mean, self.upstream_std, size=size), 0.0, None
         )
@@ -153,20 +149,6 @@ class BoundaryDemand:
             None,
         )
         return upstream, ramps
-
-
-@dataclass(frozen=True)
-class FlowRecord:
-    """Realized flows of one step.
-
-    ``q`` has one entry per link boundary: ``q[0]`` is the upstream inflow
-    and ``q[l + 1]`` the mainline flow out of link ``l``.  ``r`` and ``s``
-    are the per-link onramp and offramp flows.
-    """
-
-    q: np.ndarray
-    r: np.ndarray
-    s: np.ndarray
 
 
 def link_flow(
@@ -291,31 +273,18 @@ def advance(
     return new_states, q, r, s
 
 
-def step(
-    state: np.ndarray,
-    network: FreewayNetwork,
-    demand: BoundaryDemand,
-    rng: RandomSource,
-) -> tuple[np.ndarray, FlowRecord]:
-    """Advance one state by one timestep with randomly drawn demands."""
-    upstream, ramps = demand.sample(rng)
-    new_states, q, r, s = advance(state, network, upstream, ramps)
-    return new_states[0], FlowRecord(q=q[0], r=r[0], s=s[0])
-
-
-def link_speed(state: np.ndarray, flows: FlowRecord, network: FreewayNetwork) -> np.ndarray:
-    """Per-link speeds from the realized flows.
+def _flow_speeds(states: np.ndarray, q: np.ndarray, s: np.ndarray, network: FreewayNetwork) -> np.ndarray:
+    """Per-link speeds of a (P, L) block from its realized flows.
 
     Speed is total discharge (mainline outflow plus offramp flow) over
     ``rho * dt``, clamped to ``[0, vf]``; near-empty links report freeflow.
     Including the offramp share keeps an uncongested link exactly at its
     freeflow speed regardless of its split ratio.
     """
-    state = np.asarray(state, dtype=float)
-    discharge = np.asarray(flows.q)[1:] + np.asarray(flows.s)
+    discharge = q[:, 1:] + s
     with np.errstate(divide="ignore", invalid="ignore"):
-        v = discharge / (state * network.dt)
-    v = np.where(state > EMPTY_DENSITY, v, network.vf)
+        v = discharge / (states * network.dt)
+    v = np.where(states > EMPTY_DENSITY, v, network.vf)
     return np.clip(v, 0.0, network.vf)
 
 
@@ -328,17 +297,14 @@ def speed_map(
     """Model-predicted link speeds for a (P, L) block of states.
 
     Flows are evaluated deterministically at the given (typically mean)
-    demands, then converted to speeds exactly as :func:`link_speed` does.
+    demands, then converted to speeds exactly as :func:`simulate` records
+    the truth's speeds.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     if onramp_demand is None and network.onramp_links:
         onramp_demand = np.zeros(len(network.onramp_links))
-    q, r, s = junction_flows(states, network, upstream_demand, onramp_demand)
-    discharge = q[:, 1:] + s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = discharge / (states * network.dt)
-    v = np.where(states > EMPTY_DENSITY, v, network.vf)
-    return np.clip(v, 0.0, network.vf)
+    q, _, s = junction_flows(states, network, upstream_demand, onramp_demand)
+    return _flow_speeds(states, q, s, network)
 
 
 @dataclass(frozen=True)
@@ -406,7 +372,7 @@ class DemandSchedule:
             ),
         )
 
-    def sample(self, k: int, rng: RandomSource, size: int | None = None):
+    def sample(self, k: int, rng: RandomSource, size: int):
         return self.boundary_demand(k).sample(rng, size=size)
 
 
@@ -467,13 +433,12 @@ def simulate(
     q = np.empty((horizon, n_l + 1))
     r = np.empty((horizon, n_l))
     s = np.empty((horizon, n_l))
-    speeds = np.empty((horizon, n_l))
     states[0] = state
     for k in range(horizon):
-        new_state, flows = step(states[k], network, schedule.boundary_demand(k), rng)
-        states[k + 1] = new_state
-        q[k] = flows.q
-        r[k] = flows.r
-        s[k] = flows.s
-        speeds[k] = link_speed(states[k], flows, network)
+        upstream, ramps = schedule.sample(k, rng, size=1)
+        new_states, q[k : k + 1], r[k : k + 1], s[k : k + 1] = advance(
+            states[k : k + 1], network, upstream, ramps
+        )
+        states[k + 1] = new_states[0]
+    speeds = _flow_speeds(states[:-1], q, s, network)
     return Trajectory(states=states, q=q, r=r, s=s, speeds=speeds)

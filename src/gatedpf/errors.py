@@ -27,9 +27,5 @@ class ModelConsistencyError(GatedPfError):
     """A model produced physically or statistically inconsistent values."""
 
 
-class UndefinedRatioError(GatedPfError):
-    """Likelihood ratio requested where both hypothesis densities are zero."""
-
-
 class DataError(GatedPfError):
     """Malformed or incomplete measurement / decision data."""

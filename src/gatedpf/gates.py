@@ -4,8 +4,8 @@ Two Monte Carlo tests decide, per sensor and per timestep, whether a
 measurement should be assimilated or rejected as faulty:
 
 * A likelihood-ratio gate for the case where a fault model exists.  Each
-  particle votes by comparing its fault-model density against its null
-  density; the test statistic is the null-weighted mass of the particles
+  particle votes by comparing its fault-model log density against its null
+  log density (ties favor the null); the test statistic is the null-weighted mass of the particles
   favoring the fault model, and the null is rejected when that mass falls
   below the significance level.
 * A significance gate for the model-free case.  A per-particle
@@ -14,25 +14,20 @@ measurement should be assimilated or rejected as faulty:
 
 ``gated_update`` runs the configured gate for every sensor against the
 predicted (prior) ensemble, then performs the usual weight update with
-only the accepted sensors.  Gates are pure functions of
+only the accepted sensors, returning the posterior and the log marginal
+likelihood of the accepted set.  Gates are pure functions of
 (ensemble, measurement, sensor) and may be evaluated in parallel.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import (
-    ConfigurationError,
-    ContractViolation,
-    ModelConsistencyError,
-    UndefinedRatioError,
-)
-from .particles import MeasurementDensity, ParticleEnsemble, normalize, weight_update
+from .errors import ConfigurationError, ModelConsistencyError
+from .particles import MeasurementDensity, ParticleEnsemble, weight_update
 
 
 class GateKind(str, Enum):
@@ -96,34 +91,16 @@ class GateDecision:
 
 @dataclass(frozen=True)
 class GatedUpdateResult:
+    """Posterior of one gated update plus its decisions.
+
+    ``log_marginal_likelihood`` is the log marginal likelihood of the
+    accepted measurement set; it is 0.0 when nothing was assimilated.
+    """
+
     posterior: ParticleEnsemble
     decisions: tuple[GateDecision, ...]
-    marginal_likelihood_estimate: float
+    log_marginal_likelihood: float
     no_information: bool = False
-
-
-def likelihood_ratio(
-    value: float,
-    particle: np.ndarray,
-    h0: MeasurementDensity,
-    h1: MeasurementDensity,
-) -> float:
-    """Fault-over-null density ratio for a single particle.
-
-    Returns ``inf`` when the null density is zero but the fault density is
-    positive.  Raises :class:`UndefinedRatioError` when both densities are
-    zero; such a particle carries no evidence either way.
-    """
-    states = np.atleast_2d(np.asarray(particle, dtype=float))
-    g0 = float(h0.density(value, states)[0])
-    g1 = float(h1.density(value, states)[0])
-    if g0 == 0.0 and g1 == 0.0:
-        raise UndefinedRatioError(
-            "both hypothesis densities are zero for this particle"
-        )
-    if g0 == 0.0:
-        return math.inf
-    return g1 / g0
 
 
 def np_gate(ensemble: ParticleEnsemble, value: float, sensor: SensorModel) -> GateDecision:
@@ -140,8 +117,6 @@ def np_gate(ensemble: ParticleEnsemble, value: float, sensor: SensorModel) -> Ga
         raise ConfigurationError(
             f"sensor {sensor.id!r} is not configured for a likelihood-ratio test"
         )
-    if not ensemble.normalized:
-        raise ContractViolation("gates require a normalized prior ensemble")
     log_g0 = np.asarray(sensor.h0.log_density(value, ensemble.particles), dtype=float)
     log_g1 = np.asarray(sensor.h1.log_density(value, ensemble.particles), dtype=float)
     # Strict comparison: ties, including both densities zero, favor the null.
@@ -173,8 +148,6 @@ def fisher_statistic(
     ``(mu_p, sigma_p)`` from the null model's predictive form; the returned
     value is its average under the ensemble weights.
     """
-    if not ensemble.normalized:
-        raise ContractViolation("gates require a normalized prior ensemble")
     mean, scale = sensor.h0.predict(ensemble.particles)
     mean = np.asarray(mean, dtype=float)
     scale = np.asarray(scale, dtype=float)
@@ -214,7 +187,7 @@ def gated_update(
     Parameters
     ----------
     prior : ParticleEnsemble
-        Normalized predicted ensemble (the prediction step has already run).
+        Predicted ensemble (the prediction step has already run).
     measurements : sequence of (SensorModel, float)
         One entry per sensor reporting this timestep.  Sensors whose
         ``test_kind`` is ``NONE`` are assimilated without a decision.
@@ -222,13 +195,11 @@ def gated_update(
     Returns
     -------
     GatedUpdateResult
-        Normalized posterior, one decision per tested sensor, and the
-        marginal likelihood estimate of the accepted measurement set.  When
-        every sensor is rejected the prior is returned unchanged with
-        ``no_information`` set.
+        Posterior, one decision per tested sensor, and the log marginal
+        likelihood of the accepted measurement set.  When every sensor is
+        rejected the prior is returned unchanged with ``no_information``
+        set.
     """
-    if not prior.normalized:
-        raise ContractViolation("gated update requires a normalized prior")
     decisions: list[GateDecision] = []
     accepted_values: list[float] = []
     accepted_sensors: list[MeasurementDensity] = []
@@ -252,14 +223,13 @@ def gated_update(
         return GatedUpdateResult(
             posterior=prior,
             decisions=tuple(decisions),
-            marginal_likelihood_estimate=1.0,
+            log_marginal_likelihood=0.0,
             no_information=had_measurements,
         )
-    updated = weight_update(prior, accepted_values, accepted_sensors)
-    posterior, marginal = normalize(updated)
+    posterior, log_marginal = weight_update(prior, accepted_values, accepted_sensors)
     return GatedUpdateResult(
         posterior=posterior,
         decisions=tuple(decisions),
-        marginal_likelihood_estimate=marginal,
+        log_marginal_likelihood=log_marginal,
         no_information=False,
     )

@@ -16,6 +16,7 @@ metric columns directly comparable across test modes and levels.
 from __future__ import annotations
 
 import csv
+import io
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -27,14 +28,15 @@ from .ctm import (
     DemandSchedule,
     FreewayNetwork,
     Trajectory,
+    advance,
     equilibrium_state,
     simulate,
     speed_map,
 )
 from .errors import ConfigurationError, DataError, WeightCollapseError
+from .fileio import atomic_write_text
 from .gates import GateKind, gated_update
 from .particles import (
-    DynamicsModel,
     ParticleEnsemble,
     effective_sample_size,
     posterior_mean,
@@ -84,39 +86,6 @@ METRIC_FIELDS = (
     ("labeling_error_pct", "labeling_error_pct"),
     ("density_mape_pct", "mape_pct"),
 )
-
-
-class CtmDynamics:
-    """Particle dynamics: one freeway step with randomly drawn demands.
-
-    The filter embeds the same traffic model used to generate the truth,
-    but draws its own boundary and ramp demand noise, which is what spreads
-    the particle population.
-    """
-
-    def __init__(self, network: FreewayNetwork, schedule: DemandSchedule) -> None:
-        self.network = network
-        self.schedule = schedule
-
-    def at(self, k: int) -> "CtmStepDynamics":
-        return CtmStepDynamics(self.network, self.schedule, k)
-
-
-@dataclass(frozen=True)
-class CtmStepDynamics(DynamicsModel):
-    network: FreewayNetwork
-    schedule: DemandSchedule
-    k: int
-
-    def sample_transition(self, state: np.ndarray, rng: RandomSource) -> np.ndarray:
-        return self.sample_transition_batch(np.atleast_2d(state), rng)[0]
-
-    def sample_transition_batch(self, states: np.ndarray, rng: RandomSource) -> np.ndarray:
-        from .ctm import advance
-
-        upstream, ramps = self.schedule.sample(self.k, rng, size=states.shape[0])
-        new_states, _, _, _ = advance(states, self.network, upstream, ramps)
-        return new_states
 
 
 @dataclass(frozen=True)
@@ -251,7 +220,6 @@ def run_traffic_filter(
     network, schedule = config.network, config.schedule
     init = equilibrium_state(network, schedule)
     ensemble = ParticleEnsemble.from_states(np.tile(init, (config.particles, 1)))
-    dynamics = CtmDynamics(network, schedule)
     rng_demand = rng.derive(STREAM_FILTER_DEMAND)
     rng_resample = rng.derive(STREAM_FILTER_RESAMPLE)
 
@@ -262,7 +230,19 @@ def run_traffic_filter(
                 f"measurement at step {m.k} outside assimilation window "
                 f"[1, {config.horizon - 1}]"
             )
+        if not (0 <= m.link < network.n_links):
+            raise DataError(
+                f"measurement {m.sensor_id!r} at step {m.k} names link {m.link}, "
+                f"outside the network's links [0, {network.n_links - 1}]"
+            )
         by_step[m.k].append(m)
+
+    def transition(states: np.ndarray, rng: RandomSource) -> np.ndarray:
+        # The filter embeds the truth's traffic model but draws its own
+        # demand noise, which is what spreads the particles; reads the
+        # current step ``k`` of the loop below.
+        upstream, ramps = schedule.sample(k - 1, rng, size=states.shape[0])
+        return advance(states, network, upstream, ramps)[0]
 
     n_steps = config.horizon - 1
     estimates = np.empty((n_steps, network.n_links))
@@ -270,7 +250,7 @@ def run_traffic_filter(
     alpha = variant.alpha if variant.alpha is not None else 0.05
 
     for k in range(1, config.horizon):
-        prior = predict(ensemble, dynamics.at(k - 1), rng_demand)
+        prior = predict(ensemble, transition, rng_demand)
         step_measurements = by_step.get(k, [])
         if step_measurements:
             if any(m.kind == GNSS_SPEED for m in step_measurements):
@@ -531,17 +511,11 @@ def sweep_alpha(
         else:
             for alpha in alphas:
                 expanded.append(FilterVariant(mode=variant.mode, alpha=float(alpha)))
-    deduped: list[FilterVariant] = []
-    for v in expanded:
-        if v not in deduped:
-            deduped.append(v)
-    return run_experiment(replace(config, variants=tuple(deduped)), on_run=on_run)
+    deduped = tuple(dict.fromkeys(expanded))
+    return run_experiment(replace(config, variants=deduped), on_run=on_run)
 
 
 def write_decision_log(path: str | Path, decisions: Sequence[DecisionRecord]) -> None:
-    from .fileio import atomic_write_text
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(DECISION_COLUMNS)
@@ -597,8 +571,6 @@ def metrics_wide_text(report: MetricsReport, alphas: Sequence[float]) -> str:
     for mode, alpha in report.variant_keys():
         if alpha is not None and mode not in gated_modes:
             gated_modes.append(mode)
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["variant", "metric"] + [f"alpha={a:g}" for a in alphas])
@@ -617,8 +589,6 @@ def metrics_wide_text(report: MetricsReport, alphas: Sequence[float]) -> str:
 
 
 def metrics_long_text(report: MetricsReport) -> str:
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(

@@ -1,24 +1,25 @@
 """Weighted-ensemble primitives for bootstrap particle filtering.
 
 The ensemble is the filter's entire state: ``P`` sampled state vectors with
-nonnegative weights approximating the filtering distribution.  Prediction
-pushes every particle through a stochastic dynamics model, the weight update
-multiplies in per-sensor measurement likelihoods, and normalization yields
-the posterior weights together with an estimate of the marginal likelihood
-of the assimilated measurements (the pre-normalization weight sum).
+normalized weights approximating the filtering distribution.  Prediction
+pushes the whole (P, N) block through a stochastic transition in one call,
+and the weight update multiplies in per-sensor measurement likelihoods and
+renormalizes, returning the posterior together with the log of the
+marginal likelihood of the assimilated measurements.
 
 Likelihood products are accumulated in log space so long products cannot
-underflow; when the common magnitude leaves the comfortably representable
-range, the shared factor is split off into ``ParticleEnsemble.log_scale``
-and the stored weights stay well scaled.  All reductions run through
+underflow; when the largest log weight leaves the comfortably representable
+range it is subtracted before exponentiating.  All reductions run through
 numpy's pairwise summation on arrays in particle order, so results are
 bit-reproducible for a fixed seed.  Every operation is pure (inputs are
 never mutated), and distinct ensembles may be processed concurrently.
 """
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -32,9 +33,11 @@ from .rng import RandomSource
 
 WEIGHT_SUM_TOL = 1e-12
 
-# |max log weight| beyond which weights are stored rescaled by exp(log_scale).
-# Inside this range the stored weights are literally priorweight * likelihood.
+# |max log weight| beyond which the peak is subtracted before exponentiating.
+# Inside this range the weights are literally prior weight * likelihood.
 _RESCALE_LOG = 600.0
+
+Transition = Callable[[np.ndarray, RandomSource], np.ndarray]
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -52,19 +55,11 @@ class ParticleEnsemble:
     particles : ndarray, shape (P, N)
         One state vector per row.
     weights : ndarray, shape (P,)
-        Nonnegative weights; if ``normalized`` they sum to one.
-    normalized : bool
-        Whether the weights currently sum to one.
-    log_scale : float
-        Log of a common factor split off the weights.  The true unnormalized
-        weight of particle ``p`` is ``weights[p] * exp(log_scale)``; it is
-        zero for normalized ensembles.
+        Nonnegative weights summing to one within ``WEIGHT_SUM_TOL``.
     """
 
     particles: np.ndarray
     weights: np.ndarray
-    normalized: bool
-    log_scale: float = 0.0
 
     def __post_init__(self) -> None:
         particles = np.asarray(self.particles, dtype=float)
@@ -85,12 +80,9 @@ class ParticleEnsemble:
             raise ConfigurationError("weights must be nonnegative")
         if not np.any(weights > 0.0):
             raise WeightCollapseError("all particle weights are zero")
-        if not np.isfinite(self.log_scale):
-            raise ConfigurationError("log_scale must be finite")
-        if self.normalized and abs(float(np.sum(weights)) - 1.0) > WEIGHT_SUM_TOL:
-            raise ContractViolation(
-                f"normalized ensemble weights sum to {float(np.sum(weights))!r}, not 1"
-            )
+        total = float(np.sum(weights))
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+            raise ContractViolation(f"ensemble weights sum to {total!r}, not 1")
         object.__setattr__(self, "particles", _frozen_array(particles))
         object.__setattr__(self, "weights", _frozen_array(weights))
 
@@ -98,46 +90,14 @@ class ParticleEnsemble:
     def size(self) -> int:
         return self.particles.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.particles.shape[1]
-
-    @property
-    def unnormalized_weights(self) -> np.ndarray:
-        """Weights with the common scale folded back in (may over/underflow)."""
-        return self.weights * float(np.exp(self.log_scale))
-
     @classmethod
     def from_states(cls, states, weights=None) -> "ParticleEnsemble":
         """Build an ensemble from raw states, uniform-weighted by default."""
         states = np.atleast_2d(np.asarray(states, dtype=float))
         if weights is None:
             p = states.shape[0]
-            return cls(states, np.full(p, 1.0 / p), normalized=True)
-        weights = np.asarray(weights, dtype=float)
-        total = float(np.sum(weights))
-        normalized = abs(total - 1.0) <= WEIGHT_SUM_TOL
-        return cls(states, weights, normalized=normalized)
-
-
-class DynamicsModel(ABC):
-    """Stochastic state transition: samples x_k given x_{k-1}."""
-
-    @abstractmethod
-    def sample_transition(self, state: np.ndarray, rng: RandomSource) -> np.ndarray:
-        """Draw one successor state for a single state vector."""
-
-    def sample_transition_batch(self, states: np.ndarray, rng: RandomSource) -> np.ndarray:
-        """Draw successors for a (P, N) block of states.
-
-        The default propagates particles one at a time, each on its own
-        freshly split stream, so the draws are independent across particles.
-        Subclasses may override with a vectorized implementation.
-        """
-        children = rng.split(states.shape[0])
-        return np.stack(
-            [self.sample_transition(states[p], children[p]) for p in range(states.shape[0])]
-        )
+            weights = np.full(p, 1.0 / p)
+        return cls(states, weights)
 
 
 class MeasurementDensity(ABC):
@@ -154,10 +114,6 @@ class MeasurementDensity(ABC):
     def log_density(self, value: float, states: np.ndarray) -> np.ndarray:
         """Log likelihood of ``value`` under each particle; -inf where zero."""
 
-    def density(self, value: float, states: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_density(value, states))
-
     def predict(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ModelConsistencyError(
             f"{type(self).__name__} does not define a predictive mean/scale"
@@ -165,36 +121,34 @@ class MeasurementDensity(ABC):
 
 
 def predict(
-    ensemble: ParticleEnsemble, model: DynamicsModel, rng: RandomSource
+    ensemble: ParticleEnsemble, transition: Transition, rng: RandomSource
 ) -> ParticleEnsemble:
-    """Propagate every particle through the dynamics model.
+    """Propagate the whole particle block through a stochastic transition.
 
-    Each particle is replaced by an independent draw from the transition
-    density conditioned on it; weights and particle order are untouched.
+    ``transition(states, rng)`` maps the (P, N) block to one independent
+    successor draw per row; weights and particle order are untouched.
     """
-    if not ensemble.normalized:
-        raise ContractViolation("predict requires a normalized ensemble")
-    new_states = model.sample_transition_batch(ensemble.particles, rng)
-    new_states = np.asarray(new_states, dtype=float)
+    new_states = np.asarray(transition(ensemble.particles, rng), dtype=float)
     if new_states.shape != ensemble.particles.shape:
         raise ConfigurationError(
-            f"dynamics model returned shape {new_states.shape}, "
+            f"transition returned shape {new_states.shape}, "
             f"expected {ensemble.particles.shape}"
         )
-    return ParticleEnsemble(new_states, ensemble.weights, normalized=True)
+    return ParticleEnsemble(new_states, ensemble.weights)
 
 
 def weight_update(
     ensemble: ParticleEnsemble,
     values,
     sensors,
-) -> ParticleEnsemble:
-    """Multiply per-sensor measurement likelihoods into the weights.
+) -> tuple[ParticleEnsemble, float]:
+    """Multiply per-sensor measurement likelihoods into the weights and
+    renormalize.
 
     Parameters
     ----------
     ensemble : ParticleEnsemble
-        Current ensemble (typically the normalized prediction).
+        Current ensemble (typically the predicted prior).
     values : sequence of float
         One measurement value per sensor, in sensor order.
     sensors : sequence of MeasurementDensity
@@ -202,10 +156,11 @@ def weight_update(
 
     Returns
     -------
-    ParticleEnsemble
-        Unnormalized ensemble whose weight for particle ``p`` equals the
-        input weight times the product of all sensor densities at ``p``.
-        States are unchanged.
+    (ParticleEnsemble, float)
+        The posterior, whose weight for particle ``p`` is proportional to
+        the input weight times the product of all sensor densities at
+        ``p`` (states unchanged), and the log marginal likelihood
+        ``log(sum_p w_p * prod_s g_s(value_s | x_p))``.
 
     Raises
     ------
@@ -220,7 +175,7 @@ def weight_update(
             f"got {len(values)} measurement values for {len(sensors)} sensors"
         )
     with np.errstate(divide="ignore"):
-        log_w = np.log(ensemble.weights) + ensemble.log_scale
+        log_w = np.log(ensemble.weights)
     for value, sensor in zip(values, sensors):
         contrib = np.asarray(sensor.log_density(float(value), ensemble.particles), dtype=float)
         if contrib.shape != (ensemble.size,):
@@ -235,33 +190,13 @@ def weight_update(
             "all posterior weights are zero after the measurement update"
         )
     scale = peak if abs(peak) > _RESCALE_LOG else 0.0
-    new_weights = np.exp(log_w - scale)
-    return ParticleEnsemble(
-        ensemble.particles, new_weights, normalized=False, log_scale=scale
-    )
-
-
-def normalize(ensemble: ParticleEnsemble) -> tuple[ParticleEnsemble, float]:
-    """Scale weights to sum to one.
-
-    Returns the normalized ensemble and the pre-normalization weight sum,
-    which estimates the marginal likelihood of the newly assimilated
-    measurements.
-    """
-    total = float(np.sum(ensemble.weights))
-    if total <= 0.0:
-        raise WeightCollapseError("cannot normalize an all-zero weight vector")
-    marginal = float(total * np.exp(ensemble.log_scale))
-    normalized = ParticleEnsemble(
-        ensemble.particles, ensemble.weights / total, normalized=True
-    )
-    return normalized, marginal
+    w = np.exp(log_w - scale)
+    total = float(np.sum(w))
+    return ParticleEnsemble(ensemble.particles, w / total), math.log(total) + scale
 
 
 def effective_sample_size(ensemble: ParticleEnsemble) -> float:
     """Degeneracy measure 1 / sum(w^2); P for uniform weights, 1 when degenerate."""
-    if not ensemble.normalized:
-        raise ContractViolation("effective sample size requires normalized weights")
     return float(1.0 / np.sum(ensemble.weights**2))
 
 
@@ -274,8 +209,6 @@ def resample_systematic(
     cumulative weight axis, so particle ``p`` is copied either
     ``floor(count * w_p)`` or ``ceil(count * w_p)`` times.
     """
-    if not ensemble.normalized:
-        raise ContractViolation("resampling requires a normalized ensemble")
     n = ensemble.size if count is None else int(count)
     if n < 1:
         raise ConfigurationError("resample count must be at least 1")
@@ -284,13 +217,9 @@ def resample_systematic(
     cumulative = np.cumsum(ensemble.weights)
     cumulative[-1] = 1.0  # guard against rounding drift at the top
     indices = np.searchsorted(cumulative, positions, side="right")
-    return ParticleEnsemble(
-        ensemble.particles[indices], np.full(n, 1.0 / n), normalized=True
-    )
+    return ParticleEnsemble(ensemble.particles[indices], np.full(n, 1.0 / n))
 
 
 def posterior_mean(ensemble: ParticleEnsemble) -> np.ndarray:
     """Weighted mean of the particle states."""
-    if not ensemble.normalized:
-        raise ContractViolation("posterior mean requires normalized weights")
     return np.sum(ensemble.weights[:, None] * ensemble.particles, axis=0)

@@ -27,10 +27,6 @@ class RandomSource:
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, path={self.path})"
 
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
-
     def derive(self, *labels: int) -> "RandomSource":
         """Independent child stream at a fixed label path (pure)."""
         return RandomSource(self.seed, self.path + tuple(labels))

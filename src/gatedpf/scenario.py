@@ -10,9 +10,12 @@ imply byte-identical outputs.
 """
 from __future__ import annotations
 
+import copy
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
+from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -24,6 +27,8 @@ from .errors import ConfigurationError
 from .fileio import atomic_write_text
 from .harness import ExperimentConfig, FilterVariant
 from .sensing import FaultConfig, GnssSpec, HYPOTHESIS_MODES, LoopDetectorSpec
+
+DEFAULT_SCENARIO_FILE = "default_scenario.yaml"
 
 
 @dataclass(frozen=True)
@@ -286,80 +291,17 @@ def _as_plain(value: Any) -> Any:
     return value
 
 
+@functools.cache
+def _default_doc() -> dict:
+    text = resources.files(__package__).joinpath(DEFAULT_SCENARIO_FILE).read_text()
+    return yaml.safe_load(text)
+
+
 def default_scenario_dict() -> dict:
-    """Desk-scale default: a 24-link freeway with two capacity drops that
-    queue most of the corridor at moderate speeds through a sharp morning
-    peak, six loop detectors, and probe-speed sensing with fault injection.
-    Sized so the full variant x level x seed study finishes in minutes."""
-    n_links = 24
-    bottlenecks = {8: 4.2, 16: 4.0}
-    onramps = {4, 12, 20}
-    offramps = {6, 14, 22}
-    links = []
-    for i in range(n_links):
-        link: dict[str, Any] = {
-            "length": 500.0,
-            "vf": 25.0,
-            "w": 6.0,
-            "qmax": bottlenecks.get(i, 6.0),
-            "rho_jam": 0.125,
-        }
-        if i in onramps:
-            link["onramp"] = True
-        if i in offramps:
-            link["offramp"] = True
-            link["beta"] = 0.06
-        links.append(link)
-    return {
-        "network": {
-            "dt": 10.0,
-            "onramp_priority": 0.5,
-            "links": links,
-        },
-        "demand": {
-            "upstream": {
-                "base": 1.0,
-                "peak": 5.4,
-                "rise": [900.0, 2700.0],
-                "fall": [14400.0, 16200.0],
-                "noise_frac": 0.20,
-            },
-            "onramp_default": {
-                "base": 0.1,
-                "peak": 0.4,
-                "rise": [900.0, 2700.0],
-                "fall": [14400.0, 16200.0],
-                "noise_frac": 0.30,
-            },
-        },
-        "sensors": {
-            "loops": {
-                "links": [0, 4, 8, 12, 16, 20],
-                "noise_frac": 0.10,
-                "min_std": 0.002,
-            },
-            "gnss": {"penetration": 0.02, "noise_frac": 0.20, "min_std": 0.5},
-            "faults": {
-                "probability": 0.30,
-                "zero_weight": 0.3333333333333333,
-                "speed_mean": 30.0,
-                "speed_std": 10.0,
-            },
-        },
-        "filter": {
-            "particles": 400,
-            "variants": ["none", "fisher", "np_correct", "np_incorrect"],
-            "alphas": [0.001, 0.01, 0.1],
-            "resample_threshold": 0.5,
-            "np_mass_normalized": False,
-            "h1_zero_std": 0.5,
-        },
-        "run": {
-            "horizon": 1800,
-            "seeds": [11, 23, 37, 53, 71],
-            "mape_floor": 0.0001,
-        },
-    }
+    """The desk-scale default study, as written in the packaged
+    ``default_scenario.yaml``; every call returns a fresh copy that the
+    caller may modify."""
+    return copy.deepcopy(_default_doc())
 
 
 def default_scenario() -> Scenario:

@@ -15,6 +15,7 @@ measurement so detection quality can be scored exactly.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -25,6 +26,7 @@ from scipy.special import ndtr
 
 from .ctm import FreewayNetwork
 from .errors import ConfigurationError, DataError
+from .fileio import atomic_write_text
 from .gates import SensorModel, GateKind
 from .particles import MeasurementDensity
 from .rng import RandomSource
@@ -85,6 +87,11 @@ class GnssSpec:
             raise ConfigurationError("speed model min_std must be positive")
 
 
+# Least mass the fault Gaussian may keep above zero.  The generator draws it
+# by rejection, so this bounds the expected draws per fault to 1 / mass.
+MIN_FAULT_MASS = 1e-3
+
+
 @dataclass(frozen=True)
 class FaultConfig:
     """Per-measurement fault mixture for speed reports."""
@@ -101,6 +108,13 @@ class FaultConfig:
             raise ConfigurationError("zero-fault mixture weight must be in [0, 1]")
         if self.speed_std <= 0.0:
             raise ConfigurationError("fault speed std must be positive")
+        mass = float(ndtr(self.speed_mean / self.speed_std))
+        if not mass >= MIN_FAULT_MASS:
+            raise ConfigurationError(
+                f"fault speed Gaussian keeps mass {mass:.3g} above zero "
+                f"(speed_mean={self.speed_mean}, speed_std={self.speed_std}); "
+                f"at least {MIN_FAULT_MASS:g} is required"
+            )
 
 
 @dataclass(frozen=True)
@@ -386,16 +400,14 @@ def build_sensor_models(
 
 
 def write_measurement_log(path: str | Path, measurements: Iterable[LabeledMeasurement]) -> None:
-    """Write the measurement log; column order is fixed and documented in
-    ``MEASUREMENT_COLUMNS``."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MEASUREMENT_COLUMNS)
-        for m in measurements:
-            writer.writerow(
-                [m.k, m.sensor_id, m.kind, m.link, repr(m.value), int(m.faulty)]
-            )
+    """Write the measurement log atomically; column order is fixed and
+    documented in ``MEASUREMENT_COLUMNS``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(MEASUREMENT_COLUMNS)
+    for m in measurements:
+        writer.writerow([m.k, m.sensor_id, m.kind, m.link, repr(m.value), int(m.faulty)])
+    atomic_write_text(path, buf.getvalue())
 
 
 def read_measurement_log(path: str | Path) -> list[LabeledMeasurement]:
@@ -412,16 +424,17 @@ def read_measurement_log(path: str | Path) -> list[LabeledMeasurement]:
             if len(row) != len(MEASUREMENT_COLUMNS):
                 raise DataError(f"{path}:{lineno}: expected {len(MEASUREMENT_COLUMNS)} columns")
             try:
-                out.append(
-                    LabeledMeasurement(
-                        k=int(row[0]),
-                        sensor_id=row[1],
-                        kind=row[2],
-                        link=int(row[3]),
-                        value=float(row[4]),
-                        faulty=bool(int(row[5])),
-                    )
+                m = LabeledMeasurement(
+                    k=int(row[0]),
+                    sensor_id=row[1],
+                    kind=row[2],
+                    link=int(row[3]),
+                    value=float(row[4]),
+                    faulty=bool(int(row[5])),
                 )
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
+            if not math.isfinite(m.value):
+                raise DataError(f"{path}:{lineno}: non-finite value {row[4]!r}")
+            out.append(m)
     return out

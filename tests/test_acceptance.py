@@ -27,7 +27,6 @@ from gatedpf.harness import (
 )
 from gatedpf.particles import (
     ParticleEnsemble,
-    normalize,
     posterior_mean,
     resample_systematic,
     weight_update,
@@ -223,11 +222,10 @@ class TestCriterion6PropertySuites:
             prior = rng.uniform(1e-6, 1.0, n)
             prior /= prior.sum()
             lik = rng.uniform(1e-9, 5.0, n)
-            ens = ParticleEnsemble(np.zeros((n, 1)), prior, normalized=True)
-            updated = weight_update(ens, [0.0], [StubDensity(lik)])
-            out, marginal = normalize(updated)
+            ens = ParticleEnsemble(np.zeros((n, 1)), prior)
+            out, log_marginal = weight_update(ens, [0.0], [StubDensity(lik)])
             assert abs(float(np.sum(out.weights)) - 1.0) <= 1e-12
-            assert marginal == pytest.approx(float(np.sum(prior * lik)), rel=1e-12)
+            assert math.exp(log_marginal) == pytest.approx(float(np.sum(prior * lik)), rel=1e-12)
         say("criterion 6a PASS: normalization and marginal-likelihood identity at 1e-12")
 
     def test_joint_vs_sequential_update_equivalence(self):
@@ -236,13 +234,11 @@ class TestCriterion6PropertySuites:
             n = int(rng.integers(2, 16))
             ens = ParticleEnsemble.from_states(rng.normal(size=(n, 2)))
             a, b = rng.uniform(1e-4, 2.0, n), rng.uniform(1e-4, 2.0, n)
-            joint = weight_update(ens, [0.0, 0.0], [StubDensity(a), StubDensity(b)])
-            seq = weight_update(
-                weight_update(ens, [0.0], [StubDensity(a)]), [0.0], [StubDensity(b)]
-            )
-            np.testing.assert_allclose(
-                joint.unnormalized_weights, seq.unnormalized_weights, rtol=1e-12
-            )
+            joint, log_joint = weight_update(ens, [0.0, 0.0], [StubDensity(a), StubDensity(b)])
+            first, log_a = weight_update(ens, [0.0], [StubDensity(a)])
+            seq, log_b = weight_update(first, [0.0], [StubDensity(b)])
+            np.testing.assert_allclose(joint.weights, seq.weights, rtol=1e-12)
+            assert log_a + log_b == pytest.approx(log_joint, rel=1e-12, abs=1e-12)
         say("criterion 6b PASS: joint equals sequential per-sensor update at 1e-12")
 
     def test_resampler_bounds_and_mean_preservation(self):
@@ -251,7 +247,7 @@ class TestCriterion6PropertySuites:
         weights /= weights.sum()
         # First state component is the particle index, for exact copy counts.
         states = np.column_stack([np.arange(10.0), rng.normal(size=10)])
-        ens = ParticleEnsemble(states, weights, normalized=True)
+        ens = ParticleEnsemble(states, weights)
         target = posterior_mean(ens)
         means = []
         for seed in range(1000):
@@ -267,24 +263,25 @@ class TestCriterion6PropertySuites:
         say("criterion 6c PASS: systematic resampler copy-count bounds and mean preservation")
 
     def test_ctm_conservation_and_flow_bounds(self):
-        from gatedpf.ctm import BoundaryDemand, step
+        from gatedpf.ctm import BoundaryDemand, advance
         from conftest import small_network
 
         rng = np.random.default_rng(4)
         net = small_network(5, onramps={2}, offramps={3}, beta=0.12)
         for trial in range(300):
-            state = rng.uniform(0.0, 0.12, 5)
+            state = rng.uniform(0.0, 0.12, (1, 5))
             demand = BoundaryDemand(
                 float(rng.uniform(0, 5)), 0.3, np.array([0.4]), np.array([0.2])
             )
-            new, flows = step(state, net, demand, RandomSource(trial))
+            upstream, ramps = demand.sample(RandomSource(trial), size=1)
+            new, q, r, s = advance(state, net, upstream, ramps)
             balance = float(
                 np.sum((new - state) * net.lengths)
-                - (flows.q[0] - flows.q[-1] + flows.r.sum() - flows.s.sum())
+                - (q[0, 0] - q[0, -1] + r.sum() - s.sum())
             )
             assert abs(balance) < 1e-9
-            assert np.all(flows.q >= 0) and np.all(flows.r >= 0) and np.all(flows.s >= 0)
-            assert np.all(flows.q[1:] <= net.qmax + 1e-12)
+            assert np.all(q >= 0) and np.all(r >= 0) and np.all(s >= 0)
+            assert np.all(q[:, 1:] <= net.qmax + 1e-12)
         say("criterion 6d PASS: vehicle conservation at 1e-9 and flow bounds")
 
     def test_gate_short_circuit_and_monotonicity(self):

@@ -147,6 +147,22 @@ class TestFilter:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("link", [-1, 3])
+    def test_out_of_network_link_exits_2(self, scenario_path, tmp_path, capsys, link):
+        # The tiny scenario has links 0..2; neither row may be gated against
+        # some other link or crash the filter.
+        sim = tmp_path / "sim"
+        run_cli("simulate", "--scenario", scenario_path, "--out", sim, "--quiet")
+        lines = (sim / "measurements.csv").read_text().splitlines()
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines + [f"5,gnss-x,gnss_speed,{link},12.5,0"]) + "\n")
+        code = run_cli(
+            "filter", "--scenario", scenario_path, "--log", bad,
+            "--variant", "fisher", "--alpha", "0.01", "--out", tmp_path / "o", "--quiet",
+        )
+        assert code == 2
+        assert f"names link {link}" in capsys.readouterr().err
+
 
 class TestSweepAndReport:
     def test_sweep_writes_tables(self, scenario_path, tmp_path):

@@ -10,17 +10,14 @@ from gatedpf.ctm import (
     BoundaryDemand,
     DemandProfile,
     DemandSchedule,
-    FlowRecord,
     FreewayNetwork,
     LinkParams,
     advance,
     equilibrium_state,
     junction_flows,
     link_flow,
-    link_speed,
     simulate,
     speed_map,
-    step,
 )
 from gatedpf.errors import ConfigurationError, ModelConsistencyError
 from gatedpf.rng import RandomSource
@@ -150,21 +147,28 @@ class TestJunctionFlows:
 densities = st.floats(min_value=0.0, max_value=0.125)
 
 
+def sampled_advance(state, network, demand, rng):
+    """One step of a single state with demands drawn from ``demand``."""
+    upstream, ramps = demand.sample(rng, size=1)
+    new, q, r, s = advance(np.asarray(state, dtype=float)[None, :], network, upstream, ramps)
+    return new[0], q[0], r[0], s[0]
+
+
 class TestStep:
     def test_quiescent_freeway(self, single_link_network):
         state = np.zeros(1)
         demand = BoundaryDemand(0.0, 0.0, np.array([]), np.array([]))
-        new, flows = step(state, single_link_network, demand, RandomSource(0))
+        new, q, _, _ = sampled_advance(state, single_link_network, demand, RandomSource(0))
         np.testing.assert_array_equal(new, state)
-        assert np.all(flows.q == 0)
+        assert np.all(q == 0)
 
     def test_hand_density_update(self, single_link_network):
         # L=100, rho=0.05, inflow 2, outflow 1 -> rho' = 0.06.
         state = np.array([0.05])
         demand = BoundaryDemand(2.0, 0.0, np.array([]), np.array([]))
-        new, flows = step(state, single_link_network, demand, RandomSource(0))
-        assert flows.q[0] == pytest.approx(2.0, rel=1e-12)  # supply-limited above 2
-        assert flows.q[1] == pytest.approx(1.0, rel=1e-12)  # qmax = 1 binds
+        new, q, _, _ = sampled_advance(state, single_link_network, demand, RandomSource(0))
+        assert q[0] == pytest.approx(2.0, rel=1e-12)  # supply-limited above 2
+        assert q[1] == pytest.approx(1.0, rel=1e-12)  # qmax = 1 binds
         assert new[0] == pytest.approx(0.06, rel=1e-12)
 
     @given(
@@ -177,10 +181,10 @@ class TestStep:
         net = small_network(len(rho), onramps={1}, offramps={0}, beta=0.15)
         state = np.array(rho)
         demand = BoundaryDemand(inflow_demand, 0.2 * inflow_demand, np.array([0.3]), np.array([0.1]))
-        new, flows = step(state, net, demand, RandomSource(seed))
+        new, q, r, s = sampled_advance(state, net, demand, RandomSource(seed))
         before = float(np.sum(state * net.lengths))
         after = float(np.sum(new * net.lengths))
-        net_flow = float(flows.q[0] - flows.q[-1] + np.sum(flows.r) - np.sum(flows.s))
+        net_flow = float(q[0] - q[-1] + np.sum(r) - np.sum(s))
         assert after - before == pytest.approx(net_flow, abs=1e-9)
 
     @given(
@@ -192,41 +196,54 @@ class TestStep:
     def test_flow_bounds_and_density_range(self, rho, inflow_demand, seed):
         net = small_network(len(rho), onramps={1}, offramps={0}, beta=0.15)
         demand = BoundaryDemand(inflow_demand, 0.0, np.array([0.5]), np.array([0.0]))
-        new, flows = step(np.array(rho), net, demand, RandomSource(seed))
-        assert np.all(flows.q >= -1e-12)
+        new, q, _, _ = sampled_advance(np.array(rho), net, demand, RandomSource(seed))
+        assert np.all(q >= -1e-12)
         for b in range(1, len(rho) + 1):
-            assert flows.q[b] <= net.links[b - 1].qmax + 1e-12
+            assert q[b] <= net.links[b - 1].qmax + 1e-12
         assert np.all(new >= 0.0)
         assert np.all(new <= net.rho_jam + 1e-9)
 
 
 class TestLinkSpeed:
     def test_empty_road_falls_back_to_freeflow(self, single_link_network):
-        flows = FlowRecord(q=np.array([0.0, 0.0]), r=np.zeros(1), s=np.zeros(1))
-        v = link_speed(np.array([0.0]), flows, single_link_network)
-        assert v[0] == pytest.approx(10.0)
+        v = speed_map(np.array([[0.0]]), single_link_network, 0.0)
+        assert v[0, 0] == pytest.approx(10.0)
 
     def test_hand_value(self):
+        # rho = 0.1 on a 500 m link, w = 5, dt = 10: the free downstream end
+        # discharges min(vf dt rho, qmax) = min(20, 4) = 4 veh/step, so
+        # v = 4 / (0.1 * 10) = 4 m/s.
         net = small_network(1)
-        flows = FlowRecord(q=np.array([0.0, 1.25]), r=np.zeros(1), s=np.zeros(1))
-        v = link_speed(np.array([0.1]), flows, net)
-        assert v[0] == pytest.approx(1.25, rel=1e-12)
+        v = speed_map(np.array([[0.1]]), net, 0.0)
+        assert v[0, 0] == pytest.approx(4.0, rel=1e-12)
 
     def test_uncongested_speed_is_exactly_freeflow(self):
         # At demand flow: v = vf dt rho / (rho dt) = vf, also for offramp links.
         net = small_network(3, offramps={1}, beta=0.2)
-        rho = np.array([0.005, 0.006, 0.004])
-        q, r, s = junction_flows(rho, net, upstream_demand=0.0)
-        v = link_speed(rho, FlowRecord(q=q, r=r, s=s), net)
-        np.testing.assert_allclose(v, [net.links[i].vf for i in range(3)], rtol=1e-12)
+        rho = np.array([[0.005, 0.006, 0.004]])
+        v = speed_map(rho, net, 0.0)
+        np.testing.assert_allclose(v[0], [net.links[i].vf for i in range(3)], rtol=1e-12)
 
     def test_speed_map_matches_link_speed(self):
-        net = small_network(3, onramps={1})
+        # Link speed is discharge (mainline outflow plus offramp flow) over
+        # rho dt, evaluated on the flows at the given demands.
+        net = small_network(3, onramps={1}, offramps={2}, beta=0.1)
         rho = np.array([0.01, 0.06, 0.02])
         q, r, s = junction_flows(rho, net, upstream_demand=0.4, onramp_demand=[0.2])
-        expected = link_speed(rho, FlowRecord(q=q, r=r, s=s), net)
+        expected = (q[1:] + s) / (rho * net.dt)
         field = speed_map(rho[None, :], net, 0.4, [0.2])
         np.testing.assert_allclose(field[0], expected, rtol=1e-12)
+
+    def test_simulated_speeds_follow_the_realized_flows(self):
+        net = small_network(3, onramps={1}, offramps={2}, beta=0.1)
+        schedule = DemandSchedule(
+            dt=10.0,
+            upstream=DemandProfile(1.0, 3.0, (100.0, 300.0), (600.0, 900.0), 0.3),
+            onramps=(DemandProfile(0.1, 0.4, (100.0, 300.0), (600.0, 900.0), 0.5),),
+        )
+        traj = simulate(net, schedule, 60, RandomSource(5))
+        expected = (traj.q[:, 1:] + traj.s) / (traj.states[:-1] * net.dt)
+        np.testing.assert_allclose(traj.speeds, np.clip(expected, 0.0, net.vf), rtol=1e-12)
 
 
 class TestSimulate:
@@ -285,8 +302,8 @@ class TestDemandProfile:
     def test_sampling_clipped_at_zero(self):
         p = DemandProfile(base=0.01, peak=0.01, rise=(0.0, 0.0), fall=(1e9, 1e9), noise_frac=50.0)
         schedule = DemandSchedule(dt=10.0, upstream=p, onramps=())
-        draws = [schedule.sample(0, RandomSource(s))[0] for s in range(50)]
-        assert min(draws) >= 0.0
+        draws = [schedule.sample(0, RandomSource(s), size=4)[0] for s in range(50)]
+        assert np.min(draws) >= 0.0
 
 
 class TestEquilibrium:

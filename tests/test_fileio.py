@@ -1,0 +1,50 @@
+"""Atomic text writes."""
+from __future__ import annotations
+
+import os
+
+import pytest
+
+from gatedpf import fileio
+from gatedpf.fileio import atomic_write_text
+
+
+def test_writes_text_verbatim(tmp_path):
+    path = atomic_write_text(tmp_path / "sub" / "a.csv", "x,y\r\n1,2\n")
+    assert path.read_bytes() == b"x,y\r\n1,2\n"
+
+
+def test_failed_replace_leaves_old_file_and_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "a.txt"
+    atomic_write_text(path, "old\n")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(fileio.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write_text(path, "new\n")
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+
+
+def test_each_writer_gets_its_own_temp_file(tmp_path, monkeypatch):
+    sources = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        sources.append(str(src))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(fileio.os, "replace", recording_replace)
+    atomic_write_text(tmp_path / "a.txt", "1\n")
+    atomic_write_text(tmp_path / "a.txt", "2\n")
+    assert len(set(sources)) == 2
+    assert (tmp_path / "a.txt").read_text() == "2\n"
+
+
+def test_permissions_match_a_plain_write(tmp_path):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("x")
+    atomic = atomic_write_text(tmp_path / "atomic.txt", "x")
+    assert (atomic.stat().st_mode & 0o777) == (plain.stat().st_mode & 0o777)

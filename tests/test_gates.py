@@ -8,12 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatedpf.errors import (
-    ConfigurationError,
-    ContractViolation,
-    ModelConsistencyError,
-    UndefinedRatioError,
-)
+from gatedpf.errors import ConfigurationError, ModelConsistencyError
 from gatedpf.gates import (
     SensorModel,
     TailMode,
@@ -21,10 +16,9 @@ from gatedpf.gates import (
     fisher_gate,
     fisher_statistic,
     gated_update,
-    likelihood_ratio,
     np_gate,
 )
-from gatedpf.particles import normalize, weight_update
+from gatedpf.particles import weight_update
 from gatedpf.rng import RandomSource
 
 from conftest import GaussianStateDensity, StubDensity, scalar_ensemble
@@ -69,37 +63,42 @@ class TestSensorModel:
             SensorModel(id="x", h0=StubDensity([1.0]), test_kind=GateKind.NEYMAN_PEARSON)
 
 
+def favors_h1(g0, g1) -> bool:
+    """The likelihood-ratio gate's vote of a single particle (g1 / g0 > 1),
+    read off the favoring-particle count of a one-particle gate."""
+    decision = np_gate(scalar_ensemble([0.0]), 0.0, np_sensor(StubDensity([g0]), StubDensity([g1])))
+    return decision.auxiliary == 1.0
+
+
 class TestLikelihoodRatio:
+    """Per-particle fault-over-null ratio, as the gate evaluates it in log space."""
+
     def test_identical_hypotheses_is_one(self):
         h = GaussianStateDensity(std=2.0)
-        assert likelihood_ratio(1.3, np.array([0.7]), h, h) == pytest.approx(1.0)
+        decision = np_gate(scalar_ensemble([0.7]), 1.3, np_sensor(h, h))
+        assert decision.auxiliary == 0.0
 
     def test_hand_division(self):
-        g0 = StubDensity([0.2])
-        g1 = StubDensity([0.4])
-        assert likelihood_ratio(0.0, np.array([0.0]), g0, g1) == pytest.approx(2.0)
+        assert favors_h1(0.2, 0.4)
+        assert not favors_h1(0.4, 0.2)
 
     def test_impossible_under_h1(self):
-        assert likelihood_ratio(0.0, np.array([0.0]), StubDensity([0.5]), StubDensity([0.0])) == 0.0
+        assert not favors_h1(0.5, 0.0)
 
     def test_zero_null_gives_infinity(self):
-        assert math.isinf(
-            likelihood_ratio(0.0, np.array([0.0]), StubDensity([0.0]), StubDensity([0.2]))
+        decision = np_gate(
+            scalar_ensemble([0.0]), 0.0, np_sensor(StubDensity([0.0]), StubDensity([0.2]))
         )
-
-    def test_both_zero_raises(self):
-        with pytest.raises(UndefinedRatioError):
-            likelihood_ratio(0.0, np.array([0.0]), StubDensity([0.0]), StubDensity([0.0]))
+        assert decision.auxiliary == 1.0
+        assert decision.statistic == 0.0
+        assert decision.rejected_h0
 
     @given(st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=50, deadline=None)
     def test_scale_invariance_of_indicator(self, c):
-        # Multiplying both densities by c leaves the ratio unchanged.
-        ratio_a = likelihood_ratio(0.0, np.array([0.0]), StubDensity([0.2]), StubDensity([0.3]))
-        ratio_b = likelihood_ratio(
-            0.0, np.array([0.0]), StubDensity([0.2 * c]), StubDensity([0.3 * c])
-        )
-        assert ratio_b == pytest.approx(ratio_a, rel=1e-9)
+        # Multiplying both densities by c leaves every vote unchanged.
+        assert favors_h1(0.2 * c, 0.3 * c)
+        assert not favors_h1(0.3 * c, 0.2 * c)
 
 
 class TestNpGate:
@@ -165,13 +164,6 @@ class TestNpGate:
         decision = np_gate(ens, 0.0, np_sensor(g0, g1, alpha=0.2, normalized_mass=True))
         assert decision.statistic == pytest.approx(0.3 / 0.6, rel=1e-12)
         assert not decision.rejected_h0
-
-    def test_requires_normalized_ensemble(self):
-        from gatedpf.particles import ParticleEnsemble
-
-        ens = ParticleEnsemble(np.zeros((2, 1)), np.array([1.0, 2.0]), normalized=False)
-        with pytest.raises(ContractViolation):
-            np_gate(ens, 0.0, np_sensor(StubDensity([1, 1]), StubDensity([1, 1])))
 
     @given(
         st.floats(min_value=1e-4, max_value=0.5),
@@ -324,7 +316,7 @@ class TestGatedUpdate:
         assert result.posterior is ens
         assert result.decisions == ()
         assert not result.no_information
-        assert result.marginal_likelihood_estimate == 1.0
+        assert result.log_marginal_likelihood == 0.0
 
     def test_all_accepted_matches_plain_update(self):
         ens = scalar_ensemble([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -335,9 +327,9 @@ class TestGatedUpdate:
             SensorModel(id="b", h0=g0b, test_kind=GateKind.NONE),
         ]
         result = gated_update(ens, list(zip(sensors, [0.0, 0.0])))
-        plain, marginal = normalize(weight_update(ens, [0.0, 0.0], [g0a, g0b]))
+        plain, log_marginal = weight_update(ens, [0.0, 0.0], [g0a, g0b])
         np.testing.assert_allclose(result.posterior.weights, plain.weights, rtol=1e-12)
-        assert result.marginal_likelihood_estimate == pytest.approx(marginal, rel=1e-12)
+        assert result.log_marginal_likelihood == pytest.approx(log_marginal, rel=1e-12)
         assert result.decisions == ()
 
     def test_rejected_sensor_excluded_from_product(self):
@@ -366,7 +358,7 @@ class TestGatedUpdate:
         result = gated_update(ens, [(np_sensor(g0, g1, alpha=0.01), 0.0)])
         assert result.no_information
         assert result.posterior is ens
-        assert result.marginal_likelihood_estimate == 1.0
+        assert result.log_marginal_likelihood == 0.0
 
     def test_mixed_gate_kinds(self):
         ens = scalar_ensemble([10.0, 12.0])
@@ -375,4 +367,4 @@ class TestGatedUpdate:
         result = gated_update(ens, [(loop, 11.0), (speed, 11.2)])
         assert len(result.decisions) == 1
         assert result.decisions[0].test_kind == GateKind.FISHER
-        assert result.posterior.normalized
+        assert abs(float(np.sum(result.posterior.weights)) - 1.0) <= 1e-12

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gatedpf.ctm import DemandProfile, DemandSchedule, equilibrium_state, simulate
+from gatedpf.ctm import DemandProfile, DemandSchedule, advance, equilibrium_state, simulate
 from gatedpf.errors import ConfigurationError, DataError
 from gatedpf.gates import GateKind, gated_update
 from gatedpf.harness import (
@@ -14,7 +14,6 @@ from gatedpf.harness import (
     STREAM_FILTER_RESAMPLE,
     STREAM_TRUTH,
     ConfusionCounts,
-    CtmDynamics,
     DecisionRecord,
     ExperimentConfig,
     FilterVariant,
@@ -165,7 +164,11 @@ class TestFilterLoop:
         # Manual composition.
         init = equilibrium_state(config.network, config.schedule)
         ens = ParticleEnsemble.from_states(np.tile(init, (config.particles, 1)))
-        dyn = CtmDynamics(config.network, config.schedule)
+
+        def transition(states, rng):
+            upstream, ramps = config.schedule.sample(k - 1, rng, size=states.shape[0])
+            return advance(states, config.network, upstream, ramps)[0]
+
         rng_demand = RandomSource(seed).derive(STREAM_FILTER_DEMAND)
         rng_resample = RandomSource(seed).derive(STREAM_FILTER_RESAMPLE)
         by_step = {}
@@ -175,7 +178,7 @@ class TestFilterLoop:
 
         estimates = []
         for k in range(1, config.horizon):
-            prior = predict(ens, dyn.at(k - 1), rng_demand)
+            prior = predict(ens, transition, rng_demand)
             ms = by_step.get(k, [])
             if ms:
                 upstream_mean, ramp_means = config.schedule.means(k)

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from gatedpf.errors import ConfigurationError, ContractViolation, WeightCollapseError
 from gatedpf.particles import (
-    DynamicsModel,
     ParticleEnsemble,
     effective_sample_size,
-    normalize,
     posterior_mean,
     predict,
     resample_systematic,
@@ -22,32 +20,16 @@ from gatedpf.rng import RandomSource
 from conftest import StubDensity, scalar_ensemble
 
 
-class IdentityDynamics(DynamicsModel):
-    def sample_transition(self, state, rng):
-        return state
+def identity(states, rng):
+    return states
 
 
-class ShiftDynamics(DynamicsModel):
-    def __init__(self, delta=1.0):
-        self.delta = delta
-
-    def sample_transition(self, state, rng):
-        return state + self.delta
+def shift(states, rng):
+    return states + 1.0
 
 
-class NoisyDynamics(DynamicsModel):
-    def sample_transition(self, state, rng):
-        return state + rng.normal(size=state.shape)
-
-    def sample_transition_batch(self, states, rng):
-        return states + rng.normal(size=states.shape)
-
-
-class NoisyDynamicsLoop(DynamicsModel):
-    """Noisy dynamics without a batch override, exercising the default loop."""
-
-    def sample_transition(self, state, rng):
-        return state + rng.normal(size=state.shape)
+def noisy(states, rng):
+    return states + rng.normal(size=states.shape)
 
 
 weights_strategy = st.lists(
@@ -58,17 +40,18 @@ weights_strategy = st.lists(
 class TestEnsemble:
     def test_invariants_checked(self):
         with pytest.raises(ConfigurationError):
-            ParticleEnsemble(np.array([[1.0]]), np.array([-0.5]), normalized=False)
+            ParticleEnsemble(np.array([[1.0]]), np.array([-0.5]))
         with pytest.raises(WeightCollapseError):
-            ParticleEnsemble(np.array([[1.0]]), np.array([0.0]), normalized=False)
+            ParticleEnsemble(np.array([[1.0]]), np.array([0.0]))
         with pytest.raises(ContractViolation):
-            ParticleEnsemble(np.array([[1.0], [2.0]]), np.array([0.4, 0.4]), normalized=True)
+            ParticleEnsemble(np.array([[1.0], [2.0]]), np.array([0.4, 0.4]))
+        with pytest.raises(ContractViolation):
+            ParticleEnsemble(np.array([[1.0], [2.0]]), np.array([2.0, 3.0]))
         with pytest.raises(ConfigurationError):
-            ParticleEnsemble(np.array([[np.inf]]), np.array([1.0]), normalized=False)
+            ParticleEnsemble(np.array([[np.inf]]), np.array([1.0]))
 
     def test_from_states_uniform(self):
         ens = scalar_ensemble([1.0, 2.0, 3.0, 4.0])
-        assert ens.normalized
         np.testing.assert_allclose(ens.weights, 0.25)
 
     def test_arrays_are_read_only(self):
@@ -82,87 +65,72 @@ class TestEnsemble:
 class TestPredict:
     def test_identity_dynamics_preserves_everything(self):
         ens = scalar_ensemble([1.0, 2.0, 3.0], weights=[0.2, 0.3, 0.5])
-        out = predict(ens, IdentityDynamics(), RandomSource(1))
+        out = predict(ens, identity, RandomSource(1))
         np.testing.assert_array_equal(out.particles, ens.particles)
         np.testing.assert_array_equal(out.weights, ens.weights)
 
     def test_deterministic_shift_map(self):
         # P=3, states {1,2,3}, x' = x + 1, no noise.
         ens = scalar_ensemble([1.0, 2.0, 3.0])
-        out = predict(ens, ShiftDynamics(1.0), RandomSource(1))
+        out = predict(ens, shift, RandomSource(1))
         np.testing.assert_allclose(out.particles[:, 0], [2.0, 3.0, 4.0])
         np.testing.assert_array_equal(out.weights, ens.weights)
 
     def test_zero_mean_noise_law_of_large_numbers(self):
         p = 10_000
         ens = ParticleEnsemble.from_states(np.zeros((p, 1)))
-        out = predict(ens, NoisyDynamics(), RandomSource(7))
+        out = predict(ens, noisy, RandomSource(7))
         se = 1.0 / np.sqrt(p)
         assert abs(float(np.mean(out.particles))) < 4 * se
 
-    def test_requires_normalized(self):
-        ens = ParticleEnsemble(np.zeros((2, 1)), np.array([1.0, 3.0]), normalized=False)
-        with pytest.raises(ContractViolation):
-            predict(ens, IdentityDynamics(), RandomSource(1))
-
     def test_dimension_mismatch_rejected(self):
-        class WrongShape(DynamicsModel):
-            def sample_transition(self, state, rng):
-                return np.concatenate([state, state])
+        def wrong_shape(states, rng):
+            return np.concatenate([states, states], axis=1)
 
         with pytest.raises(ConfigurationError):
-            predict(scalar_ensemble([1.0]), WrongShape(), RandomSource(1))
+            predict(scalar_ensemble([1.0]), wrong_shape, RandomSource(1))
 
     def test_bit_determinism(self):
         ens = ParticleEnsemble.from_states(np.linspace(0, 1, 50)[:, None])
-        a = predict(ens, NoisyDynamics(), RandomSource(99, (4,)))
-        b = predict(ens, NoisyDynamics(), RandomSource(99, (4,)))
+        a = predict(ens, noisy, RandomSource(99, (4,)))
+        b = predict(ens, noisy, RandomSource(99, (4,)))
         assert np.array_equal(a.particles, b.particles)
-
-    def test_generic_batch_path_gives_each_particle_its_own_stream(self):
-        # The default batch implementation must give every particle its own
-        # stream: identical input states must not produce identical noise,
-        # and consecutive calls with the same rng must not repeat draws.
-        ens = ParticleEnsemble.from_states(np.zeros((8, 1)))
-        rng = RandomSource(3)
-        first = predict(ens, NoisyDynamicsLoop(), rng).particles[:, 0]
-        second = predict(ens, NoisyDynamicsLoop(), rng).particles[:, 0]
-        assert len(np.unique(first)) == len(first)
-        assert not np.array_equal(first, second)
 
 
 class TestWeightUpdate:
     def test_uniform_likelihood_keeps_weights(self):
         ens = scalar_ensemble([1.0, 2.0, 3.0], weights=[0.2, 0.3, 0.5])
-        out = weight_update(ens, [0.0], [StubDensity([1.0, 1.0, 1.0])])
-        np.testing.assert_allclose(out.unnormalized_weights, [0.2, 0.3, 0.5], rtol=1e-12)
-        assert not out.normalized
+        out, log_marginal = weight_update(ens, [0.0], [StubDensity([1.0, 1.0, 1.0])])
+        np.testing.assert_allclose(out.weights, [0.2, 0.3, 0.5], rtol=1e-12)
+        assert log_marginal == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_multiplication(self):
-        # Uniform 1/3 times densities {0.3, 0.2, 0.1}.
+        # Uniform 1/3 times densities {0.3, 0.2, 0.1}: unnormalized
+        # {0.1, 0.2/3, 0.1/3}, marginal 0.2.
         ens = scalar_ensemble([1.0, 2.0, 3.0])
-        out = weight_update(ens, [0.0], [StubDensity([0.3, 0.2, 0.1])])
-        np.testing.assert_allclose(
-            out.unnormalized_weights, [0.1, 0.2 / 3, 0.1 / 3], rtol=1e-12
-        )
+        out, log_marginal = weight_update(ens, [0.0], [StubDensity([0.3, 0.2, 0.1])])
+        np.testing.assert_allclose(out.weights, [0.5, 1 / 3, 1 / 6], rtol=1e-12)
+        assert np.exp(log_marginal) == pytest.approx(0.2, rel=1e-12)
 
     def test_states_unchanged(self):
         ens = scalar_ensemble([1.0, 2.0, 3.0])
-        out = weight_update(ens, [0.0], [StubDensity([0.5, 0.5, 0.5])])
+        out, _ = weight_update(ens, [0.0], [StubDensity([0.5, 0.5, 0.5])])
         np.testing.assert_array_equal(out.particles, ens.particles)
 
     def test_two_sensors_equal_product_and_sequential(self):
         rng = np.random.default_rng(5)
         a = rng.uniform(0.05, 2.0, 6)
         b = rng.uniform(0.05, 2.0, 6)
-        ens = scalar_ensemble(np.arange(6.0), weights=rng.uniform(0.1, 1.0, 6) / 3.3)
-        joint = weight_update(ens, [0.0, 0.0], [StubDensity(a), StubDensity(b)])
-        seq = weight_update(
-            weight_update(ens, [0.0], [StubDensity(a)]), [0.0], [StubDensity(b)]
-        )
+        prior = rng.uniform(0.1, 1.0, 6)
+        ens = scalar_ensemble(np.arange(6.0), weights=prior / prior.sum())
+        joint, log_joint = weight_update(ens, [0.0, 0.0], [StubDensity(a), StubDensity(b)])
+        first, log_a = weight_update(ens, [0.0], [StubDensity(a)])
+        seq, log_b = weight_update(first, [0.0], [StubDensity(b)])
         brute = ens.weights * a * b
-        np.testing.assert_allclose(joint.unnormalized_weights, brute, rtol=1e-12)
-        np.testing.assert_allclose(seq.unnormalized_weights, brute, rtol=1e-12)
+        np.testing.assert_allclose(joint.weights, brute / brute.sum(), rtol=1e-12)
+        np.testing.assert_allclose(seq.weights, brute / brute.sum(), rtol=1e-12)
+        assert np.exp(log_joint) == pytest.approx(float(np.sum(brute)), rel=1e-12)
+        assert log_a + log_b == pytest.approx(log_joint, rel=1e-12, abs=1e-12)
 
     def test_all_zero_collapse_raises(self):
         ens = scalar_ensemble([1.0, 2.0])
@@ -175,58 +143,60 @@ class TestWeightUpdate:
             weight_update(ens, [0.0, 1.0], [StubDensity([1.0])])
 
     def test_deep_underflow_survives_in_log_domain(self):
-        # Products far below the float64 range keep relative structure.
+        # One update whose likelihood product lies far below the float64
+        # range (1e-600) keeps relative structure and a finite log marginal.
         ens = scalar_ensemble([0.0, 1.0])
-        out = ens
-        for _ in range(10):
-            out = weight_update(out, [0.0], [StubDensity([1e-60, 2e-60])])
-        assert out.log_scale != 0.0
-        normalized, _ = normalize(out)
+        sensors = [StubDensity([1e-60, 2e-60])] * 10
+        out, log_marginal = weight_update(ens, [0.0] * 10, sensors)
         np.testing.assert_allclose(
-            normalized.weights, [1 / (1 + 2**10), 2**10 / (1 + 2**10)], rtol=1e-9
+            out.weights, [1 / (1 + 2**10), 2**10 / (1 + 2**10)], rtol=1e-9
         )
+        expected = -600 * np.log(10.0) + np.log((1 + 2**10) / 2)
+        assert log_marginal == pytest.approx(expected, rel=1e-12)
 
 
 class TestNormalize:
+    """Normalization inside the fused weight update."""
+
     def test_hand_arithmetic(self):
-        ens = ParticleEnsemble(np.zeros((3, 1)), np.array([2.0, 3.0, 5.0]), normalized=False)
-        out, marginal = normalize(ens)
+        # Uniform prior over three particles, likelihoods {6, 9, 15}:
+        # unnormalized {2, 3, 5}, posterior {0.2, 0.3, 0.5}, marginal 10.
+        ens = scalar_ensemble([0.0, 0.0, 0.0])
+        out, log_marginal = weight_update(ens, [0.0], [StubDensity([6.0, 9.0, 15.0])])
         np.testing.assert_allclose(out.weights, [0.2, 0.3, 0.5], rtol=1e-12)
-        assert marginal == pytest.approx(10.0, rel=1e-12)
+        assert np.exp(log_marginal) == pytest.approx(10.0, rel=1e-12)
 
     def test_idempotent_on_normalized(self):
         ens = scalar_ensemble([1.0, 2.0], weights=[0.5, 0.5])
-        out, marginal = normalize(ens)
+        out, log_marginal = weight_update(ens, [], [])
         np.testing.assert_allclose(out.weights, [0.5, 0.5], rtol=1e-12)
-        assert marginal == pytest.approx(1.0, rel=1e-12)
+        assert log_marginal == pytest.approx(0.0, abs=1e-12)
 
     def test_single_particle(self):
-        ens = ParticleEnsemble(np.zeros((1, 1)), np.array([0.37]), normalized=False)
-        out, marginal = normalize(ens)
+        ens = scalar_ensemble([0.0])
+        out, log_marginal = weight_update(ens, [0.0], [StubDensity([0.37])])
         assert out.weights[0] == pytest.approx(1.0)
-        assert marginal == pytest.approx(0.37, rel=1e-12)
+        assert np.exp(log_marginal) == pytest.approx(0.37, rel=1e-12)
 
     @given(weights_strategy)
     @settings(max_examples=100, deadline=None)
     def test_normalized_sum_within_tolerance(self, weights):
-        ens = ParticleEnsemble(
-            np.zeros((len(weights), 1)), np.array(weights), normalized=False
-        )
-        out, marginal = normalize(ens)
+        ens = ParticleEnsemble.from_states(np.zeros((len(weights), 1)))
+        out, log_marginal = weight_update(ens, [0.0], [StubDensity(weights)])
         assert abs(float(np.sum(out.weights)) - 1.0) <= 1e-12
-        assert marginal == pytest.approx(sum(weights), rel=1e-9)
+        assert np.exp(log_marginal) == pytest.approx(np.mean(weights), rel=1e-9)
 
     @given(weights_strategy)
     @settings(max_examples=100, deadline=None)
     def test_marginal_equals_prior_times_likelihood_sum(self, weights):
-        # Marginal-likelihood identity: normalize after a weight update
-        # returns sum_p prior_p * likelihood_p.
+        # Marginal-likelihood identity: the weight update returns
+        # log sum_p prior_p * likelihood_p.
         prior = np.array(weights) / sum(weights)
-        ens = ParticleEnsemble(np.zeros((len(weights), 1)), prior, normalized=True)
+        ens = ParticleEnsemble(np.zeros((len(weights), 1)), prior)
         rng = np.random.default_rng(11)
         lik = rng.uniform(0.01, 3.0, len(weights))
-        _, marginal = normalize(weight_update(ens, [0.0], [StubDensity(lik)]))
-        assert marginal == pytest.approx(float(np.sum(prior * lik)), rel=1e-12)
+        _, log_marginal = weight_update(ens, [0.0], [StubDensity(lik)])
+        assert np.exp(log_marginal) == pytest.approx(float(np.sum(prior * lik)), rel=1e-12)
 
 
 class TestEffectiveSampleSize:
@@ -241,11 +211,6 @@ class TestEffectiveSampleSize:
     def test_degenerate(self):
         ens = scalar_ensemble([1, 2, 3], weights=[1.0, 0.0, 0.0])
         assert effective_sample_size(ens) == pytest.approx(1.0)
-
-    def test_requires_normalized(self):
-        ens = ParticleEnsemble(np.zeros((2, 1)), np.array([2.0, 2.0]), normalized=False)
-        with pytest.raises(ContractViolation):
-            effective_sample_size(ens)
 
 
 class TestSystematicResampling:
@@ -278,7 +243,7 @@ class TestSystematicResampling:
     def test_copy_count_bounds(self, raw, seed):
         weights = np.array(raw) / sum(raw)
         n = len(weights)
-        ens = ParticleEnsemble(np.arange(n, dtype=float)[:, None], weights, normalized=True)
+        ens = ParticleEnsemble(np.arange(n, dtype=float)[:, None], weights)
         out = resample_systematic(ens, RandomSource(seed))
         counts = np.bincount(out.particles[:, 0].astype(int), minlength=n)
         for p in range(n):
@@ -289,7 +254,7 @@ class TestSystematicResampling:
         weights = rng.uniform(0.05, 1.0, 12)
         weights /= weights.sum()
         states = rng.normal(size=(12, 2))
-        ens = ParticleEnsemble(states, weights, normalized=True)
+        ens = ParticleEnsemble(states, weights)
         target = posterior_mean(ens)
         n_draws = 1000
         means = np.array(

@@ -106,6 +106,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="not found"):
             load_scenario(tmp_path / "nope.yaml")
 
+    def test_fault_mass_above_zero_checked(self):
+        doc = tiny_scenario_dict()
+        doc["sensors"]["faults"].update(speed_mean=-40.0, speed_std=1.0)
+        with pytest.raises(ConfigurationError, match=r"sensors\.faults"):
+            scenario_from_dict(doc)
+
     def test_load_from_yaml(self, tmp_path):
         path = tmp_path / "scenario.yaml"
         path.write_text(yaml.safe_dump(tiny_scenario_dict()))
@@ -121,12 +127,22 @@ class TestDefaultScenario:
         assert set(sc.modes) == {"none", "fisher", "np_correct", "np_incorrect"}
         assert sc.alphas == (0.001, 0.01, 0.1)
 
-    def test_repo_scenario_file_in_sync(self):
-        from pathlib import Path
+    def test_default_dict_is_a_fresh_copy(self):
+        doc = default_scenario_dict()
+        doc["run"]["horizon"] = 3
+        doc["network"]["links"].clear()
+        again = default_scenario_dict()
+        assert again["run"]["horizon"] == 1800
+        assert len(again["network"]["links"]) == 24
 
-        path = Path(__file__).resolve().parents[1] / "scenarios" / "default.yaml"
-        assert path.exists(), "scenarios/default.yaml missing"
-        assert yaml.safe_load(path.read_text()) == default_scenario_dict()
+    def test_packaged_file_loads_as_default(self):
+        from importlib import resources
+
+        from gatedpf.scenario import DEFAULT_SCENARIO_FILE
+
+        path = resources.files("gatedpf").joinpath(DEFAULT_SCENARIO_FILE)
+        with resources.as_file(path) as file:
+            assert load_scenario(file).raw == default_scenario().raw
 
 
 class TestConfigHash:

@@ -47,6 +47,15 @@ class TestSpecs:
         with pytest.raises(ConfigurationError):
             FaultConfig(zero_weight=-0.1)
 
+    def test_fault_config_needs_mass_above_zero(self):
+        # The fault Gaussian is drawn by rejection above zero; a config
+        # keeping almost no mass there would never finish a draw.
+        with pytest.raises(ConfigurationError, match="mass"):
+            FaultConfig(speed_mean=-40.0, speed_std=1.0)
+        with pytest.raises(ConfigurationError, match="mass"):
+            FaultConfig(speed_mean=-3.2, speed_std=1.0)  # ndtr(-3.2) ~ 7e-4
+        FaultConfig(speed_mean=-3.0, speed_std=1.0)  # ndtr(-3) ~ 1.3e-3
+
 
 class TestLoopSampling:
     def test_zero_noise_returns_truth(self):
@@ -271,3 +280,29 @@ class TestMeasurementLog:
         path.write_text("k,sensor_id,kind,link,value,faulty\n1,s,gnss_speed,0,notafloat,0\n")
         with pytest.raises(DataError, match=":2"):
             read_measurement_log(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_value_reports_line(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "k,sensor_id,kind,link,value,faulty\n"
+            "1,s,gnss_speed,0,12.5,0\n"
+            f"1,t,gnss_speed,0,{value},0\n"
+        )
+        with pytest.raises(DataError, match=r"bad\.csv:3: non-finite"):
+            read_measurement_log(path)
+
+    def test_write_is_atomic(self, tmp_path, monkeypatch):
+        path = tmp_path / "log.csv"
+        ms = [LabeledMeasurement(k=1, sensor_id="g", kind="gnss_speed", link=0, value=1.5, faulty=False)]
+        write_measurement_log(path, ms)
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("gatedpf.fileio.os.replace", failing_replace)
+        with pytest.raises(OSError):
+            write_measurement_log(path, ms * 3)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv"]
