@@ -1,9 +1,9 @@
 """Fault-gated particle filtering with a cell-transmission freeway testbed.
 
 A bootstrap particle filter whose measurement update is guarded by
-per-sensor statistical gates: a Monte Carlo likelihood-ratio test for when
-a fault model exists, and a Monte Carlo significance test for when only
-the nominal sensor model is known.  A macroscopic freeway simulator,
+per-measurement statistical gates: a Monte Carlo likelihood-ratio test for
+when a fault model exists, and a Monte Carlo significance test for when
+only the nominal sensor model is known.  A macroscopic freeway simulator,
 synthetic sensing with labeled fault injection, and an experiment harness
 reproduce the accompanying fault-detection/estimation study at desk scale.
 """
@@ -21,7 +21,6 @@ from .errors import (
 )
 from .rng import RandomSource
 from .particles import (
-    MeasurementDensity,
     ParticleEnsemble,
     effective_sample_size,
     posterior_mean,
@@ -30,15 +29,12 @@ from .particles import (
     weight_update,
 )
 from .gates import (
-    GateDecision,
     GatedUpdateResult,
-    SensorModel,
-    TailMode,
     GateKind,
-    fisher_gate,
-    fisher_statistic,
+    GateRows,
     gated_update,
-    np_gate,
+    likelihood_ratio_test,
+    significance_test,
 )
 from .ctm import (
     BoundaryDemand,
@@ -58,10 +54,12 @@ from .sensing import (
     GnssSpec,
     LabeledMeasurement,
     LoopDetectorSpec,
-    build_sensor_models,
+    fault_log_density,
     inject_faults,
+    measurement_rows,
     sample_gnss_speeds,
     sample_loop_detectors,
+    standardize,
 )
 from .harness import (
     ExperimentConfig,

@@ -1,22 +1,22 @@
-"""Per-sensor statistical gates and the gated measurement update.
+"""Statistical gates and the gated measurement update, on one step's rows.
 
-Two Monte Carlo tests decide, per sensor and per timestep, whether a
-measurement should be assimilated or rejected as faulty:
+Two Monte Carlo tests decide, per measurement and per timestep, whether a
+measurement should be assimilated or rejected as faulty.  Both take the
+predicted (prior) ensemble's weights and the step's per-particle rows, one
+row per tested measurement, and return one outcome per row:
 
-* A likelihood-ratio gate for the case where a fault model exists.  Each
+* A likelihood-ratio test for the case where a fault model exists.  Each
   particle votes by comparing its fault-model log density against its null
-  log density (ties favor the null); the test statistic is the null-weighted mass of the particles
-  favoring the fault model, and the null is rejected when that mass falls
-  below the significance level.
-* A significance gate for the model-free case.  A per-particle
+  log density (ties favor the null); the test statistic is the
+  null-weighted mass of the particles favoring the fault model, and the
+  null is rejected when that mass falls below the significance level.
+* A significance test for the model-free case.  The per-particle
   standardized residual is weight-averaged into a single statistic whose
-  standard-normal tail probability is compared against the level.
+  two-sided standard-normal tail probability is compared against the level.
 
-``gated_update`` runs the configured gate for every sensor against the
-predicted (prior) ensemble, then performs the usual weight update with
-only the accepted sensors, returning the posterior and the log marginal
-likelihood of the accepted set.  Gates are pure functions of
-(ensemble, measurement, sensor) and may be evaluated in parallel.
+``gated_update`` then adds the null log-density rows of the accepted
+measurements to the prior's log weights, in measurement order, and returns
+the posterior with the log marginal likelihood of the accepted set.
 """
 from __future__ import annotations
 
@@ -26,210 +26,117 @@ from enum import Enum
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import ConfigurationError, ModelConsistencyError
-from .particles import MeasurementDensity, ParticleEnsemble, weight_update
+from .particles import ParticleEnsemble, weight_update
 
 
 class GateKind(str, Enum):
-    NONE = "none"
     NEYMAN_PEARSON = "neyman_pearson"
     FISHER = "fisher"
 
 
-class TailMode(str, Enum):
-    TWO_SIDED = "two_sided"
-    LEFT = "left"
-    RIGHT = "right"
-
-
 @dataclass(frozen=True)
-class SensorModel:
-    """One sensor's null model, optional fault model, and test configuration.
+class GateRows:
+    """Outcome of one test on each of K rows.
 
-    ``np_mass_normalized`` selects the variant of the likelihood-ratio
-    statistic that divides by the total null mass over particles; the
-    default keeps the raw mass, which lets uniformly implausible
-    measurements (tiny null density under every particle) be rejected.
+    ``statistic`` is the quantity compared against ``alpha``: the
+    H1-favoring null mass for the likelihood-ratio test, the p-value for the
+    significance test.  ``auxiliary`` carries the count of H1-favoring
+    particles, respectively the weighted residual statistic.
     """
 
-    id: str
-    h0: MeasurementDensity
-    h1: MeasurementDensity | None = None
-    test_kind: GateKind = GateKind.NONE
-    alpha: float = 0.05
-    tail_mode: TailMode = TailMode.TWO_SIDED
-    np_mass_normalized: bool = False
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 1.0):
-            raise ConfigurationError(
-                f"sensor {self.id!r}: alpha must lie strictly in (0, 1), got {self.alpha}"
-            )
-        if self.test_kind == GateKind.NEYMAN_PEARSON and self.h1 is None:
-            raise ConfigurationError(
-                f"sensor {self.id!r}: likelihood-ratio test requires a fault model h1"
-            )
-
-
-@dataclass(frozen=True)
-class GateDecision:
-    """Outcome of one statistical test on one sensor at one timestep.
-
-    ``statistic`` is the quantity compared against ``threshold`` (= alpha):
-    the H1-favoring null mass for the likelihood-ratio gate, the estimated
-    p-value for the significance gate.  ``auxiliary`` carries the count of
-    H1-favoring particles, respectively the weighted residual statistic.
-    """
-
-    sensor_id: str
-    test_kind: GateKind
-    statistic: float
-    threshold: float
-    rejected_h0: bool
-    auxiliary: float
+    kind: GateKind
+    statistic: np.ndarray
+    auxiliary: np.ndarray
+    rejected: np.ndarray
 
 
 @dataclass(frozen=True)
 class GatedUpdateResult:
-    """Posterior of one gated update plus its decisions.
+    """Posterior of one gated update.
 
     ``log_marginal_likelihood`` is the log marginal likelihood of the
     accepted measurement set; it is 0.0 when nothing was assimilated.
+    ``no_information`` is set when the step had measurements and every one
+    was rejected.
     """
 
     posterior: ParticleEnsemble
-    decisions: tuple[GateDecision, ...]
     log_marginal_likelihood: float
     no_information: bool = False
 
 
-def np_gate(ensemble: ParticleEnsemble, value: float, sensor: SensorModel) -> GateDecision:
-    """Likelihood-ratio gate on the prior ensemble.
+def likelihood_ratio_test(
+    weights: np.ndarray,
+    log_g0: np.ndarray,
+    log_g1: np.ndarray,
+    alpha: float,
+    mass_normalized: bool = False,
+) -> GateRows:
+    """Likelihood-ratio test of each row against the prior weights.
 
-    The statistic sums ``w_p * g0(value | x_p)`` over the particles whose
-    fault-model density strictly exceeds their null density; the null is
-    rejected when the statistic falls below ``alpha``.  If no particle
-    favors the fault model the measurement is accepted outright, whatever
-    the level: an empty favoring region is evidence for the null, even
-    though the mass comparison alone would read as a rejection.
+    ``log_g0`` (K, P) holds the null log densities; ``log_g1`` the fault
+    log densities, (K, P) or (K, 1) when they do not depend on the state.
+    A row's statistic sums ``w_p * g0_p`` over the particles whose fault
+    density strictly exceeds their null density, and the null is rejected
+    when it falls below ``alpha``.  If no particle favors the fault model
+    the row is accepted whatever the level: an empty favoring region is
+    evidence for the null, even though the mass alone would read as a
+    rejection.  ``mass_normalized`` divides the statistic by the row's
+    total null mass; the default keeps the raw mass, which lets uniformly
+    implausible measurements (tiny null density under every particle) be
+    rejected.
     """
-    if sensor.test_kind != GateKind.NEYMAN_PEARSON or sensor.h1 is None:
-        raise ConfigurationError(
-            f"sensor {sensor.id!r} is not configured for a likelihood-ratio test"
-        )
-    log_g0 = np.asarray(sensor.h0.log_density(value, ensemble.particles), dtype=float)
-    log_g1 = np.asarray(sensor.h1.log_density(value, ensemble.particles), dtype=float)
     # Strict comparison: ties, including both densities zero, favor the null.
     favors_h1 = log_g1 > log_g0
     with np.errstate(over="ignore"):
-        mass = ensemble.weights * np.exp(log_g0)
-    statistic = float(np.sum(mass[favors_h1]))
-    if sensor.np_mass_normalized:
-        total = float(np.sum(mass))
-        statistic = statistic / total if total > 0.0 else 0.0
-    count = int(np.count_nonzero(favors_h1))
-    rejected = count > 0 and statistic < sensor.alpha
-    return GateDecision(
-        sensor_id=sensor.id,
-        test_kind=GateKind.NEYMAN_PEARSON,
+        mass = weights * np.exp(log_g0)
+    # Row by row, summing only the favoring particles: padding the sum with
+    # zeros would change its rounding.
+    statistic = np.array([np.sum(m[f]) for m, f in zip(mass, favors_h1)], dtype=float)
+    if mass_normalized:
+        total = np.array([np.sum(m) for m in mass], dtype=float)
+        statistic = np.divide(
+            statistic, total, out=np.zeros_like(statistic), where=total > 0.0
+        )
+    count = np.count_nonzero(favors_h1, axis=1)
+    return GateRows(
+        kind=GateKind.NEYMAN_PEARSON,
         statistic=statistic,
-        threshold=sensor.alpha,
-        rejected_h0=rejected,
-        auxiliary=float(count),
+        auxiliary=count.astype(float),
+        rejected=(count > 0) & (statistic < alpha),
     )
 
 
-def fisher_statistic(
-    ensemble: ParticleEnsemble, value: float, sensor: SensorModel
-) -> float:
-    """Weight-averaged standardized residual of the measurement.
+def significance_test(weights: np.ndarray, z: np.ndarray, alpha: float) -> GateRows:
+    """Significance test of each row of standardized residuals ``z`` (K, P).
 
-    Per particle the statistic is ``(value - mu_p) / sigma_p`` with
-    ``(mu_p, sigma_p)`` from the null model's predictive form; the returned
-    value is its average under the ensemble weights.
+    A row's statistic is its residuals averaged under the prior weights;
+    its two-sided standard-normal tail probability is the p-value, and the
+    null is rejected when that falls below ``alpha``.
     """
-    mean, scale = sensor.h0.predict(ensemble.particles)
-    mean = np.asarray(mean, dtype=float)
-    scale = np.asarray(scale, dtype=float)
-    if np.any(scale <= 0.0):
-        raise ModelConsistencyError(
-            f"sensor {sensor.id!r}: predictive scale must be positive"
-        )
-    residuals = (value - mean) / scale
-    return float(np.sum(ensemble.weights * residuals))
-
-
-def fisher_gate(ensemble: ParticleEnsemble, value: float, sensor: SensorModel) -> GateDecision:
-    """Significance gate: standard-normal tail probability of the statistic."""
-    stat = fisher_statistic(ensemble, value, sensor)
-    if sensor.tail_mode == TailMode.TWO_SIDED:
-        p_value = float(2.0 * ndtr(-abs(stat)))
-    elif sensor.tail_mode == TailMode.LEFT:
-        p_value = float(ndtr(stat))
-    else:
-        p_value = float(ndtr(-stat))
-    return GateDecision(
-        sensor_id=sensor.id,
-        test_kind=GateKind.FISHER,
+    stat = np.array([np.sum(weights * row) for row in z], dtype=float)
+    p_value = 2.0 * ndtr(-np.abs(stat))
+    return GateRows(
+        kind=GateKind.FISHER,
         statistic=p_value,
-        threshold=sensor.alpha,
-        rejected_h0=p_value < sensor.alpha,
         auxiliary=stat,
+        rejected=p_value < alpha,
     )
 
 
 def gated_update(
-    prior: ParticleEnsemble,
-    measurements,
+    prior: ParticleEnsemble, log_g0: np.ndarray, rejected: np.ndarray
 ) -> GatedUpdateResult:
-    """Test every sensor against the prior, then assimilate the survivors.
+    """Assimilate the rows the gates did not reject.
 
-    Parameters
-    ----------
-    prior : ParticleEnsemble
-        Predicted ensemble (the prediction step has already run).
-    measurements : sequence of (SensorModel, float)
-        One entry per sensor reporting this timestep.  Sensors whose
-        ``test_kind`` is ``NONE`` are assimilated without a decision.
-
-    Returns
-    -------
-    GatedUpdateResult
-        Posterior, one decision per tested sensor, and the log marginal
-        likelihood of the accepted measurement set.  When every sensor is
-        rejected the prior is returned unchanged with ``no_information``
-        set.
+    ``log_g0`` (M, P) holds the null log density of each of the step's
+    measurements under each prior particle, and ``rejected`` (M,) flags the
+    rows a gate rejected (untested rows are never rejected).  The accepted
+    rows are added to the prior's log weights in row order.  When every row
+    is rejected the prior is returned unchanged with ``no_information`` set.
     """
-    decisions: list[GateDecision] = []
-    accepted_values: list[float] = []
-    accepted_sensors: list[MeasurementDensity] = []
-    for sensor, value in measurements:
-        if sensor.test_kind == GateKind.NONE:
-            accepted_values.append(float(value))
-            accepted_sensors.append(sensor.h0)
-            continue
-        if sensor.test_kind == GateKind.NEYMAN_PEARSON:
-            decision = np_gate(prior, float(value), sensor)
-        elif sensor.test_kind == GateKind.FISHER:
-            decision = fisher_gate(prior, float(value), sensor)
-        else:
-            raise ConfigurationError(f"unknown test kind {sensor.test_kind!r}")
-        decisions.append(decision)
-        if not decision.rejected_h0:
-            accepted_values.append(float(value))
-            accepted_sensors.append(sensor.h0)
-    if not accepted_sensors:
-        had_measurements = len(decisions) > 0
-        return GatedUpdateResult(
-            posterior=prior,
-            decisions=tuple(decisions),
-            log_marginal_likelihood=0.0,
-            no_information=had_measurements,
-        )
-    posterior, log_marginal = weight_update(prior, accepted_values, accepted_sensors)
-    return GatedUpdateResult(
-        posterior=posterior,
-        decisions=tuple(decisions),
-        log_marginal_likelihood=log_marginal,
-        no_information=False,
-    )
+    accepted = np.flatnonzero(~np.asarray(rejected, dtype=bool))
+    if accepted.size == 0:
+        return GatedUpdateResult(prior, 0.0, no_information=len(rejected) > 0)
+    posterior, log_marginal = weight_update(prior, log_g0[accepted])
+    return GatedUpdateResult(posterior, log_marginal)

@@ -35,7 +35,7 @@ from .ctm import (
 )
 from .errors import ConfigurationError, DataError, WeightCollapseError
 from .fileio import atomic_write_text
-from .gates import GateKind, gated_update
+from .gates import GateRows, gated_update, likelihood_ratio_test, significance_test
 from .particles import (
     ParticleEnsemble,
     effective_sample_size,
@@ -46,15 +46,19 @@ from .particles import (
 from .rng import RandomSource
 from .sensing import (
     GNSS_SPEED,
+    LOOP_DENSITY,
+    MEASUREMENT_KINDS,
     FaultConfig,
     GnssSpec,
     HYPOTHESIS_MODES,
     LabeledMeasurement,
     LoopDetectorSpec,
-    build_sensor_models,
+    fault_log_density,
     inject_faults,
+    measurement_rows,
     sample_gnss_speeds,
     sample_loop_detectors,
+    standardize,
     vehicle_counts,
 )
 
@@ -145,6 +149,8 @@ class ExperimentConfig:
             raise ConfigurationError("resample threshold must be in (0, 1]")
         if self.mape_floor <= 0.0:
             raise ConfigurationError("MAPE floor must be positive")
+        if not self.h1_zero_std > 0.0:
+            raise ConfigurationError(f"h1_zero_std must be positive, got {self.h1_zero_std}")
 
 
 @dataclass(frozen=True)
@@ -204,6 +210,21 @@ def generate_measurements(
     return inject_faults(measurements, fault_config, rng_faults)
 
 
+def _run_gate(config, variant, weights, tested, values, z, log_g0) -> GateRows:
+    """Run the variant's gate on the ``tested`` rows of one step: ``fisher``
+    runs the significance test with no fault model, ``np_correct`` the
+    likelihood-ratio test against the true fault mixture, ``np_incorrect``
+    against the near-zero model only."""
+    if variant.mode == "fisher":
+        return significance_test(weights, z[tested], variant.alpha)
+    log_g1 = fault_log_density(
+        values[tested], variant.mode, config.fault_config, config.h1_zero_std
+    )
+    return likelihood_ratio_test(
+        weights, log_g0[tested], log_g1[:, None], variant.alpha, config.np_mass_normalized
+    )
+
+
 def run_traffic_filter(
     config: ExperimentConfig,
     measurements: Sequence[LabeledMeasurement],
@@ -212,16 +233,18 @@ def run_traffic_filter(
 ) -> FilterRunResult:
     """Run one gated filter over a measurement log.
 
-    Per step: predict the ensemble through the traffic model, gate every
-    reporting sensor against the predicted ensemble, assimilate the
-    accepted measurements, record the posterior mean, and resample when the
-    effective sample size falls below the configured fraction.
+    Per step: predict the ensemble through the traffic model, evaluate the
+    step's measurements as (M, P) rows against the predicted ensemble, gate
+    the speed reports, assimilate the accepted measurements, record the
+    posterior mean, and resample when the effective sample size falls below
+    the configured fraction.
     """
     network, schedule = config.network, config.schedule
     init = equilibrium_state(network, schedule)
     ensemble = ParticleEnsemble.from_states(np.tile(init, (config.particles, 1)))
     rng_demand = rng.derive(STREAM_FILTER_DEMAND)
     rng_resample = rng.derive(STREAM_FILTER_RESAMPLE)
+    loops = {spec.link: spec for spec in config.loop_specs}
 
     by_step: dict[int, list[LabeledMeasurement]] = defaultdict(list)
     for m in measurements:
@@ -235,6 +258,11 @@ def run_traffic_filter(
                 f"measurement {m.sensor_id!r} at step {m.k} names link {m.link}, "
                 f"outside the network's links [0, {network.n_links - 1}]"
             )
+        if m.kind not in MEASUREMENT_KINDS or (m.kind == LOOP_DENSITY and m.link not in loops):
+            raise DataError(
+                f"measurement {m.sensor_id!r} at step {m.k}: "
+                f"no {m.kind!r} sensor configured on link {m.link}"
+            )
         by_step[m.k].append(m)
 
     def transition(states: np.ndarray, rng: RandomSource) -> np.ndarray:
@@ -247,7 +275,6 @@ def run_traffic_filter(
     n_steps = config.horizon - 1
     estimates = np.empty((n_steps, network.n_links))
     decisions: list[DecisionRecord] = []
-    alpha = variant.alpha if variant.alpha is not None else 0.05
 
     for k in range(1, config.horizon):
         prior = predict(ensemble, transition, rng_demand)
@@ -255,41 +282,30 @@ def run_traffic_filter(
         if step_measurements:
             if any(m.kind == GNSS_SPEED for m in step_measurements):
                 upstream_mean, ramp_means = schedule.means(k)
-                field = speed_map(prior.particles, network, upstream_mean, ramp_means)
+                speeds = speed_map(prior.particles, network, upstream_mean, ramp_means)
             else:
-                field = None
-            pairs = build_sensor_models(
-                step_measurements,
-                config.loop_specs,
-                config.gnss_spec,
-                config.fault_config,
-                variant.mode,
-                speed_lookup=lambda link: field[:, link],
-                alpha=alpha,
-                zero_std=config.h1_zero_std,
-                np_mass_normalized=config.np_mass_normalized,
+                speeds = None
+            values, mean, std, is_speed = measurement_rows(
+                step_measurements, prior.particles, speeds, loops, config.gnss_spec
             )
-            result = gated_update(prior, pairs)
-            posterior = result.posterior
-            tested = [
-                m
-                for m, (sensor, _) in zip(step_measurements, pairs)
-                if sensor.test_kind != GateKind.NONE
-            ]
-            for m, decision in zip(tested, result.decisions):
-                decisions.append(
-                    DecisionRecord(
-                        k=m.k,
-                        sensor_id=m.sensor_id,
-                        link=m.link,
-                        test_kind=decision.test_kind.value,
-                        statistic=decision.statistic,
-                        alpha=decision.threshold,
-                        rejected=decision.rejected_h0,
-                        auxiliary=decision.auxiliary,
-                        faulty=m.faulty,
+            z, log_g0 = standardize(values, mean, std)
+            rejected = np.zeros(len(step_measurements), dtype=bool)
+            # Speed reports are gated; loop detectors are first-party and
+            # never are.
+            tested = np.flatnonzero(is_speed)
+            if variant.mode != "none" and tested.size:
+                gate = _run_gate(config, variant, prior.weights, tested, values, z, log_g0)
+                rejected[tested] = gate.rejected
+                outcomes = zip(gate.statistic.tolist(), gate.rejected.tolist(), gate.auxiliary.tolist())
+                for i, (stat, rej, aux) in zip(tested, outcomes):
+                    m = step_measurements[i]
+                    decisions.append(
+                        DecisionRecord(
+                            m.k, m.sensor_id, m.link, gate.kind.value,
+                            stat, variant.alpha, rej, aux, m.faulty,
+                        )
                     )
-                )
+            posterior = gated_update(prior, log_g0, rejected).posterior
         else:
             posterior = prior
         estimates[k - 1] = posterior_mean(posterior)

@@ -3,9 +3,9 @@
 The ensemble is the filter's entire state: ``P`` sampled state vectors with
 normalized weights approximating the filtering distribution.  Prediction
 pushes the whole (P, N) block through a stochastic transition in one call,
-and the weight update multiplies in per-sensor measurement likelihoods and
-renormalizes, returning the posterior together with the log of the
-marginal likelihood of the assimilated measurements.
+and the weight update adds one log-likelihood row per assimilated
+measurement to the log weights and renormalizes, returning the posterior
+together with the log of the marginal likelihood of those measurements.
 
 Likelihood products are accumulated in log space so long products cannot
 underflow; when the largest log weight leaves the comfortably representable
@@ -17,18 +17,12 @@ never mutated), and distinct ensembles may be processed concurrently.
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    ContractViolation,
-    ModelConsistencyError,
-    WeightCollapseError,
-)
+from .errors import ConfigurationError, ContractViolation, WeightCollapseError
 from .rng import RandomSource
 
 WEIGHT_SUM_TOL = 1e-12
@@ -100,26 +94,6 @@ class ParticleEnsemble:
         return cls(states, weights)
 
 
-class MeasurementDensity(ABC):
-    """Per-sensor measurement likelihood evaluated against particle states.
-
-    Implementations are batch-first: ``log_density`` receives the full
-    (P, N) particle block and returns one log density per particle.
-    ``predict`` exposes a per-particle predicted mean and scale for
-    statistic-based tests; densities without a natural predictive form
-    leave the default, which raises.
-    """
-
-    @abstractmethod
-    def log_density(self, value: float, states: np.ndarray) -> np.ndarray:
-        """Log likelihood of ``value`` under each particle; -inf where zero."""
-
-    def predict(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        raise ModelConsistencyError(
-            f"{type(self).__name__} does not define a predictive mean/scale"
-        )
-
-
 def predict(
     ensemble: ParticleEnsemble, transition: Transition, rng: RandomSource
 ) -> ParticleEnsemble:
@@ -138,29 +112,26 @@ def predict(
 
 
 def weight_update(
-    ensemble: ParticleEnsemble,
-    values,
-    sensors,
+    ensemble: ParticleEnsemble, log_likelihood_rows
 ) -> tuple[ParticleEnsemble, float]:
-    """Multiply per-sensor measurement likelihoods into the weights and
-    renormalize.
+    """Multiply measurement likelihoods into the weights and renormalize.
 
     Parameters
     ----------
     ensemble : ParticleEnsemble
         Current ensemble (typically the predicted prior).
-    values : sequence of float
-        One measurement value per sensor, in sensor order.
-    sensors : sequence of MeasurementDensity
-        Conditionally independent per-sensor likelihoods.
+    log_likelihood_rows : array_like, shape (K, P)
+        One row per conditionally independent measurement: its log density
+        under each particle (-inf where zero).  Rows are added to the log
+        weights in the order given.
 
     Returns
     -------
     (ParticleEnsemble, float)
         The posterior, whose weight for particle ``p`` is proportional to
-        the input weight times the product of all sensor densities at
-        ``p`` (states unchanged), and the log marginal likelihood
-        ``log(sum_p w_p * prod_s g_s(value_s | x_p))``.
+        the input weight times the product of the rows' densities at ``p``
+        (states unchanged), and the log marginal likelihood
+        ``log(sum_p w_p * prod_k g_k(x_p))``.
 
     Raises
     ------
@@ -168,22 +139,15 @@ def weight_update(
         If every posterior weight is exactly zero, i.e. the measurement
         set is impossible under all particles.
     """
-    values = list(values)
-    sensors = list(sensors)
-    if len(values) != len(sensors):
+    rows = np.asarray(log_likelihood_rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != ensemble.size:
         raise ConfigurationError(
-            f"got {len(values)} measurement values for {len(sensors)} sensors"
+            f"log-likelihood rows have shape {rows.shape}, expected (K, {ensemble.size})"
         )
     with np.errstate(divide="ignore"):
         log_w = np.log(ensemble.weights)
-    for value, sensor in zip(values, sensors):
-        contrib = np.asarray(sensor.log_density(float(value), ensemble.particles), dtype=float)
-        if contrib.shape != (ensemble.size,):
-            raise ConfigurationError(
-                f"sensor {type(sensor).__name__} returned shape {contrib.shape}, "
-                f"expected ({ensemble.size},)"
-            )
-        log_w = log_w + contrib
+    for row in rows:
+        log_w = log_w + row
     peak = float(np.max(log_w))
     if peak == -np.inf:
         raise WeightCollapseError(

@@ -14,6 +14,7 @@ import copy
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -95,27 +96,50 @@ def _get(doc: Mapping, key: str, path: str, kind, default=None, required: bool =
             _fail(where, "missing required field")
         return default
     value = doc[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if kind is not None and not isinstance(value, kind):
-        _fail(where, f"expected {getattr(kind, '__name__', kind)}, got {type(value).__name__}")
+    if kind is float:
+        return _finite(value, where)
+    if kind is int:
+        return _integer(value, where)
+    if not isinstance(value, kind):
+        _fail(where, f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
-def _profile(doc: Mapping, path: str) -> DemandProfile:
+def _finite(value, where: str) -> float:
+    """``value`` as a finite float; ints convert, booleans do not."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if not isinstance(value, float):
+        _fail(where, f"expected float, got {type(value).__name__}")
+    if not math.isfinite(value):
+        _fail(where, f"must be finite, got {value}")
+    return value
+
+
+def _integer(value, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        _fail(where, f"expected int, got {type(value).__name__}")
+    return value
+
+
+def _profile(doc, path: str) -> DemandProfile:
+    if not isinstance(doc, Mapping):
+        _fail(path, "must be a mapping")
     rise = _get(doc, "rise", path, list, required=True)
     fall = _get(doc, "fall", path, list, required=True)
     if len(rise) != 2 or len(fall) != 2:
         _fail(path, "rise and fall must each be [start, end] times in seconds")
     try:
         return DemandProfile(
-            base=float(_get(doc, "base", path, None, required=True)),
-            peak=float(_get(doc, "peak", path, None, required=True)),
-            rise=(float(rise[0]), float(rise[1])),
-            fall=(float(fall[0]), float(fall[1])),
-            noise_frac=float(_get(doc, "noise_frac", path, None, default=0.0)),
+            base=_get(doc, "base", path, float, required=True),
+            peak=_get(doc, "peak", path, float, required=True),
+            rise=tuple(_finite(t, f"{path}.rise[{i}]") for i, t in enumerate(rise)),
+            fall=tuple(_finite(t, f"{path}.fall[{i}]") for i, t in enumerate(fall)),
+            noise_frac=_get(doc, "noise_frac", path, float, default=0.0),
         )
     except ConfigurationError as exc:
+        if str(exc).startswith(path):
+            raise
         _fail(path, str(exc))
 
 
@@ -191,8 +215,8 @@ def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
     if loop_frac is None and loop_abs is None:
         loop_frac = 0.10
     loop_specs = []
-    for link in loop_links:
-        if not isinstance(link, int) or not (0 <= link < network.n_links):
+    for i, link in enumerate(loop_links):
+        if not 0 <= _integer(link, f"sensors.loops.links[{i}]") < network.n_links:
             _fail("sensors.loops.links", f"link index {link!r} out of range")
         try:
             loop_specs.append(
@@ -232,7 +256,10 @@ def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
     for m in modes:
         if m not in HYPOTHESIS_MODES:
             _fail("filter.variants", f"unknown variant {m!r}; expected one of {HYPOTHESIS_MODES}")
-    alphas = tuple(float(a) for a in _get(filter_doc, "alphas", "filter", list, required=True))
+    alphas = tuple(
+        _finite(a, f"filter.alphas[{i}]")
+        for i, a in enumerate(_get(filter_doc, "alphas", "filter", list, required=True))
+    )
     for a in alphas:
         if not (0.0 < a < 1.0):
             _fail("filter.alphas", f"levels must lie strictly in (0, 1), got {a}")
@@ -243,7 +270,10 @@ def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
     horizon = _get(run_doc, "horizon", "run", int, required=True)
     if horizon < 1:
         _fail("run.horizon", "must be at least 1")
-    seeds = tuple(int(s) for s in _get(run_doc, "seeds", "run", list, required=True))
+    seeds = tuple(
+        _integer(s, f"run.seeds[{i}]")
+        for i, s in enumerate(_get(run_doc, "seeds", "run", list, required=True))
+    )
     if not seeds:
         _fail("run.seeds", "needs at least one seed")
 

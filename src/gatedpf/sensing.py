@@ -2,8 +2,10 @@
 
 Generates loop-detector density measurements and per-vehicle speed reports
 from a simulated ground truth, injects labeled faults into the speed
-reports, and builds the per-sensor measurement models (null model, and the
-fault-model alternatives) consumed by the statistical gates.
+reports, and evaluates the measurement models the statistical gates test:
+for the M measurements of one step, the null model's moments, residuals and
+log densities as (M, P) arrays over the particles, and the fault models'
+log densities, which do not depend on the state, as (M,) arrays.
 
 Speed reports imitate third-party probe data: each vehicle on a link
 reports its speed with a fixed penetration probability, corrupted by
@@ -19,20 +21,19 @@ import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
 from .ctm import FreewayNetwork
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, ModelConsistencyError
 from .fileio import atomic_write_text
-from .gates import SensorModel, GateKind
-from .particles import MeasurementDensity
 from .rng import RandomSource
 
 LOOP_DENSITY = "loop_density"
 GNSS_SPEED = "gnss_speed"
+MEASUREMENT_KINDS = (LOOP_DENSITY, GNSS_SPEED)
 
 HYPOTHESIS_MODES = ("none", "fisher", "np_correct", "np_incorrect")
 
@@ -42,7 +43,10 @@ MEASUREMENT_COLUMNS = ("k", "sensor_id", "kind", "link", "value", "faulty")
 
 
 def gaussian_log_pdf(value, mean, std):
-    z = (value - mean) / std
+    return _log_pdf_of_z((value - mean) / std, std)
+
+
+def _log_pdf_of_z(z, std):
     return -0.5 * z * z - np.log(std) - _LOG_SQRT_2PI
 
 
@@ -68,6 +72,14 @@ class LoopDetectorSpec:
             raise ConfigurationError("loop detector noise must be nonnegative")
         if self.min_std <= 0.0:
             raise ConfigurationError("loop detector min_std must be positive")
+
+    @property
+    def std_rule(self) -> tuple[float, float, float]:
+        """``(frac, offset, floor)`` of the null model's std,
+        ``max(frac * density + offset, floor)``."""
+        if self.noise_abs is not None:
+            return 0.0, self.noise_abs, self.min_std
+        return self.noise_frac, 0.0, self.min_std
 
 
 @dataclass(frozen=True)
@@ -232,171 +244,76 @@ def inject_faults(
     return out
 
 
-class LoopDensityModel(MeasurementDensity):
-    """Null model of a loop detector: Gaussian around the particle's density."""
-
-    def __init__(self, spec: LoopDetectorSpec) -> None:
-        self.spec = spec
-
-    def _moments(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mean = np.atleast_2d(states)[:, self.spec.link]
-        if self.spec.noise_abs is not None:
-            std = np.full_like(mean, max(self.spec.noise_abs, self.spec.min_std))
-        else:
-            std = np.maximum(self.spec.noise_frac * mean, self.spec.min_std)
-        return mean, std
-
-    def log_density(self, value: float, states: np.ndarray) -> np.ndarray:
-        mean, std = self._moments(states)
-        return gaussian_log_pdf(value, mean, std)
-
-    def predict(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._moments(states)
-
-
-class SpeedObservationModel(MeasurementDensity):
-    """Null model of a speed report, with per-particle moments precomputed.
-
-    ``mean[p]`` is the model-predicted link speed of particle ``p`` and
-    ``std[p]`` its relative noise scale (floored to stay a proper density
-    near standstill).  Rows are positional: they must line up with the
-    particle order of the ensemble this model is evaluated against.
-    """
-
-    def __init__(self, mean: np.ndarray, std: np.ndarray) -> None:
-        self.mean = np.asarray(mean, dtype=float)
-        self.std = np.asarray(std, dtype=float)
-        if self.mean.shape != self.std.shape:
-            raise ConfigurationError("speed model mean/std shapes differ")
-
-    @classmethod
-    def from_speeds(cls, speeds: np.ndarray, spec: GnssSpec) -> "SpeedObservationModel":
-        speeds = np.asarray(speeds, dtype=float)
-        return cls(speeds, np.maximum(spec.noise_frac * speeds, spec.min_std))
-
-    def log_density(self, value: float, states: np.ndarray) -> np.ndarray:
-        if np.atleast_2d(states).shape[0] != self.mean.shape[0]:
-            raise ConfigurationError(
-                "speed model was precomputed for a different particle count"
-            )
-        return gaussian_log_pdf(value, self.mean, self.std)
-
-    def predict(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.mean, self.std
-
-
-class FaultMixtureDensity(MeasurementDensity):
-    """Fault model matching the generator: a narrow Gaussian standing in for
-    the point mass at zero, mixed with the truncated fault Gaussian."""
-
-    def __init__(self, config: FaultConfig, zero_std: float = 0.5) -> None:
-        if zero_std <= 0.0:
-            raise ConfigurationError("zero-component std must be positive")
-        self.config = config
-        self.zero_std = zero_std
-        # Mass of the fault Gaussian above zero, for the truncation constant.
-        self._log_trunc = math.log(float(ndtr(config.speed_mean / config.speed_std)))
-
-    def _log_value(self, value: float) -> float:
-        c = self.config
-        log_zero = math.log(c.zero_weight) if c.zero_weight > 0.0 else -math.inf
-        log_rand = math.log(1.0 - c.zero_weight) if c.zero_weight < 1.0 else -math.inf
-        comp_zero = log_zero + float(gaussian_log_pdf(value, 0.0, self.zero_std))
-        if value >= 0.0:
-            comp_rand = (
-                log_rand
-                + float(gaussian_log_pdf(value, c.speed_mean, c.speed_std))
-                - self._log_trunc
-            )
-        else:
-            comp_rand = -math.inf
-        return float(np.logaddexp(comp_zero, comp_rand))
-
-    def log_density(self, value: float, states: np.ndarray) -> np.ndarray:
-        n = np.atleast_2d(states).shape[0]
-        return np.full(n, self._log_value(value))
-
-
-class NearZeroDensity(MeasurementDensity):
-    """Deliberately narrow fault model: Gaussian mass near zero only.
-
-    Selects stopped-vehicle reports but assigns essentially no density to
-    moderate speeds, so broad random faults slip through.
-    """
-
-    def __init__(self, std: float = 0.5) -> None:
-        if std <= 0.0:
-            raise ConfigurationError("near-zero model std must be positive")
-        self.std = std
-
-    def log_density(self, value: float, states: np.ndarray) -> np.ndarray:
-        n = np.atleast_2d(states).shape[0]
-        return np.full(n, float(gaussian_log_pdf(value, 0.0, self.std)))
-
-
-def build_sensor_models(
+def measurement_rows(
     measurements: Sequence[LabeledMeasurement],
-    loop_specs: Sequence[LoopDetectorSpec],
+    particles: np.ndarray,
+    speeds: np.ndarray | None,
+    loops: Mapping[int, LoopDetectorSpec],
     gnss_spec: GnssSpec,
-    fault_config: FaultConfig,
-    mode: str,
-    speed_lookup: Callable[[int], np.ndarray],
-    alpha: float = 0.05,
-    zero_std: float = 0.5,
-    np_mass_normalized: bool = False,
-) -> list[tuple[SensorModel, float]]:
-    """Pair each measurement with the sensor model its gate needs.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Null-model moments of one step's measurements against a (P, L) block.
 
-    ``mode`` selects the hypothesis setup for speed reports: ``fisher``
-    runs the significance gate with no fault model, ``np_correct`` runs the
-    likelihood-ratio gate against the true fault mixture, ``np_incorrect``
-    against the near-zero model only, and ``none`` assimilates everything
-    ungated.  Loop detectors are first-party and are never gated.
-
-    ``speed_lookup(link)`` must return the per-particle predicted speeds of
-    that link for the ensemble about to be updated.
+    Returns ``values`` (M,), ``mean`` (M, P), ``std`` (M, P) and the
+    ``is_speed`` (M,) mask.  A loop row's mean is each particle's density on
+    its link, with the detector's relative (or absolute) noise floored at
+    ``min_std``; a speed row's mean is the link's column of ``speeds`` (the
+    particles' predicted speeds; ``None`` when the step has no speed rows),
+    with std ``max(noise_frac * v, min_std)``.  ``loops`` maps a link to its
+    detector; every loop row must have one.
     """
-    if mode not in HYPOTHESIS_MODES:
-        raise ConfigurationError(
-            f"unknown hypothesis mode {mode!r}; expected one of {HYPOTHESIS_MODES}"
-        )
-    loop_by_link = {spec.link: spec for spec in loop_specs}
-    if mode == "np_correct":
-        h1 = FaultMixtureDensity(fault_config, zero_std=zero_std)
-    elif mode == "np_incorrect":
-        h1 = NearZeroDensity(std=zero_std)
-    else:
-        h1 = None
-    gnss_kind = {
-        "none": GateKind.NONE,
-        "fisher": GateKind.FISHER,
-        "np_correct": GateKind.NEYMAN_PEARSON,
-        "np_incorrect": GateKind.NEYMAN_PEARSON,
-    }[mode]
+    values = np.array([m.value for m in measurements], dtype=float)
+    links = np.array([m.link for m in measurements], dtype=np.intp)
+    is_speed = np.array([m.kind == GNSS_SPEED for m in measurements], dtype=bool)
+    mean = particles.T[links]
+    if is_speed.any():
+        mean[is_speed] = speeds.T[links[is_speed]]
+    # Both std rules in one form, max(frac * mean + offset, floor): a loop
+    # with an absolute std has frac 0 and offset noise_abs, all others
+    # offset 0, so each row gets exactly its rule's value.
+    speed_rule = (gnss_spec.noise_frac, 0.0, gnss_spec.min_std)
+    rules = [speed_rule if s else loops[m.link].std_rule for m, s in zip(measurements, is_speed)]
+    frac, offset, floor = np.array(rules, dtype=float).reshape(-1, 3).T[:, :, None]
+    std = np.maximum(frac * mean + offset, floor)
+    return values, mean, std, is_speed
 
-    out = []
-    for m in measurements:
-        if m.kind == LOOP_DENSITY:
-            spec = loop_by_link.get(m.link)
-            if spec is None:
-                raise DataError(f"no loop detector configured on link {m.link}")
-            sensor = SensorModel(
-                id=m.sensor_id, h0=LoopDensityModel(spec), test_kind=GateKind.NONE
-            )
-        elif m.kind == GNSS_SPEED:
-            h0 = SpeedObservationModel.from_speeds(speed_lookup(m.link), gnss_spec)
-            sensor = SensorModel(
-                id=m.sensor_id,
-                h0=h0,
-                h1=h1,
-                test_kind=gnss_kind,
-                alpha=alpha,
-                np_mass_normalized=np_mass_normalized,
-            )
-        else:
-            raise DataError(f"unknown measurement kind {m.kind!r}")
-        out.append((sensor, m.value))
-    return out
+
+def standardize(
+    values: np.ndarray, mean: np.ndarray, std: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Standardized residuals ``z = (value - mean) / std`` of each row and the
+    null Gaussian log density ``-z^2 / 2 - log(std) - log(sqrt(2 pi))``
+    computed from the same ``z``."""
+    if not np.all(std > 0.0):
+        raise ModelConsistencyError("null-model std must be positive")
+    z = (np.asarray(values, dtype=float)[:, None] - mean) / std
+    return z, _log_pdf_of_z(z, std)
+
+
+def fault_log_density(
+    values: np.ndarray, mode: str, fault_config: FaultConfig, zero_std: float
+) -> np.ndarray:
+    """Fault-model log density of each value; it does not depend on the state.
+
+    ``np_correct`` uses the generator's fault mixture: a narrow Gaussian of
+    std ``zero_std`` standing in for the point mass at zero, mixed with the
+    fault Gaussian truncated to nonnegative values.  ``np_incorrect`` uses
+    that narrow Gaussian alone, which selects stopped-vehicle reports but
+    gives moderate speeds essentially no density, so broad random faults
+    slip through.
+    """
+    values = np.asarray(values, dtype=float)
+    near_zero = gaussian_log_pdf(values, 0.0, zero_std)
+    if mode == "np_incorrect":
+        return near_zero
+    if mode != "np_correct":
+        raise ConfigurationError(f"hypothesis mode {mode!r} has no fault model")
+    c = fault_config
+    log_zero = math.log(c.zero_weight) if c.zero_weight > 0.0 else -math.inf
+    log_rand = math.log(1.0 - c.zero_weight) if c.zero_weight < 1.0 else -math.inf
+    # Mass of the fault Gaussian above zero, for the truncation constant.
+    log_trunc = math.log(float(ndtr(c.speed_mean / c.speed_std)))
+    comp_rand = log_rand + gaussian_log_pdf(values, c.speed_mean, c.speed_std) - log_trunc
+    return np.logaddexp(log_zero + near_zero, np.where(values >= 0.0, comp_rand, -math.inf))
 
 
 def write_measurement_log(path: str | Path, measurements: Iterable[LabeledMeasurement]) -> None:
@@ -430,11 +347,18 @@ def read_measurement_log(path: str | Path) -> list[LabeledMeasurement]:
                     kind=row[2],
                     link=int(row[3]),
                     value=float(row[4]),
-                    faulty=bool(int(row[5])),
+                    faulty=row[5] == "1",
                 )
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
+            if m.kind not in MEASUREMENT_KINDS:
+                raise DataError(
+                    f"{path}:{lineno}: unknown measurement kind {m.kind!r}; "
+                    f"expected one of {MEASUREMENT_KINDS}"
+                )
             if not math.isfinite(m.value):
                 raise DataError(f"{path}:{lineno}: non-finite value {row[4]!r}")
+            if row[5] not in ("0", "1"):
+                raise DataError(f"{path}:{lineno}: faulty label must be 0 or 1, got {row[5]!r}")
             out.append(m)
     return out

@@ -5,41 +5,23 @@ import numpy as np
 import pytest
 
 from gatedpf.ctm import DemandProfile, DemandSchedule, FreewayNetwork, LinkParams
-from gatedpf.particles import MeasurementDensity, ParticleEnsemble
+from gatedpf.particles import ParticleEnsemble
+from gatedpf.sensing import standardize
 
 
-class StubDensity(MeasurementDensity):
-    """Density returning preset per-particle values, ignoring the measurement."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-
-    def log_density(self, value, states):
-        with np.errstate(divide="ignore"):
-            return np.log(self.values)
+def log_rows(*rows) -> np.ndarray:
+    """(K, P) log-density rows from per-particle densities, one row per
+    measurement; a zero density becomes -inf."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.array(rows, dtype=float))
 
 
-class GaussianStateDensity(MeasurementDensity):
-    """Gaussian around one state component, fixed scale."""
-
-    def __init__(self, index: int = 0, std: float = 1.0):
-        self.index = index
-        self.std = std
-
-    def log_density(self, value, states):
-        z = (value - np.atleast_2d(states)[:, self.index]) / self.std
-        return -0.5 * z * z - np.log(self.std) - 0.5 * np.log(2 * np.pi)
-
-    def predict(self, states):
-        mean = np.atleast_2d(states)[:, self.index]
-        return mean, np.full_like(mean, self.std)
-
-
-def ensemble_from(states, weights=None) -> ParticleEnsemble:
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    if states.shape[0] == 1 and states.shape[1] > 1 and weights is not None:
-        states = states.T
-    return ParticleEnsemble.from_states(states, weights)
+def gaussian_rows(values, states, std: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Standardized residuals and null log-density rows of ``values`` under
+    a Gaussian of fixed ``std`` around each particle's scalar state."""
+    states = np.asarray(states, dtype=float)
+    shape = (len(values), len(states))
+    return standardize(values, np.broadcast_to(states, shape), np.full(shape, std))
 
 
 def scalar_ensemble(values, weights=None) -> ParticleEnsemble:

@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 
 from gatedpf.ctm import simulate
-from gatedpf.gates import fisher_gate, gated_update, np_gate
+from gatedpf.gates import significance_test
 from gatedpf.harness import (
     STREAM_TRUTH,
     FilterVariant,
     MetricsReport,
     generate_measurements,
     run_experiment,
-    run_traffic_filter,
     sweep_alpha,
 )
 from gatedpf.particles import (
@@ -35,12 +34,13 @@ from gatedpf.rng import RandomSource
 from gatedpf.scenario import default_scenario, scenario_from_dict
 from gatedpf.sensing import GNSS_SPEED
 
-from conftest import GaussianStateDensity, StubDensity, scalar_ensemble
-from test_gates import fisher_sensor, np_sensor
+from conftest import gaussian_rows, log_rows, scalar_ensemble
+from test_gates import lr_row, significance_row
 from test_scenario import tiny_scenario_dict
 
 ALPHAS = (0.001, 0.01, 0.1)
 GATED_MODES = ("fisher", "np_correct", "np_incorrect")
+SELECTIVITY_VARIANT = FilterVariant("np_incorrect", 0.01)
 
 
 def say(line: str) -> None:
@@ -52,8 +52,16 @@ def study():
     """Full default sweep plus fault-free baseline, shared by all criteria."""
     scenario = default_scenario()
     config = scenario.experiment_config()
+    selectivity_runs = {}
+
+    def keep_selectivity_run(seed, truth, measurements, variant, result):
+        # Criterion 5 scores the incorrect-model gate at the middle level.
+        if variant == SELECTIVITY_VARIANT:
+            values = {m.sensor_id: m.value for m in measurements if m.kind == GNSS_SPEED}
+            selectivity_runs[seed] = (values, result.decisions)
+
     start = time.time()
-    report = sweep_alpha(config, scenario.alphas)
+    report = sweep_alpha(config, scenario.alphas, on_run=keep_selectivity_run)
     baseline_config = dataclasses.replace(
         config,
         fault_config=dataclasses.replace(config.fault_config, probability=0.0),
@@ -67,6 +75,7 @@ def study():
         "report": report,
         "baseline": baseline,
         "elapsed": elapsed,
+        "selectivity_runs": selectivity_runs,
     }
 
 
@@ -175,25 +184,11 @@ class TestCriterion5IncorrectModelSelectivity:
     def test_stopped_car_selectivity(self, study):
         # The near-zero fault model must reject nearly all exact-zero faults
         # while passing the broad random-speed faults; evaluated at the
-        # middle level of the sweep.
-        config = study["config"]
+        # middle level of the sweep, on the decisions the study kept.
         zero_total = zero_rejected = gauss_total = gauss_rejected = 0
-        for seed in config.seeds:
-            base = RandomSource(seed)
-            truth = simulate(
-                config.network, config.schedule, config.horizon, base.derive(STREAM_TRUTH)
-            )
-            measurements = generate_measurements(
-                truth, config.network, config.loop_specs, config.gnss_spec,
-                config.fault_config, base,
-            )
-            values = {
-                m.sensor_id: m.value for m in measurements if m.kind == GNSS_SPEED
-            }
-            result = run_traffic_filter(
-                config, measurements, FilterVariant("np_incorrect", 0.01), base
-            )
-            for decision in result.decisions:
+        for seed in study["config"].seeds:
+            values, decisions = study["selectivity_runs"][seed]
+            for decision in decisions:
                 if not decision.faulty:
                     continue
                 if values[decision.sensor_id] == 0.0:
@@ -223,7 +218,7 @@ class TestCriterion6PropertySuites:
             prior /= prior.sum()
             lik = rng.uniform(1e-9, 5.0, n)
             ens = ParticleEnsemble(np.zeros((n, 1)), prior)
-            out, log_marginal = weight_update(ens, [0.0], [StubDensity(lik)])
+            out, log_marginal = weight_update(ens, log_rows(lik))
             assert abs(float(np.sum(out.weights)) - 1.0) <= 1e-12
             assert math.exp(log_marginal) == pytest.approx(float(np.sum(prior * lik)), rel=1e-12)
         say("criterion 6a PASS: normalization and marginal-likelihood identity at 1e-12")
@@ -234,9 +229,9 @@ class TestCriterion6PropertySuites:
             n = int(rng.integers(2, 16))
             ens = ParticleEnsemble.from_states(rng.normal(size=(n, 2)))
             a, b = rng.uniform(1e-4, 2.0, n), rng.uniform(1e-4, 2.0, n)
-            joint, log_joint = weight_update(ens, [0.0, 0.0], [StubDensity(a), StubDensity(b)])
-            first, log_a = weight_update(ens, [0.0], [StubDensity(a)])
-            seq, log_b = weight_update(first, [0.0], [StubDensity(b)])
+            joint, log_joint = weight_update(ens, log_rows(a, b))
+            first, log_a = weight_update(ens, log_rows(a))
+            seq, log_b = weight_update(first, log_rows(b))
             np.testing.assert_allclose(joint.weights, seq.weights, rtol=1e-12)
             assert log_a + log_b == pytest.approx(log_joint, rel=1e-12, abs=1e-12)
         say("criterion 6b PASS: joint equals sequential per-sensor update at 1e-12")
@@ -286,31 +281,23 @@ class TestCriterion6PropertySuites:
 
     def test_gate_short_circuit_and_monotonicity(self):
         ens = scalar_ensemble([1.0, 2.0, 3.0])
-        g = StubDensity([0.3, 0.2, 0.1])
-        assert not np_gate(ens, 0.0, np_sensor(g, g, alpha=0.999)).rejected_h0
-        g1 = StubDensity([0.4, 0.1, 0.05])
-        for gate, sensor_factory in (
-            (np_gate, lambda a: np_sensor(g, g1, alpha=a)),
-            (
-                fisher_gate,
-                lambda a: fisher_sensor(GaussianStateDensity(std=1.0), alpha=a),
-            ),
+        g = [0.3, 0.2, 0.1]
+        assert not lr_row(ens, g, g, alpha=0.999).rejected_h0
+        g1 = [0.4, 0.1, 0.05]
+        for gate in (
+            lambda a: lr_row(ens, g, g1, alpha=a),
+            lambda a: significance_row(ens, 4.4, scale=1.0, alpha=a),
         ):
-            rejected_at = [
-                gate(ens, 4.4, sensor_factory(a)).rejected_h0 for a in (0.001, 0.01, 0.1)
-            ]
+            rejected_at = [gate(a).rejected_h0 for a in (0.001, 0.01, 0.1)]
             for lo, hi in zip(rejected_at, rejected_at[1:]):
                 assert hi or not lo
         say("criterion 6e PASS: short-circuit acceptance and level monotonicity")
 
     def test_fisher_point_mass_calibration(self):
         ens = scalar_ensemble([20.0])
-        sensor = fisher_sensor(GaussianStateDensity(std=4.0), alpha=0.05)
         draws = RandomSource(77).normal(20.0, 4.0, size=100_000)
-        rate = (
-            sum(fisher_gate(ens, float(y), sensor).rejected_h0 for y in draws)
-            / len(draws)
-        )
+        z, _ = gaussian_rows(draws, [20.0], std=4.0)
+        rate = float(np.mean(significance_test(ens.weights, z, 0.05).rejected))
         assert 0.03 <= rate <= 0.07, f"rejection rate {rate:.4f} outside [0.03, 0.07]"
         say(f"criterion 6f PASS: point-mass calibration rate {rate:.4f} in [0.03, 0.07]")
 

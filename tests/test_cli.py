@@ -164,6 +164,23 @@ class TestFilter:
         assert f"names link {link}" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("variant", ["fisher", "np_correct", "np_incorrect"])
+    def test_nonpositive_h1_zero_std_exits_2_before_output(self, scenario_path, tmp_path, variant):
+        sim = tmp_path / "sim"
+        assert run_cli("simulate", "--scenario", scenario_path, "--out", sim, "--quiet") == 0
+        doc = yaml.safe_load(scenario_path.read_text())
+        doc["filter"]["h1_zero_std"] = -1.0
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "o"
+        code = run_cli(
+            "filter", "--scenario", bad, "--log", sim / "measurements.csv",
+            "--variant", variant, "--alpha", "0.01", "--out", out, "--quiet",
+        )
+        assert code == 2
+        assert not out.exists()
+
+
 class TestSweepAndReport:
     def test_sweep_writes_tables(self, scenario_path, tmp_path):
         out = tmp_path / "sweep"
@@ -254,6 +271,16 @@ class TestExitCodes:
              "--variant", "none", "--out", str(tmp_path)]
         )
         assert code == 3
+
+    def test_malformed_scenario_value_exits_2(self, tmp_path, capsys):
+        doc = tiny_scenario_dict()
+        doc["run"]["seeds"] = ["a"]
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--scenario", path, "--out", out, "--quiet") == 2
+        assert "run.seeds[0]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_error_maps_to_exit_2(self, tmp_path):
         missing = tmp_path / "missing.yaml"

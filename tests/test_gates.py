@@ -2,81 +2,64 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatedpf.errors import ConfigurationError, ModelConsistencyError
-from gatedpf.gates import (
-    SensorModel,
-    TailMode,
-    GateKind,
-    fisher_gate,
-    fisher_statistic,
-    gated_update,
-    np_gate,
-)
+from gatedpf.errors import ModelConsistencyError
+from gatedpf.gates import GateKind, gated_update, likelihood_ratio_test, significance_test
 from gatedpf.particles import weight_update
 from gatedpf.rng import RandomSource
+from gatedpf.sensing import standardize
 
-from conftest import GaussianStateDensity, StubDensity, scalar_ensemble
+from conftest import gaussian_rows, log_rows, scalar_ensemble
 
 
-def np_sensor(h0, h1, alpha=0.05, normalized_mass=False):
-    return SensorModel(
-        id="s",
-        h0=h0,
-        h1=h1,
-        test_kind=GateKind.NEYMAN_PEARSON,
-        alpha=alpha,
-        np_mass_normalized=normalized_mass,
+def first_row(gate):
+    """Row 0 of a gate's outcome, as plain Python values."""
+    return SimpleNamespace(
+        kind=gate.kind,
+        statistic=float(gate.statistic[0]),
+        auxiliary=float(gate.auxiliary[0]),
+        rejected_h0=bool(gate.rejected[0]),
     )
 
 
-def fisher_sensor(h0, alpha=0.05, tail=TailMode.TWO_SIDED):
-    return SensorModel(id="s", h0=h0, test_kind=GateKind.FISHER, alpha=alpha, tail_mode=tail)
+def lr_row(ens, g0, g1, alpha=0.05, normalized_mass=False):
+    """Likelihood-ratio test of one measurement from per-particle densities."""
+    return first_row(
+        likelihood_ratio_test(ens.weights, log_rows(g0), log_rows(g1), alpha, normalized_mass)
+    )
 
 
-class PredictiveStub(StubDensity):
-    """Stub density with a preset predictive mean and scale per particle."""
-
-    def __init__(self, values, mean, scale):
-        super().__init__(values)
-        self.mean = np.asarray(mean, dtype=float)
-        self.scale = np.asarray(scale, dtype=float)
-
-    def predict(self, states):
-        return self.mean, self.scale
-
-
-class TestSensorModel:
-    def test_alpha_bounds(self):
-        with pytest.raises(ConfigurationError):
-            SensorModel(id="x", h0=StubDensity([1.0]), alpha=0.0)
-        with pytest.raises(ConfigurationError):
-            SensorModel(id="x", h0=StubDensity([1.0]), alpha=1.0)
-
-    def test_np_requires_h1(self):
-        with pytest.raises(ConfigurationError):
-            SensorModel(id="x", h0=StubDensity([1.0]), test_kind=GateKind.NEYMAN_PEARSON)
+def significance_row(ens, value, mean=None, scale=1.0, alpha=0.05):
+    """Significance test of one measurement whose null model predicts
+    ``mean`` (default: each particle's state) with ``scale`` per particle."""
+    mean = ens.particles[:, 0] if mean is None else np.asarray(mean, dtype=float)
+    shape = (1, ens.size)
+    z, _ = standardize(
+        [value], np.broadcast_to(mean, shape), np.broadcast_to(np.asarray(scale, dtype=float), shape)
+    )
+    return first_row(significance_test(ens.weights, z, alpha))
 
 
 def favors_h1(g0, g1) -> bool:
-    """The likelihood-ratio gate's vote of a single particle (g1 / g0 > 1),
-    read off the favoring-particle count of a one-particle gate."""
-    decision = np_gate(scalar_ensemble([0.0]), 0.0, np_sensor(StubDensity([g0]), StubDensity([g1])))
-    return decision.auxiliary == 1.0
+    """The likelihood-ratio test's vote of a single particle (g1 / g0 > 1),
+    read off the favoring-particle count of a one-particle test."""
+    return lr_row(scalar_ensemble([0.0]), [g0], [g1]).auxiliary == 1.0
 
 
 class TestLikelihoodRatio:
-    """Per-particle fault-over-null ratio, as the gate evaluates it in log space."""
+    """Per-particle fault-over-null ratio, as the test evaluates it in log space."""
 
     def test_identical_hypotheses_is_one(self):
-        h = GaussianStateDensity(std=2.0)
-        decision = np_gate(scalar_ensemble([0.7]), 1.3, np_sensor(h, h))
-        assert decision.auxiliary == 0.0
+        ens = scalar_ensemble([0.7])
+        _, log_g = gaussian_rows([1.3], [0.7], std=2.0)
+        gate = likelihood_ratio_test(ens.weights, log_g, log_g, 0.05)
+        assert gate.auxiliary[0] == 0.0
 
     def test_hand_division(self):
         assert favors_h1(0.2, 0.4)
@@ -86,9 +69,7 @@ class TestLikelihoodRatio:
         assert not favors_h1(0.5, 0.0)
 
     def test_zero_null_gives_infinity(self):
-        decision = np_gate(
-            scalar_ensemble([0.0]), 0.0, np_sensor(StubDensity([0.0]), StubDensity([0.2]))
-        )
+        decision = lr_row(scalar_ensemble([0.0]), [0.0], [0.2])
         assert decision.auxiliary == 1.0
         assert decision.statistic == 0.0
         assert decision.rejected_h0
@@ -104,8 +85,8 @@ class TestLikelihoodRatio:
 class TestNpGate:
     def test_identical_hypotheses_short_circuits(self):
         ens = scalar_ensemble([1.0, 2.0, 3.0])
-        g = StubDensity([0.3, 0.2, 0.1])
-        decision = np_gate(ens, 0.0, np_sensor(g, g, alpha=0.99))
+        g = [0.3, 0.2, 0.1]
+        decision = lr_row(ens, g, g, alpha=0.99)
         assert not decision.rejected_h0
         assert decision.auxiliary == 0.0
 
@@ -113,55 +94,47 @@ class TestNpGate:
         # Uniform 1/3, g0 = {0.3, 0.2, 0.1}, g1 = {0.4, 0.1, 0.05}:
         # only particle 1 favors the fault model, mass = 0.3 / 3 = 0.1.
         ens = scalar_ensemble([1.0, 2.0, 3.0])
-        g0 = StubDensity([0.3, 0.2, 0.1])
-        g1 = StubDensity([0.4, 0.1, 0.05])
-        accept = np_gate(ens, 0.0, np_sensor(g0, g1, alpha=0.05))
+        g0 = [0.3, 0.2, 0.1]
+        g1 = [0.4, 0.1, 0.05]
+        accept = lr_row(ens, g0, g1, alpha=0.05)
+        assert accept.kind == GateKind.NEYMAN_PEARSON
         assert accept.statistic == pytest.approx(0.1, rel=1e-12)
         assert accept.auxiliary == 1.0
         assert not accept.rejected_h0
-        reject = np_gate(ens, 0.0, np_sensor(g0, g1, alpha=0.2))
+        reject = lr_row(ens, g0, g1, alpha=0.2)
         assert reject.rejected_h0
 
     def test_outlier_measurement_rejected(self):
         # Narrow null around the particle states, broad fault model: a far
         # outlier has negligible null mass but fault support everywhere.
         ens = scalar_ensemble([10.0, 11.0, 12.0])
-        h0 = GaussianStateDensity(std=1.0)
-
-        class Broad(StubDensity):
-            def __init__(self):
-                super().__init__([1.0])
-
-            def log_density(self, value, states):
-                n = np.atleast_2d(states).shape[0]
-                return np.full(n, float(-0.5 * (value / 50.0) ** 2 - np.log(50.0)))
-
-        decision = np_gate(ens, -50.0, np_sensor(h0, Broad(), alpha=0.01))
+        _, log_g0 = gaussian_rows([-50.0], [10.0, 11.0, 12.0], std=1.0)
+        broad = np.array([[-0.5 * (-50.0 / 50.0) ** 2 - np.log(50.0)]])
+        gate = likelihood_ratio_test(ens.weights, log_g0, broad, 0.01)
+        decision = first_row(gate)
         assert decision.rejected_h0
         assert decision.statistic < 1e-12
         assert decision.auxiliary == 3.0
 
     def test_mass_sums_only_favoring_particles(self):
         ens = scalar_ensemble([1.0, 2.0], weights=[0.5, 0.5])
-        g0 = StubDensity([0.4, 0.001])
-        g1 = StubDensity([0.3, 0.01])  # only particle 2 favors h1
-        decision = np_gate(ens, 0.0, np_sensor(g0, g1, alpha=0.01))
+        g0 = [0.4, 0.001]
+        g1 = [0.3, 0.01]  # only particle 2 favors h1
+        decision = lr_row(ens, g0, g1, alpha=0.01)
         assert decision.statistic == pytest.approx(0.0005, rel=1e-12)
         assert decision.rejected_h0
 
     def test_both_zero_particles_carry_no_evidence(self):
         ens = scalar_ensemble([1.0, 2.0])
-        g0 = StubDensity([0.0, 0.5])
-        g1 = StubDensity([0.0, 0.4])
-        decision = np_gate(ens, 0.0, np_sensor(g0, g1, alpha=0.9))
+        decision = lr_row(ens, [0.0, 0.5], [0.0, 0.4], alpha=0.9)
         assert decision.auxiliary == 0.0
         assert not decision.rejected_h0
 
     def test_normalized_mass_variant(self):
         ens = scalar_ensemble([1.0, 2.0, 3.0])
-        g0 = StubDensity([0.3, 0.2, 0.1])
-        g1 = StubDensity([0.4, 0.1, 0.05])
-        decision = np_gate(ens, 0.0, np_sensor(g0, g1, alpha=0.2, normalized_mass=True))
+        decision = lr_row(
+            ens, [0.3, 0.2, 0.1], [0.4, 0.1, 0.05], alpha=0.2, normalized_mass=True
+        )
         assert decision.statistic == pytest.approx(0.3 / 0.6, rel=1e-12)
         assert not decision.rejected_h0
 
@@ -172,54 +145,66 @@ class TestNpGate:
     @settings(max_examples=100, deadline=None)
     def test_monotone_in_alpha(self, alpha, bump):
         ens = scalar_ensemble([1.0, 2.0, 3.0])
-        g0 = StubDensity([0.3, 0.2, 0.1])
-        g1 = StubDensity([0.4, 0.1, 0.05])
-        low = np_gate(ens, 0.0, np_sensor(g0, g1, alpha=alpha))
-        high = np_gate(ens, 0.0, np_sensor(g0, g1, alpha=min(0.999, alpha + bump)))
+        g0 = [0.3, 0.2, 0.1]
+        g1 = [0.4, 0.1, 0.05]
+        low = lr_row(ens, g0, g1, alpha=alpha)
+        high = lr_row(ens, g0, g1, alpha=min(0.999, alpha + bump))
         if low.rejected_h0:
             assert high.rejected_h0
+
+    def test_rows_are_tested_independently(self):
+        # A K-row call gives each row exactly what a one-row call gives it.
+        rng = np.random.default_rng(5)
+        weights = rng.uniform(0.1, 1.0, 40)
+        ens = scalar_ensemble(np.arange(40.0), weights=weights / weights.sum())
+        log_g0 = rng.normal(-2.0, 3.0, (7, 40))
+        log_g1 = rng.normal(-3.0, 1.0, (7, 1))
+        for normalized in (False, True):
+            joint = likelihood_ratio_test(ens.weights, log_g0, log_g1, 0.05, normalized)
+            for i in range(7):
+                one = likelihood_ratio_test(
+                    ens.weights, log_g0[i : i + 1], log_g1[i : i + 1], 0.05, normalized
+                )
+                assert joint.statistic[i] == one.statistic[0]
+                assert joint.auxiliary[i] == one.auxiliary[0]
+                assert joint.rejected[i] == one.rejected[0]
 
 
 class TestFisherStatistic:
     def test_zero_residual(self):
         ens = scalar_ensemble([10.0, 14.0])
-        sensor = fisher_sensor(GaussianStateDensity(std=2.0))
-        assert fisher_statistic(ens, 10.0, sensor) == pytest.approx(
+        assert significance_row(ens, 10.0, scale=2.0).auxiliary == pytest.approx(
             0.5 * 0.0 + 0.5 * (10 - 14) / 2.0
         )
         point = scalar_ensemble([10.0])
-        assert fisher_statistic(point, 10.0, sensor) == 0.0
+        assert significance_row(point, 10.0, scale=2.0).auxiliary == 0.0
 
     def test_hand_weighted_average(self):
         # mu = {10, 14}, sigma = {2, 2.8}, y = 20 -> T = {5, 2.142857...}.
         ens = scalar_ensemble([0.0, 1.0])
-        stub = PredictiveStub([1.0, 1.0], mean=[10.0, 14.0], scale=[2.0, 2.8])
-        stat = fisher_statistic(ens, 20.0, fisher_sensor(stub))
+        stat = significance_row(ens, 20.0, mean=[10.0, 14.0], scale=[2.0, 2.8]).auxiliary
         assert stat == pytest.approx(0.5 * 5.0 + 0.5 * (6.0 / 2.8), rel=1e-9)
         assert stat == pytest.approx(3.571429, abs=1e-6)
 
     def test_degenerate_weights_pick_first_particle(self):
         ens = scalar_ensemble([10.0, 99.0], weights=[1.0, 0.0])
-        stat = fisher_statistic(ens, 12.0, fisher_sensor(GaussianStateDensity(std=2.0)))
-        assert stat == pytest.approx(1.0)
+        assert significance_row(ens, 12.0, scale=2.0).auxiliary == pytest.approx(1.0)
 
     def test_nonpositive_scale_rejected(self):
         ens = scalar_ensemble([1.0, 2.0])
-        stub = PredictiveStub([1, 1], mean=[0.0, 0.0], scale=[1.0, 0.0])
         with pytest.raises(ModelConsistencyError):
-            fisher_statistic(ens, 0.0, fisher_sensor(stub))
+            significance_row(ens, 0.0, mean=[0.0, 0.0], scale=[1.0, 0.0])
 
     @given(st.floats(min_value=0.05, max_value=20.0))
     @settings(max_examples=50, deadline=None)
     def test_linear_in_per_particle_statistic(self, a):
         # Dividing every scale by a multiplies the statistic by a exactly.
         ens = scalar_ensemble([0.0, 1.0, 2.0], weights=[0.2, 0.5, 0.3])
-        base = PredictiveStub([1, 1, 1], mean=[1.0, 2.0, 3.0], scale=[1.0, 2.0, 4.0])
-        scaled = PredictiveStub(
-            [1, 1, 1], mean=[1.0, 2.0, 3.0], scale=np.array([1.0, 2.0, 4.0]) / a
-        )
-        t0 = fisher_statistic(ens, 7.0, fisher_sensor(base))
-        t1 = fisher_statistic(ens, 7.0, fisher_sensor(scaled))
+        mean = [1.0, 2.0, 3.0]
+        t0 = significance_row(ens, 7.0, mean=mean, scale=[1.0, 2.0, 4.0]).auxiliary
+        t1 = significance_row(
+            ens, 7.0, mean=mean, scale=np.array([1.0, 2.0, 4.0]) / a
+        ).auxiliary
         assert t1 == pytest.approx(a * t0, rel=1e-9)
 
 
@@ -231,17 +216,18 @@ def normal_tail_two_sided(t: float) -> float:
 class TestFisherGate:
     def test_zero_statistic_never_rejects(self):
         ens = scalar_ensemble([10.0])
-        decision = fisher_gate(ens, 10.0, fisher_sensor(GaussianStateDensity(std=2.0), alpha=0.999))
+        decision = significance_row(ens, 10.0, scale=2.0, alpha=0.999)
+        assert decision.kind == GateKind.FISHER
         assert decision.statistic == pytest.approx(1.0)
         assert not decision.rejected_h0
 
     def test_hand_p_value_boundary(self):
         ens = scalar_ensemble([0.0, 1.0])
-        stub = PredictiveStub([1, 1], mean=[10.0, 14.0], scale=[2.0, 2.8])
+        mean, scale = [10.0, 14.0], [2.0, 2.8]
         expected_p = normal_tail_two_sided(0.5 * 5.0 + 0.5 * 6.0 / 2.8)
         assert expected_p == pytest.approx(3.55e-4, rel=2e-3)
-        reject = fisher_gate(ens, 20.0, fisher_sensor(stub, alpha=1e-3))
-        accept = fisher_gate(ens, 20.0, fisher_sensor(stub, alpha=1e-4))
+        reject = significance_row(ens, 20.0, mean=mean, scale=scale, alpha=1e-3)
+        accept = significance_row(ens, 20.0, mean=mean, scale=scale, alpha=1e-4)
         assert reject.statistic == pytest.approx(expected_p, rel=1e-6)
         assert reject.rejected_h0
         assert not accept.rejected_h0
@@ -249,18 +235,8 @@ class TestFisherGate:
     def test_quantile_anchor(self):
         # T = 1.959964 corresponds to a two-sided p of 0.05.
         ens = scalar_ensemble([0.0])
-        stub = PredictiveStub([1.0], mean=[0.0], scale=[1.0])
-        decision = fisher_gate(ens, 1.959964, fisher_sensor(stub))
+        decision = significance_row(ens, 1.959964, mean=[0.0], scale=[1.0])
         assert decision.statistic == pytest.approx(0.05, abs=1e-6)
-
-    def test_one_sided_tails(self):
-        ens = scalar_ensemble([0.0])
-        stub = PredictiveStub([1.0], mean=[0.0], scale=[1.0])
-        left = fisher_gate(ens, -2.0, fisher_sensor(stub, alpha=0.05, tail=TailMode.LEFT))
-        right = fisher_gate(ens, 2.0, fisher_sensor(stub, alpha=0.05, tail=TailMode.RIGHT))
-        assert left.statistic == pytest.approx(0.02275, abs=1e-4)
-        assert right.statistic == pytest.approx(0.02275, abs=1e-4)
-        assert left.rejected_h0 and right.rejected_h0
 
     def test_gate_at_sigma_weighted_prediction_root_never_rejects(self):
         # The statistic is affine in y; at its root the gate cannot reject,
@@ -269,15 +245,13 @@ class TestFisherGate:
         mean = np.array([4.0, 9.0, 13.0])
         scale = np.array([0.8, 2.0, 3.5])
         ens = scalar_ensemble([0.0, 1.0, 2.0], weights=weights)
-        stub = PredictiveStub([1, 1, 1], mean=mean, scale=scale)
         root = float(np.sum(weights * mean / scale) / np.sum(weights / scale))
-        decision = fisher_gate(ens, root, fisher_sensor(stub, alpha=0.999))
+        decision = significance_row(ens, root, mean=mean, scale=scale, alpha=0.999)
         assert abs(decision.auxiliary) < 1e-12
         assert not decision.rejected_h0
 
-        common = PredictiveStub([1, 1, 1], mean=mean, scale=np.full(3, 2.0))
-        at_mean = fisher_gate(
-            ens, float(np.sum(weights * mean)), fisher_sensor(common, alpha=0.999)
+        at_mean = significance_row(
+            ens, float(np.sum(weights * mean)), mean=mean, scale=np.full(3, 2.0), alpha=0.999
         )
         assert not at_mean.rejected_h0
 
@@ -289,10 +263,8 @@ class TestFisherGate:
     @settings(max_examples=100, deadline=None)
     def test_monotone_in_alpha(self, y, alpha, bump):
         ens = scalar_ensemble([0.0, 2.0], weights=[0.6, 0.4])
-        sensor_lo = fisher_sensor(GaussianStateDensity(std=1.5), alpha=alpha)
-        sensor_hi = fisher_sensor(GaussianStateDensity(std=1.5), alpha=min(0.999, alpha + bump))
-        low = fisher_gate(ens, y, sensor_lo)
-        high = fisher_gate(ens, y, sensor_hi)
+        low = significance_row(ens, y, scale=1.5, alpha=alpha)
+        high = significance_row(ens, y, scale=1.5, alpha=min(0.999, alpha + bump))
         assert 0.0 <= low.statistic <= 1.0
         if low.rejected_h0:
             assert high.rejected_h0
@@ -302,69 +274,74 @@ class TestFisherGate:
         # the statistic is standard normal and the empirical rejection rate
         # at level 0.05 must sit inside [0.03, 0.07] over 1e5 draws.
         ens = scalar_ensemble([15.0])
-        sensor = fisher_sensor(GaussianStateDensity(std=3.0), alpha=0.05)
         draws = RandomSource(2024).normal(15.0, 3.0, size=100_000)
-        rejected = sum(fisher_gate(ens, float(y), sensor).rejected_h0 for y in draws)
-        rate = rejected / len(draws)
+        z, _ = gaussian_rows(draws, [15.0], std=3.0)
+        rate = np.mean(significance_test(ens.weights, z, 0.05).rejected)
         assert 0.03 <= rate <= 0.07
+
+    def test_rows_are_tested_independently(self):
+        rng = np.random.default_rng(6)
+        weights = rng.uniform(0.1, 1.0, 30)
+        weights /= weights.sum()
+        z = rng.normal(0.0, 2.0, (9, 30))
+        joint = significance_test(weights, z, 0.05)
+        for i in range(9):
+            one = significance_test(weights, z[i : i + 1], 0.05)
+            assert joint.statistic[i] == one.statistic[0]
+            assert joint.auxiliary[i] == one.auxiliary[0]
 
 
 class TestGatedUpdate:
     def test_no_measurements_returns_prior(self):
         ens = scalar_ensemble([1.0, 2.0])
-        result = gated_update(ens, [])
+        result = gated_update(ens, np.empty((0, 2)), np.empty(0, dtype=bool))
         assert result.posterior is ens
-        assert result.decisions == ()
         assert not result.no_information
         assert result.log_marginal_likelihood == 0.0
 
     def test_all_accepted_matches_plain_update(self):
         ens = scalar_ensemble([1.0, 2.0, 3.0, 4.0, 5.0])
-        g0a = StubDensity([0.5, 0.4, 0.3, 0.2, 0.1])
-        g0b = StubDensity([0.1, 0.2, 0.3, 0.2, 0.1])
-        sensors = [
-            SensorModel(id="a", h0=g0a, test_kind=GateKind.NONE),
-            SensorModel(id="b", h0=g0b, test_kind=GateKind.NONE),
-        ]
-        result = gated_update(ens, list(zip(sensors, [0.0, 0.0])))
-        plain, log_marginal = weight_update(ens, [0.0, 0.0], [g0a, g0b])
+        rows = log_rows([0.5, 0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.2, 0.1])
+        result = gated_update(ens, rows, np.zeros(2, dtype=bool))
+        plain, log_marginal = weight_update(ens, rows)
         np.testing.assert_allclose(result.posterior.weights, plain.weights, rtol=1e-12)
         assert result.log_marginal_likelihood == pytest.approx(log_marginal, rel=1e-12)
-        assert result.decisions == ()
+        assert not result.no_information
 
     def test_rejected_sensor_excluded_from_product(self):
         # Brute-force oracle on 5 particles: the posterior uses exactly the
-        # accepted sensors' density products.
+        # accepted measurements' density products.
         ens = scalar_ensemble([1.0, 2.0, 3.0, 4.0, 5.0])
-        keep = StubDensity([0.5, 0.4, 0.3, 0.2, 0.1])
-        # This sensor's measurement favors h1 with tiny null mass -> rejected.
-        reject_h0 = StubDensity([1e-9, 1e-9, 1e-9, 1e-9, 1e-9])
-        reject_h1 = StubDensity([1.0, 1.0, 1.0, 1.0, 1.0])
-        sensors = [
-            SensorModel(id="keep", h0=keep, test_kind=GateKind.NONE),
-            np_sensor(reject_h0, reject_h1, alpha=0.01),
-        ]
-        result = gated_update(ens, list(zip(sensors, [0.0, 0.0])))
-        assert len(result.decisions) == 1 and result.decisions[0].rejected_h0
-        brute = np.full(5, 0.2) * keep.values
+        keep = np.array([0.5, 0.4, 0.3, 0.2, 0.1])
+        # This measurement favors h1 with tiny null mass -> rejected.
+        reject_h0 = [1e-9] * 5
+        gate = likelihood_ratio_test(ens.weights, log_rows(reject_h0), log_rows([1.0] * 5), 0.01)
+        assert gate.rejected[0]
+        result = gated_update(ens, log_rows(keep, reject_h0), np.array([False, True]))
+        brute = np.full(5, 0.2) * keep
         np.testing.assert_allclose(
             result.posterior.weights, brute / brute.sum(), rtol=1e-12
         )
 
     def test_all_rejected_flags_no_information(self):
         ens = scalar_ensemble([1.0, 2.0])
-        g0 = StubDensity([1e-12, 1e-12])
-        g1 = StubDensity([1.0, 1.0])
-        result = gated_update(ens, [(np_sensor(g0, g1, alpha=0.01), 0.0)])
-        assert result.no_information
+        g0 = log_rows([1e-12, 1e-12])
+        gate = likelihood_ratio_test(ens.weights, g0, log_rows([1.0, 1.0]), 0.01)
+        result = gated_update(ens, g0, gate.rejected)
+        assert result.no_information is True
         assert result.posterior is ens
         assert result.log_marginal_likelihood == 0.0
 
     def test_mixed_gate_kinds(self):
+        # An untested loop row and a tested speed row: only the speed row
+        # gets a decision, and both enter the posterior when it passes.
         ens = scalar_ensemble([10.0, 12.0])
-        loop = SensorModel(id="loop", h0=GaussianStateDensity(std=0.5), test_kind=GateKind.NONE)
-        speed = fisher_sensor(GaussianStateDensity(std=2.0), alpha=0.05)
-        result = gated_update(ens, [(loop, 11.0), (speed, 11.2)])
-        assert len(result.decisions) == 1
-        assert result.decisions[0].test_kind == GateKind.FISHER
+        _, loop = gaussian_rows([11.0], [10.0, 12.0], std=0.5)
+        z, speed = gaussian_rows([11.2], [10.0, 12.0], std=2.0)
+        gate = significance_test(ens.weights, z, 0.05)
+        assert gate.kind == GateKind.FISHER and gate.rejected.shape == (1,)
+        rejected = np.array([False, gate.rejected[0]])
+        result = gated_update(ens, np.vstack([loop, speed]), rejected)
         assert abs(float(np.sum(result.posterior.weights)) - 1.0) <= 1e-12
+        both, _ = weight_update(ens, np.vstack([loop, speed]))
+        np.testing.assert_array_equal(result.posterior.weights, both.weights)

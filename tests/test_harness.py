@@ -8,7 +8,7 @@ import pytest
 
 from gatedpf.ctm import DemandProfile, DemandSchedule, advance, equilibrium_state, simulate
 from gatedpf.errors import ConfigurationError, DataError
-from gatedpf.gates import GateKind, gated_update
+from gatedpf.gates import gated_update
 from gatedpf.harness import (
     STREAM_FILTER_DEMAND,
     STREAM_FILTER_RESAMPLE,
@@ -40,7 +40,13 @@ from gatedpf.particles import (
     resample_systematic,
 )
 from gatedpf.rng import RandomSource
-from gatedpf.sensing import FaultConfig, GnssSpec, LoopDetectorSpec, build_sensor_models
+from gatedpf.sensing import (
+    FaultConfig,
+    GnssSpec,
+    LoopDetectorSpec,
+    measurement_rows,
+    standardize,
+)
 
 from conftest import small_network
 
@@ -74,6 +80,11 @@ class TestVariantsAndConfig:
         with pytest.raises(ConfigurationError):
             FilterVariant("bogus", 0.05)
         assert FilterVariant("np_correct", 0.01).label == "np_correct@0.01"
+
+    @pytest.mark.parametrize("zero_std", [0.0, -1.0, float("nan")])
+    def test_h1_zero_std_must_be_positive(self, zero_std):
+        with pytest.raises(ConfigurationError, match="h1_zero_std"):
+            dataclasses.replace(micro_config(), h1_zero_std=zero_std)
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -171,6 +182,7 @@ class TestFilterLoop:
 
         rng_demand = RandomSource(seed).derive(STREAM_FILTER_DEMAND)
         rng_resample = RandomSource(seed).derive(STREAM_FILTER_RESAMPLE)
+        loops = {spec.link: spec for spec in config.loop_specs}
         by_step = {}
         for m in measurements:
             by_step.setdefault(m.k, []).append(m)
@@ -183,11 +195,11 @@ class TestFilterLoop:
             if ms:
                 upstream_mean, ramp_means = config.schedule.means(k)
                 field = speed_map(prior.particles, config.network, upstream_mean, ramp_means)
-                pairs = build_sensor_models(
-                    ms, config.loop_specs, config.gnss_spec, config.fault_config,
-                    "none", speed_lookup=lambda link: field[:, link],
+                values, mean, std, _ = measurement_rows(
+                    ms, prior.particles, field, loops, config.gnss_spec
                 )
-                post = gated_update(prior, pairs).posterior
+                _, log_g0 = standardize(values, mean, std)
+                post = gated_update(prior, log_g0, np.zeros(len(ms), dtype=bool)).posterior
             else:
                 post = prior
             estimates.append(posterior_mean(post))

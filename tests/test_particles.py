@@ -17,7 +17,7 @@ from gatedpf.particles import (
 )
 from gatedpf.rng import RandomSource
 
-from conftest import StubDensity, scalar_ensemble
+from conftest import log_rows, scalar_ensemble
 
 
 def identity(states, rng):
@@ -100,7 +100,7 @@ class TestPredict:
 class TestWeightUpdate:
     def test_uniform_likelihood_keeps_weights(self):
         ens = scalar_ensemble([1.0, 2.0, 3.0], weights=[0.2, 0.3, 0.5])
-        out, log_marginal = weight_update(ens, [0.0], [StubDensity([1.0, 1.0, 1.0])])
+        out, log_marginal = weight_update(ens, log_rows([1.0, 1.0, 1.0]))
         np.testing.assert_allclose(out.weights, [0.2, 0.3, 0.5], rtol=1e-12)
         assert log_marginal == pytest.approx(0.0, abs=1e-12)
 
@@ -108,13 +108,13 @@ class TestWeightUpdate:
         # Uniform 1/3 times densities {0.3, 0.2, 0.1}: unnormalized
         # {0.1, 0.2/3, 0.1/3}, marginal 0.2.
         ens = scalar_ensemble([1.0, 2.0, 3.0])
-        out, log_marginal = weight_update(ens, [0.0], [StubDensity([0.3, 0.2, 0.1])])
+        out, log_marginal = weight_update(ens, log_rows([0.3, 0.2, 0.1]))
         np.testing.assert_allclose(out.weights, [0.5, 1 / 3, 1 / 6], rtol=1e-12)
         assert np.exp(log_marginal) == pytest.approx(0.2, rel=1e-12)
 
     def test_states_unchanged(self):
         ens = scalar_ensemble([1.0, 2.0, 3.0])
-        out, _ = weight_update(ens, [0.0], [StubDensity([0.5, 0.5, 0.5])])
+        out, _ = weight_update(ens, log_rows([0.5, 0.5, 0.5]))
         np.testing.assert_array_equal(out.particles, ens.particles)
 
     def test_two_sensors_equal_product_and_sequential(self):
@@ -123,9 +123,9 @@ class TestWeightUpdate:
         b = rng.uniform(0.05, 2.0, 6)
         prior = rng.uniform(0.1, 1.0, 6)
         ens = scalar_ensemble(np.arange(6.0), weights=prior / prior.sum())
-        joint, log_joint = weight_update(ens, [0.0, 0.0], [StubDensity(a), StubDensity(b)])
-        first, log_a = weight_update(ens, [0.0], [StubDensity(a)])
-        seq, log_b = weight_update(first, [0.0], [StubDensity(b)])
+        joint, log_joint = weight_update(ens, log_rows(a, b))
+        first, log_a = weight_update(ens, log_rows(a))
+        seq, log_b = weight_update(first, log_rows(b))
         brute = ens.weights * a * b
         np.testing.assert_allclose(joint.weights, brute / brute.sum(), rtol=1e-12)
         np.testing.assert_allclose(seq.weights, brute / brute.sum(), rtol=1e-12)
@@ -135,19 +135,20 @@ class TestWeightUpdate:
     def test_all_zero_collapse_raises(self):
         ens = scalar_ensemble([1.0, 2.0])
         with pytest.raises(WeightCollapseError):
-            weight_update(ens, [0.0], [StubDensity([0.0, 0.0])])
+            weight_update(ens, log_rows([0.0, 0.0]))
 
-    def test_value_sensor_count_mismatch(self):
+    def test_row_length_mismatch(self):
         ens = scalar_ensemble([1.0])
         with pytest.raises(ConfigurationError):
-            weight_update(ens, [0.0, 1.0], [StubDensity([1.0])])
+            weight_update(ens, log_rows([1.0, 1.0]))
+        with pytest.raises(ConfigurationError):
+            weight_update(ens, np.log([1.0]))
 
     def test_deep_underflow_survives_in_log_domain(self):
         # One update whose likelihood product lies far below the float64
         # range (1e-600) keeps relative structure and a finite log marginal.
         ens = scalar_ensemble([0.0, 1.0])
-        sensors = [StubDensity([1e-60, 2e-60])] * 10
-        out, log_marginal = weight_update(ens, [0.0] * 10, sensors)
+        out, log_marginal = weight_update(ens, log_rows(*[[1e-60, 2e-60]] * 10))
         np.testing.assert_allclose(
             out.weights, [1 / (1 + 2**10), 2**10 / (1 + 2**10)], rtol=1e-9
         )
@@ -162,19 +163,19 @@ class TestNormalize:
         # Uniform prior over three particles, likelihoods {6, 9, 15}:
         # unnormalized {2, 3, 5}, posterior {0.2, 0.3, 0.5}, marginal 10.
         ens = scalar_ensemble([0.0, 0.0, 0.0])
-        out, log_marginal = weight_update(ens, [0.0], [StubDensity([6.0, 9.0, 15.0])])
+        out, log_marginal = weight_update(ens, log_rows([6.0, 9.0, 15.0]))
         np.testing.assert_allclose(out.weights, [0.2, 0.3, 0.5], rtol=1e-12)
         assert np.exp(log_marginal) == pytest.approx(10.0, rel=1e-12)
 
     def test_idempotent_on_normalized(self):
         ens = scalar_ensemble([1.0, 2.0], weights=[0.5, 0.5])
-        out, log_marginal = weight_update(ens, [], [])
+        out, log_marginal = weight_update(ens, np.empty((0, 2)))
         np.testing.assert_allclose(out.weights, [0.5, 0.5], rtol=1e-12)
         assert log_marginal == pytest.approx(0.0, abs=1e-12)
 
     def test_single_particle(self):
         ens = scalar_ensemble([0.0])
-        out, log_marginal = weight_update(ens, [0.0], [StubDensity([0.37])])
+        out, log_marginal = weight_update(ens, log_rows([0.37]))
         assert out.weights[0] == pytest.approx(1.0)
         assert np.exp(log_marginal) == pytest.approx(0.37, rel=1e-12)
 
@@ -182,7 +183,7 @@ class TestNormalize:
     @settings(max_examples=100, deadline=None)
     def test_normalized_sum_within_tolerance(self, weights):
         ens = ParticleEnsemble.from_states(np.zeros((len(weights), 1)))
-        out, log_marginal = weight_update(ens, [0.0], [StubDensity(weights)])
+        out, log_marginal = weight_update(ens, log_rows(weights))
         assert abs(float(np.sum(out.weights)) - 1.0) <= 1e-12
         assert np.exp(log_marginal) == pytest.approx(np.mean(weights), rel=1e-9)
 
@@ -195,7 +196,7 @@ class TestNormalize:
         ens = ParticleEnsemble(np.zeros((len(weights), 1)), prior)
         rng = np.random.default_rng(11)
         lik = rng.uniform(0.01, 3.0, len(weights))
-        _, log_marginal = weight_update(ens, [0.0], [StubDensity(lik)])
+        _, log_marginal = weight_update(ens, log_rows(lik))
         assert np.exp(log_marginal) == pytest.approx(float(np.sum(prior * lik)), rel=1e-12)
 
 

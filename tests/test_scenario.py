@@ -112,6 +112,41 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=r"sensors\.faults"):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "section, key, value, where",
+        [
+            ("run", "seeds", ["a"], r"run\.seeds\[0\]"),
+            ("run", "seeds", [None], r"run\.seeds\[0\]"),
+            ("run", "seeds", [7, True], r"run\.seeds\[1\]"),
+            ("filter", "alphas", ["x"], r"filter\.alphas\[0\]"),
+            ("filter", "alphas", [0.01, float("nan")], r"filter\.alphas\[1\]"),
+            ("demand.upstream", "base", "a", r"demand\.upstream\.base"),
+            ("demand.upstream", "base", float("nan"), r"demand\.upstream\.base"),
+            ("demand.upstream", "peak", float("inf"), r"demand\.upstream\.peak"),
+            ("demand.upstream", "rise", ["a", 1], r"demand\.upstream\.rise\[0\]"),
+            ("demand.upstream", "fall", [400.0, None], r"demand\.upstream\.fall\[1\]"),
+            ("demand", "upstream", 5, r"demand\.upstream"),
+            ("filter", "particles", True, r"filter\.particles"),
+            ("sensors.loops", "links", [0, True], r"sensors\.loops\.links\[1\]"),
+            ("network", "dt", float("nan"), r"network\.dt"),
+        ],
+    )
+    def test_malformed_value_reports_path(self, section, key, value, where):
+        doc = tiny_scenario_dict()
+        node = doc
+        for part in section.split("."):
+            node = node[part]
+        node[key] = value
+        with pytest.raises(ConfigurationError, match=where):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("zero_std", [0.0, -1.0])
+    def test_h1_zero_std_checked(self, zero_std):
+        doc = tiny_scenario_dict()
+        doc["filter"]["h1_zero_std"] = zero_std
+        with pytest.raises(ConfigurationError, match="h1_zero_std"):
+            scenario_from_dict(doc)
+
     def test_load_from_yaml(self, tmp_path):
         path = tmp_path / "scenario.yaml"
         path.write_text(yaml.safe_dump(tiny_scenario_dict()))

@@ -1,32 +1,34 @@
-"""Unit tests for synthetic sensing, fault injection, and sensor models."""
+"""Unit tests for synthetic sensing, fault injection, and measurement models."""
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gatedpf.ctm import FreewayNetwork, LinkParams
 from gatedpf.errors import ConfigurationError, DataError
-from gatedpf.gates import GateKind
+from gatedpf.harness import FilterVariant, run_traffic_filter
 from gatedpf.rng import RandomSource
 from gatedpf.sensing import (
     FaultConfig,
-    FaultMixtureDensity,
     GnssSpec,
     LabeledMeasurement,
     LoopDetectorSpec,
-    LoopDensityModel,
-    NearZeroDensity,
-    SpeedObservationModel,
-    build_sensor_models,
+    fault_log_density,
+    gaussian_log_pdf,
     inject_faults,
+    measurement_rows,
     read_measurement_log,
     sample_gnss_speeds,
     sample_loop_detectors,
+    standardize,
     vehicle_counts,
     write_measurement_log,
 )
 
 from conftest import small_network
+from test_harness import micro_config
 
 
 class TestSpecs:
@@ -164,99 +166,109 @@ class TestFaultInjection:
         assert min(m.value for m in out) > 0.0
 
 
+def speed_report(value, link=0):
+    return LabeledMeasurement(k=1, sensor_id="g", kind="gnss_speed", link=link, value=value, faulty=False)
+
+
 class TestMeasurementModels:
     def test_loop_model_moments(self):
         spec = LoopDetectorSpec(link=1, noise_frac=0.1, min_std=0.002)
-        model = LoopDensityModel(spec)
         states = np.array([[0.0, 0.05], [0.0, 0.001]])
-        mean, std = model.predict(states)
-        np.testing.assert_allclose(mean, [0.05, 0.001])
-        np.testing.assert_allclose(std, [0.005, 0.002])  # floor binds on particle 2
+        loop = LabeledMeasurement(k=1, sensor_id="loop-1", kind="loop_density", link=1, value=0.04, faulty=False)
+        values, mean, std, is_speed = measurement_rows([loop], states, None, {1: spec}, GnssSpec())
+        np.testing.assert_allclose(mean, [[0.05, 0.001]])
+        np.testing.assert_allclose(std, [[0.005, 0.002]])  # floor binds on particle 2
+        assert values.tolist() == [0.04] and not is_speed[0]
 
-    def test_speed_model_positional_guard(self):
-        model = SpeedObservationModel(np.array([10.0, 12.0]), np.array([2.0, 2.4]))
-        with pytest.raises(ConfigurationError):
-            model.log_density(11.0, np.zeros((3, 1)))
+    def test_loop_model_absolute_noise(self):
+        spec = LoopDetectorSpec(link=0, noise_abs=0.004, min_std=0.002)
+        loop = LabeledMeasurement(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.04, faulty=False)
+        _, mean, std, _ = measurement_rows([loop], np.array([[0.05], [0.0]]), None, {0: spec}, GnssSpec())
+        np.testing.assert_array_equal(mean, [[0.05, 0.0]])
+        np.testing.assert_array_equal(std, [[0.004, 0.004]])
+        floored = LoopDetectorSpec(link=0, noise_abs=0.001, min_std=0.002)
+        _, _, std, _ = measurement_rows([loop], np.array([[0.05]]), None, {0: floored}, GnssSpec())
+        np.testing.assert_array_equal(std, [[0.002]])
 
     def test_fault_mixture_favors_zero_reports(self):
         # Correct fault model at y = 0 dwarfs the null for any particle
         # predicting at least 5 m/s.
-        h1 = FaultMixtureDensity(FaultConfig(), zero_std=0.5)
-        h0 = SpeedObservationModel.from_speeds(np.array([5.0, 15.0, 25.0]), GnssSpec())
-        states = np.zeros((3, 1))
-        ratio = np.exp(h1.log_density(0.0, states) - h0.log_density(0.0, states))
+        speeds = np.array([[5.0], [15.0], [25.0]])
+        values, mean, std, _ = measurement_rows(
+            [speed_report(0.0)], np.zeros((3, 1)), speeds, {}, GnssSpec()
+        )
+        _, log_g0 = standardize(values, mean, std)
+        log_g1 = fault_log_density(values, "np_correct", FaultConfig(), zero_std=0.5)
+        ratio = np.exp(log_g1[:, None] - log_g0)
         assert np.all(ratio > 1e3)
 
     def test_near_zero_model_ignores_plausible_speeds(self):
         # Incorrect fault model at y = 30 has essentially no density, so
         # random-speed faults are not flagged.
-        h1 = NearZeroDensity(std=0.5)
-        value = float(np.exp(h1.log_density(30.0, np.zeros((1, 1)))[0]))
-        assert value < 1e-300
+        log_g1 = fault_log_density(np.array([30.0]), "np_incorrect", FaultConfig(), zero_std=0.5)
+        assert float(np.exp(log_g1[0])) < 1e-300
 
     def test_fault_mixture_integrates_to_one(self):
         # Quadrature oracle over the measurement axis; the truncated
         # component carries its normalization constant.
-        h1 = FaultMixtureDensity(FaultConfig(), zero_std=0.5)
         ys = np.linspace(-5.0, 120.0, 20_001)
-        dens = np.array([float(np.exp(h1.log_density(float(y), np.zeros((1, 1)))[0])) for y in ys])
+        dens = np.exp(fault_log_density(ys, "np_correct", FaultConfig(), zero_std=0.5))
         integral = np.trapezoid(dens, ys)
         assert integral == pytest.approx(1.0, abs=2e-3)
 
 
 class TestBuildSensorModels:
-    def _measurements(self):
-        return [
-            LabeledMeasurement(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.05, faulty=False),
-            LabeledMeasurement(k=1, sensor_id="g-1", kind="gnss_speed", link=1, value=12.0, faulty=False),
-        ]
+    """How one step's measurements become gate inputs: null-model rows for
+    every measurement, a fault model per likelihood-ratio mode."""
 
-    def _build(self, mode):
-        return build_sensor_models(
-            self._measurements(),
-            [LoopDetectorSpec(link=0)],
-            GnssSpec(),
-            FaultConfig(),
-            mode,
-            speed_lookup=lambda link: np.array([10.0, 14.0]),
-            alpha=0.01,
+    def _rows(self, speeds=((10.0,), (14.0,))):
+        loop = LabeledMeasurement(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.05, faulty=False)
+        particles = np.array([[0.04], [0.06]])
+        return measurement_rows(
+            [loop, speed_report(12.0)], particles, np.array(speeds), {0: LoopDetectorSpec(link=0)}, GnssSpec()
         )
 
     def test_fisher_mode(self):
-        pairs = self._build("fisher")
-        loop_sensor, speed_sensor = pairs[0][0], pairs[1][0]
-        assert loop_sensor.test_kind == GateKind.NONE
-        assert speed_sensor.test_kind == GateKind.FISHER
-        assert speed_sensor.h1 is None
+        # The significance gate needs no fault model.
+        with pytest.raises(ConfigurationError):
+            fault_log_density(np.array([12.0]), "fisher", FaultConfig(), zero_std=0.5)
 
     def test_np_modes(self):
-        correct = self._build("np_correct")[1][0]
-        assert correct.test_kind == GateKind.NEYMAN_PEARSON
-        assert isinstance(correct.h1, FaultMixtureDensity)
-        incorrect = self._build("np_incorrect")[1][0]
-        assert isinstance(incorrect.h1, NearZeroDensity)
+        values = np.array([0.0, 12.0, 30.0])
+        incorrect = fault_log_density(values, "np_incorrect", FaultConfig(), zero_std=0.5)
+        np.testing.assert_array_equal(incorrect, gaussian_log_pdf(values, 0.0, 0.5))
+        correct = fault_log_density(values, "np_correct", FaultConfig(), zero_std=0.5)
+        assert correct.shape == (3,)
+        # The mixture puts a third of its mass near zero, the rest broad.
+        assert correct[0] == pytest.approx(incorrect[0] + np.log(1 / 3), abs=5e-3)
+        assert np.all(correct[1:] > incorrect[1:])
 
     def test_none_mode(self):
-        pairs = self._build("none")
-        assert all(sensor.test_kind == GateKind.NONE for sensor, _ in pairs)
+        with pytest.raises(ConfigurationError):
+            fault_log_density(np.array([12.0]), "none", FaultConfig(), zero_std=0.5)
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigurationError):
-            self._build("bogus")
+            fault_log_density(np.array([12.0]), "bogus", FaultConfig(), zero_std=0.5)
 
     def test_h0_uses_predicted_speeds(self):
-        speed_sensor = self._build("fisher")[1][0]
-        mean, std = speed_sensor.h0.predict(np.zeros((2, 1)))
-        np.testing.assert_allclose(mean, [10.0, 14.0])
-        np.testing.assert_allclose(std, [2.0, 2.8])
+        values, mean, std, is_speed = self._rows()
+        assert is_speed.tolist() == [False, True]
+        np.testing.assert_allclose(mean[1], [10.0, 14.0])
+        np.testing.assert_allclose(std[1], [2.0, 2.8])
+        np.testing.assert_allclose(mean[0], [0.04, 0.06])
+        z, log_g0 = standardize(values, mean, std)
+        np.testing.assert_allclose(z[1], [1.0, -2.0 / 2.8])
+        np.testing.assert_allclose(log_g0, gaussian_log_pdf(values[:, None], mean, std))
 
     def test_unconfigured_loop_rejected(self):
-        ms = [LabeledMeasurement(k=1, sensor_id="loop-9", kind="loop_density", link=9, value=0.1, faulty=False)]
-        with pytest.raises(DataError):
-            build_sensor_models(
-                ms, [LoopDetectorSpec(link=0)], GnssSpec(), FaultConfig(), "fisher",
-                speed_lookup=lambda link: np.zeros(1),
-            )
+        config = micro_config(horizon=5)  # loops on links 0 and 2
+        ms = [LabeledMeasurement(k=4, sensor_id="loop-1", kind="loop_density", link=1, value=0.1, faulty=False)]
+        with pytest.raises(DataError, match="no 'loop_density' sensor configured on link 1"):
+            run_traffic_filter(config, ms, FilterVariant("fisher", 0.01), RandomSource(1))
+        bad_kind = [replace(ms[0], kind="radar")]
+        with pytest.raises(DataError, match="no 'radar' sensor configured on link 1"):
+            run_traffic_filter(config, bad_kind, FilterVariant("fisher", 0.01), RandomSource(1))
 
 
 class TestMeasurementLog:
@@ -277,9 +289,16 @@ class TestMeasurementLog:
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("k,sensor_id,kind,link,value,faulty\n1,s,gnss_speed,0,notafloat,0\n")
-        with pytest.raises(DataError, match=":2"):
-            read_measurement_log(path)
+        for row, problem in (
+            ("1,s,gnss_speed,0,notafloat,0", "notafloat"),
+            ("1,s,gnss_speed,0,12.5,2", "faulty label must be 0 or 1"),
+            ("1,s,gnss_speed,0,12.5,-1", "faulty label must be 0 or 1"),
+            ("1,s,gnss_speed,0,12.5,", "faulty label must be 0 or 1"),
+            ("1,s,radar,0,12.5,0", "unknown measurement kind 'radar'"),
+        ):
+            path.write_text(f"k,sensor_id,kind,link,value,faulty\n1,r,gnss_speed,0,1.0,1\n{row}\n")
+            with pytest.raises(DataError, match=rf"bad\.csv:3: .*{problem}"):
+                read_measurement_log(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
     def test_non_finite_value_reports_line(self, tmp_path, value):
