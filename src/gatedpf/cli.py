@@ -158,10 +158,15 @@ def cmd_report(args) -> int:
     ]
     if missing:
         raise DataError("missing run artifacts: " + ", ".join(missing))
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as exc:
+        raise DataError(f"{manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"{manifest_path}: expected a JSON object")
     report = read_metrics_long(run_dir / "metrics_long.csv")
 
-    print(f"run {manifest.get('config_hash', '?')[:12]} ({manifest.get('command')})")
+    print(f"run {str(manifest.get('config_hash', '?'))[:12]} ({manifest.get('command')})")
     print(f"seeds: {manifest.get('seeds')}")
     aggregate = report.aggregate()
     modes: list[str] = []

@@ -116,6 +116,14 @@ class FreewayNetwork:
     def onramp_links(self) -> tuple[int, ...]:
         return tuple(i for i, l in enumerate(self.links) if l.onramp)
 
+    @cached_property
+    def _onramp_slot(self) -> np.ndarray:
+        # Boundary b -> index of link b's onramp in ``onramp_links``, -1 for
+        # none; boundary L, the downstream end, has none.
+        slot = np.full(self.n_links + 1, -1, dtype=np.intp)
+        slot[list(self.onramp_links)] = np.arange(len(self.onramp_links))
+        return slot
+
 
 @dataclass(frozen=True)
 class BoundaryDemand:
@@ -134,19 +142,18 @@ class BoundaryDemand:
         """Draw realized demands, one row per particle.
 
         Returns the upstream demands, shape ``(size,)``, and the onramp
-        demands, shape ``(size, R)``.
+        demands, shape ``(size, R)``.  Each draw is ``mean + std * z`` on
+        standard normal draws ``z``, which is how numpy computes a draw of
+        ``Generator.normal(mean, std)``: the stream order and the bits match
+        drawing from the broadcast means and stds, without materializing
+        them.  Stds must be nonnegative.
         """
         upstream = np.clip(
-            rng.normal(self.upstream_mean, self.upstream_std, size=size), 0.0, None
+            self.upstream_mean + self.upstream_std * rng.normal(size=size), 0.0, None
         )
         n_ramps = len(np.atleast_1d(self.onramp_mean))
         ramps = np.clip(
-            rng.normal(
-                np.broadcast_to(self.onramp_mean, (size, n_ramps)),
-                np.broadcast_to(self.onramp_std, (size, n_ramps)),
-            ),
-            0.0,
-            None,
+            self.onramp_mean + self.onramp_std * rng.normal(size=(size, n_ramps)), 0.0, None
         )
         return upstream, ramps
 
@@ -291,20 +298,57 @@ def _flow_speeds(states: np.ndarray, q: np.ndarray, s: np.ndarray, network: Free
 def speed_map(
     states: np.ndarray,
     network: FreewayNetwork,
-    upstream_demand=0.0,
+    links,
     onramp_demand=None,
 ) -> np.ndarray:
-    """Model-predicted link speeds for a (P, L) block of states.
+    """Model-predicted speeds of a (P, L) block of states on ``links`` only.
 
-    Flows are evaluated deterministically at the given (typically mean)
-    demands, then converted to speeds exactly as :func:`simulate` records
-    the truth's speeds.
+    Returns a ``(P, len(links))`` block whose column j is link ``links[j]``
+    (any order; repeats allowed).  A link's speed is its discharge, the
+    flow across its downstream boundary plus its offramp flow, over
+    ``rho * dt``, evaluated at the given (typically mean) onramp demands;
+    ``None`` means no onramp demand.  Link l's discharge reads only links
+    l and l + 1 and the onramp demand at l + 1, so the upstream boundary
+    demand never enters.  The arithmetic is that of :func:`junction_flows`
+    followed by the speed rule :func:`simulate` records the truth's speeds
+    with, element by element, so every column equals the same link's column
+    of the full map bit for bit.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    if onramp_demand is None and network.onramp_links:
-        onramp_demand = np.zeros(len(network.onramp_links))
-    q, _, s = junction_flows(states, network, upstream_demand, onramp_demand)
-    return _flow_speeds(states, q, s, network)
+    n_l = network.n_links
+    if states.shape[1] != n_l:
+        raise ConfigurationError(f"state has {states.shape[1]} links, network has {n_l}")
+    links = np.asarray(links, dtype=np.intp).reshape(-1)
+    if links.size and not (0 <= links.min() and links.max() < n_l):
+        raise ConfigurationError(f"links {links.tolist()} outside [0, {n_l - 1}]")
+    dt = network.dt
+
+    rho = states[:, links]
+    demand = np.minimum(network.vf[links] * dt * rho, network.qmax[links])
+    s = network.beta[links] * demand
+    mainline = demand - s
+
+    # The merge at each link's downstream boundary (link l + 1's inflow);
+    # the last link's column is a placeholder, replaced by its free outflow.
+    down = np.minimum(links + 1, n_l - 1)
+    supply = network.w[down] * dt * (network.rho_jam[down] - states[:, down])
+    ramp = np.zeros_like(rho)
+    slot = network._onramp_slot[links + 1]
+    has_ramp = slot >= 0
+    if onramp_demand is not None and has_ramp.any():
+        ramp[:, has_ramp] = np.asarray(onramp_demand, dtype=float)[..., slot[has_ramp]]
+    congested = mainline + ramp > supply
+    r_congested = _median3(ramp, network.onramp_priority * supply, supply - mainline)
+    r = np.where(congested, r_congested, ramp)
+    outflow = np.where(congested, supply - r, mainline)
+    outflow = np.where(links == n_l - 1, mainline, outflow)
+
+    discharge = outflow + s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = discharge / (rho * dt)
+    vf = network.vf[links]
+    v = np.where(rho > EMPTY_DENSITY, v, vf)
+    return np.clip(v, 0.0, vf)
 
 
 @dataclass(frozen=True)

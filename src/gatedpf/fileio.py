@@ -1,12 +1,16 @@
-"""Atomic file writing and delimited matrix I/O."""
+"""Atomic file writing, checked CSV reading, and delimited matrix I/O."""
 from __future__ import annotations
 
+import csv
 import io
 import os
 import secrets
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
+
+from .errors import DataError
 
 
 def atomic_write_text(path: str | Path, text: str) -> Path:
@@ -29,6 +33,36 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
         tmp.unlink(missing_ok=True)
         raise
     return path
+
+
+def read_csv_rows(
+    path: str | Path, columns: Sequence[str], what: str
+) -> Iterator[tuple[int, list[str]]]:
+    """The rows after the header of a CSV file, as ``(line, fields)`` pairs.
+
+    Raises :class:`DataError` naming ``path`` when the header is not
+    ``columns`` or the file cannot be decoded, and ``path:line`` when a row
+    has another number of fields or cannot be parsed as CSV.  ``what``
+    names the file's kind in the header message.
+    """
+    path = Path(path)
+    width = len(columns)
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None or tuple(header) != tuple(columns):
+                raise DataError(f"{path}: unexpected {what} header {header!r}")
+            for row in reader:
+                if len(row) != width:
+                    raise DataError(
+                        f"{path}:{reader.line_num}: expected {width} columns, got {len(row)}"
+                    )
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not a text file: {exc}") from exc
 
 
 def matrix_csv_text(matrix: np.ndarray) -> str:

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -34,7 +36,7 @@ from .ctm import (
     speed_map,
 )
 from .errors import ConfigurationError, DataError, WeightCollapseError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_csv_rows
 from .gates import GateRows, gated_update, likelihood_ratio_test, significance_test
 from .particles import (
     ParticleEnsemble,
@@ -82,6 +84,19 @@ DECISION_COLUMNS = (
     "faulty",
 )
 
+METRICS_LONG_COLUMNS = (
+    "mode",
+    "alpha",
+    "seed",
+    "tp",
+    "fp",
+    "tn",
+    "fn",
+    "labeling_error_pct",
+    "mape_pct",
+    "collapsed",
+)
+
 METRIC_FIELDS = (
     ("true_positives", "tp"),
     ("false_positives", "fp"),
@@ -120,7 +135,11 @@ class FilterVariant:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one experiment needs; see the scenario file for defaults."""
+    """Everything one experiment needs; see the scenario file for defaults.
+
+    ``initial_state`` is derived, not a field: the equilibrium start every
+    run of this config shares, computed on first use.
+    """
 
     network: FreewayNetwork
     schedule: DemandSchedule
@@ -151,6 +170,14 @@ class ExperimentConfig:
             raise ConfigurationError("MAPE floor must be positive")
         if not self.h1_zero_std > 0.0:
             raise ConfigurationError(f"h1_zero_std must be positive, got {self.h1_zero_std}")
+
+    @cached_property
+    def initial_state(self) -> np.ndarray:
+        """The schedule's equilibrium state, computed once per config and
+        read-only: the truth simulation and every filter run start from it."""
+        state = equilibrium_state(self.network, self.schedule)
+        state.setflags(write=False)
+        return state
 
 
 @dataclass(frozen=True)
@@ -240,8 +267,7 @@ def run_traffic_filter(
     the configured fraction.
     """
     network, schedule = config.network, config.schedule
-    init = equilibrium_state(network, schedule)
-    ensemble = ParticleEnsemble.from_states(np.tile(init, (config.particles, 1)))
+    ensemble = ParticleEnsemble.from_states(np.tile(config.initial_state, (config.particles, 1)))
     rng_demand = rng.derive(STREAM_FILTER_DEMAND)
     rng_resample = rng.derive(STREAM_FILTER_RESAMPLE)
     loops = {spec.link: spec for spec in config.loop_specs}
@@ -280,13 +306,15 @@ def run_traffic_filter(
         prior = predict(ensemble, transition, rng_demand)
         step_measurements = by_step.get(k, [])
         if step_measurements:
-            if any(m.kind == GNSS_SPEED for m in step_measurements):
-                upstream_mean, ramp_means = schedule.means(k)
-                speeds = speed_map(prior.particles, network, upstream_mean, ramp_means)
+            # Predicted speeds only on the links that reported one.
+            speed_links = sorted({m.link for m in step_measurements if m.kind == GNSS_SPEED})
+            if speed_links:
+                _, ramp_means = schedule.means(k)
+                speeds = speed_map(prior.particles, network, speed_links, ramp_means)
             else:
                 speeds = None
             values, mean, std, is_speed = measurement_rows(
-                step_measurements, prior.particles, speeds, loops, config.gnss_spec
+                step_measurements, prior.particles, speeds, speed_links, loops, config.gnss_spec
             )
             z, log_g0 = standardize(values, mean, std)
             rejected = np.zeros(len(step_measurements), dtype=bool)
@@ -459,7 +487,11 @@ def run_experiment(config: ExperimentConfig, on_run: RunSink | None = None) -> M
     for seed in config.seeds:
         base = RandomSource(seed)
         truth = simulate(
-            config.network, config.schedule, config.horizon, base.derive(STREAM_TRUTH)
+            config.network,
+            config.schedule,
+            config.horizon,
+            base.derive(STREAM_TRUTH),
+            initial_state=config.initial_state,
         )
         measurements = generate_measurements(
             truth,
@@ -552,31 +584,48 @@ def write_decision_log(path: str | Path, decisions: Sequence[DecisionRecord]) ->
     atomic_write_text(path, buf.getvalue())
 
 
+def _flag(text: str, name: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"{name} must be 0 or 1, got {text!r}")
+    return text == "1"
+
+
+def _number(text: str, name: str, nan_ok: bool = False) -> float:
+    """A float field; never infinite, and NaN only where ``nan_ok``."""
+    value = float(text)
+    if math.isinf(value) or (math.isnan(value) and not nan_ok):
+        raise ValueError(f"{name} must be finite, got {text!r}")
+    return value
+
+
+def _count(text: str, name: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2**63:
+        raise ValueError(f"{name} must be a count in [0, 2**63), got {text!r}")
+    return value
+
+
 def read_decision_log(path: str | Path) -> list[DecisionRecord]:
-    path = Path(path)
+    """Read a decision log back; a row that :func:`write_decision_log`
+    cannot have written raises :class:`DataError` naming ``path:line``."""
     out: list[DecisionRecord] = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != DECISION_COLUMNS:
-            raise DataError(f"{path}: unexpected decision log header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                out.append(
-                    DecisionRecord(
-                        k=int(row[0]),
-                        sensor_id=row[1],
-                        link=int(row[2]),
-                        test_kind=row[3],
-                        statistic=float(row[4]),
-                        alpha=float(row[5]),
-                        rejected=bool(int(row[6])),
-                        auxiliary=float(row[7]),
-                        faulty=None if row[8] == "" else bool(int(row[8])),
-                    )
+    for lineno, row in read_csv_rows(path, DECISION_COLUMNS, "decision log"):
+        try:
+            out.append(
+                DecisionRecord(
+                    k=int(row[0]),
+                    sensor_id=row[1],
+                    link=int(row[2]),
+                    test_kind=row[3],
+                    statistic=_number(row[4], "statistic"),
+                    alpha=_number(row[5], "alpha"),
+                    rejected=_flag(row[6], "rejected"),
+                    auxiliary=_number(row[7], "auxiliary"),
+                    faulty=None if row[8] == "" else _flag(row[8], "faulty"),
                 )
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
+            )
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
     return out
 
 
@@ -607,9 +656,7 @@ def metrics_wide_text(report: MetricsReport, alphas: Sequence[float]) -> str:
 def metrics_long_text(report: MetricsReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(
-        ["mode", "alpha", "seed", "tp", "fp", "tn", "fn", "labeling_error_pct", "mape_pct", "collapsed"]
-    )
+    writer.writerow(METRICS_LONG_COLUMNS)
     for r in report.runs:
         writer.writerow(
             [
@@ -629,26 +676,33 @@ def metrics_long_text(report: MetricsReport) -> str:
 
 
 def read_metrics_long(path: str | Path) -> MetricsReport:
-    path = Path(path)
+    """Read ``metrics_long.csv`` back; a row that :func:`metrics_long_text`
+    cannot have written raises :class:`DataError` naming ``path:line``.
+
+    NaN is accepted only where a run writes it: both error percentages of
+    a collapsed run, and the MAPE of a run with no decisions (a run with no
+    assimilated steps has no MAPE).
+    """
     runs: list[RunMetrics] = []
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            try:
-                runs.append(
-                    RunMetrics(
-                        mode=row["mode"],
-                        alpha=None if row["alpha"] == "" else float(row["alpha"]),
-                        seed=int(row["seed"]),
-                        tp=int(row["tp"]),
-                        fp=int(row["fp"]),
-                        tn=int(row["tn"]),
-                        fn=int(row["fn"]),
-                        labeling_error_pct=float(row["labeling_error_pct"]),
-                        mape_pct=float(row["mape_pct"]),
-                        collapsed=bool(int(row["collapsed"])),
-                    )
+    for lineno, row in read_csv_rows(path, METRICS_LONG_COLUMNS, "metrics"):
+        try:
+            collapsed = _flag(row[9], "collapsed")
+            tp, fp, tn, fn = (_count(row[i], METRICS_LONG_COLUMNS[i]) for i in range(3, 7))
+            no_decisions = tp + fp + tn + fn == 0
+            runs.append(
+                RunMetrics(
+                    mode=row[0],
+                    alpha=None if row[1] == "" else _number(row[1], "alpha"),
+                    seed=int(row[2]),
+                    tp=tp,
+                    fp=fp,
+                    tn=tn,
+                    fn=fn,
+                    labeling_error_pct=_number(row[7], "labeling_error_pct", nan_ok=collapsed),
+                    mape_pct=_number(row[8], "mape_pct", nan_ok=collapsed or no_decisions),
+                    collapsed=collapsed,
                 )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise DataError(f"{path}: malformed metrics row {row!r}: {exc}") from exc
+            )
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
     return MetricsReport(runs=runs)

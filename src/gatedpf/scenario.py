@@ -218,6 +218,9 @@ def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
     for i, link in enumerate(loop_links):
         if not 0 <= _integer(link, f"sensors.loops.links[{i}]") < network.n_links:
             _fail("sensors.loops.links", f"link index {link!r} out of range")
+        if link in loop_links[:i]:
+            # A detector's sensor id is its link, so two would share one id.
+            _fail(f"sensors.loops.links[{i}]", f"link {link} already has a loop detector")
         try:
             loop_specs.append(
                 LoopDetectorSpec(

@@ -28,7 +28,7 @@ from scipy.special import ndtr
 
 from .ctm import FreewayNetwork
 from .errors import ConfigurationError, DataError, ModelConsistencyError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_csv_rows
 from .rng import RandomSource
 
 LOOP_DENSITY = "loop_density"
@@ -248,6 +248,7 @@ def measurement_rows(
     measurements: Sequence[LabeledMeasurement],
     particles: np.ndarray,
     speeds: np.ndarray | None,
+    speed_links: Sequence[int],
     loops: Mapping[int, LoopDetectorSpec],
     gnss_spec: GnssSpec,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -256,17 +257,24 @@ def measurement_rows(
     Returns ``values`` (M,), ``mean`` (M, P), ``std`` (M, P) and the
     ``is_speed`` (M,) mask.  A loop row's mean is each particle's density on
     its link, with the detector's relative (or absolute) noise floored at
-    ``min_std``; a speed row's mean is the link's column of ``speeds`` (the
-    particles' predicted speeds; ``None`` when the step has no speed rows),
-    with std ``max(noise_frac * v, min_std)``.  ``loops`` maps a link to its
-    detector; every loop row must have one.
+    ``min_std``; a speed row's mean is its link's column of ``speeds``, the
+    particles' predicted speeds on ``speed_links`` (column j is link
+    ``speed_links[j]``; ``speeds`` is ``None`` when the step has no speed
+    rows), with std ``max(noise_frac * v, min_std)``.  ``loops`` maps a link
+    to its detector; every loop row must have one, and every speed row's
+    link must be among ``speed_links``.
     """
     values = np.array([m.value for m in measurements], dtype=float)
     links = np.array([m.link for m in measurements], dtype=np.intp)
     is_speed = np.array([m.kind == GNSS_SPEED for m in measurements], dtype=bool)
     mean = particles.T[links]
     if is_speed.any():
-        mean[is_speed] = speeds.T[links[is_speed]]
+        column = np.full(particles.shape[1], -1, dtype=np.intp)
+        column[np.asarray(speed_links, dtype=np.intp)] = np.arange(len(speed_links))
+        speed_columns = column[links[is_speed]]
+        if np.any(speed_columns < 0):
+            raise ConfigurationError("a speed row's link has no column in the speed block")
+        mean[is_speed] = speeds.T[speed_columns]
     # Both std rules in one form, max(frac * mean + offset, floor): a loop
     # with an absolute std has frac 0 and offset noise_abs, all others
     # offset 0, so each row gets exactly its rule's value.
@@ -328,37 +336,27 @@ def write_measurement_log(path: str | Path, measurements: Iterable[LabeledMeasur
 
 
 def read_measurement_log(path: str | Path) -> list[LabeledMeasurement]:
-    path = Path(path)
     out = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != MEASUREMENT_COLUMNS:
-            raise DataError(
-                f"{path}: unexpected measurement log header {header!r}"
+    for lineno, row in read_csv_rows(path, MEASUREMENT_COLUMNS, "measurement log"):
+        try:
+            m = LabeledMeasurement(
+                k=int(row[0]),
+                sensor_id=row[1],
+                kind=row[2],
+                link=int(row[3]),
+                value=float(row[4]),
+                faulty=row[5] == "1",
             )
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(MEASUREMENT_COLUMNS):
-                raise DataError(f"{path}:{lineno}: expected {len(MEASUREMENT_COLUMNS)} columns")
-            try:
-                m = LabeledMeasurement(
-                    k=int(row[0]),
-                    sensor_id=row[1],
-                    kind=row[2],
-                    link=int(row[3]),
-                    value=float(row[4]),
-                    faulty=row[5] == "1",
-                )
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            if m.kind not in MEASUREMENT_KINDS:
-                raise DataError(
-                    f"{path}:{lineno}: unknown measurement kind {m.kind!r}; "
-                    f"expected one of {MEASUREMENT_KINDS}"
-                )
-            if not math.isfinite(m.value):
-                raise DataError(f"{path}:{lineno}: non-finite value {row[4]!r}")
-            if row[5] not in ("0", "1"):
-                raise DataError(f"{path}:{lineno}: faulty label must be 0 or 1, got {row[5]!r}")
-            out.append(m)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        if m.kind not in MEASUREMENT_KINDS:
+            raise DataError(
+                f"{path}:{lineno}: unknown measurement kind {m.kind!r}; "
+                f"expected one of {MEASUREMENT_KINDS}"
+            )
+        if not math.isfinite(m.value):
+            raise DataError(f"{path}:{lineno}: non-finite value {row[4]!r}")
+        if row[5] not in ("0", "1"):
+            raise DataError(f"{path}:{lineno}: faulty label must be 0 or 1, got {row[5]!r}")
+        out.append(m)
     return out

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gatedpf.cli import main
 from gatedpf.fileio import read_matrix_csv
@@ -239,6 +241,34 @@ class TestSweepAndReport:
         mean, _ = report.aggregate()[("fisher", 0.01)]["mape_pct"]
         assert f"{mean:.2f}" in text
 
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            (9, "7", "collapsed must be 0 or 1"),
+            (8, "inf", "mape_pct must be finite"),
+            (7, "nan", "labeling_error_pct must be finite"),
+        ],
+    )
+    def test_report_rejects_bad_metrics_row(self, scenario_path, tmp_path, capsys, field, value, problem):
+        out = tmp_path / "sweep"
+        run_cli("sweep", "--scenario", scenario_path, "--out", out, "--quiet", "--no-artifacts")
+        path = out / "metrics_long.csv"
+        lines = path.read_text().splitlines()
+        row = lines[2].split(",")
+        row[field] = value
+        lines[2] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("report", "--run", out) == 2
+        assert f"metrics_long.csv:3: {problem}" in capsys.readouterr().err
+
+    def test_report_rejects_corrupt_manifest(self, scenario_path, tmp_path):
+        out = tmp_path / "sweep"
+        run_cli("sweep", "--scenario", scenario_path, "--out", out, "--quiet", "--no-artifacts")
+        for text in ("{not json", "[1, 2]"):
+            (out / "manifest.json").write_text(text)
+            assert run_cli("report", "--run", out) == 2
+
     def test_report_missing_artifacts_listed(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -282,7 +312,108 @@ class TestExitCodes:
         assert "run.seeds[0]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_duplicate_loop_link_exits_2(self, tmp_path, capsys):
+        doc = tiny_scenario_dict()
+        doc["sensors"]["loops"]["links"] = [0, 0]
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--scenario", path, "--out", out, "--quiet") == 2
+        assert "sensors.loops.links[1]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_error_maps_to_exit_2(self, tmp_path):
         missing = tmp_path / "missing.yaml"
         code = run_cli("simulate", "--scenario", missing, "--out", tmp_path / "o", "--quiet")
         assert code == 2
+
+
+# Field values a corrupted row may carry: arbitrary text, numbers of every
+# size and kind, and strings close to valid ones.
+hostile_field = st.one_of(
+    st.text(max_size=12),
+    st.floats().map(repr),
+    st.integers(min_value=-(10**30), max_value=10**30).map(str),
+    st.sampled_from(
+        ["", "0", "1", "2", "-1", "nan", "inf", "-inf", "1e999", "1e308", "-1e300",
+         "0x1", " 1", "1_0", "loop_density", "gnss_speed", "none", '"', "\r", "\x00"]
+    ),
+)
+
+
+@st.composite
+def corrupted(draw, text: str) -> bytes:
+    """``text`` with one data row corrupted: a field replaced, dropped or
+    added, the row replaced or duplicated, or raw bytes spliced in."""
+    lines = text.splitlines()
+    i = draw(st.integers(min_value=1, max_value=len(lines) - 1))
+    fields = lines[i].split(",")
+    op = draw(st.sampled_from(["field", "drop", "add", "line", "duplicate", "bytes"]))
+    if op == "field":
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(hostile_field)
+        lines[i] = ",".join(fields)
+    elif op == "drop":
+        del fields[draw(st.integers(0, len(fields) - 1))]
+        lines[i] = ",".join(fields)
+    elif op == "add":
+        fields.insert(draw(st.integers(0, len(fields))), draw(hostile_field))
+        lines[i] = ",".join(fields)
+    elif op == "line":
+        lines[i] = draw(st.text(max_size=40))
+    elif op == "duplicate":
+        lines.insert(i, lines[i])
+    encoded = [line.encode("utf-8", "surrogatepass") for line in lines]
+    if op == "bytes":
+        encoded[i] = draw(st.binary(min_size=1, max_size=20))
+    return b"\n".join(encoded) + b"\n"
+
+
+FUZZ = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory) -> Path:
+    """A simulated log and a finished sweep of a short tiny scenario."""
+    root = tmp_path_factory.mktemp("fuzz")
+    doc = tiny_scenario_dict()
+    doc["run"]["horizon"] = 10
+    doc["run"]["seeds"] = [7]
+    (root / "scenario.yaml").write_text(yaml.safe_dump(doc))
+    assert run_cli("simulate", "--scenario", root / "scenario.yaml", "--out", root / "sim", "--quiet") == 0
+    assert run_cli(
+        "sweep", "--scenario", root / "scenario.yaml", "--out", root / "sweep", "--quiet", "--no-artifacts"
+    ) == 0
+    return root
+
+
+class TestCorruptedInputs:
+    """No corrupted row ends in a traceback: every run exits with a
+    documented code.  A filter may also end in a weight collapse (exit 3):
+    the log reader accepts any finite value, and a finite reading far
+    enough out (|z| past about 1e154) underflows every null density."""
+
+    @FUZZ
+    @given(data=st.data(), variant=st.sampled_from(["none", "fisher", "np_correct", "np_incorrect"]))
+    def test_filter_on_corrupted_log(self, fuzz_dir, data, variant):
+        log = fuzz_dir / "bad_log.csv"
+        log.write_bytes(data.draw(corrupted((fuzz_dir / "sim" / "measurements.csv").read_text())))
+        code = run_cli(
+            "filter", "--scenario", fuzz_dir / "scenario.yaml", "--log", log,
+            "--variant", variant, "--alpha", "0.05", "--out", fuzz_dir / "flt", "--quiet",
+        )
+        assert code in (0, 2, 3)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_report_on_corrupted_metrics(self, fuzz_dir, data):
+        run = fuzz_dir / "report_run"
+        run.mkdir(exist_ok=True)
+        for name in ("manifest.json", "metrics.csv"):
+            (run / name).write_bytes((fuzz_dir / "sweep" / name).read_bytes())
+        clean = (fuzz_dir / "sweep" / "metrics_long.csv").read_text()
+        (run / "metrics_long.csv").write_bytes(data.draw(corrupted(clean)))
+        assert run_cli("report", "--run", run) in (0, 2)

@@ -12,6 +12,7 @@ from gatedpf.ctm import (
     DemandSchedule,
     FreewayNetwork,
     LinkParams,
+    _flow_speeds,
     advance,
     equilibrium_state,
     junction_flows,
@@ -206,7 +207,7 @@ class TestStep:
 
 class TestLinkSpeed:
     def test_empty_road_falls_back_to_freeflow(self, single_link_network):
-        v = speed_map(np.array([[0.0]]), single_link_network, 0.0)
+        v = speed_map(np.array([[0.0]]), single_link_network, [0])
         assert v[0, 0] == pytest.approx(10.0)
 
     def test_hand_value(self):
@@ -214,14 +215,14 @@ class TestLinkSpeed:
         # discharges min(vf dt rho, qmax) = min(20, 4) = 4 veh/step, so
         # v = 4 / (0.1 * 10) = 4 m/s.
         net = small_network(1)
-        v = speed_map(np.array([[0.1]]), net, 0.0)
+        v = speed_map(np.array([[0.1]]), net, [0])
         assert v[0, 0] == pytest.approx(4.0, rel=1e-12)
 
     def test_uncongested_speed_is_exactly_freeflow(self):
         # At demand flow: v = vf dt rho / (rho dt) = vf, also for offramp links.
         net = small_network(3, offramps={1}, beta=0.2)
         rho = np.array([[0.005, 0.006, 0.004]])
-        v = speed_map(rho, net, 0.0)
+        v = speed_map(rho, net, [0, 1, 2])
         np.testing.assert_allclose(v[0], [net.links[i].vf for i in range(3)], rtol=1e-12)
 
     def test_speed_map_matches_link_speed(self):
@@ -231,8 +232,63 @@ class TestLinkSpeed:
         rho = np.array([0.01, 0.06, 0.02])
         q, r, s = junction_flows(rho, net, upstream_demand=0.4, onramp_demand=[0.2])
         expected = (q[1:] + s) / (rho * net.dt)
-        field = speed_map(rho[None, :], net, 0.4, [0.2])
+        field = speed_map(rho[None, :], net, [0, 1, 2], [0.2])
         np.testing.assert_allclose(field[0], expected, rtol=1e-12)
+
+    @given(
+        st.integers(min_value=1, max_value=6).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.sets(st.integers(0, n - 1)),
+                st.sets(st.integers(0, n - 1)),
+                st.lists(st.integers(0, n - 1), max_size=10),
+            )
+        ),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_speed_map_equals_full_map_columns(self, layout, data):
+        # The full (P, L) map speed_map used to build, kept as the
+        # reference: junction_flows at any upstream demand, then the speed
+        # rule.  Every requested column must match it bit for bit.
+        n, onramps, offramps, links = layout
+        net = small_network(
+            n, onramps=onramps, offramps=offramps, beta=0.2,
+            priority=data.draw(st.sampled_from([0.0, 0.3, 1.0])),
+        )
+        n_p = data.draw(st.integers(1, 4))
+        # Zero, near-empty, jam and interior densities.
+        level = st.one_of(
+            st.sampled_from([0.0, 1e-7, 0.125]), st.floats(min_value=0.0, max_value=0.125)
+        )
+        row = st.lists(level, min_size=n, max_size=n)
+        states = np.array(data.draw(st.lists(row, min_size=n_p, max_size=n_p)))
+        # One demand per onramp, shared by the particles or one row each.
+        n_r = len(onramps)
+        ramp_row = st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=n_r, max_size=n_r)
+        if data.draw(st.booleans()):
+            ramps = np.array(data.draw(ramp_row))
+        else:
+            rows = data.draw(st.lists(ramp_row, min_size=n_p, max_size=n_p))
+            ramps = np.array(rows).reshape(n_p, n_r)
+        upstream = data.draw(st.floats(min_value=0.0, max_value=8.0))
+        q, _, s = junction_flows(states, net, upstream, ramps if onramps else None)
+        reference = _flow_speeds(states, q, s, net)
+        # Always cover the first and last link and every link next to an onramp.
+        next_to_ramps = sorted({max(r - 1, 0) for r in onramps} | onramps)
+        for chosen in (links, [0, n - 1], next_to_ramps, list(range(n))):
+            got = speed_map(states, net, chosen, ramps if onramps else None)
+            assert got.shape == (n_p, len(chosen))
+            assert got.tobytes() == reference[:, chosen].tobytes()
+
+    def test_speed_map_rejects_links_outside_network(self):
+        net = small_network(3)
+        with pytest.raises(ConfigurationError):
+            speed_map(np.full((2, 3), 0.01), net, [3])
+        with pytest.raises(ConfigurationError):
+            speed_map(np.full((2, 3), 0.01), net, [-1])
+        with pytest.raises(ConfigurationError):
+            speed_map(np.full((2, 4), 0.01), net, [0])
 
     def test_simulated_speeds_follow_the_realized_flows(self):
         net = small_network(3, onramps={1}, offramps={2}, beta=0.1)
@@ -284,6 +340,63 @@ class TestSimulate:
         b = simulate(net, schedule, 120, RandomSource(42).derive(0))
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.speeds, b.speeds)
+
+
+def broadcast_sample(demand: BoundaryDemand, rng: RandomSource, size: int):
+    """How ``BoundaryDemand.sample`` used to draw: ``Generator.normal`` on
+    the broadcast means and stds."""
+    upstream = np.clip(
+        rng.normal(demand.upstream_mean, demand.upstream_std, size=size), 0.0, None
+    )
+    n_ramps = len(np.atleast_1d(demand.onramp_mean))
+    ramps = np.clip(
+        rng.normal(
+            np.broadcast_to(demand.onramp_mean, (size, n_ramps)),
+            np.broadcast_to(demand.onramp_std, (size, n_ramps)),
+        ),
+        0.0,
+        None,
+    )
+    return upstream, ramps
+
+
+class TestBoundaryDemandSample:
+    @given(
+        st.floats(min_value=0.0, max_value=10.0),
+        st.sampled_from([0.0, 0.2, 3.0]),
+        st.lists(
+            st.tuples(st.floats(min_value=0.0, max_value=3.0), st.sampled_from([0.0, 0.5, 2.0])),
+            max_size=4,
+        ),
+        st.integers(min_value=1, max_value=50),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_broadcast_draws(self, up_mean, up_frac, ramps, size, seed):
+        # Zero stds (noise_frac 0) included; the streams must also be left
+        # in the same state, so the next draw matches too.
+        demand = BoundaryDemand(
+            up_mean,
+            up_frac * up_mean,
+            np.array([m for m, _ in ramps]),
+            np.array([f * m for m, f in ramps]),
+        )
+        rng_new, rng_old = RandomSource(seed), RandomSource(seed)
+        got = demand.sample(rng_new, size=size)
+        expected = broadcast_sample(demand, rng_old, size)
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].shape == expected[1].shape == (size, len(ramps))
+        assert got[1].tobytes() == expected[1].tobytes()
+        assert rng_new.normal() == rng_old.normal()
+
+    def test_schedule_without_noise_draws_the_means(self):
+        schedule = flat_schedule(1.5, n_onramps=2, noise=0.0)
+        upstream, ramps = schedule.sample(3, RandomSource(4), size=5)
+        expected = broadcast_sample(schedule.boundary_demand(3), RandomSource(4), 5)
+        assert upstream.tobytes() == expected[0].tobytes()
+        assert ramps.tobytes() == expected[1].tobytes()
+        np.testing.assert_array_equal(upstream, 1.5)
+        np.testing.assert_array_equal(ramps, 0.0)
 
 
 class TestDemandProfile:

@@ -86,6 +86,23 @@ class TestVariantsAndConfig:
         with pytest.raises(ConfigurationError, match="h1_zero_std"):
             dataclasses.replace(micro_config(), h1_zero_std=zero_std)
 
+    def test_initial_state_is_the_equilibrium_computed_once(self):
+        config = micro_config()
+        state = config.initial_state
+        assert state.tobytes() == equilibrium_state(config.network, config.schedule).tobytes()
+        assert config.initial_state is state
+        assert not state.flags.writeable
+        with pytest.raises(ValueError):
+            state[0] = 1.0
+        # A replaced config computes its own.
+        assert dataclasses.replace(config, horizon=5).initial_state is not state
+
+    def test_runs_start_from_the_initial_state(self):
+        config = micro_config(horizon=4, variants=(FilterVariant("none"),))
+        starts = []
+        run_experiment(config, on_run=lambda seed, truth, *_: starts.append(truth.states[0]))
+        assert starts[0].tobytes() == config.initial_state.tobytes()
+
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             micro_config(particles=1)
@@ -193,10 +210,11 @@ class TestFilterLoop:
             prior = predict(ens, transition, rng_demand)
             ms = by_step.get(k, [])
             if ms:
-                upstream_mean, ramp_means = config.schedule.means(k)
-                field = speed_map(prior.particles, config.network, upstream_mean, ramp_means)
+                _, ramp_means = config.schedule.means(k)
+                speed_links = sorted({m.link for m in ms if m.kind == "gnss_speed"})
+                field = speed_map(prior.particles, config.network, speed_links, ramp_means)
                 values, mean, std, _ = measurement_rows(
-                    ms, prior.particles, field, loops, config.gnss_spec
+                    ms, prior.particles, field, speed_links, loops, config.gnss_spec
                 )
                 _, log_g0 = standardize(values, mean, std)
                 post = gated_update(prior, log_g0, np.zeros(len(ms), dtype=bool)).posterior
@@ -353,6 +371,53 @@ class TestMetricsReport:
         back = read_metrics_long(path)
         assert back == report
 
+    def test_long_round_trip_keeps_written_nans(self, tmp_path):
+        # A collapsed run has NaN error percentages; a run with no steps has
+        # a NaN MAPE.
+        runs = [
+            RunMetrics("fisher", 0.01, 1, 0, 0, 0, 0, float("nan"), float("nan"), collapsed=True),
+            RunMetrics("none", None, 1, 0, 0, 0, 0, 0.0, float("nan")),
+        ]
+        path = tmp_path / "long.csv"
+        path.write_text(metrics_long_text(MetricsReport(runs)))
+        back = read_metrics_long(path).runs
+        assert [r.collapsed for r in back] == [True, False]
+        assert np.isnan(back[0].labeling_error_pct) and np.isnan(back[0].mape_pct)
+        assert back[1].labeling_error_pct == 0.0 and np.isnan(back[1].mape_pct)
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("fisher,0.01,1,1,2,3,4,10.0,3.0,2", "collapsed must be 0 or 1"),
+            ("fisher,0.01,1,1,2,3,4,10.0,3.0,-1", "collapsed must be 0 or 1"),
+            ("fisher,0.01,1,1,2,3,4,10.0,3.0,", "collapsed must be 0 or 1"),
+            ("fisher,inf,1,1,2,3,4,10.0,3.0,0", "alpha must be finite"),
+            ("fisher,0.01,1,1,2,3,4,-inf,3.0,0", "labeling_error_pct must be finite"),
+            ("fisher,0.01,1,1,2,3,4,10.0,inf,1", "mape_pct must be finite"),
+            ("fisher,nan,1,0,0,0,0,nan,nan,1", "alpha must be finite"),
+            ("fisher,0.01,1,1,2,3,4,nan,3.0,0", "labeling_error_pct must be finite"),
+            ("none,,1,0,0,0,0,nan,nan,0", "labeling_error_pct must be finite"),
+            ("fisher,0.01,1,1,2,3,4,10.0,nan,0", "mape_pct must be finite"),
+            ("fisher,0.01,1,-1,2,3,4,10.0,3.0,0", "tp must be a count"),
+            ("fisher,0.01,1,1,2,3,1" + "0" * 400 + ",10.0,3.0,0", "fn must be a count"),
+            ("fisher,0.01,x,1,2,3,4,10.0,3.0,0", "invalid literal"),
+            ("fisher,0.01,1,1,2,3,4,10.0,3.0", "expected 10 columns"),
+            ("fisher,0.01,1,1,2,3,4,10.0,3.0,0,0", "expected 10 columns"),
+        ],
+    )
+    def test_long_malformed_row_reports_line(self, tmp_path, row, problem):
+        path = tmp_path / "long.csv"
+        header = metrics_long_text(MetricsReport([])).strip()
+        path.write_text(f"{header}\nnone,,1,0,0,0,0,0.0,5.0,0\n{row}\n")
+        with pytest.raises(DataError, match=rf"long\.csv:3: .*{problem}"):
+            read_metrics_long(path)
+
+    def test_long_header_checked(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("mode,alpha\nnone,\n")
+        with pytest.raises(DataError, match="unexpected metrics header"):
+            read_metrics_long(path)
+
 
 class TestDecisionLog:
     def test_round_trip(self, tmp_path):
@@ -371,4 +436,38 @@ class TestDecisionLog:
             "1,s,0,fisher,x,0.01,0,0.0,0\n"
         )
         with pytest.raises(DataError, match=":2"):
+            read_decision_log(path)
+
+    def test_unlabeled_decision_reads_back(self, tmp_path):
+        decisions = [DecisionRecord(3, "g-1", 2, "fisher", 0.5, 0.01, False, 0.25, None)]
+        path = tmp_path / "decisions.csv"
+        write_decision_log(path, decisions)
+        assert read_decision_log(path) == decisions
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("1,s,0,fisher,0.5,0.01,2,0.0,0", "rejected must be 0 or 1"),
+            ("1,s,0,fisher,0.5,0.01,-1,0.0,0", "rejected must be 0 or 1"),
+            ("1,s,0,fisher,0.5,0.01,,0.0,0", "rejected must be 0 or 1"),
+            ("1,s,0,fisher,0.5,0.01,0,0.0,2", "faulty must be 0 or 1"),
+            ("1,s,0,fisher,0.5,0.01,0,0.0,-1", "faulty must be 0 or 1"),
+            ("1,s,0,fisher,inf,0.01,0,0.0,0", "statistic must be finite"),
+            ("1,s,0,fisher,0.5,-inf,0,0.0,0", "alpha must be finite"),
+            ("1,s,0,fisher,0.5,0.01,0,1e999,0", "auxiliary must be finite"),
+            ("1,s,0,fisher,nan,0.01,0,0.0,0", "statistic must be finite"),
+            ("1,s,0,fisher,0.5,NaN,0,0.0,0", "alpha must be finite"),
+            ("1,s,0,fisher,0.5,0.01,0,nan,0", "auxiliary must be finite"),
+            ("1,s,0,fisher,0.5,0.01,0,0.0", "expected 9 columns"),
+            ("1,s,0,fisher,0.5,0.01,0,0.0,0,0", "expected 9 columns"),
+        ],
+    )
+    def test_bad_value_reports_line(self, tmp_path, row, problem):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "k,sensor_id,link,test_kind,statistic,alpha,rejected,auxiliary,faulty\n"
+            "1,r,0,fisher,0.5,0.01,1,0.0,1\n"
+            f"{row}\n"
+        )
+        with pytest.raises(DataError, match=rf"bad\.csv:3: .*{problem}"):
             read_decision_log(path)

@@ -96,6 +96,14 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=r"sensors\.loops"):
             scenario_from_dict(doc)
 
+    def test_duplicate_loop_link_rejected(self):
+        # Detectors are identified by their link; two on one link would
+        # share a sensor id.
+        doc = tiny_scenario_dict()
+        doc["sensors"]["loops"]["links"] = [0, 2, 0]
+        with pytest.raises(ConfigurationError, match=r"sensors\.loops\.links\[2\]: link 0 already"):
+            scenario_from_dict(doc)
+
     def test_particles_minimum(self):
         doc = tiny_scenario_dict()
         doc["filter"]["particles"] = 1

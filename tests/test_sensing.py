@@ -175,7 +175,7 @@ class TestMeasurementModels:
         spec = LoopDetectorSpec(link=1, noise_frac=0.1, min_std=0.002)
         states = np.array([[0.0, 0.05], [0.0, 0.001]])
         loop = LabeledMeasurement(k=1, sensor_id="loop-1", kind="loop_density", link=1, value=0.04, faulty=False)
-        values, mean, std, is_speed = measurement_rows([loop], states, None, {1: spec}, GnssSpec())
+        values, mean, std, is_speed = measurement_rows([loop], states, None, (), {1: spec}, GnssSpec())
         np.testing.assert_allclose(mean, [[0.05, 0.001]])
         np.testing.assert_allclose(std, [[0.005, 0.002]])  # floor binds on particle 2
         assert values.tolist() == [0.04] and not is_speed[0]
@@ -183,11 +183,11 @@ class TestMeasurementModels:
     def test_loop_model_absolute_noise(self):
         spec = LoopDetectorSpec(link=0, noise_abs=0.004, min_std=0.002)
         loop = LabeledMeasurement(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.04, faulty=False)
-        _, mean, std, _ = measurement_rows([loop], np.array([[0.05], [0.0]]), None, {0: spec}, GnssSpec())
+        _, mean, std, _ = measurement_rows([loop], np.array([[0.05], [0.0]]), None, (), {0: spec}, GnssSpec())
         np.testing.assert_array_equal(mean, [[0.05, 0.0]])
         np.testing.assert_array_equal(std, [[0.004, 0.004]])
         floored = LoopDetectorSpec(link=0, noise_abs=0.001, min_std=0.002)
-        _, _, std, _ = measurement_rows([loop], np.array([[0.05]]), None, {0: floored}, GnssSpec())
+        _, _, std, _ = measurement_rows([loop], np.array([[0.05]]), None, (), {0: floored}, GnssSpec())
         np.testing.assert_array_equal(std, [[0.002]])
 
     def test_fault_mixture_favors_zero_reports(self):
@@ -195,7 +195,7 @@ class TestMeasurementModels:
         # predicting at least 5 m/s.
         speeds = np.array([[5.0], [15.0], [25.0]])
         values, mean, std, _ = measurement_rows(
-            [speed_report(0.0)], np.zeros((3, 1)), speeds, {}, GnssSpec()
+            [speed_report(0.0)], np.zeros((3, 1)), speeds, [0], {}, GnssSpec()
         )
         _, log_g0 = standardize(values, mean, std)
         log_g1 = fault_log_density(values, "np_correct", FaultConfig(), zero_std=0.5)
@@ -225,7 +225,7 @@ class TestBuildSensorModels:
         loop = LabeledMeasurement(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.05, faulty=False)
         particles = np.array([[0.04], [0.06]])
         return measurement_rows(
-            [loop, speed_report(12.0)], particles, np.array(speeds), {0: LoopDetectorSpec(link=0)}, GnssSpec()
+            [loop, speed_report(12.0)], particles, np.array(speeds), [0], {0: LoopDetectorSpec(link=0)}, GnssSpec()
         )
 
     def test_fisher_mode(self):
