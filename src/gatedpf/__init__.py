@@ -37,7 +37,6 @@ from .gates import (
     significance_test,
 )
 from .ctm import (
-    BoundaryDemand,
     DemandProfile,
     DemandSchedule,
     FreewayNetwork,
@@ -71,7 +70,6 @@ from .harness import (
     mape,
     run_experiment,
     run_traffic_filter,
-    sweep_alpha,
 )
 from .scenario import Scenario, default_scenario, default_scenario_dict, load_scenario
 

@@ -22,8 +22,8 @@ from .harness import (
     metrics_long_text,
     metrics_wide_text,
     read_metrics_long,
+    run_experiment,
     run_traffic_filter,
-    sweep_alpha,
     write_decision_log,
 )
 from .rng import RandomSource
@@ -131,7 +131,7 @@ def cmd_sweep(args) -> int:
             write_decision_log(run_dir / f"decisions_{tag}.csv", result.decisions)
 
     config = scenario.experiment_config(seeds=seeds)
-    report = sweep_alpha(config, scenario.alphas, on_run=sink)
+    report = run_experiment(config, on_run=sink)
     atomic_write_text(out / artifacts["metrics"], metrics_wide_text(report, scenario.alphas))
     atomic_write_text(out / artifacts["metrics_long"], metrics_long_text(report))
     _say(args, f"wrote metrics table to {out / artifacts['metrics']}")

@@ -125,39 +125,6 @@ class FreewayNetwork:
         return slot
 
 
-@dataclass(frozen=True)
-class BoundaryDemand:
-    """Random exogenous demand for one timestep: upstream inflow plus onramps.
-
-    Demands are truncated Gaussians (clipped at zero).  ``onramp_mean`` and
-    ``onramp_std`` are aligned with ``FreewayNetwork.onramp_links``.
-    """
-
-    upstream_mean: float
-    upstream_std: float
-    onramp_mean: np.ndarray
-    onramp_std: np.ndarray
-
-    def sample(self, rng: RandomSource, size: int):
-        """Draw realized demands, one row per particle.
-
-        Returns the upstream demands, shape ``(size,)``, and the onramp
-        demands, shape ``(size, R)``.  Each draw is ``mean + std * z`` on
-        standard normal draws ``z``, which is how numpy computes a draw of
-        ``Generator.normal(mean, std)``: the stream order and the bits match
-        drawing from the broadcast means and stds, without materializing
-        them.  Stds must be nonnegative.
-        """
-        upstream = np.clip(
-            self.upstream_mean + self.upstream_std * rng.normal(size=size), 0.0, None
-        )
-        n_ramps = len(np.atleast_1d(self.onramp_mean))
-        ramps = np.clip(
-            self.onramp_mean + self.onramp_std * rng.normal(size=(size, n_ramps)), 0.0, None
-        )
-        return upstream, ramps
-
-
 def link_flow(
     rho_up: float,
     up: LinkParams,
@@ -185,18 +152,51 @@ def _median3(a, b, c):
     return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
 
 
+def _boundary_flows(mainline, supply, ramp_cols, ramp, priority):
+    """Mainline and onramp inflows across a (P, B) block of boundaries.
+
+    Every boundary passes ``min(mainline, supply)``, the rule of
+    :func:`link_flow`.  Only the boundaries in ``ramp_cols``, whose onramp
+    demands are the columns of ``ramp`` ((R,) shared or (P, R)), merge:
+    when mainline plus ramp demand exceed the supply, the ramp takes the
+    median of its demand, its ``priority`` share of the supply, and what
+    the mainline leaves, and the mainline takes the rest.  Returns
+    ``(q, r)``, both (P, B); ``r`` is zero off the onramp columns.
+    """
+    q = np.minimum(mainline, supply)
+    r = np.zeros_like(q)
+    if len(ramp_cols):
+        main = mainline[:, ramp_cols]
+        room = supply[:, ramp_cols]
+        congested = main + ramp > room
+        r_congested = _median3(ramp, priority * room, room - main)
+        r_ramp = np.where(congested, r_congested, ramp)
+        q[:, ramp_cols] = np.where(congested, room - r_ramp, main)
+        r[:, ramp_cols] = r_ramp
+    return q, r
+
+
+def _states_block(states, network: FreewayNetwork) -> np.ndarray:
+    states = np.asarray(states, dtype=float)
+    if states.ndim != 2 or states.shape[1] != network.n_links:
+        raise ConfigurationError(
+            f"states must be a (P, {network.n_links}) block, got shape {states.shape}"
+        )
+    return states
+
+
 def junction_flows(
-    rho,
+    states: np.ndarray,
     network: FreewayNetwork,
     upstream_demand,
     onramp_demand=None,
 ):
-    """All boundary, onramp, and offramp flows for one step.
+    """All boundary, onramp, and offramp flows of a (P, L) block for one step.
 
     Parameters
     ----------
-    rho : ndarray, shape (L,) or (P, L)
-        Link densities; a 2-D block evaluates many states at once.
+    states : ndarray, shape (P, L)
+        Link densities, one row per state.
     upstream_demand : float or (P,) array
         Demand offered at the upstream boundary.
     onramp_demand : array, shape (R,) or (P, R), optional
@@ -205,22 +205,15 @@ def junction_flows(
     Returns
     -------
     (q, r, s)
-        Boundary flows ``q`` (last entry is the exit flow of the final
-        link), onramp inflows ``r``, and offramp outflows ``s``, each with
-        the batch shape of ``rho``.
+        Boundary flows ``q`` (P, L + 1) (the last column is the exit flow
+        of the final link), onramp inflows ``r`` and offramp outflows
+        ``s``, both (P, L).
 
     Offramps split first (``s = beta * demand``); the remaining mainline
-    demand and any onramp demand then share the downstream supply under
-    the priority merge, with unused allocation redistributed.
+    demand then crosses each boundary under :func:`_boundary_flows`.
     """
-    rho_arr = np.asarray(rho, dtype=float)
-    squeeze = rho_arr.ndim == 1
-    states = np.atleast_2d(rho_arr)
+    states = _states_block(states, network)
     n_p, n_l = states.shape
-    if n_l != network.n_links:
-        raise ConfigurationError(
-            f"state has {n_l} links, network has {network.n_links}"
-        )
     dt = network.dt
 
     demand = np.minimum(network.vf * dt * states, network.qmax)
@@ -234,26 +227,16 @@ def junction_flows(
     dem_main[:, 0] = np.asarray(upstream_demand, dtype=float)
     dem_main[:, 1:] = mainline_demand[:, :-1]
 
-    dem_ramp = np.zeros_like(states)
-    if network.onramp_links:
+    ramp_cols = list(network.onramp_links)
+    ramp = None
+    if ramp_cols:
         if onramp_demand is None:
             raise ConfigurationError("network has onramps but no onramp demand given")
-        ramp = np.atleast_2d(np.asarray(onramp_demand, dtype=float))
-        ramp = np.broadcast_to(ramp, (n_p, len(network.onramp_links)))
-        dem_ramp[:, list(network.onramp_links)] = ramp
-
-    congested = dem_main + dem_ramp > supply
-    priority = network.onramp_priority
-    r_congested = _median3(dem_ramp, priority * supply, supply - dem_main)
-    r = np.where(congested, r_congested, dem_ramp)
-    q_in = np.where(congested, supply - r, dem_main)
+        ramp = np.broadcast_to(np.asarray(onramp_demand, dtype=float), (n_p, len(ramp_cols)))
 
     q = np.empty((n_p, n_l + 1))
-    q[:, :n_l] = q_in
+    q[:, :n_l], r = _boundary_flows(dem_main, supply, ramp_cols, ramp, network.onramp_priority)
     q[:, n_l] = mainline_demand[:, -1]  # free outflow at the downstream end
-
-    if squeeze:
-        return q[0], r[0], s[0]
     return q, r, s
 
 
@@ -269,7 +252,7 @@ def advance(
     leaves ``[0, rho_jam]`` by more than the numerical tolerance, which
     indicates inconsistent parameters rather than rounding.
     """
-    states = np.atleast_2d(np.asarray(states, dtype=float))
+    states = np.asarray(states, dtype=float)
     q, r, s = junction_flows(states, network, upstream_demand, onramp_demand)
     new_states = states + (q[:, :-1] - q[:, 1:] + r - s) / network.lengths
     if float(np.min(new_states)) < -DENSITY_TOL:
@@ -280,19 +263,18 @@ def advance(
     return new_states, q, r, s
 
 
-def _flow_speeds(states: np.ndarray, q: np.ndarray, s: np.ndarray, network: FreewayNetwork) -> np.ndarray:
-    """Per-link speeds of a (P, L) block from its realized flows.
+def _speeds(discharge, rho, dt: float, vf) -> np.ndarray:
+    """Link speeds from discharge (mainline outflow plus offramp flow).
 
-    Speed is total discharge (mainline outflow plus offramp flow) over
-    ``rho * dt``, clamped to ``[0, vf]``; near-empty links report freeflow.
-    Including the offramp share keeps an uncongested link exactly at its
-    freeflow speed regardless of its split ratio.
+    Speed is ``discharge / (rho * dt)``, clamped to ``[0, vf]``; near-empty
+    links report freeflow.  Including the offramp share keeps an
+    uncongested link exactly at its freeflow speed regardless of its split
+    ratio.
     """
-    discharge = q[:, 1:] + s
     with np.errstate(divide="ignore", invalid="ignore"):
-        v = discharge / (states * network.dt)
-    v = np.where(states > EMPTY_DENSITY, v, network.vf)
-    return np.clip(v, 0.0, network.vf)
+        v = discharge / (rho * dt)
+    v = np.where(rho > EMPTY_DENSITY, v, vf)
+    return np.clip(v, 0.0, vf)
 
 
 def speed_map(
@@ -309,15 +291,12 @@ def speed_map(
     ``rho * dt``, evaluated at the given (typically mean) onramp demands;
     ``None`` means no onramp demand.  Link l's discharge reads only links
     l and l + 1 and the onramp demand at l + 1, so the upstream boundary
-    demand never enters.  The arithmetic is that of :func:`junction_flows`
-    followed by the speed rule :func:`simulate` records the truth's speeds
-    with, element by element, so every column equals the same link's column
-    of the full map bit for bit.
+    demand never enters.  The boundary rule is :func:`junction_flows`' and
+    the speed rule is :func:`simulate`'s, so every column equals the same
+    link's column of the full map bit for bit.
     """
-    states = np.atleast_2d(np.asarray(states, dtype=float))
+    states = _states_block(states, network)
     n_l = network.n_links
-    if states.shape[1] != n_l:
-        raise ConfigurationError(f"state has {states.shape[1]} links, network has {n_l}")
     links = np.asarray(links, dtype=np.intp).reshape(-1)
     if links.size and not (0 <= links.min() and links.max() < n_l):
         raise ConfigurationError(f"links {links.tolist()} outside [0, {n_l - 1}]")
@@ -328,27 +307,16 @@ def speed_map(
     s = network.beta[links] * demand
     mainline = demand - s
 
-    # The merge at each link's downstream boundary (link l + 1's inflow);
-    # the last link's column is a placeholder, replaced by its free outflow.
+    # Each link's downstream boundary is link l + 1's inflow; the last
+    # link's end takes any outflow, so its supply is unbounded.
     down = np.minimum(links + 1, n_l - 1)
     supply = network.w[down] * dt * (network.rho_jam[down] - states[:, down])
-    ramp = np.zeros_like(rho)
+    supply[:, links == n_l - 1] = np.inf
     slot = network._onramp_slot[links + 1]
-    has_ramp = slot >= 0
-    if onramp_demand is not None and has_ramp.any():
-        ramp[:, has_ramp] = np.asarray(onramp_demand, dtype=float)[..., slot[has_ramp]]
-    congested = mainline + ramp > supply
-    r_congested = _median3(ramp, network.onramp_priority * supply, supply - mainline)
-    r = np.where(congested, r_congested, ramp)
-    outflow = np.where(congested, supply - r, mainline)
-    outflow = np.where(links == n_l - 1, mainline, outflow)
-
-    discharge = outflow + s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = discharge / (rho * dt)
-    vf = network.vf[links]
-    v = np.where(rho > EMPTY_DENSITY, v, vf)
-    return np.clip(v, 0.0, vf)
+    ramp_cols = np.flatnonzero(slot >= 0) if onramp_demand is not None else []
+    ramp = np.asarray(onramp_demand, dtype=float)[..., slot[ramp_cols]] if len(ramp_cols) else None
+    outflow, _ = _boundary_flows(mainline, supply, ramp_cols, ramp, network.onramp_priority)
+    return _speeds(outflow + s, rho, dt, network.vf[links])
 
 
 @dataclass(frozen=True)
@@ -405,19 +373,24 @@ class DemandSchedule:
         ramps = np.array([p.mean(t) for p in self.onramps])
         return upstream, ramps
 
-    def boundary_demand(self, k: int) -> BoundaryDemand:
-        upstream, ramps = self.means(k)
-        return BoundaryDemand(
-            upstream_mean=upstream,
-            upstream_std=self.upstream.noise_frac * upstream,
-            onramp_mean=ramps,
-            onramp_std=np.array(
-                [p.noise_frac * m for p, m in zip(self.onramps, ramps)]
-            ),
-        )
-
     def sample(self, k: int, rng: RandomSource, size: int):
-        return self.boundary_demand(k).sample(rng, size=size)
+        """Draw step ``k``'s realized demands, one row per particle.
+
+        Returns the upstream demands, shape ``(size,)``, and the onramp
+        demands, shape ``(size, R)``, clipped at zero.  Each draw is
+        ``mean + noise_frac * mean * z`` on standard normal draws ``z``
+        (upstream first), which is how numpy computes
+        ``Generator.normal(mean, noise_frac * mean)``: the stream order and
+        the bits match drawing from the broadcast means and stds, without
+        materializing them.
+        """
+        upstream, ramps = self.means(k)
+        upstream = np.maximum(
+            upstream + self.upstream.noise_frac * upstream * rng.normal(size=size), 0.0
+        )
+        ramp_noise = np.array([p.noise_frac for p in self.onramps]) * ramps
+        ramps = np.maximum(ramps + ramp_noise * rng.normal(size=(size, len(ramps))), 0.0)
+        return upstream, ramps
 
 
 @dataclass(frozen=True)
@@ -484,5 +457,5 @@ def simulate(
             states[k : k + 1], network, upstream, ramps
         )
         states[k + 1] = new_states[0]
-    speeds = _flow_speeds(states[:-1], q, s, network)
+    speeds = _speeds(q[:, 1:] + s, states[:-1], network.dt, network.vf)
     return Trajectory(states=states, q=q, r=r, s=s, speeds=speeds)

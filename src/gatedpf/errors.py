@@ -19,8 +19,14 @@ class WeightCollapseError(GatedPfError):
 
     Raised instead of silently renormalizing: a collapse means the incoming
     measurement set is impossible under every particle, which is the failure
-    mode measurement gating exists to prevent.
+    mode measurement gating exists to prevent.  ``k`` and ``sensor_ids``
+    name the filter step and the measurements it assimilated, when known.
     """
+
+    def __init__(self, message: str, k: int | None = None, sensor_ids=()) -> None:
+        super().__init__(message)
+        self.k = k
+        self.sensor_ids = tuple(sensor_ids)
 
 
 class ModelConsistencyError(GatedPfError):

@@ -19,7 +19,7 @@ import csv
 import io
 import math
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
@@ -264,7 +264,9 @@ def run_traffic_filter(
     step's measurements as (M, P) rows against the predicted ensemble, gate
     the speed reports, assimilate the accepted measurements, record the
     posterior mean, and resample when the effective sample size falls below
-    the configured fraction.
+    the configured fraction.  A step whose assimilated measurements no
+    particle explains raises :class:`WeightCollapseError` carrying the step
+    ``k`` and those measurements' sensor ids.
     """
     network, schedule = config.network, config.schedule
     ensemble = ParticleEnsemble.from_states(np.tile(config.initial_state, (config.particles, 1)))
@@ -333,7 +335,15 @@ def run_traffic_filter(
                             stat, variant.alpha, rej, aux, m.faulty,
                         )
                     )
-            posterior = gated_update(prior, log_g0, rejected).posterior
+            try:
+                posterior = gated_update(prior, log_g0, rejected).posterior
+            except WeightCollapseError as exc:
+                accepted = [step_measurements[i].sensor_id for i in np.flatnonzero(~rejected)]
+                raise WeightCollapseError(
+                    f"step {k}: no particle explains the assimilated measurements {accepted}",
+                    k=k,
+                    sensor_ids=accepted,
+                ) from exc
         else:
             posterior = prior
         estimates[k - 1] = posterior_mean(posterior)
@@ -541,26 +551,6 @@ def run_experiment(config: ExperimentConfig, on_run: RunSink | None = None) -> M
             if on_run is not None:
                 on_run(seed, truth, measurements, variant, result)
     return MetricsReport(runs=runs)
-
-
-def sweep_alpha(
-    config: ExperimentConfig, alphas: Sequence[float], on_run: RunSink | None = None
-) -> MetricsReport:
-    """Expand every gated variant across the level list and run once.
-
-    Truth and measurements are simulated once per seed inside
-    :func:`run_experiment`, so all level columns of a seed are paired on
-    bit-identical ground truth.
-    """
-    expanded: list[FilterVariant] = []
-    for variant in config.variants:
-        if variant.mode == "none":
-            expanded.append(variant)
-        else:
-            for alpha in alphas:
-                expanded.append(FilterVariant(mode=variant.mode, alpha=float(alpha)))
-    deduped = tuple(dict.fromkeys(expanded))
-    return run_experiment(replace(config, variants=deduped), on_run=on_run)
 
 
 def write_decision_log(path: str | Path, decisions: Sequence[DecisionRecord]) -> None:

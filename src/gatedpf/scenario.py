@@ -50,13 +50,18 @@ class Scenario:
     mape_floor: float
     horizon: int
     seeds: tuple[int, ...]
-    out_dir: str | None
     raw: dict
 
     def experiment_config(self, seeds: Sequence[int] | None = None) -> ExperimentConfig:
+        """The study over ``seeds`` (default: the scenario's): every mode
+        at every level in ``alphas`` order, the ungated ``none`` once, in
+        mode order with repeats dropped."""
         variants = tuple(
-            FilterVariant(mode=m, alpha=None if m == "none" else self.alphas[0])
-            for m in self.modes
+            dict.fromkeys(
+                FilterVariant(mode=m, alpha=None if m == "none" else float(a))
+                for m in self.modes
+                for a in ((None,) if m == "none" else self.alphas)
+            )
         )
         return ExperimentConfig(
             network=self.network,
@@ -297,7 +302,6 @@ def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
         mape_floor=_get(run_doc, "mape_floor", "run", float, default=1e-4),
         horizon=horizon,
         seeds=seeds,
-        out_dir=_get(run_doc, "out", "run", str),
         raw=_as_plain(doc),
     )
     # Surface remaining config-level contract violations at load time.

@@ -43,11 +43,20 @@ MEASUREMENT_COLUMNS = ("k", "sensor_id", "kind", "link", "value", "faulty")
 
 
 def gaussian_log_pdf(value, mean, std):
-    return _log_pdf_of_z((value - mean) / std, std)
+    return _log_pdf_of_z(_residual(value, mean, std), std)
+
+
+# A reading no Gaussian explains is no numerical error: a residual past the
+# float range is infinite, and one too large to square has log density
+# -inf, both without a warning.
+def _residual(value, mean, std):
+    with np.errstate(over="ignore"):
+        return (value - mean) / std
 
 
 def _log_pdf_of_z(z, std):
-    return -0.5 * z * z - np.log(std) - _LOG_SQRT_2PI
+    with np.errstate(over="ignore"):
+        return -0.5 * z * z - np.log(std) - _LOG_SQRT_2PI
 
 
 @dataclass(frozen=True)
@@ -293,7 +302,7 @@ def standardize(
     computed from the same ``z``."""
     if not np.all(std > 0.0):
         raise ModelConsistencyError("null-model std must be positive")
-    z = (np.asarray(values, dtype=float)[:, None] - mean) / std
+    z = _residual(np.asarray(values, dtype=float)[:, None], mean, std)
     return z, _log_pdf_of_z(z, std)
 
 
@@ -356,6 +365,9 @@ def read_measurement_log(path: str | Path) -> list[LabeledMeasurement]:
             )
         if not math.isfinite(m.value):
             raise DataError(f"{path}:{lineno}: non-finite value {row[4]!r}")
+        if m.value < 0.0:
+            # Densities and speeds are nonnegative; no sensor writes one.
+            raise DataError(f"{path}:{lineno}: negative value {row[4]!r}")
         if row[5] not in ("0", "1"):
             raise DataError(f"{path}:{lineno}: faulty label must be 0 or 1, got {row[5]!r}")
         out.append(m)

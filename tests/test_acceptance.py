@@ -22,7 +22,6 @@ from gatedpf.harness import (
     MetricsReport,
     generate_measurements,
     run_experiment,
-    sweep_alpha,
 )
 from gatedpf.particles import (
     ParticleEnsemble,
@@ -61,7 +60,7 @@ def study():
             selectivity_runs[seed] = (values, result.decisions)
 
     start = time.time()
-    report = sweep_alpha(config, scenario.alphas, on_run=keep_selectivity_run)
+    report = run_experiment(config, on_run=keep_selectivity_run)
     baseline_config = dataclasses.replace(
         config,
         fault_config=dataclasses.replace(config.fault_config, probability=0.0),
@@ -258,17 +257,20 @@ class TestCriterion6PropertySuites:
         say("criterion 6c PASS: systematic resampler copy-count bounds and mean preservation")
 
     def test_ctm_conservation_and_flow_bounds(self):
-        from gatedpf.ctm import BoundaryDemand, advance
+        from gatedpf.ctm import DemandProfile, DemandSchedule, advance
         from conftest import small_network
+
+        def flat(level, std):
+            return DemandProfile(level, level, (0.0, 0.0), (1e9, 1e9), std / level)
 
         rng = np.random.default_rng(4)
         net = small_network(5, onramps={2}, offramps={3}, beta=0.12)
         for trial in range(300):
             state = rng.uniform(0.0, 0.12, (1, 5))
-            demand = BoundaryDemand(
-                float(rng.uniform(0, 5)), 0.3, np.array([0.4]), np.array([0.2])
+            schedule = DemandSchedule(
+                dt=net.dt, upstream=flat(float(rng.uniform(0, 5)), 0.3), onramps=(flat(0.4, 0.2),)
             )
-            upstream, ramps = demand.sample(RandomSource(trial), size=1)
+            upstream, ramps = schedule.sample(0, RandomSource(trial), size=1)
             new, q, r, s = advance(state, net, upstream, ramps)
             balance = float(
                 np.sum((new - state) * net.lengths)
@@ -306,8 +308,8 @@ class TestCriterion6PropertySuites:
 
         scenario = scenario_from_dict(tiny_scenario_dict())
         config = scenario.experiment_config()
-        a = sweep_alpha(config, scenario.alphas)
-        b = sweep_alpha(config, scenario.alphas)
+        a = run_experiment(config)
+        b = run_experiment(config)
         assert metrics_wide_text(a, scenario.alphas) == metrics_wide_text(b, scenario.alphas)
         assert metrics_long_text(a) == metrics_long_text(b)
         say("criterion 6g PASS: sweep under a fixed manifest is bit-deterministic")

@@ -166,6 +166,47 @@ class TestFilter:
         assert f"names link {link}" in capsys.readouterr().err
 
 
+    @staticmethod
+    def _log_with_loop_value(scenario_path, tmp_path, value) -> Path:
+        """A simulated log whose first loop reading is replaced by ``value``."""
+        sim = tmp_path / "sim"
+        assert run_cli("simulate", "--scenario", scenario_path, "--out", sim, "--quiet") == 0
+        lines = (sim / "measurements.csv").read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if ",loop_density," in line)
+        fields = lines[i].split(",")
+        fields[4] = value
+        lines[i] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        return bad
+
+    @pytest.mark.parametrize("variant", ["none", "fisher", "np_correct", "np_incorrect"])
+    def test_negative_log_value_exits_2(self, scenario_path, tmp_path, capsys, variant):
+        bad = self._log_with_loop_value(scenario_path, tmp_path, "-3.5")
+        out = tmp_path / "o"
+        code = run_cli(
+            "filter", "--scenario", scenario_path, "--log", bad,
+            "--variant", variant, "--alpha", "0.01", "--out", out, "--quiet",
+        )
+        assert code == 2
+        assert "bad.csv:2: negative value '-3.5'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("variant", ["none", "fisher", "np_correct", "np_incorrect"])
+    def test_unexplained_reading_exits_3_naming_the_step(self, scenario_path, tmp_path, capsys, variant):
+        # A finite loop reading no particle explains: every null density is
+        # zero at step 1, reported as a collapse (exit 3) naming the step
+        # and the assimilated sensors, without a numpy overflow warning.
+        bad = self._log_with_loop_value(scenario_path, tmp_path, "1e200")
+        code = run_cli(
+            "filter", "--scenario", scenario_path, "--log", bad,
+            "--variant", variant, "--alpha", "0.01", "--out", tmp_path / "o", "--quiet",
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "weight collapse: step 1:" in err and "'loop-0'" in err
+        assert "Warning" not in err
+
     @pytest.mark.parametrize("variant", ["fisher", "np_correct", "np_incorrect"])
     def test_nonpositive_h1_zero_std_exits_2_before_output(self, scenario_path, tmp_path, variant):
         sim = tmp_path / "sim"
@@ -393,8 +434,9 @@ def fuzz_dir(tmp_path_factory) -> Path:
 class TestCorruptedInputs:
     """No corrupted row ends in a traceback: every run exits with a
     documented code.  A filter may also end in a weight collapse (exit 3):
-    the log reader accepts any finite value, and a finite reading far
-    enough out (|z| past about 1e154) underflows every null density."""
+    the log reader accepts any finite nonnegative value, and a finite
+    reading far enough out (|z| past about 1e154) underflows every null
+    density."""
 
     @FUZZ
     @given(data=st.data(), variant=st.sampled_from(["none", "fisher", "np_correct", "np_incorrect"]))

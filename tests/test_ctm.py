@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatedpf.ctm import (
-    BoundaryDemand,
+    EMPTY_DENSITY,
     DemandProfile,
     DemandSchedule,
     FreewayNetwork,
     LinkParams,
-    _flow_speeds,
     advance,
     equilibrium_state,
     junction_flows,
@@ -80,15 +79,80 @@ class TestLinkFlow:
             link_flow(0.01, a, 0.2, b, 10.0)
 
 
+def all_boundary_merge(states, network, upstream_demand, onramp_demand=None):
+    """How ``junction_flows`` used to compute a (P, L) block: the priority
+    merge on every boundary, with zero ramp demand where there is no
+    onramp.  Kept as the reference for the single boundary rule."""
+    n_p, n_l = states.shape
+    dt = network.dt
+    demand = np.minimum(network.vf * dt * states, network.qmax)
+    s = network.beta * demand
+    mainline_demand = demand - s
+    supply = network.w * dt * (network.rho_jam - states)
+    dem_main = np.empty_like(states)
+    dem_main[:, 0] = np.asarray(upstream_demand, dtype=float)
+    dem_main[:, 1:] = mainline_demand[:, :-1]
+    dem_ramp = np.zeros_like(states)
+    if network.onramp_links:
+        ramp = np.atleast_2d(np.asarray(onramp_demand, dtype=float))
+        ramp = np.broadcast_to(ramp, (n_p, len(network.onramp_links)))
+        dem_ramp[:, list(network.onramp_links)] = ramp
+    congested = dem_main + dem_ramp > supply
+    priority = network.onramp_priority
+    median3 = np.maximum(
+        np.minimum(dem_ramp, priority * supply),
+        np.minimum(np.maximum(dem_ramp, priority * supply), supply - dem_main),
+    )
+    r = np.where(congested, median3, dem_ramp)
+    q_in = np.where(congested, supply - r, dem_main)
+    q = np.empty((n_p, n_l + 1))
+    q[:, :n_l] = q_in
+    q[:, n_l] = mainline_demand[:, -1]
+    return q, r, s
+
+
+@st.composite
+def junction_cases(draw):
+    """A network with random onramp/offramp layout and priority, a (P, L)
+    block of zero, near-empty, jam and interior densities, nonnegative
+    upstream demands and onramp demands shared by the particles or one row
+    each."""
+    n = draw(st.integers(1, 6))
+    onramps = draw(st.sets(st.integers(0, n - 1)))
+    offramps = draw(st.sets(st.integers(0, n - 1)))
+    net = small_network(
+        n, onramps=onramps, offramps=offramps, beta=0.2,
+        priority=draw(st.sampled_from([0.0, 0.3, 1.0])),
+    )
+    n_p = draw(st.integers(1, 4))
+    level = st.one_of(
+        st.sampled_from([0.0, 1e-7, EMPTY_DENSITY, 0.125]), st.floats(min_value=0.0, max_value=0.125)
+    )
+    row = st.lists(level, min_size=n, max_size=n)
+    states = np.array(draw(st.lists(row, min_size=n_p, max_size=n_p)))
+    demand = st.floats(min_value=0.0, max_value=8.0)
+    if draw(st.booleans()):
+        upstream = draw(demand)
+    else:
+        upstream = np.array(draw(st.lists(demand, min_size=n_p, max_size=n_p)))
+    n_r = len(onramps)
+    ramp_row = st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=n_r, max_size=n_r)
+    if draw(st.booleans()):
+        ramps = np.array(draw(ramp_row))
+    else:
+        ramps = np.array(draw(st.lists(ramp_row, min_size=n_p, max_size=n_p))).reshape(n_p, n_r)
+    return net, states, upstream, ramps if onramps else None
+
+
 class TestJunctionFlows:
     def test_reduces_to_link_flow_without_ramps(self):
         net = small_network(3)
-        rho = np.array([0.02, 0.05, 0.1])
+        rho = np.array([[0.02, 0.05, 0.1]])
         q, r, s = junction_flows(rho, net, upstream_demand=0.7)
         assert np.all(r == 0) and np.all(s == 0)
         for b in range(1, 3):
-            expected = link_flow(rho[b - 1], net.links[b - 1], rho[b], net.links[b], net.dt)
-            assert q[b] == pytest.approx(expected, rel=1e-12)
+            expected = link_flow(rho[0, b - 1], net.links[b - 1], rho[0, b], net.links[b], net.dt)
+            assert q[0, b] == pytest.approx(expected, rel=1e-12)
 
     def test_offramp_split(self):
         # Unlimited downstream supply: demand 4, beta 0.25 -> s = 1, q = 3.
@@ -99,10 +163,10 @@ class TestJunctionFlows:
             ),
             dt=10.0,
         )
-        rho = np.array([4.0 / 250.0, 0.0])  # demand exactly 4 veh/step
+        rho = np.array([[4.0 / 250.0, 0.0]])  # demand exactly 4 veh/step
         q, r, s = junction_flows(rho, net, upstream_demand=0.0)
-        assert s[0] == pytest.approx(1.0, rel=1e-12)
-        assert q[1] == pytest.approx(3.0, rel=1e-12)
+        assert s[0, 0] == pytest.approx(1.0, rel=1e-12)
+        assert q[0, 1] == pytest.approx(3.0, rel=1e-12)
 
     def test_priority_merge_with_redistribution(self):
         # Supply 2, mainline demand 3, ramp demand 2, priority 0.5 -> r=1, q=1.
@@ -116,10 +180,10 @@ class TestJunctionFlows:
         rho_up = 3.0 / 250.0
         rho_down = 0.125 - 2.0 / 50.0  # supply = w dt (rho_jam - rho) = 2
         q, r, s = junction_flows(
-            np.array([rho_up, rho_down]), net, upstream_demand=0.0, onramp_demand=[2.0]
+            np.array([[rho_up, rho_down]]), net, upstream_demand=0.0, onramp_demand=[2.0]
         )
-        assert r[1] == pytest.approx(1.0, rel=1e-12)
-        assert q[1] == pytest.approx(1.0, rel=1e-12)
+        assert r[0, 1] == pytest.approx(1.0, rel=1e-12)
+        assert q[0, 1] == pytest.approx(1.0, rel=1e-12)
 
     def test_merge_redistributes_unused_ramp_share(self):
         net = FreewayNetwork(
@@ -128,10 +192,10 @@ class TestJunctionFlows:
         )
         rho_down = 0.125 - 2.0 / 50.0
         q, r, s = junction_flows(
-            np.array([3.0 / 250.0, rho_down]), net, upstream_demand=0.0, onramp_demand=[0.4]
+            np.array([[3.0 / 250.0, rho_down]]), net, upstream_demand=0.0, onramp_demand=[0.4]
         )
-        assert r[1] == pytest.approx(0.4, rel=1e-12)
-        assert q[1] == pytest.approx(1.6, rel=1e-12)
+        assert r[0, 1] == pytest.approx(0.4, rel=1e-12)
+        assert q[0, 1] == pytest.approx(1.6, rel=1e-12)
 
     def test_batch_matches_scalar(self):
         net = small_network(4, onramps={2}, offramps={1}, beta=0.2)
@@ -139,18 +203,71 @@ class TestJunctionFlows:
         states = rng.uniform(0.0, 0.12, size=(6, 4))
         qb, rb, sb = junction_flows(states, net, upstream_demand=0.5, onramp_demand=[[0.3]] * 6)
         for i in range(6):
-            q, r, s = junction_flows(states[i], net, upstream_demand=0.5, onramp_demand=[0.3])
-            np.testing.assert_allclose(q, qb[i], rtol=1e-12)
-            np.testing.assert_allclose(r, rb[i], rtol=1e-12)
-            np.testing.assert_allclose(s, sb[i], rtol=1e-12)
+            q, r, s = junction_flows(states[i : i + 1], net, upstream_demand=0.5, onramp_demand=[0.3])
+            np.testing.assert_allclose(q[0], qb[i], rtol=1e-12)
+            np.testing.assert_allclose(r[0], rb[i], rtol=1e-12)
+            np.testing.assert_allclose(s[0], sb[i], rtol=1e-12)
+
+    def test_requires_a_states_block(self):
+        net = small_network(3)
+        with pytest.raises(ConfigurationError):
+            junction_flows(np.full(3, 0.01), net, upstream_demand=0.5)
+        with pytest.raises(ConfigurationError):
+            junction_flows(np.full((2, 4), 0.01), net, upstream_demand=0.5)
+
+    @given(junction_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_all_boundary_merge(self, case):
+        net, states, upstream, ramps = case
+        got = junction_flows(states, net, upstream, ramps)
+        expected = all_boundary_merge(states, net, upstream, ramps)
+        for a, b in zip(got, expected):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    @given(junction_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_boundaries_without_onramp_follow_link_flow(self, case):
+        # A boundary without an onramp passes min(demand, supply), which is
+        # link_flow; an offramp link first keeps 1 - beta of its demand.
+        net, states, upstream, ramps = case
+        q, r, _ = junction_flows(states, net, upstream, ramps)
+        upstream = np.broadcast_to(upstream, states.shape[:1])
+        for p, rho in enumerate(states):
+            for b, down in enumerate(net.links):
+                if down.onramp:
+                    continue
+                assert r[p, b] == 0.0
+                supply = down.w * net.dt * (down.rho_jam - rho[b])
+                if b == 0:
+                    assert q[p, b] == min(upstream[p], supply)
+                elif net.links[b - 1].offramp:
+                    demand = min(net.links[b - 1].vf * net.dt * rho[b - 1], net.links[b - 1].qmax)
+                    assert q[p, b] == min(demand - net.beta[b - 1] * demand, supply)
+                else:
+                    assert q[p, b] == link_flow(rho[b - 1], net.links[b - 1], rho[b], down, net.dt)
 
 
 densities = st.floats(min_value=0.0, max_value=0.125)
 
 
-def sampled_advance(state, network, demand, rng):
-    """One step of a single state with demands drawn from ``demand``."""
-    upstream, ramps = demand.sample(rng, size=1)
+def constant_schedule(upstream, upstream_noise=0.0, ramps=()):
+    """Flat demand schedule: upstream mean and relative noise, plus one
+    ``(mean, noise_frac)`` per onramp."""
+
+    def flat(level, noise):
+        return DemandProfile(level, level, (0.0, 0.0), (1e9, 1e9), noise)
+
+    return DemandSchedule(
+        dt=10.0,
+        upstream=flat(upstream, upstream_noise),
+        onramps=tuple(flat(m, f) for m, f in ramps),
+    )
+
+
+def sampled_advance(state, network, schedule, rng):
+    """One step of a single state with demands drawn from ``schedule``."""
+    upstream, ramps = schedule.sample(0, rng, size=1)
     new, q, r, s = advance(np.asarray(state, dtype=float)[None, :], network, upstream, ramps)
     return new[0], q[0], r[0], s[0]
 
@@ -158,16 +275,16 @@ def sampled_advance(state, network, demand, rng):
 class TestStep:
     def test_quiescent_freeway(self, single_link_network):
         state = np.zeros(1)
-        demand = BoundaryDemand(0.0, 0.0, np.array([]), np.array([]))
-        new, q, _, _ = sampled_advance(state, single_link_network, demand, RandomSource(0))
+        schedule = constant_schedule(0.0)
+        new, q, _, _ = sampled_advance(state, single_link_network, schedule, RandomSource(0))
         np.testing.assert_array_equal(new, state)
         assert np.all(q == 0)
 
     def test_hand_density_update(self, single_link_network):
         # L=100, rho=0.05, inflow 2, outflow 1 -> rho' = 0.06.
         state = np.array([0.05])
-        demand = BoundaryDemand(2.0, 0.0, np.array([]), np.array([]))
-        new, q, _, _ = sampled_advance(state, single_link_network, demand, RandomSource(0))
+        schedule = constant_schedule(2.0)
+        new, q, _, _ = sampled_advance(state, single_link_network, schedule, RandomSource(0))
         assert q[0] == pytest.approx(2.0, rel=1e-12)  # supply-limited above 2
         assert q[1] == pytest.approx(1.0, rel=1e-12)  # qmax = 1 binds
         assert new[0] == pytest.approx(0.06, rel=1e-12)
@@ -181,8 +298,8 @@ class TestStep:
     def test_vehicle_conservation(self, rho, inflow_demand, seed):
         net = small_network(len(rho), onramps={1}, offramps={0}, beta=0.15)
         state = np.array(rho)
-        demand = BoundaryDemand(inflow_demand, 0.2 * inflow_demand, np.array([0.3]), np.array([0.1]))
-        new, q, r, s = sampled_advance(state, net, demand, RandomSource(seed))
+        schedule = constant_schedule(inflow_demand, 0.2, ramps=[(0.3, 0.1 / 0.3)])
+        new, q, r, s = sampled_advance(state, net, schedule, RandomSource(seed))
         before = float(np.sum(state * net.lengths))
         after = float(np.sum(new * net.lengths))
         net_flow = float(q[0] - q[-1] + np.sum(r) - np.sum(s))
@@ -196,13 +313,29 @@ class TestStep:
     @settings(max_examples=150, deadline=None)
     def test_flow_bounds_and_density_range(self, rho, inflow_demand, seed):
         net = small_network(len(rho), onramps={1}, offramps={0}, beta=0.15)
-        demand = BoundaryDemand(inflow_demand, 0.0, np.array([0.5]), np.array([0.0]))
-        new, q, _, _ = sampled_advance(np.array(rho), net, demand, RandomSource(seed))
+        schedule = constant_schedule(inflow_demand, ramps=[(0.5, 0.0)])
+        new, q, _, _ = sampled_advance(np.array(rho), net, schedule, RandomSource(seed))
         assert np.all(q >= -1e-12)
         for b in range(1, len(rho) + 1):
             assert q[b] <= net.links[b - 1].qmax + 1e-12
         assert np.all(new >= 0.0)
         assert np.all(new <= net.rho_jam + 1e-9)
+
+    def test_advance_requires_a_states_block(self):
+        net = small_network(3)
+        with pytest.raises(ConfigurationError):
+            advance(np.full(3, 0.01), net, 0.5)
+
+
+def full_map_speeds(states, q, s, network):
+    """The speed rule over a whole (P, L) block of realized flows, kept as
+    the reference for ``speed_map`` and ``simulate``: discharge over
+    ``rho * dt``, freeflow on near-empty links, clamped to ``[0, vf]``."""
+    discharge = q[:, 1:] + s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = discharge / (states * network.dt)
+    v = np.where(states > EMPTY_DENSITY, v, network.vf)
+    return np.clip(v, 0.0, network.vf)
 
 
 class TestLinkSpeed:
@@ -229,11 +362,11 @@ class TestLinkSpeed:
         # Link speed is discharge (mainline outflow plus offramp flow) over
         # rho dt, evaluated on the flows at the given demands.
         net = small_network(3, onramps={1}, offramps={2}, beta=0.1)
-        rho = np.array([0.01, 0.06, 0.02])
+        rho = np.array([[0.01, 0.06, 0.02]])
         q, r, s = junction_flows(rho, net, upstream_demand=0.4, onramp_demand=[0.2])
-        expected = (q[1:] + s) / (rho * net.dt)
-        field = speed_map(rho[None, :], net, [0, 1, 2], [0.2])
-        np.testing.assert_allclose(field[0], expected, rtol=1e-12)
+        expected = (q[:, 1:] + s) / (rho * net.dt)
+        field = speed_map(rho, net, [0, 1, 2], [0.2])
+        np.testing.assert_allclose(field, expected, rtol=1e-12)
 
     @given(
         st.integers(min_value=1, max_value=6).flatmap(
@@ -249,8 +382,9 @@ class TestLinkSpeed:
     @settings(max_examples=200, deadline=None)
     def test_speed_map_equals_full_map_columns(self, layout, data):
         # The full (P, L) map speed_map used to build, kept as the
-        # reference: junction_flows at any upstream demand, then the speed
-        # rule.  Every requested column must match it bit for bit.
+        # reference: junction_flows at any upstream demand, then the
+        # full-map speed rule.  Every requested column must match it bit
+        # for bit.
         n, onramps, offramps, links = layout
         net = small_network(
             n, onramps=onramps, offramps=offramps, beta=0.2,
@@ -259,7 +393,7 @@ class TestLinkSpeed:
         n_p = data.draw(st.integers(1, 4))
         # Zero, near-empty, jam and interior densities.
         level = st.one_of(
-            st.sampled_from([0.0, 1e-7, 0.125]), st.floats(min_value=0.0, max_value=0.125)
+            st.sampled_from([0.0, 1e-7, EMPTY_DENSITY, 0.125]), st.floats(min_value=0.0, max_value=0.125)
         )
         row = st.lists(level, min_size=n, max_size=n)
         states = np.array(data.draw(st.lists(row, min_size=n_p, max_size=n_p)))
@@ -273,7 +407,7 @@ class TestLinkSpeed:
             ramps = np.array(rows).reshape(n_p, n_r)
         upstream = data.draw(st.floats(min_value=0.0, max_value=8.0))
         q, _, s = junction_flows(states, net, upstream, ramps if onramps else None)
-        reference = _flow_speeds(states, q, s, net)
+        reference = full_map_speeds(states, q, s, net)
         # Always cover the first and last link and every link next to an onramp.
         next_to_ramps = sorted({max(r - 1, 0) for r in onramps} | onramps)
         for chosen in (links, [0, n - 1], next_to_ramps, list(range(n))):
@@ -300,6 +434,8 @@ class TestLinkSpeed:
         traj = simulate(net, schedule, 60, RandomSource(5))
         expected = (traj.q[:, 1:] + traj.s) / (traj.states[:-1] * net.dt)
         np.testing.assert_allclose(traj.speeds, np.clip(expected, 0.0, net.vf), rtol=1e-12)
+        reference = full_map_speeds(traj.states[:-1], traj.q, traj.s, net)
+        assert traj.speeds.tobytes() == reference.tobytes()
 
 
 class TestSimulate:
@@ -342,17 +478,19 @@ class TestSimulate:
         assert np.array_equal(a.speeds, b.speeds)
 
 
-def broadcast_sample(demand: BoundaryDemand, rng: RandomSource, size: int):
-    """How ``BoundaryDemand.sample`` used to draw: ``Generator.normal`` on
-    the broadcast means and stds."""
-    upstream = np.clip(
-        rng.normal(demand.upstream_mean, demand.upstream_std, size=size), 0.0, None
-    )
-    n_ramps = len(np.atleast_1d(demand.onramp_mean))
+def broadcast_sample(schedule: DemandSchedule, k: int, rng: RandomSource, size: int):
+    """How step ``k``'s demands used to be drawn: the schedule's means and
+    stds (``noise_frac * mean``) handed to ``Generator.normal`` as broadcast
+    arrays."""
+    up_mean, ramp_mean = schedule.means(k)
+    up_std = schedule.upstream.noise_frac * up_mean
+    ramp_std = np.array([p.noise_frac * m for p, m in zip(schedule.onramps, ramp_mean)])
+    upstream = np.clip(rng.normal(up_mean, up_std, size=size), 0.0, None)
+    n_ramps = len(np.atleast_1d(ramp_mean))
     ramps = np.clip(
         rng.normal(
-            np.broadcast_to(demand.onramp_mean, (size, n_ramps)),
-            np.broadcast_to(demand.onramp_std, (size, n_ramps)),
+            np.broadcast_to(ramp_mean, (size, n_ramps)),
+            np.broadcast_to(ramp_std, (size, n_ramps)),
         ),
         0.0,
         None,
@@ -360,39 +498,41 @@ def broadcast_sample(demand: BoundaryDemand, rng: RandomSource, size: int):
     return upstream, ramps
 
 
-class TestBoundaryDemandSample:
+profiles = st.builds(
+    DemandProfile,
+    base=st.floats(min_value=0.0, max_value=10.0),
+    peak=st.floats(min_value=0.0, max_value=10.0),
+    rise=st.just((100.0, 300.0)),
+    fall=st.just((600.0, 900.0)),
+    noise_frac=st.sampled_from([0.0, 0.2, 0.5, 3.0]),
+)
+
+
+class TestDemandScheduleSample:
     @given(
-        st.floats(min_value=0.0, max_value=10.0),
-        st.sampled_from([0.0, 0.2, 3.0]),
-        st.lists(
-            st.tuples(st.floats(min_value=0.0, max_value=3.0), st.sampled_from([0.0, 0.5, 2.0])),
-            max_size=4,
-        ),
+        profiles,
+        st.lists(profiles, max_size=4),
+        st.integers(min_value=0, max_value=100),
         st.integers(min_value=1, max_value=50),
         st.integers(min_value=0, max_value=2**32),
     )
     @settings(max_examples=150, deadline=None)
-    def test_equals_broadcast_draws(self, up_mean, up_frac, ramps, size, seed):
+    def test_equals_broadcast_draws(self, upstream, onramps, k, size, seed):
         # Zero stds (noise_frac 0) included; the streams must also be left
         # in the same state, so the next draw matches too.
-        demand = BoundaryDemand(
-            up_mean,
-            up_frac * up_mean,
-            np.array([m for m, _ in ramps]),
-            np.array([f * m for m, f in ramps]),
-        )
+        schedule = DemandSchedule(dt=10.0, upstream=upstream, onramps=tuple(onramps))
         rng_new, rng_old = RandomSource(seed), RandomSource(seed)
-        got = demand.sample(rng_new, size=size)
-        expected = broadcast_sample(demand, rng_old, size)
+        got = schedule.sample(k, rng_new, size=size)
+        expected = broadcast_sample(schedule, k, rng_old, size)
         assert got[0].tobytes() == expected[0].tobytes()
-        assert got[1].shape == expected[1].shape == (size, len(ramps))
+        assert got[1].shape == expected[1].shape == (size, len(onramps))
         assert got[1].tobytes() == expected[1].tobytes()
         assert rng_new.normal() == rng_old.normal()
 
     def test_schedule_without_noise_draws_the_means(self):
         schedule = flat_schedule(1.5, n_onramps=2, noise=0.0)
         upstream, ramps = schedule.sample(3, RandomSource(4), size=5)
-        expected = broadcast_sample(schedule.boundary_demand(3), RandomSource(4), 5)
+        expected = broadcast_sample(schedule, 3, RandomSource(4), 5)
         assert upstream.tobytes() == expected[0].tobytes()
         assert ramps.tobytes() == expected[1].tobytes()
         np.testing.assert_array_equal(upstream, 1.5)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gatedpf.ctm import DemandProfile, DemandSchedule, advance, equilibrium_state, simulate
-from gatedpf.errors import ConfigurationError, DataError
+from gatedpf.errors import ConfigurationError, DataError, WeightCollapseError
 from gatedpf.gates import gated_update
 from gatedpf.harness import (
     STREAM_FILTER_DEMAND,
@@ -29,7 +29,6 @@ from gatedpf.harness import (
     read_metrics_long,
     run_experiment,
     run_traffic_filter,
-    sweep_alpha,
     write_decision_log,
 )
 from gatedpf.particles import (
@@ -241,6 +240,25 @@ class TestFilterLoop:
         with pytest.raises(DataError):
             run_traffic_filter(config, bad, FilterVariant("none"), RandomSource(1))
 
+    @pytest.mark.parametrize("variant", [FilterVariant("none"), FilterVariant("fisher", 0.01)])
+    def test_collapse_names_the_step_and_assimilated_sensors(self, variant):
+        # A loop reading no particle explains collapses step 2.  The speed
+        # report 1e300 is rejected by the gate, so only the ungated filter
+        # assimilates it.
+        from gatedpf.sensing import LabeledMeasurement
+
+        config = micro_config(horizon=5)
+        ms = [
+            LabeledMeasurement(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.006, faulty=False),
+            LabeledMeasurement(k=2, sensor_id="loop-2", kind="loop_density", link=2, value=1e200, faulty=False),
+            LabeledMeasurement(k=2, sensor_id="g", kind="gnss_speed", link=1, value=1e300, faulty=True),
+        ]
+        with pytest.raises(WeightCollapseError, match=r"^step 2: .*'loop-2'") as info:
+            run_traffic_filter(config, ms, variant, RandomSource(1))
+        expected = ("loop-2", "g") if variant.mode == "none" else ("loop-2",)
+        assert info.value.k == 2
+        assert info.value.sensor_ids == expected
+
     def test_decisions_only_for_gated_kinds(self):
         config = micro_config(horizon=10)
         report_runs = run_experiment(config)
@@ -314,22 +332,6 @@ class TestRunExperiment:
             assert c.sensor_id == d.sensor_id
             if not d.faulty:
                 assert c.value == d.value
-
-    def test_sweep_alpha_single_level_matches_run_experiment(self):
-        config = micro_config(horizon=10, variants=(FilterVariant("fisher", 0.05),))
-        direct = run_experiment(config)
-        swept = sweep_alpha(config, [0.05])
-        assert direct == swept
-
-    def test_sweep_expands_levels(self):
-        config = micro_config(
-            horizon=10,
-            variants=(FilterVariant("none"), FilterVariant("fisher", 0.01)),
-        )
-        report = sweep_alpha(config, [0.001, 0.01, 0.1])
-        keys = report.variant_keys()
-        assert ("none", None) in keys
-        assert {a for m, a in keys if m == "fisher"} == {0.001, 0.01, 0.1}
 
 
 class TestMetricsReport:

@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 from gatedpf.errors import ConfigurationError
+from gatedpf.harness import FilterVariant, run_experiment
 from gatedpf.scenario import (
     config_hash,
     default_scenario,
@@ -160,6 +161,54 @@ class TestValidation:
         path.write_text(yaml.safe_dump(tiny_scenario_dict()))
         sc = load_scenario(path)
         assert sc.horizon == 25
+
+
+def level_expansion(modes, alphas):
+    """How the study grid used to be built: one variant per mode at the
+    first level, each gated one re-expanded across ``alphas`` and repeats
+    dropped.  Kept as the reference for ``experiment_config``."""
+    variants = [FilterVariant(m, None if m == "none" else alphas[0]) for m in modes]
+    expanded = []
+    for variant in variants:
+        if variant.mode == "none":
+            expanded.append(variant)
+        else:
+            expanded.extend(FilterVariant(variant.mode, float(a)) for a in alphas)
+    return tuple(dict.fromkeys(expanded))
+
+
+class TestStudyGrid:
+    @pytest.mark.parametrize(
+        "modes, alphas",
+        [
+            (["none", "fisher", "np_correct", "np_incorrect"], [0.01, 0.1]),
+            (["fisher"], [0.05]),
+            (["none"], [0.001, 0.01]),
+            (["np_incorrect", "none", "fisher", "none", "fisher"], [0.1, 0.001, 0.1]),
+        ],
+    )
+    def test_grid_matches_level_expansion(self, modes, alphas):
+        doc = tiny_scenario_dict()
+        doc["filter"]["variants"] = modes
+        doc["filter"]["alphas"] = alphas
+        config = scenario_from_dict(doc).experiment_config(seeds=[3])
+        assert config.variants == level_expansion(modes, alphas)
+        assert config.seeds == (3,)
+
+    def test_grid_runs_every_level(self):
+        doc = tiny_scenario_dict()
+        doc["filter"]["variants"] = ["none", "fisher"]
+        doc["filter"]["alphas"] = [0.001, 0.01, 0.1]
+        doc["run"]["horizon"] = 10
+        report = run_experiment(scenario_from_dict(doc).experiment_config(seeds=[7]))
+        assert report.variant_keys() == [
+            ("none", None), ("fisher", 0.001), ("fisher", 0.01), ("fisher", 0.1)
+        ]
+
+    def test_run_out_is_not_read(self):
+        doc = tiny_scenario_dict()
+        doc["run"]["out"] = 5
+        assert not hasattr(scenario_from_dict(doc), "out_dir")
 
 
 class TestDefaultScenario:

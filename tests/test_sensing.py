@@ -216,6 +216,16 @@ class TestMeasurementModels:
         integral = np.trapezoid(dens, ys)
         assert integral == pytest.approx(1.0, abs=2e-3)
 
+    @pytest.mark.parametrize("value", [1e200, 1.7976931348623157e308])
+    def test_unexplainable_value_has_zero_density_without_warning(self, value):
+        # z * z (and for the largest floats z itself) overflows: the log
+        # density is -inf, and a RuntimeWarning would fail the test.
+        z, log_g0 = standardize(np.array([value]), np.array([[0.01]]), np.array([[0.002]]))
+        assert z[0, 0] > 1e200
+        assert log_g0[0, 0] == -np.inf
+        for mode in ("np_correct", "np_incorrect"):
+            assert fault_log_density(np.array([value]), mode, FaultConfig(), 0.5)[0] == -np.inf
+
 
 class TestBuildSensorModels:
     """How one step's measurements become gate inputs: null-model rows for
@@ -309,6 +319,19 @@ class TestMeasurementLog:
             f"1,t,gnss_speed,0,{value},0\n"
         )
         with pytest.raises(DataError, match=r"bad\.csv:3: non-finite"):
+            read_measurement_log(path)
+
+    @pytest.mark.parametrize("value", ["-3.5", "-1e-300", "-1e300"])
+    def test_negative_value_reports_line(self, tmp_path, value):
+        # Densities and speeds are nonnegative: every generator clamps at
+        # zero and fault draws are positive.
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "k,sensor_id,kind,link,value,faulty\n"
+            "1,s,gnss_speed,0,0.0,0\n"
+            f"1,loop-0,loop_density,0,{value},0\n"
+        )
+        with pytest.raises(DataError, match=rf"bad\.csv:3: negative value '{value}'"):
             read_measurement_log(path)
 
     def test_write_is_atomic(self, tmp_path, monkeypatch):
