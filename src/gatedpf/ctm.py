@@ -259,7 +259,7 @@ def advance(
         raise ModelConsistencyError("negative density after step")
     if float(np.max(new_states - network.rho_jam)) > DENSITY_TOL:
         raise ModelConsistencyError("density above jam density after step")
-    new_states = np.clip(new_states, 0.0, network.rho_jam)
+    new_states = np.minimum(np.maximum(new_states, 0.0), network.rho_jam)
     return new_states, q, r, s
 
 
@@ -274,7 +274,7 @@ def _speeds(discharge, rho, dt: float, vf) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         v = discharge / (rho * dt)
     v = np.where(rho > EMPTY_DENSITY, v, vf)
-    return np.clip(v, 0.0, vf)
+    return np.minimum(np.maximum(v, 0.0), vf)
 
 
 def speed_map(
@@ -367,13 +367,23 @@ class DemandSchedule:
     upstream: DemandProfile
     onramps: tuple[DemandProfile, ...] = ()
 
-    def means(self, k: int) -> tuple[float, np.ndarray]:
-        t = k * self.dt
-        upstream = self.upstream.mean(t)
-        ramps = np.array([p.mean(t) for p in self.onramps])
-        return upstream, ramps
+    def table(self, steps) -> np.ndarray:
+        """Mean demands and noise scales of each step in ``steps``.
 
-    def sample(self, k: int, rng: RandomSource, size: int):
+        Returns a ``(len(steps), 2, 1 + R)`` array: row ``i`` holds step
+        ``steps[i]``'s means (upstream first, then the onramps in order) and
+        their noise scales ``noise_frac * mean``.  Callers that draw many
+        steps build it once, over ``range(horizon)``.
+        """
+        profiles = (self.upstream, *self.onramps)
+        out = np.empty((len(steps), 2, len(profiles)))
+        for i, k in enumerate(steps):
+            means = [p.mean(k * self.dt) for p in profiles]
+            out[i, 0] = means
+            out[i, 1] = [p.noise_frac * m for p, m in zip(profiles, means)]
+        return out
+
+    def sample(self, k: int, rng: RandomSource, size: int, table: np.ndarray | None = None):
         """Draw step ``k``'s realized demands, one row per particle.
 
         Returns the upstream demands, shape ``(size,)``, and the onramp
@@ -382,14 +392,13 @@ class DemandSchedule:
         (upstream first), which is how numpy computes
         ``Generator.normal(mean, noise_frac * mean)``: the stream order and
         the bits match drawing from the broadcast means and stds, without
-        materializing them.
+        materializing them.  ``table`` is this schedule's :meth:`table`
+        over ``range(horizon)`` for some horizon past ``k``; without it
+        step ``k``'s row is computed here.
         """
-        upstream, ramps = self.means(k)
-        upstream = np.maximum(
-            upstream + self.upstream.noise_frac * upstream * rng.normal(size=size), 0.0
-        )
-        ramp_noise = np.array([p.noise_frac for p in self.onramps]) * ramps
-        ramps = np.maximum(ramps + ramp_noise * rng.normal(size=(size, len(ramps))), 0.0)
+        mean, scale = self.table((k,))[0] if table is None else table[k]
+        upstream = np.maximum(mean[0] + scale[0] * rng.normal(size=size), 0.0)
+        ramps = np.maximum(mean[1:] + scale[1:] * rng.normal(size=(size, len(mean) - 1)), 0.0)
         return upstream, ramps
 
 
@@ -420,7 +429,8 @@ def equilibrium_state(
     Used to initialize both the truth simulation and the filter ensemble so
     runs start from a consistent, strictly positive density field.
     """
-    upstream, ramps = schedule.means(0)
+    means = schedule.table((0,))[0, 0]
+    upstream, ramps = means[0], means[1:]
     rho0 = min(upstream / (network.links[0].vf * network.dt), 0.5 * float(np.min(network.rho_jam)))
     states = np.full((1, network.n_links), max(rho0, 1e-5))
     for _ in range(iterations):
@@ -451,8 +461,9 @@ def simulate(
     r = np.empty((horizon, n_l))
     s = np.empty((horizon, n_l))
     states[0] = state
+    table = schedule.table(range(horizon))
     for k in range(horizon):
-        upstream, ramps = schedule.sample(k, rng, size=1)
+        upstream, ramps = schedule.sample(k, rng, 1, table)
         new_states, q[k : k + 1], r[k : k + 1], s[k : k + 1] = advance(
             states[k : k + 1], network, upstream, ramps
         )

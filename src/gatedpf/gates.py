@@ -14,6 +14,14 @@ row per tested measurement, and return one outcome per row:
   standardized residual is weight-averaged into a single statistic whose
   two-sided standard-normal tail probability is compared against the level.
 
+Both tests also reject every row that no positive-weight prior particle
+explains, that is, whose null log density is ``-inf`` at each particle
+with ``w_p > 0``.  Such a row cannot be assimilated: it would zero every
+weight and collapse the filter.  The likelihood-ratio vote alone would
+accept it when the fault density is zero too (ties favor the null), so
+the rule is applied on top of each test's own decision.  The ungated
+filter has no such protection and collapses on that row.
+
 ``gated_update`` then adds the null log-density rows of the accepted
 measurements to the prior's log weights, in measurement order, and returns
 the posterior with the log marginal likelihood of the accepted set.
@@ -81,10 +89,11 @@ def likelihood_ratio_test(
     when it falls below ``alpha``.  If no particle favors the fault model
     the row is accepted whatever the level: an empty favoring region is
     evidence for the null, even though the mass alone would read as a
-    rejection.  ``mass_normalized`` divides the statistic by the row's
-    total null mass; the default keeps the raw mass, which lets uniformly
-    implausible measurements (tiny null density under every particle) be
-    rejected.
+    rejection.  The one exception is a row no positive-weight particle
+    explains, which is rejected (see the module docstring).
+    ``mass_normalized`` divides the statistic by the row's total null mass;
+    the default keeps the raw mass, which lets uniformly implausible
+    measurements (tiny null density under every particle) be rejected.
     """
     # Strict comparison: ties, including both densities zero, favor the null.
     favors_h1 = log_g1 > log_g0
@@ -103,7 +112,7 @@ def likelihood_ratio_test(
         kind=GateKind.NEYMAN_PEARSON,
         statistic=statistic,
         auxiliary=count.astype(float),
-        rejected=(count > 0) & (statistic < alpha),
+        rejected=((count > 0) & (statistic < alpha)) | _unexplained(weights, log_g0),
     )
 
 
@@ -112,16 +121,39 @@ def significance_test(weights: np.ndarray, z: np.ndarray, alpha: float) -> GateR
 
     A row's statistic is its residuals averaged under the prior weights;
     its two-sided standard-normal tail probability is the p-value, and the
-    null is rejected when that falls below ``alpha``.
+    null is rejected when that falls below ``alpha``.  An infinite residual
+    at a zero-weight particle carries no weight: such a row is averaged
+    over the positive-weight particles only, so its statistic is infinite
+    and its p-value 0.
     """
-    stat = np.array([np.sum(weights * row) for row in z], dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    z = np.asarray(z, dtype=float)
+    # An infinite residual at a zero-weight particle gives 0 * inf = NaN:
+    # such rows are summed again over the positive-weight particles.  The
+    # null log density -z^2 / 2 - log(std) - log(sqrt(2 pi)) is -inf
+    # exactly where -z^2 is.
+    with np.errstate(over="ignore", invalid="ignore"):
+        stat = np.sum(z * weights, axis=1)
+        bad = np.isnan(stat)
+        if bad.any():
+            positive = weights > 0.0
+            stat[bad] = np.sum(z[bad][:, positive] * weights[positive], axis=1)
+        neg_square = -(z * z)
     p_value = 2.0 * ndtr(-np.abs(stat))
     return GateRows(
         kind=GateKind.FISHER,
         statistic=p_value,
         auxiliary=stat,
-        rejected=p_value < alpha,
+        rejected=(p_value < alpha) | _unexplained(weights, neg_square),
     )
+
+
+def _unexplained(weights: np.ndarray, log_density: np.ndarray) -> np.ndarray:
+    """Rows of ``log_density`` (K, P) that are -inf at every particle of
+    positive weight."""
+    if not weights.all():
+        log_density = log_density[:, weights > 0.0]
+    return log_density.max(axis=1, initial=-np.inf) == -np.inf
 
 
 def gated_update(

@@ -13,6 +13,14 @@ range it is subtracted before exponentiating.  All reductions run through
 numpy's pairwise summation on arrays in particle order, so results are
 bit-reproducible for a fixed seed.  Every operation is pure (inputs are
 never mutated), and distinct ensembles may be processed concurrently.
+
+Ensembles are validated where their arrays come from outside this module:
+``ParticleEnsemble(...)`` and ``from_states`` check shapes, finiteness and
+the weight sum and keep read-only copies.  ``predict``, ``weight_update``
+and ``resample_systematic`` build their results from arrays they computed
+themselves, read-only and without a second check; of what they are given,
+``predict`` checks the transition's output (shape and finiteness) and
+``weight_update`` the likelihood rows (shape, and a finite normalizer).
 """
 from __future__ import annotations
 
@@ -38,6 +46,17 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype, copy=True)
     arr.setflags(write=False)
     return arr
+
+
+def _ensemble(particles: np.ndarray, weights: np.ndarray) -> "ParticleEnsemble":
+    """An ensemble of arrays this module computed and owns: no checks and no
+    copies; the arrays are made read-only."""
+    particles.setflags(write=False)
+    weights.setflags(write=False)
+    ensemble = object.__new__(ParticleEnsemble)
+    object.__setattr__(ensemble, "particles", particles)
+    object.__setattr__(ensemble, "weights", weights)
+    return ensemble
 
 
 @dataclass(frozen=True)
@@ -100,7 +119,9 @@ def predict(
     """Propagate the whole particle block through a stochastic transition.
 
     ``transition(states, rng)`` maps the (P, N) block to one independent
-    successor draw per row; weights and particle order are untouched.
+    successor draw per row; weights and particle order are untouched.  The
+    result keeps the transition's array, read-only, unless it is the input
+    block or a view, which are copied.
     """
     new_states = np.asarray(transition(ensemble.particles, rng), dtype=float)
     if new_states.shape != ensemble.particles.shape:
@@ -108,7 +129,11 @@ def predict(
             f"transition returned shape {new_states.shape}, "
             f"expected {ensemble.particles.shape}"
         )
-    return ParticleEnsemble(new_states, ensemble.weights)
+    if not np.isfinite(new_states).all():
+        raise ConfigurationError("particle states must be finite")
+    if new_states is ensemble.particles or new_states.base is not None:
+        new_states = new_states.copy()
+    return _ensemble(new_states, ensemble.weights)
 
 
 def weight_update(
@@ -138,25 +163,38 @@ def weight_update(
     WeightCollapseError
         If every posterior weight is exactly zero, i.e. the measurement
         set is impossible under all particles.
+    ConfigurationError
+        If a row holds NaN or +inf, which leaves the normalizer not finite.
     """
     rows = np.asarray(log_likelihood_rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != ensemble.size:
         raise ConfigurationError(
             f"log-likelihood rows have shape {rows.shape}, expected (K, {ensemble.size})"
         )
-    with np.errstate(divide="ignore"):
-        log_w = np.log(ensemble.weights)
-    for row in rows:
-        log_w = log_w + row
-    peak = float(np.max(log_w))
-    if peak == -np.inf:
-        raise WeightCollapseError(
-            "all posterior weights are zero after the measurement update"
-        )
-    scale = peak if abs(peak) > _RESCALE_LOG else 0.0
-    w = np.exp(log_w - scale)
+    # Log densities far out in the tail may sum past the float range to
+    # -inf, which is their product's value.  A NaN or +inf row turns into a
+    # NaN or infinite normalizer, which is checked below; the invalid
+    # operations on the way are expected.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # One reduction over [log w; rows] adds the rows in order, as a
+        # loop of additions would.  (A single particle's column is
+        # contiguous, and numpy sums it pairwise instead; the filter runs at
+        # least two particles.)
+        log_w = np.add.reduce(np.concatenate((np.log(ensemble.weights)[None], rows)), axis=0)
+        peak = float(np.max(log_w))
+        if peak == -np.inf:
+            raise WeightCollapseError(
+                "all posterior weights are zero after the measurement update"
+            )
+        scale = peak if abs(peak) > _RESCALE_LOG else 0.0
+        w = np.exp(log_w - scale)
     total = float(np.sum(w))
-    return ParticleEnsemble(ensemble.particles, w / total), math.log(total) + scale
+    if not math.isfinite(total):
+        raise ConfigurationError(
+            "log-likelihood rows must not hold NaN or +inf, "
+            f"got a weight normalizer of {total!r}"
+        )
+    return _ensemble(ensemble.particles, w / total), math.log(total) + scale
 
 
 def effective_sample_size(ensemble: ParticleEnsemble) -> float:
@@ -181,7 +219,7 @@ def resample_systematic(
     cumulative = np.cumsum(ensemble.weights)
     cumulative[-1] = 1.0  # guard against rounding drift at the top
     indices = np.searchsorted(cumulative, positions, side="right")
-    return ParticleEnsemble(ensemble.particles[indices], np.full(n, 1.0 / n))
+    return _ensemble(ensemble.particles[indices], np.full(n, 1.0 / n))
 
 
 def posterior_mean(ensemble: ParticleEnsemble) -> np.ndarray:

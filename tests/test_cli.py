@@ -459,3 +459,51 @@ class TestCorruptedInputs:
         clean = (fuzz_dir / "sweep" / "metrics_long.csv").read_text()
         (run / "metrics_long.csv").write_bytes(data.draw(corrupted(clean)))
         assert run_cli("report", "--run", run) in (0, 2)
+
+
+class TestExtremeSpeedValue:
+    """Any finite speed reading is gated away or assimilated; a gate never
+    lets through a reading that no particle explains, so only the ungated
+    filter can collapse on it."""
+
+    @FUZZ
+    @given(
+        data=st.data(),
+        value=st.floats(min_value=0.0, max_value=1.7976931348623157e308),
+        variant=st.sampled_from(["none", "fisher", "np_correct", "np_incorrect"]),
+    )
+    def test_filter_on_one_extreme_speed(self, fuzz_dir, data, value, variant):
+        lines = (fuzz_dir / "sim" / "measurements.csv").read_text().splitlines()
+        speed_rows = [i for i, line in enumerate(lines) if ",gnss_speed," in line]
+        assert speed_rows
+        i = data.draw(st.sampled_from(speed_rows))
+        fields = lines[i].split(",")
+        fields[4] = repr(value)
+        lines[i] = ",".join(fields)
+        log = fuzz_dir / "extreme_log.csv"
+        log.write_text("\n".join(lines) + "\n")
+        code = run_cli(
+            "filter", "--scenario", fuzz_dir / "scenario.yaml", "--log", log,
+            "--variant", variant, "--alpha", "0.05", "--out", fuzz_dir / "flt_extreme", "--quiet",
+        )
+        assert code in ((0, 3) if variant == "none" else (0,))
+
+    @pytest.mark.parametrize("variant", ["fisher", "np_correct", "np_incorrect"])
+    def test_largest_float_speed_is_rejected(self, fuzz_dir, variant):
+        # Both densities of the likelihood-ratio test are zero at the
+        # largest float: the row is rejected all the same.
+        lines = (fuzz_dir / "sim" / "measurements.csv").read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if ",gnss_speed," in line)
+        fields = lines[i].split(",")
+        fields[4] = "1.7976931348623157e+308"
+        lines[i] = ",".join(fields)
+        log = fuzz_dir / "largest_log.csv"
+        log.write_text("\n".join(lines) + "\n")
+        out = fuzz_dir / f"flt_largest_{variant}"
+        code = run_cli(
+            "filter", "--scenario", fuzz_dir / "scenario.yaml", "--log", log,
+            "--variant", variant, "--alpha", "0.05", "--out", out, "--quiet",
+        )
+        assert code == 0
+        decisions = {d.sensor_id: d for d in read_decision_log(out / "decisions.csv")}
+        assert decisions[fields[1]].rejected

@@ -482,7 +482,8 @@ def broadcast_sample(schedule: DemandSchedule, k: int, rng: RandomSource, size: 
     """How step ``k``'s demands used to be drawn: the schedule's means and
     stds (``noise_frac * mean``) handed to ``Generator.normal`` as broadcast
     arrays."""
-    up_mean, ramp_mean = schedule.means(k)
+    up_mean = schedule.upstream.mean(k * schedule.dt)
+    ramp_mean = np.array([p.mean(k * schedule.dt) for p in schedule.onramps])
     up_std = schedule.upstream.noise_frac * up_mean
     ramp_std = np.array([p.noise_frac * m for p, m in zip(schedule.onramps, ramp_mean)])
     upstream = np.clip(rng.normal(up_mean, up_std, size=size), 0.0, None)
@@ -528,6 +529,40 @@ class TestDemandScheduleSample:
         assert got[1].shape == expected[1].shape == (size, len(onramps))
         assert got[1].tobytes() == expected[1].tobytes()
         assert rng_new.normal() == rng_old.normal()
+
+    @given(
+        profiles,
+        st.lists(profiles, max_size=4),
+        st.integers(min_value=1, max_value=120),
+        st.integers(min_value=1, max_value=20),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_table_draws_equal_per_step_draws(self, upstream, onramps, horizon, size, seed):
+        # Drawing every step from one table built over the horizon leaves
+        # the same bits and stream state as computing each step's row.
+        schedule = DemandSchedule(dt=10.0, upstream=upstream, onramps=tuple(onramps))
+        table = schedule.table(range(horizon))
+        assert table.shape == (horizon, 2, 1 + len(onramps))
+        rng_table, rng_row = RandomSource(seed), RandomSource(seed)
+        for k in range(horizon):
+            got = schedule.sample(k, rng_table, size, table)
+            expected = schedule.sample(k, rng_row, size)
+            assert got[0].tobytes() == expected[0].tobytes()
+            assert got[1].tobytes() == expected[1].tobytes()
+        assert rng_table.normal() == rng_row.normal()
+
+    def test_table_rows_are_profile_means_and_noise_scales(self):
+        schedule = DemandSchedule(
+            dt=10.0,
+            upstream=DemandProfile(1.0, 3.0, (100.0, 300.0), (600.0, 900.0), 0.3),
+            onramps=(DemandProfile(0.1, 0.4, (100.0, 300.0), (600.0, 900.0), 0.5),),
+        )
+        table = schedule.table(range(100))
+        for k in (0, 15, 20, 45, 75, 99):
+            means = [p.mean(k * 10.0) for p in (schedule.upstream, *schedule.onramps)]
+            assert table[k, 0].tolist() == means
+            assert table[k, 1].tolist() == [0.3 * means[0], 0.5 * means[1]]
 
     def test_schedule_without_noise_draws_the_means(self):
         schedule = flat_schedule(1.5, n_onramps=2, noise=0.0)

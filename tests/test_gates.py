@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from gatedpf.errors import ModelConsistencyError
 from gatedpf.gates import GateKind, gated_update, likelihood_ratio_test, significance_test
@@ -289,6 +290,73 @@ class TestFisherGate:
             one = significance_test(weights, z[i : i + 1], 0.05)
             assert joint.statistic[i] == one.statistic[0]
             assert joint.auxiliary[i] == one.auxiliary[0]
+
+
+class TestSignificanceBits:
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=80),
+        st.sampled_from([1e-3, 1.0, 1e3, 1e150]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_statistic_equals_row_by_row_sum(self, k, n, scale, seed):
+        # The statistic as it once was computed, one row at a time, on
+        # finite residuals and weights with zeros.
+        rng = np.random.default_rng(seed)
+        weights = rng.random(n)
+        weights[rng.random(n) < 0.2] = 0.0
+        weights[0] += 0.5
+        weights /= weights.sum()
+        z = scale * rng.normal(size=(k, n))
+        expected = np.array([np.sum(weights * row) for row in z], dtype=float)
+        gate = significance_test(weights, z, 0.05)
+        assert gate.auxiliary.tobytes() == expected.tobytes()
+        assert gate.statistic.tobytes() == (2.0 * ndtr(-np.abs(expected))).tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_residual_at_zero_weight_particle(self):
+        # 0 * inf would be NaN: the row is averaged over the positive-weight
+        # particles, so its statistic is infinite and its p-value 0.
+        gate = significance_test([0.5, 0.5, 0.0], [[np.inf] * 3], 0.05)
+        assert gate.auxiliary[0] == np.inf
+        assert gate.statistic[0] == 0.0
+        assert gate.rejected[0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_rows_keep_their_bits_beside_an_infinite_row(self):
+        weights = np.array([0.25, 0.25, 0.5, 0.0])
+        z = np.array([[0.1, -0.3, 2.0, 7.0], [-np.inf, -np.inf, -np.inf, 1.0]])
+        gate = significance_test(weights, z, 0.05)
+        assert gate.auxiliary[0] == np.sum(weights * z[0])
+        assert gate.auxiliary[1] == -np.inf
+        assert gate.rejected.tolist() == [False, True]
+
+
+class TestUnexplainedRows:
+    """Every gate rejects a row whose null density is zero at every particle
+    of positive prior weight."""
+
+    def test_likelihood_ratio_rejects_when_both_densities_are_zero(self):
+        weights = np.array([0.5, 0.5, 0.0])
+        log_g0 = np.array([[-np.inf, -np.inf, 0.0], [-np.inf, -3.0, 0.0], [-1.0, -2.0, -np.inf]])
+        log_g1 = np.full((3, 1), -np.inf)
+        gate = likelihood_ratio_test(weights, log_g0, log_g1, 0.05)
+        # Row 0: only the zero-weight particle explains it; the vote alone
+        # (no particle favors the fault model) would accept it.
+        assert gate.auxiliary.tolist() == [0.0, 0.0, 0.0]
+        assert gate.rejected.tolist() == [True, False, False]
+
+    def test_significance_rejects_opposite_infinite_residuals(self):
+        # Residuals whose squares overflow cancel in the weighted average,
+        # but no positive-weight particle explains the row.
+        gate = significance_test(np.array([0.5, 0.5, 0.0]), np.array([[1e200, -1e200, 0.0]]), 0.05)
+        assert gate.statistic[0] == 1.0
+        assert gate.rejected[0]
+        # Squares that stay finite: the row is explained, and cancels.
+        explained = significance_test(np.array([0.5, 0.5]), np.array([[1e100, -1e100]]), 0.05)
+        assert explained.statistic[0] == 1.0
+        assert not explained.rejected[0]
 
 
 class TestGatedUpdate:

@@ -6,9 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gatedpf.ctm import DemandProfile, DemandSchedule, advance, equilibrium_state, simulate
+from gatedpf.ctm import DemandProfile, DemandSchedule, advance, equilibrium_state, simulate, speed_map
 from gatedpf.errors import ConfigurationError, DataError, WeightCollapseError
-from gatedpf.gates import gated_update
+from gatedpf.gates import gated_update, likelihood_ratio_test, significance_test
 from gatedpf.harness import (
     STREAM_FILTER_DEMAND,
     STREAM_FILTER_RESAMPLE,
@@ -43,11 +43,11 @@ from gatedpf.sensing import (
     FaultConfig,
     GnssSpec,
     LoopDetectorSpec,
-    measurement_rows,
+    fault_log_density,
     standardize,
 )
 
-from conftest import small_network
+from conftest import list_measurement_rows, small_network
 
 
 def micro_config(horizon=12, particles=30, seeds=(5,), variants=None, fault_probability=0.4):
@@ -176,17 +176,31 @@ class TestMape:
 
 
 class TestFilterLoop:
-    def test_gating_disabled_matches_manual_pf(self):
-        # Regression against a hand-composed pf-core pipeline on the same
-        # random streams: results must match bit for bit.
-        config = micro_config(horizon=8, variants=(FilterVariant("none"),))
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            FilterVariant("none"),
+            FilterVariant("fisher", 0.05),
+            FilterVariant("np_correct", 0.05),
+            FilterVariant("np_incorrect", 0.05),
+        ],
+        ids=lambda v: v.mode,
+    )
+    def test_matches_hand_composed_pipeline(self, variant):
+        # Regression against a pipeline composed by hand from the library's
+        # pieces on the same random streams, with each step's rows built
+        # from its measurement objects: estimates and decisions must match
+        # bit for bit.  The log is handed over in reverse step order, which
+        # the filter must undo.
+        config = micro_config(horizon=12, variants=(variant,))
         seed = config.seeds[0]
         base = RandomSource(seed)
         truth = simulate(config.network, config.schedule, config.horizon, base.derive(STREAM_TRUTH))
         measurements = generate_measurements(
             truth, config.network, config.loop_specs, config.gnss_spec, config.fault_config, base
         )
-        result = run_traffic_filter(config, measurements, FilterVariant("none"), RandomSource(seed))
+        shuffled = sorted(measurements, key=lambda m: -m.k)
+        result = run_traffic_filter(config, shuffled, variant, RandomSource(seed))
 
         # Manual composition.
         init = equilibrium_state(config.network, config.schedule)
@@ -202,29 +216,56 @@ class TestFilterLoop:
         by_step = {}
         for m in measurements:
             by_step.setdefault(m.k, []).append(m)
-        from gatedpf.ctm import speed_map
 
-        estimates = []
+        estimates, decisions = [], []
         for k in range(1, config.horizon):
             prior = predict(ens, transition, rng_demand)
             ms = by_step.get(k, [])
             if ms:
-                _, ramp_means = config.schedule.means(k)
+                t = k * config.schedule.dt
+                ramp_means = np.array([p.mean(t) for p in config.schedule.onramps])
                 speed_links = sorted({m.link for m in ms if m.kind == "gnss_speed"})
-                field = speed_map(prior.particles, config.network, speed_links, ramp_means)
-                values, mean, std, _ = measurement_rows(
+                field = (
+                    speed_map(prior.particles, config.network, speed_links, ramp_means)
+                    if speed_links
+                    else None
+                )
+                values, mean, std, is_speed = list_measurement_rows(
                     ms, prior.particles, field, speed_links, loops, config.gnss_spec
                 )
-                _, log_g0 = standardize(values, mean, std)
-                post = gated_update(prior, log_g0, np.zeros(len(ms), dtype=bool)).posterior
+                z, log_g0 = standardize(values, mean, std)
+                rejected = np.zeros(len(ms), dtype=bool)
+                tested = np.flatnonzero(is_speed)
+                if variant.mode != "none" and tested.size:
+                    if variant.mode == "fisher":
+                        gate = significance_test(prior.weights, z[tested], variant.alpha)
+                    else:
+                        log_g1 = fault_log_density(
+                            values[tested], variant.mode, config.fault_config, config.h1_zero_std
+                        )
+                        gate = likelihood_ratio_test(
+                            prior.weights, log_g0[tested], log_g1[:, None], variant.alpha,
+                            config.np_mass_normalized,
+                        )
+                    rejected[tested] = gate.rejected
+                    for i, stat, rej, aux in zip(tested, gate.statistic, gate.rejected, gate.auxiliary):
+                        m = ms[i]
+                        decisions.append(
+                            DecisionRecord(
+                                m.k, m.sensor_id, m.link, gate.kind.value,
+                                float(stat), variant.alpha, bool(rej), float(aux), m.faulty,
+                            )
+                        )
+                post = gated_update(prior, log_g0, rejected).posterior
             else:
                 post = prior
             estimates.append(posterior_mean(post))
             if effective_sample_size(post) < config.resample_threshold * config.particles:
                 post = resample_systematic(post, rng_resample)
             ens = post
-        np.testing.assert_array_equal(result.estimates, np.array(estimates))
-        assert result.decisions == []
+        assert result.estimates.tobytes() == np.array(estimates).tobytes()
+        assert result.decisions == decisions
+        assert (len(decisions) > 0) == (variant.mode != "none")
 
     def test_horizon_one_runs_empty(self):
         config = micro_config(horizon=1)

@@ -1,6 +1,8 @@
 """Unit and property tests for the particle-ensemble primitives."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,6 +156,111 @@ class TestWeightUpdate:
         )
         expected = -600 * np.log(10.0) + np.log((1 + 2**10) / 2)
         assert log_marginal == pytest.approx(expected, rel=1e-12)
+
+
+def loop_weight_update(ensemble, rows):
+    """The weight update as it once was, one row added at a time; kept as
+    the reference for the single reduction."""
+    with np.errstate(divide="ignore"):
+        log_w = np.log(ensemble.weights)
+    for row in rows:
+        log_w = log_w + row
+    peak = float(np.max(log_w))
+    if peak == -np.inf:
+        return None
+    scale = peak if abs(peak) > 600.0 else 0.0
+    w = np.exp(log_w - scale)
+    total = float(np.sum(w))
+    return w / total, math.log(total) + scale
+
+
+class TestWeightUpdateBits:
+    @given(
+        # At least two particles: one particle's column is summed pairwise.
+        st.integers(min_value=2, max_value=60),
+        st.integers(min_value=0, max_value=12),
+        st.sampled_from([1.0, 50.0, 800.0]),
+        st.sampled_from([0.0, 0.1, 0.6]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_row_by_row_update(self, n, k, spread, p_zero, seed):
+        # Rows with -inf entries and zero prior weights included; peaks past
+        # the rescale bound too.
+        rng = np.random.default_rng(seed)
+        weights = rng.random(n)
+        weights[rng.random(n) < 0.2] = 0.0
+        weights[0] += 0.5
+        ens = ParticleEnsemble(rng.random((n, 2)), weights / weights.sum())
+        rows = spread * rng.normal(size=(k, n))
+        rows[rng.random((k, n)) < p_zero] = -np.inf
+        expected = loop_weight_update(ens, rows)
+        if expected is None:
+            with pytest.raises(WeightCollapseError):
+                weight_update(ens, rows)
+            return
+        out, log_marginal = weight_update(ens, rows)
+        assert out.weights.tobytes() == expected[0].tobytes()
+        assert log_marginal == expected[1]
+        assert out.particles is ens.particles
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_or_positive_infinite_row_is_a_configuration_error(self, bad):
+        ens = scalar_ensemble([1.0, 2.0, 3.0], weights=[0.5, 0.5, 0.0])
+        for position in range(3):
+            row = np.zeros((1, 3))
+            row[0, position] = bad
+            with pytest.raises(ConfigurationError, match="NaN or \\+inf"):
+                weight_update(ens, row)
+
+
+class TestBuiltEnsembles:
+    """What predict, weight_update and resample_systematic build is
+    read-only; only what comes from outside is checked."""
+
+    def test_results_are_read_only(self):
+        ens = scalar_ensemble([1.0, 2.0, 3.0], weights=[0.2, 0.3, 0.5])
+        built = [
+            predict(ens, shift, RandomSource(1)),
+            weight_update(ens, log_rows([0.3, 0.2, 0.1]))[0],
+            resample_systematic(ens, RandomSource(2)),
+        ]
+        for out in built:
+            assert not out.particles.flags.writeable
+            assert not out.weights.flags.writeable
+            with pytest.raises(ValueError):
+                out.particles[0, 0] = 9.0
+            with pytest.raises(ValueError):
+                out.weights[0] = 9.0
+
+    def test_predict_keeps_a_fresh_transition_output(self):
+        made = []
+
+        def fresh(states, rng):
+            made.append(states + 1.0)
+            return made[-1]
+
+        out = predict(scalar_ensemble([1.0, 2.0]), fresh, RandomSource(1))
+        assert out.particles is made[0]
+        assert not made[0].flags.writeable
+
+    @pytest.mark.parametrize("transition", [identity, lambda states, rng: states[:, :]])
+    def test_predict_copies_the_input_or_a_view(self, transition):
+        ens = scalar_ensemble([1.0, 2.0])
+        out = predict(ens, transition, RandomSource(1))
+        assert not np.shares_memory(out.particles, ens.particles)
+        assert out.particles.base is None
+        np.testing.assert_array_equal(out.particles, ens.particles)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_predict_rejects_non_finite_states(self, bad):
+        def broken(states, rng):
+            out = states + 1.0
+            out[-1, 0] = bad
+            return out
+
+        with pytest.raises(ConfigurationError, match="finite"):
+            predict(scalar_ensemble([1.0, 2.0]), broken, RandomSource(1))
 
 
 class TestNormalize:
