@@ -49,12 +49,10 @@ from .ctm import (
     speed_map,
 )
 from .sensing import (
-    CompiledLog,
     FaultConfig,
     GnssSpec,
     LabeledMeasurement,
     LoopDetectorSpec,
-    compile_measurement_log,
     fault_log_density,
     inject_faults,
     measurement_rows,

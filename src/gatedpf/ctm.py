@@ -383,7 +383,7 @@ class DemandSchedule:
             out[i, 1] = [p.noise_frac * m for p, m in zip(profiles, means)]
         return out
 
-    def sample(self, k: int, rng: RandomSource, size: int, table: np.ndarray | None = None):
+    def sample(self, k: int, rng: RandomSource, size: int, table: np.ndarray):
         """Draw step ``k``'s realized demands, one row per particle.
 
         Returns the upstream demands, shape ``(size,)``, and the onramp
@@ -393,10 +393,9 @@ class DemandSchedule:
         ``Generator.normal(mean, noise_frac * mean)``: the stream order and
         the bits match drawing from the broadcast means and stds, without
         materializing them.  ``table`` is this schedule's :meth:`table`
-        over ``range(horizon)`` for some horizon past ``k``; without it
-        step ``k``'s row is computed here.
+        over ``range(horizon)`` for some horizon past ``k``.
         """
-        mean, scale = self.table((k,))[0] if table is None else table[k]
+        mean, scale = table[k]
         upstream = np.maximum(mean[0] + scale[0] * rng.normal(size=size), 0.0)
         ramps = np.maximum(mean[1:] + scale[1:] * rng.normal(size=(size, len(mean) - 1)), 0.0)
         return upstream, ramps

@@ -14,13 +14,15 @@ row per tested measurement, and return one outcome per row:
   standardized residual is weight-averaged into a single statistic whose
   two-sided standard-normal tail probability is compared against the level.
 
-Both tests also reject every row that no positive-weight prior particle
-explains, that is, whose null log density is ``-inf`` at each particle
-with ``w_p > 0``.  Such a row cannot be assimilated: it would zero every
-weight and collapse the filter.  The likelihood-ratio vote alone would
-accept it when the fault density is zero too (ties favor the null), so
-the rule is applied on top of each test's own decision.  The ungated
-filter has no such protection and collapses on that row.
+Whichever test runs, the filter's gate also rejects every row that no
+positive-weight prior particle explains (``unexplained``), that is, whose
+null log density is ``-inf`` at each particle with ``w_p > 0``.  Such a
+row cannot be assimilated: it would zero every weight and collapse the
+filter.  The likelihood-ratio vote alone would accept it when the fault
+density is zero too (ties favor the null), and opposite residuals too
+large to square can cancel in the significance test's average, so the
+rule is applied on top of the test's own decision.  The ungated filter
+has no such protection and collapses on that row.
 
 ``gated_update`` then adds the null log-density rows of the accepted
 measurements to the prior's log weights, in measurement order, and returns
@@ -89,12 +91,13 @@ def likelihood_ratio_test(
     when it falls below ``alpha``.  If no particle favors the fault model
     the row is accepted whatever the level: an empty favoring region is
     evidence for the null, even though the mass alone would read as a
-    rejection.  The one exception is a row no positive-weight particle
-    explains, which is rejected (see the module docstring).
-    ``mass_normalized`` divides the statistic by the row's total null mass;
-    the default keeps the raw mass, which lets uniformly implausible
-    measurements (tiny null density under every particle) be rejected.
+    rejection.  ``mass_normalized`` divides the statistic by the row's
+    total null mass; the default keeps the raw mass, which lets uniformly
+    implausible measurements (tiny null density under every particle) be
+    rejected.
     """
+    weights = np.asarray(weights, dtype=float)
+    log_g0 = np.asarray(log_g0, dtype=float)
     # Strict comparison: ties, including both densities zero, favor the null.
     favors_h1 = log_g1 > log_g0
     with np.errstate(over="ignore"):
@@ -112,7 +115,7 @@ def likelihood_ratio_test(
         kind=GateKind.NEYMAN_PEARSON,
         statistic=statistic,
         auxiliary=count.astype(float),
-        rejected=((count > 0) & (statistic < alpha)) | _unexplained(weights, log_g0),
+        rejected=(count > 0) & (statistic < alpha),
     )
 
 
@@ -129,31 +132,31 @@ def significance_test(weights: np.ndarray, z: np.ndarray, alpha: float) -> GateR
     weights = np.asarray(weights, dtype=float)
     z = np.asarray(z, dtype=float)
     # An infinite residual at a zero-weight particle gives 0 * inf = NaN:
-    # such rows are summed again over the positive-weight particles.  The
-    # null log density -z^2 / 2 - log(std) - log(sqrt(2 pi)) is -inf
-    # exactly where -z^2 is.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # such rows are summed again over the positive-weight particles.
+    with np.errstate(invalid="ignore"):
         stat = np.sum(z * weights, axis=1)
-        bad = np.isnan(stat)
-        if bad.any():
-            positive = weights > 0.0
-            stat[bad] = np.sum(z[bad][:, positive] * weights[positive], axis=1)
-        neg_square = -(z * z)
+    bad = np.isnan(stat)
+    if bad.any():
+        positive = weights > 0.0
+        stat[bad] = np.sum(z[bad][:, positive] * weights[positive], axis=1)
     p_value = 2.0 * ndtr(-np.abs(stat))
     return GateRows(
         kind=GateKind.FISHER,
         statistic=p_value,
         auxiliary=stat,
-        rejected=(p_value < alpha) | _unexplained(weights, neg_square),
+        rejected=p_value < alpha,
     )
 
 
-def _unexplained(weights: np.ndarray, log_density: np.ndarray) -> np.ndarray:
-    """Rows of ``log_density`` (K, P) that are -inf at every particle of
-    positive weight."""
+def unexplained(weights: np.ndarray, log_g0: np.ndarray) -> np.ndarray:
+    """Rows of the null log densities ``log_g0`` (K, P) that are ``-inf`` at
+    every particle of positive prior weight: the rows the gate rejects
+    whatever its test decides."""
+    weights = np.asarray(weights, dtype=float)
+    log_g0 = np.asarray(log_g0, dtype=float)
     if not weights.all():
-        log_density = log_density[:, weights > 0.0]
-    return log_density.max(axis=1, initial=-np.inf) == -np.inf
+        log_g0 = log_g0[:, weights > 0.0]
+    return log_g0.max(axis=1, initial=-np.inf) == -np.inf
 
 
 def gated_update(

@@ -18,7 +18,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
@@ -36,7 +37,13 @@ from .ctm import (
 )
 from .errors import ConfigurationError, DataError, WeightCollapseError
 from .fileio import atomic_write_text, read_csv_rows
-from .gates import GateRows, gated_update, likelihood_ratio_test, significance_test
+from .gates import (
+    GateRows,
+    gated_update,
+    likelihood_ratio_test,
+    significance_test,
+    unexplained,
+)
 from .particles import (
     ParticleEnsemble,
     effective_sample_size,
@@ -46,12 +53,14 @@ from .particles import (
 )
 from .rng import RandomSource
 from .sensing import (
+    GNSS_SPEED,
+    LOOP_DENSITY,
+    MEASUREMENT_KINDS,
     FaultConfig,
     GnssSpec,
     HYPOTHESIS_MODES,
     LabeledMeasurement,
     LoopDetectorSpec,
-    compile_measurement_log,
     fault_log_density,
     inject_faults,
     measurement_rows,
@@ -243,17 +252,23 @@ def generate_measurements(
     return inject_faults(measurements, fault_config, rng_faults)
 
 
-def _run_gate(config, variant, weights, tested, z, log_g0, log_g1) -> GateRows:
+def _run_gate(config, variant, weights, tested, values, z, log_g0) -> GateRows:
     """Run the variant's gate on the ``tested`` rows of one step: ``fisher``
     runs the significance test with no fault model, ``np_correct`` the
     likelihood-ratio test against the true fault mixture, ``np_incorrect``
-    against the near-zero model only (``log_g1`` holds the step's fault log
-    densities under the variant's model)."""
+    against the near-zero model only.  Either way a row no positive-weight
+    particle explains is rejected."""
+    log_g0 = log_g0[tested]
     if variant.mode == "fisher":
-        return significance_test(weights, z[tested], variant.alpha)
-    return likelihood_ratio_test(
-        weights, log_g0[tested], log_g1[tested, None], variant.alpha, config.np_mass_normalized
-    )
+        gate = significance_test(weights, z[tested], variant.alpha)
+    else:
+        log_g1 = fault_log_density(
+            values[tested], variant.mode, config.fault_config, config.h1_zero_std
+        )
+        gate = likelihood_ratio_test(
+            weights, log_g0, log_g1[:, None], variant.alpha, config.np_mass_normalized
+        )
+    return replace(gate, rejected=gate.rejected | unexplained(weights, log_g0))
 
 
 def run_traffic_filter(
@@ -264,7 +279,6 @@ def run_traffic_filter(
 ) -> FilterRunResult:
     """Run one gated filter over a measurement log.
 
-    The log is checked and compiled once (:func:`compile_measurement_log`).
     Per step: predict the ensemble through the traffic model, evaluate the
     step's measurements as (M, P) rows against the predicted ensemble, gate
     the speed reports, assimilate the accepted measurements, record the
@@ -277,17 +291,26 @@ def run_traffic_filter(
     ensemble = ParticleEnsemble.from_states(np.tile(config.initial_state, (config.particles, 1)))
     rng_demand = rng.derive(STREAM_FILTER_DEMAND)
     rng_resample = rng.derive(STREAM_FILTER_RESAMPLE)
-    log = compile_measurement_log(
-        measurements, network.n_links, config.horizon, config.loop_specs, config.gnss_spec
-    )
-    log_g1 = None
-    if variant.mode in ("np_correct", "np_incorrect"):
-        # Only speed rows are tested; the fault density of a loop row is
-        # never read.
-        log_g1 = np.zeros(len(log.values))
-        log_g1[log.is_speed] = fault_log_density(
-            log.values[log.is_speed], variant.mode, config.fault_config, config.h1_zero_std
-        )
+    loops = {spec.link: spec for spec in config.loop_specs}
+
+    by_step: dict[int, list[LabeledMeasurement]] = defaultdict(list)
+    for m in measurements:
+        if not (1 <= m.k <= config.horizon - 1):
+            raise DataError(
+                f"measurement at step {m.k} outside assimilation window "
+                f"[1, {config.horizon - 1}]"
+            )
+        if not (0 <= m.link < network.n_links):
+            raise DataError(
+                f"measurement {m.sensor_id!r} at step {m.k} names link {m.link}, "
+                f"outside the network's links [0, {network.n_links - 1}]"
+            )
+        if m.kind not in MEASUREMENT_KINDS or (m.kind == LOOP_DENSITY and m.link not in loops):
+            raise DataError(
+                f"measurement {m.sensor_id!r} at step {m.k}: "
+                f"no {m.kind!r} sensor configured on link {m.link}"
+            )
+        by_step[m.k].append(m)
 
     def transition(states: np.ndarray, rng: RandomSource) -> np.ndarray:
         # The filter embeds the truth's traffic model but draws its own
@@ -302,33 +325,28 @@ def run_traffic_filter(
 
     for k in range(1, config.horizon):
         prior = predict(ensemble, transition, rng_demand)
-        first, end = log.bounds[k], log.bounds[k + 1]
-        if first < end:
+        step_measurements = by_step.get(k, [])
+        if step_measurements:
             # Predicted speeds only on the links that reported one.
-            speed_links = log.speed_links[log.speed_bounds[k] : log.speed_bounds[k + 1]]
-            speeds = (
-                speed_map(prior.particles, network, speed_links, demand[k, 0, 1:])
-                if speed_links.size
-                else None
+            speed_links = sorted({m.link for m in step_measurements if m.kind == GNSS_SPEED})
+            if speed_links:
+                speeds = speed_map(prior.particles, network, speed_links, demand[k, 0, 1:])
+            else:
+                speeds = None
+            values, mean, std, is_speed = measurement_rows(
+                step_measurements, prior.particles, speeds, speed_links, loops, config.gnss_spec
             )
-            values, mean, std, is_speed = measurement_rows(log, k, prior.particles, speeds)
             z, log_g0 = standardize(values, mean, std)
-            rejected = np.zeros(end - first, dtype=bool)
+            rejected = np.zeros(len(step_measurements), dtype=bool)
             # Speed reports are gated; loop detectors are first-party and
             # never are.
             tested = np.flatnonzero(is_speed)
             if variant.mode != "none" and tested.size:
-                g1 = None if log_g1 is None else log_g1[first:end]
-                gate = _run_gate(config, variant, prior.weights, tested, z, log_g0, g1)
+                gate = _run_gate(config, variant, prior.weights, tested, values, z, log_g0)
                 rejected[tested] = gate.rejected
-                outcomes = zip(
-                    (tested + first).tolist(),
-                    gate.statistic.tolist(),
-                    gate.rejected.tolist(),
-                    gate.auxiliary.tolist(),
-                )
-                for i, stat, rej, aux in outcomes:
-                    m = log.measurements[i]
+                outcomes = zip(gate.statistic.tolist(), gate.rejected.tolist(), gate.auxiliary.tolist())
+                for i, (stat, rej, aux) in zip(tested, outcomes):
+                    m = step_measurements[i]
                     decisions.append(
                         DecisionRecord(
                             m.k, m.sensor_id, m.link, gate.kind.value,
@@ -338,7 +356,7 @@ def run_traffic_filter(
             try:
                 posterior = gated_update(prior, log_g0, rejected).posterior
             except WeightCollapseError as exc:
-                accepted = [log.measurements[first + i].sensor_id for i in np.flatnonzero(~rejected)]
+                accepted = [step_measurements[i].sensor_id for i in np.flatnonzero(~rejected)]
                 raise WeightCollapseError(
                     f"step {k}: no particle explains the assimilated measurements {accepted}",
                     k=k,

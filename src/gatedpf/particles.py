@@ -119,9 +119,11 @@ def predict(
     """Propagate the whole particle block through a stochastic transition.
 
     ``transition(states, rng)`` maps the (P, N) block to one independent
-    successor draw per row; weights and particle order are untouched.  The
-    result keeps the transition's array, read-only, unless it is the input
-    block or a view, which are copied.
+    successor draw per row; weights and particle order are untouched.  It
+    must return a new array that it does not keep: the result holds that
+    array without a copy and makes it read-only, so a transition that
+    writes into the same buffer again fails on that write instead of
+    changing an earlier ensemble.  The input block, or any view, is copied.
     """
     new_states = np.asarray(transition(ensemble.particles, rng), dtype=float)
     if new_states.shape != ensemble.particles.shape:

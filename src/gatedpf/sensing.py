@@ -21,7 +21,7 @@ import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -253,140 +253,45 @@ def inject_faults(
     return out
 
 
-@dataclass(frozen=True)
-class CompiledLog:
-    """A measurement log as whole-log arrays, sorted stably by step.
-
-    Step ``k``'s rows are ``bounds[k]:bounds[k + 1]`` of every array, and
-    the distinct links of its speed rows, ascending, are
-    ``speed_links[speed_bounds[k]:speed_bounds[k + 1]]``; a speed row's
-    ``speed_column`` is its link's place among them (0 for loop rows).
-    ``rules`` holds the ``(frac, offset, floor)`` std rule of each link's
-    loop detector, and in its last row that of the speed reports.
-    """
-
-    measurements: tuple[LabeledMeasurement, ...]
-    bounds: list[int]
-    values: np.ndarray
-    links: np.ndarray
-    is_speed: np.ndarray
-    speed_column: np.ndarray
-    rules: np.ndarray
-    speed_links: np.ndarray
-    speed_bounds: list[int]
-
-
-def _int_field(measurements, name: str) -> np.ndarray:
-    """One integer field of every measurement as an int64 array; a value
-    outside that range becomes -1, which every window check below rejects."""
-    values = (getattr(m, name) for m in measurements)
-    try:
-        return np.fromiter(values, np.int64, len(measurements))
-    except OverflowError:
-        values = (getattr(m, name) for m in measurements)
-        return np.fromiter(
-            (v if -(2**63) <= v < 2**63 else -1 for v in values), np.int64, len(measurements)
-        )
-
-
-def compile_measurement_log(
-    measurements: Sequence[LabeledMeasurement],
-    n_links: int,
-    horizon: int,
-    loop_specs: Sequence[LoopDetectorSpec],
-    gnss_spec: GnssSpec,
-) -> CompiledLog:
-    """Check a measurement log against the filter's setup and compile it.
-
-    Every measurement must lie in the assimilation window ``1 .. horizon -
-    1``, name a link of the network and be of a kind with a sensor on its
-    link (a loop row needs a detector there); the first one that does not
-    raises :class:`DataError`.
-    """
-    ms = measurements
-    n = len(ms)
-    steps = _int_field(ms, "k")
-    links = _int_field(ms, "link")
-    is_speed = np.fromiter((m.kind == GNSS_SPEED for m in ms), bool, n)
-    is_loop = np.fromiter((m.kind == LOOP_DENSITY for m in ms), bool, n)
-    # Row l is the std rule of link l's loop detector, row n_links the
-    # speed reports' rule.
-    rules = np.zeros((n_links + 1, 3))
-    rules[n_links] = (gnss_spec.noise_frac, 0.0, gnss_spec.min_std)
-    has_loop = np.zeros(n_links, dtype=bool)
-    for spec in loop_specs:
-        if 0 <= spec.link < n_links:
-            has_loop[spec.link] = True
-            rules[spec.link] = spec.std_rule
-    in_window = (1 <= steps) & (steps <= horizon - 1)
-    on_network = (0 <= links) & (links < n_links)
-    configured = is_speed | (is_loop & has_loop[np.where(on_network, links, 0)])
-    bad = np.flatnonzero(~(in_window & on_network & configured))
-    if bad.size:
-        m = ms[bad[0]]
-        if not in_window[bad[0]]:
-            raise DataError(
-                f"measurement at step {m.k} outside assimilation window [1, {horizon - 1}]"
-            )
-        if not on_network[bad[0]]:
-            raise DataError(
-                f"measurement {m.sensor_id!r} at step {m.k} names link {m.link}, "
-                f"outside the network's links [0, {n_links - 1}]"
-            )
-        raise DataError(
-            f"measurement {m.sensor_id!r} at step {m.k}: "
-            f"no {m.kind!r} sensor configured on link {m.link}"
-        )
-
-    order = np.argsort(steps, kind="stable")
-    steps, links, is_speed = steps[order], links[order], is_speed[order]
-    step_range = np.arange(horizon + 1)
-    # Speed rows keyed by (step, link): the distinct keys are each step's
-    # speed links in ascending order, and a row's rank among its step's
-    # keys is its column in the step's speed block.
-    keys, rank = np.unique(steps[is_speed] * n_links + links[is_speed], return_inverse=True)
-    key_steps = keys // n_links
-    speed_bounds = np.searchsorted(key_steps, step_range)
-    speed_column = np.zeros(n, dtype=np.intp)
-    speed_column[is_speed] = rank - speed_bounds[steps[is_speed]]
-    return CompiledLog(
-        measurements=tuple(map(ms.__getitem__, order)),
-        bounds=np.searchsorted(steps, step_range).tolist(),
-        values=np.fromiter((m.value for m in ms), float, n)[order],
-        links=links,
-        is_speed=is_speed,
-        speed_column=speed_column,
-        rules=rules,
-        speed_links=keys - key_steps * n_links,
-        speed_bounds=speed_bounds.tolist(),
-    )
-
-
 def measurement_rows(
-    log: CompiledLog, k: int, particles: np.ndarray, speeds: np.ndarray | None
+    measurements: Sequence[LabeledMeasurement],
+    particles: np.ndarray,
+    speeds: np.ndarray | None,
+    speed_links: Sequence[int],
+    loops: Mapping[int, LoopDetectorSpec],
+    gnss_spec: GnssSpec,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Null-model moments of step ``k``'s measurements against a (P, L) block.
+    """Null-model moments of one step's measurements against a (P, L) block.
 
     Returns ``values`` (M,), ``mean`` (M, P), ``std`` (M, P) and the
-    ``is_speed`` (M,) mask; ``values`` and ``is_speed`` are views into the
-    log.  A loop row's mean is each particle's density on its link, with
-    the detector's relative (or absolute) noise floored at ``min_std``; a
-    speed row's mean is its link's column of ``speeds``, the particles'
-    predicted speeds on the step's speed links (``None`` when the step has
-    no speed rows), with std ``max(noise_frac * v, min_std)``.
+    ``is_speed`` (M,) mask.  A loop row's mean is each particle's density on
+    its link, with the detector's relative (or absolute) noise floored at
+    ``min_std``; a speed row's mean is its link's column of ``speeds``, the
+    particles' predicted speeds on ``speed_links`` (column j is link
+    ``speed_links[j]``; ``speeds`` is ``None`` when the step has no speed
+    rows), with std ``max(noise_frac * v, min_std)``.  ``loops`` maps a link
+    to its detector; every loop row must have one, and every speed row's
+    link must be among ``speed_links``.
     """
-    rows = slice(log.bounds[k], log.bounds[k + 1])
-    links, is_speed = log.links[rows], log.is_speed[rows]
+    values = np.array([m.value for m in measurements], dtype=float)
+    links = np.array([m.link for m in measurements], dtype=np.intp)
+    is_speed = np.array([m.kind == GNSS_SPEED for m in measurements], dtype=bool)
     mean = particles.T[links]
-    if speeds is not None:
-        mean[is_speed] = speeds.T[log.speed_column[rows][is_speed]]
+    if is_speed.any():
+        column = np.full(particles.shape[1], -1, dtype=np.intp)
+        column[np.asarray(speed_links, dtype=np.intp)] = np.arange(len(speed_links))
+        speed_columns = column[links[is_speed]]
+        if np.any(speed_columns < 0):
+            raise ConfigurationError("a speed row's link has no column in the speed block")
+        mean[is_speed] = speeds.T[speed_columns]
     # Both std rules in one form, max(frac * mean + offset, floor): a loop
     # with an absolute std has frac 0 and offset noise_abs, all others
     # offset 0, so each row gets exactly its rule's value.
-    rule = log.rules[np.where(is_speed, len(log.rules) - 1, links)]
-    frac, offset, floor = rule.T[:, :, None]
+    speed_rule = (gnss_spec.noise_frac, 0.0, gnss_spec.min_std)
+    rules = [speed_rule if s else loops[m.link].std_rule for m, s in zip(measurements, is_speed)]
+    frac, offset, floor = np.array(rules, dtype=float).reshape(-1, 3).T[:, :, None]
     std = np.maximum(frac * mean + offset, floor)
-    return log.values[rows], mean, std, is_speed
+    return values, mean, std, is_speed
 
 
 def standardize(

@@ -6,7 +6,7 @@ import pytest
 
 from gatedpf.ctm import DemandProfile, DemandSchedule, FreewayNetwork, LinkParams
 from gatedpf.particles import ParticleEnsemble
-from gatedpf.sensing import GNSS_SPEED, standardize
+from gatedpf.sensing import standardize
 
 
 def log_rows(*rows) -> np.ndarray:
@@ -59,23 +59,3 @@ def flat_schedule(level: float, n_onramps: int = 0, noise: float = 0.0) -> Deman
     profile = DemandProfile(base=level, peak=level, rise=(0.0, 0.0), fall=(1e9, 1e9), noise_frac=noise)
     ramp = DemandProfile(base=0.0, peak=0.0, rise=(0.0, 0.0), fall=(1e9, 1e9), noise_frac=0.0)
     return DemandSchedule(dt=10.0, upstream=profile, onramps=(ramp,) * n_onramps)
-
-
-def list_measurement_rows(measurements, particles, speeds, speed_links, loops, gnss_spec):
-    """One step's null-model rows built from the measurement objects, as the
-    filter once did each step; kept as the reference for the compiled log.
-    ``loops`` maps a link to its detector; ``speeds`` holds the particles'
-    predicted speeds on ``speed_links``."""
-    values = np.array([m.value for m in measurements], dtype=float)
-    links = np.array([m.link for m in measurements], dtype=np.intp)
-    is_speed = np.array([m.kind == GNSS_SPEED for m in measurements], dtype=bool)
-    mean = particles.T[links]
-    if is_speed.any():
-        column = np.full(particles.shape[1], -1, dtype=np.intp)
-        column[np.asarray(speed_links, dtype=np.intp)] = np.arange(len(speed_links))
-        mean[is_speed] = speeds.T[column[links[is_speed]]]
-    speed_rule = (gnss_spec.noise_frac, 0.0, gnss_spec.min_std)
-    rules = [speed_rule if s else loops[m.link].std_rule for m, s in zip(measurements, is_speed)]
-    frac, offset, floor = np.array(rules, dtype=float).reshape(-1, 3).T[:, :, None]
-    std = np.maximum(frac * mean + offset, floor)
-    return values, mean, std, is_speed

@@ -270,7 +270,7 @@ class TestCriterion6PropertySuites:
             schedule = DemandSchedule(
                 dt=net.dt, upstream=flat(float(rng.uniform(0, 5)), 0.3), onramps=(flat(0.4, 0.2),)
             )
-            upstream, ramps = schedule.sample(0, RandomSource(trial), size=1)
+            upstream, ramps = schedule.sample(0, RandomSource(trial), 1, schedule.table((0,)))
             new, q, r, s = advance(state, net, upstream, ramps)
             balance = float(
                 np.sum((new - state) * net.lengths)

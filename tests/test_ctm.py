@@ -267,7 +267,7 @@ def constant_schedule(upstream, upstream_noise=0.0, ramps=()):
 
 def sampled_advance(state, network, schedule, rng):
     """One step of a single state with demands drawn from ``schedule``."""
-    upstream, ramps = schedule.sample(0, rng, size=1)
+    upstream, ramps = schedule.sample(0, rng, 1, schedule.table((0,)))
     new, q, r, s = advance(np.asarray(state, dtype=float)[None, :], network, upstream, ramps)
     return new[0], q[0], r[0], s[0]
 
@@ -523,34 +523,12 @@ class TestDemandScheduleSample:
         # in the same state, so the next draw matches too.
         schedule = DemandSchedule(dt=10.0, upstream=upstream, onramps=tuple(onramps))
         rng_new, rng_old = RandomSource(seed), RandomSource(seed)
-        got = schedule.sample(k, rng_new, size=size)
+        got = schedule.sample(k, rng_new, size, schedule.table(range(k + 1)))
         expected = broadcast_sample(schedule, k, rng_old, size)
         assert got[0].tobytes() == expected[0].tobytes()
         assert got[1].shape == expected[1].shape == (size, len(onramps))
         assert got[1].tobytes() == expected[1].tobytes()
         assert rng_new.normal() == rng_old.normal()
-
-    @given(
-        profiles,
-        st.lists(profiles, max_size=4),
-        st.integers(min_value=1, max_value=120),
-        st.integers(min_value=1, max_value=20),
-        st.integers(min_value=0, max_value=2**32),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_table_draws_equal_per_step_draws(self, upstream, onramps, horizon, size, seed):
-        # Drawing every step from one table built over the horizon leaves
-        # the same bits and stream state as computing each step's row.
-        schedule = DemandSchedule(dt=10.0, upstream=upstream, onramps=tuple(onramps))
-        table = schedule.table(range(horizon))
-        assert table.shape == (horizon, 2, 1 + len(onramps))
-        rng_table, rng_row = RandomSource(seed), RandomSource(seed)
-        for k in range(horizon):
-            got = schedule.sample(k, rng_table, size, table)
-            expected = schedule.sample(k, rng_row, size)
-            assert got[0].tobytes() == expected[0].tobytes()
-            assert got[1].tobytes() == expected[1].tobytes()
-        assert rng_table.normal() == rng_row.normal()
 
     def test_table_rows_are_profile_means_and_noise_scales(self):
         schedule = DemandSchedule(
@@ -566,7 +544,7 @@ class TestDemandScheduleSample:
 
     def test_schedule_without_noise_draws_the_means(self):
         schedule = flat_schedule(1.5, n_onramps=2, noise=0.0)
-        upstream, ramps = schedule.sample(3, RandomSource(4), size=5)
+        upstream, ramps = schedule.sample(3, RandomSource(4), 5, schedule.table(range(4)))
         expected = broadcast_sample(schedule, 3, RandomSource(4), 5)
         assert upstream.tobytes() == expected[0].tobytes()
         assert ramps.tobytes() == expected[1].tobytes()
@@ -590,7 +568,8 @@ class TestDemandProfile:
     def test_sampling_clipped_at_zero(self):
         p = DemandProfile(base=0.01, peak=0.01, rise=(0.0, 0.0), fall=(1e9, 1e9), noise_frac=50.0)
         schedule = DemandSchedule(dt=10.0, upstream=p, onramps=())
-        draws = [schedule.sample(0, RandomSource(s), size=4)[0] for s in range(50)]
+        table = schedule.table((0,))
+        draws = [schedule.sample(0, RandomSource(s), 4, table)[0] for s in range(50)]
         assert np.min(draws) >= 0.0
 
 

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from gatedpf.errors import ModelConsistencyError
-from gatedpf.gates import GateKind, gated_update, likelihood_ratio_test, significance_test
+from gatedpf.gates import (
+    GateKind,
+    gated_update,
+    likelihood_ratio_test,
+    significance_test,
+    unexplained,
+)
 from gatedpf.particles import weight_update
 from gatedpf.rng import RandomSource
 from gatedpf.sensing import standardize
@@ -104,6 +110,16 @@ class TestNpGate:
         assert not accept.rejected_h0
         reject = lr_row(ens, g0, g1, alpha=0.2)
         assert reject.rejected_h0
+
+    def test_accepts_lists(self):
+        # The hand example, handed over as plain lists.
+        g0 = np.log([[0.3, 0.2, 0.1]])
+        g1 = np.log([[0.4, 0.1, 0.05]])
+        expected = likelihood_ratio_test(np.full(3, 1.0 / 3.0), g0, g1, 0.2)
+        gate = likelihood_ratio_test([1.0 / 3.0] * 3, g0.tolist(), g1.tolist(), 0.2)
+        assert gate.statistic.tobytes() == expected.statistic.tobytes()
+        assert gate.auxiliary.tolist() == [1.0]
+        assert gate.rejected.tolist() == [True]
 
     def test_outlier_measurement_rejected(self):
         # Narrow null around the particle states, broad fault model: a far
@@ -334,29 +350,47 @@ class TestSignificanceBits:
 
 
 class TestUnexplainedRows:
-    """Every gate rejects a row whose null density is zero at every particle
-    of positive prior weight."""
+    """The gate rejects a row whose null density is zero at every particle
+    of positive prior weight, whatever its test decides."""
 
-    def test_likelihood_ratio_rejects_when_both_densities_are_zero(self):
+    def test_rows_zero_at_every_positive_weight_particle(self):
+        weights = [0.5, 0.5, 0.0]
+        log_g0 = [[-np.inf, -np.inf, 0.0], [-np.inf, -3.0, 0.0], [-1.0, -2.0, -np.inf]]
+        assert unexplained(weights, log_g0).tolist() == [True, False, False]
+        # With every weight positive, only an all -inf row is unexplained.
+        assert unexplained([0.5, 0.25, 0.25], log_g0).tolist() == [False, False, False]
+        assert unexplained([0.5, 0.5], [[-np.inf, -np.inf]]).tolist() == [True]
+
+    def test_likelihood_ratio_vote_accepts_when_both_densities_are_zero(self):
         weights = np.array([0.5, 0.5, 0.0])
-        log_g0 = np.array([[-np.inf, -np.inf, 0.0], [-np.inf, -3.0, 0.0], [-1.0, -2.0, -np.inf]])
-        log_g1 = np.full((3, 1), -np.inf)
-        gate = likelihood_ratio_test(weights, log_g0, log_g1, 0.05)
-        # Row 0: only the zero-weight particle explains it; the vote alone
-        # (no particle favors the fault model) would accept it.
-        assert gate.auxiliary.tolist() == [0.0, 0.0, 0.0]
-        assert gate.rejected.tolist() == [True, False, False]
+        log_g0 = np.array([[-np.inf, -np.inf, 0.0]])
+        gate = likelihood_ratio_test(weights, log_g0, np.full((1, 1), -np.inf), 0.05)
+        # No particle favors the fault model, so the vote alone accepts.
+        assert gate.auxiliary.tolist() == [0.0]
+        assert not gate.rejected[0]
+        assert unexplained(weights, log_g0)[0]
 
-    def test_significance_rejects_opposite_infinite_residuals(self):
-        # Residuals whose squares overflow cancel in the weighted average,
-        # but no positive-weight particle explains the row.
-        gate = significance_test(np.array([0.5, 0.5, 0.0]), np.array([[1e200, -1e200, 0.0]]), 0.05)
+    def test_opposite_residuals_too_large_to_square(self):
+        # The residuals cancel in the weighted average, but the null log
+        # density is -inf at both positive-weight particles.
+        weights = np.array([0.5, 0.5, 0.0])
+        z, log_g0 = standardize([0.0], np.array([[1e200, -1e200, 0.0]]), np.ones((1, 3)))
+        gate = significance_test(weights, z, 0.05)
         assert gate.statistic[0] == 1.0
-        assert gate.rejected[0]
-        # Squares that stay finite: the row is explained, and cancels.
-        explained = significance_test(np.array([0.5, 0.5]), np.array([[1e100, -1e100]]), 0.05)
-        assert explained.statistic[0] == 1.0
-        assert not explained.rejected[0]
+        assert not gate.rejected[0]
+        assert unexplained(weights, log_g0)[0]
+        # Squares that stay finite: the row is explained.
+        z, log_g0 = standardize([0.0], np.array([[1e100, -1e100]]), np.ones((1, 2)))
+        assert not unexplained([0.5, 0.5], log_g0)[0]
+
+    def test_bound_where_the_half_square_overflows(self):
+        # -z^2 / 2 overflows for |z| past about 1.9e154, not where z^2 alone
+        # does (about 1.34e154): a residual between them is still explained.
+        z, log_g0 = standardize([0.0], np.array([[1.5e154, 1.5e154]]), np.ones((1, 2)))
+        assert np.isfinite(log_g0).all()
+        assert not unexplained([0.5, 0.5], log_g0)[0]
+        z, log_g0 = standardize([0.0], np.array([[2e154, 2e154]]), np.ones((1, 2)))
+        assert unexplained([0.5, 0.5], log_g0)[0]
 
 
 class TestGatedUpdate:

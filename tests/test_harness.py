@@ -8,7 +8,7 @@ import pytest
 
 from gatedpf.ctm import DemandProfile, DemandSchedule, advance, equilibrium_state, simulate, speed_map
 from gatedpf.errors import ConfigurationError, DataError, WeightCollapseError
-from gatedpf.gates import gated_update, likelihood_ratio_test, significance_test
+from gatedpf.gates import gated_update, likelihood_ratio_test, significance_test, unexplained
 from gatedpf.harness import (
     STREAM_FILTER_DEMAND,
     STREAM_FILTER_RESAMPLE,
@@ -44,10 +44,11 @@ from gatedpf.sensing import (
     GnssSpec,
     LoopDetectorSpec,
     fault_log_density,
+    measurement_rows,
     standardize,
 )
 
-from conftest import list_measurement_rows, small_network
+from conftest import small_network
 
 
 def micro_config(horizon=12, particles=30, seeds=(5,), variants=None, fault_probability=0.4):
@@ -188,10 +189,9 @@ class TestFilterLoop:
     )
     def test_matches_hand_composed_pipeline(self, variant):
         # Regression against a pipeline composed by hand from the library's
-        # pieces on the same random streams, with each step's rows built
-        # from its measurement objects: estimates and decisions must match
-        # bit for bit.  The log is handed over in reverse step order, which
-        # the filter must undo.
+        # pieces on the same random streams: estimates and decisions must
+        # match bit for bit.  The log is handed over in reverse step order,
+        # which the filter must undo.
         config = micro_config(horizon=12, variants=(variant,))
         seed = config.seeds[0]
         base = RandomSource(seed)
@@ -207,9 +207,10 @@ class TestFilterLoop:
         ens = ParticleEnsemble.from_states(np.tile(init, (config.particles, 1)))
 
         def transition(states, rng):
-            upstream, ramps = config.schedule.sample(k - 1, rng, size=states.shape[0])
+            upstream, ramps = config.schedule.sample(k - 1, rng, states.shape[0], demand)
             return advance(states, config.network, upstream, ramps)[0]
 
+        demand = config.schedule.table(range(config.horizon))
         rng_demand = RandomSource(seed).derive(STREAM_FILTER_DEMAND)
         rng_resample = RandomSource(seed).derive(STREAM_FILTER_RESAMPLE)
         loops = {spec.link: spec for spec in config.loop_specs}
@@ -230,7 +231,7 @@ class TestFilterLoop:
                     if speed_links
                     else None
                 )
-                values, mean, std, is_speed = list_measurement_rows(
+                values, mean, std, is_speed = measurement_rows(
                     ms, prior.particles, field, speed_links, loops, config.gnss_spec
                 )
                 z, log_g0 = standardize(values, mean, std)
@@ -247,8 +248,9 @@ class TestFilterLoop:
                             prior.weights, log_g0[tested], log_g1[:, None], variant.alpha,
                             config.np_mass_normalized,
                         )
-                    rejected[tested] = gate.rejected
-                    for i, stat, rej, aux in zip(tested, gate.statistic, gate.rejected, gate.auxiliary):
+                    gate_rejected = gate.rejected | unexplained(prior.weights, log_g0[tested])
+                    rejected[tested] = gate_rejected
+                    for i, stat, rej, aux in zip(tested, gate.statistic, gate_rejected, gate.auxiliary):
                         m = ms[i]
                         decisions.append(
                             DecisionRecord(

@@ -244,6 +244,21 @@ class TestBuiltEnsembles:
         assert out.particles is made[0]
         assert not made[0].flags.writeable
 
+    def test_transition_must_not_reuse_its_output(self):
+        # A transition that writes its draws into one kept buffer breaks the
+        # contract: the first ensemble holds the buffer, read-only, so the
+        # second call's write fails and the first ensemble is unchanged.
+        buffer = np.empty((2, 1))
+
+        def reusing(states, rng):
+            np.add(states, 1.0, out=buffer)
+            return buffer
+
+        first = predict(scalar_ensemble([1.0, 2.0]), reusing, RandomSource(1))
+        with pytest.raises(ValueError, match="read-only"):
+            predict(first, reusing, RandomSource(1))
+        assert first.particles.ravel().tolist() == [2.0, 3.0]
+
     @pytest.mark.parametrize("transition", [identity, lambda states, rng: states[:, :]])
     def test_predict_copies_the_input_or_a_view(self, transition):
         ens = scalar_ensemble([1.0, 2.0])

@@ -5,8 +5,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gatedpf.ctm import FreewayNetwork, LinkParams
 from gatedpf.errors import ConfigurationError, DataError
@@ -17,7 +15,6 @@ from gatedpf.sensing import (
     GnssSpec,
     LabeledMeasurement,
     LoopDetectorSpec,
-    compile_measurement_log,
     fault_log_density,
     gaussian_log_pdf,
     inject_faults,
@@ -30,7 +27,7 @@ from gatedpf.sensing import (
     write_measurement_log,
 )
 
-from conftest import list_measurement_rows, small_network
+from conftest import small_network
 from test_harness import micro_config
 
 
@@ -173,18 +170,12 @@ def speed_report(value, link=0):
     return LabeledMeasurement(k=1, sensor_id="g", kind="gnss_speed", link=link, value=value, faulty=False)
 
 
-def step_rows(measurements, particles, speeds=None, loop_specs=(), gnss_spec=GnssSpec()):
-    """Rows of one step's measurements (all at k = 1), through a compiled log."""
-    log = compile_measurement_log(measurements, particles.shape[1], 2, loop_specs, gnss_spec)
-    return measurement_rows(log, 1, particles, speeds)
-
-
 class TestMeasurementModels:
     def test_loop_model_moments(self):
         spec = LoopDetectorSpec(link=1, noise_frac=0.1, min_std=0.002)
         states = np.array([[0.0, 0.05], [0.0, 0.001]])
         loop = LabeledMeasurement(k=1, sensor_id="loop-1", kind="loop_density", link=1, value=0.04, faulty=False)
-        values, mean, std, is_speed = step_rows([loop], states, loop_specs=[spec])
+        values, mean, std, is_speed = measurement_rows([loop], states, None, (), {1: spec}, GnssSpec())
         np.testing.assert_allclose(mean, [[0.05, 0.001]])
         np.testing.assert_allclose(std, [[0.005, 0.002]])  # floor binds on particle 2
         assert values.tolist() == [0.04] and not is_speed[0]
@@ -192,18 +183,20 @@ class TestMeasurementModels:
     def test_loop_model_absolute_noise(self):
         spec = LoopDetectorSpec(link=0, noise_abs=0.004, min_std=0.002)
         loop = LabeledMeasurement(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.04, faulty=False)
-        _, mean, std, _ = step_rows([loop], np.array([[0.05], [0.0]]), loop_specs=[spec])
+        _, mean, std, _ = measurement_rows([loop], np.array([[0.05], [0.0]]), None, (), {0: spec}, GnssSpec())
         np.testing.assert_array_equal(mean, [[0.05, 0.0]])
         np.testing.assert_array_equal(std, [[0.004, 0.004]])
         floored = LoopDetectorSpec(link=0, noise_abs=0.001, min_std=0.002)
-        _, _, std, _ = step_rows([loop], np.array([[0.05]]), loop_specs=[floored])
+        _, _, std, _ = measurement_rows([loop], np.array([[0.05]]), None, (), {0: floored}, GnssSpec())
         np.testing.assert_array_equal(std, [[0.002]])
 
     def test_fault_mixture_favors_zero_reports(self):
         # Correct fault model at y = 0 dwarfs the null for any particle
         # predicting at least 5 m/s.
         speeds = np.array([[5.0], [15.0], [25.0]])
-        values, mean, std, _ = step_rows([speed_report(0.0)], np.zeros((3, 1)), speeds)
+        values, mean, std, _ = measurement_rows(
+            [speed_report(0.0)], np.zeros((3, 1)), speeds, [0], {}, GnssSpec()
+        )
         _, log_g0 = standardize(values, mean, std)
         log_g1 = fault_log_density(values, "np_correct", FaultConfig(), zero_std=0.5)
         ratio = np.exp(log_g1[:, None] - log_g0)
@@ -241,8 +234,8 @@ class TestBuildSensorModels:
     def _rows(self, speeds=((10.0,), (14.0,))):
         loop = LabeledMeasurement(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.05, faulty=False)
         particles = np.array([[0.04], [0.06]])
-        return step_rows(
-            [loop, speed_report(12.0)], particles, np.array(speeds), [LoopDetectorSpec(link=0)]
+        return measurement_rows(
+            [loop, speed_report(12.0)], particles, np.array(speeds), [0], {0: LoopDetectorSpec(link=0)}, GnssSpec()
         )
 
     def test_fisher_mode(self):
@@ -286,83 +279,6 @@ class TestBuildSensorModels:
         bad_kind = [replace(ms[0], kind="radar")]
         with pytest.raises(DataError, match="no 'radar' sensor configured on link 1"):
             run_traffic_filter(config, bad_kind, FilterVariant("fisher", 0.01), RandomSource(1))
-
-
-@st.composite
-def step_logs(draw):
-    """A measurement log of a few steps, rows of different steps interleaved,
-    with the detectors and speed spec it is compiled against."""
-    n_links = draw(st.integers(min_value=1, max_value=5))
-    horizon = draw(st.integers(min_value=2, max_value=6))
-    loop_specs = [
-        LoopDetectorSpec(link=link, noise_abs=0.004, min_std=0.002)
-        if draw(st.booleans())
-        else LoopDetectorSpec(link=link, noise_frac=draw(st.sampled_from([0.0, 0.1, 0.3])))
-        for link in sorted(draw(st.sets(st.integers(min_value=0, max_value=n_links - 1))))
-    ]
-    gnss = GnssSpec(noise_frac=draw(st.sampled_from([0.0, 0.2, 0.35])), min_std=draw(st.sampled_from([0.5, 1e-3])))
-    measurements = []
-    for i in range(draw(st.integers(min_value=0, max_value=30))):
-        k = draw(st.integers(min_value=1, max_value=horizon - 1))
-        if loop_specs and draw(st.booleans()):
-            kind, link = "loop_density", draw(st.sampled_from([s.link for s in loop_specs]))
-        else:
-            kind, link = "gnss_speed", draw(st.integers(min_value=0, max_value=n_links - 1))
-        value = draw(st.floats(min_value=0.0, max_value=1e3))
-        measurements.append(LabeledMeasurement(k, f"s{i}", kind, link, value, draw(st.booleans())))
-    return measurements, n_links, horizon, loop_specs, gnss
-
-
-class TestCompiledLog:
-    @given(step_logs(), st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=200, deadline=None)
-    def test_rows_equal_list_built_rows(self, case, n_particles, seed):
-        # Each step's rows from the compiled log carry the same bytes as the
-        # rows built from that step's measurement objects.
-        measurements, n_links, horizon, loop_specs, gnss = case
-        rng = np.random.default_rng(seed)
-        particles = 0.1 * rng.random((n_particles, n_links))
-        log = compile_measurement_log(measurements, n_links, horizon, loop_specs, gnss)
-        loops = {spec.link: spec for spec in loop_specs}
-        for k in range(1, horizon):
-            step = [m for m in measurements if m.k == k]
-            assert log.measurements[log.bounds[k] : log.bounds[k + 1]] == tuple(step)
-            speed_links = sorted({m.link for m in step if m.kind == "gnss_speed"})
-            got_links = log.speed_links[log.speed_bounds[k] : log.speed_bounds[k + 1]]
-            assert got_links.tolist() == speed_links
-            if not step:
-                continue
-            speeds = 30.0 * rng.random((n_particles, len(speed_links))) if speed_links else None
-            got = measurement_rows(log, k, particles, speeds)
-            expected = list_measurement_rows(step, particles, speeds, speed_links, loops, gnss)
-            for a, b in zip(got, expected):
-                assert a.shape == b.shape
-                assert a.tobytes() == b.tobytes()
-
-    def test_first_bad_measurement_is_named(self):
-        def m(k, sensor_id, link, kind="gnss_speed"):
-            return LabeledMeasurement(k, sensor_id, kind, link, 1.0, False)
-
-        def compile_(ms):
-            return compile_measurement_log(ms, 3, 5, [LoopDetectorSpec(link=0)], GnssSpec())
-
-        with pytest.raises(DataError, match=r"^measurement 'a' at step 2 names link 7, outside"):
-            compile_([m(1, "ok", 0), m(2, "a", 7), m(9, "b", 0)])
-        with pytest.raises(DataError, match=r"^measurement at step 9 outside assimilation window \[1, 4\]"):
-            compile_([m(9, "b", 0), m(2, "a", 7)])
-        with pytest.raises(DataError, match=r"^measurement 'c' at step 3: no 'loop_density' sensor"):
-            compile_([m(3, "c", 1, "loop_density"), m(2, "a", 7)])
-        # Numbers past int64 are named as written.
-        with pytest.raises(DataError, match=f"names link {10**30},"):
-            compile_([m(1, "ok", 0), m(2, "a", 10**30)])
-        with pytest.raises(DataError, match=f"at step {-(10**30)} outside"):
-            compile_([m(-(10**30), "a", 0)])
-
-    def test_empty_log(self):
-        log = compile_measurement_log([], 3, 4, (), GnssSpec())
-        assert log.bounds == [0, 0, 0, 0, 0]
-        assert log.speed_bounds == [0, 0, 0, 0, 0]
-        assert log.values.shape == (0,) and log.links.shape == (0,)
 
 
 class TestMeasurementLog:
