@@ -70,6 +70,7 @@ from .harness import (
     mape,
     run_experiment,
     run_traffic_filter,
+    simulate_seed,
 )
 from .scenario import Scenario, default_scenario, default_scenario_dict, load_scenario
 

@@ -12,23 +12,21 @@ import json
 import sys
 from pathlib import Path
 
-from .ctm import simulate
 from .errors import ConfigurationError, DataError, WeightCollapseError
 from .fileio import atomic_write_text, write_matrix_csv
 from .harness import (
-    STREAM_TRUTH,
     FilterVariant,
-    generate_measurements,
     metrics_long_text,
     metrics_wide_text,
     read_metrics_long,
     run_experiment,
     run_traffic_filter,
+    simulate_seed,
     write_decision_log,
 )
 from .rng import RandomSource
 from .scenario import load_scenario, write_manifest
-from .sensing import read_measurement_log, write_measurement_log
+from .sensing import HYPOTHESIS_MODES, read_measurement_log, write_measurement_log
 
 
 def _say(args, message: str) -> None:
@@ -47,18 +45,7 @@ def cmd_simulate(args) -> int:
     }
     write_manifest(out, "simulate", scenario, [seed], artifacts)
     _say(args, f"simulating {scenario.horizon} steps with seed {seed}")
-    base = RandomSource(seed)
-    truth = simulate(
-        scenario.network, scenario.schedule, scenario.horizon, base.derive(STREAM_TRUTH)
-    )
-    measurements = generate_measurements(
-        truth,
-        scenario.network,
-        scenario.loop_specs,
-        scenario.gnss_spec,
-        scenario.fault_config,
-        base,
-    )
+    truth, measurements = simulate_seed(scenario, seed)
     write_matrix_csv(out / artifacts["true_density"], truth.states.T)
     write_matrix_csv(out / artifacts["true_speeds"], truth.speeds.T)
     write_measurement_log(out / artifacts["measurements"], measurements)
@@ -88,14 +75,13 @@ def cmd_filter(args) -> int:
         extra={"variant": variant.mode, "alpha": variant.alpha, "log": str(args.log)},
     )
     _say(args, f"running {variant.label} filter with seed {seed}")
-    config = scenario.experiment_config(seeds=[seed])
-    result = run_traffic_filter(config, measurements, variant, RandomSource(seed))
+    result = run_traffic_filter(scenario, measurements, variant, RandomSource(seed))
     write_matrix_csv(out / artifacts["estimated_density"], result.estimates.T)
     write_decision_log(out / artifacts["decisions"], result.decisions)
     rejected = sum(1 for d in result.decisions if d.rejected)
     _say(
         args,
-        f"assimilated {config.horizon - 1} steps, "
+        f"assimilated {scenario.horizon - 1} steps, "
         f"{rejected}/{len(result.decisions)} measurements rejected",
     )
     return 0
@@ -112,7 +98,8 @@ def cmd_sweep(args) -> int:
     write_manifest(out, "sweep", scenario, seeds, artifacts)
     _say(
         args,
-        f"sweep: {len(scenario.modes)} variants x {len(scenario.alphas)} levels "
+        f"sweep: {len({v.mode for v in scenario.variants})} variants "
+        f"x {len(scenario.alphas)} levels "
         f"x {len(seeds)} seeds",
     )
 
@@ -213,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fil.add_argument(
         "--variant",
         required=True,
-        choices=["none", "fisher", "np_correct", "np_incorrect"],
+        choices=HYPOTHESIS_MODES,
     )
     p_fil.add_argument("--alpha", type=float, default=None, help="significance level")
     p_fil.add_argument("--out", required=True, help="output directory")

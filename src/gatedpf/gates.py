@@ -126,19 +126,22 @@ def significance_test(weights: np.ndarray, z: np.ndarray, alpha: float) -> GateR
     its two-sided standard-normal tail probability is the p-value, and the
     null is rejected when that falls below ``alpha``.  An infinite residual
     at a zero-weight particle carries no weight: such a row is averaged
-    over the positive-weight particles only, so its statistic is infinite
-    and its p-value 0.
+    over the positive-weight particles only.  A row whose positive-weight
+    residuals hold both ``+inf`` and ``-inf`` has no average; its statistic
+    is ``+inf`` and its p-value 0.
     """
     weights = np.asarray(weights, dtype=float)
     z = np.asarray(z, dtype=float)
     # An infinite residual at a zero-weight particle gives 0 * inf = NaN:
-    # such rows are summed again over the positive-weight particles.
+    # such rows are summed again over the positive-weight particles, where
+    # opposite infinities still give NaN.
     with np.errstate(invalid="ignore"):
         stat = np.sum(z * weights, axis=1)
-    bad = np.isnan(stat)
-    if bad.any():
-        positive = weights > 0.0
-        stat[bad] = np.sum(z[bad][:, positive] * weights[positive], axis=1)
+        bad = np.isnan(stat)
+        if bad.any():
+            positive = weights > 0.0
+            stat[bad] = np.sum(z[bad][:, positive] * weights[positive], axis=1)
+            stat[np.isnan(stat)] = np.inf
     p_value = 2.0 * ndtr(-np.abs(stat))
     return GateRows(
         kind=GateKind.FISHER,

@@ -3,9 +3,11 @@
 One experiment run simulates a ground-truth traffic realization, generates
 labeled measurements (loop densities plus fault-injected speed reports),
 then runs the gated particle filter once per configured (test mode, level)
-variant against the same measurement log.  Detection quality is scored as a
-confusion matrix over the gate decisions; estimation quality as the mean
-absolute percentage error of the posterior-mean density trajectory.
+variant against the same measurement log; ``gatedpf simulate`` builds a
+seed's truth and log on the same path, :func:`simulate_seed`.  Detection
+quality is scored as a confusion matrix over the gate decisions; estimation
+quality as the mean absolute percentage error of the posterior-mean density
+trajectory.
 
 Randomness is organized into named streams off each seed, so the truth,
 the sensing noise, the fault draws, and the filter's own model noise are
@@ -141,7 +143,8 @@ class FilterVariant:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one experiment needs; see the scenario file for defaults.
+    """Everything one experiment needs.  A loaded scenario is one, and a
+    field its file omits takes the default stated here.
 
     ``initial_state`` and ``demand_table`` are derived, not fields: the
     equilibrium start every run of this config shares, and the schedule's
@@ -250,6 +253,22 @@ def generate_measurements(
             sample_gnss_speeds(truth.speeds[k], counts, gnss_spec, rng_gnss, k)
         )
     return inject_faults(measurements, fault_config, rng_faults)
+
+
+def simulate_seed(
+    config: ExperimentConfig, seed: int
+) -> tuple[Trajectory, list[LabeledMeasurement]]:
+    """The truth run of ``seed``, from ``config.initial_state`` on stream
+    ``STREAM_TRUTH``, and the measurement log generated from it."""
+    base = RandomSource(seed)
+    truth = simulate(
+        config.network, config.schedule, config.horizon, base.derive(STREAM_TRUTH),
+        initial_state=config.initial_state,
+    )
+    measurements = generate_measurements(
+        truth, config.network, config.loop_specs, config.gnss_spec, config.fault_config, base
+    )
+    return truth, measurements
 
 
 def _run_gate(config, variant, weights, tested, values, z, log_g0) -> GateRows:
@@ -514,21 +533,7 @@ def run_experiment(config: ExperimentConfig, on_run: RunSink | None = None) -> M
     runs: list[RunMetrics] = []
     for seed in config.seeds:
         base = RandomSource(seed)
-        truth = simulate(
-            config.network,
-            config.schedule,
-            config.horizon,
-            base.derive(STREAM_TRUTH),
-            initial_state=config.initial_state,
-        )
-        measurements = generate_measurements(
-            truth,
-            config.network,
-            config.loop_specs,
-            config.gnss_spec,
-            config.fault_config,
-            base,
-        )
+        truth, measurements = simulate_seed(config, seed)
         true_slice = truth.states[1 : config.horizon]
         for variant in config.variants:
             try:
@@ -598,10 +603,10 @@ def _flag(text: str, name: str) -> bool:
     return text == "1"
 
 
-def _number(text: str, name: str, nan_ok: bool = False) -> float:
-    """A float field; never infinite, and NaN only where ``nan_ok``."""
+def _number(text: str, name: str, nan_ok: bool = False, inf_ok: bool = False) -> float:
+    """A float field; infinite only where ``inf_ok``, NaN only where ``nan_ok``."""
     value = float(text)
-    if math.isinf(value) or (math.isnan(value) and not nan_ok):
+    if (math.isinf(value) and not inf_ok) or (math.isnan(value) and not nan_ok):
         raise ValueError(f"{name} must be finite, got {text!r}")
     return value
 
@@ -615,7 +620,11 @@ def _count(text: str, name: str) -> int:
 
 def read_decision_log(path: str | Path) -> list[DecisionRecord]:
     """Read a decision log back; a row that :func:`write_decision_log`
-    cannot have written raises :class:`DataError` naming ``path:line``."""
+    cannot have written raises :class:`DataError` naming ``path:line``.
+
+    A gate's statistic and auxiliary may be infinite (a residual too large
+    to hold, a null mass that overflows), never NaN; the level is finite.
+    """
     out: list[DecisionRecord] = []
     for lineno, row in read_csv_rows(path, DECISION_COLUMNS, "decision log"):
         try:
@@ -625,10 +634,10 @@ def read_decision_log(path: str | Path) -> list[DecisionRecord]:
                     sensor_id=row[1],
                     link=int(row[2]),
                     test_kind=row[3],
-                    statistic=_number(row[4], "statistic"),
+                    statistic=_number(row[4], "statistic", inf_ok=True),
                     alpha=_number(row[5], "alpha"),
                     rejected=_flag(row[6], "rejected"),
-                    auxiliary=_number(row[7], "auxiliary"),
+                    auxiliary=_number(row[7], "auxiliary", inf_ok=True),
                     faulty=None if row[8] == "" else _flag(row[8], "faulty"),
                 )
             )

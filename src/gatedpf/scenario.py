@@ -1,12 +1,15 @@
 """Scenario files: schema validation, defaults, and run manifests.
 
 A scenario is a YAML document with five sections (network, demand, sensors,
-filter, run) that fully determines an experiment; every module-level
+filter, run) that fully determines an experiment: the loaded
+:class:`Scenario` is the study's :class:`~gatedpf.harness.ExperimentConfig`.
+An omitted optional field takes the default of the model type it
+configures; the loader states no default of its own.  Every module-level
 invariant (CFL conditions, level ranges, spec consistency) is checked at
-load time so an invalid scenario never produces output files.  The run
-manifest written at the start of every command records a hash over the
-resolved scenario and all result-affecting arguments: identical manifests
-imply byte-identical outputs.
+load time, with the field's path, so an invalid scenario never produces
+output files.  The run manifest written at the start of every command
+records a hash over the resolved scenario and all result-affecting
+arguments: identical manifests imply byte-identical outputs.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -32,52 +35,19 @@ from .sensing import FaultConfig, GnssSpec, HYPOTHESIS_MODES, LoopDetectorSpec
 DEFAULT_SCENARIO_FILE = "default_scenario.yaml"
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """Validated scenario: model objects plus the resolved raw document."""
+@dataclass(frozen=True, kw_only=True)
+class Scenario(ExperimentConfig):
+    """Validated scenario: the study's experiment config, whose ``variants``
+    are every mode at every level in ``alphas`` order and the ungated
+    ``none`` once, in mode order with repeats dropped; plus the levels and
+    the resolved raw document."""
 
-    network: FreewayNetwork
-    schedule: DemandSchedule
-    loop_specs: tuple[LoopDetectorSpec, ...]
-    gnss_spec: GnssSpec
-    fault_config: FaultConfig
-    particles: int
-    modes: tuple[str, ...]
     alphas: tuple[float, ...]
-    resample_threshold: float
-    np_mass_normalized: bool
-    h1_zero_std: float
-    mape_floor: float
-    horizon: int
-    seeds: tuple[int, ...]
     raw: dict
 
     def experiment_config(self, seeds: Sequence[int] | None = None) -> ExperimentConfig:
-        """The study over ``seeds`` (default: the scenario's): every mode
-        at every level in ``alphas`` order, the ungated ``none`` once, in
-        mode order with repeats dropped."""
-        variants = tuple(
-            dict.fromkeys(
-                FilterVariant(mode=m, alpha=None if m == "none" else float(a))
-                for m in self.modes
-                for a in ((None,) if m == "none" else self.alphas)
-            )
-        )
-        return ExperimentConfig(
-            network=self.network,
-            schedule=self.schedule,
-            horizon=self.horizon,
-            particles=self.particles,
-            loop_specs=self.loop_specs,
-            gnss_spec=self.gnss_spec,
-            fault_config=self.fault_config,
-            variants=variants,
-            seeds=tuple(seeds) if seeds is not None else self.seeds,
-            resample_threshold=self.resample_threshold,
-            np_mass_normalized=self.np_mass_normalized,
-            h1_zero_std=self.h1_zero_std,
-            mape_floor=self.mape_floor,
-        )
+        """The study over ``seeds`` (default: the scenario's)."""
+        return self if seeds is None else replace(self, seeds=tuple(seeds))
 
 
 def _fail(path: str, message: str) -> None:
@@ -94,12 +64,11 @@ def _section(doc: Mapping, key: str, path: str = "") -> Mapping:
     return value
 
 
-def _get(doc: Mapping, key: str, path: str, kind, default=None, required: bool = False):
+def _get(doc: Mapping, key: str, path: str, kind):
+    """The required field ``doc[key]``, checked against ``kind``."""
     where = f"{path}.{key}"
     if key not in doc:
-        if required:
-            _fail(where, "missing required field")
-        return default
+        _fail(where, "missing required field")
     value = doc[key]
     if kind is float:
         return _finite(value, where)
@@ -108,6 +77,20 @@ def _get(doc: Mapping, key: str, path: str, kind, default=None, required: bool =
     if not isinstance(value, kind):
         _fail(where, f"expected {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def _optional(doc: Mapping, path: str, **kinds) -> dict:
+    """The fields of ``kinds`` that ``doc`` holds, each checked against its
+    kind; an absent one is left to the default of the model type."""
+    return {key: _get(doc, key, path, kind) for key, kind in kinds.items() if key in doc}
+
+
+def _build(model, path: str, **fields):
+    """``model(**fields)``, with the model's own error prefixed by ``path``."""
+    try:
+        return model(**fields)
+    except ConfigurationError as exc:
+        _fail(path, str(exc))
 
 
 def _finite(value, where: str) -> float:
@@ -130,22 +113,19 @@ def _integer(value, where: str) -> int:
 def _profile(doc, path: str) -> DemandProfile:
     if not isinstance(doc, Mapping):
         _fail(path, "must be a mapping")
-    rise = _get(doc, "rise", path, list, required=True)
-    fall = _get(doc, "fall", path, list, required=True)
+    rise = _get(doc, "rise", path, list)
+    fall = _get(doc, "fall", path, list)
     if len(rise) != 2 or len(fall) != 2:
         _fail(path, "rise and fall must each be [start, end] times in seconds")
-    try:
-        return DemandProfile(
-            base=_get(doc, "base", path, float, required=True),
-            peak=_get(doc, "peak", path, float, required=True),
-            rise=tuple(_finite(t, f"{path}.rise[{i}]") for i, t in enumerate(rise)),
-            fall=tuple(_finite(t, f"{path}.fall[{i}]") for i, t in enumerate(fall)),
-            noise_frac=_get(doc, "noise_frac", path, float, default=0.0),
-        )
-    except ConfigurationError as exc:
-        if str(exc).startswith(path):
-            raise
-        _fail(path, str(exc))
+    return _build(
+        DemandProfile,
+        path,
+        base=_get(doc, "base", path, float),
+        peak=_get(doc, "peak", path, float),
+        rise=tuple(_finite(t, f"{path}.rise[{i}]") for i, t in enumerate(rise)),
+        fall=tuple(_finite(t, f"{path}.fall[{i}]") for i, t in enumerate(fall)),
+        **_optional(doc, path, noise_frac=float),
+    )
 
 
 def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
@@ -157,8 +137,8 @@ def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
         raise ConfigurationError(f"{source}: scenario document must be a mapping")
 
     net_doc = _section(doc, "network")
-    dt = _get(net_doc, "dt", "network", float, required=True)
-    links_doc = _get(net_doc, "links", "network", list, required=True)
+    dt = _get(net_doc, "dt", "network", float)
+    links_doc = _get(net_doc, "links", "network", list)
     if not links_doc:
         _fail("network.links", "needs at least one link")
     links = []
@@ -166,31 +146,11 @@ def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
         path = f"network.links[{i}]"
         if not isinstance(link_doc, Mapping):
             _fail(path, "must be a mapping")
-        try:
-            links.append(
-                LinkParams(
-                    length=_get(link_doc, "length", path, float, required=True),
-                    vf=_get(link_doc, "vf", path, float, required=True),
-                    w=_get(link_doc, "w", path, float, required=True),
-                    qmax=_get(link_doc, "qmax", path, float, required=True),
-                    rho_jam=_get(link_doc, "rho_jam", path, float, required=True),
-                    onramp=bool(_get(link_doc, "onramp", path, bool, default=False)),
-                    offramp=bool(_get(link_doc, "offramp", path, bool, default=False)),
-                    beta=_get(link_doc, "beta", path, float, default=0.0),
-                )
-            )
-        except ConfigurationError as exc:
-            if str(exc).startswith(path):
-                raise
-            _fail(path, str(exc))
-    try:
-        network = FreewayNetwork(
-            links=tuple(links),
-            dt=dt,
-            onramp_priority=_get(net_doc, "onramp_priority", "network", float, default=0.5),
-        )
-    except ConfigurationError as exc:
-        _fail("network", str(exc))
+        shape = {k: _get(link_doc, k, path, float) for k in ("length", "vf", "w", "qmax", "rho_jam")}
+        ramps = _optional(link_doc, path, onramp=bool, offramp=bool, beta=float)
+        links.append(_build(LinkParams, path, **shape, **ramps))
+    priority = _optional(net_doc, "network", onramp_priority=float)
+    network = _build(FreewayNetwork, "network", links=tuple(links), dt=dt, **priority)
 
     demand_doc = _section(doc, "demand")
     upstream = _profile(_section(demand_doc, "upstream", "demand"), "demand.upstream")
@@ -213,12 +173,8 @@ def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
 
     sensors_doc = _section(doc, "sensors")
     loops_doc = _section(sensors_doc, "loops", "sensors")
-    loop_links = _get(loops_doc, "links", "sensors.loops", list, required=True)
-    loop_frac = _get(loops_doc, "noise_frac", "sensors.loops", float)
-    loop_abs = _get(loops_doc, "noise_abs", "sensors.loops", float)
-    loop_min = _get(loops_doc, "min_std", "sensors.loops", float, default=0.002)
-    if loop_frac is None and loop_abs is None:
-        loop_frac = 0.10
+    loop_links = _get(loops_doc, "links", "sensors.loops", list)
+    noise = _optional(loops_doc, "sensors.loops", noise_frac=float, noise_abs=float, min_std=float)
     loop_specs = []
     for i, link in enumerate(loop_links):
         if not 0 <= _integer(link, f"sensors.loops.links[{i}]") < network.n_links:
@@ -226,47 +182,29 @@ def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
         if link in loop_links[:i]:
             # A detector's sensor id is its link, so two would share one id.
             _fail(f"sensors.loops.links[{i}]", f"link {link} already has a loop detector")
-        try:
-            loop_specs.append(
-                LoopDetectorSpec(
-                    link=link, noise_frac=loop_frac, noise_abs=loop_abs, min_std=loop_min
-                )
-            )
-        except ConfigurationError as exc:
-            _fail("sensors.loops", str(exc))
+        loop_specs.append(_build(LoopDetectorSpec, "sensors.loops", link=link, **noise))
 
     gnss_doc = _section(sensors_doc, "gnss", "sensors")
-    try:
-        gnss_spec = GnssSpec(
-            penetration=_get(gnss_doc, "penetration", "sensors.gnss", float, default=0.02),
-            noise_frac=_get(gnss_doc, "noise_frac", "sensors.gnss", float, default=0.20),
-            min_std=_get(gnss_doc, "min_std", "sensors.gnss", float, default=0.5),
-        )
-    except ConfigurationError as exc:
-        _fail("sensors.gnss", str(exc))
-
+    gnss = _optional(gnss_doc, "sensors.gnss", penetration=float, noise_frac=float, min_std=float)
+    gnss_spec = _build(GnssSpec, "sensors.gnss", **gnss)
     faults_doc = _section(sensors_doc, "faults", "sensors")
-    try:
-        fault_config = FaultConfig(
-            probability=_get(faults_doc, "probability", "sensors.faults", float, default=0.30),
-            zero_weight=_get(faults_doc, "zero_weight", "sensors.faults", float, default=1.0 / 3.0),
-            speed_mean=_get(faults_doc, "speed_mean", "sensors.faults", float, default=30.0),
-            speed_std=_get(faults_doc, "speed_std", "sensors.faults", float, default=10.0),
-        )
-    except ConfigurationError as exc:
-        _fail("sensors.faults", str(exc))
+    faults = _optional(
+        faults_doc, "sensors.faults",
+        probability=float, zero_weight=float, speed_mean=float, speed_std=float,
+    )
+    fault_config = _build(FaultConfig, "sensors.faults", **faults)
 
     filter_doc = _section(doc, "filter")
-    particles = _get(filter_doc, "particles", "filter", int, required=True)
+    particles = _get(filter_doc, "particles", "filter", int)
     if particles < 2:
         _fail("filter.particles", "must be at least 2")
-    modes = tuple(_get(filter_doc, "variants", "filter", list, required=True))
+    modes = _get(filter_doc, "variants", "filter", list)
     for m in modes:
         if m not in HYPOTHESIS_MODES:
             _fail("filter.variants", f"unknown variant {m!r}; expected one of {HYPOTHESIS_MODES}")
     alphas = tuple(
         _finite(a, f"filter.alphas[{i}]")
-        for i, a in enumerate(_get(filter_doc, "alphas", "filter", list, required=True))
+        for i, a in enumerate(_get(filter_doc, "alphas", "filter", list))
     )
     for a in alphas:
         if not (0.0 < a < 1.0):
@@ -275,38 +213,43 @@ def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
         _fail("filter.alphas", "needs at least one level")
 
     run_doc = _section(doc, "run")
-    horizon = _get(run_doc, "horizon", "run", int, required=True)
+    horizon = _get(run_doc, "horizon", "run", int)
     if horizon < 1:
         _fail("run.horizon", "must be at least 1")
     seeds = tuple(
         _integer(s, f"run.seeds[{i}]")
-        for i, s in enumerate(_get(run_doc, "seeds", "run", list, required=True))
+        for i, s in enumerate(_get(run_doc, "seeds", "run", list))
     )
     if not seeds:
         _fail("run.seeds", "needs at least one seed")
 
-    scenario = Scenario(
+    return Scenario(
         network=network,
         schedule=schedule,
+        horizon=horizon,
+        particles=particles,
         loop_specs=tuple(loop_specs),
         gnss_spec=gnss_spec,
         fault_config=fault_config,
-        particles=particles,
-        modes=modes,
-        alphas=alphas,
-        resample_threshold=_get(filter_doc, "resample_threshold", "filter", float, default=0.5),
-        np_mass_normalized=bool(
-            _get(filter_doc, "np_mass_normalized", "filter", bool, default=False)
+        variants=tuple(
+            dict.fromkeys(
+                FilterVariant(mode=m, alpha=a)
+                for m in modes
+                for a in ((None,) if m == "none" else alphas)
+            )
         ),
-        h1_zero_std=_get(filter_doc, "h1_zero_std", "filter", float, default=0.5),
-        mape_floor=_get(run_doc, "mape_floor", "run", float, default=1e-4),
-        horizon=horizon,
         seeds=seeds,
+        **_optional(
+            filter_doc,
+            "filter",
+            resample_threshold=float,
+            np_mass_normalized=bool,
+            h1_zero_std=float,
+        ),
+        **_optional(run_doc, "run", mape_floor=float),
+        alphas=alphas,
         raw=_as_plain(doc),
     )
-    # Surface remaining config-level contract violations at load time.
-    scenario.experiment_config()
-    return scenario
 
 
 def load_scenario(path: str | Path) -> Scenario:

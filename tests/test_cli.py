@@ -318,6 +318,19 @@ class TestSweepAndReport:
         assert "manifest.json" in err and "metrics.csv" in err
 
 
+class TestSimulateMatchesSweep:
+    def test_sweep_writes_the_simulated_truth_and_log(self, scenario_path, tmp_path):
+        sweep = tmp_path / "sweep"
+        assert run_cli("sweep", "--scenario", scenario_path, "--out", sweep, "--quiet") == 0
+        for seed in tiny_scenario_dict()["run"]["seeds"]:
+            sim = tmp_path / f"sim_{seed}"
+            assert run_cli(
+                "simulate", "--scenario", scenario_path, "--seed", seed, "--out", sim, "--quiet"
+            ) == 0
+            for name in ("true_density.csv", "measurements.csv"):
+                assert (sweep / f"seed_{seed}" / name).read_bytes() == (sim / name).read_bytes()
+
+
 class TestSeedOverride:
     def test_seed_flag_changes_output(self, scenario_path, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -487,6 +500,34 @@ class TestExtremeSpeedValue:
             "--variant", variant, "--alpha", "0.05", "--out", fuzz_dir / "flt_extreme", "--quiet",
         )
         assert code in ((0, 3) if variant == "none" else (0,))
+
+    def test_infinite_residual_decision_reads_back(self, tmp_path):
+        # With no relative speed noise the null std is min_std, so the
+        # largest float is an infinite residual: its decision row holds
+        # p-value 0 and statistic inf, and the log must read back.
+        doc = tiny_scenario_dict()
+        doc["run"]["horizon"] = 10
+        doc["sensors"]["gnss"]["noise_frac"] = 0.0
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(yaml.safe_dump(doc))
+        sim = tmp_path / "sim"
+        assert run_cli("simulate", "--scenario", scenario, "--seed", 7, "--out", sim, "--quiet") == 0
+        lines = (sim / "measurements.csv").read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if ",gnss_speed," in line)
+        fields = lines[i].split(",")
+        fields[4] = "1.7976931348623157e+308"
+        lines[i] = ",".join(fields)
+        log = tmp_path / "log.csv"
+        log.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "flt"
+        code = run_cli(
+            "filter", "--scenario", scenario, "--log", log, "--seed", 7,
+            "--variant", "fisher", "--alpha", "0.05", "--out", out, "--quiet",
+        )
+        assert code == 0
+        decisions = {d.sensor_id: d for d in read_decision_log(out / "decisions.csv")}
+        decision = decisions[fields[1]]
+        assert (decision.statistic, decision.auxiliary, decision.rejected) == (0.0, np.inf, True)
 
     @pytest.mark.parametrize("variant", ["fisher", "np_correct", "np_incorrect"])
     def test_largest_float_speed_is_rejected(self, fuzz_dir, variant):

@@ -340,6 +340,15 @@ class TestSignificanceBits:
         assert gate.rejected[0]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_opposite_infinite_residuals_reject_with_infinite_statistic(self):
+        # inf + -inf has no average: the row reads as far from the null as
+        # any row can, so the decision log holds 0 and +inf, never NaN.
+        gate = significance_test([0.5, 0.5, 0.0], [[np.inf, -np.inf, 1.0]], 0.05)
+        assert gate.auxiliary[0] == np.inf
+        assert gate.statistic[0] == 0.0
+        assert gate.rejected[0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_rows_keep_their_bits_beside_an_infinite_row(self):
         weights = np.array([0.25, 0.25, 0.5, 0.0])
         z = np.array([[0.1, -0.3, 2.0, 7.0], [-np.inf, -np.inf, -np.inf, 1.0]])

@@ -483,6 +483,18 @@ class TestDecisionLog:
         with pytest.raises(DataError, match=":2"):
             read_decision_log(path)
 
+    def test_infinite_statistic_and_auxiliary_read_back(self, tmp_path):
+        # A gate can write them: an infinite residual, a null mass that
+        # overflows.
+        decisions = [
+            DecisionRecord(1, "g-0", 0, "fisher", 0.0, 0.05, True, np.inf, True),
+            DecisionRecord(2, "g-1", 1, "fisher", 0.0, 0.05, True, -np.inf, False),
+            DecisionRecord(3, "g-2", 2, "neyman_pearson", np.inf, 0.05, False, 4.0, False),
+        ]
+        path = tmp_path / "decisions.csv"
+        write_decision_log(path, decisions)
+        assert read_decision_log(path) == decisions
+
     def test_unlabeled_decision_reads_back(self, tmp_path):
         decisions = [DecisionRecord(3, "g-1", 2, "fisher", 0.5, 0.01, False, 0.25, None)]
         path = tmp_path / "decisions.csv"
@@ -497,9 +509,7 @@ class TestDecisionLog:
             ("1,s,0,fisher,0.5,0.01,,0.0,0", "rejected must be 0 or 1"),
             ("1,s,0,fisher,0.5,0.01,0,0.0,2", "faulty must be 0 or 1"),
             ("1,s,0,fisher,0.5,0.01,0,0.0,-1", "faulty must be 0 or 1"),
-            ("1,s,0,fisher,inf,0.01,0,0.0,0", "statistic must be finite"),
             ("1,s,0,fisher,0.5,-inf,0,0.0,0", "alpha must be finite"),
-            ("1,s,0,fisher,0.5,0.01,0,1e999,0", "auxiliary must be finite"),
             ("1,s,0,fisher,nan,0.01,0,0.0,0", "statistic must be finite"),
             ("1,s,0,fisher,0.5,NaN,0,0.0,0", "alpha must be finite"),
             ("1,s,0,fisher,0.5,0.01,0,nan,0", "auxiliary must be finite"),

@@ -2,12 +2,15 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 import pytest
 import yaml
 
+from gatedpf.ctm import DemandProfile, FreewayNetwork, LinkParams
 from gatedpf.errors import ConfigurationError
-from gatedpf.harness import FilterVariant, run_experiment
+from gatedpf.harness import ExperimentConfig, FilterVariant, run_experiment
+from gatedpf.sensing import FaultConfig, GnssSpec, LoopDetectorSpec
 from gatedpf.scenario import (
     config_hash,
     default_scenario,
@@ -211,12 +214,55 @@ class TestStudyGrid:
         assert not hasattr(scenario_from_dict(doc), "out_dir")
 
 
+def bare_scenario_dict():
+    """``tiny_scenario_dict`` with every optional field omitted."""
+    doc = tiny_scenario_dict()
+    doc["network"]["links"] = [
+        {key: link[key] for key in ("length", "vf", "w", "qmax", "rho_jam")}
+        for link in doc["network"]["links"]
+    ]
+    del doc["demand"]["upstream"]["noise_frac"]
+    del doc["sensors"]["loops"]["noise_frac"]
+    doc["sensors"]["gnss"] = {}
+    doc["sensors"]["faults"] = {}
+    return doc
+
+
+def defaulted_fields(model):
+    """``{name: default}`` of the fields of ``model`` that a document can
+    state: those with a default other than ``None`` (a ``None`` default
+    means the field is absent, which a document says by omitting it)."""
+    return {
+        f.name: f.default
+        for f in dataclasses.fields(model)
+        if f.default is not dataclasses.MISSING and f.default is not None
+    }
+
+
+class TestDefaults:
+    def test_omitted_field_takes_the_model_default(self):
+        bare = bare_scenario_dict()
+        stated = copy.deepcopy(bare)
+        for link in stated["network"]["links"]:
+            link.update(defaulted_fields(LinkParams))
+        stated["network"].update(defaulted_fields(FreewayNetwork))
+        stated["demand"]["upstream"].update(defaulted_fields(DemandProfile))
+        stated["sensors"]["loops"].update(defaulted_fields(LoopDetectorSpec))
+        stated["sensors"]["gnss"].update(defaulted_fields(GnssSpec))
+        stated["sensors"]["faults"].update(defaulted_fields(FaultConfig))
+        for name, default in defaulted_fields(ExperimentConfig).items():
+            stated["run" if name == "mape_floor" else "filter"][name] = default
+        a, b = scenario_from_dict(bare), scenario_from_dict(stated)
+        assert a.raw != b.raw
+        assert dataclasses.replace(a, raw={}) == dataclasses.replace(b, raw={})
+
+
 class TestDefaultScenario:
     def test_default_is_valid(self):
         sc = default_scenario()
         assert sc.network.n_links == 24
         assert len(sc.seeds) == 5
-        assert set(sc.modes) == {"none", "fisher", "np_correct", "np_incorrect"}
+        assert {v.mode for v in sc.variants} == {"none", "fisher", "np_correct", "np_incorrect"}
         assert sc.alphas == (0.001, 0.01, 0.1)
 
     def test_default_dict_is_a_fresh_copy(self):
