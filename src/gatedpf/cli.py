@@ -15,6 +15,7 @@ from pathlib import Path
 from .errors import ConfigurationError, DataError, WeightCollapseError
 from .fileio import atomic_write_text, write_matrix_csv
 from .harness import (
+    METRIC_FIELDS,
     FilterVariant,
     metrics_long_text,
     metrics_wide_text,
@@ -125,16 +126,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-_REPORT_ROWS = (
-    ("tp", "True Positives"),
-    ("fp", "False Positives"),
-    ("tn", "True Negatives"),
-    ("fn", "False Negatives"),
-    ("labeling_error_pct", "Labeling Error (%)"),
-    ("mape_pct", "Density MAPE (%)"),
-)
-
-
 def cmd_report(args) -> int:
     run_dir = Path(args.run)
     manifest_path = run_dir / "manifest.json"
@@ -167,7 +158,7 @@ def cmd_report(args) -> int:
             f"{('alpha=%g' % a) if a is not None else 'value':>20}" for a in alphas
         )
         print(header)
-        for attr, label in _REPORT_ROWS:
+        for attr, _, label in METRIC_FIELDS:
             cells = []
             for alpha in alphas:
                 mean, std = aggregate[(mode, alpha)][attr]
@@ -183,10 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, scenario: bool = True) -> None:
-        if scenario:
-            p.add_argument("--scenario", required=True, help="scenario YAML path")
-            p.add_argument("--seed", type=int, default=None, help="override the scenario seed(s)")
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--scenario", required=True, help="scenario YAML path")
+        p.add_argument("--seed", type=int, default=None, help="override the scenario seed(s)")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     p_sim = sub.add_parser("simulate", help="simulate ground truth and measurements")
@@ -218,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("report", help="print a summary of a finished run")
     p_rep.add_argument("--run", required=True, help="run directory with manifest and metrics")
-    p_rep.add_argument("--quiet", action="store_true", help="suppress progress output")
     p_rep.set_defaults(func=cmd_report)
 
     return parser

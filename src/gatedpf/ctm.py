@@ -430,8 +430,13 @@ def equilibrium_state(
     """
     means = schedule.table((0,))[0, 0]
     upstream, ramps = means[0], means[1:]
-    rho0 = min(upstream / (network.links[0].vf * network.dt), 0.5 * float(np.min(network.rho_jam)))
-    states = np.full((1, network.n_links), max(rho0, 1e-5))
+    # The floor keeps the start strictly positive; the jam-density cap comes
+    # last, so a network jammed below the floor still starts inside it.
+    rho0 = min(
+        max(upstream / (network.links[0].vf * network.dt), 1e-5),
+        0.5 * float(np.min(network.rho_jam)),
+    )
+    states = np.full((1, network.n_links), rho0)
     for _ in range(iterations):
         states, *_ = advance(states, network, upstream, ramps)
     return states[0]

@@ -1,16 +1,20 @@
-"""Atomic file writing, checked CSV reading, and delimited matrix I/O."""
+"""Atomic file writing, the CSV record rule (one writer, one checked reader
+loop, field parsers), and delimited matrix I/O."""
 from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import secrets
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigurationError, DataError
+
+T = TypeVar("T")
 
 
 def atomic_write_text(path: str | Path, text: str) -> Path:
@@ -36,17 +40,20 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
 
 
 def read_csv_rows(
-    path: str | Path, columns: Sequence[str], what: str
-) -> Iterator[tuple[int, list[str]]]:
-    """The rows after the header of a CSV file, as ``(line, fields)`` pairs.
+    path: str | Path, columns: Sequence[str], what: str, parse: Callable[[list[str]], T]
+) -> list[T]:
+    """The records of a CSV file's rows after its header, each row's fields
+    parsed by ``parse``.
 
     Raises :class:`DataError` naming ``path`` when the header is not
     ``columns`` or the file cannot be decoded, and ``path:line`` when a row
-    has another number of fields or cannot be parsed as CSV.  ``what``
+    has another number of fields, cannot be parsed as CSV, or ``parse``
+    raises :class:`ValueError` or :class:`ConfigurationError`.  ``what``
     names the file's kind in the header message.
     """
     path = Path(path)
     width = len(columns)
+    records: list[T] = []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -55,14 +62,48 @@ def read_csv_rows(
                 raise DataError(f"{path}: unexpected {what} header {header!r}")
             for row in reader:
                 if len(row) != width:
-                    raise DataError(
-                        f"{path}:{reader.line_num}: expected {width} columns, got {len(row)}"
-                    )
-                yield reader.line_num, row
-        except csv.Error as exc:
-            raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+                    raise ValueError(f"expected {width} columns, got {len(row)}")
+                records.append(parse(row))
+        # A UnicodeDecodeError is a ValueError too, but names no line.
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not a text file: {exc}") from exc
+        except (csv.Error, ValueError, ConfigurationError) as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+    return records
+
+
+def csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text of the header ``columns`` followed by ``rows``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+# Field parsers for ``read_csv_rows``: each raises ValueError naming the
+# field when ``text`` is not a value its writer writes.
+
+
+def _flag(text: str, name: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"{name} must be 0 or 1, got {text!r}")
+    return text == "1"
+
+
+def _number(text: str, name: str, nan_ok: bool = False, inf_ok: bool = False) -> float:
+    """A float field; infinite only where ``inf_ok``, NaN only where ``nan_ok``."""
+    value = float(text)
+    if (math.isinf(value) and not inf_ok) or (math.isnan(value) and not nan_ok):
+        raise ValueError(f"{name} must be finite, got {text!r}")
+    return value
+
+
+def _count(text: str, name: str, least: int = 0) -> int:
+    value = int(text)
+    if not least <= value < 2**63:
+        raise ValueError(f"{name} must be a count in [{least}, 2**63), got {text!r}")
+    return value
 
 
 def matrix_csv_text(matrix: np.ndarray) -> str:

@@ -17,9 +17,6 @@ metric columns directly comparable across test modes and levels.
 """
 from __future__ import annotations
 
-import csv
-import io
-import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -38,8 +35,9 @@ from .ctm import (
     speed_map,
 )
 from .errors import ConfigurationError, DataError, WeightCollapseError
-from .fileio import atomic_write_text, read_csv_rows
+from .fileio import _count, _flag, _number, atomic_write_text, csv_text, read_csv_rows
 from .gates import (
+    GateKind,
     GateRows,
     gated_update,
     likelihood_ratio_test,
@@ -105,13 +103,15 @@ METRICS_LONG_COLUMNS = (
     "collapsed",
 )
 
+# The study's metrics: ``RunMetrics`` attribute, ``metrics.csv`` row name,
+# ``gatedpf report`` label.
 METRIC_FIELDS = (
-    ("true_positives", "tp"),
-    ("false_positives", "fp"),
-    ("true_negatives", "tn"),
-    ("false_negatives", "fn"),
-    ("labeling_error_pct", "labeling_error_pct"),
-    ("density_mape_pct", "mape_pct"),
+    ("tp", "true_positives", "True Positives"),
+    ("fp", "false_positives", "False Positives"),
+    ("tn", "true_negatives", "True Negatives"),
+    ("fn", "false_negatives", "False Negatives"),
+    ("labeling_error_pct", "labeling_error_pct", "Labeling Error (%)"),
+    ("mape_pct", "density_mape_pct", "Density MAPE (%)"),
 )
 
 
@@ -490,7 +490,7 @@ class MetricsReport:
 
     def select(self, mode: str, alpha: float | None = None) -> list[RunMetrics]:
         return sorted(
-            (r for r in self.runs if r.mode == mode and _alpha_eq(r.alpha, alpha)),
+            (r for r in self.runs if r.mode == mode and r.alpha == alpha),
             key=lambda r: r.seed,
         )
 
@@ -505,19 +505,13 @@ class MetricsReport:
         out: dict[tuple[str, float | None], dict[str, tuple[float, float]]] = {}
         for mode, alpha in self.variant_keys():
             stats: dict[str, tuple[float, float]] = {}
-            for _, attr in METRIC_FIELDS:
+            for attr, _, _ in METRIC_FIELDS:
                 vals = self.values(mode, alpha, attr)
                 mean = float(np.mean(vals))
                 std = 0.0 if len(vals) < 2 else float(np.std(vals, ddof=1))
                 stats[attr] = (mean, std)
             out[(mode, alpha)] = stats
         return out
-
-
-def _alpha_eq(a: float | None, b: float | None) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    return abs(a - b) <= 1e-15
 
 
 RunSink = Callable[[int, Trajectory, Sequence[LabeledMeasurement], FilterVariant, FilterRunResult], None]
@@ -577,45 +571,14 @@ def run_experiment(config: ExperimentConfig, on_run: RunSink | None = None) -> M
 
 
 def write_decision_log(path: str | Path, decisions: Sequence[DecisionRecord]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(DECISION_COLUMNS)
-    for d in decisions:
-        writer.writerow(
-            [
-                d.k,
-                d.sensor_id,
-                d.link,
-                d.test_kind,
-                repr(d.statistic),
-                repr(d.alpha),
-                int(d.rejected),
-                repr(d.auxiliary),
-                "" if d.faulty is None else int(d.faulty),
-            ]
+    rows = (
+        (
+            d.k, d.sensor_id, d.link, d.test_kind, repr(d.statistic), repr(d.alpha),
+            int(d.rejected), repr(d.auxiliary), "" if d.faulty is None else int(d.faulty),
         )
-    atomic_write_text(path, buf.getvalue())
-
-
-def _flag(text: str, name: str) -> bool:
-    if text not in ("0", "1"):
-        raise ValueError(f"{name} must be 0 or 1, got {text!r}")
-    return text == "1"
-
-
-def _number(text: str, name: str, nan_ok: bool = False, inf_ok: bool = False) -> float:
-    """A float field; infinite only where ``inf_ok``, NaN only where ``nan_ok``."""
-    value = float(text)
-    if (math.isinf(value) and not inf_ok) or (math.isnan(value) and not nan_ok):
-        raise ValueError(f"{name} must be finite, got {text!r}")
-    return value
-
-
-def _count(text: str, name: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**63:
-        raise ValueError(f"{name} must be a count in [0, 2**63), got {text!r}")
-    return value
+        for d in decisions
+    )
+    atomic_write_text(path, csv_text(DECISION_COLUMNS, rows))
 
 
 def read_decision_log(path: str | Path) -> list[DecisionRecord]:
@@ -625,101 +588,75 @@ def read_decision_log(path: str | Path) -> list[DecisionRecord]:
     A gate's statistic and auxiliary may be infinite (a residual too large
     to hold, a null mass that overflows), never NaN; the level is finite.
     """
-    out: list[DecisionRecord] = []
-    for lineno, row in read_csv_rows(path, DECISION_COLUMNS, "decision log"):
-        try:
-            out.append(
-                DecisionRecord(
-                    k=int(row[0]),
-                    sensor_id=row[1],
-                    link=int(row[2]),
-                    test_kind=row[3],
-                    statistic=_number(row[4], "statistic", inf_ok=True),
-                    alpha=_number(row[5], "alpha"),
-                    rejected=_flag(row[6], "rejected"),
-                    auxiliary=_number(row[7], "auxiliary", inf_ok=True),
-                    faulty=None if row[8] == "" else _flag(row[8], "faulty"),
-                )
-            )
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return out
+    return read_csv_rows(path, DECISION_COLUMNS, "decision log", _decision)
+
+
+def _decision(row: list[str]) -> DecisionRecord:
+    return DecisionRecord(
+        k=_count(row[0], "k", least=1),
+        sensor_id=row[1],
+        link=_count(row[2], "link"),
+        test_kind=GateKind(row[3]).value,
+        statistic=_number(row[4], "statistic", inf_ok=True),
+        alpha=_number(row[5], "alpha"),
+        rejected=_flag(row[6], "rejected"),
+        auxiliary=_number(row[7], "auxiliary", inf_ok=True),
+        faulty=None if row[8] == "" else _flag(row[8], "faulty"),
+    )
 
 
 def metrics_wide_text(report: MetricsReport, alphas: Sequence[float]) -> str:
     """Tables-style wide text: metric rows, one column per level, cells mean±std."""
     aggregate = report.aggregate()
-    gated_modes: list[str] = []
-    for mode, alpha in report.variant_keys():
-        if alpha is not None and mode not in gated_modes:
-            gated_modes.append(mode)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["variant", "metric"] + [f"alpha={a:g}" for a in alphas])
+    gated_modes = dict.fromkeys(mode for mode, alpha in report.variant_keys() if alpha is not None)
+    rows = []
     for mode in gated_modes:
-        for metric_name, attr in METRIC_FIELDS:
-            row = [mode, metric_name]
+        for attr, name, _ in METRIC_FIELDS:
+            row = [mode, name]
             for alpha in alphas:
                 stats = aggregate.get((mode, float(alpha)))
-                if stats is None:
-                    row.append("")
-                else:
-                    mean, std = stats[attr]
-                    row.append(f"{mean!r}±{std!r}")
-            writer.writerow(row)
-    return buf.getvalue()
+                row.append("" if stats is None else "{!r}±{!r}".format(*stats[attr]))
+            rows.append(row)
+    return csv_text(["variant", "metric"] + [f"alpha={a:g}" for a in alphas], rows)
 
 
 def metrics_long_text(report: MetricsReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(METRICS_LONG_COLUMNS)
-    for r in report.runs:
-        writer.writerow(
-            [
-                r.mode,
-                "" if r.alpha is None else repr(r.alpha),
-                r.seed,
-                r.tp,
-                r.fp,
-                r.tn,
-                r.fn,
-                repr(r.labeling_error_pct),
-                repr(r.mape_pct),
-                int(r.collapsed),
-            ]
+    rows = (
+        (
+            r.mode, "" if r.alpha is None else repr(r.alpha), r.seed, r.tp, r.fp, r.tn, r.fn,
+            repr(r.labeling_error_pct), repr(r.mape_pct), int(r.collapsed),
         )
-    return buf.getvalue()
+        for r in report.runs
+    )
+    return csv_text(METRICS_LONG_COLUMNS, rows)
 
 
 def read_metrics_long(path: str | Path) -> MetricsReport:
     """Read ``metrics_long.csv`` back; a row that :func:`metrics_long_text`
     cannot have written raises :class:`DataError` naming ``path:line``.
 
-    NaN is accepted only where a run writes it: both error percentages of
-    a collapsed run, and the MAPE of a run with no decisions (a run with no
-    assimilated steps has no MAPE).
+    Its (mode, level) must make a :class:`FilterVariant`.  NaN is accepted
+    only where a run writes it: both error percentages of a collapsed run,
+    and the MAPE of a run with no decisions (a run with no assimilated
+    steps has no MAPE).
     """
-    runs: list[RunMetrics] = []
-    for lineno, row in read_csv_rows(path, METRICS_LONG_COLUMNS, "metrics"):
-        try:
-            collapsed = _flag(row[9], "collapsed")
-            tp, fp, tn, fn = (_count(row[i], METRICS_LONG_COLUMNS[i]) for i in range(3, 7))
-            no_decisions = tp + fp + tn + fn == 0
-            runs.append(
-                RunMetrics(
-                    mode=row[0],
-                    alpha=None if row[1] == "" else _number(row[1], "alpha"),
-                    seed=int(row[2]),
-                    tp=tp,
-                    fp=fp,
-                    tn=tn,
-                    fn=fn,
-                    labeling_error_pct=_number(row[7], "labeling_error_pct", nan_ok=collapsed),
-                    mape_pct=_number(row[8], "mape_pct", nan_ok=collapsed or no_decisions),
-                    collapsed=collapsed,
-                )
-            )
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return MetricsReport(runs=runs)
+    return MetricsReport(runs=read_csv_rows(path, METRICS_LONG_COLUMNS, "metrics", _run_metrics))
+
+
+def _run_metrics(row: list[str]) -> RunMetrics:
+    variant = FilterVariant(row[0], None if row[1] == "" else _number(row[1], "alpha"))
+    collapsed = _flag(row[9], "collapsed")
+    tp, fp, tn, fn = (_count(row[i], METRICS_LONG_COLUMNS[i]) for i in range(3, 7))
+    no_decisions = tp + fp + tn + fn == 0
+    return RunMetrics(
+        mode=variant.mode,
+        alpha=variant.alpha,
+        seed=int(row[2]),
+        tp=tp,
+        fp=fp,
+        tn=tn,
+        fn=fn,
+        labeling_error_pct=_number(row[7], "labeling_error_pct", nan_ok=collapsed),
+        mape_pct=_number(row[8], "mape_pct", nan_ok=collapsed or no_decisions),
+        collapsed=collapsed,
+    )

@@ -16,8 +16,6 @@ measurement so detection quality can be scored exactly.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -27,8 +25,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .ctm import FreewayNetwork
-from .errors import ConfigurationError, DataError, ModelConsistencyError
-from .fileio import atomic_write_text, read_csv_rows
+from .errors import ConfigurationError, ModelConsistencyError
+from .fileio import _flag, atomic_write_text, csv_text, read_csv_rows
 from .rng import RandomSource
 
 LOOP_DENSITY = "loop_density"
@@ -336,39 +334,25 @@ def fault_log_density(
 def write_measurement_log(path: str | Path, measurements: Iterable[LabeledMeasurement]) -> None:
     """Write the measurement log atomically; column order is fixed and
     documented in ``MEASUREMENT_COLUMNS``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(MEASUREMENT_COLUMNS)
-    for m in measurements:
-        writer.writerow([m.k, m.sensor_id, m.kind, m.link, repr(m.value), int(m.faulty)])
-    atomic_write_text(path, buf.getvalue())
+    rows = ((m.k, m.sensor_id, m.kind, m.link, repr(m.value), int(m.faulty)) for m in measurements)
+    atomic_write_text(path, csv_text(MEASUREMENT_COLUMNS, rows))
 
 
 def read_measurement_log(path: str | Path) -> list[LabeledMeasurement]:
-    out = []
-    for lineno, row in read_csv_rows(path, MEASUREMENT_COLUMNS, "measurement log"):
-        try:
-            m = LabeledMeasurement(
-                k=int(row[0]),
-                sensor_id=row[1],
-                kind=row[2],
-                link=int(row[3]),
-                value=float(row[4]),
-                faulty=row[5] == "1",
-            )
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-        if m.kind not in MEASUREMENT_KINDS:
-            raise DataError(
-                f"{path}:{lineno}: unknown measurement kind {m.kind!r}; "
-                f"expected one of {MEASUREMENT_KINDS}"
-            )
-        if not math.isfinite(m.value):
-            raise DataError(f"{path}:{lineno}: non-finite value {row[4]!r}")
-        if m.value < 0.0:
-            # Densities and speeds are nonnegative; no sensor writes one.
-            raise DataError(f"{path}:{lineno}: negative value {row[4]!r}")
-        if row[5] not in ("0", "1"):
-            raise DataError(f"{path}:{lineno}: faulty label must be 0 or 1, got {row[5]!r}")
-        out.append(m)
-    return out
+    """Read a measurement log back; a row with an unknown kind, a value that
+    is not finite and nonnegative, or a faulty label other than 0 or 1
+    raises :class:`DataError` naming ``path:line``.  Steps and links are
+    checked against the scenario by the filter that reads the log."""
+    return read_csv_rows(path, MEASUREMENT_COLUMNS, "measurement log", _measurement)
+
+
+def _measurement(row: list[str]) -> LabeledMeasurement:
+    k, sensor_id, kind, link, value = int(row[0]), row[1], row[2], int(row[3]), float(row[4])
+    if kind not in MEASUREMENT_KINDS:
+        raise ValueError(f"unknown measurement kind {kind!r}; expected one of {MEASUREMENT_KINDS}")
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {row[4]!r}")
+    if value < 0.0:
+        # Densities and speeds are nonnegative; no sensor writes one.
+        raise ValueError(f"negative value {row[4]!r}")
+    return LabeledMeasurement(k, sensor_id, kind, link, value, _flag(row[5], "faulty label"))

@@ -2,17 +2,21 @@
 from __future__ import annotations
 
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from gatedpf import default_scenario_dict
 from gatedpf.cli import main
 from gatedpf.fileio import read_matrix_csv
 from gatedpf.harness import read_decision_log, read_metrics_long
+from gatedpf.scenario import scenario_from_dict
 from gatedpf.sensing import read_measurement_log
 
 from test_scenario import tiny_scenario_dict
@@ -148,6 +152,16 @@ class TestFilter:
             "--variant", "fisher", "--out", tmp_path / "o", "--quiet",
         )
         assert code == 2
+
+    def test_undecodable_log_exits_2(self, scenario_path, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"k,sensor_id,kind,link,value,faulty\n1,s,gnss_speed,0,\xff\xfe,0\n")
+        code = run_cli(
+            "filter", "--scenario", scenario_path, "--log", bad,
+            "--variant", "fisher", "--out", tmp_path / "o", "--quiet",
+        )
+        assert code == 2
+        assert "bad.csv: not a text file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("link", [-1, 3])
     def test_out_of_network_link_exits_2(self, scenario_path, tmp_path, capsys, link):
@@ -288,6 +302,8 @@ class TestSweepAndReport:
             (9, "7", "collapsed must be 0 or 1"),
             (8, "inf", "mape_pct must be finite"),
             (7, "nan", "labeling_error_pct must be finite"),
+            (0, "bogus", "unknown filter mode 'bogus'"),
+            (1, "", "variant 'fisher' needs alpha"),
         ],
     )
     def test_report_rejects_bad_metrics_row(self, scenario_path, tmp_path, capsys, field, value, problem):
@@ -548,3 +564,128 @@ class TestExtremeSpeedValue:
         assert code == 0
         decisions = {d.sensor_id: d for d in read_decision_log(out / "decisions.csv")}
         assert decisions[fields[1]].rejected
+
+
+def jammed_default_dict() -> dict:
+    """The packaged default with every link jammed at 5e-6 veh/m, below the
+    equilibrium start's 1e-5 floor, over five steps of one seed."""
+    doc = default_scenario_dict()
+    for link in doc["network"]["links"]:
+        link["rho_jam"] = 5.0e-06
+    doc["run"]["horizon"] = 5
+    doc["run"]["seeds"] = doc["run"]["seeds"][:1]
+    return doc
+
+
+class TestJammedNetwork:
+    def test_jam_density_below_start_floor_simulates(self, tmp_path):
+        # The equilibrium start must lie inside the jam density, however low.
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(jammed_default_dict()))
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--scenario", path, "--out", out, "--quiet") == 0
+        assert read_matrix_csv(out / "true_density.csv").max() <= 5.0e-06
+
+
+def log_uniform(low: float, high: float):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def demand_profile(draw, end: float) -> dict:
+    times = sorted(draw(st.lists(st.floats(0.0, end), min_size=4, max_size=4)))
+    return {
+        "base": draw(st.floats(0.0, 8.0)),
+        "peak": draw(st.floats(0.0, 8.0)),
+        "rise": times[:2],
+        "fall": times[2:],
+        "noise_frac": draw(st.floats(0.0, 0.5)),
+    }
+
+
+@st.composite
+def accepted_scenario(draw) -> dict:
+    """A scenario document the validator accepts: 1-4 links within CFL whose
+    jam densities span 1e-7 to 0.2 veh/m, random ramps, demand noise up to
+    0.5, any sensor and fault settings, at most 20 particles and 8 steps."""
+    dt = draw(st.floats(0.5, 20.0))
+    horizon = draw(st.integers(1, 8))
+    links = []
+    for _ in range(draw(st.integers(1, 4))):
+        length = draw(st.floats(50.0, 1000.0))
+        link = {
+            "length": length,
+            "vf": draw(st.floats(0.01, 1.0)) * length / dt,
+            "w": draw(st.floats(0.01, 1.0)) * length / dt,
+            "qmax": draw(st.floats(0.01, 10.0)),
+            "rho_jam": draw(log_uniform(1e-7, 0.2)),
+            "onramp": draw(st.booleans()),
+        }
+        if draw(st.booleans()):
+            link.update(offramp=True, beta=draw(st.floats(0.0, 0.95)))
+        links.append(link)
+    loops = {
+        "links": draw(st.lists(st.integers(0, len(links) - 1), unique=True)),
+        "min_std": draw(log_uniform(1e-9, 0.1)),
+    }
+    noise = draw(st.sampled_from(["noise_frac", "noise_abs", None]))
+    if noise is not None:
+        loops[noise] = draw(st.floats(0.0, 0.5))
+    speed_std = draw(st.floats(0.1, 50.0))
+    return {
+        "network": {
+            "dt": dt,
+            "onramp_priority": draw(st.floats(0.0, 1.0)),
+            "links": links,
+        },
+        "demand": {
+            "upstream": draw(demand_profile(horizon * dt)),
+            "onramp_default": draw(demand_profile(horizon * dt)),
+        },
+        "sensors": {
+            "loops": loops,
+            "gnss": {
+                "penetration": draw(st.floats(0.0, 1.0)),
+                "noise_frac": draw(st.floats(0.0, 2.0)),
+                "min_std": draw(log_uniform(1e-6, 10.0)),
+            },
+            "faults": {
+                "probability": draw(st.floats(0.0, 1.0)),
+                "zero_weight": draw(st.floats(0.0, 1.0)),
+                # The fault Gaussian must keep mass 1e-3 above zero.
+                "speed_mean": draw(st.floats(-3.0, 10.0)) * speed_std,
+                "speed_std": speed_std,
+            },
+        },
+        "filter": {
+            "particles": draw(st.integers(2, 20)),
+            "variants": ["none", "fisher", "np_correct", "np_incorrect"],
+            "alphas": draw(st.lists(st.floats(1e-6, 0.5), min_size=1, max_size=3)),
+            "resample_threshold": draw(st.floats(0.01, 1.0)),
+            "np_mass_normalized": draw(st.booleans()),
+            "h1_zero_std": draw(log_uniform(1e-3, 10.0)),
+        },
+        "run": {"horizon": horizon, "seeds": [draw(st.integers(0, 2**32 - 1))]},
+    }
+
+
+class TestAcceptedScenarios:
+    """Every scenario the validator accepts simulates and filters with a
+    documented exit code; a numpy warning fails the test."""
+
+    @settings(max_examples=40, deadline=None)
+    @example(doc=jammed_default_dict())
+    @given(doc=accepted_scenario())
+    def test_simulate_and_filter_exit_documented_codes(self, doc):
+        scenario_from_dict(doc)  # the strategy draws only accepted documents
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            scenario = root / "scenario.yaml"
+            scenario.write_text(yaml.safe_dump(doc))
+            assert run_cli("simulate", "--scenario", scenario, "--out", root / "sim", "--quiet") == 0
+            for variant in ("none", "fisher", "np_correct", "np_incorrect"):
+                code = run_cli(
+                    "filter", "--scenario", scenario, "--log", root / "sim" / "measurements.csv",
+                    "--variant", variant, "--out", root / variant, "--quiet",
+                )
+                assert code in (0, 2, 3)

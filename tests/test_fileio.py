@@ -1,4 +1,4 @@
-"""Atomic text writes."""
+"""Atomic text writes and undecodable CSV files."""
 from __future__ import annotations
 
 import os
@@ -6,7 +6,10 @@ import os
 import pytest
 
 from gatedpf import fileio
+from gatedpf.errors import DataError
 from gatedpf.fileio import atomic_write_text
+from gatedpf.harness import read_decision_log, read_metrics_long
+from gatedpf.sensing import read_measurement_log
 
 
 def test_writes_text_verbatim(tmp_path):
@@ -48,3 +51,13 @@ def test_permissions_match_a_plain_write(tmp_path):
     plain.write_text("x")
     atomic = atomic_write_text(tmp_path / "atomic.txt", "x")
     assert (atomic.stat().st_mode & 0o777) == (plain.stat().st_mode & 0o777)
+
+
+@pytest.mark.parametrize("read", [read_measurement_log, read_decision_log, read_metrics_long])
+def test_undecodable_file_is_not_a_text_file(tmp_path, read):
+    # Bytes that are not UTF-8, already in the header: the error names the
+    # file, not a line.
+    path = tmp_path / "log.csv"
+    path.write_bytes(b"k,sensor_id,\xe9tat\n1,\xff\xfe,0\n")
+    with pytest.raises(DataError, match=r"log\.csv: not a text file"):
+        read(path)

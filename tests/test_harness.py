@@ -448,6 +448,10 @@ class TestMetricsReport:
             ("fisher,0.01,x,1,2,3,4,10.0,3.0,0", "invalid literal"),
             ("fisher,0.01,1,1,2,3,4,10.0,3.0", "expected 10 columns"),
             ("fisher,0.01,1,1,2,3,4,10.0,3.0,0,0", "expected 10 columns"),
+            ("bogus,0.01,1,1,2,3,4,10.0,3.0,0", "unknown filter mode 'bogus'"),
+            ("none,0.01,1,0,0,0,0,0.0,5.0,0", "ungated variant takes no alpha"),
+            ("fisher,,1,1,2,3,4,10.0,3.0,0", "variant 'fisher' needs alpha"),
+            ("np_correct,1.5,1,1,2,3,4,10.0,3.0,0", "variant 'np_correct' needs alpha"),
         ],
     )
     def test_long_malformed_row_reports_line(self, tmp_path, row, problem):
@@ -515,6 +519,10 @@ class TestDecisionLog:
             ("1,s,0,fisher,0.5,0.01,0,nan,0", "auxiliary must be finite"),
             ("1,s,0,fisher,0.5,0.01,0,0.0", "expected 9 columns"),
             ("1,s,0,fisher,0.5,0.01,0,0.0,0,0", "expected 9 columns"),
+            ("1,s,0,bogus,0.5,0.01,0,0.0,0", "'bogus' is not a valid GateKind"),
+            ("-4,s,0,fisher,0.5,0.01,0,0.0,0", "k must be a count"),
+            ("0,s,0,fisher,0.5,0.01,0,0.0,0", "k must be a count"),
+            ("1,s,-7,fisher,0.5,0.01,0,0.0,0", "link must be a count"),
         ],
     )
     def test_bad_value_reports_line(self, tmp_path, row, problem):
