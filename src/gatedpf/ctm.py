@@ -29,6 +29,7 @@ from .rng import RandomSource
 
 DENSITY_TOL = 1e-9
 EMPTY_DENSITY = 1e-6  # below this, speed falls back to freeflow
+EQUILIBRIUM_ITERATIONS = 240  # steps from the flat start to the equilibrium state
 
 
 @dataclass(frozen=True)
@@ -248,9 +249,9 @@ def advance(
 ):
     """One conservation update for a (P, L) block of density states.
 
-    Returns ``(new_states, q, r, s)``.  Raises if any post-step density
-    leaves ``[0, rho_jam]`` by more than the numerical tolerance, which
-    indicates inconsistent parameters rather than rounding.
+    Returns the new (P, L) block.  Raises if any post-step density leaves
+    ``[0, rho_jam]`` by more than the numerical tolerance, which indicates
+    inconsistent parameters rather than rounding.
     """
     states = np.asarray(states, dtype=float)
     q, r, s = junction_flows(states, network, upstream_demand, onramp_demand)
@@ -260,21 +261,7 @@ def advance(
     if float(np.max(new_states - network.rho_jam)) > DENSITY_TOL:
         raise ModelConsistencyError("density above jam density after step")
     new_states = np.minimum(np.maximum(new_states, 0.0), network.rho_jam)
-    return new_states, q, r, s
-
-
-def _speeds(discharge, rho, dt: float, vf) -> np.ndarray:
-    """Link speeds from discharge (mainline outflow plus offramp flow).
-
-    Speed is ``discharge / (rho * dt)``, clamped to ``[0, vf]``; near-empty
-    links report freeflow.  Including the offramp share keeps an
-    uncongested link exactly at its freeflow speed regardless of its split
-    ratio.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = discharge / (rho * dt)
-    v = np.where(rho > EMPTY_DENSITY, v, vf)
-    return np.minimum(np.maximum(v, 0.0), vf)
+    return new_states
 
 
 def speed_map(
@@ -291,9 +278,10 @@ def speed_map(
     ``rho * dt``, evaluated at the given (typically mean) onramp demands;
     ``None`` means no onramp demand.  Link l's discharge reads only links
     l and l + 1 and the onramp demand at l + 1, so the upstream boundary
-    demand never enters.  The boundary rule is :func:`junction_flows`' and
-    the speed rule is :func:`simulate`'s, so every column equals the same
-    link's column of the full map bit for bit.
+    demand never enters.  The boundary rule is :func:`junction_flows`', so
+    every column equals the same link's speed computed from the full
+    junction flows bit for bit; :func:`simulate` derives the truth speeds
+    here too, one row per step at that step's realized onramp demands.
     """
     states = _states_block(states, network)
     n_l = network.n_links
@@ -302,8 +290,8 @@ def speed_map(
         raise ConfigurationError(f"links {links.tolist()} outside [0, {n_l - 1}]")
     dt = network.dt
 
-    rho = states[:, links]
-    demand = np.minimum(network.vf[links] * dt * rho, network.qmax[links])
+    rho, vf = states[:, links], network.vf[links]
+    demand = np.minimum(vf * dt * rho, network.qmax[links])
     s = network.beta[links] * demand
     mainline = demand - s
 
@@ -316,7 +304,13 @@ def speed_map(
     ramp_cols = np.flatnonzero(slot >= 0) if onramp_demand is not None else []
     ramp = np.asarray(onramp_demand, dtype=float)[..., slot[ramp_cols]] if len(ramp_cols) else None
     outflow, _ = _boundary_flows(mainline, supply, ramp_cols, ramp, network.onramp_priority)
-    return _speeds(outflow + s, rho, dt, network.vf[links])
+    # Speed is discharge over rho * dt, clamped to [0, vf]; near-empty
+    # links report freeflow.  Counting the offramp share keeps an
+    # uncongested link exactly at freeflow whatever its split ratio.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = (outflow + s) / (rho * dt)
+    v = np.where(rho > EMPTY_DENSITY, v, vf)
+    return np.minimum(np.maximum(v, 0.0), vf)
 
 
 @dataclass(frozen=True)
@@ -405,14 +399,11 @@ class DemandSchedule:
 class Trajectory:
     """Ground-truth record of a simulated run.
 
-    ``states`` holds K + 1 rows (initial state included); flows and speeds
-    hold K rows, row k describing the transition from state k to k + 1.
+    ``states`` holds K + 1 rows (initial state included); ``speeds`` holds
+    K rows, row k the link speeds of the transition from state k to k + 1.
     """
 
     states: np.ndarray
-    q: np.ndarray
-    r: np.ndarray
-    s: np.ndarray
     speeds: np.ndarray
 
     @property
@@ -420,9 +411,7 @@ class Trajectory:
         return self.states.shape[0] - 1
 
 
-def equilibrium_state(
-    network: FreewayNetwork, schedule: DemandSchedule, iterations: int = 240
-) -> np.ndarray:
+def equilibrium_state(network: FreewayNetwork, schedule: DemandSchedule) -> np.ndarray:
     """Deterministic near-steady state under the schedule's base demand.
 
     Used to initialize both the truth simulation and the filter ensemble so
@@ -437,8 +426,8 @@ def equilibrium_state(
         0.5 * float(np.min(network.rho_jam)),
     )
     states = np.full((1, network.n_links), rho0)
-    for _ in range(iterations):
-        states, *_ = advance(states, network, upstream, ramps)
+    for _ in range(EQUILIBRIUM_ITERATIONS):
+        states = advance(states, network, upstream, ramps)
     return states[0]
 
 
@@ -447,30 +436,26 @@ def simulate(
     schedule: DemandSchedule,
     horizon: int,
     rng: RandomSource,
-    initial_state: np.ndarray | None = None,
+    initial_state: np.ndarray,
 ) -> Trajectory:
-    """Roll the model forward ``horizon`` steps, recording the full truth."""
+    """Roll the model forward ``horizon`` steps from ``initial_state``.
+
+    Each step's link speeds come from :func:`speed_map` at the onramp
+    demands that step realized, so the truth speeds and the filter's
+    predicted speeds are one model.
+    """
     if horizon < 0:
         raise ConfigurationError("horizon must be nonnegative")
     n_l = network.n_links
-    state = (
-        equilibrium_state(network, schedule)
-        if initial_state is None
-        else np.asarray(initial_state, dtype=float)
-    )
+    state = np.asarray(initial_state, dtype=float)
     if state.shape != (n_l,):
         raise ConfigurationError(f"initial state shape {state.shape} != ({n_l},)")
     states = np.empty((horizon + 1, n_l))
-    q = np.empty((horizon, n_l + 1))
-    r = np.empty((horizon, n_l))
-    s = np.empty((horizon, n_l))
+    ramps = np.empty((horizon, len(schedule.onramps)))
     states[0] = state
     table = schedule.table(range(horizon))
     for k in range(horizon):
-        upstream, ramps = schedule.sample(k, rng, 1, table)
-        new_states, q[k : k + 1], r[k : k + 1], s[k : k + 1] = advance(
-            states[k : k + 1], network, upstream, ramps
-        )
-        states[k + 1] = new_states[0]
-    speeds = _speeds(q[:, 1:] + s, states[:-1], network.dt, network.vf)
-    return Trajectory(states=states, q=q, r=r, s=s, speeds=speeds)
+        upstream, ramps[k : k + 1] = schedule.sample(k, rng, 1, table)
+        states[k + 1] = advance(states[k : k + 1], network, upstream, ramps[k : k + 1])[0]
+    speeds = speed_map(states[:-1], network, range(n_l), ramps)
+    return Trajectory(states=states, speeds=speeds)

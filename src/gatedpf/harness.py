@@ -32,7 +32,6 @@ from .ctm import (
     advance,
     equilibrium_state,
     simulate,
-    speed_map,
 )
 from .errors import ConfigurationError, DataError, WeightCollapseError
 from .fileio import _count, _flag, _number, atomic_write_text, csv_text, read_csv_rows
@@ -53,7 +52,6 @@ from .particles import (
 )
 from .rng import RandomSource
 from .sensing import (
-    GNSS_SPEED,
     LOOP_DENSITY,
     MEASUREMENT_KINDS,
     FaultConfig,
@@ -166,20 +164,24 @@ class ExperimentConfig:
     mape_floor: float = 1e-4
 
     def __post_init__(self) -> None:
+        # Each message starts with its field name; the scenario loader
+        # replaces that name with the field's path.
         if self.particles < 2:
-            raise ConfigurationError("particle count must be at least 2")
+            raise ConfigurationError("particles: must be at least 2")
         if self.horizon < 1:
-            raise ConfigurationError("horizon must be at least 1")
+            raise ConfigurationError("horizon: must be at least 1")
         if not self.seeds:
-            raise ConfigurationError("at least one seed is required")
+            raise ConfigurationError("seeds: needs at least one seed")
         if not self.variants:
-            raise ConfigurationError("at least one filter variant is required")
+            raise ConfigurationError("variants: needs at least one variant")
         if not (0.0 < self.resample_threshold <= 1.0):
-            raise ConfigurationError("resample threshold must be in (0, 1]")
-        if self.mape_floor <= 0.0:
-            raise ConfigurationError("MAPE floor must be positive")
+            raise ConfigurationError(
+                f"resample_threshold: must be in (0, 1], got {self.resample_threshold}"
+            )
+        if not self.mape_floor > 0.0:
+            raise ConfigurationError(f"mape_floor: must be positive, got {self.mape_floor}")
         if not self.h1_zero_std > 0.0:
-            raise ConfigurationError(f"h1_zero_std must be positive, got {self.h1_zero_std}")
+            raise ConfigurationError(f"h1_zero_std: must be positive, got {self.h1_zero_std}")
 
     @cached_property
     def initial_state(self) -> np.ndarray:
@@ -336,7 +338,7 @@ def run_traffic_filter(
         # demand noise, which is what spreads the particles; reads the
         # current step ``k`` of the loop below.
         upstream, ramps = schedule.sample(k - 1, rng, states.shape[0], demand)
-        return advance(states, network, upstream, ramps)[0]
+        return advance(states, network, upstream, ramps)
 
     n_steps = config.horizon - 1
     estimates = np.empty((n_steps, network.n_links))
@@ -346,14 +348,9 @@ def run_traffic_filter(
         prior = predict(ensemble, transition, rng_demand)
         step_measurements = by_step.get(k, [])
         if step_measurements:
-            # Predicted speeds only on the links that reported one.
-            speed_links = sorted({m.link for m in step_measurements if m.kind == GNSS_SPEED})
-            if speed_links:
-                speeds = speed_map(prior.particles, network, speed_links, demand[k, 0, 1:])
-            else:
-                speeds = None
             values, mean, std, is_speed = measurement_rows(
-                step_measurements, prior.particles, speeds, speed_links, loops, config.gnss_spec
+                step_measurements, prior.particles, network, demand[k, 0, 1:], loops,
+                config.gnss_spec,
             )
             z, log_g0 = standardize(values, mean, std)
             rejected = np.zeros(len(step_measurements), dtype=bool)

@@ -204,18 +204,14 @@ def effective_sample_size(ensemble: ParticleEnsemble) -> float:
     return float(1.0 / np.sum(ensemble.weights**2))
 
 
-def resample_systematic(
-    ensemble: ParticleEnsemble, rng: RandomSource, count: int | None = None
-) -> ParticleEnsemble:
+def resample_systematic(ensemble: ParticleEnsemble, rng: RandomSource) -> ParticleEnsemble:
     """Low-variance systematic resampling to uniform weights.
 
-    A single uniform draw places ``count`` evenly spaced points on the
+    A single uniform draw places ``P`` evenly spaced points on the
     cumulative weight axis, so particle ``p`` is copied either
-    ``floor(count * w_p)`` or ``ceil(count * w_p)`` times.
+    ``floor(P * w_p)`` or ``ceil(P * w_p)`` times.
     """
-    n = ensemble.size if count is None else int(count)
-    if n < 1:
-        raise ConfigurationError("resample count must be at least 1")
+    n = ensemble.size
     offset = float(rng.random())
     positions = (np.arange(n) + offset) / n
     cumulative = np.cumsum(ensemble.weights)

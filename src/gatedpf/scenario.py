@@ -34,6 +34,17 @@ from .sensing import FaultConfig, GnssSpec, HYPOTHESIS_MODES, LoopDetectorSpec
 
 DEFAULT_SCENARIO_FILE = "default_scenario.yaml"
 
+# The section that holds each field :class:`ExperimentConfig` checks itself.
+_CONFIG_SECTIONS = {
+    "particles": "filter",
+    "variants": "filter",
+    "resample_threshold": "filter",
+    "h1_zero_std": "filter",
+    "horizon": "run",
+    "seeds": "run",
+    "mape_floor": "run",
+}
+
 
 @dataclass(frozen=True, kw_only=True)
 class Scenario(ExperimentConfig):
@@ -196,8 +207,6 @@ def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
 
     filter_doc = _section(doc, "filter")
     particles = _get(filter_doc, "particles", "filter", int)
-    if particles < 2:
-        _fail("filter.particles", "must be at least 2")
     modes = _get(filter_doc, "variants", "filter", list)
     for m in modes:
         if m not in HYPOTHESIS_MODES:
@@ -214,16 +223,12 @@ def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
 
     run_doc = _section(doc, "run")
     horizon = _get(run_doc, "horizon", "run", int)
-    if horizon < 1:
-        _fail("run.horizon", "must be at least 1")
     seeds = tuple(
         _integer(s, f"run.seeds[{i}]")
         for i, s in enumerate(_get(run_doc, "seeds", "run", list))
     )
-    if not seeds:
-        _fail("run.seeds", "needs at least one seed")
 
-    return Scenario(
+    fields = dict(
         network=network,
         schedule=schedule,
         horizon=horizon,
@@ -250,6 +255,12 @@ def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
         alphas=alphas,
         raw=_as_plain(doc),
     )
+    try:
+        return Scenario(**fields)
+    except ConfigurationError as exc:
+        # The config's own checks name the field; give it its section.
+        field, _, message = str(exc).partition(": ")
+        _fail(f"{_CONFIG_SECTIONS[field]}.{field}", message)
 
 
 def load_scenario(path: str | Path) -> Scenario:

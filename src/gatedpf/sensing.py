@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .ctm import FreewayNetwork
+from .ctm import FreewayNetwork, speed_map
 from .errors import ConfigurationError, ModelConsistencyError
 from .fileio import _flag, atomic_write_text, csv_text, read_csv_rows
 from .rng import RandomSource
@@ -254,8 +254,8 @@ def inject_faults(
 def measurement_rows(
     measurements: Sequence[LabeledMeasurement],
     particles: np.ndarray,
-    speeds: np.ndarray | None,
-    speed_links: Sequence[int],
+    network: FreewayNetwork,
+    ramp_means: np.ndarray,
     loops: Mapping[int, LoopDetectorSpec],
     gnss_spec: GnssSpec,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -264,24 +264,17 @@ def measurement_rows(
     Returns ``values`` (M,), ``mean`` (M, P), ``std`` (M, P) and the
     ``is_speed`` (M,) mask.  A loop row's mean is each particle's density on
     its link, with the detector's relative (or absolute) noise floored at
-    ``min_std``; a speed row's mean is its link's column of ``speeds``, the
-    particles' predicted speeds on ``speed_links`` (column j is link
-    ``speed_links[j]``; ``speeds`` is ``None`` when the step has no speed
-    rows), with std ``max(noise_frac * v, min_std)``.  ``loops`` maps a link
-    to its detector; every loop row must have one, and every speed row's
-    link must be among ``speed_links``.
+    ``min_std``; a speed row's mean is each particle's predicted speed on
+    its link, :func:`~gatedpf.ctm.speed_map` at the onramp demands
+    ``ramp_means``, with std ``max(noise_frac * v, min_std)``.  ``loops``
+    maps a link to its detector; every loop row must have one.
     """
     values = np.array([m.value for m in measurements], dtype=float)
     links = np.array([m.link for m in measurements], dtype=np.intp)
     is_speed = np.array([m.kind == GNSS_SPEED for m in measurements], dtype=bool)
     mean = particles.T[links]
     if is_speed.any():
-        column = np.full(particles.shape[1], -1, dtype=np.intp)
-        column[np.asarray(speed_links, dtype=np.intp)] = np.arange(len(speed_links))
-        speed_columns = column[links[is_speed]]
-        if np.any(speed_columns < 0):
-            raise ConfigurationError("a speed row's link has no column in the speed block")
-        mean[is_speed] = speeds.T[speed_columns]
+        mean[is_speed] = speed_map(particles, network, links[is_speed], ramp_means).T
     # Both std rules in one form, max(frac * mean + offset, floor): a loop
     # with an absolute std has frac 0 and offset noise_abs, all others
     # offset 0, so each row gets exactly its rule's value.

@@ -14,15 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from gatedpf.ctm import simulate
 from gatedpf.gates import significance_test
-from gatedpf.harness import (
-    STREAM_TRUTH,
-    FilterVariant,
-    MetricsReport,
-    generate_measurements,
-    run_experiment,
-)
+from gatedpf.harness import FilterVariant, MetricsReport, run_experiment, simulate_seed
 from gatedpf.particles import (
     ParticleEnsemble,
     posterior_mean,
@@ -257,7 +250,7 @@ class TestCriterion6PropertySuites:
         say("criterion 6c PASS: systematic resampler copy-count bounds and mean preservation")
 
     def test_ctm_conservation_and_flow_bounds(self):
-        from gatedpf.ctm import DemandProfile, DemandSchedule, advance
+        from gatedpf.ctm import DemandProfile, DemandSchedule, advance, junction_flows
         from conftest import small_network
 
         def flat(level, std):
@@ -271,7 +264,8 @@ class TestCriterion6PropertySuites:
                 dt=net.dt, upstream=flat(float(rng.uniform(0, 5)), 0.3), onramps=(flat(0.4, 0.2),)
             )
             upstream, ramps = schedule.sample(0, RandomSource(trial), 1, schedule.table((0,)))
-            new, q, r, s = advance(state, net, upstream, ramps)
+            q, r, s = junction_flows(state, net, upstream, ramps)
+            new = advance(state, net, upstream, ramps)
             balance = float(
                 np.sum((new - state) * net.lengths)
                 - (q[0, 0] - q[0, -1] + r.sum() - s.sum())
@@ -318,14 +312,7 @@ class TestCriterion6PropertySuites:
 class TestCriterion7FaultInjectionStatistics:
     def test_generated_log_fault_fractions(self, study):
         config = study["config"]
-        base = RandomSource(config.seeds[0])
-        truth = simulate(
-            config.network, config.schedule, config.horizon, base.derive(STREAM_TRUTH)
-        )
-        measurements = generate_measurements(
-            truth, config.network, config.loop_specs, config.gnss_spec,
-            config.fault_config, base,
-        )
+        _, measurements = simulate_seed(config, config.seeds[0])
         gnss = [m for m in measurements if m.kind == GNSS_SPEED]
         n = len(gnss)
         assert n >= 10_000, f"default scenario produced only {n} speed reports"

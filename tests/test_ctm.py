@@ -266,10 +266,12 @@ def constant_schedule(upstream, upstream_noise=0.0, ramps=()):
 
 
 def sampled_advance(state, network, schedule, rng):
-    """One step of a single state with demands drawn from ``schedule``."""
+    """One step of a single state with demands drawn from ``schedule``:
+    the new state and the step's junction flows ``q``, ``r``, ``s``."""
     upstream, ramps = schedule.sample(0, rng, 1, schedule.table((0,)))
-    new, q, r, s = advance(np.asarray(state, dtype=float)[None, :], network, upstream, ramps)
-    return new[0], q[0], r[0], s[0]
+    block = np.asarray(state, dtype=float)[None, :]
+    q, r, s = junction_flows(block, network, upstream, ramps)
+    return advance(block, network, upstream, ramps)[0], q[0], r[0], s[0]
 
 
 class TestStep:
@@ -425,32 +427,45 @@ class TestLinkSpeed:
             speed_map(np.full((2, 4), 0.01), net, [0])
 
     def test_simulated_speeds_follow_the_realized_flows(self):
-        net = small_network(3, onramps={1}, offramps={2}, beta=0.1)
+        # The reference re-draws each step's demands from the same stream
+        # and takes the speeds from that step's junction flows, not from
+        # speed_map.  The bottleneck on link 2 backs congestion up to the
+        # onramp merge, so the realized ramp demands decide link 0's speed.
+        net = small_network(3, onramps={1}, offramps={2}, beta=0.1, qmax_2=1.0)
         schedule = DemandSchedule(
             dt=10.0,
             upstream=DemandProfile(1.0, 3.0, (100.0, 300.0), (600.0, 900.0), 0.3),
             onramps=(DemandProfile(0.1, 0.4, (100.0, 300.0), (600.0, 900.0), 0.5),),
         )
-        traj = simulate(net, schedule, 60, RandomSource(5))
-        expected = (traj.q[:, 1:] + traj.s) / (traj.states[:-1] * net.dt)
+        horizon = 120
+        start = equilibrium_state(net, schedule)
+        traj = simulate(net, schedule, horizon, RandomSource(5), start)
+        rng, table = RandomSource(5), schedule.table(range(horizon))
+        q, s = np.empty((horizon, 4)), np.empty((horizon, 3))
+        for k in range(horizon):
+            upstream, ramps = schedule.sample(k, rng, 1, table)
+            q_k, _, s_k = junction_flows(traj.states[k : k + 1], net, upstream, ramps)
+            q[k], s[k] = q_k[0], s_k[0]
+        expected = (q[:, 1:] + s) / (traj.states[:-1] * net.dt)
         np.testing.assert_allclose(traj.speeds, np.clip(expected, 0.0, net.vf), rtol=1e-12)
-        reference = full_map_speeds(traj.states[:-1], traj.q, traj.s, net)
+        reference = full_map_speeds(traj.states[:-1], q, s, net)
         assert traj.speeds.tobytes() == reference.tobytes()
 
 
 class TestSimulate:
     def test_zero_horizon(self):
         net = small_network(2)
-        traj = simulate(net, flat_schedule(0.5), 0, RandomSource(1))
+        schedule = flat_schedule(0.5)
+        traj = simulate(net, schedule, 0, RandomSource(1), equilibrium_state(net, schedule))
         assert traj.states.shape == (1, 2)
-        assert traj.q.shape == (0, 3)
+        assert traj.speeds.shape == (0, 2)
 
     def test_freeflow_fixed_point(self):
         # Constant sub-capacity demand without noise converges to
         # rho* = demand / (vf dt) on every link.
         net = small_network(4, qmax=5.0)
         schedule = flat_schedule(2.0)
-        traj = simulate(net, schedule, 300, RandomSource(1))
+        traj = simulate(net, schedule, 300, RandomSource(1), equilibrium_state(net, schedule))
         expected = 2.0 / (20.0 * 10.0)
         np.testing.assert_allclose(traj.states[-10:], expected, atol=1e-9)
 
@@ -472,8 +487,9 @@ class TestSimulate:
             upstream=DemandProfile(1.0, 3.0, (100.0, 300.0), (600.0, 900.0), 0.3),
             onramps=(DemandProfile(0.1, 0.4, (100.0, 300.0), (600.0, 900.0), 0.5),),
         )
-        a = simulate(net, schedule, 120, RandomSource(42).derive(0))
-        b = simulate(net, schedule, 120, RandomSource(42).derive(0))
+        start = equilibrium_state(net, schedule)
+        a = simulate(net, schedule, 120, RandomSource(42).derive(0), start)
+        b = simulate(net, schedule, 120, RandomSource(42).derive(0), start)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.speeds, b.speeds)
 
@@ -579,5 +595,5 @@ class TestEquilibrium:
         schedule = flat_schedule(1.5)
         eq = equilibrium_state(net, schedule)
         assert np.all(eq > 0.0)
-        after, *_ = advance(eq[None, :], net, 1.5, None)
+        after = advance(eq[None, :], net, 1.5, None)
         np.testing.assert_allclose(after[0], eq, atol=1e-9)

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gatedpf.ctm import DemandProfile, DemandSchedule, advance, equilibrium_state, simulate, speed_map
+from gatedpf.ctm import DemandProfile, DemandSchedule, advance, equilibrium_state, simulate
 from gatedpf.errors import ConfigurationError, DataError, WeightCollapseError
 from gatedpf.gates import gated_update, likelihood_ratio_test, significance_test, unexplained
 from gatedpf.harness import (
@@ -29,6 +29,7 @@ from gatedpf.harness import (
     read_metrics_long,
     run_experiment,
     run_traffic_filter,
+    simulate_seed,
     write_decision_log,
 )
 from gatedpf.particles import (
@@ -195,7 +196,8 @@ class TestFilterLoop:
         config = micro_config(horizon=12, variants=(variant,))
         seed = config.seeds[0]
         base = RandomSource(seed)
-        truth = simulate(config.network, config.schedule, config.horizon, base.derive(STREAM_TRUTH))
+        init = equilibrium_state(config.network, config.schedule)
+        truth = simulate(config.network, config.schedule, config.horizon, base.derive(STREAM_TRUTH), init)
         measurements = generate_measurements(
             truth, config.network, config.loop_specs, config.gnss_spec, config.fault_config, base
         )
@@ -203,12 +205,11 @@ class TestFilterLoop:
         result = run_traffic_filter(config, shuffled, variant, RandomSource(seed))
 
         # Manual composition.
-        init = equilibrium_state(config.network, config.schedule)
         ens = ParticleEnsemble.from_states(np.tile(init, (config.particles, 1)))
 
         def transition(states, rng):
             upstream, ramps = config.schedule.sample(k - 1, rng, states.shape[0], demand)
-            return advance(states, config.network, upstream, ramps)[0]
+            return advance(states, config.network, upstream, ramps)
 
         demand = config.schedule.table(range(config.horizon))
         rng_demand = RandomSource(seed).derive(STREAM_FILTER_DEMAND)
@@ -225,14 +226,8 @@ class TestFilterLoop:
             if ms:
                 t = k * config.schedule.dt
                 ramp_means = np.array([p.mean(t) for p in config.schedule.onramps])
-                speed_links = sorted({m.link for m in ms if m.kind == "gnss_speed"})
-                field = (
-                    speed_map(prior.particles, config.network, speed_links, ramp_means)
-                    if speed_links
-                    else None
-                )
                 values, mean, std, is_speed = measurement_rows(
-                    ms, prior.particles, field, speed_links, loops, config.gnss_spec
+                    ms, prior.particles, config.network, ramp_means, loops, config.gnss_spec
                 )
                 z, log_g0 = standardize(values, mean, std)
                 rejected = np.zeros(len(ms), dtype=bool)
@@ -320,11 +315,7 @@ class TestRunExperiment:
             variants=(FilterVariant("fisher", 0.01), FilterVariant("np_correct", 0.01)),
         )
         report = run_experiment(config)
-        base = RandomSource(config.seeds[0])
-        truth = simulate(config.network, config.schedule, config.horizon, base.derive(STREAM_TRUTH))
-        ms = generate_measurements(
-            truth, config.network, config.loop_specs, config.gnss_spec, config.fault_config, base
-        )
+        _, ms = simulate_seed(config, config.seeds[0])
         n_gnss = sum(1 for m in ms if m.kind == "gnss_speed")
         for run in report.runs:
             assert run.tp + run.fp + run.tn + run.fn == n_gnss
@@ -360,16 +351,8 @@ class TestRunExperiment:
         # measurement values bit for bit (faults draw from their own stream).
         config = micro_config(horizon=10, fault_probability=0.0)
         faulted = micro_config(horizon=10, fault_probability=0.4)
-        base_a = RandomSource(7)
-        base_b = RandomSource(7)
-        truth_a = simulate(config.network, config.schedule, config.horizon, base_a.derive(STREAM_TRUTH))
-        truth_b = simulate(faulted.network, faulted.schedule, faulted.horizon, base_b.derive(STREAM_TRUTH))
-        clean = generate_measurements(
-            truth_a, config.network, config.loop_specs, config.gnss_spec, config.fault_config, base_a
-        )
-        dirty = generate_measurements(
-            truth_b, faulted.network, faulted.loop_specs, faulted.gnss_spec, faulted.fault_config, base_b
-        )
+        _, clean = simulate_seed(config, 7)
+        _, dirty = simulate_seed(faulted, 7)
         assert len(clean) == len(dirty)
         for c, d in zip(clean, dirty):
             assert c.sensor_id == d.sensor_id

@@ -350,10 +350,11 @@ class TestSystematicResampling:
             np.testing.assert_array_equal(np.sort(out.particles[:, 0]), np.arange(8.0))
 
     def test_three_one_split_for_every_draw(self):
-        # weights {0.75, 0.25} resampled to 4 always gives copies (3, 1).
-        ens = scalar_ensemble([1.0, 2.0], weights=[0.75, 0.25])
+        # Four particles of weights (0.75, 0.25, 0, 0) always resample to
+        # copies (3, 1, 0, 0).
+        ens = scalar_ensemble([1.0, 2.0, 3.0, 4.0], weights=[0.75, 0.25, 0.0, 0.0])
         for seed in range(25):
-            out = resample_systematic(ens, RandomSource(seed), count=4)
+            out = resample_systematic(ens, RandomSource(seed))
             values = out.particles[:, 0]
             assert np.sum(values == 1.0) == 3
             assert np.sum(values == 2.0) == 1

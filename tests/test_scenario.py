@@ -141,6 +141,10 @@ class TestValidation:
             ("filter", "particles", True, r"filter\.particles"),
             ("sensors.loops", "links", [0, True], r"sensors\.loops\.links\[1\]"),
             ("network", "dt", float("nan"), r"network\.dt"),
+            ("filter", "variants", [], r"filter\.variants"),
+            ("filter", "resample_threshold", 1.5, r"filter\.resample_threshold"),
+            ("filter", "h1_zero_std", 0, r"filter\.h1_zero_std"),
+            ("run", "mape_floor", -1, r"run\.mape_floor"),
         ],
     )
     def test_malformed_value_reports_path(self, section, key, value, where):
@@ -157,6 +161,31 @@ class TestValidation:
         doc = tiny_scenario_dict()
         doc["filter"]["h1_zero_std"] = zero_std
         with pytest.raises(ConfigurationError, match="h1_zero_std"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("key", [2, "2"])
+    def test_onramp_override_applies_to_its_link_only(self, key):
+        doc = tiny_scenario_dict()
+        doc["network"]["links"][0]["onramp"] = True
+        doc["network"]["links"][2]["onramp"] = True
+        default = {"base": 0.2, "peak": 0.4, "rise": [50.0, 150.0], "fall": [400.0, 500.0]}
+        override = {"base": 0.5, "peak": 0.9, "rise": [0.0, 100.0], "fall": [300.0, 450.0], "noise_frac": 0.1}
+        doc["demand"]["onramp_default"] = default
+        doc["demand"]["onramp_overrides"] = {key: override}
+        sc = scenario_from_dict(doc)
+        assert sc.network.onramp_links == (0, 2)
+        assert sc.schedule.onramps == (
+            DemandProfile(0.2, 0.4, (50.0, 150.0), (400.0, 500.0)),
+            DemandProfile(0.5, 0.9, (0.0, 100.0), (300.0, 450.0), 0.1),
+        )
+
+    def test_bad_onramp_override_reports_path(self):
+        doc = tiny_scenario_dict()
+        doc["network"]["links"][2]["onramp"] = True
+        doc["demand"]["onramp_overrides"] = {
+            2: {"base": "x", "peak": 0.9, "rise": [0.0, 100.0], "fall": [300.0, 450.0]}
+        }
+        with pytest.raises(ConfigurationError, match=r"^demand\.onramp_overrides\.2\.base: "):
             scenario_from_dict(doc)
 
     def test_load_from_yaml(self, tmp_path):
