@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from .errors import ConfigurationError, DataError, WeightCollapseError
@@ -17,6 +18,7 @@ from .fileio import atomic_write_text, write_matrix_csv
 from .harness import (
     METRIC_FIELDS,
     FilterVariant,
+    check_measurement,
     metrics_long_text,
     metrics_wide_text,
     read_metrics_long,
@@ -61,7 +63,7 @@ def cmd_filter(args) -> int:
     variant = FilterVariant(
         mode=args.variant, alpha=None if args.variant == "none" else float(alpha)
     )
-    measurements = read_measurement_log(args.log)
+    measurements = read_measurement_log(args.log, partial(check_measurement, scenario))
     out = Path(args.out)
     artifacts = {
         "estimated_density": "estimated_density.csv",

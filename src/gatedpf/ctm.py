@@ -13,9 +13,11 @@ All flow units are vehicles per timestep.  Speed parameters are converted
 to per-step fractions internally (``v_f * dt / L`` and ``w * dt / L``),
 which requires the CFL conditions ``v_f * dt <= L`` and ``w * dt <= L``.
 
-Everything here is a pure function of its inputs and batch-first: states
-are ``(P, L)`` blocks of densities, so a particle population is propagated
-in one call and the truth simulation is the ``P = 1`` case.
+Everything here is a pure function of its inputs and works on link-major
+blocks: states are ``(L, P)`` blocks of densities, one row per link and the
+particle axis last, so a particle population is propagated in one call,
+every shift between neighbouring links moves whole contiguous rows, and the
+truth simulation is the ``P = 1`` case.
 """
 from __future__ import annotations
 
@@ -118,6 +120,15 @@ class FreewayNetwork:
         return tuple(i for i, l in enumerate(self.links) if l.onramp)
 
     @cached_property
+    def _onramp_rows(self) -> np.ndarray:
+        return np.array(self.onramp_links, dtype=np.intp)
+
+    @cached_property
+    def _offramp_rows(self) -> np.ndarray:
+        # Links whose offramp takes a share; every other link's is zero.
+        return np.flatnonzero(self.beta)
+
+    @cached_property
     def _onramp_slot(self) -> np.ndarray:
         # Boundary b -> index of link b's onramp in ``onramp_links``, -1 for
         # none; boundary L, the downstream end, has none.
@@ -153,37 +164,82 @@ def _median3(a, b, c):
     return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
 
 
-def _boundary_flows(mainline, supply, ramp_cols, ramp, priority):
-    """Mainline and onramp inflows across a (P, B) block of boundaries.
+def _boundary_flows(mainline, supply, ramp_rows, ramp, priority):
+    """Mainline and onramp inflows across a (B, P) block of boundaries.
 
-    Every boundary passes ``min(mainline, supply)``, the rule of
-    :func:`link_flow`.  Only the boundaries in ``ramp_cols``, whose onramp
-    demands are the columns of ``ramp`` ((R,) shared or (P, R)), merge:
-    when mainline plus ramp demand exceed the supply, the ramp takes the
-    median of its demand, its ``priority`` share of the supply, and what
-    the mainline leaves, and the mainline takes the rest.  Returns
-    ``(q, r)``, both (P, B); ``r`` is zero off the onramp columns.
+    ``mainline`` holds each boundary's mainline demand and is overwritten
+    with its mainline flow.  Every boundary passes ``min(mainline,
+    supply)``, the rule of :func:`link_flow`.  Only the boundaries in
+    ``ramp_rows``, whose onramp demands are the rows of ``ramp`` ((R, 1)
+    shared or (R, P)), merge: when mainline plus ramp demand exceed the
+    supply, the ramp takes the median of its demand, its ``priority`` share
+    of the supply, and what the mainline leaves, and the mainline takes the
+    rest.  Returns the onramp inflows of the ``ramp_rows``, (R, P), or
+    ``None`` when there are none.
     """
-    q = np.minimum(mainline, supply)
-    r = np.zeros_like(q)
-    if len(ramp_cols):
-        main = mainline[:, ramp_cols]
-        room = supply[:, ramp_cols]
-        congested = main + ramp > room
-        r_congested = _median3(ramp, priority * room, room - main)
-        r_ramp = np.where(congested, r_congested, ramp)
-        q[:, ramp_cols] = np.where(congested, room - r_ramp, main)
-        r[:, ramp_cols] = r_ramp
-    return q, r
+    if not len(ramp_rows):
+        np.minimum(mainline, supply, out=mainline)
+        return None
+    main = mainline[ramp_rows]
+    np.minimum(mainline, supply, out=mainline)
+    room = supply[ramp_rows]
+    congested = main + ramp > room
+    r = np.where(congested, _median3(ramp, priority * room, room - main), ramp)
+    mainline[ramp_rows] = np.where(congested, room - r, main)
+    return r
 
 
 def _states_block(states, network: FreewayNetwork) -> np.ndarray:
     states = np.asarray(states, dtype=float)
-    if states.ndim != 2 or states.shape[1] != network.n_links:
+    if states.ndim != 2 or states.shape[0] != network.n_links:
         raise ConfigurationError(
-            f"states must be a (P, {network.n_links}) block, got shape {states.shape}"
+            f"states must be an ({network.n_links}, P) block, got shape {states.shape}"
         )
     return states
+
+
+def _ramp_block(onramp_demand) -> np.ndarray:
+    """Onramp demands as rows: an (R,) vector shared by the particles
+    becomes an (R, 1) column, an (R, P) block is kept."""
+    ramp = np.asarray(onramp_demand, dtype=float)
+    return ramp[:, None] if ramp.ndim == 1 else ramp
+
+
+def _flows(states, network: FreewayNetwork, upstream_demand, onramp_demand):
+    """The flows of a checked (L, P) block for one step, each ramp flow on
+    its own link's row only.
+
+    Returns ``(q, r, s)``: the boundary flows ``q`` (L + 1, P), the onramp
+    inflows ``r`` (R, P) of ``network.onramp_links`` and the offramp
+    outflows ``s`` of the links with a positive split ratio; ``r`` or ``s``
+    is ``None`` when the network has no such link.  Every other link's
+    ramp flows are exactly zero.
+    """
+    n_l, n_p = states.shape
+    dt = network.dt
+    ramp_rows = network._onramp_rows
+    if len(ramp_rows) and onramp_demand is None:
+        raise ConfigurationError("network has onramps but no onramp demand given")
+
+    # Boundary b feeds link b.  Its mainline demand is the upstream demand
+    # for b = 0 and link b-1's demand after the offramp split otherwise, so
+    # q's rows 1..L take the links' demands; the last is the free outflow
+    # at the downstream end.
+    q = np.empty((n_l + 1, n_p))
+    q[0] = upstream_demand
+    demand = q[1:]
+    np.multiply(network.vf[:, None] * dt, states, out=demand)
+    np.minimum(demand, network.qmax[:, None], out=demand)
+    off = network._offramp_rows
+    s = None
+    if len(off):
+        s = network.beta[off, None] * demand[off]
+        demand[off] -= s
+    supply = network.rho_jam[:, None] - states
+    supply *= network.w[:, None] * dt
+    ramp = _ramp_block(onramp_demand) if len(ramp_rows) else None
+    r = _boundary_flows(q[:n_l], supply, ramp_rows, ramp, network.onramp_priority)
+    return q, r, s
 
 
 def junction_flows(
@@ -192,52 +248,34 @@ def junction_flows(
     upstream_demand,
     onramp_demand=None,
 ):
-    """All boundary, onramp, and offramp flows of a (P, L) block for one step.
+    """All boundary, onramp, and offramp flows of an (L, P) block for one step.
 
     Parameters
     ----------
-    states : ndarray, shape (P, L)
-        Link densities, one row per state.
+    states : ndarray, shape (L, P)
+        Link densities, one column per state.
     upstream_demand : float or (P,) array
         Demand offered at the upstream boundary.
-    onramp_demand : array, shape (R,) or (P, R), optional
+    onramp_demand : array, shape (R,) or (R, P), optional
         Demand per onramp link, aligned with ``network.onramp_links``.
 
     Returns
     -------
     (q, r, s)
-        Boundary flows ``q`` (P, L + 1) (the last column is the exit flow
-        of the final link), onramp inflows ``r`` and offramp outflows
-        ``s``, both (P, L).
+        Boundary flows ``q`` (L + 1, P) (the last row is the exit flow of
+        the final link), onramp inflows ``r`` and offramp outflows ``s``,
+        both (L, P).
 
     Offramps split first (``s = beta * demand``); the remaining mainline
     demand then crosses each boundary under :func:`_boundary_flows`.
     """
     states = _states_block(states, network)
-    n_p, n_l = states.shape
-    dt = network.dt
-
-    demand = np.minimum(network.vf * dt * states, network.qmax)
-    s = network.beta * demand
-    mainline_demand = demand - s
-    supply = network.w * dt * (network.rho_jam - states)
-
-    # Boundary b feeds link b; its mainline side is the upstream boundary
-    # demand for b = 0 and link b-1's post-split demand otherwise.
-    dem_main = np.empty_like(states)
-    dem_main[:, 0] = np.asarray(upstream_demand, dtype=float)
-    dem_main[:, 1:] = mainline_demand[:, :-1]
-
-    ramp_cols = list(network.onramp_links)
-    ramp = None
-    if ramp_cols:
-        if onramp_demand is None:
-            raise ConfigurationError("network has onramps but no onramp demand given")
-        ramp = np.broadcast_to(np.asarray(onramp_demand, dtype=float), (n_p, len(ramp_cols)))
-
-    q = np.empty((n_p, n_l + 1))
-    q[:, :n_l], r = _boundary_flows(dem_main, supply, ramp_cols, ramp, network.onramp_priority)
-    q[:, n_l] = mainline_demand[:, -1]  # free outflow at the downstream end
+    q, r_rows, s_rows = _flows(states, network, upstream_demand, onramp_demand)
+    r, s = np.zeros_like(states), np.zeros_like(states)
+    if r_rows is not None:
+        r[network._onramp_rows] = r_rows
+    if s_rows is not None:
+        s[network._offramp_rows] = s_rows
     return q, r, s
 
 
@@ -247,20 +285,31 @@ def advance(
     upstream_demand,
     onramp_demand=None,
 ):
-    """One conservation update for a (P, L) block of density states.
+    """One conservation update for an (L, P) block of density states.
 
-    Returns the new (P, L) block.  Raises if any post-step density leaves
+    Returns the new (L, P) block.  Link l gains ``q[l] - q[l + 1] + r[l] -
+    s[l]`` vehicles, in that order, the flows of :func:`junction_flows`;
+    the ramp terms are added on their own links only, since they are
+    exactly zero elsewhere.  Raises if any post-step density leaves
     ``[0, rho_jam]`` by more than the numerical tolerance, which indicates
     inconsistent parameters rather than rounding.
     """
-    states = np.asarray(states, dtype=float)
-    q, r, s = junction_flows(states, network, upstream_demand, onramp_demand)
-    new_states = states + (q[:, :-1] - q[:, 1:] + r - s) / network.lengths
+    states = _states_block(states, network)
+    q, r, s = _flows(states, network, upstream_demand, onramp_demand)
+    gain = q[:-1] - q[1:]
+    if r is not None:
+        gain[network._onramp_rows] += r
+    if s is not None:
+        gain[network._offramp_rows] -= s
+    gain /= network.lengths[:, None]
+    new_states = np.add(states, gain, out=gain)
+    rho_jam = network.rho_jam[:, None]
     if float(np.min(new_states)) < -DENSITY_TOL:
         raise ModelConsistencyError("negative density after step")
-    if float(np.max(new_states - network.rho_jam)) > DENSITY_TOL:
+    if float(np.max(new_states - rho_jam)) > DENSITY_TOL:
         raise ModelConsistencyError("density above jam density after step")
-    new_states = np.minimum(np.maximum(new_states, 0.0), network.rho_jam)
+    np.maximum(new_states, 0.0, out=new_states)
+    np.minimum(new_states, rho_jam, out=new_states)
     return new_states
 
 
@@ -270,18 +319,19 @@ def speed_map(
     links,
     onramp_demand=None,
 ) -> np.ndarray:
-    """Model-predicted speeds of a (P, L) block of states on ``links`` only.
+    """Model-predicted speeds of an (L, P) block of states on ``links`` only.
 
-    Returns a ``(P, len(links))`` block whose column j is link ``links[j]``
+    Returns a ``(len(links), P)`` block whose row j is link ``links[j]``
     (any order; repeats allowed).  A link's speed is its discharge, the
     flow across its downstream boundary plus its offramp flow, over
-    ``rho * dt``, evaluated at the given (typically mean) onramp demands;
-    ``None`` means no onramp demand.  Link l's discharge reads only links
-    l and l + 1 and the onramp demand at l + 1, so the upstream boundary
-    demand never enters.  The boundary rule is :func:`junction_flows`', so
-    every column equals the same link's speed computed from the full
-    junction flows bit for bit; :func:`simulate` derives the truth speeds
-    here too, one row per step at that step's realized onramp demands.
+    ``rho * dt``, evaluated at the given (typically mean) onramp demands,
+    (R,) or (R, P); ``None`` means no onramp demand.  Link l's discharge
+    reads only links l and l + 1 and the onramp demand at l + 1, so the
+    upstream boundary demand never enters.  The boundary rule is
+    :func:`junction_flows`', so every row equals the same link's speed
+    computed from the full junction flows bit for bit; :func:`simulate`
+    derives the truth speeds here too, one column per step at that step's
+    realized onramp demands.
     """
     states = _states_block(states, network)
     n_l = network.n_links
@@ -290,27 +340,32 @@ def speed_map(
         raise ConfigurationError(f"links {links.tolist()} outside [0, {n_l - 1}]")
     dt = network.dt
 
-    rho, vf = states[:, links], network.vf[links]
-    demand = np.minimum(vf * dt * rho, network.qmax[links])
-    s = network.beta[links] * demand
-    mainline = demand - s
+    rho, vf = states[links], network.vf[links, None]
+    mainline = np.minimum(vf * dt * rho, network.qmax[links, None])
+    beta = network.beta[links]
+    off = np.flatnonzero(beta)
+    s = beta[off, None] * mainline[off]
+    mainline[off] -= s
 
     # Each link's downstream boundary is link l + 1's inflow; the last
     # link's end takes any outflow, so its supply is unbounded.
     down = np.minimum(links + 1, n_l - 1)
-    supply = network.w[down] * dt * (network.rho_jam[down] - states[:, down])
-    supply[:, links == n_l - 1] = np.inf
+    supply = network.rho_jam[down, None] - states[down]
+    supply *= network.w[down, None] * dt
+    supply[links == n_l - 1] = np.inf
     slot = network._onramp_slot[links + 1]
-    ramp_cols = np.flatnonzero(slot >= 0) if onramp_demand is not None else []
-    ramp = np.asarray(onramp_demand, dtype=float)[..., slot[ramp_cols]] if len(ramp_cols) else None
-    outflow, _ = _boundary_flows(mainline, supply, ramp_cols, ramp, network.onramp_priority)
+    ramp_rows = np.flatnonzero(slot >= 0) if onramp_demand is not None else ()
+    ramp = _ramp_block(onramp_demand)[slot[ramp_rows]] if len(ramp_rows) else None
+    _boundary_flows(mainline, supply, ramp_rows, ramp, network.onramp_priority)
     # Speed is discharge over rho * dt, clamped to [0, vf]; near-empty
     # links report freeflow.  Counting the offramp share keeps an
     # uncongested link exactly at freeflow whatever its split ratio.
+    mainline[off] += s
     with np.errstate(divide="ignore", invalid="ignore"):
-        v = (outflow + s) / (rho * dt)
+        v = mainline / (rho * dt)
     v = np.where(rho > EMPTY_DENSITY, v, vf)
-    return np.minimum(np.maximum(v, 0.0), vf)
+    np.maximum(v, 0.0, out=v)
+    return np.minimum(v, vf, out=v)
 
 
 @dataclass(frozen=True)
@@ -378,21 +433,23 @@ class DemandSchedule:
         return out
 
     def sample(self, k: int, rng: RandomSource, size: int, table: np.ndarray):
-        """Draw step ``k``'s realized demands, one row per particle.
+        """Draw step ``k``'s realized demands, one column per particle.
 
         Returns the upstream demands, shape ``(size,)``, and the onramp
-        demands, shape ``(size, R)``, clipped at zero.  Each draw is
+        demands, shape ``(R, size)``, clipped at zero.  Each draw is
         ``mean + noise_frac * mean * z`` on standard normal draws ``z``
         (upstream first), which is how numpy computes
         ``Generator.normal(mean, noise_frac * mean)``: the stream order and
         the bits match drawing from the broadcast means and stds, without
-        materializing them.  ``table`` is this schedule's :meth:`table`
-        over ``range(horizon)`` for some horizon past ``k``.
+        materializing them.  The onramp draws are taken particle by
+        particle, as a ``(size, R)`` array, and returned transposed.
+        ``table`` is this schedule's :meth:`table` over ``range(horizon)``
+        for some horizon past ``k``.
         """
         mean, scale = table[k]
         upstream = np.maximum(mean[0] + scale[0] * rng.normal(size=size), 0.0)
         ramps = np.maximum(mean[1:] + scale[1:] * rng.normal(size=(size, len(mean) - 1)), 0.0)
-        return upstream, ramps
+        return upstream, ramps.T
 
 
 @dataclass(frozen=True)
@@ -425,10 +482,10 @@ def equilibrium_state(network: FreewayNetwork, schedule: DemandSchedule) -> np.n
         max(upstream / (network.links[0].vf * network.dt), 1e-5),
         0.5 * float(np.min(network.rho_jam)),
     )
-    states = np.full((1, network.n_links), rho0)
+    states = np.full((network.n_links, 1), rho0)
     for _ in range(EQUILIBRIUM_ITERATIONS):
         states = advance(states, network, upstream, ramps)
-    return states[0]
+    return states[:, 0]
 
 
 def simulate(
@@ -455,7 +512,10 @@ def simulate(
     states[0] = state
     table = schedule.table(range(horizon))
     for k in range(horizon):
-        upstream, ramps[k : k + 1] = schedule.sample(k, rng, 1, table)
-        states[k + 1] = advance(states[k : k + 1], network, upstream, ramps[k : k + 1])[0]
-    speeds = speed_map(states[:-1], network, range(n_l), ramps)
-    return Trajectory(states=states, speeds=speeds)
+        upstream, ramp = schedule.sample(k, rng, 1, table)
+        ramps[k] = ramp[:, 0]
+        states[k + 1] = advance(states[k][:, None], network, upstream, ramp)[:, 0]
+    # One call gives every step's speeds, step k's column at its own
+    # realized onramp demands.
+    speeds = speed_map(states[:-1].T, network, range(n_l), ramps.T)
+    return Trajectory(states=states, speeds=np.ascontiguousarray(speeds.T))

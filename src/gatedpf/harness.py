@@ -21,7 +21,8 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -144,9 +145,10 @@ class ExperimentConfig:
     """Everything one experiment needs.  A loaded scenario is one, and a
     field its file omits takes the default stated here.
 
-    ``initial_state`` and ``demand_table`` are derived, not fields: the
-    equilibrium start every run of this config shares, and the schedule's
-    demand means and noise scales over the horizon, computed on first use.
+    ``initial_state``, ``demand_table`` and ``loops`` are derived, not
+    fields: the equilibrium start every run of this config shares, the
+    schedule's demand means and noise scales over the horizon, and the loop
+    detectors by link, computed on first use.
     """
 
     network: FreewayNetwork
@@ -190,6 +192,11 @@ class ExperimentConfig:
         state = equilibrium_state(self.network, self.schedule)
         state.setflags(write=False)
         return state
+
+    @cached_property
+    def loops(self) -> Mapping[int, LoopDetectorSpec]:
+        """Each loop detector by its link, read-only."""
+        return MappingProxyType({spec.link: spec for spec in self.loop_specs})
 
     @cached_property
     def demand_table(self) -> np.ndarray:
@@ -292,6 +299,28 @@ def _run_gate(config, variant, weights, tested, values, z, log_g0) -> GateRows:
     return replace(gate, rejected=gate.rejected | unexplained(weights, log_g0))
 
 
+def check_measurement(config: ExperimentConfig, m: LabeledMeasurement) -> None:
+    """Raise :class:`ValueError` if a filter run of ``config`` cannot
+    assimilate ``m``: its step is outside the assimilation window, its link
+    outside the network, or no sensor of its kind is configured there."""
+    if not (1 <= m.k <= config.horizon - 1):
+        raise ValueError(
+            f"measurement at step {m.k} outside assimilation window "
+            f"[1, {config.horizon - 1}]"
+        )
+    n_links = config.network.n_links
+    if not (0 <= m.link < n_links):
+        raise ValueError(
+            f"measurement {m.sensor_id!r} at step {m.k} names link {m.link}, "
+            f"outside the network's links [0, {n_links - 1}]"
+        )
+    if m.kind not in MEASUREMENT_KINDS or (m.kind == LOOP_DENSITY and m.link not in config.loops):
+        raise ValueError(
+            f"measurement {m.sensor_id!r} at step {m.k}: "
+            f"no {m.kind!r} sensor configured on link {m.link}"
+        )
+
+
 def run_traffic_filter(
     config: ExperimentConfig,
     measurements: Sequence[LabeledMeasurement],
@@ -304,40 +333,32 @@ def run_traffic_filter(
     step's measurements as (M, P) rows against the predicted ensemble, gate
     the speed reports, assimilate the accepted measurements, record the
     posterior mean, and resample when the effective sample size falls below
-    the configured fraction.  A step whose assimilated measurements no
-    particle explains raises :class:`WeightCollapseError` carrying the step
-    ``k`` and those measurements' sensor ids.
+    the configured fraction.  A measurement that fails
+    :func:`check_measurement` raises :class:`DataError`; a step whose
+    assimilated measurements no particle explains raises
+    :class:`WeightCollapseError` carrying the step ``k`` and those
+    measurements' sensor ids.
     """
     network, schedule, demand = config.network, config.schedule, config.demand_table
-    ensemble = ParticleEnsemble.from_states(np.tile(config.initial_state, (config.particles, 1)))
+    ensemble = ParticleEnsemble.from_states(
+        np.repeat(config.initial_state[:, None], config.particles, axis=1)
+    )
     rng_demand = rng.derive(STREAM_FILTER_DEMAND)
     rng_resample = rng.derive(STREAM_FILTER_RESAMPLE)
-    loops = {spec.link: spec for spec in config.loop_specs}
 
     by_step: dict[int, list[LabeledMeasurement]] = defaultdict(list)
     for m in measurements:
-        if not (1 <= m.k <= config.horizon - 1):
-            raise DataError(
-                f"measurement at step {m.k} outside assimilation window "
-                f"[1, {config.horizon - 1}]"
-            )
-        if not (0 <= m.link < network.n_links):
-            raise DataError(
-                f"measurement {m.sensor_id!r} at step {m.k} names link {m.link}, "
-                f"outside the network's links [0, {network.n_links - 1}]"
-            )
-        if m.kind not in MEASUREMENT_KINDS or (m.kind == LOOP_DENSITY and m.link not in loops):
-            raise DataError(
-                f"measurement {m.sensor_id!r} at step {m.k}: "
-                f"no {m.kind!r} sensor configured on link {m.link}"
-            )
+        try:
+            check_measurement(config, m)
+        except ValueError as exc:
+            raise DataError(str(exc)) from None
         by_step[m.k].append(m)
 
     def transition(states: np.ndarray, rng: RandomSource) -> np.ndarray:
         # The filter embeds the truth's traffic model but draws its own
         # demand noise, which is what spreads the particles; reads the
         # current step ``k`` of the loop below.
-        upstream, ramps = schedule.sample(k - 1, rng, states.shape[0], demand)
+        upstream, ramps = schedule.sample(k - 1, rng, states.shape[1], demand)
         return advance(states, network, upstream, ramps)
 
     n_steps = config.horizon - 1
@@ -349,7 +370,7 @@ def run_traffic_filter(
         step_measurements = by_step.get(k, [])
         if step_measurements:
             values, mean, std, is_speed = measurement_rows(
-                step_measurements, prior.particles, network, demand[k, 0, 1:], loops,
+                step_measurements, prior.particles, network, demand[k, 0, 1:], config.loops,
                 config.gnss_spec,
             )
             z, log_g0 = standardize(values, mean, std)

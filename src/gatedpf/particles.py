@@ -1,17 +1,19 @@
 """Weighted-ensemble primitives for bootstrap particle filtering.
 
 The ensemble is the filter's entire state: ``P`` sampled state vectors with
-normalized weights approximating the filtering distribution.  Prediction
-pushes the whole (P, N) block through a stochastic transition in one call,
-and the weight update adds one log-likelihood row per assimilated
-measurement to the log weights and renormalizes, returning the posterior
-together with the log of the marginal likelihood of those measurements.
+normalized weights approximating the filtering distribution.  The states
+form an (N, P) block, one column per particle (the particle axis last, as in
+the model's (L, P) density blocks and the gates' (M, P) rows).  Prediction
+pushes the whole block through a stochastic transition in one call, and the
+weight update adds one log-likelihood row per assimilated measurement to the
+log weights and renormalizes, returning the posterior together with the log
+of the marginal likelihood of those measurements.
 
 Likelihood products are accumulated in log space so long products cannot
 underflow; when the largest log weight leaves the comfortably representable
-range it is subtracted before exponentiating.  All reductions run through
-numpy's pairwise summation on arrays in particle order, so results are
-bit-reproducible for a fixed seed.  Every operation is pure (inputs are
+range it is subtracted before exponentiating.  Every reduction over the
+particles runs in a fixed order, so results are bit-reproducible for a
+fixed seed.  Every operation is pure (inputs are
 never mutated), and distinct ensembles may be processed concurrently.
 
 Ensembles are validated where their arrays come from outside this module:
@@ -65,8 +67,8 @@ class ParticleEnsemble:
 
     Attributes
     ----------
-    particles : ndarray, shape (P, N)
-        One state vector per row.
+    particles : ndarray, shape (N, P)
+        One state vector per column.
     weights : ndarray, shape (P,)
         Nonnegative weights summing to one within ``WEIGHT_SUM_TOL``.
     """
@@ -76,14 +78,14 @@ class ParticleEnsemble:
 
     def __post_init__(self) -> None:
         particles = np.asarray(self.particles, dtype=float)
-        if particles.ndim != 2 or particles.shape[0] < 1:
+        if particles.ndim != 2 or particles.shape[1] < 1:
             raise ConfigurationError(
-                f"particles must be a (P, N) array with P >= 1, got shape {particles.shape}"
+                f"particles must be an (N, P) array with P >= 1, got shape {particles.shape}"
             )
         weights = np.asarray(self.weights, dtype=float)
-        if weights.shape != (particles.shape[0],):
+        if weights.shape != (particles.shape[1],):
             raise ConfigurationError(
-                f"weights shape {weights.shape} does not match particle count {particles.shape[0]}"
+                f"weights shape {weights.shape} does not match particle count {particles.shape[1]}"
             )
         if not np.all(np.isfinite(particles)):
             raise ConfigurationError("particle states must be finite")
@@ -101,14 +103,15 @@ class ParticleEnsemble:
 
     @property
     def size(self) -> int:
-        return self.particles.shape[0]
+        return self.particles.shape[1]
 
     @classmethod
     def from_states(cls, states, weights=None) -> "ParticleEnsemble":
-        """Build an ensemble from raw states, uniform-weighted by default."""
+        """Build an ensemble from raw states, one per column (a 1-D array is
+        one scalar state per particle), uniform-weighted by default."""
         states = np.atleast_2d(np.asarray(states, dtype=float))
         if weights is None:
-            p = states.shape[0]
+            p = states.shape[1]
             weights = np.full(p, 1.0 / p)
         return cls(states, weights)
 
@@ -118,8 +121,8 @@ def predict(
 ) -> ParticleEnsemble:
     """Propagate the whole particle block through a stochastic transition.
 
-    ``transition(states, rng)`` maps the (P, N) block to one independent
-    successor draw per row; weights and particle order are untouched.  It
+    ``transition(states, rng)`` maps the (N, P) block to one independent
+    successor draw per column; weights and particle order are untouched.  It
     must return a new array that it does not keep: the result holds that
     array without a copy and makes it read-only, so a transition that
     writes into the same buffer again fails on that write instead of
@@ -217,9 +220,16 @@ def resample_systematic(ensemble: ParticleEnsemble, rng: RandomSource) -> Partic
     cumulative = np.cumsum(ensemble.weights)
     cumulative[-1] = 1.0  # guard against rounding drift at the top
     indices = np.searchsorted(cumulative, positions, side="right")
-    return _ensemble(ensemble.particles[indices], np.full(n, 1.0 / n))
+    return _ensemble(ensemble.particles[:, indices], np.full(n, 1.0 / n))
 
 
 def posterior_mean(ensemble: ParticleEnsemble) -> np.ndarray:
-    """Weighted mean of the particle states."""
-    return np.sum(ensemble.weights[:, None] * ensemble.particles, axis=0)
+    """Weighted mean of the particle states.
+
+    The products are laid out one particle per row, and numpy reduces the
+    outer axis of a C-ordered block in order, so each component is ``w_0
+    x_0 + w_1 x_1 + ...`` added left to right.  (States of one component
+    give a contiguous column, which numpy sums pairwise instead.)
+    """
+    products = np.multiply(ensemble.weights[:, None], ensemble.particles.T, order="C")
+    return products.sum(axis=0)

@@ -166,20 +166,28 @@ def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
     demand_doc = _section(doc, "demand")
     upstream = _profile(_section(demand_doc, "upstream", "demand"), "demand.upstream")
     onramp_links = network.onramp_links
+    overrides = demand_doc.get("onramp_overrides", {}) or {}
+    if not isinstance(overrides, Mapping):
+        _fail("demand.onramp_overrides", "must map link index to a profile")
+    # A key names a link with an onramp, as an int or its decimal string.
+    by_link: dict[int, Any] = {}
+    for key, override in overrides.items():
+        where = f"demand.onramp_overrides.{key}"
+        link = next((l for l in onramp_links if str(l) == str(key)), None)
+        if link is None:
+            _fail(where, f"not a link with an onramp; the onramp links are {list(onramp_links)}")
+        if link in by_link:
+            _fail(where, f"link {link} already has an override")
+        by_link[link] = override
     onramp_profiles: list[DemandProfile] = []
-    if onramp_links:
-        default_doc = demand_doc.get("onramp_default")
-        overrides = demand_doc.get("onramp_overrides", {}) or {}
-        if not isinstance(overrides, Mapping):
-            _fail("demand.onramp_overrides", "must map link index to a profile")
-        for link in onramp_links:
-            override = overrides.get(link, overrides.get(str(link)))
-            if override is not None:
-                onramp_profiles.append(_profile(override, f"demand.onramp_overrides.{link}"))
-            elif default_doc is not None:
-                onramp_profiles.append(_profile(default_doc, "demand.onramp_default"))
-            else:
-                _fail("demand.onramp_default", f"required: link {link} has an onramp")
+    default_doc = demand_doc.get("onramp_default")
+    for link in onramp_links:
+        if link in by_link:
+            onramp_profiles.append(_profile(by_link[link], f"demand.onramp_overrides.{link}"))
+        elif default_doc is not None:
+            onramp_profiles.append(_profile(default_doc, "demand.onramp_default"))
+        else:
+            _fail("demand.onramp_default", f"required: link {link} has an onramp")
     schedule = DemandSchedule(dt=dt, upstream=upstream, onramps=tuple(onramp_profiles))
 
     sensors_doc = _section(doc, "sensors")

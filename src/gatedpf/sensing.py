@@ -4,8 +4,10 @@ Generates loop-detector density measurements and per-vehicle speed reports
 from a simulated ground truth, injects labeled faults into the speed
 reports, and evaluates the measurement models the statistical gates test:
 for the M measurements of one step, the null model's moments, residuals and
-log densities as (M, P) arrays over the particles, and the fault models'
-log densities, which do not depend on the state, as (M,) arrays.
+log densities as (M, P) arrays over the particles, read straight off the
+ensemble's (L, P) density block (link-major, particle axis last), and the
+fault models' log densities, which do not depend on the state, as (M,)
+arrays.
 
 Speed reports imitate third-party probe data: each vehicle on a link
 reports its speed with a fixed penetration probability, corrupted by
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -259,7 +261,7 @@ def measurement_rows(
     loops: Mapping[int, LoopDetectorSpec],
     gnss_spec: GnssSpec,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Null-model moments of one step's measurements against a (P, L) block.
+    """Null-model moments of one step's measurements against an (L, P) block.
 
     Returns ``values`` (M,), ``mean`` (M, P), ``std`` (M, P) and the
     ``is_speed`` (M,) mask.  A loop row's mean is each particle's density on
@@ -272,9 +274,9 @@ def measurement_rows(
     values = np.array([m.value for m in measurements], dtype=float)
     links = np.array([m.link for m in measurements], dtype=np.intp)
     is_speed = np.array([m.kind == GNSS_SPEED for m in measurements], dtype=bool)
-    mean = particles.T[links]
+    mean = particles[links]
     if is_speed.any():
-        mean[is_speed] = speed_map(particles, network, links[is_speed], ramp_means).T
+        mean[is_speed] = speed_map(particles, network, links[is_speed], ramp_means)
     # Both std rules in one form, max(frac * mean + offset, floor): a loop
     # with an absolute std has frac 0 and offset noise_abs, all others
     # offset 0, so each row gets exactly its rule's value.
@@ -331,12 +333,24 @@ def write_measurement_log(path: str | Path, measurements: Iterable[LabeledMeasur
     atomic_write_text(path, csv_text(MEASUREMENT_COLUMNS, rows))
 
 
-def read_measurement_log(path: str | Path) -> list[LabeledMeasurement]:
+def read_measurement_log(
+    path: str | Path, check: Callable[[LabeledMeasurement], None] | None = None
+) -> list[LabeledMeasurement]:
     """Read a measurement log back; a row with an unknown kind, a value that
     is not finite and nonnegative, or a faulty label other than 0 or 1
-    raises :class:`DataError` naming ``path:line``.  Steps and links are
-    checked against the scenario by the filter that reads the log."""
-    return read_csv_rows(path, MEASUREMENT_COLUMNS, "measurement log", _measurement)
+    raises :class:`DataError` naming ``path:line``.  ``check``, when given,
+    is called on every measurement read and raises :class:`ValueError` for
+    one its caller cannot use (for the filter,
+    :func:`~gatedpf.harness.check_measurement` against the scenario), which
+    is reported the same way."""
+
+    def parse(row: list[str]) -> LabeledMeasurement:
+        m = _measurement(row)
+        if check is not None:
+            check(m)
+        return m
+
+    return read_csv_rows(path, MEASUREMENT_COLUMNS, "measurement log", parse)
 
 
 def _measurement(row: list[str]) -> LabeledMeasurement:

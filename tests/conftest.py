@@ -25,8 +25,9 @@ def gaussian_rows(values, states, std: float = 1.0) -> tuple[np.ndarray, np.ndar
 
 
 def scalar_ensemble(values, weights=None) -> ParticleEnsemble:
-    """Ensemble of one-dimensional states from a list of scalars."""
-    states = np.asarray(values, dtype=float)[:, None]
+    """Ensemble of one-dimensional states from a list of scalars: a (1, P)
+    block."""
+    states = np.asarray(values, dtype=float)[None, :]
     return ParticleEnsemble.from_states(states, weights)
 
 

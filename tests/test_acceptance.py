@@ -209,7 +209,7 @@ class TestCriterion6PropertySuites:
             prior = rng.uniform(1e-6, 1.0, n)
             prior /= prior.sum()
             lik = rng.uniform(1e-9, 5.0, n)
-            ens = ParticleEnsemble(np.zeros((n, 1)), prior)
+            ens = ParticleEnsemble(np.zeros((1, n)), prior)
             out, log_marginal = weight_update(ens, log_rows(lik))
             assert abs(float(np.sum(out.weights)) - 1.0) <= 1e-12
             assert math.exp(log_marginal) == pytest.approx(float(np.sum(prior * lik)), rel=1e-12)
@@ -219,7 +219,7 @@ class TestCriterion6PropertySuites:
         rng = np.random.default_rng(2)
         for _ in range(100):
             n = int(rng.integers(2, 16))
-            ens = ParticleEnsemble.from_states(rng.normal(size=(n, 2)))
+            ens = ParticleEnsemble.from_states(rng.normal(size=(n, 2)).T)
             a, b = rng.uniform(1e-4, 2.0, n), rng.uniform(1e-4, 2.0, n)
             joint, log_joint = weight_update(ens, log_rows(a, b))
             first, log_a = weight_update(ens, log_rows(a))
@@ -234,12 +234,12 @@ class TestCriterion6PropertySuites:
         weights /= weights.sum()
         # First state component is the particle index, for exact copy counts.
         states = np.column_stack([np.arange(10.0), rng.normal(size=10)])
-        ens = ParticleEnsemble(states, weights)
+        ens = ParticleEnsemble(states.T, weights)
         target = posterior_mean(ens)
         means = []
         for seed in range(1000):
             out = resample_systematic(ens, RandomSource(seed))
-            counts = np.bincount(out.particles[:, 0].astype(int), minlength=10)
+            counts = np.bincount(out.particles[0].astype(int), minlength=10)
             for p in range(10):
                 assert math.floor(10 * weights[p]) <= counts[p] <= math.ceil(10 * weights[p])
             means.append(posterior_mean(out))
@@ -259,7 +259,7 @@ class TestCriterion6PropertySuites:
         rng = np.random.default_rng(4)
         net = small_network(5, onramps={2}, offramps={3}, beta=0.12)
         for trial in range(300):
-            state = rng.uniform(0.0, 0.12, (1, 5))
+            state = rng.uniform(0.0, 0.12, (1, 5)).T
             schedule = DemandSchedule(
                 dt=net.dt, upstream=flat(float(rng.uniform(0, 5)), 0.3), onramps=(flat(0.4, 0.2),)
             )
@@ -267,12 +267,12 @@ class TestCriterion6PropertySuites:
             q, r, s = junction_flows(state, net, upstream, ramps)
             new = advance(state, net, upstream, ramps)
             balance = float(
-                np.sum((new - state) * net.lengths)
-                - (q[0, 0] - q[0, -1] + r.sum() - s.sum())
+                np.sum((new - state) * net.lengths[:, None])
+                - (q[0, 0] - q[-1, 0] + r.sum() - s.sum())
             )
             assert abs(balance) < 1e-9
             assert np.all(q >= 0) and np.all(r >= 0) and np.all(s >= 0)
-            assert np.all(q[:, 1:] <= net.qmax + 1e-12)
+            assert np.all(q[1:] <= net.qmax[:, None] + 1e-12)
         say("criterion 6d PASS: vehicle conservation at 1e-9 and flow bounds")
 
     def test_gate_short_circuit_and_monotonicity(self):

@@ -166,18 +166,45 @@ class TestFilter:
     @pytest.mark.parametrize("link", [-1, 3])
     def test_out_of_network_link_exits_2(self, scenario_path, tmp_path, capsys, link):
         # The tiny scenario has links 0..2; neither row may be gated against
-        # some other link or crash the filter.
+        # some other link or crash the filter, and the message names the
+        # row's line in the log.
         sim = tmp_path / "sim"
         run_cli("simulate", "--scenario", scenario_path, "--out", sim, "--quiet")
         lines = (sim / "measurements.csv").read_text().splitlines()
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines + [f"5,gnss-x,gnss_speed,{link},12.5,0"]) + "\n")
+        out = tmp_path / "o"
         code = run_cli(
             "filter", "--scenario", scenario_path, "--log", bad,
-            "--variant", "fisher", "--alpha", "0.01", "--out", tmp_path / "o", "--quiet",
+            "--variant", "fisher", "--alpha", "0.01", "--out", out, "--quiet",
         )
         assert code == 2
-        assert f"names link {link}" in capsys.readouterr().err
+        assert f"bad.csv:{len(lines) + 1}: measurement 'gnss-x' at step 5 names link {link}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,gnss-x,gnss_speed,1,12.5,0", "at step 0 outside assimilation window [1, 24]"),
+            ("25,gnss-x,gnss_speed,1,12.5,0", "at step 25 outside assimilation window [1, 24]"),
+            ("5,loop-1,loop_density,1,0.02,0", "no 'loop_density' sensor configured on link 1"),
+        ],
+    )
+    def test_row_outside_the_scenario_exits_2_naming_its_line(self, scenario_path, tmp_path, capsys, row, message):
+        # A step outside 1 .. horizon - 1, or a loop reading from a link
+        # without a detector (the tiny scenario's loops are on 0 and 2),
+        # is reported at its line before any output is written.
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"k,sensor_id,kind,link,value,faulty\n1,loop-0,loop_density,0,0.02,0\n{row}\n")
+        out = tmp_path / "o"
+        code = run_cli(
+            "filter", "--scenario", scenario_path, "--log", bad,
+            "--variant", "none", "--out", out, "--quiet",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad.csv:3: measurement" in err and message in err
+        assert not out.exists()
 
 
     @staticmethod

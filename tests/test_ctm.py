@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatedpf.ctm import (
+    DENSITY_TOL,
     EMPTY_DENSITY,
     DemandProfile,
     DemandSchedule,
@@ -79,24 +80,32 @@ class TestLinkFlow:
             link_flow(0.01, a, 0.2, b, 10.0)
 
 
+def column(values) -> np.ndarray:
+    """A one-particle (L, 1) block from one state's link densities."""
+    return np.asarray(values, dtype=float)[:, None]
+
+
 def all_boundary_merge(states, network, upstream_demand, onramp_demand=None):
-    """How ``junction_flows`` used to compute a (P, L) block: the priority
-    merge on every boundary, with zero ramp demand where there is no
-    onramp.  Kept as the reference for the single boundary rule."""
-    n_p, n_l = states.shape
+    """How ``junction_flows`` used to compute its flows: the priority merge
+    on every boundary, with zero ramp demand where there is no onramp, and
+    the offramp split on every link.  Kept as the reference for the single
+    boundary rule and for ramp flows added on their own links only; every
+    operation is elementwise, so the (L, P) layout computes the bits the
+    old (P, L) one did."""
+    n_l, n_p = states.shape
     dt = network.dt
-    demand = np.minimum(network.vf * dt * states, network.qmax)
-    s = network.beta * demand
+    demand = np.minimum(network.vf[:, None] * dt * states, network.qmax[:, None])
+    s = network.beta[:, None] * demand
     mainline_demand = demand - s
-    supply = network.w * dt * (network.rho_jam - states)
+    supply = network.w[:, None] * dt * (network.rho_jam[:, None] - states)
     dem_main = np.empty_like(states)
-    dem_main[:, 0] = np.asarray(upstream_demand, dtype=float)
-    dem_main[:, 1:] = mainline_demand[:, :-1]
+    dem_main[0] = np.asarray(upstream_demand, dtype=float)
+    dem_main[1:] = mainline_demand[:-1]
     dem_ramp = np.zeros_like(states)
     if network.onramp_links:
-        ramp = np.atleast_2d(np.asarray(onramp_demand, dtype=float))
-        ramp = np.broadcast_to(ramp, (n_p, len(network.onramp_links)))
-        dem_ramp[:, list(network.onramp_links)] = ramp
+        ramp = np.asarray(onramp_demand, dtype=float)
+        ramp = ramp[:, None] if ramp.ndim == 1 else ramp
+        dem_ramp[list(network.onramp_links)] = ramp
     congested = dem_main + dem_ramp > supply
     priority = network.onramp_priority
     median3 = np.maximum(
@@ -105,20 +114,33 @@ def all_boundary_merge(states, network, upstream_demand, onramp_demand=None):
     )
     r = np.where(congested, median3, dem_ramp)
     q_in = np.where(congested, supply - r, dem_main)
-    q = np.empty((n_p, n_l + 1))
-    q[:, :n_l] = q_in
-    q[:, n_l] = mainline_demand[:, -1]
+    q = np.empty((n_l + 1, n_p))
+    q[:n_l] = q_in
+    q[n_l] = mainline_demand[-1]
     return q, r, s
 
 
+def all_link_advance(states, network, upstream_demand, onramp_demand=None):
+    """How ``advance`` used to update a block: every link gains ``q_in -
+    q_out + r - s`` from :func:`all_boundary_merge`'s flows, zero ramp
+    flows included, then the result is checked and clamped to ``[0,
+    rho_jam]``."""
+    q, r, s = all_boundary_merge(states, network, upstream_demand, onramp_demand)
+    new_states = states + (q[:-1] - q[1:] + r - s) / network.lengths[:, None]
+    rho_jam = network.rho_jam[:, None]
+    if np.min(new_states) < -DENSITY_TOL or np.max(new_states - rho_jam) > DENSITY_TOL:
+        raise ModelConsistencyError("density outside [0, rho_jam] after step")
+    return np.minimum(np.maximum(new_states, 0.0), rho_jam)
+
+
 @st.composite
-def junction_cases(draw):
-    """A network with random onramp/offramp layout and priority, a (P, L)
-    block of zero, near-empty, jam and interior densities, nonnegative
-    upstream demands and onramp demands shared by the particles or one row
-    each."""
+def junction_cases(draw, onramp_at_0=False):
+    """A network with random onramp/offramp layout and priority (with an
+    onramp on link 0 when ``onramp_at_0``), an (L, P) block of zero,
+    near-empty, jam and interior densities, nonnegative upstream demands
+    and onramp demands shared by the particles or one column each."""
     n = draw(st.integers(1, 6))
-    onramps = draw(st.sets(st.integers(0, n - 1)))
+    onramps = draw(st.sets(st.integers(0, n - 1))) | ({0} if onramp_at_0 else set())
     offramps = draw(st.sets(st.integers(0, n - 1)))
     net = small_network(
         n, onramps=onramps, offramps=offramps, beta=0.2,
@@ -128,8 +150,8 @@ def junction_cases(draw):
     level = st.one_of(
         st.sampled_from([0.0, 1e-7, EMPTY_DENSITY, 0.125]), st.floats(min_value=0.0, max_value=0.125)
     )
-    row = st.lists(level, min_size=n, max_size=n)
-    states = np.array(draw(st.lists(row, min_size=n_p, max_size=n_p)))
+    state = st.lists(level, min_size=n, max_size=n)
+    states = np.array(draw(st.lists(state, min_size=n_p, max_size=n_p))).T.copy()
     demand = st.floats(min_value=0.0, max_value=8.0)
     if draw(st.booleans()):
         upstream = draw(demand)
@@ -140,19 +162,38 @@ def junction_cases(draw):
     if draw(st.booleans()):
         ramps = np.array(draw(ramp_row))
     else:
-        ramps = np.array(draw(st.lists(ramp_row, min_size=n_p, max_size=n_p))).reshape(n_p, n_r)
+        ramps = np.array(draw(st.lists(ramp_row, min_size=n_p, max_size=n_p))).reshape(n_p, n_r).T.copy()
     return net, states, upstream, ramps if onramps else None
+
+
+def one_particle(case, p):
+    """The inputs of ``case`` restricted to particle ``p``, as an (L, 1)
+    block with its own upstream and onramp demands."""
+    _, states, upstream, ramps = case
+    if np.ndim(upstream):
+        upstream = upstream[p : p + 1]
+    if ramps is not None and ramps.ndim == 2:
+        ramps = ramps[:, p : p + 1]
+    return states[:, p : p + 1], upstream, ramps
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type of the model error it raises."""
+    try:
+        return fn(*args)
+    except ModelConsistencyError as exc:
+        return type(exc)
 
 
 class TestJunctionFlows:
     def test_reduces_to_link_flow_without_ramps(self):
         net = small_network(3)
-        rho = np.array([[0.02, 0.05, 0.1]])
+        rho = column([0.02, 0.05, 0.1])
         q, r, s = junction_flows(rho, net, upstream_demand=0.7)
         assert np.all(r == 0) and np.all(s == 0)
         for b in range(1, 3):
-            expected = link_flow(rho[0, b - 1], net.links[b - 1], rho[0, b], net.links[b], net.dt)
-            assert q[0, b] == pytest.approx(expected, rel=1e-12)
+            expected = link_flow(rho[b - 1, 0], net.links[b - 1], rho[b, 0], net.links[b], net.dt)
+            assert q[b, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_offramp_split(self):
         # Unlimited downstream supply: demand 4, beta 0.25 -> s = 1, q = 3.
@@ -163,10 +204,10 @@ class TestJunctionFlows:
             ),
             dt=10.0,
         )
-        rho = np.array([[4.0 / 250.0, 0.0]])  # demand exactly 4 veh/step
+        rho = column([4.0 / 250.0, 0.0])  # demand exactly 4 veh/step
         q, r, s = junction_flows(rho, net, upstream_demand=0.0)
         assert s[0, 0] == pytest.approx(1.0, rel=1e-12)
-        assert q[0, 1] == pytest.approx(3.0, rel=1e-12)
+        assert q[1, 0] == pytest.approx(3.0, rel=1e-12)
 
     def test_priority_merge_with_redistribution(self):
         # Supply 2, mainline demand 3, ramp demand 2, priority 0.5 -> r=1, q=1.
@@ -180,10 +221,10 @@ class TestJunctionFlows:
         rho_up = 3.0 / 250.0
         rho_down = 0.125 - 2.0 / 50.0  # supply = w dt (rho_jam - rho) = 2
         q, r, s = junction_flows(
-            np.array([[rho_up, rho_down]]), net, upstream_demand=0.0, onramp_demand=[2.0]
+            column([rho_up, rho_down]), net, upstream_demand=0.0, onramp_demand=[2.0]
         )
-        assert r[0, 1] == pytest.approx(1.0, rel=1e-12)
-        assert q[0, 1] == pytest.approx(1.0, rel=1e-12)
+        assert r[1, 0] == pytest.approx(1.0, rel=1e-12)
+        assert q[1, 0] == pytest.approx(1.0, rel=1e-12)
 
     def test_merge_redistributes_unused_ramp_share(self):
         net = FreewayNetwork(
@@ -192,28 +233,31 @@ class TestJunctionFlows:
         )
         rho_down = 0.125 - 2.0 / 50.0
         q, r, s = junction_flows(
-            np.array([[3.0 / 250.0, rho_down]]), net, upstream_demand=0.0, onramp_demand=[0.4]
+            column([3.0 / 250.0, rho_down]), net, upstream_demand=0.0, onramp_demand=[0.4]
         )
-        assert r[0, 1] == pytest.approx(0.4, rel=1e-12)
-        assert q[0, 1] == pytest.approx(1.6, rel=1e-12)
+        assert r[1, 0] == pytest.approx(0.4, rel=1e-12)
+        assert q[1, 0] == pytest.approx(1.6, rel=1e-12)
 
     def test_batch_matches_scalar(self):
         net = small_network(4, onramps={2}, offramps={1}, beta=0.2)
         rng = np.random.default_rng(3)
-        states = rng.uniform(0.0, 0.12, size=(6, 4))
-        qb, rb, sb = junction_flows(states, net, upstream_demand=0.5, onramp_demand=[[0.3]] * 6)
+        states = rng.uniform(0.0, 0.12, size=(4, 6))
+        qb, rb, sb = junction_flows(states, net, upstream_demand=0.5, onramp_demand=[[0.3] * 6])
         for i in range(6):
-            q, r, s = junction_flows(states[i : i + 1], net, upstream_demand=0.5, onramp_demand=[0.3])
-            np.testing.assert_allclose(q[0], qb[i], rtol=1e-12)
-            np.testing.assert_allclose(r[0], rb[i], rtol=1e-12)
-            np.testing.assert_allclose(s[0], sb[i], rtol=1e-12)
+            q, r, s = junction_flows(states[:, i : i + 1], net, upstream_demand=0.5, onramp_demand=[0.3])
+            np.testing.assert_allclose(q[:, 0], qb[:, i], rtol=1e-12)
+            np.testing.assert_allclose(r[:, 0], rb[:, i], rtol=1e-12)
+            np.testing.assert_allclose(s[:, 0], sb[:, i], rtol=1e-12)
 
     def test_requires_a_states_block(self):
         net = small_network(3)
         with pytest.raises(ConfigurationError):
             junction_flows(np.full(3, 0.01), net, upstream_demand=0.5)
         with pytest.raises(ConfigurationError):
-            junction_flows(np.full((2, 4), 0.01), net, upstream_demand=0.5)
+            junction_flows(np.full((4, 2), 0.01), net, upstream_demand=0.5)
+        # A particle-major (P, L) block is refused, not read link-major.
+        with pytest.raises(ConfigurationError):
+            junction_flows(np.full((2, 3), 0.01), net, upstream_demand=0.5)
 
     @given(junction_cases())
     @settings(max_examples=300, deadline=None)
@@ -232,20 +276,20 @@ class TestJunctionFlows:
         # link_flow; an offramp link first keeps 1 - beta of its demand.
         net, states, upstream, ramps = case
         q, r, _ = junction_flows(states, net, upstream, ramps)
-        upstream = np.broadcast_to(upstream, states.shape[:1])
-        for p, rho in enumerate(states):
+        upstream = np.broadcast_to(upstream, states.shape[1:])
+        for p, rho in enumerate(states.T):
             for b, down in enumerate(net.links):
                 if down.onramp:
                     continue
-                assert r[p, b] == 0.0
+                assert r[b, p] == 0.0
                 supply = down.w * net.dt * (down.rho_jam - rho[b])
                 if b == 0:
-                    assert q[p, b] == min(upstream[p], supply)
+                    assert q[b, p] == min(upstream[p], supply)
                 elif net.links[b - 1].offramp:
                     demand = min(net.links[b - 1].vf * net.dt * rho[b - 1], net.links[b - 1].qmax)
-                    assert q[p, b] == min(demand - net.beta[b - 1] * demand, supply)
+                    assert q[b, p] == min(demand - net.beta[b - 1] * demand, supply)
                 else:
-                    assert q[p, b] == link_flow(rho[b - 1], net.links[b - 1], rho[b], down, net.dt)
+                    assert q[b, p] == link_flow(rho[b - 1], net.links[b - 1], rho[b], down, net.dt)
 
 
 densities = st.floats(min_value=0.0, max_value=0.125)
@@ -269,9 +313,9 @@ def sampled_advance(state, network, schedule, rng):
     """One step of a single state with demands drawn from ``schedule``:
     the new state and the step's junction flows ``q``, ``r``, ``s``."""
     upstream, ramps = schedule.sample(0, rng, 1, schedule.table((0,)))
-    block = np.asarray(state, dtype=float)[None, :]
+    block = column(state)
     q, r, s = junction_flows(block, network, upstream, ramps)
-    return advance(block, network, upstream, ramps)[0], q[0], r[0], s[0]
+    return advance(block, network, upstream, ramps)[:, 0], q[:, 0], r[:, 0], s[:, 0]
 
 
 class TestStep:
@@ -327,17 +371,81 @@ class TestStep:
         net = small_network(3)
         with pytest.raises(ConfigurationError):
             advance(np.full(3, 0.01), net, 0.5)
+        with pytest.raises(ConfigurationError):
+            advance(np.full((2, 3), 0.01), net, 0.5)
+
+    @given(junction_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_all_link_update(self, case):
+        # Ramp flows are added on their own links only; elsewhere they are
+        # exactly zero, so every link's update keeps its bits.
+        net, states, upstream, ramps = case
+        got = outcome(advance, states, net, upstream, ramps)
+        expected = outcome(all_link_advance, states, net, upstream, ramps)
+        if isinstance(expected, type):
+            assert got is expected
+        else:
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+
+class TestParticleColumns:
+    """A block of particles is the particles side by side: each column of
+    ``advance`` and ``speed_map`` on an (L, P) block equals the same call
+    on that column alone, bit for bit."""
+
+    @staticmethod
+    def check_columns(case, links):
+        net, states, upstream, ramps = case
+        block_next = outcome(advance, states, net, upstream, ramps)
+        block_speeds = speed_map(states, net, links, ramps)
+        alone_next = []
+        for p in range(states.shape[1]):
+            col, up, ramp = one_particle(case, p)
+            alone_next.append(outcome(advance, col, net, up, ramp))
+            speeds = speed_map(col, net, links, ramp)
+            assert speeds.tobytes() == block_speeds[:, p : p + 1].tobytes()
+        if isinstance(block_next, type):
+            # The block's range check fails exactly when some column's does.
+            assert block_next in alone_next
+        else:
+            for p, alone in enumerate(alone_next):
+                assert alone.tobytes() == block_next[:, p : p + 1].tobytes()
+
+    @given(junction_cases(), st.lists(st.integers(0, 5), max_size=10))
+    @settings(max_examples=200, deadline=None)
+    def test_block_equals_its_columns(self, case, links):
+        n = case[0].n_links
+        self.check_columns(case, [link % n for link in links] + list(range(n)))
+
+    @given(junction_cases(onramp_at_0=True))
+    @settings(max_examples=100, deadline=None)
+    def test_block_equals_its_columns_with_onramp_on_link_0(self, case):
+        self.check_columns(case, list(range(case[0].n_links)))
+
+    def test_congested_merges_equal_their_columns(self):
+        # Onramps on links 0 and 2 of a nearly jammed road, with ramp
+        # demands far above the supply: every merge is congested, and the
+        # per-particle ramp demands differ.
+        net = small_network(3, onramps={0, 2}, offramps={1}, beta=0.2, priority=0.3)
+        states = np.array([[0.12, 0.11, 0.124, 0.09], [0.1, 0.12, 0.05, 0.124], [0.123, 0.119, 0.12, 0.11]])
+        upstream = np.array([3.0, 4.0, 2.5, 3.5])
+        ramps = np.array([[2.0, 3.0, 1.5, 4.0], [2.5, 1.0, 3.0, 2.0]])
+        _, r, _ = junction_flows(states, net, upstream, ramps)
+        assert np.all(r[[0, 2]] < ramps)
+        self.check_columns((net, states, upstream, ramps), [0, 1, 2, 1, 0])
 
 
 def full_map_speeds(states, q, s, network):
-    """The speed rule over a whole (P, L) block of realized flows, kept as
+    """The speed rule over a whole (L, P) block of realized flows, kept as
     the reference for ``speed_map`` and ``simulate``: discharge over
     ``rho * dt``, freeflow on near-empty links, clamped to ``[0, vf]``."""
-    discharge = q[:, 1:] + s
+    discharge = q[1:] + s
+    vf = network.vf[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         v = discharge / (states * network.dt)
-    v = np.where(states > EMPTY_DENSITY, v, network.vf)
-    return np.clip(v, 0.0, network.vf)
+    v = np.where(states > EMPTY_DENSITY, v, vf)
+    return np.clip(v, 0.0, vf)
 
 
 class TestLinkSpeed:
@@ -356,17 +464,17 @@ class TestLinkSpeed:
     def test_uncongested_speed_is_exactly_freeflow(self):
         # At demand flow: v = vf dt rho / (rho dt) = vf, also for offramp links.
         net = small_network(3, offramps={1}, beta=0.2)
-        rho = np.array([[0.005, 0.006, 0.004]])
+        rho = column([0.005, 0.006, 0.004])
         v = speed_map(rho, net, [0, 1, 2])
-        np.testing.assert_allclose(v[0], [net.links[i].vf for i in range(3)], rtol=1e-12)
+        np.testing.assert_allclose(v[:, 0], [net.links[i].vf for i in range(3)], rtol=1e-12)
 
     def test_speed_map_matches_link_speed(self):
         # Link speed is discharge (mainline outflow plus offramp flow) over
         # rho dt, evaluated on the flows at the given demands.
         net = small_network(3, onramps={1}, offramps={2}, beta=0.1)
-        rho = np.array([[0.01, 0.06, 0.02]])
+        rho = column([0.01, 0.06, 0.02])
         q, r, s = junction_flows(rho, net, upstream_demand=0.4, onramp_demand=[0.2])
-        expected = (q[:, 1:] + s) / (rho * net.dt)
+        expected = (q[1:] + s) / (rho * net.dt)
         field = speed_map(rho, net, [0, 1, 2], [0.2])
         np.testing.assert_allclose(field, expected, rtol=1e-12)
 
@@ -383,10 +491,10 @@ class TestLinkSpeed:
     )
     @settings(max_examples=200, deadline=None)
     def test_speed_map_equals_full_map_columns(self, layout, data):
-        # The full (P, L) map speed_map used to build, kept as the
+        # The full (L, P) map speed_map used to build, kept as the
         # reference: junction_flows at any upstream demand, then the
-        # full-map speed rule.  Every requested column must match it bit
-        # for bit.
+        # full-map speed rule.  Every requested row must match it bit for
+        # bit.
         n, onramps, offramps, links = layout
         net = small_network(
             n, onramps=onramps, offramps=offramps, beta=0.2,
@@ -398,15 +506,15 @@ class TestLinkSpeed:
             st.sampled_from([0.0, 1e-7, EMPTY_DENSITY, 0.125]), st.floats(min_value=0.0, max_value=0.125)
         )
         row = st.lists(level, min_size=n, max_size=n)
-        states = np.array(data.draw(st.lists(row, min_size=n_p, max_size=n_p)))
-        # One demand per onramp, shared by the particles or one row each.
+        states = np.array(data.draw(st.lists(row, min_size=n_p, max_size=n_p))).T.copy()
+        # One demand per onramp, shared by the particles or one column each.
         n_r = len(onramps)
         ramp_row = st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=n_r, max_size=n_r)
         if data.draw(st.booleans()):
             ramps = np.array(data.draw(ramp_row))
         else:
             rows = data.draw(st.lists(ramp_row, min_size=n_p, max_size=n_p))
-            ramps = np.array(rows).reshape(n_p, n_r)
+            ramps = np.array(rows).reshape(n_p, n_r).T.copy()
         upstream = data.draw(st.floats(min_value=0.0, max_value=8.0))
         q, _, s = junction_flows(states, net, upstream, ramps if onramps else None)
         reference = full_map_speeds(states, q, s, net)
@@ -414,17 +522,19 @@ class TestLinkSpeed:
         next_to_ramps = sorted({max(r - 1, 0) for r in onramps} | onramps)
         for chosen in (links, [0, n - 1], next_to_ramps, list(range(n))):
             got = speed_map(states, net, chosen, ramps if onramps else None)
-            assert got.shape == (n_p, len(chosen))
-            assert got.tobytes() == reference[:, chosen].tobytes()
+            assert got.shape == (len(chosen), n_p)
+            assert got.tobytes() == reference[chosen].tobytes()
 
     def test_speed_map_rejects_links_outside_network(self):
         net = small_network(3)
         with pytest.raises(ConfigurationError):
-            speed_map(np.full((2, 3), 0.01), net, [3])
+            speed_map(np.full((3, 2), 0.01), net, [3])
         with pytest.raises(ConfigurationError):
-            speed_map(np.full((2, 3), 0.01), net, [-1])
+            speed_map(np.full((3, 2), 0.01), net, [-1])
         with pytest.raises(ConfigurationError):
-            speed_map(np.full((2, 4), 0.01), net, [0])
+            speed_map(np.full((4, 2), 0.01), net, [0])
+        with pytest.raises(ConfigurationError):
+            speed_map(np.full((2, 3), 0.01), net, [0])
 
     def test_simulated_speeds_follow_the_realized_flows(self):
         # The reference re-draws each step's demands from the same stream
@@ -444,11 +554,12 @@ class TestLinkSpeed:
         q, s = np.empty((horizon, 4)), np.empty((horizon, 3))
         for k in range(horizon):
             upstream, ramps = schedule.sample(k, rng, 1, table)
-            q_k, _, s_k = junction_flows(traj.states[k : k + 1], net, upstream, ramps)
-            q[k], s[k] = q_k[0], s_k[0]
+            q_k, _, s_k = junction_flows(column(traj.states[k]), net, upstream, ramps)
+            q[k], s[k] = q_k[:, 0], s_k[:, 0]
         expected = (q[:, 1:] + s) / (traj.states[:-1] * net.dt)
         np.testing.assert_allclose(traj.speeds, np.clip(expected, 0.0, net.vf), rtol=1e-12)
-        reference = full_map_speeds(traj.states[:-1], q, s, net)
+        reference = full_map_speeds(traj.states[:-1].T, q.T, s.T, net).T
+        assert traj.speeds.shape == reference.shape
         assert traj.speeds.tobytes() == reference.tobytes()
 
 
@@ -542,8 +653,10 @@ class TestDemandScheduleSample:
         got = schedule.sample(k, rng_new, size, schedule.table(range(k + 1)))
         expected = broadcast_sample(schedule, k, rng_old, size)
         assert got[0].tobytes() == expected[0].tobytes()
-        assert got[1].shape == expected[1].shape == (size, len(onramps))
-        assert got[1].tobytes() == expected[1].tobytes()
+        # One column per particle: the (size, R) draws transposed.
+        assert got[1].shape == (len(onramps), size)
+        assert expected[1].shape == (size, len(onramps))
+        assert got[1].T.tobytes() == expected[1].tobytes()
         assert rng_new.normal() == rng_old.normal()
 
     def test_table_rows_are_profile_means_and_noise_scales(self):
@@ -563,7 +676,7 @@ class TestDemandScheduleSample:
         upstream, ramps = schedule.sample(3, RandomSource(4), 5, schedule.table(range(4)))
         expected = broadcast_sample(schedule, 3, RandomSource(4), 5)
         assert upstream.tobytes() == expected[0].tobytes()
-        assert ramps.tobytes() == expected[1].tobytes()
+        assert ramps.T.tobytes() == expected[1].tobytes()
         np.testing.assert_array_equal(upstream, 1.5)
         np.testing.assert_array_equal(ramps, 0.0)
 
@@ -595,5 +708,5 @@ class TestEquilibrium:
         schedule = flat_schedule(1.5)
         eq = equilibrium_state(net, schedule)
         assert np.all(eq > 0.0)
-        after = advance(eq[None, :], net, 1.5, None)
-        np.testing.assert_allclose(after[0], eq, atol=1e-9)
+        after = advance(column(eq), net, 1.5, None)
+        np.testing.assert_allclose(after[:, 0], eq, atol=1e-9)

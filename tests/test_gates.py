@@ -45,7 +45,7 @@ def lr_row(ens, g0, g1, alpha=0.05, normalized_mass=False):
 def significance_row(ens, value, mean=None, scale=1.0, alpha=0.05):
     """Significance test of one measurement whose null model predicts
     ``mean`` (default: each particle's state) with ``scale`` per particle."""
-    mean = ens.particles[:, 0] if mean is None else np.asarray(mean, dtype=float)
+    mean = ens.particles[0] if mean is None else np.asarray(mean, dtype=float)
     shape = (1, ens.size)
     z, _ = standardize(
         [value], np.broadcast_to(mean, shape), np.broadcast_to(np.asarray(scale, dtype=float), shape)

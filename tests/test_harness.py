@@ -205,10 +205,10 @@ class TestFilterLoop:
         result = run_traffic_filter(config, shuffled, variant, RandomSource(seed))
 
         # Manual composition.
-        ens = ParticleEnsemble.from_states(np.tile(init, (config.particles, 1)))
+        ens = ParticleEnsemble.from_states(np.tile(init[:, None], (1, config.particles)))
 
         def transition(states, rng):
-            upstream, ramps = config.schedule.sample(k - 1, rng, states.shape[0], demand)
+            upstream, ramps = config.schedule.sample(k - 1, rng, states.shape[1], demand)
             return advance(states, config.network, upstream, ramps)
 
         demand = config.schedule.table(range(config.horizon))
@@ -276,6 +276,17 @@ class TestFilterLoop:
 
         bad = [LabeledMeasurement(k=5, sensor_id="x", kind="gnss_speed", link=0, value=1.0, faulty=False)]
         with pytest.raises(DataError):
+            run_traffic_filter(config, bad, FilterVariant("none"), RandomSource(1))
+
+    @pytest.mark.parametrize("link", [-1, 3])
+    def test_measurement_outside_network_rejected(self, link):
+        # The log reader reports such a row at its line; API callers get the
+        # same check from the filter itself.
+        config = micro_config(horizon=5)
+        from gatedpf.sensing import LabeledMeasurement
+
+        bad = [LabeledMeasurement(k=2, sensor_id="x", kind="gnss_speed", link=link, value=1.0, faulty=False)]
+        with pytest.raises(DataError, match=f"names link {link}, outside the network's links"):
             run_traffic_filter(config, bad, FilterVariant("none"), RandomSource(1))
 
     @pytest.mark.parametrize("variant", [FilterVariant("none"), FilterVariant("fisher", 0.01)])

@@ -46,11 +46,22 @@ class TestEnsemble:
         with pytest.raises(WeightCollapseError):
             ParticleEnsemble(np.array([[1.0]]), np.array([0.0]))
         with pytest.raises(ContractViolation):
-            ParticleEnsemble(np.array([[1.0], [2.0]]), np.array([0.4, 0.4]))
+            ParticleEnsemble(np.array([[1.0, 2.0]]), np.array([0.4, 0.4]))
         with pytest.raises(ContractViolation):
-            ParticleEnsemble(np.array([[1.0], [2.0]]), np.array([2.0, 3.0]))
+            ParticleEnsemble(np.array([[1.0, 2.0]]), np.array([2.0, 3.0]))
         with pytest.raises(ConfigurationError):
             ParticleEnsemble(np.array([[np.inf]]), np.array([1.0]))
+
+    def test_particles_are_columns(self):
+        # Three two-component states: an (N, P) = (2, 3) block.
+        states = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        ens = ParticleEnsemble.from_states(states)
+        assert ens.size == 3
+        np.testing.assert_allclose(ens.weights, 1.0 / 3.0)
+        with pytest.raises(ConfigurationError, match="particle count 3"):
+            ParticleEnsemble(states, np.full(2, 0.5))
+        with pytest.raises(ConfigurationError):
+            ParticleEnsemble(np.empty((2, 0)), np.empty(0))
 
     def test_from_states_uniform(self):
         ens = scalar_ensemble([1.0, 2.0, 3.0, 4.0])
@@ -75,25 +86,25 @@ class TestPredict:
         # P=3, states {1,2,3}, x' = x + 1, no noise.
         ens = scalar_ensemble([1.0, 2.0, 3.0])
         out = predict(ens, shift, RandomSource(1))
-        np.testing.assert_allclose(out.particles[:, 0], [2.0, 3.0, 4.0])
+        np.testing.assert_allclose(out.particles[0], [2.0, 3.0, 4.0])
         np.testing.assert_array_equal(out.weights, ens.weights)
 
     def test_zero_mean_noise_law_of_large_numbers(self):
         p = 10_000
-        ens = ParticleEnsemble.from_states(np.zeros((p, 1)))
+        ens = ParticleEnsemble.from_states(np.zeros((1, p)))
         out = predict(ens, noisy, RandomSource(7))
         se = 1.0 / np.sqrt(p)
         assert abs(float(np.mean(out.particles))) < 4 * se
 
     def test_dimension_mismatch_rejected(self):
         def wrong_shape(states, rng):
-            return np.concatenate([states, states], axis=1)
+            return np.concatenate([states, states], axis=0)
 
         with pytest.raises(ConfigurationError):
             predict(scalar_ensemble([1.0]), wrong_shape, RandomSource(1))
 
     def test_bit_determinism(self):
-        ens = ParticleEnsemble.from_states(np.linspace(0, 1, 50)[:, None])
+        ens = ParticleEnsemble.from_states(np.linspace(0, 1, 50)[None, :])
         a = predict(ens, noisy, RandomSource(99, (4,)))
         b = predict(ens, noisy, RandomSource(99, (4,)))
         assert np.array_equal(a.particles, b.particles)
@@ -191,7 +202,7 @@ class TestWeightUpdateBits:
         weights = rng.random(n)
         weights[rng.random(n) < 0.2] = 0.0
         weights[0] += 0.5
-        ens = ParticleEnsemble(rng.random((n, 2)), weights / weights.sum())
+        ens = ParticleEnsemble(rng.random((2, n)), weights / weights.sum())
         rows = spread * rng.normal(size=(k, n))
         rows[rng.random((k, n)) < p_zero] = -np.inf
         expected = loop_weight_update(ens, rows)
@@ -248,7 +259,7 @@ class TestBuiltEnsembles:
         # A transition that writes its draws into one kept buffer breaks the
         # contract: the first ensemble holds the buffer, read-only, so the
         # second call's write fails and the first ensemble is unchanged.
-        buffer = np.empty((2, 1))
+        buffer = np.empty((1, 2))
 
         def reusing(states, rng):
             np.add(states, 1.0, out=buffer)
@@ -271,7 +282,7 @@ class TestBuiltEnsembles:
     def test_predict_rejects_non_finite_states(self, bad):
         def broken(states, rng):
             out = states + 1.0
-            out[-1, 0] = bad
+            out[0, -1] = bad
             return out
 
         with pytest.raises(ConfigurationError, match="finite"):
@@ -304,7 +315,7 @@ class TestNormalize:
     @given(weights_strategy)
     @settings(max_examples=100, deadline=None)
     def test_normalized_sum_within_tolerance(self, weights):
-        ens = ParticleEnsemble.from_states(np.zeros((len(weights), 1)))
+        ens = ParticleEnsemble.from_states(np.zeros((1, len(weights))))
         out, log_marginal = weight_update(ens, log_rows(weights))
         assert abs(float(np.sum(out.weights)) - 1.0) <= 1e-12
         assert np.exp(log_marginal) == pytest.approx(np.mean(weights), rel=1e-9)
@@ -315,7 +326,7 @@ class TestNormalize:
         # Marginal-likelihood identity: the weight update returns
         # log sum_p prior_p * likelihood_p.
         prior = np.array(weights) / sum(weights)
-        ens = ParticleEnsemble(np.zeros((len(weights), 1)), prior)
+        ens = ParticleEnsemble(np.zeros((1, len(weights))), prior)
         rng = np.random.default_rng(11)
         lik = rng.uniform(0.01, 3.0, len(weights))
         _, log_marginal = weight_update(ens, log_rows(lik))
@@ -324,7 +335,7 @@ class TestNormalize:
 
 class TestEffectiveSampleSize:
     def test_uniform_gives_particle_count(self):
-        ens = ParticleEnsemble.from_states(np.zeros((100, 1)))
+        ens = ParticleEnsemble.from_states(np.zeros((1, 100)))
         assert effective_sample_size(ens) == pytest.approx(100.0)
 
     def test_half_half(self):
@@ -340,14 +351,14 @@ class TestSystematicResampling:
     def test_point_mass_gives_all_copies(self):
         ens = scalar_ensemble([5.0, 6.0, 7.0], weights=[0.0, 1.0, 0.0])
         out = resample_systematic(ens, RandomSource(3))
-        np.testing.assert_allclose(out.particles[:, 0], 6.0)
+        np.testing.assert_allclose(out.particles[0], 6.0)
         np.testing.assert_allclose(out.weights, 1.0 / 3.0)
 
     def test_uniform_weights_copy_each_once(self):
         for seed in range(5):
             ens = scalar_ensemble(np.arange(8.0))
             out = resample_systematic(ens, RandomSource(seed))
-            np.testing.assert_array_equal(np.sort(out.particles[:, 0]), np.arange(8.0))
+            np.testing.assert_array_equal(np.sort(out.particles[0]), np.arange(8.0))
 
     def test_three_one_split_for_every_draw(self):
         # Four particles of weights (0.75, 0.25, 0, 0) always resample to
@@ -355,9 +366,18 @@ class TestSystematicResampling:
         ens = scalar_ensemble([1.0, 2.0, 3.0, 4.0], weights=[0.75, 0.25, 0.0, 0.0])
         for seed in range(25):
             out = resample_systematic(ens, RandomSource(seed))
-            values = out.particles[:, 0]
+            values = out.particles[0]
             assert np.sum(values == 1.0) == 3
             assert np.sum(values == 2.0) == 1
+
+    def test_copies_whole_columns(self):
+        # Two-component states: every resampled column is one of the
+        # original columns, both components together.
+        states = np.array([[1.0, 2.0, 3.0, 4.0], [10.0, 20.0, 30.0, 40.0]])
+        ens = ParticleEnsemble(states, np.array([0.1, 0.4, 0.3, 0.2]))
+        out = resample_systematic(ens, RandomSource(4))
+        assert out.particles.shape == (2, 4)
+        np.testing.assert_array_equal(out.particles[1], 10.0 * out.particles[0])
 
     @given(
         st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=2, max_size=16),
@@ -367,9 +387,9 @@ class TestSystematicResampling:
     def test_copy_count_bounds(self, raw, seed):
         weights = np.array(raw) / sum(raw)
         n = len(weights)
-        ens = ParticleEnsemble(np.arange(n, dtype=float)[:, None], weights)
+        ens = ParticleEnsemble(np.arange(n, dtype=float)[None, :], weights)
         out = resample_systematic(ens, RandomSource(seed))
-        counts = np.bincount(out.particles[:, 0].astype(int), minlength=n)
+        counts = np.bincount(out.particles[0].astype(int), minlength=n)
         for p in range(n):
             assert np.floor(n * weights[p]) <= counts[p] <= np.ceil(n * weights[p])
 
@@ -378,7 +398,7 @@ class TestSystematicResampling:
         weights = rng.uniform(0.05, 1.0, 12)
         weights /= weights.sum()
         states = rng.normal(size=(12, 2))
-        ens = ParticleEnsemble(states, weights)
+        ens = ParticleEnsemble(states.T, weights)
         target = posterior_mean(ens)
         n_draws = 1000
         means = np.array(
@@ -399,10 +419,34 @@ class TestPosteriorMean:
         assert posterior_mean(ens)[0] == pytest.approx(2.5, rel=1e-12)
 
     def test_point_mass(self):
-        ens = ParticleEnsemble.from_states(np.full((4, 2), 3.3))
+        ens = ParticleEnsemble.from_states(np.full((2, 4), 3.3))
         np.testing.assert_allclose(posterior_mean(ens), [3.3, 3.3])
 
     def test_uniform_weights_arithmetic_mean(self):
         states = np.arange(12.0).reshape(6, 2)
-        ens = ParticleEnsemble.from_states(states)
+        ens = ParticleEnsemble.from_states(states.T)
         np.testing.assert_allclose(posterior_mean(ens), states.mean(axis=0), rtol=1e-12)
+
+    @given(
+        # At least two components: a single component's products are one
+        # contiguous column, which numpy sums pairwise.
+        st.integers(min_value=2, max_value=30),
+        st.integers(min_value=1, max_value=300),
+        st.sampled_from([1e-3, 1.0, 1e3]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_left_to_right_sum(self, n, p, scale, seed):
+        # Each component is w_0 x_0 + w_1 x_1 + ..., added in particle
+        # order, bit for bit; zero weights included.
+        rng = np.random.default_rng(seed)
+        weights = rng.random(p)
+        weights[rng.random(p) < 0.2] = 0.0
+        weights[0] += 0.5
+        weights /= weights.sum()
+        states = scale * rng.normal(size=(n, p))
+        ens = ParticleEnsemble(states, weights)
+        expected = ens.weights[0] * ens.particles[:, 0]
+        for i in range(1, p):
+            expected = expected + ens.weights[i] * ens.particles[:, i]
+        assert posterior_mean(ens).tobytes() == expected.tobytes()

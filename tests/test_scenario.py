@@ -188,6 +188,46 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=r"^demand\.onramp_overrides\.2\.base: "):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("key", [7, "two", 1, "1", "02", 2.5, -1])
+    def test_override_of_a_link_without_an_onramp_rejected(self, key):
+        # Link 2 has the onramp; 7 is not a link, "two" not an index, and
+        # link 1 has no onramp.  None of them may be dropped silently.
+        doc = tiny_scenario_dict()
+        doc["network"]["links"][2]["onramp"] = True
+        profile = {"base": 0.5, "peak": 0.9, "rise": [0.0, 100.0], "fall": [300.0, 450.0]}
+        doc["demand"]["onramp_default"] = profile
+        doc["demand"]["onramp_overrides"] = {2: profile, key: profile}
+        with pytest.raises(ConfigurationError, match=rf"^demand\.onramp_overrides\.{key}: not a link with an onramp"):
+            scenario_from_dict(doc)
+
+    def test_override_without_onramps_rejected(self):
+        doc = tiny_scenario_dict()
+        profile = {"base": 0.5, "peak": 0.9, "rise": [0.0, 100.0], "fall": [300.0, 450.0]}
+        doc["demand"]["onramp_overrides"] = {0: profile}
+        with pytest.raises(ConfigurationError, match=r"^demand\.onramp_overrides\.0: "):
+            scenario_from_dict(doc)
+
+    def test_override_given_twice_rejected(self):
+        doc = tiny_scenario_dict()
+        doc["network"]["links"][2]["onramp"] = True
+        profile = {"base": 0.5, "peak": 0.9, "rise": [0.0, 100.0], "fall": [300.0, 450.0]}
+        doc["demand"]["onramp_overrides"] = {2: profile, "2": profile}
+        with pytest.raises(ConfigurationError, match=r"^demand\.onramp_overrides\.2: link 2 already"):
+            scenario_from_dict(doc)
+
+    def test_bad_override_key_exits_2(self, tmp_path, capsys):
+        from gatedpf.cli import main
+
+        doc = tiny_scenario_dict()
+        doc["network"]["links"][2]["onramp"] = True
+        profile = {"base": 0.5, "peak": 0.9, "rise": [0.0, 100.0], "fall": [300.0, 450.0]}
+        doc["demand"]["onramp_overrides"] = {2: profile, "two": profile}
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "demand.onramp_overrides.two" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_load_from_yaml(self, tmp_path):
         path = tmp_path / "scenario.yaml"
         path.write_text(yaml.safe_dump(tiny_scenario_dict()))

@@ -173,7 +173,7 @@ def speed_report(value, link=0):
 class TestMeasurementModels:
     def test_loop_model_moments(self):
         spec = LoopDetectorSpec(link=1, noise_frac=0.1, min_std=0.002)
-        states = np.array([[0.0, 0.05], [0.0, 0.001]])
+        states = np.array([[0.0, 0.0], [0.05, 0.001]])
         loop = LabeledMeasurement(k=1, sensor_id="loop-1", kind="loop_density", link=1, value=0.04, faulty=False)
         values, mean, std, is_speed = measurement_rows([loop], states, small_network(2), [], {1: spec}, GnssSpec())
         np.testing.assert_allclose(mean, [[0.05, 0.001]])
@@ -183,7 +183,7 @@ class TestMeasurementModels:
     def test_loop_model_absolute_noise(self):
         spec = LoopDetectorSpec(link=0, noise_abs=0.004, min_std=0.002)
         loop = LabeledMeasurement(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.04, faulty=False)
-        _, mean, std, _ = measurement_rows([loop], np.array([[0.05], [0.0]]), small_network(1), [], {0: spec}, GnssSpec())
+        _, mean, std, _ = measurement_rows([loop], np.array([[0.05, 0.0]]), small_network(1), [], {0: spec}, GnssSpec())
         np.testing.assert_array_equal(mean, [[0.05, 0.0]])
         np.testing.assert_array_equal(std, [[0.004, 0.004]])
         floored = LoopDetectorSpec(link=0, noise_abs=0.001, min_std=0.002)
@@ -195,7 +195,7 @@ class TestMeasurementModels:
         # mean is speed_map on that row's link alone, bit for bit, at the
         # given onramp means (link 0 discharges into link 1's onramp).
         net = small_network(3, onramps={1}, offramps={2}, beta=0.1)
-        particles = np.random.default_rng(4).uniform(0.0, 0.125, (6, 3))
+        particles = np.random.default_rng(4).uniform(0.0, 0.125, (6, 3)).T
         ramp_means = np.array([0.7])
         loops = {0: LoopDetectorSpec(link=0), 2: LoopDetectorSpec(link=2)}
         loop = LabeledMeasurement(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.05, faulty=False)
@@ -205,9 +205,9 @@ class TestMeasurementModels:
         assert values.tolist() == [0.05, 9.0, 7.0, 0.05, 8.0]
         for row, m in enumerate(ms):
             if is_speed[row]:
-                expected = speed_map(particles, net, [m.link], ramp_means)[:, 0]
+                expected = speed_map(particles, net, [m.link], ramp_means)[0]
             else:
-                expected = particles[:, m.link]
+                expected = particles[m.link]
             assert mean[row].tobytes() == expected.tobytes()
         assert mean[1].tobytes() == mean[4].tobytes()
 
@@ -215,7 +215,7 @@ class TestMeasurementModels:
         # Correct fault model at y = 0 dwarfs the null for any particle
         # predicting at least 5 m/s: on one link with qmax 4 and dt 10 the
         # predicted speed is min(vf, 0.4 / rho), here 5, 15 and vf = 20.
-        particles = np.array([[0.08], [0.4 / 15.0], [0.01]])
+        particles = np.array([[0.08, 0.4 / 15.0, 0.01]])
         values, mean, std, _ = measurement_rows(
             [speed_report(0.0)], particles, small_network(1), [], {}, GnssSpec()
         )
@@ -258,7 +258,7 @@ class TestBuildSensorModels:
         # One link with qmax 4 and dt 10: the predicted speed is
         # min(vf, 0.4 / rho), 10 and 20 / 3 m/s for these particles.
         loop = LabeledMeasurement(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.05, faulty=False)
-        particles = np.array([[0.04], [0.06]])
+        particles = np.array([[0.04, 0.06]])
         return measurement_rows(
             [loop, speed_report(12.0)], particles, small_network(1), [], {0: LoopDetectorSpec(link=0)}, GnssSpec()
         )
