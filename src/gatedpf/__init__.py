@@ -49,6 +49,7 @@ from .ctm import (
     speed_map,
 )
 from .sensing import (
+    CompiledLog,
     FaultConfig,
     GnssSpec,
     LabeledMeasurement,
@@ -66,6 +67,7 @@ from .harness import (
     MetricsReport,
     RunMetrics,
     TrajectoryPair,
+    compile_log,
     confusion_metrics,
     mape,
     run_experiment,

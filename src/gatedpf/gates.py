@@ -94,23 +94,42 @@ def likelihood_ratio_test(
     rejection.  ``mass_normalized`` divides the statistic by the row's
     total null mass; the default keeps the raw mass, which lets uniformly
     implausible measurements (tiny null density under every particle) be
-    rejected.
+    rejected.  A particle of zero weight carries no mass, and a row whose
+    total null mass overflows takes its normalized statistic from masses
+    rescaled by the row's largest log mass.
     """
     weights = np.asarray(weights, dtype=float)
     log_g0 = np.asarray(log_g0, dtype=float)
     # Strict comparison: ties, including both densities zero, favor the null.
     favors_h1 = log_g1 > log_g0
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         mass = weights * np.exp(log_g0)
-    # Row by row, summing only the favoring particles: padding the sum with
-    # zeros would change its rounding.
-    statistic = np.array([np.sum(m[f]) for m, f in zip(mass, favors_h1)], dtype=float)
-    if mass_normalized:
-        total = np.array([np.sum(m) for m in mass], dtype=float)
-        statistic = np.divide(
-            statistic, total, out=np.zeros_like(statistic), where=total > 0.0
-        )
+    if not weights.all():
+        # A zero-weight particle carries no mass, even where its null
+        # density overflows (0 * inf).
+        mass[:, weights == 0.0] = 0.0
     count = np.count_nonzero(favors_h1, axis=1)
+    # Sum only the favoring particles: padding a sum with zeros would change
+    # its rounding.  A row where all favor H1 sums whole, which rounds as the
+    # row's own sum does; only rows split between the models need a loop.
+    statistic = np.zeros(len(mass))
+    full = count == mass.shape[1]
+    statistic[full] = mass[full].sum(axis=1)
+    for i in np.flatnonzero((count > 0) & ~full).tolist():
+        statistic[i] = np.sum(mass[i][favors_h1[i]])
+    if mass_normalized:
+        total = mass.sum(axis=1)
+        finite = total < np.inf
+        statistic = np.divide(
+            statistic, total, out=np.zeros_like(statistic), where=finite & (total > 0.0)
+        )
+        if not finite.all():
+            # The ratio does not depend on the masses' common scale.
+            with np.errstate(divide="ignore"):
+                log_mass = np.log(weights) + log_g0[~finite]
+            scaled = np.exp(log_mass - log_mass.max(axis=1, keepdims=True))
+            favoring = np.where(favors_h1[~finite], scaled, 0.0).sum(axis=1)
+            statistic[~finite] = favoring / scaled.sum(axis=1)
     return GateRows(
         kind=GateKind.NEYMAN_PEARSON,
         statistic=statistic,

@@ -4,7 +4,9 @@ One experiment run simulates a ground-truth traffic realization, generates
 labeled measurements (loop densities plus fault-injected speed reports),
 then runs the gated particle filter once per configured (test mode, level)
 variant against the same measurement log; ``gatedpf simulate`` builds a
-seed's truth and log on the same path, :func:`simulate_seed`.  Detection
+seed's truth and log on the same path, :func:`simulate_seed`.  The log is
+checked and compiled once per seed (:func:`compile_log`) into step-ordered
+columns that every variant's filter run reads.  Detection
 quality is scored as a confusion matrix over the gate decisions; estimation
 quality as the mean absolute percentage error of the posterior-mean density
 trajectory.
@@ -17,7 +19,6 @@ metric columns directly comparable across test modes and levels.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -53,8 +54,11 @@ from .particles import (
 )
 from .rng import RandomSource
 from .sensing import (
+    GNSS_SPEED,
+    LIKELIHOOD_RATIO_MODES,
     LOOP_DENSITY,
     MEASUREMENT_KINDS,
+    CompiledLog,
     FaultConfig,
     GnssSpec,
     HYPOTHESIS_MODES,
@@ -280,19 +284,17 @@ def simulate_seed(
     return truth, measurements
 
 
-def _run_gate(config, variant, weights, tested, values, z, log_g0) -> GateRows:
-    """Run the variant's gate on the ``tested`` rows of one step: ``fisher``
-    runs the significance test with no fault model, ``np_correct`` the
-    likelihood-ratio test against the true fault mixture, ``np_incorrect``
-    against the near-zero model only.  Either way a row no positive-weight
-    particle explains is rejected."""
-    log_g0 = log_g0[tested]
+def _run_gate(config, variant, weights, z, log_g0, log, speeds) -> GateRows:
+    """Run the variant's gate on one step's tested rows, the ``speeds``
+    rows of the compiled ``log``: ``fisher`` runs the significance test
+    with no fault model, ``np_correct`` the likelihood-ratio test against
+    the true fault mixture, ``np_incorrect`` against the near-zero model
+    only.  Either way a row no positive-weight particle explains is
+    rejected."""
     if variant.mode == "fisher":
-        gate = significance_test(weights, z[tested], variant.alpha)
+        gate = significance_test(weights, z, variant.alpha)
     else:
-        log_g1 = fault_log_density(
-            values[tested], variant.mode, config.fault_config, config.h1_zero_std
-        )
+        log_g1 = log.fault_log_g1[variant.mode][speeds]
         gate = likelihood_ratio_test(
             weights, log_g0, log_g1[:, None], variant.alpha, config.np_mass_normalized
         )
@@ -321,38 +323,100 @@ def check_measurement(config: ExperimentConfig, m: LabeledMeasurement) -> None:
         )
 
 
+def compile_log(
+    config: ExperimentConfig, measurements: Sequence[LabeledMeasurement]
+) -> CompiledLog:
+    """Check a measurement log once and compile it into step-ordered columns
+    for filter runs of ``config``.
+
+    A measurement that fails :func:`check_measurement` raises
+    :class:`DataError`.  The std rules are gathered from a per-link table
+    (each loop detector's rule, then the speed rule), the fault log
+    densities of the likelihood-ratio modes are evaluated once for the
+    whole log, and each step's speed rows share one entry per distinct
+    link, so a run evaluates the speed map once per reported link.
+    """
+    for m in measurements:
+        try:
+            check_measurement(config, m)
+        except ValueError as exc:
+            raise DataError(str(exc)) from None
+    n = len(measurements)
+    n_links = config.network.n_links
+    steps = np.fromiter((m.k for m in measurements), dtype=np.intp, count=n)
+    order = np.argsort(steps, kind="stable")
+    ordered = tuple(measurements[i] for i in order.tolist())
+    steps = steps[order]
+    links = np.fromiter((m.link for m in ordered), dtype=np.intp, count=n)
+    values = np.fromiter((m.value for m in ordered), dtype=float, count=n)
+    is_speed = np.fromiter((m.kind == GNSS_SPEED for m in ordered), dtype=bool, count=n)
+
+    # Column l of the rule table is link l's loop detector, column n_links
+    # the speed rule; a link without a detector is never gathered.
+    rule_table = np.full((3, n_links + 1), np.nan)
+    for link, spec in config.loops.items():
+        rule_table[:, link] = spec.std_rule
+    rule_table[:, n_links] = (config.gnss_spec.noise_frac, 0.0, config.gnss_spec.min_std)
+
+    speed = np.flatnonzero(is_speed)
+    speed_steps = steps[speed]
+    pairs, speed_pairs = np.unique(speed_steps * n_links + links[speed], return_inverse=True)
+    bounds = np.arange(config.horizon + 1)
+    offsets = np.stack(
+        [
+            np.searchsorted(steps, bounds),
+            np.searchsorted(speed_steps, bounds),
+            np.searchsorted(pairs // n_links, bounds),
+        ],
+        axis=1,
+    )
+    return CompiledLog(
+        measurements=ordered,
+        offsets=offsets,
+        values=values,
+        links=links,
+        std_rules=rule_table[:, np.where(is_speed, n_links, links)],
+        speed_rows=speed - offsets[speed_steps, 0],
+        speed_pairs=speed_pairs - offsets[speed_steps, 2],
+        pair_links=pairs % n_links,
+        fault_log_g1=MappingProxyType(
+            {
+                mode: fault_log_density(
+                    values[speed], mode, config.fault_config, config.h1_zero_std
+                )
+                for mode in LIKELIHOOD_RATIO_MODES
+            }
+        ),
+    )
+
+
 def run_traffic_filter(
     config: ExperimentConfig,
-    measurements: Sequence[LabeledMeasurement],
+    measurements: Sequence[LabeledMeasurement] | CompiledLog,
     variant: FilterVariant,
     rng: RandomSource,
 ) -> FilterRunResult:
     """Run one gated filter over a measurement log.
 
-    Per step: predict the ensemble through the traffic model, evaluate the
-    step's measurements as (M, P) rows against the predicted ensemble, gate
-    the speed reports, assimilate the accepted measurements, record the
-    posterior mean, and resample when the effective sample size falls below
-    the configured fraction.  A measurement that fails
-    :func:`check_measurement` raises :class:`DataError`; a step whose
-    assimilated measurements no particle explains raises
+    ``measurements`` is a log compiled for ``config`` by
+    :func:`compile_log`, or a plain sequence, which is compiled on entry
+    (so a measurement that fails :func:`check_measurement` raises
+    :class:`DataError`).  Per step: predict the ensemble through the traffic
+    model, read the step's rows off the compiled columns against the
+    predicted ensemble, gate the speed reports, assimilate the accepted
+    measurements, record the posterior mean, and resample when the
+    effective sample size falls below the configured fraction.  A step
+    whose assimilated measurements no particle explains raises
     :class:`WeightCollapseError` carrying the step ``k`` and those
     measurements' sensor ids.
     """
+    log = measurements if isinstance(measurements, CompiledLog) else compile_log(config, measurements)
     network, schedule, demand = config.network, config.schedule, config.demand_table
     ensemble = ParticleEnsemble.from_states(
         np.repeat(config.initial_state[:, None], config.particles, axis=1)
     )
     rng_demand = rng.derive(STREAM_FILTER_DEMAND)
     rng_resample = rng.derive(STREAM_FILTER_RESAMPLE)
-
-    by_step: dict[int, list[LabeledMeasurement]] = defaultdict(list)
-    for m in measurements:
-        try:
-            check_measurement(config, m)
-        except ValueError as exc:
-            raise DataError(str(exc)) from None
-        by_step[m.k].append(m)
 
     def transition(states: np.ndarray, rng: RandomSource) -> np.ndarray:
         # The filter embeds the truth's traffic model but draws its own
@@ -367,27 +431,28 @@ def run_traffic_filter(
 
     for k in range(1, config.horizon):
         prior = predict(ensemble, transition, rng_demand)
-        step_measurements = by_step.get(k, [])
-        if step_measurements:
-            values, mean, std, is_speed = measurement_rows(
-                step_measurements, prior.particles, network, demand[k, 0, 1:], config.loops,
-                config.gnss_spec,
+        rows, speeds, _ = log.step(k)
+        if rows.start < rows.stop:
+            step_measurements = log.measurements[rows]
+            values, mean, std, tested = measurement_rows(
+                log, k, prior.particles, network, demand[k, 0, 1:]
             )
             z, log_g0 = standardize(values, mean, std)
-            rejected = np.zeros(len(step_measurements), dtype=bool)
+            rejected = np.zeros(len(values), dtype=bool)
             # Speed reports are gated; loop detectors are first-party and
             # never are.
-            tested = np.flatnonzero(is_speed)
             if variant.mode != "none" and tested.size:
-                gate = _run_gate(config, variant, prior.weights, tested, values, z, log_g0)
+                gate = _run_gate(
+                    config, variant, prior.weights, z[tested], log_g0[tested], log, speeds
+                )
                 rejected[tested] = gate.rejected
+                kind = gate.kind.value
                 outcomes = zip(gate.statistic.tolist(), gate.rejected.tolist(), gate.auxiliary.tolist())
-                for i, (stat, rej, aux) in zip(tested, outcomes):
+                for i, (stat, rej, aux) in zip(tested.tolist(), outcomes):
                     m = step_measurements[i]
                     decisions.append(
                         DecisionRecord(
-                            m.k, m.sensor_id, m.link, gate.kind.value,
-                            stat, variant.alpha, rej, aux, m.faulty,
+                            m.k, m.sensor_id, m.link, kind, stat, variant.alpha, rej, aux, m.faulty
                         )
                     )
             try:
@@ -538,18 +603,21 @@ RunSink = Callable[[int, Trajectory, Sequence[LabeledMeasurement], FilterVariant
 def run_experiment(config: ExperimentConfig, on_run: RunSink | None = None) -> MetricsReport:
     """Full study: per seed, simulate truth once and run every variant on it.
 
-    A weight collapse in one variant is recorded (all-NaN metrics,
-    ``collapsed`` set) and the remaining variants still run.  ``on_run``
-    receives each finished run, e.g. for writing artifacts.
+    Each seed's log is checked and compiled once (:func:`compile_log`) and
+    every variant's run reads the compiled log.  A weight collapse in one
+    variant is recorded (all-NaN metrics, ``collapsed`` set) and the
+    remaining variants still run.  ``on_run`` receives each finished run
+    with the seed's measurement list, e.g. for writing artifacts.
     """
     runs: list[RunMetrics] = []
     for seed in config.seeds:
         base = RandomSource(seed)
         truth, measurements = simulate_seed(config, seed)
+        log = compile_log(config, measurements)
         true_slice = truth.states[1 : config.horizon]
         for variant in config.variants:
             try:
-                result = run_traffic_filter(config, measurements, variant, base)
+                result = run_traffic_filter(config, log, variant, base)
             except WeightCollapseError:
                 runs.append(
                     RunMetrics(

@@ -36,6 +36,8 @@ GNSS_SPEED = "gnss_speed"
 MEASUREMENT_KINDS = (LOOP_DENSITY, GNSS_SPEED)
 
 HYPOTHESIS_MODES = ("none", "fisher", "np_correct", "np_incorrect")
+# The modes whose gate is the likelihood-ratio test against a fault model.
+LIKELIHOOD_RATIO_MODES = ("np_correct", "np_incorrect")
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -253,38 +255,67 @@ def inject_faults(
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class CompiledLog:
+    """A checked measurement log as whole-log columns in step order.
+
+    ``measurements`` holds the log's measurements ordered by step (stable:
+    a step keeps its measurements' order), and every column follows that
+    order.  ``offsets`` (K + 1, 3) locates each step: the rows of step
+    ``k`` are ``offsets[k, 0]:offsets[k + 1, 0]`` of the row columns, its
+    speed rows ``offsets[k, 1]:offsets[k + 1, 1]`` of the speed columns and
+    its distinct speed links ``offsets[k, 2]:offsets[k + 1, 2]`` of
+    ``pair_links``.
+
+    Row columns (N,): ``values``, ``links`` and ``std_rules`` (3, N), each
+    row's null-model std rule ``(frac, offset, floor)``.  Speed columns
+    (S,): ``speed_rows``, each speed row's position within its step;
+    ``speed_pairs``, its index into its step's distinct links; and
+    ``fault_log_g1``, each likelihood-ratio mode's fault log density.
+    """
+
+    measurements: tuple[LabeledMeasurement, ...]
+    offsets: np.ndarray
+    values: np.ndarray
+    links: np.ndarray
+    std_rules: np.ndarray
+    speed_rows: np.ndarray
+    speed_pairs: np.ndarray
+    pair_links: np.ndarray
+    fault_log_g1: Mapping[str, np.ndarray]
+
+    def step(self, k: int) -> tuple[slice, slice, slice]:
+        """The slices of step ``k``'s rows, speed rows and speed links."""
+        (r0, s0, p0), (r1, s1, p1) = self.offsets[k : k + 2].tolist()
+        return slice(r0, r1), slice(s0, s1), slice(p0, p1)
+
+
 def measurement_rows(
-    measurements: Sequence[LabeledMeasurement],
+    log: CompiledLog,
+    k: int,
     particles: np.ndarray,
     network: FreewayNetwork,
     ramp_means: np.ndarray,
-    loops: Mapping[int, LoopDetectorSpec],
-    gnss_spec: GnssSpec,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Null-model moments of one step's measurements against an (L, P) block.
+    """Null-model moments of step ``k``'s measurements against an (L, P) block.
 
-    Returns ``values`` (M,), ``mean`` (M, P), ``std`` (M, P) and the
-    ``is_speed`` (M,) mask.  A loop row's mean is each particle's density on
-    its link, with the detector's relative (or absolute) noise floored at
-    ``min_std``; a speed row's mean is each particle's predicted speed on
-    its link, :func:`~gatedpf.ctm.speed_map` at the onramp demands
-    ``ramp_means``, with std ``max(noise_frac * v, min_std)``.  ``loops``
-    maps a link to its detector; every loop row must have one.
+    Returns ``values`` (M,), ``mean`` (M, P), ``std`` (M, P) and ``tested``,
+    the positions of the speed rows among the step's rows.  A loop row's
+    mean is each particle's density on its link; a speed row's mean is each
+    particle's predicted speed on its link, :func:`~gatedpf.ctm.speed_map`
+    at the onramp demands ``ramp_means``, evaluated once per distinct link
+    of the step.  A row's std is its rule's ``max(frac * mean + offset,
+    floor)``.
     """
-    values = np.array([m.value for m in measurements], dtype=float)
-    links = np.array([m.link for m in measurements], dtype=np.intp)
-    is_speed = np.array([m.kind == GNSS_SPEED for m in measurements], dtype=bool)
-    mean = particles[links]
-    if is_speed.any():
-        mean[is_speed] = speed_map(particles, network, links[is_speed], ramp_means)
-    # Both std rules in one form, max(frac * mean + offset, floor): a loop
-    # with an absolute std has frac 0 and offset noise_abs, all others
-    # offset 0, so each row gets exactly its rule's value.
-    speed_rule = (gnss_spec.noise_frac, 0.0, gnss_spec.min_std)
-    rules = [speed_rule if s else loops[m.link].std_rule for m, s in zip(measurements, is_speed)]
-    frac, offset, floor = np.array(rules, dtype=float).reshape(-1, 3).T[:, :, None]
+    rows, speeds, pairs = log.step(k)
+    mean = particles[log.links[rows]]
+    tested = log.speed_rows[speeds]
+    if tested.size:
+        speed = speed_map(particles, network, log.pair_links[pairs], ramp_means)
+        mean[tested] = speed[log.speed_pairs[speeds]]
+    frac, offset, floor = log.std_rules[:, rows, None]
     std = np.maximum(frac * mean + offset, floor)
-    return values, mean, std, is_speed
+    return log.values[rows], mean, std, tested
 
 
 def standardize(

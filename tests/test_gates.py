@@ -358,6 +358,78 @@ class TestSignificanceBits:
         assert gate.rejected.tolist() == [False, True]
 
 
+class TestLikelihoodRatioBits:
+    @given(
+        st.sampled_from([1, 2, 7, 8, 9, 129, 400]),
+        st.integers(min_value=0, max_value=6),
+        st.booleans(),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_statistic_equals_row_by_row_sum(self, n, k, per_particle, mass_normalized, seed):
+        # The statistic as it once was computed, one row at a time over the
+        # favoring particles only, on rows no particle favors (0), all favor
+        # (1) and, past P = 1, mostly some but not all favor.
+        rng = np.random.default_rng(seed)
+        weights = rng.random(n)
+        weights[rng.random(n) < 0.2] = 0.0
+        weights[0] += 0.5
+        weights /= weights.sum()
+        log_g0 = rng.normal(scale=3.0, size=(k + 2, n))
+        log_g1 = rng.normal(scale=3.0, size=(k + 2, n if per_particle else 1))
+        log_g1[0], log_g1[1] = -np.inf, np.inf
+        mass = weights * np.exp(log_g0)
+        favors = log_g1 > log_g0
+        expected = np.array([np.sum(m[f]) for m, f in zip(mass, favors)], dtype=float)
+        if mass_normalized:
+            total = np.array([np.sum(m) for m in mass], dtype=float)
+            expected = expected / total
+        gate = likelihood_ratio_test(weights, log_g0, log_g1, 0.05, mass_normalized)
+        assert gate.statistic.tobytes() == expected.tobytes()
+        assert gate.auxiliary.tolist() == np.count_nonzero(favors, axis=1).tolist()
+        assert gate.auxiliary[:2].tolist() == [0.0, n]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_normalized_statistic_of_an_overflowing_null_mass(self):
+        # exp(800) overflows, so the favoring and the total mass are both
+        # infinite: the ratio comes from masses rescaled by the row's
+        # largest log mass instead of inf / inf = NaN.
+        gate = likelihood_ratio_test(
+            np.array([0.5, 0.5]), np.array([[800.0, 800.0]]), np.array([[900.0]]), 0.05, True
+        )
+        assert gate.statistic.tolist() == [1.0]
+        assert not gate.rejected[0]
+        weights = np.array([0.25, 0.75])
+        log_g0 = np.array([[800.0, 700.0], [1.0, 2.0]])
+        log_g1 = np.array([[750.0], [1.5]])
+        gate = likelihood_ratio_test(weights, log_g0, log_g1, 0.05, True)
+        # Only particle 1 favors H1: 0.75 e^700 / (0.25 e^800 + 0.75 e^700).
+        assert gate.statistic[0] == pytest.approx(3.0 * math.exp(-100.0), rel=1e-12)
+        assert gate.rejected.tolist() == [True, False]
+        mass = weights * np.exp(log_g0[1])
+        assert gate.statistic[1] == mass[0] / np.sum(mass)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_null_mass_is_infinite_unnormalized(self):
+        gate = likelihood_ratio_test(
+            np.array([0.5, 0.5]), np.array([[800.0, 800.0]]), np.array([[900.0]]), 0.05
+        )
+        assert gate.statistic.tolist() == [np.inf]
+        assert not gate.rejected[0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mass_normalized", [False, True])
+    def test_zero_weight_particle_whose_null_mass_overflows(self, mass_normalized):
+        # 0 * exp(800) would be NaN: the zero-weight particle carries no
+        # mass, so only particle 1's mass e^-5 counts, whole or normalized.
+        gate = likelihood_ratio_test(
+            np.array([1.0, 0.0]), np.array([[-5.0, 800.0]]), np.array([[900.0]]), 0.05, mass_normalized
+        )
+        assert gate.statistic.tolist() == [1.0 if mass_normalized else math.exp(-5.0)]
+        assert gate.auxiliary.tolist() == [2.0]
+
+
 class TestUnexplainedRows:
     """The gate rejects a row whose null density is zero at every particle
     of positive prior weight, whatever its test decides."""

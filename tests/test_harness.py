@@ -6,9 +6,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gatedpf.ctm import DemandProfile, DemandSchedule, advance, equilibrium_state, simulate
+from gatedpf.ctm import DemandProfile, DemandSchedule, advance, equilibrium_state, simulate, speed_map
 from gatedpf.errors import ConfigurationError, DataError, WeightCollapseError
 from gatedpf.gates import gated_update, likelihood_ratio_test, significance_test, unexplained
+from gatedpf import harness
 from gatedpf.harness import (
     STREAM_FILTER_DEMAND,
     STREAM_FILTER_RESAMPLE,
@@ -20,6 +21,7 @@ from gatedpf.harness import (
     MetricsReport,
     RunMetrics,
     TrajectoryPair,
+    compile_log,
     confusion_metrics,
     generate_measurements,
     mape,
@@ -41,11 +43,12 @@ from gatedpf.particles import (
 )
 from gatedpf.rng import RandomSource
 from gatedpf.sensing import (
+    GNSS_SPEED,
     FaultConfig,
     GnssSpec,
+    LabeledMeasurement,
     LoopDetectorSpec,
     fault_log_density,
-    measurement_rows,
     standardize,
 )
 
@@ -191,8 +194,10 @@ class TestFilterLoop:
     def test_matches_hand_composed_pipeline(self, variant):
         # Regression against a pipeline composed by hand from the library's
         # pieces on the same random streams: estimates and decisions must
-        # match bit for bit.  The log is handed over in reverse step order,
-        # which the filter must undo.
+        # match bit for bit.  The reference builds every row from its own
+        # report, not from the compiled log.  The log is handed over in
+        # reverse step order, which the filter must undo, and step 3 holds
+        # several reports on one link.
         config = micro_config(horizon=12, variants=(variant,))
         seed = config.seeds[0]
         base = RandomSource(seed)
@@ -201,6 +206,12 @@ class TestFilterLoop:
         measurements = generate_measurements(
             truth, config.network, config.loop_specs, config.gnss_spec, config.fault_config, base
         )
+        measurements += [
+            LabeledMeasurement(3, f"extra-{i}", GNSS_SPEED, link, value, faulty)
+            for i, (link, value, faulty) in enumerate(
+                [(2, 14.0, False), (0, 0.0, True), (2, 16.5, False), (0, 35.0, True), (2, 15.0, False)]
+            )
+        ]
         shuffled = sorted(measurements, key=lambda m: -m.k)
         result = run_traffic_filter(config, shuffled, variant, RandomSource(seed))
 
@@ -215,9 +226,11 @@ class TestFilterLoop:
         rng_demand = RandomSource(seed).derive(STREAM_FILTER_DEMAND)
         rng_resample = RandomSource(seed).derive(STREAM_FILTER_RESAMPLE)
         loops = {spec.link: spec for spec in config.loop_specs}
+        gnss = config.gnss_spec
         by_step = {}
         for m in measurements:
             by_step.setdefault(m.k, []).append(m)
+        assert sum(m.kind == GNSS_SPEED and m.link == 2 for m in by_step[3]) >= 3
 
         estimates, decisions = [], []
         for k in range(1, config.horizon):
@@ -226,12 +239,20 @@ class TestFilterLoop:
             if ms:
                 t = k * config.schedule.dt
                 ramp_means = np.array([p.mean(t) for p in config.schedule.onramps])
-                values, mean, std, is_speed = measurement_rows(
-                    ms, prior.particles, config.network, ramp_means, loops, config.gnss_spec
-                )
-                z, log_g0 = standardize(values, mean, std)
+                mean_rows, std_rows = [], []
+                for m in ms:
+                    if m.kind == GNSS_SPEED:
+                        row = speed_map(prior.particles, config.network, [m.link], ramp_means)[0]
+                        frac, offset, floor = gnss.noise_frac, 0.0, gnss.min_std
+                    else:
+                        row = prior.particles[m.link]
+                        frac, offset, floor = loops[m.link].std_rule
+                    mean_rows.append(row)
+                    std_rows.append(np.maximum(frac * row + offset, floor))
+                values = np.array([m.value for m in ms])
+                z, log_g0 = standardize(values, np.array(mean_rows), np.array(std_rows))
                 rejected = np.zeros(len(ms), dtype=bool)
-                tested = np.flatnonzero(is_speed)
+                tested = np.flatnonzero([m.kind == GNSS_SPEED for m in ms])
                 if variant.mode != "none" and tested.size:
                     if variant.mode == "fisher":
                         gate = significance_test(prior.weights, z[tested], variant.alpha)
@@ -272,8 +293,6 @@ class TestFilterLoop:
 
     def test_measurement_outside_window_rejected(self):
         config = micro_config(horizon=5)
-        from gatedpf.sensing import LabeledMeasurement
-
         bad = [LabeledMeasurement(k=5, sensor_id="x", kind="gnss_speed", link=0, value=1.0, faulty=False)]
         with pytest.raises(DataError):
             run_traffic_filter(config, bad, FilterVariant("none"), RandomSource(1))
@@ -283,8 +302,6 @@ class TestFilterLoop:
         # The log reader reports such a row at its line; API callers get the
         # same check from the filter itself.
         config = micro_config(horizon=5)
-        from gatedpf.sensing import LabeledMeasurement
-
         bad = [LabeledMeasurement(k=2, sensor_id="x", kind="gnss_speed", link=link, value=1.0, faulty=False)]
         with pytest.raises(DataError, match=f"names link {link}, outside the network's links"):
             run_traffic_filter(config, bad, FilterVariant("none"), RandomSource(1))
@@ -294,8 +311,6 @@ class TestFilterLoop:
         # A loop reading no particle explains collapses step 2.  The speed
         # report 1e300 is rejected by the gate, so only the ungated filter
         # assimilates it.
-        from gatedpf.sensing import LabeledMeasurement
-
         config = micro_config(horizon=5)
         ms = [
             LabeledMeasurement(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.006, faulty=False),
@@ -317,6 +332,70 @@ class TestFilterLoop:
         none_run = run_experiment(none_config).runs[0]
         assert none_run.tp + none_run.fp + none_run.tn + none_run.fn == 0
         assert none_run.labeling_error_pct == 0.0
+
+
+class TestCompileLog:
+    def _log(self):
+        config = micro_config(horizon=6)  # loops on links 0 and 2
+        speed = lambda k, link, value, i: LabeledMeasurement(k, f"g-{k}-{i}", GNSS_SPEED, link, value, False)
+        loop = lambda k, link, value: LabeledMeasurement(k, f"loop-{link}", "loop_density", link, value, False)
+        ms = [
+            speed(4, 2, 11.0, 0), loop(2, 0, 0.04), speed(2, 1, 0.0, 0), speed(4, 0, 13.0, 1),
+            loop(2, 2, 0.05), speed(2, 1, 30.0, 1), speed(4, 2, 12.0, 2), speed(2, 0, 9.0, 2),
+        ]
+        return config, ms, compile_log(config, ms)
+
+    def test_columns_in_step_order(self):
+        config, ms, log = self._log()
+        assert log.measurements == (ms[1], ms[2], ms[4], ms[5], ms[7], ms[0], ms[3], ms[6])
+        assert log.values.tolist() == [m.value for m in log.measurements]
+        assert log.links.tolist() == [m.link for m in log.measurements]
+        # Steps 1, 3 and 5 have no rows; step 2 has 5, step 4 has 3.
+        assert log.offsets[:, 0].tolist() == [0, 0, 0, 5, 5, 8, 8]
+        rows, speeds, pairs = log.step(2)
+        assert (rows, speeds, pairs) == (slice(0, 5), slice(0, 3), slice(0, 2))
+        assert log.step(3) == (slice(5, 5), slice(3, 3), slice(2, 2))
+        # Step 2's speed rows sit at 1, 3, 4 on links 1, 1, 0: two
+        # distinct links, in link order.
+        assert log.speed_rows.tolist() == [1, 3, 4, 0, 1, 2]
+        assert log.pair_links.tolist() == [0, 1, 0, 2]
+        assert log.speed_pairs.tolist() == [1, 1, 0, 1, 0, 1]
+        gnss, loops = config.gnss_spec, config.loops
+        speed_rule = [gnss.noise_frac, 0.0, gnss.min_std]
+        expected = [
+            speed_rule if m.kind == GNSS_SPEED else list(loops[m.link].std_rule) for m in log.measurements
+        ]
+        assert log.std_rules.T.tolist() == expected
+
+    def test_fault_densities_of_the_speed_rows(self):
+        config, _, log = self._log()
+        values = np.array([0.0, 30.0, 9.0, 11.0, 13.0, 12.0])
+        assert set(log.fault_log_g1) == {"np_correct", "np_incorrect"}
+        for mode, log_g1 in log.fault_log_g1.items():
+            expected = fault_log_density(values, mode, config.fault_config, config.h1_zero_std)
+            assert log_g1.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mode", ["none", "fisher", "np_correct", "np_incorrect"])
+    def test_compiled_log_runs_as_the_plain_log(self, mode):
+        variant = FilterVariant(mode, None if mode == "none" else 0.05)
+        config = micro_config(horizon=10)
+        _, ms = simulate_seed(config, 9)
+        plain = run_traffic_filter(config, ms, variant, RandomSource(9))
+        compiled = run_traffic_filter(config, compile_log(config, ms), variant, RandomSource(9))
+        assert plain.estimates.tobytes() == compiled.estimates.tobytes()
+        assert plain.decisions == compiled.decisions
+
+    def test_bad_measurement_names_itself(self):
+        config, ms, _ = self._log()
+        bad = ms + [LabeledMeasurement(6, "late", GNSS_SPEED, 0, 1.0, False)]
+        with pytest.raises(DataError, match="measurement at step 6 outside assimilation window"):
+            compile_log(config, bad)
+
+    def test_empty_log(self):
+        config = micro_config(horizon=4)
+        log = compile_log(config, [])
+        assert log.offsets.tolist() == [[0, 0, 0]] * 5
+        assert log.values.shape == log.speed_rows.shape == (0,)
 
 
 class TestRunExperiment:
@@ -356,6 +435,31 @@ class TestRunExperiment:
             on_run=sink,
         )
         assert len(seen) == 1
+
+    def test_each_measurement_checked_once_per_seed(self, monkeypatch):
+        # The seed's log is checked and compiled once, not once per variant,
+        # and every variant's run still reads it; on_run gets the seed's
+        # own measurement list.
+        config = micro_config(
+            horizon=8,
+            seeds=(5, 6),
+            variants=(
+                FilterVariant("none"),
+                FilterVariant("fisher", 0.01),
+                FilterVariant("np_correct", 0.01),
+                FilterVariant("np_incorrect", 0.01),
+            ),
+        )
+        logs = {seed: simulate_seed(config, seed)[1] for seed in config.seeds}
+        calls = []
+        check = harness.check_measurement
+        monkeypatch.setattr(harness, "check_measurement", lambda c, m: (calls.append(m), check(c, m)))
+        received = []
+        report = run_experiment(config, on_run=lambda seed, t, ms, v, r: received.append((seed, ms)))
+        assert len(calls) == sum(len(ms) for ms in logs.values()) > 0
+        assert len(report.runs) == 8 and not any(r.collapsed for r in report.runs)
+        assert [seed for seed, _ in received] == [5] * 4 + [6] * 4
+        assert all(ms == logs[seed] for seed, ms in received)
 
     def test_fault_free_log_identical_to_clean_stream(self):
         # Setting the fault probability to zero must reproduce the clean

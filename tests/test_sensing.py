@@ -8,7 +8,7 @@ import pytest
 
 from gatedpf.ctm import FreewayNetwork, LinkParams, speed_map
 from gatedpf.errors import ConfigurationError, DataError
-from gatedpf.harness import FilterVariant, run_traffic_filter
+from gatedpf.harness import FilterVariant, compile_log, run_traffic_filter
 from gatedpf.rng import RandomSource
 from gatedpf.sensing import (
     FaultConfig,
@@ -170,45 +170,60 @@ def speed_report(value, link=0):
     return LabeledMeasurement(k=1, sensor_id="g", kind="gnss_speed", link=link, value=value, faulty=False)
 
 
+def step_rows(ms, particles, network, ramp_means=(), loop_specs=(), gnss_spec=GnssSpec()):
+    """Rows of step 1 of the log ``ms``, compiled for a two-step config on
+    ``network`` with the given sensors."""
+    config = replace(
+        micro_config(horizon=2), network=network, loop_specs=tuple(loop_specs), gnss_spec=gnss_spec
+    )
+    return measurement_rows(compile_log(config, ms), 1, particles, network, np.asarray(ramp_means, float))
+
+
 class TestMeasurementModels:
     def test_loop_model_moments(self):
         spec = LoopDetectorSpec(link=1, noise_frac=0.1, min_std=0.002)
         states = np.array([[0.0, 0.0], [0.05, 0.001]])
         loop = LabeledMeasurement(k=1, sensor_id="loop-1", kind="loop_density", link=1, value=0.04, faulty=False)
-        values, mean, std, is_speed = measurement_rows([loop], states, small_network(2), [], {1: spec}, GnssSpec())
+        values, mean, std, tested = step_rows([loop], states, small_network(2), loop_specs=[spec])
         np.testing.assert_allclose(mean, [[0.05, 0.001]])
         np.testing.assert_allclose(std, [[0.005, 0.002]])  # floor binds on particle 2
-        assert values.tolist() == [0.04] and not is_speed[0]
+        assert values.tolist() == [0.04] and tested.size == 0
 
     def test_loop_model_absolute_noise(self):
         spec = LoopDetectorSpec(link=0, noise_abs=0.004, min_std=0.002)
         loop = LabeledMeasurement(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.04, faulty=False)
-        _, mean, std, _ = measurement_rows([loop], np.array([[0.05, 0.0]]), small_network(1), [], {0: spec}, GnssSpec())
+        _, mean, std, _ = step_rows([loop], np.array([[0.05, 0.0]]), small_network(1), loop_specs=[spec])
         np.testing.assert_array_equal(mean, [[0.05, 0.0]])
         np.testing.assert_array_equal(std, [[0.004, 0.004]])
         floored = LoopDetectorSpec(link=0, noise_abs=0.001, min_std=0.002)
-        _, _, std, _ = measurement_rows([loop], np.array([[0.05]]), small_network(1), [], {0: floored}, GnssSpec())
+        _, _, std, _ = step_rows([loop], np.array([[0.05]]), small_network(1), loop_specs=[floored])
         np.testing.assert_array_equal(std, [[0.002]])
 
     def test_speed_rows_read_their_own_links(self):
         # Speed reports on links 2, 0, 2 among loop rows: each speed row's
         # mean is speed_map on that row's link alone, bit for bit, at the
-        # given onramp means (link 0 discharges into link 1's onramp).
+        # given onramp means (link 0 discharges into link 1's onramp),
+        # although the compiled log evaluates link 2 only once.
         net = small_network(3, onramps={1}, offramps={2}, beta=0.1)
         particles = np.random.default_rng(4).uniform(0.0, 0.125, (6, 3)).T
         ramp_means = np.array([0.7])
-        loops = {0: LoopDetectorSpec(link=0), 2: LoopDetectorSpec(link=2)}
+        loops = [LoopDetectorSpec(link=0), LoopDetectorSpec(link=2, noise_abs=0.004)]
+        gnss = GnssSpec(noise_frac=0.3, min_std=0.25)
         loop = LabeledMeasurement(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.05, faulty=False)
         ms = [loop, speed_report(9.0, link=2), speed_report(7.0, link=0), replace(loop, link=2), speed_report(8.0, link=2)]
-        values, mean, std, is_speed = measurement_rows(ms, particles, net, ramp_means, loops, GnssSpec())
-        assert is_speed.tolist() == [False, True, True, False, True]
+        values, mean, std, tested = step_rows(ms, particles, net, ramp_means, loops, gnss)
+        assert tested.tolist() == [1, 2, 4]
         assert values.tolist() == [0.05, 9.0, 7.0, 0.05, 8.0]
+        rules = {0: (0.1, 0.0, 0.002), 2: (0.0, 0.004, 0.002)}
         for row, m in enumerate(ms):
-            if is_speed[row]:
+            if row in tested:
                 expected = speed_map(particles, net, [m.link], ramp_means)[0]
+                frac, offset, floor = 0.3, 0.0, 0.25
             else:
                 expected = particles[m.link]
+                frac, offset, floor = rules[m.link]
             assert mean[row].tobytes() == expected.tobytes()
+            assert std[row].tobytes() == np.maximum(frac * expected + offset, floor).tobytes()
         assert mean[1].tobytes() == mean[4].tobytes()
 
     def test_fault_mixture_favors_zero_reports(self):
@@ -216,9 +231,7 @@ class TestMeasurementModels:
         # predicting at least 5 m/s: on one link with qmax 4 and dt 10 the
         # predicted speed is min(vf, 0.4 / rho), here 5, 15 and vf = 20.
         particles = np.array([[0.08, 0.4 / 15.0, 0.01]])
-        values, mean, std, _ = measurement_rows(
-            [speed_report(0.0)], particles, small_network(1), [], {}, GnssSpec()
-        )
+        values, mean, std, _ = step_rows([speed_report(0.0)], particles, small_network(1))
         np.testing.assert_allclose(mean, [[5.0, 15.0, 20.0]])
         _, log_g0 = standardize(values, mean, std)
         log_g1 = fault_log_density(values, "np_correct", FaultConfig(), zero_std=0.5)
@@ -259,8 +272,8 @@ class TestBuildSensorModels:
         # min(vf, 0.4 / rho), 10 and 20 / 3 m/s for these particles.
         loop = LabeledMeasurement(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.05, faulty=False)
         particles = np.array([[0.04, 0.06]])
-        return measurement_rows(
-            [loop, speed_report(12.0)], particles, small_network(1), [], {0: LoopDetectorSpec(link=0)}, GnssSpec()
+        return step_rows(
+            [loop, speed_report(12.0)], particles, small_network(1), loop_specs=[LoopDetectorSpec(link=0)]
         )
 
     def test_fisher_mode(self):
@@ -287,8 +300,8 @@ class TestBuildSensorModels:
             fault_log_density(np.array([12.0]), "bogus", FaultConfig(), zero_std=0.5)
 
     def test_h0_uses_predicted_speeds(self):
-        values, mean, std, is_speed = self._rows()
-        assert is_speed.tolist() == [False, True]
+        values, mean, std, tested = self._rows()
+        assert tested.tolist() == [1]
         np.testing.assert_allclose(mean[1], [10.0, 20.0 / 3.0])
         np.testing.assert_allclose(std[1], [2.0, 4.0 / 3.0])
         np.testing.assert_allclose(mean[0], [0.04, 0.06])
