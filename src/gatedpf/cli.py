@@ -40,6 +40,7 @@ def _say(args, message: str) -> None:
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     seed = args.seed if args.seed is not None else scenario.seeds[0]
+    config = scenario.experiment_config(seeds=[seed])
     out = Path(args.out)
     artifacts = {
         "true_density": "true_density.csv",
@@ -48,7 +49,7 @@ def cmd_simulate(args) -> int:
     }
     write_manifest(out, "simulate", scenario, [seed], artifacts)
     _say(args, f"simulating {scenario.horizon} steps with seed {seed}")
-    truth, measurements = simulate_seed(scenario, seed)
+    truth, measurements = simulate_seed(config, seed)
     write_matrix_csv(out / artifacts["true_density"], truth.states.T)
     write_matrix_csv(out / artifacts["true_speeds"], truth.speeds.T)
     write_measurement_log(out / artifacts["measurements"], measurements)
@@ -59,11 +60,12 @@ def cmd_simulate(args) -> int:
 def cmd_filter(args) -> int:
     scenario = load_scenario(args.scenario)
     seed = args.seed if args.seed is not None else scenario.seeds[0]
+    config = scenario.experiment_config(seeds=[seed])
     alpha = args.alpha if args.alpha is not None else scenario.alphas[0]
     variant = FilterVariant(
         mode=args.variant, alpha=None if args.variant == "none" else float(alpha)
     )
-    measurements = read_measurement_log(args.log, partial(check_measurement, scenario))
+    measurements = read_measurement_log(args.log, partial(check_measurement, config))
     out = Path(args.out)
     artifacts = {
         "estimated_density": "estimated_density.csv",
@@ -78,10 +80,10 @@ def cmd_filter(args) -> int:
         extra={"variant": variant.mode, "alpha": variant.alpha, "log": str(args.log)},
     )
     _say(args, f"running {variant.label} filter with seed {seed}")
-    result = run_traffic_filter(scenario, measurements, variant, RandomSource(seed))
+    result = run_traffic_filter(config, measurements, variant, RandomSource(seed))
     write_matrix_csv(out / artifacts["estimated_density"], result.estimates.T)
     write_decision_log(out / artifacts["decisions"], result.decisions)
-    rejected = sum(1 for d in result.decisions if d.rejected)
+    rejected = int(result.decisions["rejected"].sum())
     _say(
         args,
         f"assimilated {scenario.horizon - 1} steps, "
@@ -93,6 +95,7 @@ def cmd_filter(args) -> int:
 def cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
     seeds = [args.seed] if args.seed is not None else list(scenario.seeds)
+    config = scenario.experiment_config(seeds=seeds)
     out = Path(args.out)
     artifacts = {
         "metrics": "metrics.csv",
@@ -120,7 +123,6 @@ def cmd_sweep(args) -> int:
             write_matrix_csv(run_dir / f"estimated_density_{tag}.csv", result.estimates.T)
             write_decision_log(run_dir / f"decisions_{tag}.csv", result.decisions)
 
-    config = scenario.experiment_config(seeds=seeds)
     report = run_experiment(config, on_run=sink)
     atomic_write_text(out / artifacts["metrics"], metrics_wide_text(report, scenario.alphas))
     atomic_write_text(out / artifacts["metrics_long"], metrics_long_text(report))

@@ -107,9 +107,11 @@ def _count(text: str, name: str, least: int = 0) -> int:
 
 
 def matrix_csv_text(matrix: np.ndarray) -> str:
-    buf = io.StringIO()
-    np.savetxt(buf, np.atleast_2d(np.asarray(matrix, dtype=float)), delimiter=",", fmt="%.17g")
-    return buf.getvalue()
+    # Closing the buffer frees its text at once: ``np.savetxt`` leaves it in
+    # a reference cycle that only the cyclic collector would free.
+    with io.StringIO() as buf:
+        np.savetxt(buf, np.atleast_2d(np.asarray(matrix, float)), delimiter=",", fmt="%.17g")
+        return buf.getvalue()
 
 
 def write_matrix_csv(path: str | Path, matrix: np.ndarray) -> Path:

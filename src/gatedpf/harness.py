@@ -19,7 +19,7 @@ metric columns directly comparable across test modes and levels.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
@@ -81,17 +81,16 @@ STREAM_FAULTS = 3
 STREAM_FILTER_DEMAND = 4
 STREAM_FILTER_RESAMPLE = 5
 
-DECISION_COLUMNS = (
-    "k",
-    "sensor_id",
-    "link",
-    "test_kind",
-    "statistic",
-    "alpha",
-    "rejected",
-    "auxiliary",
-    "faulty",
+# A run's gate decisions, one element per tested speed report; the field
+# names are the decision log's columns.
+DECISION_DTYPE = np.dtype(
+    [
+        ("k", np.int64), ("sensor_id", object), ("link", np.int64), ("test_kind", object),
+        ("statistic", float), ("alpha", float), ("rejected", bool), ("auxiliary", float),
+        ("faulty", bool),
+    ]
 )
+DECISION_COLUMNS = DECISION_DTYPE.names
 
 METRICS_LONG_COLUMNS = (
     "mode",
@@ -178,6 +177,13 @@ class ExperimentConfig:
             raise ConfigurationError("horizon: must be at least 1")
         if not self.seeds:
             raise ConfigurationError("seeds: needs at least one seed")
+        # A random stream keys on the seed modulo 2**64, and each seed is one
+        # independent sample of the study, so a seed is a distinct uint64.
+        for i, seed in enumerate(self.seeds):
+            if not 0 <= seed < 2**64:
+                raise ConfigurationError(f"seeds: seed {seed} is outside [0, 2**64)")
+            if seed in self.seeds[:i]:
+                raise ConfigurationError(f"seeds: seed {seed} is repeated")
         if not self.variants:
             raise ConfigurationError("variants: needs at least one variant")
         if not (0.0 < self.resample_threshold <= 1.0):
@@ -211,30 +217,18 @@ class ExperimentConfig:
         return table
 
 
-@dataclass(frozen=True)
-class DecisionRecord:
-    """A gate decision joined with the measurement's ground-truth label."""
-
-    k: int
-    sensor_id: str
-    link: int
-    test_kind: str
-    statistic: float
-    alpha: float
-    rejected: bool
-    auxiliary: float
-    faulty: bool | None
-
-
 @dataclass
 class FilterRunResult:
     """Posterior-mean trajectory and gate decisions of one filter run.
 
     ``estimates`` has one row per assimilated step, k = 1 .. horizon - 1.
+    ``decisions`` is a ``DECISION_DTYPE`` array: for a gated run one element
+    per speed report of the log, in step order, each with its report's
+    ground-truth label; empty for the ungated run.
     """
 
     estimates: np.ndarray
-    decisions: list[DecisionRecord]
+    decisions: np.ndarray
 
 
 def generate_measurements(
@@ -345,11 +339,12 @@ def compile_log(
     n_links = config.network.n_links
     steps = np.fromiter((m.k for m in measurements), dtype=np.intp, count=n)
     order = np.argsort(steps, kind="stable")
-    ordered = tuple(measurements[i] for i in order.tolist())
     steps = steps[order]
-    links = np.fromiter((m.link for m in ordered), dtype=np.intp, count=n)
-    values = np.fromiter((m.value for m in ordered), dtype=float, count=n)
-    is_speed = np.fromiter((m.kind == GNSS_SPEED for m in ordered), dtype=bool, count=n)
+    sensor_ids = np.fromiter((m.sensor_id for m in measurements), dtype=object, count=n)[order]
+    links = np.fromiter((m.link for m in measurements), dtype=np.intp, count=n)[order]
+    values = np.fromiter((m.value for m in measurements), dtype=float, count=n)[order]
+    faulty = np.fromiter((m.faulty for m in measurements), dtype=bool, count=n)[order]
+    is_speed = np.fromiter((m.kind == GNSS_SPEED for m in measurements), dtype=bool, count=n)[order]
 
     # Column l of the rule table is link l's loop detector, column n_links
     # the speed rule; a link without a detector is never gathered.
@@ -371,12 +366,14 @@ def compile_log(
         axis=1,
     )
     return CompiledLog(
-        measurements=ordered,
         offsets=offsets,
-        values=values,
+        steps=steps,
+        sensor_ids=sensor_ids,
         links=links,
+        values=values,
+        faulty=faulty,
         std_rules=rule_table[:, np.where(is_speed, n_links, links)],
-        speed_rows=speed - offsets[speed_steps, 0],
+        speed_index=speed,
         speed_pairs=speed_pairs - offsets[speed_steps, 2],
         pair_links=pairs % n_links,
         fault_log_g1=MappingProxyType(
@@ -405,10 +402,12 @@ def run_traffic_filter(
     model, read the step's rows off the compiled columns against the
     predicted ensemble, gate the speed reports, assimilate the accepted
     measurements, record the posterior mean, and resample when the
-    effective sample size falls below the configured fraction.  A step
-    whose assimilated measurements no particle explains raises
-    :class:`WeightCollapseError` carrying the step ``k`` and those
-    measurements' sensor ids.
+    effective sample size falls below the configured fraction.  Each step
+    writes the gate's outcomes into per-run columns at its speed rows, and
+    one join after the last step adds each row's report and label (see
+    :class:`FilterRunResult`).  A step whose assimilated measurements no
+    particle explains raises :class:`WeightCollapseError` carrying the step
+    ``k`` and those measurements' sensor ids.
     """
     log = measurements if isinstance(measurements, CompiledLog) else compile_log(config, measurements)
     network, schedule, demand = config.network, config.schedule, config.demand_table
@@ -425,15 +424,17 @@ def run_traffic_filter(
         upstream, ramps = schedule.sample(k - 1, rng, states.shape[1], demand)
         return advance(states, network, upstream, ramps)
 
-    n_steps = config.horizon - 1
-    estimates = np.empty((n_steps, network.n_links))
-    decisions: list[DecisionRecord] = []
+    estimates = np.empty((config.horizon - 1, network.n_links))
+    # The gate's outcome on each speed row of the log; a completed gated run
+    # fills every row.
+    n_speeds = len(log.speed_index)
+    statistic, auxiliary = np.empty(n_speeds), np.empty(n_speeds)
+    gate_rejected = np.empty(n_speeds, dtype=bool)
 
     for k in range(1, config.horizon):
         prior = predict(ensemble, transition, rng_demand)
         rows, speeds, _ = log.step(k)
         if rows.start < rows.stop:
-            step_measurements = log.measurements[rows]
             values, mean, std, tested = measurement_rows(
                 log, k, prior.particles, network, demand[k, 0, 1:]
             )
@@ -446,19 +447,13 @@ def run_traffic_filter(
                     config, variant, prior.weights, z[tested], log_g0[tested], log, speeds
                 )
                 rejected[tested] = gate.rejected
-                kind = gate.kind.value
-                outcomes = zip(gate.statistic.tolist(), gate.rejected.tolist(), gate.auxiliary.tolist())
-                for i, (stat, rej, aux) in zip(tested.tolist(), outcomes):
-                    m = step_measurements[i]
-                    decisions.append(
-                        DecisionRecord(
-                            m.k, m.sensor_id, m.link, kind, stat, variant.alpha, rej, aux, m.faulty
-                        )
-                    )
+                statistic[speeds] = gate.statistic
+                auxiliary[speeds] = gate.auxiliary
+                gate_rejected[speeds] = gate.rejected
             try:
                 posterior = gated_update(prior, log_g0, rejected).posterior
             except WeightCollapseError as exc:
-                accepted = [step_measurements[i].sensor_id for i in np.flatnonzero(~rejected)]
+                accepted = log.sensor_ids[rows][~rejected].tolist()
                 raise WeightCollapseError(
                     f"step {k}: no particle explains the assimilated measurements {accepted}",
                     k=k,
@@ -470,6 +465,21 @@ def run_traffic_filter(
         if effective_sample_size(posterior) < config.resample_threshold * config.particles:
             posterior = resample_systematic(posterior, rng_resample)
         ensemble = posterior
+    if variant.mode == "none":
+        return FilterRunResult(estimates=estimates, decisions=np.empty(0, DECISION_DTYPE))
+    # Join the gate's columns with each speed row's report and label.
+    index = log.speed_index
+    decisions = np.empty(n_speeds, DECISION_DTYPE)
+    decisions["k"] = log.steps[index]
+    decisions["sensor_id"] = log.sensor_ids[index]
+    decisions["link"] = log.links[index]
+    kind = GateKind.FISHER if variant.mode == "fisher" else GateKind.NEYMAN_PEARSON
+    decisions["test_kind"] = kind.value
+    decisions["statistic"] = statistic
+    decisions["alpha"] = variant.alpha
+    decisions["rejected"] = gate_rejected
+    decisions["auxiliary"] = auxiliary
+    decisions["faulty"] = log.faulty[index]
     return FilterRunResult(estimates=estimates, decisions=decisions)
 
 
@@ -491,24 +501,16 @@ class ConfusionCounts:
         return 100.0 * (self.fp + self.fn) / self.total
 
 
-def confusion_metrics(decisions: Sequence[DecisionRecord]) -> ConfusionCounts:
-    """Score gate decisions against ground-truth labels.
-
-    A positive is a rejection.  Every decision must carry a label.
-    """
-    tp = fp = tn = fn = 0
-    for d in decisions:
-        if d.faulty is None:
-            raise DataError(f"decision for {d.sensor_id} at k={d.k} has no label")
-        if d.rejected and d.faulty:
-            tp += 1
-        elif d.rejected and not d.faulty:
-            fp += 1
-        elif not d.rejected and d.faulty:
-            fn += 1
-        else:
-            tn += 1
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+def confusion_metrics(decisions: np.ndarray) -> ConfusionCounts:
+    """Score gate decisions (a ``DECISION_DTYPE`` array) against their
+    ground-truth labels.  A positive is a rejection."""
+    rejected, faulty = decisions["rejected"], decisions["faulty"]
+    return ConfusionCounts(
+        tp=int(np.count_nonzero(rejected & faulty)),
+        fp=int(np.count_nonzero(rejected & ~faulty)),
+        tn=int(np.count_nonzero(~rejected & ~faulty)),
+        fn=int(np.count_nonzero(~rejected & faulty)),
+    )
 
 
 @dataclass(frozen=True)
@@ -619,36 +621,20 @@ def run_experiment(config: ExperimentConfig, on_run: RunSink | None = None) -> M
             try:
                 result = run_traffic_filter(config, log, variant, base)
             except WeightCollapseError:
+                nan = float("nan")
                 runs.append(
                     RunMetrics(
-                        mode=variant.mode,
-                        alpha=variant.alpha,
-                        seed=seed,
-                        tp=0,
-                        fp=0,
-                        tn=0,
-                        fn=0,
-                        labeling_error_pct=float("nan"),
-                        mape_pct=float("nan"),
-                        collapsed=True,
+                        mode=variant.mode, alpha=variant.alpha, seed=seed, tp=0, fp=0, tn=0, fn=0,
+                        labeling_error_pct=nan, mape_pct=nan, collapsed=True,
                     )
                 )
                 continue
             counts = confusion_metrics(result.decisions)
-            error = mape(
-                TrajectoryPair(true_slice, result.estimates), floor=config.mape_floor
-            )
+            error = mape(TrajectoryPair(true_slice, result.estimates), floor=config.mape_floor)
             runs.append(
                 RunMetrics(
-                    mode=variant.mode,
-                    alpha=variant.alpha,
-                    seed=seed,
-                    tp=counts.tp,
-                    fp=counts.fp,
-                    tn=counts.tn,
-                    fn=counts.fn,
-                    labeling_error_pct=counts.labeling_error_pct,
-                    mape_pct=error,
+                    mode=variant.mode, alpha=variant.alpha, seed=seed, **asdict(counts),
+                    labeling_error_pct=counts.labeling_error_pct, mape_pct=error,
                 )
             )
             if on_run is not None:
@@ -656,38 +642,43 @@ def run_experiment(config: ExperimentConfig, on_run: RunSink | None = None) -> M
     return MetricsReport(runs=runs)
 
 
-def write_decision_log(path: str | Path, decisions: Sequence[DecisionRecord]) -> None:
-    rows = (
-        (
-            d.k, d.sensor_id, d.link, d.test_kind, repr(d.statistic), repr(d.alpha),
-            int(d.rejected), repr(d.auxiliary), "" if d.faulty is None else int(d.faulty),
-        )
-        for d in decisions
+def write_decision_log(path: str | Path, decisions: np.ndarray) -> None:
+    """Write a ``DECISION_DTYPE`` array atomically, one row per decision:
+    floats as their ``repr``, flags as 0 or 1."""
+    k, sensor_id, link, kind, statistic, alpha, rejected, auxiliary, faulty = (
+        decisions[name].tolist() for name in DECISION_COLUMNS
+    )
+    rows = zip(
+        k, sensor_id, link, kind, map(repr, statistic), map(repr, alpha),
+        map(int, rejected), map(repr, auxiliary), map(int, faulty),
     )
     atomic_write_text(path, csv_text(DECISION_COLUMNS, rows))
 
 
-def read_decision_log(path: str | Path) -> list[DecisionRecord]:
-    """Read a decision log back; a row that :func:`write_decision_log`
-    cannot have written raises :class:`DataError` naming ``path:line``.
+def read_decision_log(path: str | Path) -> np.ndarray:
+    """Read a decision log back as a ``DECISION_DTYPE`` array; a row that
+    :func:`write_decision_log` cannot have written raises
+    :class:`DataError` naming ``path:line``.
 
     A gate's statistic and auxiliary may be infinite (a residual too large
-    to hold, a null mass that overflows), never NaN; the level is finite.
+    to hold, a null mass that overflows), never NaN; the level is finite,
+    and ``rejected`` and ``faulty`` are 0 or 1.
     """
-    return read_csv_rows(path, DECISION_COLUMNS, "decision log", _decision)
+    rows = read_csv_rows(path, DECISION_COLUMNS, "decision log", _decision)
+    return np.array(rows, dtype=DECISION_DTYPE)
 
 
-def _decision(row: list[str]) -> DecisionRecord:
-    return DecisionRecord(
-        k=_count(row[0], "k", least=1),
-        sensor_id=row[1],
-        link=_count(row[2], "link"),
-        test_kind=GateKind(row[3]).value,
-        statistic=_number(row[4], "statistic", inf_ok=True),
-        alpha=_number(row[5], "alpha"),
-        rejected=_flag(row[6], "rejected"),
-        auxiliary=_number(row[7], "auxiliary", inf_ok=True),
-        faulty=None if row[8] == "" else _flag(row[8], "faulty"),
+def _decision(row: list[str]) -> tuple:
+    return (
+        _count(row[0], "k", least=1),
+        row[1],
+        _count(row[2], "link"),
+        GateKind(row[3]).value,
+        _number(row[4], "statistic", inf_ok=True),
+        _number(row[5], "alpha"),
+        _flag(row[6], "rejected"),
+        _number(row[7], "auxiliary", inf_ok=True),
+        _flag(row[8], "faulty"),
     )
 
 

@@ -259,27 +259,30 @@ def inject_faults(
 class CompiledLog:
     """A checked measurement log as whole-log columns in step order.
 
-    ``measurements`` holds the log's measurements ordered by step (stable:
-    a step keeps its measurements' order), and every column follows that
-    order.  ``offsets`` (K + 1, 3) locates each step: the rows of step
-    ``k`` are ``offsets[k, 0]:offsets[k + 1, 0]`` of the row columns, its
-    speed rows ``offsets[k, 1]:offsets[k + 1, 1]`` of the speed columns and
-    its distinct speed links ``offsets[k, 2]:offsets[k + 1, 2]`` of
+    The rows are the log's measurements ordered by step (stable: a step
+    keeps its measurements' order), and every column follows that order.
+    ``offsets`` (K + 1, 3) locates each step: the rows of step ``k`` are
+    ``offsets[k, 0]:offsets[k + 1, 0]`` of the row columns, its speed rows
+    ``offsets[k, 1]:offsets[k + 1, 1]`` of the speed columns and its
+    distinct speed links ``offsets[k, 2]:offsets[k + 1, 2]`` of
     ``pair_links``.
 
-    Row columns (N,): ``values``, ``links`` and ``std_rules`` (3, N), each
-    row's null-model std rule ``(frac, offset, floor)``.  Speed columns
-    (S,): ``speed_rows``, each speed row's position within its step;
-    ``speed_pairs``, its index into its step's distinct links; and
-    ``fault_log_g1``, each likelihood-ratio mode's fault log density.
+    Row columns (N,): ``steps``, ``sensor_ids`` (object), ``links``,
+    ``values``, ``faulty`` and ``std_rules`` (3, N), each row's null-model
+    std rule ``(frac, offset, floor)``.  Speed columns (S,): ``speed_index``,
+    each speed row's index among the rows; ``speed_pairs``, its index into
+    its step's distinct links; and ``fault_log_g1``, each likelihood-ratio
+    mode's fault log density.
     """
 
-    measurements: tuple[LabeledMeasurement, ...]
     offsets: np.ndarray
-    values: np.ndarray
+    steps: np.ndarray
+    sensor_ids: np.ndarray
     links: np.ndarray
+    values: np.ndarray
+    faulty: np.ndarray
     std_rules: np.ndarray
-    speed_rows: np.ndarray
+    speed_index: np.ndarray
     speed_pairs: np.ndarray
     pair_links: np.ndarray
     fault_log_g1: Mapping[str, np.ndarray]
@@ -309,7 +312,7 @@ def measurement_rows(
     """
     rows, speeds, pairs = log.step(k)
     mean = particles[log.links[rows]]
-    tested = log.speed_rows[speeds]
+    tested = log.speed_index[speeds] - rows.start
     if tested.size:
         speed = speed_map(particles, network, log.pair_links[pairs], ramp_means)
         mean[tested] = speed[log.speed_pairs[speeds]]

@@ -180,15 +180,12 @@ class TestCriterion5IncorrectModelSelectivity:
         zero_total = zero_rejected = gauss_total = gauss_rejected = 0
         for seed in study["config"].seeds:
             values, decisions = study["selectivity_runs"][seed]
-            for decision in decisions:
-                if not decision.faulty:
-                    continue
-                if values[decision.sensor_id] == 0.0:
-                    zero_total += 1
-                    zero_rejected += decision.rejected
-                else:
-                    gauss_total += 1
-                    gauss_rejected += decision.rejected
+            faulty = decisions[decisions["faulty"]]
+            zero = np.array([values[s] == 0.0 for s in faulty["sensor_id"].tolist()], dtype=bool)
+            zero_total += int(zero.sum())
+            zero_rejected += int(faulty["rejected"][zero].sum())
+            gauss_total += int((~zero).sum())
+            gauss_rejected += int(faulty["rejected"][~zero].sum())
         zero_rate = zero_rejected / zero_total
         gauss_rate = gauss_rejected / gauss_total
         assert zero_rate >= 0.95, f"stopped-car rejection rate {zero_rate:.3f} below 0.95"

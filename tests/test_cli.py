@@ -95,7 +95,7 @@ class TestFilter:
         estimates = read_matrix_csv(out / "estimated_density.csv")
         assert estimates.shape == (3, 24)  # links x assimilated steps
         decisions = read_decision_log(out / "decisions.csv")
-        assert decisions and all(d.test_kind == "fisher" for d in decisions)
+        assert len(decisions) and set(decisions["test_kind"].tolist()) == {"fisher"}
 
     def test_variant_none_has_no_decisions(self, scenario_path, tmp_path):
         sim = tmp_path / "sim"
@@ -105,7 +105,7 @@ class TestFilter:
             "filter", "--scenario", scenario_path, "--log", sim / "measurements.csv",
             "--variant", "none", "--out", out, "--quiet",
         )
-        assert read_decision_log(out / "decisions.csv") == []
+        assert read_decision_log(out / "decisions.csv").shape == (0,)
 
     def test_tiny_alpha_rejects_almost_nothing(self, scenario_path, tmp_path):
         sim = tmp_path / "sim"
@@ -115,8 +115,7 @@ class TestFilter:
             "filter", "--scenario", scenario_path, "--log", sim / "measurements.csv",
             "--variant", "fisher", "--alpha", "1e-9", "--out", out, "--quiet",
         )
-        decisions = read_decision_log(out / "decisions.csv")
-        rejected = sum(d.rejected for d in decisions)
+        rejected = int(read_decision_log(out / "decisions.csv")["rejected"].sum())
         # p-values below 1e-9 require an extreme statistic; the dominant
         # survivors are the exact-zero stopped-car reports.
         zero_faults = sum(
@@ -141,8 +140,8 @@ class TestFilter:
             "--variant", "np_correct", "--alpha", "0.01", "--out", out, "--quiet",
         )
         decisions = read_decision_log(out / "decisions.csv")
-        assert decisions
-        assert sum(d.rejected for d in decisions) / len(decisions) > 0.5
+        assert len(decisions)
+        assert decisions["rejected"].mean() > 0.5
 
     def test_malformed_log_exits_2(self, scenario_path, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -409,6 +408,27 @@ class TestExitCodes:
         assert "run.seeds[0]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_scenario_seed_exits_2(self, tmp_path, capsys):
+        doc = tiny_scenario_dict()
+        doc["run"]["seeds"] = [7, 7]
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--scenario", path, "--out", out, "--quiet") == 2
+        assert "run.seeds: seed 7 is repeated" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "filter", "sweep"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_flag_outside_uint64_exits_2(self, scenario_path, tmp_path, capsys, command, seed):
+        # -1 and 2**64 - 1 would key the same random stream.
+        extra = ["--log", tmp_path / "missing.csv", "--variant", "none"] if command == "filter" else []
+        out = tmp_path / "o"
+        code = run_cli(command, "--scenario", scenario_path, "--seed", seed, "--out", out, "--quiet", *extra)
+        assert code == 2
+        assert f"seed {seed} is outside [0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_duplicate_loop_link_exits_2(self, tmp_path, capsys):
         doc = tiny_scenario_dict()
         doc["sensors"]["loops"]["links"] = [0, 0]
@@ -568,9 +588,9 @@ class TestExtremeSpeedValue:
             "--variant", "fisher", "--alpha", "0.05", "--out", out, "--quiet",
         )
         assert code == 0
-        decisions = {d.sensor_id: d for d in read_decision_log(out / "decisions.csv")}
-        decision = decisions[fields[1]]
-        assert (decision.statistic, decision.auxiliary, decision.rejected) == (0.0, np.inf, True)
+        decisions = read_decision_log(out / "decisions.csv")
+        (decision,) = decisions[decisions["sensor_id"] == fields[1]]
+        assert (decision["statistic"], decision["auxiliary"], decision["rejected"]) == (0.0, np.inf, True)
 
     @pytest.mark.parametrize("variant", ["fisher", "np_correct", "np_incorrect"])
     def test_largest_float_speed_is_rejected(self, fuzz_dir, variant):
@@ -589,8 +609,9 @@ class TestExtremeSpeedValue:
             "--variant", variant, "--alpha", "0.05", "--out", out, "--quiet",
         )
         assert code == 0
-        decisions = {d.sensor_id: d for d in read_decision_log(out / "decisions.csv")}
-        assert decisions[fields[1]].rejected
+        decisions = read_decision_log(out / "decisions.csv")
+        (decision,) = decisions[decisions["sensor_id"] == fields[1]]
+        assert decision["rejected"]
 
 
 def jammed_default_dict() -> dict:

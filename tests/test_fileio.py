@@ -1,8 +1,11 @@
 """Atomic text writes and undecodable CSV files."""
 from __future__ import annotations
 
+import gc
+import io
 import os
 
+import numpy as np
 import pytest
 
 from gatedpf import fileio
@@ -61,3 +64,20 @@ def test_undecodable_file_is_not_a_text_file(tmp_path, read):
     path.write_bytes(b"k,sensor_id,\xe9tat\n1,\xff\xfe,0\n")
     with pytest.raises(DataError, match=r"log\.csv: not a text file"):
         read(path)
+
+
+def test_matrix_text_frees_its_buffer_at_once():
+    # np.savetxt leaves its buffer in a reference cycle; a sweep writes one
+    # matrix per run, and their text must not wait for the cyclic collector.
+    def open_buffers():
+        return {id(o) for o in gc.get_objects() if isinstance(o, io.StringIO) and not o.closed}
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = open_buffers()
+        assert fileio.matrix_csv_text(np.ones((2, 3))) == "1,1,1\n1,1,1\n"
+        left = open_buffers() - before
+    finally:
+        gc.enable()
+    assert not left

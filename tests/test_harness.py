@@ -2,20 +2,33 @@
 from __future__ import annotations
 
 import dataclasses
+import string
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatedpf.ctm import DemandProfile, DemandSchedule, advance, equilibrium_state, simulate, speed_map
 from gatedpf.errors import ConfigurationError, DataError, WeightCollapseError
-from gatedpf.gates import gated_update, likelihood_ratio_test, significance_test, unexplained
+from gatedpf.fileio import csv_text
+from gatedpf.gates import (
+    GateKind,
+    gated_update,
+    likelihood_ratio_test,
+    significance_test,
+    unexplained,
+)
 from gatedpf import harness
 from gatedpf.harness import (
+    DECISION_COLUMNS,
     STREAM_FILTER_DEMAND,
     STREAM_FILTER_RESAMPLE,
     STREAM_TRUTH,
+    DECISION_DTYPE,
     ConfusionCounts,
-    DecisionRecord,
     ExperimentConfig,
     FilterVariant,
     MetricsReport,
@@ -114,47 +127,59 @@ class TestVariantsAndConfig:
             micro_config(horizon=0)
         with pytest.raises(ConfigurationError):
             micro_config(seeds=())
+        with pytest.raises(ConfigurationError, match="seeds: seed 5 is repeated"):
+            micro_config(seeds=(5, 6, 5))
+        with pytest.raises(ConfigurationError, match=r"seeds: seed -1 is outside \[0, 2\*\*64\)"):
+            micro_config(seeds=(-1,))
+
+
+def decision_array(rows) -> np.ndarray:
+    """A decision array of ``(k, sensor_id, link, test_kind, statistic,
+    alpha, rejected, auxiliary, faulty)`` tuples."""
+    return np.array(list(rows), dtype=DECISION_DTYPE)
 
 
 class TestConfusionMetrics:
-    def _record(self, rejected, faulty):
-        return DecisionRecord(
-            k=1, sensor_id="s", link=0, test_kind="fisher", statistic=0.5,
-            alpha=0.05, rejected=rejected, auxiliary=0.0, faulty=faulty,
+    def _decisions(self, outcomes):
+        return decision_array(
+            (1, "s", 0, "fisher", 0.5, 0.05, rejected, 0.0, faulty) for rejected, faulty in outcomes
         )
 
     def test_all_accepted_clean(self):
-        counts = confusion_metrics([self._record(False, False)] * 7)
+        counts = confusion_metrics(self._decisions([(False, False)] * 7))
         assert counts.tn == 7 and counts.total == 7
         assert counts.labeling_error_pct == 0.0
 
     def test_hand_mixed_counts(self):
-        decisions = [
-            self._record(True, True),
-            self._record(True, False),
-            self._record(False, True),
-            self._record(False, False),
-        ]
+        decisions = self._decisions([(True, True), (True, False), (False, True), (False, False)])
         counts = confusion_metrics(decisions)
         assert (counts.tp, counts.fp, counts.fn, counts.tn) == (1, 1, 1, 1)
         assert counts.labeling_error_pct == pytest.approx(50.0)
 
     def test_all_rejected_all_faulty(self):
-        counts = confusion_metrics([self._record(True, True)] * 5)
+        counts = confusion_metrics(self._decisions([(True, True)] * 5))
         assert counts.tp == 5
         assert counts.labeling_error_pct == 0.0
 
-    def test_missing_label_raises(self):
-        with pytest.raises(DataError):
-            confusion_metrics([self._record(True, None)])
+    def test_no_decisions(self):
+        counts = confusion_metrics(np.empty(0, DECISION_DTYPE))
+        assert counts.total == 0 and counts.labeling_error_pct == 0.0
 
     def test_count_identity(self):
         rng = np.random.default_rng(0)
-        decisions = [
-            self._record(bool(rng.integers(2)), bool(rng.integers(2))) for _ in range(100)
-        ]
+        decisions = self._decisions(
+            (bool(rng.integers(2)), bool(rng.integers(2))) for _ in range(100)
+        )
         counts = confusion_metrics(decisions)
         assert counts.total == 100
+
+    def test_matches_a_per_row_count(self):
+        rng = np.random.default_rng(1)
+        outcomes = [(bool(r), bool(f)) for r, f in rng.integers(2, size=(257, 2))]
+        expected = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
+        for rejected, faulty in outcomes:
+            expected[("t" if rejected == faulty else "f") + ("p" if rejected else "n")] += 1
+        assert dataclasses.asdict(confusion_metrics(self._decisions(outcomes))) == expected
 
 
 class TestMape:
@@ -269,7 +294,7 @@ class TestFilterLoop:
                     for i, stat, rej, aux in zip(tested, gate.statistic, gate_rejected, gate.auxiliary):
                         m = ms[i]
                         decisions.append(
-                            DecisionRecord(
+                            (
                                 m.k, m.sensor_id, m.link, gate.kind.value,
                                 float(stat), variant.alpha, bool(rej), float(aux), m.faulty,
                             )
@@ -282,14 +307,15 @@ class TestFilterLoop:
                 post = resample_systematic(post, rng_resample)
             ens = post
         assert result.estimates.tobytes() == np.array(estimates).tobytes()
-        assert result.decisions == decisions
+        assert result.decisions.dtype == DECISION_DTYPE
+        assert result.decisions.tolist() == decisions
         assert (len(decisions) > 0) == (variant.mode != "none")
 
     def test_horizon_one_runs_empty(self):
         config = micro_config(horizon=1)
         result = run_traffic_filter(config, [], FilterVariant("none"), RandomSource(1))
         assert result.estimates.shape == (0, 3)
-        assert result.decisions == []
+        assert result.decisions.dtype == DECISION_DTYPE and result.decisions.shape == (0,)
 
     def test_measurement_outside_window_rejected(self):
         config = micro_config(horizon=5)
@@ -347,9 +373,12 @@ class TestCompileLog:
 
     def test_columns_in_step_order(self):
         config, ms, log = self._log()
-        assert log.measurements == (ms[1], ms[2], ms[4], ms[5], ms[7], ms[0], ms[3], ms[6])
-        assert log.values.tolist() == [m.value for m in log.measurements]
-        assert log.links.tolist() == [m.link for m in log.measurements]
+        ordered = [ms[1], ms[2], ms[4], ms[5], ms[7], ms[0], ms[3], ms[6]]
+        assert log.steps.tolist() == [m.k for m in ordered]
+        assert log.sensor_ids.tolist() == [m.sensor_id for m in ordered]
+        assert log.links.tolist() == [m.link for m in ordered]
+        assert log.values.tolist() == [m.value for m in ordered]
+        assert log.faulty.tolist() == [m.faulty for m in ordered]
         # Steps 1, 3 and 5 have no rows; step 2 has 5, step 4 has 3.
         assert log.offsets[:, 0].tolist() == [0, 0, 0, 5, 5, 8, 8]
         rows, speeds, pairs = log.step(2)
@@ -357,13 +386,13 @@ class TestCompileLog:
         assert log.step(3) == (slice(5, 5), slice(3, 3), slice(2, 2))
         # Step 2's speed rows sit at 1, 3, 4 on links 1, 1, 0: two
         # distinct links, in link order.
-        assert log.speed_rows.tolist() == [1, 3, 4, 0, 1, 2]
+        assert log.speed_index.tolist() == [1, 3, 4, 5, 6, 7]
         assert log.pair_links.tolist() == [0, 1, 0, 2]
         assert log.speed_pairs.tolist() == [1, 1, 0, 1, 0, 1]
         gnss, loops = config.gnss_spec, config.loops
         speed_rule = [gnss.noise_frac, 0.0, gnss.min_std]
         expected = [
-            speed_rule if m.kind == GNSS_SPEED else list(loops[m.link].std_rule) for m in log.measurements
+            speed_rule if m.kind == GNSS_SPEED else list(loops[m.link].std_rule) for m in ordered
         ]
         assert log.std_rules.T.tolist() == expected
 
@@ -383,7 +412,40 @@ class TestCompileLog:
         plain = run_traffic_filter(config, ms, variant, RandomSource(9))
         compiled = run_traffic_filter(config, compile_log(config, ms), variant, RandomSource(9))
         assert plain.estimates.tobytes() == compiled.estimates.tobytes()
-        assert plain.decisions == compiled.decisions
+        assert plain.decisions.tolist() == compiled.decisions.tolist()
+
+    @pytest.mark.parametrize("mode", ["none", "fisher", "np_correct", "np_incorrect"])
+    def test_decisions_are_the_speed_rows_in_step_order(self, mode):
+        # A completed gated run decides every speed report once, in the
+        # compiled log's order: by step, a step's reports in log order.
+        variant = FilterVariant(mode, None if mode == "none" else 0.05)
+        config = micro_config(horizon=10)
+        _, ms = simulate_seed(config, 9)
+        ms = sorted(ms, key=lambda m: -m.k)
+        log = compile_log(config, ms)
+        decisions = run_traffic_filter(config, log, variant, RandomSource(9)).decisions
+        assert decisions.dtype == DECISION_DTYPE
+        if mode == "none":
+            assert decisions.shape == (0,)
+            return
+        speed = log.speed_index
+        assert speed.size > 0
+        for name, column in (
+            ("k", log.steps),
+            ("sensor_id", log.sensor_ids),
+            ("link", log.links),
+            ("faulty", log.faulty),
+        ):
+            assert decisions[name].tolist() == column[speed].tolist()
+        in_step_order = [
+            (m.k, m.sensor_id, m.link, m.faulty)
+            for m in sorted(ms, key=lambda m: m.k)
+            if m.kind == GNSS_SPEED
+        ]
+        assert decisions[["k", "sensor_id", "link", "faulty"]].tolist() == in_step_order
+        kind = "fisher" if mode == "fisher" else "neyman_pearson"
+        assert set(decisions["test_kind"].tolist()) == {kind}
+        assert set(decisions["alpha"].tolist()) == {0.05}
 
     def test_bad_measurement_names_itself(self):
         config, ms, _ = self._log()
@@ -395,7 +457,7 @@ class TestCompileLog:
         config = micro_config(horizon=4)
         log = compile_log(config, [])
         assert log.offsets.tolist() == [[0, 0, 0]] * 5
-        assert log.values.shape == log.speed_rows.shape == (0,)
+        assert log.values.shape == log.speed_index.shape == (0,)
 
 
 class TestRunExperiment:
@@ -566,15 +628,69 @@ class TestMetricsReport:
             read_metrics_long(path)
 
 
+def reference_decision_text(rows) -> str:
+    """The decision log of ``rows`` (tuples in column order), formatted one
+    row at a time: floats as their ``repr``, flags as 0 or 1."""
+    return csv_text(
+        DECISION_COLUMNS,
+        [
+            (k, sensor_id, link, kind, repr(stat), repr(alpha), int(rej), repr(aux), int(faulty))
+            for k, sensor_id, link, kind, stat, alpha, rej, aux, faulty in rows
+        ],
+    )
+
+
+# Every float a gate can write, including the edges: both infinities, -0.0,
+# subnormals and the largest floats.
+gate_floats = st.one_of(
+    st.sampled_from([np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-320, 1e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False),
+)
+decision_rows = st.lists(
+    st.tuples(
+        st.integers(1, 2**63 - 1),
+        st.text(alphabet=string.printable, max_size=8),
+        st.integers(0, 2**63 - 1),
+        st.sampled_from([kind.value for kind in GateKind]),
+        gate_floats,
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.booleans(),
+        gate_floats,
+        st.booleans(),
+    ),
+    max_size=12,
+)
+
+
 class TestDecisionLog:
     def test_round_trip(self, tmp_path):
-        decisions = [
-            DecisionRecord(3, "g-1", 2, "neyman_pearson", 0.0123456789, 0.01, True, 17.0, True),
-            DecisionRecord(4, "g-2", 0, "fisher", 0.5, 0.001, False, -1.25, False),
+        rows = [
+            (3, "g-1", 2, "neyman_pearson", 0.0123456789, 0.01, True, 17.0, True),
+            (4, "g-2", 0, "fisher", 0.5, 0.001, False, -1.25, False),
         ]
         path = tmp_path / "decisions.csv"
-        write_decision_log(path, decisions)
-        assert read_decision_log(path) == decisions
+        write_decision_log(path, decision_array(rows))
+        back = read_decision_log(path)
+        assert back.dtype == DECISION_DTYPE
+        assert back.tolist() == rows
+
+    def test_empty_log_reads_back_empty(self, tmp_path):
+        path = tmp_path / "decisions.csv"
+        write_decision_log(path, np.empty(0, DECISION_DTYPE))
+        assert path.read_bytes() == b"k,sensor_id,link,test_kind,statistic,alpha,rejected,auxiliary,faulty\r\n"
+        back = read_decision_log(path)
+        assert back.dtype == DECISION_DTYPE and back.shape == (0,)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=decision_rows)
+    def test_writer_bytes_match_the_per_row_reference(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = Path(tmp) / "decisions.csv", Path(tmp) / "again.csv"
+            write_decision_log(path, decision_array(rows))
+            text = path.read_bytes()
+            assert text == reference_decision_text(rows).encode()
+            write_decision_log(again, read_decision_log(path))
+            assert again.read_bytes() == text
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -588,20 +704,26 @@ class TestDecisionLog:
     def test_infinite_statistic_and_auxiliary_read_back(self, tmp_path):
         # A gate can write them: an infinite residual, a null mass that
         # overflows.
-        decisions = [
-            DecisionRecord(1, "g-0", 0, "fisher", 0.0, 0.05, True, np.inf, True),
-            DecisionRecord(2, "g-1", 1, "fisher", 0.0, 0.05, True, -np.inf, False),
-            DecisionRecord(3, "g-2", 2, "neyman_pearson", np.inf, 0.05, False, 4.0, False),
+        rows = [
+            (1, "g-0", 0, "fisher", 0.0, 0.05, True, np.inf, True),
+            (2, "g-1", 1, "fisher", 0.0, 0.05, True, -np.inf, False),
+            (3, "g-2", 2, "neyman_pearson", np.inf, 0.05, False, 4.0, False),
         ]
         path = tmp_path / "decisions.csv"
-        write_decision_log(path, decisions)
-        assert read_decision_log(path) == decisions
+        write_decision_log(path, decision_array(rows))
+        assert read_decision_log(path).tolist() == rows
 
-    def test_unlabeled_decision_reads_back(self, tmp_path):
-        decisions = [DecisionRecord(3, "g-1", 2, "fisher", 0.5, 0.01, False, 0.25, None)]
+    def test_unlabeled_decision_is_refused(self, tmp_path):
+        # Every measurement carries a 0/1 label, so no writer leaves
+        # ``faulty`` empty.
         path = tmp_path / "decisions.csv"
-        write_decision_log(path, decisions)
-        assert read_decision_log(path) == decisions
+        path.write_text(
+            "k,sensor_id,link,test_kind,statistic,alpha,rejected,auxiliary,faulty\n"
+            "3,g-0,2,fisher,0.5,0.01,0,0.25,0\n"
+            "3,g-1,2,fisher,0.5,0.01,0,0.25,\n"
+        )
+        with pytest.raises(DataError, match=r"decisions\.csv:3: faulty must be 0 or 1, got ''"):
+            read_decision_log(path)
 
     @pytest.mark.parametrize(
         "row, problem",

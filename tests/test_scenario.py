@@ -108,6 +108,28 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=r"sensors\.loops\.links\[2\]: link 0 already"):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "seeds, problem",
+        [
+            ([7, -1], r"seed -1 is outside \[0, 2\*\*64\)"),
+            ([2**64], r"seed 18446744073709551616 is outside \[0, 2\*\*64\)"),
+            ([5, 7, 5], "seed 5 is repeated"),
+            # The random streams key on the seed modulo 2**64: these two
+            # would be one stream counted twice.
+            ([-1, 2**64 - 1], r"seed -1 is outside"),
+        ],
+    )
+    def test_seeds_are_distinct_uint64(self, seeds, problem):
+        doc = tiny_scenario_dict()
+        doc["run"]["seeds"] = seeds
+        with pytest.raises(ConfigurationError, match=rf"^run\.seeds: {problem}"):
+            scenario_from_dict(doc)
+
+    def test_seed_range_edges_load(self):
+        doc = tiny_scenario_dict()
+        doc["run"]["seeds"] = [0, 2**64 - 1]
+        assert scenario_from_dict(doc).seeds == (0, 2**64 - 1)
+
     def test_particles_minimum(self):
         doc = tiny_scenario_dict()
         doc["filter"]["particles"] = 1
