@@ -43,8 +43,6 @@ from .ctm import (
     LinkParams,
     Trajectory,
     equilibrium_state,
-    junction_flows,
-    link_flow,
     simulate,
     speed_map,
 )
@@ -52,8 +50,8 @@ from .sensing import (
     CompiledLog,
     FaultConfig,
     GnssSpec,
-    LabeledMeasurement,
     LoopDetectorSpec,
+    MeasurementLog,
     fault_log_density,
     inject_faults,
     measurement_rows,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from pathlib import Path
 
 from .errors import ConfigurationError, DataError, WeightCollapseError
@@ -18,7 +17,7 @@ from .fileio import atomic_write_text, write_matrix_csv
 from .harness import (
     METRIC_FIELDS,
     FilterVariant,
-    check_measurement,
+    compile_log,
     metrics_long_text,
     metrics_wide_text,
     read_metrics_long,
@@ -49,11 +48,11 @@ def cmd_simulate(args) -> int:
     }
     write_manifest(out, "simulate", scenario, [seed], artifacts)
     _say(args, f"simulating {scenario.horizon} steps with seed {seed}")
-    truth, measurements = simulate_seed(config, seed)
+    truth, log = simulate_seed(config, seed)
     write_matrix_csv(out / artifacts["true_density"], truth.states.T)
     write_matrix_csv(out / artifacts["true_speeds"], truth.speeds.T)
-    write_measurement_log(out / artifacts["measurements"], measurements)
-    _say(args, f"wrote {len(measurements)} measurements to {out}")
+    write_measurement_log(out / artifacts["measurements"], log)
+    _say(args, f"wrote {len(log)} measurements to {out}")
     return 0
 
 
@@ -65,7 +64,7 @@ def cmd_filter(args) -> int:
     variant = FilterVariant(
         mode=args.variant, alpha=None if args.variant == "none" else float(alpha)
     )
-    measurements = read_measurement_log(args.log, partial(check_measurement, config))
+    log = compile_log(config, read_measurement_log(args.log))
     out = Path(args.out)
     artifacts = {
         "estimated_density": "estimated_density.csv",
@@ -80,7 +79,7 @@ def cmd_filter(args) -> int:
         extra={"variant": variant.mode, "alpha": variant.alpha, "log": str(args.log)},
     )
     _say(args, f"running {variant.label} filter with seed {seed}")
-    result = run_traffic_filter(config, measurements, variant, RandomSource(seed))
+    result = run_traffic_filter(config, log, variant, RandomSource(seed))
     write_matrix_csv(out / artifacts["estimated_density"], result.estimates.T)
     write_decision_log(out / artifacts["decisions"], result.decisions)
     rejected = int(result.decisions["rejected"].sum())
@@ -113,11 +112,11 @@ def cmd_sweep(args) -> int:
     if not args.no_artifacts:
         written_truth: set[int] = set()
 
-        def sink(seed, truth, measurements, variant, result) -> None:
+        def sink(seed, truth, log, variant, result) -> None:
             run_dir = out / f"seed_{seed}"
             if seed not in written_truth:
                 write_matrix_csv(run_dir / "true_density.csv", truth.states.T)
-                write_measurement_log(run_dir / "measurements.csv", measurements)
+                write_measurement_log(run_dir / "measurements.csv", log)
                 written_truth.add(seed)
             tag = variant.label.replace("@", "_a")
             write_matrix_csv(run_dir / f"estimated_density_{tag}.csv", result.estimates.T)
@@ -142,7 +141,7 @@ def cmd_report(args) -> int:
         raise DataError("missing run artifacts: " + ", ".join(missing))
     try:
         manifest = json.loads(manifest_path.read_text())
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"{manifest_path}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DataError(f"{manifest_path}: expected a JSON object")

@@ -137,29 +137,6 @@ class FreewayNetwork:
         return slot
 
 
-def link_flow(
-    rho_up: float,
-    up: LinkParams,
-    rho_down: float,
-    down: LinkParams,
-    dt: float,
-) -> float:
-    """Mainline flow across a plain (ramp-free) boundary.
-
-    The minimum of the upstream demand ``vf * dt * rho``, the upstream
-    capacity, and the downstream supply ``w * dt * (rho_jam - rho)``; a
-    jammed downstream link refuses to accept flow.
-    """
-    for rho, params, side in ((rho_up, up, "upstream"), (rho_down, down, "downstream")):
-        if not (0.0 <= rho <= params.rho_jam + DENSITY_TOL):
-            raise ModelConsistencyError(
-                f"{side} density {rho} outside [0, {params.rho_jam}]"
-            )
-    demand = min(up.vf * dt * rho_up, up.qmax)
-    supply = down.w * dt * (down.rho_jam - rho_down)
-    return max(0.0, min(demand, supply))
-
-
 def _median3(a, b, c):
     return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
 
@@ -169,7 +146,7 @@ def _boundary_flows(mainline, supply, ramp_rows, ramp, priority):
 
     ``mainline`` holds each boundary's mainline demand and is overwritten
     with its mainline flow.  Every boundary passes ``min(mainline,
-    supply)``, the rule of :func:`link_flow`.  Only the boundaries in
+    supply)``.  Only the boundaries in
     ``ramp_rows``, whose onramp demands are the rows of ``ramp`` ((R, 1)
     shared or (R, P)), merge: when mainline plus ramp demand exceed the
     supply, the ramp takes the median of its demand, its ``priority`` share
@@ -242,43 +219,6 @@ def _flows(states, network: FreewayNetwork, upstream_demand, onramp_demand):
     return q, r, s
 
 
-def junction_flows(
-    states: np.ndarray,
-    network: FreewayNetwork,
-    upstream_demand,
-    onramp_demand=None,
-):
-    """All boundary, onramp, and offramp flows of an (L, P) block for one step.
-
-    Parameters
-    ----------
-    states : ndarray, shape (L, P)
-        Link densities, one column per state.
-    upstream_demand : float or (P,) array
-        Demand offered at the upstream boundary.
-    onramp_demand : array, shape (R,) or (R, P), optional
-        Demand per onramp link, aligned with ``network.onramp_links``.
-
-    Returns
-    -------
-    (q, r, s)
-        Boundary flows ``q`` (L + 1, P) (the last row is the exit flow of
-        the final link), onramp inflows ``r`` and offramp outflows ``s``,
-        both (L, P).
-
-    Offramps split first (``s = beta * demand``); the remaining mainline
-    demand then crosses each boundary under :func:`_boundary_flows`.
-    """
-    states = _states_block(states, network)
-    q, r_rows, s_rows = _flows(states, network, upstream_demand, onramp_demand)
-    r, s = np.zeros_like(states), np.zeros_like(states)
-    if r_rows is not None:
-        r[network._onramp_rows] = r_rows
-    if s_rows is not None:
-        s[network._offramp_rows] = s_rows
-    return q, r, s
-
-
 def advance(
     states: np.ndarray,
     network: FreewayNetwork,
@@ -288,8 +228,9 @@ def advance(
     """One conservation update for an (L, P) block of density states.
 
     Returns the new (L, P) block.  Link l gains ``q[l] - q[l + 1] + r[l] -
-    s[l]`` vehicles, in that order, the flows of :func:`junction_flows`;
-    the ramp terms are added on their own links only, since they are
+    s[l]`` vehicles, in that order, from the step's boundary, onramp and
+    offramp flows (offramps split first, then each boundary passes
+    ``min(demand, supply)`` and onramps merge by priority); the ramp terms are added on their own links only, since they are
     exactly zero elsewhere.  Raises if any post-step density leaves
     ``[0, rho_jam]`` by more than the numerical tolerance, which indicates
     inconsistent parameters rather than rounding.
@@ -328,8 +269,8 @@ def speed_map(
     (R,) or (R, P); ``None`` means no onramp demand.  Link l's discharge
     reads only links l and l + 1 and the onramp demand at l + 1, so the
     upstream boundary demand never enters.  The boundary rule is
-    :func:`junction_flows`', so every row equals the same link's speed
-    computed from the full junction flows bit for bit; :func:`simulate`
+    :func:`advance`'s, so every row equals the same link's speed computed
+    from the step's full boundary flows bit for bit; :func:`simulate`
     derives the truth speeds here too, one column per step at that step's
     realized onramp demands.
     """

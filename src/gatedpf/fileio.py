@@ -41,22 +41,23 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
 
 def read_csv_rows(
     path: str | Path, columns: Sequence[str], what: str, parse: Callable[[list[str]], T]
-) -> list[T]:
+) -> tuple[list[T], list[int]]:
     """The records of a CSV file's rows after its header, each row's fields
-    parsed by ``parse``.
+    parsed by ``parse``, and each row's line in the file.
 
-    Raises :class:`DataError` naming ``path`` when the header is not
-    ``columns`` or the file cannot be decoded, and ``path:line`` when a row
-    has another number of fields, cannot be parsed as CSV, or ``parse``
-    raises :class:`ValueError` or :class:`ConfigurationError`.  ``what``
-    names the file's kind in the header message.
+    Raises :class:`DataError` naming ``path`` when the file cannot be
+    opened or decoded or the header is not ``columns``, and ``path:line``
+    when a row has another number of fields, cannot be parsed as CSV, or
+    ``parse`` raises :class:`ValueError` or :class:`ConfigurationError`.
+    ``what`` names the file's kind in the messages that name no line.
     """
     path = Path(path)
     width = len(columns)
     records: list[T] = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
+    lines: list[int] = []
+    try:
+        with path.open(newline="") as fh:
+            reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or tuple(header) != tuple(columns):
                 raise DataError(f"{path}: unexpected {what} header {header!r}")
@@ -64,12 +65,15 @@ def read_csv_rows(
                 if len(row) != width:
                     raise ValueError(f"expected {width} columns, got {len(row)}")
                 records.append(parse(row))
-        # A UnicodeDecodeError is a ValueError too, but names no line.
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not a text file: {exc}") from exc
-        except (csv.Error, ValueError, ConfigurationError) as exc:
-            raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
-    return records
+                lines.append(reader.line_num)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read the {what}: {exc.strerror or exc}") from exc
+    # A UnicodeDecodeError is a ValueError too, but names no line.
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a text file: {exc}") from exc
+    except (csv.Error, ValueError, ConfigurationError) as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+    return records, lines
 
 
 def csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:

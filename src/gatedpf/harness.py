@@ -54,16 +54,14 @@ from .particles import (
 )
 from .rng import RandomSource
 from .sensing import (
-    GNSS_SPEED,
     LIKELIHOOD_RATIO_MODES,
     LOOP_DENSITY,
-    MEASUREMENT_KINDS,
     CompiledLog,
     FaultConfig,
     GnssSpec,
     HYPOTHESIS_MODES,
-    LabeledMeasurement,
     LoopDetectorSpec,
+    MeasurementLog,
     fault_log_density,
     inject_faults,
     measurement_rows,
@@ -238,33 +236,63 @@ def generate_measurements(
     gnss_spec: GnssSpec,
     fault_config: FaultConfig,
     rng: RandomSource,
-) -> list[LabeledMeasurement]:
+) -> MeasurementLog:
     """Measurement log for steps k = 1 .. horizon - 1 of a truth run.
 
-    Loop detectors read the true densities; speed reports are sampled per
-    vehicle from the realized link speeds, then fault-injected.  Separate
-    streams keep the clean measurement values independent of the fault
-    draws, so a zero-probability fault config reproduces the clean log
-    bit for bit.
+    Each step holds its loop readings in detector order, then its speed
+    reports by link, ``gnss-{k}-{link}-{i}`` for the link's i-th reporting
+    vehicle.  Loop detectors read the true densities, all steps in one
+    draw; speed reports are sampled per vehicle from the realized link
+    speeds, one draw per step, then fault-injected.  Separate streams keep
+    the clean measurement values independent of the fault draws, so a
+    zero-probability fault config reproduces the clean log bit for bit.
     """
-    rng_loops = rng.derive(STREAM_LOOPS)
+    states = truth.states[1 : truth.horizon]
+    n_steps, n_links, n_loops = len(states), network.n_links, len(loop_specs)
+    loop_values = sample_loop_detectors(states, loop_specs, rng.derive(STREAM_LOOPS))
+    counts = vehicle_counts(states, network)
     rng_gnss = rng.derive(STREAM_GNSS)
-    rng_faults = rng.derive(STREAM_FAULTS)
-    measurements: list[LabeledMeasurement] = []
-    for k in range(1, truth.horizon):
-        measurements.extend(
-            sample_loop_detectors(truth.states[k], loop_specs, rng_loops, k)
-        )
-        counts = vehicle_counts(truth.states[k], network)
-        measurements.extend(
-            sample_gnss_speeds(truth.speeds[k], counts, gnss_spec, rng_gnss, k)
-        )
-    return inject_faults(measurements, fault_config, rng_faults)
+    reporting = np.zeros((n_steps, n_links), dtype=np.intp)
+    speed_values = [np.empty(0)]  # so that a log without steps concatenates
+    for i in range(n_steps):
+        reporting[i], values = sample_gnss_speeds(truth.speeds[i + 1], counts[i], gnss_spec, rng_gnss)
+        speed_values.append(values)
+
+    # Step k's rows are its n_loops loop readings, then its speed reports,
+    # which group by link in vehicle order.
+    per_step = n_loops + reporting.sum(axis=1)
+    steps = np.repeat(np.arange(1, n_steps + 1), per_step)
+    speed = _positions(per_step) >= n_loops
+    speed_links = np.repeat(np.tile(np.arange(n_links), n_steps), reporting.ravel())
+    vehicle = _positions(reporting.ravel())
+    loop_links = [spec.link for spec in loop_specs]
+
+    links = np.empty(len(steps), dtype=np.intp)
+    links[~speed] = np.tile(loop_links, n_steps)
+    links[speed] = speed_links
+    values = np.empty(len(steps))
+    values[~speed] = loop_values.ravel()
+    values[speed] = np.concatenate(speed_values)
+    sensor_ids = np.empty(len(steps), dtype=object)
+    sensor_ids[~speed] = np.tile(np.array([f"loop-{link}" for link in loop_links], dtype=object), n_steps)
+    sensor_ids[speed] = np.array(
+        [
+            f"gnss-{k}-{link}-{i}"
+            for k, link, i in zip(steps[speed].tolist(), speed_links.tolist(), vehicle.tolist())
+        ],
+        dtype=object,
+    )
+    log = MeasurementLog(steps, sensor_ids, speed, links, values, np.zeros(len(steps), dtype=bool))
+    return inject_faults(log, fault_config, rng.derive(STREAM_FAULTS))
 
 
-def simulate_seed(
-    config: ExperimentConfig, seed: int
-) -> tuple[Trajectory, list[LabeledMeasurement]]:
+def _positions(sizes: np.ndarray) -> np.ndarray:
+    """Each element's position within its group, for consecutive groups of
+    the given sizes."""
+    return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+
+def simulate_seed(config: ExperimentConfig, seed: int) -> tuple[Trajectory, MeasurementLog]:
     """The truth run of ``seed``, from ``config.initial_state`` on stream
     ``STREAM_TRUTH``, and the measurement log generated from it."""
     base = RandomSource(seed)
@@ -295,56 +323,52 @@ def _run_gate(config, variant, weights, z, log_g0, log, speeds) -> GateRows:
     return replace(gate, rejected=gate.rejected | unexplained(weights, log_g0))
 
 
-def check_measurement(config: ExperimentConfig, m: LabeledMeasurement) -> None:
-    """Raise :class:`ValueError` if a filter run of ``config`` cannot
-    assimilate ``m``: its step is outside the assimilation window, its link
-    outside the network, or no sensor of its kind is configured there."""
-    if not (1 <= m.k <= config.horizon - 1):
-        raise ValueError(
-            f"measurement at step {m.k} outside assimilation window "
-            f"[1, {config.horizon - 1}]"
-        )
-    n_links = config.network.n_links
-    if not (0 <= m.link < n_links):
-        raise ValueError(
-            f"measurement {m.sensor_id!r} at step {m.k} names link {m.link}, "
-            f"outside the network's links [0, {n_links - 1}]"
-        )
-    if m.kind not in MEASUREMENT_KINDS or (m.kind == LOOP_DENSITY and m.link not in config.loops):
-        raise ValueError(
-            f"measurement {m.sensor_id!r} at step {m.k}: "
-            f"no {m.kind!r} sensor configured on link {m.link}"
-        )
+def _check_log(config: ExperimentConfig, log: MeasurementLog) -> None:
+    """Raise :class:`DataError` naming the first row, in log order, that a
+    filter run of ``config`` cannot assimilate: its step is outside the
+    assimilation window, its link outside the network, or no sensor of its
+    kind is configured there.  A row of a log read from a file is named
+    ``path:line``."""
+    last, n_links = config.horizon - 1, config.network.n_links
+    outside = (log.steps < 1) | (log.steps > last)
+    off_network = (log.links < 0) | (log.links >= n_links)
+    has_loop = np.zeros(n_links, dtype=bool)
+    has_loop[list(config.loops)] = True
+    no_loop = ~log.speed & ~has_loop[np.clip(log.links, 0, n_links - 1)]
+    refused = np.flatnonzero(outside | off_network | no_loop)
+    if not refused.size:
+        return
+    i = refused[0]
+    row = f"measurement {log.sensor_ids[i]!r} at step {log.steps[i]}"
+    if outside[i]:
+        message = f"{row} outside assimilation window [1, {last}]"
+    elif off_network[i]:
+        message = f"{row} names link {log.links[i]}, outside the network's links [0, {n_links - 1}]"
+    else:
+        message = f"{row}: no {LOOP_DENSITY!r} sensor configured on link {log.links[i]}"
+    if log.source is not None:
+        message = f"{log.source}:{log.lines[i]}: {message}"
+    raise DataError(message)
 
 
-def compile_log(
-    config: ExperimentConfig, measurements: Sequence[LabeledMeasurement]
-) -> CompiledLog:
+def compile_log(config: ExperimentConfig, log: MeasurementLog) -> CompiledLog:
     """Check a measurement log once and compile it into step-ordered columns
     for filter runs of ``config``.
 
-    A measurement that fails :func:`check_measurement` raises
-    :class:`DataError`.  The std rules are gathered from a per-link table
-    (each loop detector's rule, then the speed rule), the fault log
+    A row the scenario cannot assimilate raises :class:`DataError`
+    (:func:`_check_log`).  The rows are sorted by step (stably, so a step
+    keeps its rows' log order).  The std rules are gathered from a per-link
+    table (each loop detector's rule, then the speed rule), the fault log
     densities of the likelihood-ratio modes are evaluated once for the
     whole log, and each step's speed rows share one entry per distinct
     link, so a run evaluates the speed map once per reported link.
     """
-    for m in measurements:
-        try:
-            check_measurement(config, m)
-        except ValueError as exc:
-            raise DataError(str(exc)) from None
-    n = len(measurements)
+    _check_log(config, log)
     n_links = config.network.n_links
-    steps = np.fromiter((m.k for m in measurements), dtype=np.intp, count=n)
-    order = np.argsort(steps, kind="stable")
-    steps = steps[order]
-    sensor_ids = np.fromiter((m.sensor_id for m in measurements), dtype=object, count=n)[order]
-    links = np.fromiter((m.link for m in measurements), dtype=np.intp, count=n)[order]
-    values = np.fromiter((m.value for m in measurements), dtype=float, count=n)[order]
-    faulty = np.fromiter((m.faulty for m in measurements), dtype=bool, count=n)[order]
-    is_speed = np.fromiter((m.kind == GNSS_SPEED for m in measurements), dtype=bool, count=n)[order]
+    order = np.argsort(log.steps, kind="stable")
+    steps, links, values, is_speed = (
+        log.steps[order], log.links[order], log.values[order], log.speed[order]
+    )
 
     # Column l of the rule table is link l's loop detector, column n_links
     # the speed rule; a link without a detector is never gathered.
@@ -368,10 +392,10 @@ def compile_log(
     return CompiledLog(
         offsets=offsets,
         steps=steps,
-        sensor_ids=sensor_ids,
+        sensor_ids=log.sensor_ids[order],
         links=links,
         values=values,
-        faulty=faulty,
+        faulty=log.faulty[order],
         std_rules=rule_table[:, np.where(is_speed, n_links, links)],
         speed_index=speed,
         speed_pairs=speed_pairs - offsets[speed_steps, 2],
@@ -389,15 +413,15 @@ def compile_log(
 
 def run_traffic_filter(
     config: ExperimentConfig,
-    measurements: Sequence[LabeledMeasurement] | CompiledLog,
+    measurements: MeasurementLog | CompiledLog,
     variant: FilterVariant,
     rng: RandomSource,
 ) -> FilterRunResult:
     """Run one gated filter over a measurement log.
 
     ``measurements`` is a log compiled for ``config`` by
-    :func:`compile_log`, or a plain sequence, which is compiled on entry
-    (so a measurement that fails :func:`check_measurement` raises
+    :func:`compile_log`, or a :class:`MeasurementLog`, which is compiled on
+    entry (so a row the scenario cannot assimilate raises
     :class:`DataError`).  Per step: predict the ensemble through the traffic
     model, read the step's rows off the compiled columns against the
     predicted ensemble, gate the speed reports, assimilate the accepted
@@ -599,7 +623,7 @@ class MetricsReport:
         return out
 
 
-RunSink = Callable[[int, Trajectory, Sequence[LabeledMeasurement], FilterVariant, FilterRunResult], None]
+RunSink = Callable[[int, Trajectory, MeasurementLog, FilterVariant, FilterRunResult], None]
 
 
 def run_experiment(config: ExperimentConfig, on_run: RunSink | None = None) -> MetricsReport:
@@ -609,7 +633,7 @@ def run_experiment(config: ExperimentConfig, on_run: RunSink | None = None) -> M
     every variant's run reads the compiled log.  A weight collapse in one
     variant is recorded (all-NaN metrics, ``collapsed`` set) and the
     remaining variants still run.  ``on_run`` receives each finished run
-    with the seed's measurement list, e.g. for writing artifacts.
+    with the seed's measurement log, e.g. for writing artifacts.
     """
     runs: list[RunMetrics] = []
     for seed in config.seeds:
@@ -664,7 +688,7 @@ def read_decision_log(path: str | Path) -> np.ndarray:
     to hold, a null mass that overflows), never NaN; the level is finite,
     and ``rejected`` and ``faulty`` are 0 or 1.
     """
-    rows = read_csv_rows(path, DECISION_COLUMNS, "decision log", _decision)
+    rows, _ = read_csv_rows(path, DECISION_COLUMNS, "decision log", _decision)
     return np.array(rows, dtype=DECISION_DTYPE)
 
 
@@ -717,7 +741,8 @@ def read_metrics_long(path: str | Path) -> MetricsReport:
     and the MAPE of a run with no decisions (a run with no assimilated
     steps has no MAPE).
     """
-    return MetricsReport(runs=read_csv_rows(path, METRICS_LONG_COLUMNS, "metrics", _run_metrics))
+    runs, _ = read_csv_rows(path, METRICS_LONG_COLUMNS, "metrics", _run_metrics)
+    return MetricsReport(runs=runs)
 
 
 def _run_metrics(row: list[str]) -> RunMetrics:

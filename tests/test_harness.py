@@ -59,13 +59,13 @@ from gatedpf.sensing import (
     GNSS_SPEED,
     FaultConfig,
     GnssSpec,
-    LabeledMeasurement,
     LoopDetectorSpec,
     fault_log_density,
     standardize,
 )
 
 from conftest import small_network
+from reference_log import Record, log_of, records_of
 
 
 def micro_config(horizon=12, particles=30, seeds=(5,), variants=None, fault_probability=0.4):
@@ -228,17 +228,19 @@ class TestFilterLoop:
         base = RandomSource(seed)
         init = equilibrium_state(config.network, config.schedule)
         truth = simulate(config.network, config.schedule, config.horizon, base.derive(STREAM_TRUTH), init)
-        measurements = generate_measurements(
-            truth, config.network, config.loop_specs, config.gnss_spec, config.fault_config, base
+        measurements = records_of(
+            generate_measurements(
+                truth, config.network, config.loop_specs, config.gnss_spec, config.fault_config, base
+            )
         )
         measurements += [
-            LabeledMeasurement(3, f"extra-{i}", GNSS_SPEED, link, value, faulty)
+            Record(3, f"extra-{i}", GNSS_SPEED, link, value, faulty)
             for i, (link, value, faulty) in enumerate(
                 [(2, 14.0, False), (0, 0.0, True), (2, 16.5, False), (0, 35.0, True), (2, 15.0, False)]
             )
         ]
         shuffled = sorted(measurements, key=lambda m: -m.k)
-        result = run_traffic_filter(config, shuffled, variant, RandomSource(seed))
+        result = run_traffic_filter(config, log_of(shuffled), variant, RandomSource(seed))
 
         # Manual composition.
         ens = ParticleEnsemble.from_states(np.tile(init[:, None], (1, config.particles)))
@@ -313,22 +315,22 @@ class TestFilterLoop:
 
     def test_horizon_one_runs_empty(self):
         config = micro_config(horizon=1)
-        result = run_traffic_filter(config, [], FilterVariant("none"), RandomSource(1))
+        result = run_traffic_filter(config, log_of([]), FilterVariant("none"), RandomSource(1))
         assert result.estimates.shape == (0, 3)
         assert result.decisions.dtype == DECISION_DTYPE and result.decisions.shape == (0,)
 
     def test_measurement_outside_window_rejected(self):
         config = micro_config(horizon=5)
-        bad = [LabeledMeasurement(k=5, sensor_id="x", kind="gnss_speed", link=0, value=1.0, faulty=False)]
-        with pytest.raises(DataError):
+        bad = log_of([Record(k=5, sensor_id="x", kind="gnss_speed", link=0, value=1.0, faulty=False)])
+        with pytest.raises(DataError, match=r"^measurement 'x' at step 5 outside assimilation window \[1, 4\]$"):
             run_traffic_filter(config, bad, FilterVariant("none"), RandomSource(1))
 
     @pytest.mark.parametrize("link", [-1, 3])
     def test_measurement_outside_network_rejected(self, link):
-        # The log reader reports such a row at its line; API callers get the
-        # same check from the filter itself.
+        # The one scenario check names a file's row by its line, and a row
+        # of a log built in memory by its sensor id and step.
         config = micro_config(horizon=5)
-        bad = [LabeledMeasurement(k=2, sensor_id="x", kind="gnss_speed", link=link, value=1.0, faulty=False)]
+        bad = log_of([Record(k=2, sensor_id="x", kind="gnss_speed", link=link, value=1.0, faulty=False)])
         with pytest.raises(DataError, match=f"names link {link}, outside the network's links"):
             run_traffic_filter(config, bad, FilterVariant("none"), RandomSource(1))
 
@@ -338,11 +340,13 @@ class TestFilterLoop:
         # report 1e300 is rejected by the gate, so only the ungated filter
         # assimilates it.
         config = micro_config(horizon=5)
-        ms = [
-            LabeledMeasurement(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.006, faulty=False),
-            LabeledMeasurement(k=2, sensor_id="loop-2", kind="loop_density", link=2, value=1e200, faulty=False),
-            LabeledMeasurement(k=2, sensor_id="g", kind="gnss_speed", link=1, value=1e300, faulty=True),
-        ]
+        ms = log_of(
+            [
+                Record(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.006, faulty=False),
+                Record(k=2, sensor_id="loop-2", kind="loop_density", link=2, value=1e200, faulty=False),
+                Record(k=2, sensor_id="g", kind="gnss_speed", link=1, value=1e300, faulty=True),
+            ]
+        )
         with pytest.raises(WeightCollapseError, match=r"^step 2: .*'loop-2'") as info:
             run_traffic_filter(config, ms, variant, RandomSource(1))
         expected = ("loop-2", "g") if variant.mode == "none" else ("loop-2",)
@@ -363,13 +367,13 @@ class TestFilterLoop:
 class TestCompileLog:
     def _log(self):
         config = micro_config(horizon=6)  # loops on links 0 and 2
-        speed = lambda k, link, value, i: LabeledMeasurement(k, f"g-{k}-{i}", GNSS_SPEED, link, value, False)
-        loop = lambda k, link, value: LabeledMeasurement(k, f"loop-{link}", "loop_density", link, value, False)
+        speed = lambda k, link, value, i: Record(k, f"g-{k}-{i}", GNSS_SPEED, link, value, False)
+        loop = lambda k, link, value: Record(k, f"loop-{link}", "loop_density", link, value, False)
         ms = [
             speed(4, 2, 11.0, 0), loop(2, 0, 0.04), speed(2, 1, 0.0, 0), speed(4, 0, 13.0, 1),
             loop(2, 2, 0.05), speed(2, 1, 30.0, 1), speed(4, 2, 12.0, 2), speed(2, 0, 9.0, 2),
         ]
-        return config, ms, compile_log(config, ms)
+        return config, ms, compile_log(config, log_of(ms))
 
     def test_columns_in_step_order(self):
         config, ms, log = self._log()
@@ -421,8 +425,8 @@ class TestCompileLog:
         variant = FilterVariant(mode, None if mode == "none" else 0.05)
         config = micro_config(horizon=10)
         _, ms = simulate_seed(config, 9)
-        ms = sorted(ms, key=lambda m: -m.k)
-        log = compile_log(config, ms)
+        ms = sorted(records_of(ms), key=lambda m: -m.k)
+        log = compile_log(config, log_of(ms))
         decisions = run_traffic_filter(config, log, variant, RandomSource(9)).decisions
         assert decisions.dtype == DECISION_DTYPE
         if mode == "none":
@@ -449,13 +453,13 @@ class TestCompileLog:
 
     def test_bad_measurement_names_itself(self):
         config, ms, _ = self._log()
-        bad = ms + [LabeledMeasurement(6, "late", GNSS_SPEED, 0, 1.0, False)]
-        with pytest.raises(DataError, match="measurement at step 6 outside assimilation window"):
+        bad = log_of(ms + [Record(6, "late", GNSS_SPEED, 0, 1.0, False)])
+        with pytest.raises(DataError, match="^measurement 'late' at step 6 outside assimilation window"):
             compile_log(config, bad)
 
     def test_empty_log(self):
         config = micro_config(horizon=4)
-        log = compile_log(config, [])
+        log = compile_log(config, log_of([]))
         assert log.offsets.tolist() == [[0, 0, 0]] * 5
         assert log.values.shape == log.speed_index.shape == (0,)
 
@@ -468,7 +472,7 @@ class TestRunExperiment:
         )
         report = run_experiment(config)
         _, ms = simulate_seed(config, config.seeds[0])
-        n_gnss = sum(1 for m in ms if m.kind == "gnss_speed")
+        n_gnss = np.count_nonzero(ms.speed)
         for run in report.runs:
             assert run.tp + run.fp + run.tn + run.fn == n_gnss
 
@@ -499,9 +503,9 @@ class TestRunExperiment:
         assert len(seen) == 1
 
     def test_each_measurement_checked_once_per_seed(self, monkeypatch):
-        # The seed's log is checked and compiled once, not once per variant,
-        # and every variant's run still reads it; on_run gets the seed's
-        # own measurement list.
+        # The seed's log is checked (one vectorized check) and compiled
+        # once, not once per variant, and every variant's run still reads
+        # it; on_run gets the seed's own measurement log.
         config = micro_config(
             horizon=8,
             seeds=(5, 6),
@@ -514,14 +518,15 @@ class TestRunExperiment:
         )
         logs = {seed: simulate_seed(config, seed)[1] for seed in config.seeds}
         calls = []
-        check = harness.check_measurement
-        monkeypatch.setattr(harness, "check_measurement", lambda c, m: (calls.append(m), check(c, m)))
+        check = harness._check_log
+        monkeypatch.setattr(harness, "_check_log", lambda c, log: (calls.append(log), check(c, log)))
         received = []
-        report = run_experiment(config, on_run=lambda seed, t, ms, v, r: received.append((seed, ms)))
-        assert len(calls) == sum(len(ms) for ms in logs.values()) > 0
+        report = run_experiment(config, on_run=lambda seed, t, log, v, r: received.append((seed, log)))
+        assert [len(log) for log in calls] == [len(logs[5]), len(logs[6])]
         assert len(report.runs) == 8 and not any(r.collapsed for r in report.runs)
         assert [seed for seed, _ in received] == [5] * 4 + [6] * 4
-        assert all(ms == logs[seed] for seed, ms in received)
+        assert all(log is calls[seed - 5] for seed, log in received)
+        assert all(records_of(log) == records_of(logs[seed]) for seed, log in received)
 
     def test_fault_free_log_identical_to_clean_stream(self):
         # Setting the fault probability to zero must reproduce the clean
@@ -531,10 +536,9 @@ class TestRunExperiment:
         _, clean = simulate_seed(config, 7)
         _, dirty = simulate_seed(faulted, 7)
         assert len(clean) == len(dirty)
-        for c, d in zip(clean, dirty):
-            assert c.sensor_id == d.sensor_id
-            if not d.faulty:
-                assert c.value == d.value
+        assert clean.sensor_ids.tolist() == dirty.sensor_ids.tolist()
+        assert dirty.faulty.any() and not clean.faulty.any()
+        assert clean.values[~dirty.faulty].tobytes() == dirty.values[~dirty.faulty].tobytes()
 
 
 class TestMetricsReport:

@@ -1,20 +1,24 @@
 """Unit tests for synthetic sensing, fault injection, and measurement models."""
 from __future__ import annotations
 
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gatedpf.ctm import FreewayNetwork, LinkParams, speed_map
-from gatedpf.errors import ConfigurationError, DataError
-from gatedpf.harness import FilterVariant, compile_log, run_traffic_filter
+from gatedpf.ctm import FreewayNetwork, LinkParams, Trajectory, speed_map
+from gatedpf.errors import ConfigurationError, ContractViolation, DataError
+from gatedpf.harness import FilterVariant, compile_log, generate_measurements, run_traffic_filter
 from gatedpf.rng import RandomSource
 from gatedpf.sensing import (
     FaultConfig,
     GnssSpec,
-    LabeledMeasurement,
     LoopDetectorSpec,
+    MeasurementLog,
     fault_log_density,
     gaussian_log_pdf,
     inject_faults,
@@ -28,6 +32,7 @@ from gatedpf.sensing import (
 )
 
 from conftest import small_network
+from reference_log import Record, generate_records, log_of, log_text, records_of
 from test_harness import micro_config
 
 
@@ -61,49 +66,42 @@ class TestSpecs:
 
 class TestLoopSampling:
     def test_zero_noise_returns_truth(self):
-        state = np.array([0.03, 0.05])
-        specs = [LoopDetectorSpec(link=0, noise_frac=0.0), LoopDetectorSpec(link=1, noise_frac=0.0)]
-        out = sample_loop_detectors(state, specs, RandomSource(1), k=3)
-        assert [m.value for m in out] == [0.03, 0.05]
-        assert all(m.kind == "loop_density" and not m.faulty for m in out)
-        assert out[0].k == 3
+        states = np.array([[0.03, 0.05], [0.01, 0.0]])
+        specs = [LoopDetectorSpec(link=1, noise_frac=0.0), LoopDetectorSpec(link=0, noise_frac=0.0)]
+        values = sample_loop_detectors(states, specs, RandomSource(1))
+        assert values.tolist() == [[0.05, 0.03], [0.0, 0.01]]
 
     def test_sample_mean_matches_truth(self):
         # 1e4 draws at one detector: mean within 4 standard errors.
-        state = np.array([0.05])
+        states = np.full((10_000, 1), 0.05)
         spec = LoopDetectorSpec(link=0, noise_frac=0.1)
-        rng = RandomSource(5)
-        values = [
-            sample_loop_detectors(state, [spec], rng, k)[0].value for k in range(10_000)
-        ]
+        values = sample_loop_detectors(states, [spec], RandomSource(5))[:, 0]
         sd = 0.1 * 0.05
         assert abs(np.mean(values) - 0.05) < 4 * sd / np.sqrt(len(values))
 
     def test_negative_draws_clamped(self):
-        state = np.array([0.001])
+        states = np.full((500, 1), 0.001)
         spec = LoopDetectorSpec(link=0, noise_abs=0.05)
-        rng = RandomSource(2)
-        values = [sample_loop_detectors(state, [spec], rng, k)[0].value for k in range(500)]
-        assert min(values) == 0.0  # clamping visibly active at this noise level
-        assert all(v >= 0.0 for v in values)
+        values = sample_loop_detectors(states, [spec], RandomSource(2))
+        assert values.min() == 0.0  # clamping visibly active at this noise level
+        assert np.all(values >= 0.0)
 
 
 class TestGnssSampling:
     def test_zero_penetration_is_empty(self):
-        out = sample_gnss_speeds(
-            np.array([20.0]), np.array([50]), GnssSpec(penetration=0.0), RandomSource(1), k=0
+        reporting, values = sample_gnss_speeds(
+            np.array([20.0]), np.array([50]), GnssSpec(penetration=0.0), RandomSource(1)
         )
-        assert out == []
+        assert reporting.tolist() == [0] and values.shape == (0,)
 
     def test_full_penetration_zero_noise(self):
         speeds = np.array([20.0, 10.0])
         counts = np.array([3, 2])
-        out = sample_gnss_speeds(
-            speeds, counts, GnssSpec(penetration=1.0, noise_frac=0.0), RandomSource(1), k=7
+        reporting, values = sample_gnss_speeds(
+            speeds, counts, GnssSpec(penetration=1.0, noise_frac=0.0), RandomSource(1)
         )
-        assert len(out) == 5
-        assert sorted(m.value for m in out) == [10.0, 10.0, 20.0, 20.0, 20.0]
-        assert len({m.sensor_id for m in out}) == 5
+        assert reporting.tolist() == [3, 2]
+        assert values.tolist() == [20.0, 20.0, 20.0, 10.0, 10.0]
 
     def test_expected_report_count(self):
         # Binomial oracle over 1e3 seeded draws.
@@ -111,7 +109,7 @@ class TestGnssSampling:
         counts = np.full(10, 40)
         spec = GnssSpec(penetration=0.05)
         totals = [
-            len(sample_gnss_speeds(speeds, counts, spec, RandomSource(seed), 0))
+            len(sample_gnss_speeds(speeds, counts, spec, RandomSource(seed))[1])
             for seed in range(1000)
         ]
         n, p = 400, 0.05
@@ -126,64 +124,120 @@ class TestGnssSampling:
 
 class TestFaultInjection:
     def _gnss(self, n, value=20.0):
-        return [
-            LabeledMeasurement(k=0, sensor_id=f"g{i}", kind="gnss_speed", link=0, value=value, faulty=False)
-            for i in range(n)
-        ]
+        return log_of(Record(1, f"g{i}", "gnss_speed", 0, value, False) for i in range(n))
 
     def test_zero_probability_identity(self):
-        ms = self._gnss(100)
-        out = inject_faults(ms, FaultConfig(probability=0.0), RandomSource(1))
-        assert out == ms
+        log = self._gnss(100)
+        assert inject_faults(log, FaultConfig(probability=0.0), RandomSource(1)) is log
 
     def test_degenerate_all_zero(self):
-        ms = self._gnss(50)
-        out = inject_faults(ms, FaultConfig(probability=1.0, zero_weight=1.0), RandomSource(1))
-        assert all(m.faulty and m.value == 0.0 for m in out)
+        out = inject_faults(self._gnss(50), FaultConfig(probability=1.0, zero_weight=1.0), RandomSource(1))
+        assert out.faulty.all() and np.all(out.values == 0.0)
 
     def test_loops_pass_through(self):
-        loop = LabeledMeasurement(k=0, sensor_id="l", kind="loop_density", link=0, value=0.05, faulty=False)
-        out = inject_faults([loop], FaultConfig(probability=1.0), RandomSource(1))
-        assert out[0] is loop
+        loop = Record(k=1, sensor_id="l", kind="loop_density", link=0, value=0.05, faulty=False)
+        speed = Record(k=1, sensor_id="g", kind="gnss_speed", link=0, value=20.0, faulty=False)
+        log = log_of([loop, speed, loop])
+        out = inject_faults(log, FaultConfig(probability=1.0, zero_weight=1.0), RandomSource(1))
+        assert records_of(out) == [loop, Record(1, "g", "gnss_speed", 0, 0.0, True), loop]
+        assert records_of(log) == [loop, speed, loop]  # the input log is left as it was
 
     def test_fault_statistics(self):
         # 1e4 measurements at defaults: faulty fraction within 4 SE of 0.30,
         # zero-valued-among-faulty within 4 SE of 1/3, values nonnegative.
         n = 10_000
         out = inject_faults(self._gnss(n), FaultConfig(), RandomSource(9))
-        faulty = [m for m in out if m.faulty]
+        faulty = out.values[out.faulty]
         frac = len(faulty) / n
         assert abs(frac - 0.30) < 4 * np.sqrt(0.3 * 0.7 / n)
-        zero_frac = sum(m.value == 0.0 for m in faulty) / len(faulty)
+        zero_frac = np.count_nonzero(faulty == 0.0) / len(faulty)
         assert abs(zero_frac - 1 / 3) < 4 * np.sqrt((1 / 3) * (2 / 3) / len(faulty))
-        assert all(m.value > 0.0 for m in faulty if m.value != 0.0)
+        assert np.all(faulty >= 0.0)
 
     def test_gaussian_faults_strictly_positive(self):
         # Truncation by resampling: no clamped atoms at zero from the
         # Gaussian branch, so value == 0 identifies the stopped-car fault.
         cfg = FaultConfig(probability=1.0, zero_weight=0.0, speed_mean=1.0, speed_std=10.0)
         out = inject_faults(self._gnss(2000), cfg, RandomSource(3))
-        assert min(m.value for m in out) > 0.0
+        assert out.values.min() > 0.0
+
+
+GENERATED = dict(
+    horizon=6, loops=[(2, None), (0, 0.01)], penetration=0.3, noise_frac=0.2,
+    probability=0.4, zero_weight=0.5, seed=3,
+)
+
+
+class TestGeneratedLog:
+    """The column generator against the record-based reference it replaced,
+    kept in ``reference_log``: the same streams must give the same file."""
+
+    @given(
+        horizon=st.integers(1, 10),
+        loops=st.lists(
+            st.tuples(st.integers(0, 3), st.sampled_from([None, 0.0, 0.01, 0.05])),
+            unique_by=lambda loop: loop[0],
+        ),
+        penetration=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        noise_frac=st.sampled_from([0.0, 0.2, 3.0]),
+        probability=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        zero_weight=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(**dict(GENERATED, horizon=1))
+    @example(**dict(GENERATED, penetration=0.0))
+    @example(**dict(GENERATED, penetration=1.0, probability=1.0))
+    @example(**dict(GENERATED, probability=0.0))
+    @example(**dict(GENERATED, loops=[]))
+    @example(**dict(GENERATED, loops=[(1, 0.05), (3, 0.0)]))
+    @settings(max_examples=60, deadline=None)
+    def test_writes_the_reference_bytes(
+        self, horizon, loops, penetration, noise_frac, probability, zero_weight, seed
+    ):
+        # Truth states with empty links, so zero counts and clamped loop
+        # readings occur; the speeds are any nonnegative values.
+        draws = np.random.default_rng(seed)
+        states = draws.uniform(0.0, 0.125, (horizon + 1, 4))
+        states[draws.random(states.shape) < 0.2] = 0.0
+        truth = Trajectory(states=states, speeds=draws.uniform(0.0, 30.0, (horizon, 4)))
+        args = (
+            truth,
+            small_network(4),
+            tuple(LoopDetectorSpec(link=link, noise_abs=noise_abs) for link, noise_abs in loops),
+            GnssSpec(penetration=penetration, noise_frac=noise_frac),
+            FaultConfig(probability=probability, zero_weight=zero_weight),
+            RandomSource(seed),
+        )
+        reference = generate_records(*args)
+        log = generate_measurements(*args)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "measurements.csv"
+            write_measurement_log(path, log)
+            assert path.read_bytes() == log_text(reference).encode()
+            back = read_measurement_log(path)
+        assert records_of(back) == records_of(log) == reference
+        assert horizon > 1 or len(log) == 0  # horizon 1 writes the header alone
 
 
 def speed_report(value, link=0):
-    return LabeledMeasurement(k=1, sensor_id="g", kind="gnss_speed", link=link, value=value, faulty=False)
+    return Record(k=1, sensor_id="g", kind="gnss_speed", link=link, value=value, faulty=False)
 
 
 def step_rows(ms, particles, network, ramp_means=(), loop_specs=(), gnss_spec=GnssSpec()):
-    """Rows of step 1 of the log ``ms``, compiled for a two-step config on
-    ``network`` with the given sensors."""
+    """Rows of step 1 of the records ``ms``, compiled for a two-step config
+    on ``network`` with the given sensors."""
     config = replace(
         micro_config(horizon=2), network=network, loop_specs=tuple(loop_specs), gnss_spec=gnss_spec
     )
-    return measurement_rows(compile_log(config, ms), 1, particles, network, np.asarray(ramp_means, float))
+    log = compile_log(config, log_of(ms))
+    return measurement_rows(log, 1, particles, network, np.asarray(ramp_means, float))
 
 
 class TestMeasurementModels:
     def test_loop_model_moments(self):
         spec = LoopDetectorSpec(link=1, noise_frac=0.1, min_std=0.002)
         states = np.array([[0.0, 0.0], [0.05, 0.001]])
-        loop = LabeledMeasurement(k=1, sensor_id="loop-1", kind="loop_density", link=1, value=0.04, faulty=False)
+        loop = Record(k=1, sensor_id="loop-1", kind="loop_density", link=1, value=0.04, faulty=False)
         values, mean, std, tested = step_rows([loop], states, small_network(2), loop_specs=[spec])
         np.testing.assert_allclose(mean, [[0.05, 0.001]])
         np.testing.assert_allclose(std, [[0.005, 0.002]])  # floor binds on particle 2
@@ -191,7 +245,7 @@ class TestMeasurementModels:
 
     def test_loop_model_absolute_noise(self):
         spec = LoopDetectorSpec(link=0, noise_abs=0.004, min_std=0.002)
-        loop = LabeledMeasurement(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.04, faulty=False)
+        loop = Record(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.04, faulty=False)
         _, mean, std, _ = step_rows([loop], np.array([[0.05, 0.0]]), small_network(1), loop_specs=[spec])
         np.testing.assert_array_equal(mean, [[0.05, 0.0]])
         np.testing.assert_array_equal(std, [[0.004, 0.004]])
@@ -209,7 +263,7 @@ class TestMeasurementModels:
         ramp_means = np.array([0.7])
         loops = [LoopDetectorSpec(link=0), LoopDetectorSpec(link=2, noise_abs=0.004)]
         gnss = GnssSpec(noise_frac=0.3, min_std=0.25)
-        loop = LabeledMeasurement(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.05, faulty=False)
+        loop = Record(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.05, faulty=False)
         ms = [loop, speed_report(9.0, link=2), speed_report(7.0, link=0), replace(loop, link=2), speed_report(8.0, link=2)]
         values, mean, std, tested = step_rows(ms, particles, net, ramp_means, loops, gnss)
         assert tested.tolist() == [1, 2, 4]
@@ -270,7 +324,7 @@ class TestBuildSensorModels:
     def _rows(self):
         # One link with qmax 4 and dt 10: the predicted speed is
         # min(vf, 0.4 / rho), 10 and 20 / 3 m/s for these particles.
-        loop = LabeledMeasurement(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.05, faulty=False)
+        loop = Record(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.05, faulty=False)
         particles = np.array([[0.04, 0.06]])
         return step_rows(
             [loop, speed_report(12.0)], particles, small_network(1), loop_specs=[LoopDetectorSpec(link=0)]
@@ -310,24 +364,52 @@ class TestBuildSensorModels:
         np.testing.assert_allclose(log_g0, gaussian_log_pdf(values[:, None], mean, std))
 
     def test_unconfigured_loop_rejected(self):
+        # A log's kind is a bool column, so an unknown kind cannot reach the
+        # filter: the log reader refuses it at its line.
         config = micro_config(horizon=5)  # loops on links 0 and 2
-        ms = [LabeledMeasurement(k=4, sensor_id="loop-1", kind="loop_density", link=1, value=0.1, faulty=False)]
-        with pytest.raises(DataError, match="no 'loop_density' sensor configured on link 1"):
-            run_traffic_filter(config, ms, FilterVariant("fisher", 0.01), RandomSource(1))
-        bad_kind = [replace(ms[0], kind="radar")]
-        with pytest.raises(DataError, match="no 'radar' sensor configured on link 1"):
-            run_traffic_filter(config, bad_kind, FilterVariant("fisher", 0.01), RandomSource(1))
+        log = log_of([Record(k=4, sensor_id="loop-1", kind="loop_density", link=1, value=0.1, faulty=False)])
+        with pytest.raises(DataError, match="'loop-1' at step 4: no 'loop_density' sensor configured on link 1"):
+            run_traffic_filter(config, log, FilterVariant("fisher", 0.01), RandomSource(1))
 
 
 class TestMeasurementLog:
     def test_round_trip(self, tmp_path):
         ms = [
-            LabeledMeasurement(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.0512345678901, faulty=False),
-            LabeledMeasurement(k=2, sensor_id="g-0", kind="gnss_speed", link=3, value=0.0, faulty=True),
+            Record(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.0512345678901, faulty=False),
+            Record(k=2, sensor_id="g-0", kind="gnss_speed", link=3, value=0.0, faulty=True),
         ]
         path = tmp_path / "log.csv"
-        write_measurement_log(path, ms)
-        assert read_measurement_log(path) == ms
+        write_measurement_log(path, log_of(ms))
+        log = read_measurement_log(path)
+        assert records_of(log) == ms
+        assert log.source == str(path) and log.lines.tolist() == [2, 3]
+
+    def test_empty_log_round_trip(self, tmp_path):
+        path = tmp_path / "log.csv"
+        write_measurement_log(path, log_of([]))
+        assert path.read_bytes() == b"k,sensor_id,kind,link,value,faulty\r\n"
+        log = read_measurement_log(path)
+        assert len(log) == 0 and log.steps.dtype == np.intp and log.sensor_ids.dtype == object
+
+    def test_lines_follow_quoted_newlines(self, tmp_path):
+        # A quoted sensor id may span lines; each row keeps the line it ends on.
+        path = tmp_path / "log.csv"
+        path.write_text('k,sensor_id,kind,link,value,faulty\n1,"a\nb",gnss_speed,0,1.0,0\n2,c,gnss_speed,0,1.0,0\n')
+        log = read_measurement_log(path)
+        assert log.sensor_ids.tolist() == ["a\nb", "c"] and log.lines.tolist() == [3, 4]
+
+    @pytest.mark.parametrize("field", [0, 3])
+    def test_integer_outside_64_bits_reports_line(self, tmp_path, field):
+        row = ["1", "s", "gnss_speed", "0", "12.5", "0"]
+        row[field] = str(2**63)
+        path = tmp_path / "bad.csv"
+        path.write_text("k,sensor_id,kind,link,value,faulty\n1,r,gnss_speed,0,1.0,1\n" + ",".join(row) + "\n")
+        with pytest.raises(DataError, match=r"bad\.csv:3: step .* or link .* outside the 64-bit integers"):
+            read_measurement_log(path)
+
+    def test_columns_must_match(self):
+        with pytest.raises(ContractViolation, match="'links'"):
+            MeasurementLog(steps=[1, 2], sensor_ids=["a", "b"], speed=[True, True], links=[0], values=[1.0, 2.0], faulty=[False, False])
 
     def test_header_validated(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -374,8 +456,8 @@ class TestMeasurementLog:
 
     def test_write_is_atomic(self, tmp_path, monkeypatch):
         path = tmp_path / "log.csv"
-        ms = [LabeledMeasurement(k=1, sensor_id="g", kind="gnss_speed", link=0, value=1.5, faulty=False)]
-        write_measurement_log(path, ms)
+        ms = [Record(k=1, sensor_id="g", kind="gnss_speed", link=0, value=1.5, faulty=False)]
+        write_measurement_log(path, log_of(ms))
         before = path.read_bytes()
 
         def failing_replace(src, dst):
@@ -383,6 +465,6 @@ class TestMeasurementLog:
 
         monkeypatch.setattr("gatedpf.fileio.os.replace", failing_replace)
         with pytest.raises(OSError):
-            write_measurement_log(path, ms * 3)
+            write_measurement_log(path, log_of(ms * 3))
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv"]
