@@ -33,6 +33,7 @@ from .gates import (
     GateKind,
     GateRows,
     gated_update,
+    level_rule,
     likelihood_ratio_test,
     significance_test,
 )

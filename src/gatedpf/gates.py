@@ -9,10 +9,15 @@ row per tested measurement, and return one outcome per row:
   particle votes by comparing its fault-model log density against its null
   log density (ties favor the null); the test statistic is the
   null-weighted mass of the particles favoring the fault model, and the
-  null is rejected when that mass falls below the significance level.
+  null is rejected when that mass falls below the significance level
+  and some particle favors the fault model.
 * A significance test for the model-free case.  The per-particle
   standardized residual is weight-averaged into a single statistic whose
   two-sided standard-normal tail probability is compared against the level.
+
+Neither statistic depends on the level, which only thresholds it
+(``level_rule``): a test's rows at one level give its outcomes at every
+other.
 
 Whichever test runs, the filter's gate also rejects every row that no
 positive-weight prior particle explains (``unexplained``), that is, whose
@@ -130,11 +135,12 @@ def likelihood_ratio_test(
             scaled = np.exp(log_mass - log_mass.max(axis=1, keepdims=True))
             favoring = np.where(favors_h1[~finite], scaled, 0.0).sum(axis=1)
             statistic[~finite] = favoring / scaled.sum(axis=1)
+    auxiliary = count.astype(float)
     return GateRows(
         kind=GateKind.NEYMAN_PEARSON,
         statistic=statistic,
-        auxiliary=count.astype(float),
-        rejected=(count > 0) & (statistic < alpha),
+        auxiliary=auxiliary,
+        rejected=level_rule(GateKind.NEYMAN_PEARSON, statistic, auxiliary, alpha),
     )
 
 
@@ -166,8 +172,20 @@ def significance_test(weights: np.ndarray, z: np.ndarray, alpha: float) -> GateR
         kind=GateKind.FISHER,
         statistic=p_value,
         auxiliary=stat,
-        rejected=p_value < alpha,
+        rejected=level_rule(GateKind.FISHER, p_value, stat, alpha),
     )
+
+
+def level_rule(
+    kind: GateKind, statistic: np.ndarray, auxiliary: np.ndarray, alpha: float
+) -> np.ndarray:
+    """The rows a test of ``kind`` rejects at level ``alpha``, from its
+    level-free ``statistic`` and ``auxiliary`` columns (see
+    :class:`GateRows`): ``(auxiliary > 0) & (statistic < alpha)`` for the
+    likelihood-ratio test, ``statistic < alpha`` for the significance test."""
+    if kind is GateKind.NEYMAN_PEARSON:
+        return (auxiliary > 0) & (statistic < alpha)
+    return statistic < alpha
 
 
 def unexplained(weights: np.ndarray, log_g0: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 One experiment run simulates a ground-truth traffic realization, generates
 labeled measurements (loop densities plus fault-injected speed reports),
-then runs the gated particle filter once per configured (test mode, level)
+then runs the gated particle filter for each configured (test mode, level)
 variant against the same measurement log; ``gatedpf simulate`` builds a
 seed's truth and log on the same path, :func:`simulate_seed`.  The log is
 checked and compiled once per seed (:func:`compile_log`) into step-ordered
@@ -10,6 +10,18 @@ columns that every variant's filter run reads.  Detection
 quality is scored as a confusion matrix over the gate decisions; estimation
 quality as the mean absolute percentage error of the posterior-mean density
 trajectory.
+
+A variant whose filter run would repeat a finished run of its seed bit for
+bit takes that run's results instead of filtering again.  Both gates'
+statistics are level-free, and the level only thresholds them
+(:func:`~gatedpf.gates.level_rule`).  Two levels of one test mode that
+decide every recorded row alike therefore run the same filter, by
+induction over the steps: from the same prior and the same demand draws,
+both compute the same statistics, take the same test outcomes and reject
+the same rows (the ``unexplained`` rule does not read the level), so they
+reach the same posterior, effective sample size, resample draws and next
+prior.  The finished run's decision log records each row's statistic and
+auxiliary, so the check reads them and filters nothing.
 
 Randomness is organized into named streams off each seed, so the truth,
 the sensing noise, the fault draws, and the filter's own model noise are
@@ -19,6 +31,7 @@ metric columns directly comparable across test modes and levels.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -41,6 +54,7 @@ from .gates import (
     GateKind,
     GateRows,
     gated_update,
+    level_rule,
     likelihood_ratio_test,
     significance_test,
     unexplained,
@@ -78,6 +92,8 @@ STREAM_GNSS = 2
 STREAM_FAULTS = 3
 STREAM_FILTER_DEMAND = 4
 STREAM_FILTER_RESAMPLE = 5
+
+logger = logging.getLogger(__name__)
 
 # A run's gate decisions, one element per tested speed report; the field
 # names are the decision log's columns.
@@ -139,6 +155,13 @@ class FilterVariant:
     @property
     def label(self) -> str:
         return self.mode if self.alpha is None else f"{self.mode}@{self.alpha:g}"
+
+    @property
+    def kind(self) -> GateKind | None:
+        """The variant's test; ``None`` for the ungated filter."""
+        if self.mode == "none":
+            return None
+        return GateKind.FISHER if self.mode == "fisher" else GateKind.NEYMAN_PEARSON
 
 
 @dataclass(frozen=True)
@@ -390,6 +413,8 @@ def compile_log(config: ExperimentConfig, log: MeasurementLog) -> CompiledLog:
         axis=1,
     )
     return CompiledLog(
+        horizon=config.horizon,
+        n_links=n_links,
         offsets=offsets,
         steps=steps,
         sensor_ids=log.sensor_ids[order],
@@ -422,11 +447,13 @@ def run_traffic_filter(
     ``measurements`` is a log compiled for ``config`` by
     :func:`compile_log`, or a :class:`MeasurementLog`, which is compiled on
     entry (so a row the scenario cannot assimilate raises
-    :class:`DataError`).  Per step: predict the ensemble through the traffic
-    model, read the step's rows off the compiled columns against the
-    predicted ensemble, gate the speed reports, assimilate the accepted
-    measurements, record the posterior mean, and resample when the
-    effective sample size falls below the configured fraction.  Each step
+    :class:`DataError`); a log compiled for another horizon or link count
+    raises :class:`ConfigurationError`.  Per step: predict the ensemble
+    through the traffic model, read the step's rows off the compiled
+    columns against the predicted ensemble, gate the speed reports,
+    assimilate the accepted measurements, record the posterior mean, and
+    resample when the effective sample size falls below the configured
+    fraction.  Each step
     writes the gate's outcomes into per-run columns at its speed rows, and
     one join after the last step adds each row's report and label (see
     :class:`FilterRunResult`).  A step whose assimilated measurements no
@@ -434,6 +461,11 @@ def run_traffic_filter(
     ``k`` and those measurements' sensor ids.
     """
     log = measurements if isinstance(measurements, CompiledLog) else compile_log(config, measurements)
+    if (log.horizon, log.n_links) != (config.horizon, config.network.n_links):
+        raise ConfigurationError(
+            f"measurement log compiled for horizon {log.horizon} on {log.n_links} links, "
+            f"but the scenario has horizon {config.horizon} on {config.network.n_links} links"
+        )
     network, schedule, demand = config.network, config.schedule, config.demand_table
     ensemble = ParticleEnsemble.from_states(
         np.repeat(config.initial_state[:, None], config.particles, axis=1)
@@ -497,8 +529,7 @@ def run_traffic_filter(
     decisions["k"] = log.steps[index]
     decisions["sensor_id"] = log.sensor_ids[index]
     decisions["link"] = log.links[index]
-    kind = GateKind.FISHER if variant.mode == "fisher" else GateKind.NEYMAN_PEARSON
-    decisions["test_kind"] = kind.value
+    decisions["test_kind"] = variant.kind.value
     decisions["statistic"] = statistic
     decisions["alpha"] = variant.alpha
     decisions["rejected"] = gate_rejected
@@ -626,14 +657,47 @@ class MetricsReport:
 RunSink = Callable[[int, Trajectory, MeasurementLog, FilterVariant, FilterRunResult], None]
 
 
+def _shared_run(
+    variant: FilterVariant, finished: Sequence[tuple[FilterVariant, FilterRunResult]]
+) -> tuple[FilterVariant, FilterRunResult] | None:
+    """The first of a seed's ``finished`` runs that ``variant``'s filter run
+    would repeat bit for bit, with its results at ``variant``'s level; or
+    ``None``.
+
+    A run qualifies when it has the variant's test mode and its recorded
+    statistics give the same test outcome on every row at both levels (see
+    the module docstring): the variant takes its estimates and a copy of
+    its decisions with ``alpha`` set to the variant's level.
+    """
+    for base, result in finished:
+        if base.mode != variant.mode:
+            continue
+        decisions = result.decisions
+        statistic, auxiliary = decisions["statistic"], decisions["auxiliary"]
+        if np.array_equal(
+            level_rule(variant.kind, statistic, auxiliary, base.alpha),
+            level_rule(variant.kind, statistic, auxiliary, variant.alpha),
+        ):
+            decisions = decisions.copy()
+            decisions["alpha"] = variant.alpha
+            return base, FilterRunResult(estimates=result.estimates, decisions=decisions)
+    return None
+
+
 def run_experiment(config: ExperimentConfig, on_run: RunSink | None = None) -> MetricsReport:
     """Full study: per seed, simulate truth once and run every variant on it.
 
     Each seed's log is checked and compiled once (:func:`compile_log`) and
-    every variant's run reads the compiled log.  A weight collapse in one
-    variant is recorded (all-NaN metrics, ``collapsed`` set) and the
-    remaining variants still run.  ``on_run`` receives each finished run
-    with the seed's measurement log, e.g. for writing artifacts.
+    every variant's run reads the compiled log.  A gated variant whose test
+    mode has a finished run in the seed that decides every recorded row
+    alike at both levels takes that run's results (:func:`_shared_run`, by
+    the induction in the module docstring) and logs one ``INFO`` record
+    naming the run it takes; any other variant runs
+    :func:`run_traffic_filter`.  The ungated variant and a run that
+    collapsed are never taken.  A weight collapse in one variant is
+    recorded (all-NaN metrics, ``collapsed`` set) and the remaining
+    variants still run.  ``on_run`` receives each finished run, in variant
+    order, with the seed's measurement log, e.g. for writing artifacts.
     """
     runs: list[RunMetrics] = []
     for seed in config.seeds:
@@ -641,18 +705,28 @@ def run_experiment(config: ExperimentConfig, on_run: RunSink | None = None) -> M
         truth, measurements = simulate_seed(config, seed)
         log = compile_log(config, measurements)
         true_slice = truth.states[1 : config.horizon]
+        # The seed's filtered, finished gated runs: the runs a later level
+        # may take.
+        finished: list[tuple[FilterVariant, FilterRunResult]] = []
         for variant in config.variants:
-            try:
-                result = run_traffic_filter(config, log, variant, base)
-            except WeightCollapseError:
-                nan = float("nan")
-                runs.append(
-                    RunMetrics(
-                        mode=variant.mode, alpha=variant.alpha, seed=seed, tp=0, fp=0, tn=0, fn=0,
-                        labeling_error_pct=nan, mape_pct=nan, collapsed=True,
+            shared = _shared_run(variant, finished)
+            if shared is not None:
+                taken, result = shared
+                logger.info("seed %d: %s takes the run of %s", seed, variant.label, taken.label)
+            else:
+                try:
+                    result = run_traffic_filter(config, log, variant, base)
+                except WeightCollapseError:
+                    nan = float("nan")
+                    runs.append(
+                        RunMetrics(
+                            mode=variant.mode, alpha=variant.alpha, seed=seed, tp=0, fp=0, tn=0, fn=0,
+                            labeling_error_pct=nan, mape_pct=nan, collapsed=True,
+                        )
                     )
-                )
-                continue
+                    continue
+                if variant.mode != "none":
+                    finished.append((variant, result))
             counts = confusion_metrics(result.decisions)
             error = mape(TrajectoryPair(true_slice, result.estimates), floor=config.mape_floor)
             runs.append(

@@ -249,7 +249,8 @@ def inject_faults(log: MeasurementLog, config: FaultConfig, rng: RandomSource) -
 
 @dataclass(frozen=True, eq=False)
 class CompiledLog:
-    """A checked measurement log as whole-log columns in step order.
+    """A checked measurement log as whole-log columns in step order, for
+    filter runs of ``horizon`` steps on ``n_links`` links.
 
     The rows are the log's measurements ordered by step (stable: a step
     keeps its measurements' order), and every column follows that order.
@@ -267,6 +268,8 @@ class CompiledLog:
     mode's fault log density.
     """
 
+    horizon: int
+    n_links: int
     offsets: np.ndarray
     steps: np.ndarray
     sensor_ids: np.ndarray

@@ -8,6 +8,7 @@ shows the offending numbers in the assertion message.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
 import time
 
@@ -51,8 +52,20 @@ def study():
             values = dict(zip(log.sensor_ids[log.speed].tolist(), log.values[log.speed].tolist()))
             selectivity_runs[seed] = (values, result.decisions)
 
+    # Each shared run logs (seed, variant, the run it takes).
+    shared = []
+    handler = logging.Handler(logging.INFO)
+    handler.emit = lambda record: shared.append(record.args)
+    harness_log = logging.getLogger("gatedpf.harness")
+    level = harness_log.level
+    harness_log.addHandler(handler)
+    harness_log.setLevel(logging.INFO)
     start = time.time()
-    report = run_experiment(config, on_run=keep_selectivity_run)
+    try:
+        report = run_experiment(config, on_run=keep_selectivity_run)
+    finally:
+        harness_log.removeHandler(handler)
+        harness_log.setLevel(level)
     baseline_config = dataclasses.replace(
         config,
         fault_config=dataclasses.replace(config.fault_config, probability=0.0),
@@ -67,6 +80,7 @@ def study():
         "baseline": baseline,
         "elapsed": elapsed,
         "selectivity_runs": selectivity_runs,
+        "shared": shared,
     }
 
 
@@ -111,6 +125,20 @@ class TestCriterion1ComparativeOrdering:
             f"< np_incorrect {min(npi.values()):.2f}; matched-level dominance at "
             f"all levels (sweep {study['elapsed']:.0f}s)"
         )
+
+
+class TestSharedRuns:
+    """Only the levels that decide every row alike share a filter run: in
+    the default study, the incorrect-model gate's two upper levels."""
+
+    def test_upper_incorrect_model_levels_take_the_lowest_level_run(self, study):
+        seeds = study["config"].seeds
+        assert study["shared"] == [
+            (seed, f"np_incorrect@{alpha:g}", "np_incorrect@0.001")
+            for seed in seeds
+            for alpha in (0.01, 0.1)
+        ]
+        say(f"shared runs: {len(study['shared'])} of {len(study['report'].runs)}")
 
 
 class TestCriterion2FisherBetween:

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from gatedpf.errors import ModelConsistencyError
+from gatedpf import harness
 from gatedpf.gates import (
     GateKind,
     gated_update,
+    level_rule,
     likelihood_ratio_test,
     significance_test,
     unexplained,
@@ -428,6 +430,81 @@ class TestLikelihoodRatioBits:
         )
         assert gate.statistic.tolist() == [1.0 if mass_normalized else math.exp(-5.0)]
         assert gate.auxiliary.tolist() == [2.0]
+
+
+class TestLevelRule:
+    """A test's statistic and auxiliary do not depend on the level, and
+    ``level_rule`` reads its outcome at any level off them: a filter run's
+    decision log at one level predicts its gate at every other."""
+
+    @given(
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=0, max_value=5),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=1e-6, max_value=0.999),
+        st.floats(min_value=1e-6, max_value=0.999),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_reproduces_rejected_at_any_level(self, n, k, mass_normalized, seed, alpha, beta):
+        rng = np.random.default_rng(seed)
+        weights = rng.random(n)
+        weights[rng.random(n) < 0.3] = 0.0
+        weights[0] += 0.5
+        weights /= weights.sum()
+        rows = k + 4
+        log_g0 = rng.normal(scale=3.0, size=(rows, n))
+        log_g1 = rng.normal(scale=3.0, size=(rows, 1))
+        z = rng.normal(scale=3.0, size=(rows, n))
+        # Row 0: no particle favors the fault model (count 0).  Row 1: a
+        # null mass that overflows, and an infinite residual (infinite
+        # statistics).  Row 2: zero null density at every positive-weight
+        # particle (unexplained), with infinite residuals at the
+        # zero-weight ones.  Row 3: zero null density everywhere.
+        log_g1[0] = -np.inf
+        log_g0[1], log_g1[1], z[1, 0] = 800.0, 900.0, np.inf
+        log_g0[2, weights > 0.0] = -np.inf
+        z[2, weights == 0.0] = -np.inf
+        log_g0[3] = -np.inf
+
+        def tests(level):
+            return (
+                likelihood_ratio_test(weights, log_g0, log_g1, level, mass_normalized),
+                significance_test(weights, z, level),
+            )
+
+        favoring = np.count_nonzero(log_g1 > log_g0, axis=1)
+        for gate, other in zip(tests(alpha), tests(beta)):
+            assert gate.statistic.tobytes() == other.statistic.tobytes()
+            assert gate.auxiliary.tobytes() == other.auxiliary.tobytes()
+            for level, rejected in ((alpha, gate.rejected), (beta, other.rejected)):
+                assert np.array_equal(
+                    level_rule(gate.kind, gate.statistic, gate.auxiliary, level), rejected
+                )
+                # The rule as the tests' docstrings state it.
+                stated = gate.statistic < level
+                if gate.kind is GateKind.NEYMAN_PEARSON:
+                    stated &= favoring > 0
+                assert np.array_equal(rejected, stated)
+        lr, fisher = tests(alpha)
+        assert lr.auxiliary[0] == 0.0
+        assert lr.statistic[1] == np.inf or mass_normalized
+        assert fisher.auxiliary[1] == np.inf and fisher.statistic[1] == 0.0
+
+        # The filter's gate adds the unexplained rows, which do not read the
+        # level either.
+        config = SimpleNamespace(np_mass_normalized=mass_normalized)
+        log = SimpleNamespace(fault_log_g1={"np_correct": log_g1[:, 0]})
+        for mode in ("fisher", "np_correct"):
+            at_alpha, at_beta = (
+                harness._run_gate(
+                    config, harness.FilterVariant(mode, level), weights, z, log_g0, log, slice(None)
+                )
+                for level in (alpha, beta)
+            )
+            expected = level_rule(at_alpha.kind, at_alpha.statistic, at_alpha.auxiliary, beta)
+            assert np.array_equal(at_beta.rejected, expected | unexplained(weights, log_g0))
+            assert at_beta.rejected[2:4].all()
 
 
 class TestUnexplainedRows:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import logging
 import string
 import tempfile
 from pathlib import Path
@@ -457,6 +458,18 @@ class TestCompileLog:
         with pytest.raises(DataError, match="^measurement 'late' at step 6 outside assimilation window"):
             compile_log(config, bad)
 
+    def test_log_compiled_for_another_config_is_refused(self):
+        config = micro_config(horizon=6)
+        log = compile_log(config, simulate_seed(config, 9)[1])
+        assert (log.horizon, log.n_links) == (6, 3)
+        for other in (
+            dataclasses.replace(config, horizon=8),
+            dataclasses.replace(config, horizon=4),
+            dataclasses.replace(config, network=small_network(4)),
+        ):
+            with pytest.raises(ConfigurationError, match="^measurement log compiled for horizon 6 on 3 links"):
+                run_traffic_filter(other, log, FilterVariant("np_correct", 0.01), RandomSource(9))
+
     def test_empty_log(self):
         config = micro_config(horizon=4)
         log = compile_log(config, log_of([]))
@@ -539,6 +552,97 @@ class TestRunExperiment:
         assert clean.sensor_ids.tolist() == dirty.sensor_ids.tolist()
         assert dirty.faulty.any() and not clean.faulty.any()
         assert clean.values[~dirty.faulty].tobytes() == dirty.values[~dirty.faulty].tobytes()
+
+
+# Levels out of order, modes interleaved: on seeds 5 and 6, np_incorrect@0.01
+# decides every row as np_incorrect@0.1 does and np_correct@0.5 as
+# np_correct@0.1, while np_correct's other levels diverge from each other.
+SHARING_VARIANTS = (
+    FilterVariant("np_incorrect", 0.1),
+    FilterVariant("none"),
+    FilterVariant("np_correct", 0.001),
+    FilterVariant("np_correct", 0.1),
+    FilterVariant("np_incorrect", 0.01),
+    FilterVariant("np_correct", 0.01),
+    FilterVariant("fisher", 0.01),
+    FilterVariant("np_correct", 0.5),
+    FilterVariant("fisher", 0.1),
+)
+SHARED = {FilterVariant("np_incorrect", 0.01): "np_incorrect@0.1", FilterVariant("np_correct", 0.5): "np_correct@0.1"}
+
+
+class TestSharedRuns:
+    """A level that decides every recorded row as a finished run of its
+    seed does takes that run's results instead of filtering again."""
+
+    def _study(self, monkeypatch, collapse=frozenset()):
+        # Counts the filter runs, and collapses the (seed, variant) runs in
+        # ``collapse``.
+        config = micro_config(horizon=12, seeds=(5, 6), variants=SHARING_VARIANTS)
+        calls, received = [], []
+        direct = harness.run_traffic_filter
+
+        def counted(config, log, variant, rng):
+            calls.append((rng.seed, variant))
+            if (rng.seed, variant) in collapse:
+                raise WeightCollapseError("collapsed", k=1)
+            return direct(config, log, variant, rng)
+
+        monkeypatch.setattr(harness, "run_traffic_filter", counted)
+        report = run_experiment(config, on_run=lambda seed, t, log, v, r: received.append((seed, v, r)))
+        return config, report, calls, received
+
+    @staticmethod
+    def _assert_direct(config, seed, variant, result):
+        expected = run_traffic_filter(config, simulate_seed(config, seed)[1], variant, RandomSource(seed))
+        assert np.array_equal(result.estimates, expected.estimates)
+        assert result.decisions.dtype == DECISION_DTYPE
+        for name in DECISION_COLUMNS:
+            assert np.array_equal(result.decisions[name], expected.decisions[name]), name
+
+    def test_every_run_equals_its_direct_filter_run(self, monkeypatch):
+        config, report, calls, received = self._study(monkeypatch)
+        everything = [(seed, v) for seed in (5, 6) for v in SHARING_VARIANTS]
+        assert [(seed, v) for seed, v, _ in received] == everything
+        assert [(r.seed, FilterVariant(r.mode, r.alpha)) for r in report.runs] == everything
+        assert calls == [(seed, v) for seed, v in everything if v not in SHARED]
+        for seed, variant, result in received:
+            self._assert_direct(config, seed, variant, result)
+        # A shared run's decisions are its own copy.
+        by_run = {(seed, v.label): r for seed, v, r in received}
+        for seed in (5, 6):
+            for variant, taken in SHARED.items():
+                shared, base = by_run[seed, variant.label], by_run[seed, taken]
+                assert set(shared.decisions["alpha"].tolist()) == {variant.alpha}
+                assert base.decisions["alpha"][0] != variant.alpha
+                assert shared.decisions is not base.decisions
+
+    def test_later_levels_of_a_collapsed_run_run_directly(self, monkeypatch):
+        first = FilterVariant("np_incorrect", 0.1)
+        config, report, calls, received = self._study(monkeypatch, collapse={(5, first)})
+        assert (5, FilterVariant("np_incorrect", 0.01)) in calls
+        assert (6, FilterVariant("np_incorrect", 0.01)) not in calls
+        collapsed = [(r.seed, r.mode, r.alpha) for r in report.runs if r.collapsed]
+        assert collapsed == [(5, "np_incorrect", 0.1)]
+        assert (5, first) not in [(seed, v) for seed, v, _ in received]
+        for seed, variant, result in received:
+            self._assert_direct(config, seed, variant, result)
+        unshared = run_experiment(dataclasses.replace(config, variants=(FilterVariant("np_incorrect", 0.01),)))
+        scored = [r for r in report.runs if (r.seed, r.mode, r.alpha) == (5, "np_incorrect", 0.01)]
+        assert scored == [r for r in unshared.runs if r.seed == 5]
+
+    def test_each_shared_run_logs_one_info_record(self, caplog, monkeypatch):
+        self._study(monkeypatch)
+        assert not [r for r in caplog.records if r.name == "gatedpf.harness"]
+        caplog.set_level(logging.INFO, logger="gatedpf.harness")
+        self._study(monkeypatch)
+        records = [r for r in caplog.records if r.name == "gatedpf.harness"]
+        assert {r.levelno for r in records} == {logging.INFO}
+        assert [r.getMessage() for r in records] == [
+            f"seed {seed}: {variant.label} takes the run of {taken}"
+            for seed in (5, 6)
+            for variant, taken in SHARED.items()
+        ]
 
 
 class TestMetricsReport:
