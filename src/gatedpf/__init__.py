@@ -28,15 +28,7 @@ from .particles import (
     resample_systematic,
     weight_update,
 )
-from .gates import (
-    GatedUpdateResult,
-    GateKind,
-    GateRows,
-    gated_update,
-    level_rule,
-    likelihood_ratio_test,
-    significance_test,
-)
+from .gates import GateKind, level_rule, likelihood_ratio_test, significance_test
 from .ctm import (
     DemandProfile,
     DemandSchedule,

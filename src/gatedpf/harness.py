@@ -32,7 +32,7 @@ metric columns directly comparable across test modes and levels.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
@@ -50,21 +50,14 @@ from .ctm import (
 )
 from .errors import ConfigurationError, DataError, WeightCollapseError
 from .fileio import _count, _flag, _number, atomic_write_text, csv_text, read_csv_rows
-from .gates import (
-    GateKind,
-    GateRows,
-    gated_update,
-    level_rule,
-    likelihood_ratio_test,
-    significance_test,
-    unexplained,
-)
+from .gates import GateKind, level_rule, likelihood_ratio_test, significance_test, unexplained
 from .particles import (
     ParticleEnsemble,
     effective_sample_size,
     posterior_mean,
     predict,
     resample_systematic,
+    weight_update,
 )
 from .rng import RandomSource
 from .sensing import (
@@ -329,21 +322,24 @@ def simulate_seed(config: ExperimentConfig, seed: int) -> tuple[Trajectory, Meas
     return truth, measurements
 
 
-def _run_gate(config, variant, weights, z, log_g0, log, speeds) -> GateRows:
+def _run_gate(config, variant, weights, z, log_g0, log, speeds):
     """Run the variant's gate on one step's tested rows, the ``speeds``
-    rows of the compiled ``log``: ``fisher`` runs the significance test
-    with no fault model, ``np_correct`` the likelihood-ratio test against
-    the true fault mixture, ``np_incorrect`` against the near-zero model
-    only.  Either way a row no positive-weight particle explains is
-    rejected."""
+    rows of the compiled ``log``, and return its ``(statistic, auxiliary,
+    rejected)`` columns: ``fisher`` runs the significance test with no
+    fault model, ``np_correct`` the likelihood-ratio test against the true
+    fault mixture, ``np_incorrect`` against the near-zero model only.  A
+    row is rejected when the variant's level rejects the test's statistic
+    (:func:`~gatedpf.gates.level_rule`) or no positive-weight particle
+    explains it."""
     if variant.mode == "fisher":
-        gate = significance_test(weights, z, variant.alpha)
+        statistic, auxiliary = significance_test(weights, z)
     else:
         log_g1 = log.fault_log_g1[variant.mode][speeds]
-        gate = likelihood_ratio_test(
-            weights, log_g0, log_g1[:, None], variant.alpha, config.np_mass_normalized
+        statistic, auxiliary = likelihood_ratio_test(
+            weights, log_g0, log_g1[:, None], config.np_mass_normalized
         )
-    return replace(gate, rejected=gate.rejected | unexplained(weights, log_g0))
+    rejected = level_rule(variant.kind, statistic, auxiliary, variant.alpha)
+    return statistic, auxiliary, rejected | unexplained(weights, log_g0)
 
 
 def _check_log(config: ExperimentConfig, log: MeasurementLog) -> None:
@@ -488,35 +484,32 @@ def run_traffic_filter(
     gate_rejected = np.empty(n_speeds, dtype=bool)
 
     for k in range(1, config.horizon):
-        prior = predict(ensemble, transition, rng_demand)
+        prior = posterior = predict(ensemble, transition, rng_demand)
         rows, speeds, _ = log.step(k)
         if rows.start < rows.stop:
             values, mean, std, tested = measurement_rows(
                 log, k, prior.particles, network, demand[k, 0, 1:]
             )
             z, log_g0 = standardize(values, mean, std)
-            rejected = np.zeros(len(values), dtype=bool)
+            accepted = np.ones(len(values), dtype=bool)
             # Speed reports are gated; loop detectors are first-party and
             # never are.
             if variant.mode != "none" and tested.size:
-                gate = _run_gate(
+                statistic[speeds], auxiliary[speeds], gate_rejected[speeds] = _run_gate(
                     config, variant, prior.weights, z[tested], log_g0[tested], log, speeds
                 )
-                rejected[tested] = gate.rejected
-                statistic[speeds] = gate.statistic
-                auxiliary[speeds] = gate.auxiliary
-                gate_rejected[speeds] = gate.rejected
-            try:
-                posterior = gated_update(prior, log_g0, rejected).posterior
-            except WeightCollapseError as exc:
-                accepted = log.sensor_ids[rows][~rejected].tolist()
-                raise WeightCollapseError(
-                    f"step {k}: no particle explains the assimilated measurements {accepted}",
-                    k=k,
-                    sensor_ids=accepted,
-                ) from exc
-        else:
-            posterior = prior
+                accepted[tested] = ~gate_rejected[speeds]
+            # A step whose every row is rejected keeps its prior.
+            if accepted.any():
+                try:
+                    posterior, _ = weight_update(prior, log_g0[accepted])
+                except WeightCollapseError as exc:
+                    assimilated = log.sensor_ids[rows][accepted].tolist()
+                    raise WeightCollapseError(
+                        f"step {k}: no particle explains the assimilated measurements {assimilated}",
+                        k=k,
+                        sensor_ids=assimilated,
+                    ) from exc
         estimates[k - 1] = posterior_mean(posterior)
         if effective_sample_size(posterior) < config.resample_threshold * config.particles:
             posterior = resample_systematic(posterior, rng_resample)
@@ -694,21 +687,24 @@ def run_experiment(config: ExperimentConfig, on_run: RunSink | None = None) -> M
     the induction in the module docstring) and logs one ``INFO`` record
     naming the run it takes; any other variant runs
     :func:`run_traffic_filter`.  The ungated variant and a run that
-    collapsed are never taken.  A weight collapse in one variant is
+    collapsed are never taken, and a mode's runs are held only while a
+    variant left to run has that mode.  A weight collapse in one variant is
     recorded (all-NaN metrics, ``collapsed`` set) and the remaining
     variants still run.  ``on_run`` receives each finished run, in variant
     order, with the seed's measurement log, e.g. for writing artifacts.
     """
     runs: list[RunMetrics] = []
+    last = {variant.mode: i for i, variant in enumerate(config.variants)}
     for seed in config.seeds:
         base = RandomSource(seed)
         truth, measurements = simulate_seed(config, seed)
         log = compile_log(config, measurements)
         true_slice = truth.states[1 : config.horizon]
-        # The seed's filtered, finished gated runs: the runs a later level
-        # may take.
+        # The seed's filtered, finished gated runs that a later level may
+        # take: a mode's runs are dropped once no variant left has its mode.
         finished: list[tuple[FilterVariant, FilterRunResult]] = []
-        for variant in config.variants:
+        for i, variant in enumerate(config.variants):
+            finished = [run for run in finished if last[run[0].mode] >= i]
             shared = _shared_run(variant, finished)
             if shared is not None:
                 taken, result = shared
@@ -810,7 +806,8 @@ def read_metrics_long(path: str | Path) -> MetricsReport:
     """Read ``metrics_long.csv`` back; a row that :func:`metrics_long_text`
     cannot have written raises :class:`DataError` naming ``path:line``.
 
-    Its (mode, level) must make a :class:`FilterVariant`.  NaN is accepted
+    Its (mode, level) must make a :class:`FilterVariant`, and its seed lie
+    in ``[0, 2**64)``, as a study's seeds do.  NaN is accepted
     only where a run writes it: both error percentages of a collapsed run,
     and the MAPE of a run with no decisions (a run with no assimilated
     steps has no MAPE).
@@ -821,13 +818,16 @@ def read_metrics_long(path: str | Path) -> MetricsReport:
 
 def _run_metrics(row: list[str]) -> RunMetrics:
     variant = FilterVariant(row[0], None if row[1] == "" else _number(row[1], "alpha"))
+    seed = int(row[2])
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {row[2]!r} is outside [0, 2**64)")
     collapsed = _flag(row[9], "collapsed")
     tp, fp, tn, fn = (_count(row[i], METRICS_LONG_COLUMNS[i]) for i in range(3, 7))
     no_decisions = tp + fp + tn + fn == 0
     return RunMetrics(
         mode=variant.mode,
         alpha=variant.alpha,
-        seed=int(row[2]),
+        seed=seed,
         tp=tp,
         fp=fp,
         tn=tn,

@@ -1,4 +1,4 @@
-"""Unit and property tests for the statistical gates and gated update."""
+"""Unit and property tests for the statistical gates and their level rule."""
 from __future__ import annotations
 
 import math
@@ -12,35 +12,31 @@ from scipy.special import ndtr
 
 from gatedpf.errors import ModelConsistencyError
 from gatedpf import harness
-from gatedpf.gates import (
-    GateKind,
-    gated_update,
-    level_rule,
-    likelihood_ratio_test,
-    significance_test,
-    unexplained,
-)
-from gatedpf.particles import weight_update
+from gatedpf.gates import GateKind, level_rule, likelihood_ratio_test, significance_test, unexplained
 from gatedpf.rng import RandomSource
 from gatedpf.sensing import standardize
 
 from conftest import gaussian_rows, log_rows, scalar_ensemble
 
 
-def first_row(gate):
-    """Row 0 of a gate's outcome, as plain Python values."""
+NP, FISHER = GateKind.NEYMAN_PEARSON, GateKind.FISHER
+
+
+def first_row(kind, columns, alpha):
+    """Row 0 of a test's ``(statistic, auxiliary)`` columns and its outcome
+    at level ``alpha``, as plain Python values."""
+    statistic, auxiliary = columns
     return SimpleNamespace(
-        kind=gate.kind,
-        statistic=float(gate.statistic[0]),
-        auxiliary=float(gate.auxiliary[0]),
-        rejected_h0=bool(gate.rejected[0]),
+        statistic=float(statistic[0]),
+        auxiliary=float(auxiliary[0]),
+        rejected_h0=bool(level_rule(kind, statistic, auxiliary, alpha)[0]),
     )
 
 
 def lr_row(ens, g0, g1, alpha=0.05, normalized_mass=False):
     """Likelihood-ratio test of one measurement from per-particle densities."""
     return first_row(
-        likelihood_ratio_test(ens.weights, log_rows(g0), log_rows(g1), alpha, normalized_mass)
+        NP, likelihood_ratio_test(ens.weights, log_rows(g0), log_rows(g1), normalized_mass), alpha
     )
 
 
@@ -52,7 +48,7 @@ def significance_row(ens, value, mean=None, scale=1.0, alpha=0.05):
     z, _ = standardize(
         [value], np.broadcast_to(mean, shape), np.broadcast_to(np.asarray(scale, dtype=float), shape)
     )
-    return first_row(significance_test(ens.weights, z, alpha))
+    return first_row(FISHER, significance_test(ens.weights, z), alpha)
 
 
 def favors_h1(g0, g1) -> bool:
@@ -67,8 +63,8 @@ class TestLikelihoodRatio:
     def test_identical_hypotheses_is_one(self):
         ens = scalar_ensemble([0.7])
         _, log_g = gaussian_rows([1.3], [0.7], std=2.0)
-        gate = likelihood_ratio_test(ens.weights, log_g, log_g, 0.05)
-        assert gate.auxiliary[0] == 0.0
+        _, auxiliary = likelihood_ratio_test(ens.weights, log_g, log_g)
+        assert auxiliary[0] == 0.0
 
     def test_hand_division(self):
         assert favors_h1(0.2, 0.4)
@@ -106,7 +102,6 @@ class TestNpGate:
         g0 = [0.3, 0.2, 0.1]
         g1 = [0.4, 0.1, 0.05]
         accept = lr_row(ens, g0, g1, alpha=0.05)
-        assert accept.kind == GateKind.NEYMAN_PEARSON
         assert accept.statistic == pytest.approx(0.1, rel=1e-12)
         assert accept.auxiliary == 1.0
         assert not accept.rejected_h0
@@ -117,11 +112,11 @@ class TestNpGate:
         # The hand example, handed over as plain lists.
         g0 = np.log([[0.3, 0.2, 0.1]])
         g1 = np.log([[0.4, 0.1, 0.05]])
-        expected = likelihood_ratio_test(np.full(3, 1.0 / 3.0), g0, g1, 0.2)
-        gate = likelihood_ratio_test([1.0 / 3.0] * 3, g0.tolist(), g1.tolist(), 0.2)
-        assert gate.statistic.tobytes() == expected.statistic.tobytes()
-        assert gate.auxiliary.tolist() == [1.0]
-        assert gate.rejected.tolist() == [True]
+        expected, _ = likelihood_ratio_test(np.full(3, 1.0 / 3.0), g0, g1)
+        statistic, auxiliary = likelihood_ratio_test([1.0 / 3.0] * 3, g0.tolist(), g1.tolist())
+        assert statistic.tobytes() == expected.tobytes()
+        assert auxiliary.tolist() == [1.0]
+        assert level_rule(NP, statistic, auxiliary, 0.2).tolist() == [True]
 
     def test_outlier_measurement_rejected(self):
         # Narrow null around the particle states, broad fault model: a far
@@ -129,8 +124,7 @@ class TestNpGate:
         ens = scalar_ensemble([10.0, 11.0, 12.0])
         _, log_g0 = gaussian_rows([-50.0], [10.0, 11.0, 12.0], std=1.0)
         broad = np.array([[-0.5 * (-50.0 / 50.0) ** 2 - np.log(50.0)]])
-        gate = likelihood_ratio_test(ens.weights, log_g0, broad, 0.01)
-        decision = first_row(gate)
+        decision = first_row(NP, likelihood_ratio_test(ens.weights, log_g0, broad), 0.01)
         assert decision.rejected_h0
         assert decision.statistic < 1e-12
         assert decision.auxiliary == 3.0
@@ -179,14 +173,15 @@ class TestNpGate:
         log_g0 = rng.normal(-2.0, 3.0, (7, 40))
         log_g1 = rng.normal(-3.0, 1.0, (7, 1))
         for normalized in (False, True):
-            joint = likelihood_ratio_test(ens.weights, log_g0, log_g1, 0.05, normalized)
+            joint = likelihood_ratio_test(ens.weights, log_g0, log_g1, normalized)
+            rejected = level_rule(NP, *joint, 0.05)
             for i in range(7):
                 one = likelihood_ratio_test(
-                    ens.weights, log_g0[i : i + 1], log_g1[i : i + 1], 0.05, normalized
+                    ens.weights, log_g0[i : i + 1], log_g1[i : i + 1], normalized
                 )
-                assert joint.statistic[i] == one.statistic[0]
-                assert joint.auxiliary[i] == one.auxiliary[0]
-                assert joint.rejected[i] == one.rejected[0]
+                assert joint[0][i] == one[0][0]
+                assert joint[1][i] == one[1][0]
+                assert rejected[i] == level_rule(NP, *one, 0.05)[0]
 
 
 class TestFisherStatistic:
@@ -236,7 +231,6 @@ class TestFisherGate:
     def test_zero_statistic_never_rejects(self):
         ens = scalar_ensemble([10.0])
         decision = significance_row(ens, 10.0, scale=2.0, alpha=0.999)
-        assert decision.kind == GateKind.FISHER
         assert decision.statistic == pytest.approx(1.0)
         assert not decision.rejected_h0
 
@@ -295,7 +289,7 @@ class TestFisherGate:
         ens = scalar_ensemble([15.0])
         draws = RandomSource(2024).normal(15.0, 3.0, size=100_000)
         z, _ = gaussian_rows(draws, [15.0], std=3.0)
-        rate = np.mean(significance_test(ens.weights, z, 0.05).rejected)
+        rate = np.mean(level_rule(FISHER, *significance_test(ens.weights, z), 0.05))
         assert 0.03 <= rate <= 0.07
 
     def test_rows_are_tested_independently(self):
@@ -303,11 +297,11 @@ class TestFisherGate:
         weights = rng.uniform(0.1, 1.0, 30)
         weights /= weights.sum()
         z = rng.normal(0.0, 2.0, (9, 30))
-        joint = significance_test(weights, z, 0.05)
+        joint = significance_test(weights, z)
         for i in range(9):
-            one = significance_test(weights, z[i : i + 1], 0.05)
-            assert joint.statistic[i] == one.statistic[0]
-            assert joint.auxiliary[i] == one.auxiliary[0]
+            one = significance_test(weights, z[i : i + 1])
+            assert joint[0][i] == one[0][0]
+            assert joint[1][i] == one[1][0]
 
 
 class TestSignificanceBits:
@@ -328,36 +322,36 @@ class TestSignificanceBits:
         weights /= weights.sum()
         z = scale * rng.normal(size=(k, n))
         expected = np.array([np.sum(weights * row) for row in z], dtype=float)
-        gate = significance_test(weights, z, 0.05)
-        assert gate.auxiliary.tobytes() == expected.tobytes()
-        assert gate.statistic.tobytes() == (2.0 * ndtr(-np.abs(expected))).tobytes()
+        statistic, auxiliary = significance_test(weights, z)
+        assert auxiliary.tobytes() == expected.tobytes()
+        assert statistic.tobytes() == (2.0 * ndtr(-np.abs(expected))).tobytes()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_infinite_residual_at_zero_weight_particle(self):
         # 0 * inf would be NaN: the row is averaged over the positive-weight
         # particles, so its statistic is infinite and its p-value 0.
-        gate = significance_test([0.5, 0.5, 0.0], [[np.inf] * 3], 0.05)
-        assert gate.auxiliary[0] == np.inf
-        assert gate.statistic[0] == 0.0
-        assert gate.rejected[0]
+        statistic, auxiliary = significance_test([0.5, 0.5, 0.0], [[np.inf] * 3])
+        assert auxiliary[0] == np.inf
+        assert statistic[0] == 0.0
+        assert level_rule(FISHER, statistic, auxiliary, 0.05)[0]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_opposite_infinite_residuals_reject_with_infinite_statistic(self):
         # inf + -inf has no average: the row reads as far from the null as
         # any row can, so the decision log holds 0 and +inf, never NaN.
-        gate = significance_test([0.5, 0.5, 0.0], [[np.inf, -np.inf, 1.0]], 0.05)
-        assert gate.auxiliary[0] == np.inf
-        assert gate.statistic[0] == 0.0
-        assert gate.rejected[0]
+        statistic, auxiliary = significance_test([0.5, 0.5, 0.0], [[np.inf, -np.inf, 1.0]])
+        assert auxiliary[0] == np.inf
+        assert statistic[0] == 0.0
+        assert level_rule(FISHER, statistic, auxiliary, 0.05)[0]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_rows_keep_their_bits_beside_an_infinite_row(self):
         weights = np.array([0.25, 0.25, 0.5, 0.0])
         z = np.array([[0.1, -0.3, 2.0, 7.0], [-np.inf, -np.inf, -np.inf, 1.0]])
-        gate = significance_test(weights, z, 0.05)
-        assert gate.auxiliary[0] == np.sum(weights * z[0])
-        assert gate.auxiliary[1] == -np.inf
-        assert gate.rejected.tolist() == [False, True]
+        statistic, auxiliary = significance_test(weights, z)
+        assert auxiliary[0] == np.sum(weights * z[0])
+        assert auxiliary[1] == -np.inf
+        assert level_rule(FISHER, statistic, auxiliary, 0.05).tolist() == [False, True]
 
 
 class TestLikelihoodRatioBits:
@@ -387,55 +381,56 @@ class TestLikelihoodRatioBits:
         if mass_normalized:
             total = np.array([np.sum(m) for m in mass], dtype=float)
             expected = expected / total
-        gate = likelihood_ratio_test(weights, log_g0, log_g1, 0.05, mass_normalized)
-        assert gate.statistic.tobytes() == expected.tobytes()
-        assert gate.auxiliary.tolist() == np.count_nonzero(favors, axis=1).tolist()
-        assert gate.auxiliary[:2].tolist() == [0.0, n]
+        statistic, auxiliary = likelihood_ratio_test(weights, log_g0, log_g1, mass_normalized)
+        assert statistic.tobytes() == expected.tobytes()
+        assert auxiliary.tolist() == np.count_nonzero(favors, axis=1).tolist()
+        assert auxiliary[:2].tolist() == [0.0, n]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_normalized_statistic_of_an_overflowing_null_mass(self):
         # exp(800) overflows, so the favoring and the total mass are both
         # infinite: the ratio comes from masses rescaled by the row's
         # largest log mass instead of inf / inf = NaN.
-        gate = likelihood_ratio_test(
-            np.array([0.5, 0.5]), np.array([[800.0, 800.0]]), np.array([[900.0]]), 0.05, True
+        statistic, auxiliary = likelihood_ratio_test(
+            np.array([0.5, 0.5]), np.array([[800.0, 800.0]]), np.array([[900.0]]), True
         )
-        assert gate.statistic.tolist() == [1.0]
-        assert not gate.rejected[0]
+        assert statistic.tolist() == [1.0]
+        assert not level_rule(NP, statistic, auxiliary, 0.05)[0]
         weights = np.array([0.25, 0.75])
         log_g0 = np.array([[800.0, 700.0], [1.0, 2.0]])
         log_g1 = np.array([[750.0], [1.5]])
-        gate = likelihood_ratio_test(weights, log_g0, log_g1, 0.05, True)
+        statistic, auxiliary = likelihood_ratio_test(weights, log_g0, log_g1, True)
         # Only particle 1 favors H1: 0.75 e^700 / (0.25 e^800 + 0.75 e^700).
-        assert gate.statistic[0] == pytest.approx(3.0 * math.exp(-100.0), rel=1e-12)
-        assert gate.rejected.tolist() == [True, False]
+        assert statistic[0] == pytest.approx(3.0 * math.exp(-100.0), rel=1e-12)
+        assert level_rule(NP, statistic, auxiliary, 0.05).tolist() == [True, False]
         mass = weights * np.exp(log_g0[1])
-        assert gate.statistic[1] == mass[0] / np.sum(mass)
+        assert statistic[1] == mass[0] / np.sum(mass)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_null_mass_is_infinite_unnormalized(self):
-        gate = likelihood_ratio_test(
-            np.array([0.5, 0.5]), np.array([[800.0, 800.0]]), np.array([[900.0]]), 0.05
+        statistic, auxiliary = likelihood_ratio_test(
+            np.array([0.5, 0.5]), np.array([[800.0, 800.0]]), np.array([[900.0]])
         )
-        assert gate.statistic.tolist() == [np.inf]
-        assert not gate.rejected[0]
+        assert statistic.tolist() == [np.inf]
+        assert not level_rule(NP, statistic, auxiliary, 0.05)[0]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("mass_normalized", [False, True])
     def test_zero_weight_particle_whose_null_mass_overflows(self, mass_normalized):
         # 0 * exp(800) would be NaN: the zero-weight particle carries no
         # mass, so only particle 1's mass e^-5 counts, whole or normalized.
-        gate = likelihood_ratio_test(
-            np.array([1.0, 0.0]), np.array([[-5.0, 800.0]]), np.array([[900.0]]), 0.05, mass_normalized
+        statistic, auxiliary = likelihood_ratio_test(
+            np.array([1.0, 0.0]), np.array([[-5.0, 800.0]]), np.array([[900.0]]), mass_normalized
         )
-        assert gate.statistic.tolist() == [1.0 if mass_normalized else math.exp(-5.0)]
-        assert gate.auxiliary.tolist() == [2.0]
+        assert statistic.tolist() == [1.0 if mass_normalized else math.exp(-5.0)]
+        assert auxiliary.tolist() == [2.0]
 
 
 class TestLevelRule:
-    """A test's statistic and auxiliary do not depend on the level, and
-    ``level_rule`` reads its outcome at any level off them: a filter run's
-    decision log at one level predicts its gate at every other."""
+    """The tests read no level, and the filter's gate rejects a row when
+    ``level_rule`` does at the variant's level or no positive-weight
+    particle explains it: a filter run's decision log at one level predicts
+    its gate at every other."""
 
     @given(
         st.integers(min_value=1, max_value=9),
@@ -467,44 +462,38 @@ class TestLevelRule:
         z[2, weights == 0.0] = -np.inf
         log_g0[3] = -np.inf
 
-        def tests(level):
-            return (
-                likelihood_ratio_test(weights, log_g0, log_g1, level, mass_normalized),
-                significance_test(weights, z, level),
-            )
-
         favoring = np.count_nonzero(log_g1 > log_g0, axis=1)
-        for gate, other in zip(tests(alpha), tests(beta)):
-            assert gate.statistic.tobytes() == other.statistic.tobytes()
-            assert gate.auxiliary.tobytes() == other.auxiliary.tobytes()
-            for level, rejected in ((alpha, gate.rejected), (beta, other.rejected)):
-                assert np.array_equal(
-                    level_rule(gate.kind, gate.statistic, gate.auxiliary, level), rejected
-                )
-                # The rule as the tests' docstrings state it.
-                stated = gate.statistic < level
-                if gate.kind is GateKind.NEYMAN_PEARSON:
-                    stated &= favoring > 0
-                assert np.array_equal(rejected, stated)
-        lr, fisher = tests(alpha)
-        assert lr.auxiliary[0] == 0.0
-        assert lr.statistic[1] == np.inf or mass_normalized
-        assert fisher.auxiliary[1] == np.inf and fisher.statistic[1] == 0.0
-
-        # The filter's gate adds the unexplained rows, which do not read the
-        # level either.
+        positive = weights > 0.0
+        columns = {
+            "fisher": significance_test(weights, z),
+            "np_correct": likelihood_ratio_test(weights, log_g0, log_g1, mass_normalized),
+        }
         config = SimpleNamespace(np_mass_normalized=mass_normalized)
         log = SimpleNamespace(fault_log_g1={"np_correct": log_g1[:, 0]})
-        for mode in ("fisher", "np_correct"):
-            at_alpha, at_beta = (
-                harness._run_gate(
-                    config, harness.FilterVariant(mode, level), weights, z, log_g0, log, slice(None)
+        for mode, (statistic, auxiliary) in columns.items():
+            for level in (alpha, beta):
+                variant = harness.FilterVariant(mode, level)
+                gate_statistic, gate_auxiliary, rejected = harness._run_gate(
+                    config, variant, weights, z, log_g0, log, slice(None)
                 )
-                for level in (alpha, beta)
-            )
-            expected = level_rule(at_alpha.kind, at_alpha.statistic, at_alpha.auxiliary, beta)
-            assert np.array_equal(at_beta.rejected, expected | unexplained(weights, log_g0))
-            assert at_beta.rejected[2:4].all()
+                assert gate_statistic.tobytes() == statistic.tobytes()
+                assert gate_auxiliary.tobytes() == auxiliary.tobytes()
+                assert np.array_equal(
+                    rejected,
+                    level_rule(variant.kind, statistic, auxiliary, level) | unexplained(weights, log_g0),
+                )
+                # Row by row, as the tests' docstrings state the rule.
+                for i in range(rows):
+                    rejects = bool(statistic[i] < level)
+                    if mode != "fisher":
+                        rejects &= bool(favoring[i] > 0)
+                    no_explanation = bool(np.all(log_g0[i, positive] == -np.inf))
+                    assert rejected[i] == (rejects or no_explanation)
+                assert rejected[2:4].all()
+        lr, fisher = columns["np_correct"], columns["fisher"]
+        assert lr[1][0] == 0.0
+        assert lr[0][1] == np.inf or mass_normalized
+        assert fisher[1][1] == np.inf and fisher[0][1] == 0.0
 
 
 class TestUnexplainedRows:
@@ -522,10 +511,10 @@ class TestUnexplainedRows:
     def test_likelihood_ratio_vote_accepts_when_both_densities_are_zero(self):
         weights = np.array([0.5, 0.5, 0.0])
         log_g0 = np.array([[-np.inf, -np.inf, 0.0]])
-        gate = likelihood_ratio_test(weights, log_g0, np.full((1, 1), -np.inf), 0.05)
+        statistic, auxiliary = likelihood_ratio_test(weights, log_g0, np.full((1, 1), -np.inf))
         # No particle favors the fault model, so the vote alone accepts.
-        assert gate.auxiliary.tolist() == [0.0]
-        assert not gate.rejected[0]
+        assert auxiliary.tolist() == [0.0]
+        assert not level_rule(NP, statistic, auxiliary, 0.05)[0]
         assert unexplained(weights, log_g0)[0]
 
     def test_opposite_residuals_too_large_to_square(self):
@@ -533,9 +522,9 @@ class TestUnexplainedRows:
         # density is -inf at both positive-weight particles.
         weights = np.array([0.5, 0.5, 0.0])
         z, log_g0 = standardize([0.0], np.array([[1e200, -1e200, 0.0]]), np.ones((1, 3)))
-        gate = significance_test(weights, z, 0.05)
-        assert gate.statistic[0] == 1.0
-        assert not gate.rejected[0]
+        statistic, auxiliary = significance_test(weights, z)
+        assert statistic[0] == 1.0
+        assert not level_rule(FISHER, statistic, auxiliary, 0.05)[0]
         assert unexplained(weights, log_g0)[0]
         # Squares that stay finite: the row is explained.
         z, log_g0 = standardize([0.0], np.array([[1e100, -1e100]]), np.ones((1, 2)))
@@ -549,59 +538,3 @@ class TestUnexplainedRows:
         assert not unexplained([0.5, 0.5], log_g0)[0]
         z, log_g0 = standardize([0.0], np.array([[2e154, 2e154]]), np.ones((1, 2)))
         assert unexplained([0.5, 0.5], log_g0)[0]
-
-
-class TestGatedUpdate:
-    def test_no_measurements_returns_prior(self):
-        ens = scalar_ensemble([1.0, 2.0])
-        result = gated_update(ens, np.empty((0, 2)), np.empty(0, dtype=bool))
-        assert result.posterior is ens
-        assert not result.no_information
-        assert result.log_marginal_likelihood == 0.0
-
-    def test_all_accepted_matches_plain_update(self):
-        ens = scalar_ensemble([1.0, 2.0, 3.0, 4.0, 5.0])
-        rows = log_rows([0.5, 0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.2, 0.1])
-        result = gated_update(ens, rows, np.zeros(2, dtype=bool))
-        plain, log_marginal = weight_update(ens, rows)
-        np.testing.assert_allclose(result.posterior.weights, plain.weights, rtol=1e-12)
-        assert result.log_marginal_likelihood == pytest.approx(log_marginal, rel=1e-12)
-        assert not result.no_information
-
-    def test_rejected_sensor_excluded_from_product(self):
-        # Brute-force oracle on 5 particles: the posterior uses exactly the
-        # accepted measurements' density products.
-        ens = scalar_ensemble([1.0, 2.0, 3.0, 4.0, 5.0])
-        keep = np.array([0.5, 0.4, 0.3, 0.2, 0.1])
-        # This measurement favors h1 with tiny null mass -> rejected.
-        reject_h0 = [1e-9] * 5
-        gate = likelihood_ratio_test(ens.weights, log_rows(reject_h0), log_rows([1.0] * 5), 0.01)
-        assert gate.rejected[0]
-        result = gated_update(ens, log_rows(keep, reject_h0), np.array([False, True]))
-        brute = np.full(5, 0.2) * keep
-        np.testing.assert_allclose(
-            result.posterior.weights, brute / brute.sum(), rtol=1e-12
-        )
-
-    def test_all_rejected_flags_no_information(self):
-        ens = scalar_ensemble([1.0, 2.0])
-        g0 = log_rows([1e-12, 1e-12])
-        gate = likelihood_ratio_test(ens.weights, g0, log_rows([1.0, 1.0]), 0.01)
-        result = gated_update(ens, g0, gate.rejected)
-        assert result.no_information is True
-        assert result.posterior is ens
-        assert result.log_marginal_likelihood == 0.0
-
-    def test_mixed_gate_kinds(self):
-        # An untested loop row and a tested speed row: only the speed row
-        # gets a decision, and both enter the posterior when it passes.
-        ens = scalar_ensemble([10.0, 12.0])
-        _, loop = gaussian_rows([11.0], [10.0, 12.0], std=0.5)
-        z, speed = gaussian_rows([11.2], [10.0, 12.0], std=2.0)
-        gate = significance_test(ens.weights, z, 0.05)
-        assert gate.kind == GateKind.FISHER and gate.rejected.shape == (1,)
-        rejected = np.array([False, gate.rejected[0]])
-        result = gated_update(ens, np.vstack([loop, speed]), rejected)
-        assert abs(float(np.sum(result.posterior.weights)) - 1.0) <= 1e-12
-        both, _ = weight_update(ens, np.vstack([loop, speed]))
-        np.testing.assert_array_equal(result.posterior.weights, both.weights)

@@ -5,7 +5,9 @@ import dataclasses
 import logging
 import string
 import tempfile
+import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,13 +17,7 @@ from hypothesis import strategies as st
 from gatedpf.ctm import DemandProfile, DemandSchedule, advance, equilibrium_state, simulate, speed_map
 from gatedpf.errors import ConfigurationError, DataError, WeightCollapseError
 from gatedpf.fileio import csv_text
-from gatedpf.gates import (
-    GateKind,
-    gated_update,
-    likelihood_ratio_test,
-    significance_test,
-    unexplained,
-)
+from gatedpf.gates import GateKind, level_rule, likelihood_ratio_test, significance_test, unexplained
 from gatedpf import harness
 from gatedpf.harness import (
     DECISION_COLUMNS,
@@ -54,6 +50,7 @@ from gatedpf.particles import (
     posterior_mean,
     predict,
     resample_systematic,
+    weight_update,
 )
 from gatedpf.rng import RandomSource
 from gatedpf.sensing import (
@@ -283,26 +280,27 @@ class TestFilterLoop:
                 tested = np.flatnonzero([m.kind == GNSS_SPEED for m in ms])
                 if variant.mode != "none" and tested.size:
                     if variant.mode == "fisher":
-                        gate = significance_test(prior.weights, z[tested], variant.alpha)
+                        statistic, auxiliary = significance_test(prior.weights, z[tested])
                     else:
                         log_g1 = fault_log_density(
                             values[tested], variant.mode, config.fault_config, config.h1_zero_std
                         )
-                        gate = likelihood_ratio_test(
-                            prior.weights, log_g0[tested], log_g1[:, None], variant.alpha,
-                            config.np_mass_normalized,
+                        statistic, auxiliary = likelihood_ratio_test(
+                            prior.weights, log_g0[tested], log_g1[:, None], config.np_mass_normalized
                         )
-                    gate_rejected = gate.rejected | unexplained(prior.weights, log_g0[tested])
+                    gate_rejected = level_rule(
+                        variant.kind, statistic, auxiliary, variant.alpha
+                    ) | unexplained(prior.weights, log_g0[tested])
                     rejected[tested] = gate_rejected
-                    for i, stat, rej, aux in zip(tested, gate.statistic, gate_rejected, gate.auxiliary):
+                    for i, stat, rej, aux in zip(tested, statistic, gate_rejected, auxiliary):
                         m = ms[i]
                         decisions.append(
                             (
-                                m.k, m.sensor_id, m.link, gate.kind.value,
+                                m.k, m.sensor_id, m.link, variant.kind.value,
                                 float(stat), variant.alpha, bool(rej), float(aux), m.faulty,
                             )
                         )
-                post = gated_update(prior, log_g0, rejected).posterior
+                post = prior if rejected.all() else weight_update(prior, log_g0[~rejected])[0]
             else:
                 post = prior
             estimates.append(posterior_mean(post))
@@ -363,6 +361,116 @@ class TestFilterLoop:
         none_run = run_experiment(none_config).runs[0]
         assert none_run.tp + none_run.fp + none_run.tn + none_run.fn == 0
         assert none_run.labeling_error_pct == 0.0
+
+
+GATED = (FilterVariant("fisher", 0.05), FilterVariant("np_correct", 0.05), FilterVariant("np_incorrect", 0.05))
+
+
+class TestGatedStep:
+    """A step assimilates the rows its gate accepts through
+    ``weight_update``, and keeps its prior when it has no row to
+    assimilate."""
+
+    @staticmethod
+    def _log(config, far=True):
+        # The seed's log, where step 5 has no rows and, with ``far``, step 3
+        # only speed reports too far off for any particle to explain and
+        # step 4 one such report among its own.
+        records = [m for m in records_of(simulate_seed(config, 5)[1]) if m.k != 5]
+        if far:
+            records = [m for m in records if m.k != 3 or m.kind == GNSS_SPEED]
+            records = [dataclasses.replace(m, value=1e300) if m.k == 3 else m for m in records]
+            records += [Record(k, f"far-{k}", GNSS_SPEED, 1, 1e300, True) for k in (3, 4)]
+        return log_of(records)
+
+    @staticmethod
+    def _steps(monkeypatch, variant, far=True):
+        """Each step of one filter run: its prior, rows (null log densities,
+        positions of the tested rows, the gate's outcome on them) and the
+        posterior whose mean the run records."""
+        config = micro_config(horizon=8, variants=(variant,))
+        steps = []
+        names = ("predict", "measurement_rows", "standardize", "posterior_mean")
+        calls = {name: getattr(harness, name) for name in names}
+
+        def predict(*args):
+            steps.append(SimpleNamespace(prior=calls["predict"](*args), tested=None, log_g0=None))
+            return steps[-1].prior
+
+        def measurement_rows(*args):
+            out = calls["measurement_rows"](*args)
+            steps[-1].tested = out[3]
+            return out
+
+        def standardize(*args):
+            out = calls["standardize"](*args)
+            steps[-1].log_g0 = out[1]
+            return out
+
+        def posterior_mean(ensemble):
+            steps[-1].posterior = ensemble
+            return calls["posterior_mean"](ensemble)
+
+        for name, wrapped in zip(names, (predict, measurement_rows, standardize, posterior_mean)):
+            monkeypatch.setattr(harness, name, wrapped)
+        result = run_traffic_filter(config, TestGatedStep._log(config, far), variant, RandomSource(5))
+        decisions = result.decisions
+        for k, step in enumerate(steps, start=1):
+            # The step's rows the gate rejected; loop rows are never tested.
+            step.rejected = None
+            if step.log_g0 is not None:
+                step.rejected = np.zeros(len(step.log_g0), dtype=bool)
+                if variant.mode != "none":
+                    step.rejected[step.tested] = decisions["rejected"][decisions["k"] == k]
+        return steps
+
+    @staticmethod
+    def _assert_same(ensemble, expected):
+        assert ensemble.particles.tobytes() == expected.particles.tobytes()
+        assert ensemble.weights.tobytes() == expected.weights.tobytes()
+
+    def test_step_without_rows_keeps_the_prior(self, monkeypatch):
+        for variant in (FilterVariant("none"),) + GATED:
+            step = self._steps(monkeypatch, variant, far=False)[4]
+            assert step.log_g0 is None
+            assert step.posterior is step.prior
+
+    def test_every_row_rejected_keeps_the_prior(self, monkeypatch):
+        for variant in GATED:
+            step = self._steps(monkeypatch, variant)[2]
+            assert len(step.tested) == len(step.log_g0) and step.rejected.all()
+            assert step.posterior is step.prior
+
+    def test_some_rows_rejected_update_over_the_accepted_rows(self, monkeypatch):
+        for variant in GATED:
+            steps = self._steps(monkeypatch, variant)
+            assert steps[3].rejected.any() and not steps[3].rejected.all()
+            for step in steps:
+                if step.log_g0 is not None and step.rejected.any() and not step.rejected.all():
+                    expected, _ = weight_update(step.prior, step.log_g0[~step.rejected])
+                    self._assert_same(step.posterior, expected)
+
+    def test_no_row_rejected_updates_over_every_row(self, monkeypatch):
+        for variant in (FilterVariant("none"),) + GATED:
+            steps = [
+                step for step in self._steps(monkeypatch, variant, far=False)
+                if step.log_g0 is not None and not step.rejected.any()
+            ]
+            assert steps
+            for step in steps:
+                self._assert_same(step.posterior, weight_update(step.prior, step.log_g0)[0])
+
+    def test_loop_rows_are_never_gated(self, monkeypatch):
+        # Step 4's loop readings enter the update beside its accepted speed
+        # reports: leaving them out gives another posterior.
+        for variant in GATED:
+            step = self._steps(monkeypatch, variant)[3]
+            loops = np.ones(len(step.log_g0), dtype=bool)
+            loops[step.tested] = False
+            assert loops.any()
+            self._assert_same(step.posterior, weight_update(step.prior, step.log_g0[~step.rejected])[0])
+            speeds_only, _ = weight_update(step.prior, step.log_g0[~step.rejected & ~loops])
+            assert step.posterior.weights.tobytes() != speeds_only.weights.tobytes()
 
 
 class TestCompileLog:
@@ -645,6 +753,35 @@ class TestSharedRuns:
         ]
 
 
+class TestHeldRuns:
+    def test_a_mode_s_runs_are_dropped_after_its_last_level(self):
+        # A seed holds its filtered gated runs for later levels of their
+        # mode only: once the fisher levels are done, no fisher run is held.
+        variants = (
+            FilterVariant("none"),
+            FilterVariant("fisher", 0.001),
+            FilterVariant("fisher", 0.01),
+            FilterVariant("fisher", 0.1),
+            FilterVariant("np_correct", 0.001),
+            FilterVariant("np_correct", 0.01),
+        )
+        config = micro_config(horizon=8, seeds=(5, 6), variants=variants)
+        refs, held = [], []
+
+        def on_run(seed, truth, log, variant, result):
+            refs.append((seed, variant, weakref.ref(result)))
+            held.append([(s, v) for s, v, ref in refs if ref() is not None])
+
+        report = run_experiment(config, on_run=on_run)
+        assert not any(r.collapsed for r in report.runs) and len(held) == 12
+        for i, seed in enumerate((5, 6)):
+            at = dict(zip(variants, held[6 * i : 6 * i + 6]))
+            # The first level of a mode always filters, and is held until
+            # the mode's last level.
+            assert (seed, variants[1]) in at[variants[3]]
+            assert at[variants[4]] == [(seed, variants[4])]
+
+
 class TestMetricsReport:
     def _report(self):
         runs = [
@@ -684,6 +821,12 @@ class TestMetricsReport:
         back = read_metrics_long(path)
         assert back == report
 
+    def test_long_round_trip_at_the_seed_bounds(self, tmp_path):
+        runs = [RunMetrics("none", None, seed, 0, 0, 0, 0, 0.0, 5.0) for seed in (0, 2**64 - 1)]
+        path = tmp_path / "long.csv"
+        path.write_text(metrics_long_text(MetricsReport(runs)))
+        assert read_metrics_long(path).runs == runs
+
     def test_long_round_trip_keeps_written_nans(self, tmp_path):
         # A collapsed run has NaN error percentages; a run with no steps has
         # a NaN MAPE.
@@ -714,6 +857,8 @@ class TestMetricsReport:
             ("fisher,0.01,1,-1,2,3,4,10.0,3.0,0", "tp must be a count"),
             ("fisher,0.01,1,1,2,3,1" + "0" * 400 + ",10.0,3.0,0", "fn must be a count"),
             ("fisher,0.01,x,1,2,3,4,10.0,3.0,0", "invalid literal"),
+            ("fisher,0.01,-5,1,2,3,4,10.0,3.0,0", "seed '-5' is outside"),
+            ("fisher,0.01,18446744073709551616,1,2,3,4,10.0,3.0,0", "seed '18446744073709551616' is outside"),
             ("fisher,0.01,1,1,2,3,4,10.0,3.0", "expected 10 columns"),
             ("fisher,0.01,1,1,2,3,4,10.0,3.0,0,0", "expected 10 columns"),
             ("bogus,0.01,1,1,2,3,4,10.0,3.0,0", "unknown filter mode 'bogus'"),
