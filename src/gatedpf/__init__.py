@@ -43,7 +43,7 @@ from .sensing import (
     CompiledLog,
     FaultConfig,
     GnssSpec,
-    LoopDetectorSpec,
+    LoopDetectors,
     MeasurementLog,
     fault_log_density,
     inject_faults,

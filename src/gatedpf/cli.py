@@ -150,12 +150,8 @@ def cmd_report(args) -> int:
     print(f"run {str(manifest.get('config_hash', '?'))[:12]} ({manifest.get('command')})")
     print(f"seeds: {manifest.get('seeds')}")
     aggregate = report.aggregate()
-    modes: list[str] = []
-    for mode, _alpha in report.variant_keys():
-        if mode not in modes:
-            modes.append(mode)
-    for mode in modes:
-        alphas = [a for m, a in report.variant_keys() if m == mode]
+    for mode in dict.fromkeys(mode for mode, _ in aggregate):
+        alphas = [a for m, a in aggregate if m == mode]
         print(f"\n== {mode} ==")
         header = f"{'metric':<22}" + "".join(
             f"{('alpha=%g' % a) if a is not None else 'value':>20}" for a in alphas

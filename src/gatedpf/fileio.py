@@ -86,7 +86,14 @@ def csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 # Field parsers for ``read_csv_rows``: each raises ValueError naming the
-# field when ``text`` is not a value its writer writes.
+# field when ``text`` is not a value its writer writes.  A number must be
+# ``str`` of its int or ``repr`` of its float: ``int()`` and ``float()`` also
+# read spaces, a ``+``, underscores and other forms no writer writes.
+
+
+def _as_written(text: str, name: str, written: str) -> None:
+    if text != written:
+        raise ValueError(f"{name} must be written {written!r}, got {text!r}")
 
 
 def _flag(text: str, name: str) -> bool:
@@ -100,6 +107,7 @@ def _number(text: str, name: str, nan_ok: bool = False, inf_ok: bool = False) ->
     value = float(text)
     if (math.isinf(value) and not inf_ok) or (math.isnan(value) and not nan_ok):
         raise ValueError(f"{name} must be finite, got {text!r}")
+    _as_written(text, name, repr(value))
     return value
 
 
@@ -107,6 +115,7 @@ def _count(text: str, name: str, least: int = 0) -> int:
     value = int(text)
     if not least <= value < 2**63:
         raise ValueError(f"{name} must be a count in [{least}, 2**63), got {text!r}")
+    _as_written(text, name, str(value))
     return value
 
 

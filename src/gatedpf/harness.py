@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .ctm import (
     simulate,
 )
 from .errors import ConfigurationError, DataError, WeightCollapseError
-from .fileio import _count, _flag, _number, atomic_write_text, csv_text, read_csv_rows
+from .fileio import _as_written, _count, _flag, _number, atomic_write_text, csv_text, read_csv_rows
 from .gates import GateKind, level_rule, likelihood_ratio_test, significance_test, unexplained
 from .particles import (
     ParticleEnsemble,
@@ -67,7 +67,7 @@ from .sensing import (
     FaultConfig,
     GnssSpec,
     HYPOTHESIS_MODES,
-    LoopDetectorSpec,
+    LoopDetectors,
     MeasurementLog,
     fault_log_density,
     inject_faults,
@@ -162,17 +162,16 @@ class ExperimentConfig:
     """Everything one experiment needs.  A loaded scenario is one, and a
     field its file omits takes the default stated here.
 
-    ``initial_state``, ``demand_table`` and ``loops`` are derived, not
-    fields: the equilibrium start every run of this config shares, the
-    schedule's demand means and noise scales over the horizon, and the loop
-    detectors by link, computed on first use.
+    ``initial_state`` and ``demand_table`` are derived, not fields: the
+    equilibrium start every run of this config shares and the schedule's
+    demand means and noise scales over the horizon, computed on first use.
     """
 
     network: FreewayNetwork
     schedule: DemandSchedule
     horizon: int
     particles: int
-    loop_specs: tuple[LoopDetectorSpec, ...]
+    loops: LoopDetectors
     gnss_spec: GnssSpec
     fault_config: FaultConfig
     variants: tuple[FilterVariant, ...]
@@ -218,11 +217,6 @@ class ExperimentConfig:
         return state
 
     @cached_property
-    def loops(self) -> Mapping[int, LoopDetectorSpec]:
-        """Each loop detector by its link, read-only."""
-        return MappingProxyType({spec.link: spec for spec in self.loop_specs})
-
-    @cached_property
     def demand_table(self) -> np.ndarray:
         """``schedule.table(range(horizon))``, read-only: the demand draws
         and the speed map's onramp means of every filter run read it."""
@@ -248,7 +242,7 @@ class FilterRunResult:
 def generate_measurements(
     truth: Trajectory,
     network: FreewayNetwork,
-    loop_specs: Sequence[LoopDetectorSpec],
+    loops: LoopDetectors,
     gnss_spec: GnssSpec,
     fault_config: FaultConfig,
     rng: RandomSource,
@@ -264,8 +258,8 @@ def generate_measurements(
     zero-probability fault config reproduces the clean log bit for bit.
     """
     states = truth.states[1 : truth.horizon]
-    n_steps, n_links, n_loops = len(states), network.n_links, len(loop_specs)
-    loop_values = sample_loop_detectors(states, loop_specs, rng.derive(STREAM_LOOPS))
+    n_steps, n_links, n_loops = len(states), network.n_links, len(loops.links)
+    loop_values = sample_loop_detectors(states, loops, rng.derive(STREAM_LOOPS))
     counts = vehicle_counts(states, network)
     rng_gnss = rng.derive(STREAM_GNSS)
     reporting = np.zeros((n_steps, n_links), dtype=np.intp)
@@ -281,16 +275,15 @@ def generate_measurements(
     speed = _positions(per_step) >= n_loops
     speed_links = np.repeat(np.tile(np.arange(n_links), n_steps), reporting.ravel())
     vehicle = _positions(reporting.ravel())
-    loop_links = [spec.link for spec in loop_specs]
 
     links = np.empty(len(steps), dtype=np.intp)
-    links[~speed] = np.tile(loop_links, n_steps)
+    links[~speed] = np.tile(loops.links, n_steps)
     links[speed] = speed_links
     values = np.empty(len(steps))
     values[~speed] = loop_values.ravel()
     values[speed] = np.concatenate(speed_values)
     sensor_ids = np.empty(len(steps), dtype=object)
-    sensor_ids[~speed] = np.tile(np.array([f"loop-{link}" for link in loop_links], dtype=object), n_steps)
+    sensor_ids[~speed] = np.tile(np.array([f"loop-{link}" for link in loops.links], dtype=object), n_steps)
     sensor_ids[speed] = np.array(
         [
             f"gnss-{k}-{link}-{i}"
@@ -317,7 +310,7 @@ def simulate_seed(config: ExperimentConfig, seed: int) -> tuple[Trajectory, Meas
         initial_state=config.initial_state,
     )
     measurements = generate_measurements(
-        truth, config.network, config.loop_specs, config.gnss_spec, config.fault_config, base
+        truth, config.network, config.loops, config.gnss_spec, config.fault_config, base
     )
     return truth, measurements
 
@@ -352,7 +345,7 @@ def _check_log(config: ExperimentConfig, log: MeasurementLog) -> None:
     outside = (log.steps < 1) | (log.steps > last)
     off_network = (log.links < 0) | (log.links >= n_links)
     has_loop = np.zeros(n_links, dtype=bool)
-    has_loop[list(config.loops)] = True
+    has_loop[list(config.loops.links)] = True
     no_loop = ~log.speed & ~has_loop[np.clip(log.links, 0, n_links - 1)]
     refused = np.flatnonzero(outside | off_network | no_loop)
     if not refused.size:
@@ -376,25 +369,19 @@ def compile_log(config: ExperimentConfig, log: MeasurementLog) -> CompiledLog:
 
     A row the scenario cannot assimilate raises :class:`DataError`
     (:func:`_check_log`).  The rows are sorted by step (stably, so a step
-    keeps its rows' log order).  The std rules are gathered from a per-link
-    table (each loop detector's rule, then the speed rule), the fault log
+    keeps its rows' log order).  Each row's std rule is gathered from a
+    two-column table (the loop detectors' rule, the speed rule), the fault log
     densities of the likelihood-ratio modes are evaluated once for the
     whole log, and each step's speed rows share one entry per distinct
     link, so a run evaluates the speed map once per reported link.
     """
     _check_log(config, log)
-    n_links = config.network.n_links
+    n_links, gnss = config.network.n_links, config.gnss_spec
     order = np.argsort(log.steps, kind="stable")
     steps, links, values, is_speed = (
         log.steps[order], log.links[order], log.values[order], log.speed[order]
     )
-
-    # Column l of the rule table is link l's loop detector, column n_links
-    # the speed rule; a link without a detector is never gathered.
-    rule_table = np.full((3, n_links + 1), np.nan)
-    for link, spec in config.loops.items():
-        rule_table[:, link] = spec.std_rule
-    rule_table[:, n_links] = (config.gnss_spec.noise_frac, 0.0, config.gnss_spec.min_std)
+    rule_table = np.array([config.loops.std_rule, (gnss.noise_frac, 0.0, gnss.min_std)]).T
 
     speed = np.flatnonzero(is_speed)
     speed_steps = steps[speed]
@@ -417,7 +404,7 @@ def compile_log(config: ExperimentConfig, log: MeasurementLog) -> CompiledLog:
         links=links,
         values=values,
         faulty=log.faulty[order],
-        std_rules=rule_table[:, np.where(is_speed, n_links, links)],
+        std_rules=rule_table[:, is_speed.astype(np.intp)],
         speed_index=speed,
         speed_pairs=speed_pairs - offsets[speed_steps, 2],
         pair_links=pairs % n_links,
@@ -613,37 +600,23 @@ class MetricsReport:
 
     runs: list[RunMetrics]
 
-    def variant_keys(self) -> list[tuple[str, float | None]]:
-        seen: list[tuple[str, float | None]] = []
-        for run in self.runs:
-            key = (run.mode, run.alpha)
-            if key not in seen:
-                seen.append(key)
-        return seen
-
-    def select(self, mode: str, alpha: float | None = None) -> list[RunMetrics]:
-        return sorted(
-            (r for r in self.runs if r.mode == mode and r.alpha == alpha),
-            key=lambda r: r.seed,
-        )
-
-    def values(self, mode: str, alpha: float | None, attr: str) -> np.ndarray:
-        return np.array([getattr(r, attr) for r in self.select(mode, alpha)], dtype=float)
-
-    def median(self, mode: str, alpha: float | None, attr: str) -> float:
-        return float(np.median(self.values(mode, alpha, attr)))
-
     def aggregate(self) -> dict[tuple[str, float | None], dict[str, tuple[float, float]]]:
-        """Mean and sample std of each metric across seeds, per variant."""
+        """Mean and sample std of each metric across seeds, per variant, with
+        the variants in the order of their first runs and each variant's
+        runs taken in seed order."""
+        by_variant: dict[tuple[str, float | None], list[RunMetrics]] = {}
+        for run in self.runs:
+            by_variant.setdefault((run.mode, run.alpha), []).append(run)
         out: dict[tuple[str, float | None], dict[str, tuple[float, float]]] = {}
-        for mode, alpha in self.variant_keys():
+        for key, runs in by_variant.items():
+            runs.sort(key=lambda r: r.seed)
             stats: dict[str, tuple[float, float]] = {}
             for attr, _, _ in METRIC_FIELDS:
-                vals = self.values(mode, alpha, attr)
+                vals = np.array([getattr(r, attr) for r in runs], dtype=float)
                 mean = float(np.mean(vals))
                 std = 0.0 if len(vals) < 2 else float(np.std(vals, ddof=1))
                 stats[attr] = (mean, std)
-            out[(mode, alpha)] = stats
+            out[key] = stats
         return out
 
 
@@ -755,21 +728,26 @@ def read_decision_log(path: str | Path) -> np.ndarray:
     :class:`DataError` naming ``path:line``.
 
     A gate's statistic and auxiliary may be infinite (a residual too large
-    to hold, a null mass that overflows), never NaN; the level is finite,
-    and ``rejected`` and ``faulty`` are 0 or 1.
+    to hold, a null mass that overflows), never NaN; the level lies in
+    (0, 1), as a :class:`FilterVariant`'s does, and ``rejected`` and
+    ``faulty`` are 0 or 1.  Each number must be the writer's text of its
+    value.
     """
     rows, _ = read_csv_rows(path, DECISION_COLUMNS, "decision log", _decision)
     return np.array(rows, dtype=DECISION_DTYPE)
 
 
 def _decision(row: list[str]) -> tuple:
+    alpha = _number(row[5], "alpha")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {row[5]!r}")
     return (
         _count(row[0], "k", least=1),
         row[1],
         _count(row[2], "link"),
         GateKind(row[3]).value,
         _number(row[4], "statistic", inf_ok=True),
-        _number(row[5], "alpha"),
+        alpha,
         _flag(row[6], "rejected"),
         _number(row[7], "auxiliary", inf_ok=True),
         _flag(row[8], "faulty"),
@@ -779,7 +757,7 @@ def _decision(row: list[str]) -> tuple:
 def metrics_wide_text(report: MetricsReport, alphas: Sequence[float]) -> str:
     """Tables-style wide text: metric rows, one column per level, cells mean±std."""
     aggregate = report.aggregate()
-    gated_modes = dict.fromkeys(mode for mode, alpha in report.variant_keys() if alpha is not None)
+    gated_modes = dict.fromkeys(mode for mode, alpha in aggregate if alpha is not None)
     rows = []
     for mode in gated_modes:
         for attr, name, _ in METRIC_FIELDS:
@@ -807,7 +785,8 @@ def read_metrics_long(path: str | Path) -> MetricsReport:
     cannot have written raises :class:`DataError` naming ``path:line``.
 
     Its (mode, level) must make a :class:`FilterVariant`, and its seed lie
-    in ``[0, 2**64)``, as a study's seeds do.  NaN is accepted
+    in ``[0, 2**64)``, as a study's seeds do; each number must be the
+    writer's text of its value.  NaN is accepted
     only where a run writes it: both error percentages of a collapsed run,
     and the MAPE of a run with no decisions (a run with no assimilated
     steps has no MAPE).
@@ -821,6 +800,7 @@ def _run_metrics(row: list[str]) -> RunMetrics:
     seed = int(row[2])
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {row[2]!r} is outside [0, 2**64)")
+    _as_written(row[2], "seed", str(seed))
     collapsed = _flag(row[9], "collapsed")
     tp, fp, tn, fn = (_count(row[i], METRICS_LONG_COLUMNS[i]) for i in range(3, 7))
     no_decisions = tp + fp + tn + fn == 0

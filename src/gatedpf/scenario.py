@@ -30,7 +30,7 @@ from .ctm import DemandProfile, DemandSchedule, FreewayNetwork, LinkParams
 from .errors import ConfigurationError
 from .fileio import atomic_write_text
 from .harness import ExperimentConfig, FilterVariant
-from .sensing import FaultConfig, GnssSpec, HYPOTHESIS_MODES, LoopDetectorSpec
+from .sensing import FaultConfig, GnssSpec, HYPOTHESIS_MODES, LoopDetectors
 
 DEFAULT_SCENARIO_FILE = "default_scenario.yaml"
 
@@ -193,15 +193,14 @@ def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
     sensors_doc = _section(doc, "sensors")
     loops_doc = _section(sensors_doc, "loops", "sensors")
     loop_links = _get(loops_doc, "links", "sensors.loops", list)
-    noise = _optional(loops_doc, "sensors.loops", noise_frac=float, noise_abs=float, min_std=float)
-    loop_specs = []
     for i, link in enumerate(loop_links):
         if not 0 <= _integer(link, f"sensors.loops.links[{i}]") < network.n_links:
             _fail("sensors.loops.links", f"link index {link!r} out of range")
         if link in loop_links[:i]:
             # A detector's sensor id is its link, so two would share one id.
             _fail(f"sensors.loops.links[{i}]", f"link {link} already has a loop detector")
-        loop_specs.append(_build(LoopDetectorSpec, "sensors.loops", link=link, **noise))
+    noise = _optional(loops_doc, "sensors.loops", noise_frac=float, noise_abs=float, min_std=float)
+    loops = _build(LoopDetectors, "sensors.loops", links=tuple(loop_links), **noise)
 
     gnss_doc = _section(sensors_doc, "gnss", "sensors")
     gnss = _optional(gnss_doc, "sensors.gnss", penetration=float, noise_frac=float, min_std=float)
@@ -223,9 +222,14 @@ def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
         _finite(a, f"filter.alphas[{i}]")
         for i, a in enumerate(_get(filter_doc, "alphas", "filter", list))
     )
-    for a in alphas:
+    for i, a in enumerate(alphas):
         if not (0.0 < a < 1.0):
             _fail("filter.alphas", f"levels must lie strictly in (0, 1), got {a}")
+        # A run's files are named by its level's label, so two levels with
+        # one label would overwrite each other's files.
+        twin = next((b for b in alphas[:i] if b != a and f"{b:g}" == f"{a:g}"), None)
+        if twin is not None:
+            _fail(f"filter.alphas[{i}]", f"level {a!r} has the label {a:g} of level {twin!r}")
     if not alphas:
         _fail("filter.alphas", "needs at least one level")
 
@@ -241,7 +245,7 @@ def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
         schedule=schedule,
         horizon=horizon,
         particles=particles,
-        loop_specs=tuple(loop_specs),
+        loops=loops,
         gnss_spec=gnss_spec,
         fault_config=fault_config,
         variants=tuple(

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy.special import ndtr
@@ -64,11 +64,12 @@ def _log_pdf_of_z(z, std):
 
 
 @dataclass(frozen=True)
-class LoopDetectorSpec:
-    """Loop detector on one link; noise is relative to the true density
-    unless an absolute std is given (default: 10% relative)."""
+class LoopDetectors:
+    """The loop detectors, one on each of ``links``, with one noise model:
+    relative to the true density unless an absolute std is given (default:
+    10% relative)."""
 
-    link: int
+    links: tuple[int, ...]
     noise_frac: float | None = None
     noise_abs: float | None = None
     min_std: float = 0.002
@@ -76,7 +77,7 @@ class LoopDetectorSpec:
     def __post_init__(self) -> None:
         if self.noise_frac is not None and self.noise_abs is not None:
             raise ConfigurationError(
-                "at most one of noise_frac / noise_abs may be set for a loop detector"
+                "at most one of noise_frac / noise_abs may be set for the loop detectors"
             )
         if self.noise_frac is None and self.noise_abs is None:
             object.__setattr__(self, "noise_frac", 0.10)
@@ -186,16 +187,12 @@ def vehicle_counts(state: np.ndarray, network: FreewayNetwork) -> np.ndarray:
     return np.rint(np.asarray(state, dtype=float) * network.lengths).astype(int)
 
 
-def sample_loop_detectors(
-    states: np.ndarray, specs: Sequence[LoopDetectorSpec], rng: RandomSource
-) -> np.ndarray:
+def sample_loop_detectors(states: np.ndarray, loops: LoopDetectors, rng: RandomSource) -> np.ndarray:
     """One noisy density reading per detector for each state row of the
-    (K, L) ``states``: a (K, len(specs)) block from one (K, len(specs))
-    normal draw, clamped to nonnegative."""
-    true = np.asarray(states, dtype=float)[:, [spec.link for spec in specs]]
-    absolute = np.array([s.noise_abs is not None for s in specs], dtype=bool)
-    level = np.array([s.noise_frac if s.noise_abs is None else s.noise_abs for s in specs], dtype=float)
-    std = np.where(absolute, level, level * true)
+    (K, L) ``states``: a (K, len(loops.links)) block from one normal draw of
+    that shape, clamped to nonnegative."""
+    true = np.asarray(states, dtype=float)[:, list(loops.links)]
+    std = loops.noise_abs if loops.noise_abs is not None else loops.noise_frac * true
     values = true + std * rng.normal(size=true.shape)
     # Unlike np.maximum(0.0, values), never writes a -0.0.
     return np.where(values > 0.0, values, 0.0)

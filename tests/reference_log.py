@@ -65,16 +65,16 @@ def log_text(records: Iterable[Record]) -> str:
     return csv_text(MEASUREMENT_COLUMNS, rows)
 
 
-def sample_loop_detectors(state, specs, rng, k) -> list[Record]:
+def sample_loop_detectors(state, loops, rng, k) -> list[Record]:
     """One noisy density reading per detector, clamped to nonnegative."""
     state = np.asarray(state, dtype=float)
     out = []
-    noise = rng.normal(size=len(specs))
-    for spec, z in zip(specs, noise):
-        true = float(state[spec.link])
-        std = spec.noise_abs if spec.noise_abs is not None else spec.noise_frac * true
+    noise = rng.normal(size=len(loops.links))
+    for link, z in zip(loops.links, noise):
+        true = float(state[link])
+        std = loops.noise_abs if loops.noise_abs is not None else loops.noise_frac * true
         value = max(0.0, true + std * float(z))
-        out.append(Record(k, f"loop-{spec.link}", LOOP_DENSITY, spec.link, value, False))
+        out.append(Record(k, f"loop-{link}", LOOP_DENSITY, link, value, False))
     return out
 
 
@@ -118,14 +118,14 @@ def inject_faults(records: Sequence[Record], config, rng) -> list[Record]:
     return out
 
 
-def generate_records(truth, network, loop_specs, gnss_spec, fault_config, rng) -> list[Record]:
+def generate_records(truth, network, loops, gnss_spec, fault_config, rng) -> list[Record]:
     """The measurement log of steps 1 .. horizon - 1 of ``truth`` as records,
     on the streams ``harness.generate_measurements`` uses."""
     rng_loops = rng.derive(STREAM_LOOPS)
     rng_gnss = rng.derive(STREAM_GNSS)
     records = []
     for k in range(1, truth.horizon):
-        records += sample_loop_detectors(truth.states[k], loop_specs, rng_loops, k)
+        records += sample_loop_detectors(truth.states[k], loops, rng_loops, k)
         counts = vehicle_counts(truth.states[k], network)
         records += sample_gnss_speeds(truth.speeds[k], counts, gnss_spec, rng_gnss, k)
     return inject_faults(records, fault_config, rng.derive(STREAM_FAULTS))

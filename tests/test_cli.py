@@ -304,7 +304,7 @@ class TestSweepAndReport:
         gated = {line.split(",")[0] for line in wide[1:]}
         assert gated == {"fisher", "np_correct", "np_incorrect"}
         report = read_metrics_long(out / "metrics_long.csv")
-        assert ("none", None) in report.variant_keys()
+        assert ("none", None) in report.aggregate()
         # per-seed artifacts
         assert (out / "seed_7" / "true_density.csv").exists()
         assert (out / "seed_7" / "decisions_fisher_a0.01.csv").exists()
@@ -456,6 +456,20 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert run_cli("sweep", "--scenario", path, "--out", out, "--quiet") == 2
         assert "run.seeds: seed 7 is repeated" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_levels_with_one_label_exit_2(self, tmp_path, capsys):
+        # A run's files and metrics columns are named by its level's label
+        # ("%g"), so the second level's runs would overwrite the first's.
+        # A repeated level is one level and stays accepted.
+        doc = tiny_scenario_dict()
+        doc["filter"]["alphas"] = [0.01, 0.1, 0.01, 0.0100000001]
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--scenario", path, "--out", out, "--quiet") == 2
+        err = capsys.readouterr().err
+        assert "filter.alphas[3]: level 0.0100000001 has the label 0.01 of level 0.01" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "filter", "sweep"])
@@ -761,7 +775,12 @@ def accepted_scenario(draw) -> dict:
         "filter": {
             "particles": draw(st.integers(2, 20)),
             "variants": ["none", "fisher", "np_correct", "np_incorrect"],
-            "alphas": draw(st.lists(st.floats(1e-6, 0.5), min_size=1, max_size=3)),
+            # Two distinct levels with one label are refused.
+            "alphas": draw(
+                st.lists(st.floats(1e-6, 0.5), min_size=1, max_size=3).filter(
+                    lambda alphas: len({f"{a:g}" for a in alphas}) == len(set(alphas))
+                )
+            ),
             "resample_threshold": draw(st.floats(0.01, 1.0)),
             "np_mass_normalized": draw(st.booleans()),
             "h1_zero_std": draw(log_uniform(1e-3, 10.0)),

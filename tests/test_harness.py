@@ -1,8 +1,10 @@
 """Tests for experiment orchestration, metrics, and the traffic filter loop."""
 from __future__ import annotations
 
+import csv
 import dataclasses
 import logging
+import re
 import string
 import tempfile
 import weakref
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from gatedpf.ctm import DemandProfile, DemandSchedule, advance, equilibrium_state, simulate, speed_map
 from gatedpf.errors import ConfigurationError, DataError, WeightCollapseError
-from gatedpf.fileio import csv_text
+from gatedpf.fileio import csv_text, read_csv_rows
 from gatedpf.gates import GateKind, level_rule, likelihood_ratio_test, significance_test, unexplained
 from gatedpf import harness
 from gatedpf.harness import (
@@ -55,9 +57,10 @@ from gatedpf.particles import (
 from gatedpf.rng import RandomSource
 from gatedpf.sensing import (
     GNSS_SPEED,
+    HYPOTHESIS_MODES,
     FaultConfig,
     GnssSpec,
-    LoopDetectorSpec,
+    LoopDetectors,
     fault_log_density,
     standardize,
 )
@@ -78,7 +81,7 @@ def micro_config(horizon=12, particles=30, seeds=(5,), variants=None, fault_prob
         schedule=schedule,
         horizon=horizon,
         particles=particles,
-        loop_specs=(LoopDetectorSpec(link=0), LoopDetectorSpec(link=2)),
+        loops=LoopDetectors(links=(0, 2)),
         gnss_spec=GnssSpec(penetration=0.5, noise_frac=0.2, min_std=0.5),
         fault_config=FaultConfig(probability=fault_probability),
         variants=tuple(variants or (FilterVariant("fisher", 0.01),)),
@@ -228,7 +231,7 @@ class TestFilterLoop:
         truth = simulate(config.network, config.schedule, config.horizon, base.derive(STREAM_TRUTH), init)
         measurements = records_of(
             generate_measurements(
-                truth, config.network, config.loop_specs, config.gnss_spec, config.fault_config, base
+                truth, config.network, config.loops, config.gnss_spec, config.fault_config, base
             )
         )
         measurements += [
@@ -250,7 +253,6 @@ class TestFilterLoop:
         demand = config.schedule.table(range(config.horizon))
         rng_demand = RandomSource(seed).derive(STREAM_FILTER_DEMAND)
         rng_resample = RandomSource(seed).derive(STREAM_FILTER_RESAMPLE)
-        loops = {spec.link: spec for spec in config.loop_specs}
         gnss = config.gnss_spec
         by_step = {}
         for m in measurements:
@@ -271,7 +273,7 @@ class TestFilterLoop:
                         frac, offset, floor = gnss.noise_frac, 0.0, gnss.min_std
                     else:
                         row = prior.particles[m.link]
-                        frac, offset, floor = loops[m.link].std_rule
+                        frac, offset, floor = config.loops.std_rule
                     mean_rows.append(row)
                     std_rows.append(np.maximum(frac * row + offset, floor))
                 values = np.array([m.value for m in ms])
@@ -505,7 +507,7 @@ class TestCompileLog:
         gnss, loops = config.gnss_spec, config.loops
         speed_rule = [gnss.noise_frac, 0.0, gnss.min_std]
         expected = [
-            speed_rule if m.kind == GNSS_SPEED else list(loops[m.link].std_rule) for m in ordered
+            speed_rule if m.kind == GNSS_SPEED else list(loops.std_rule) for m in ordered
         ]
         assert log.std_rules.T.tolist() == expected
 
@@ -791,11 +793,29 @@ class TestMetricsReport:
         runs.append(RunMetrics("none", None, 1, 0, 0, 0, 0, 0.0, 5.0))
         return MetricsReport(runs=runs)
 
-    def test_select_and_median(self):
-        report = self._report()
-        assert [r.seed for r in report.select("fisher", 0.01)] == [1, 2, 3]
-        assert report.median("fisher", 0.01, "labeling_error_pct") == pytest.approx(12.0)
-        assert report.median("none", None, "mape_pct") == pytest.approx(5.0)
+    def test_aggregate_orders_variants_by_first_run_and_runs_by_seed(self):
+        # Variants come in the order of their first runs; a variant's runs
+        # are summed in seed order, which here gives other bits than their
+        # list order: (0.3 + 0.2) + 0.1 != (0.1 + 0.2) + 0.3.
+        def run(mode, alpha, seed, error):
+            return RunMetrics(mode, alpha, seed, 1, 2, 3, 4, error, 5.0)
+
+        report = MetricsReport(
+            runs=[
+                run("np_correct", 0.1, 2, 1.0),
+                run("fisher", 0.01, 3, 0.3),
+                run("none", None, 2, 0.0),
+                run("fisher", 0.01, 2, 0.2),
+                run("np_correct", 0.1, 1, 1.0),
+                run("fisher", 0.01, 1, 0.1),
+            ]
+        )
+        aggregate = report.aggregate()
+        assert list(aggregate) == [("np_correct", 0.1), ("fisher", 0.01), ("none", None)]
+        mean, std = aggregate[("fisher", 0.01)]["labeling_error_pct"]
+        assert mean == float(np.mean([0.1, 0.2, 0.3])) != float(np.mean([0.3, 0.2, 0.1]))
+        assert std == float(np.std([0.1, 0.2, 0.3], ddof=1))
+        assert [r.seed for r in report.runs] == [2, 3, 2, 2, 1, 1]  # left in place
 
     def test_aggregate_mean_std(self):
         stats = self._report().aggregate()[("fisher", 0.01)]
@@ -865,6 +885,12 @@ class TestMetricsReport:
             ("none,0.01,1,0,0,0,0,0.0,5.0,0", "ungated variant takes no alpha"),
             ("fisher,,1,1,2,3,4,10.0,3.0,0", "variant 'fisher' needs alpha"),
             ("np_correct,1.5,1,1,2,3,4,10.0,3.0,0", "variant 'np_correct' needs alpha"),
+            # Numbers the writer does not write for their values.
+            ("fisher, 0.01,+1_1,1_0, 2,3,4,1_0.0,3.0,0", "alpha must be written '0.01', got ' 0.01'"),
+            ("fisher,0.01,+1_1,1,2,3,4,10.0,3.0,0", r"seed must be written '11', got '\+1_1'"),
+            ("fisher,0.01,1,1_0,2,3,4,10.0,3.0,0", "tp must be written '10', got '1_0'"),
+            ("fisher,0.01,1,1,2,3,4,1e1,3.0,0", "labeling_error_pct must be written '10.0', got '1e1'"),
+            ("fisher,0.01,1,0,0,0,0,NaN,nan,1", "labeling_error_pct must be written 'nan', got 'NaN'"),
         ],
     )
     def test_long_malformed_row_reports_line(self, tmp_path, row, problem):
@@ -906,7 +932,8 @@ decision_rows = st.lists(
         st.integers(0, 2**63 - 1),
         st.sampled_from([kind.value for kind in GateKind]),
         gate_floats,
-        st.floats(allow_nan=False, allow_infinity=False),
+        # A variant's level.
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         st.booleans(),
         gate_floats,
         st.booleans(),
@@ -996,6 +1023,12 @@ class TestDecisionLog:
             ("-4,s,0,fisher,0.5,0.01,0,0.0,0", "k must be a count"),
             ("0,s,0,fisher,0.5,0.01,0,0.0,0", "k must be a count"),
             ("1,s,-7,fisher,0.5,0.01,0,0.0,0", "link must be a count"),
+            (" 0_7,s,0,fisher,0.5,0.01,0,0.0,0", "k must be written '7', got ' 0_7'"),
+            ("1,s,+1,fisher,0.5,0.01,0,0.0,0", r"link must be written '1', got '\+1'"),
+            ("1,s,0,fisher,1e-3,0.01,0,0.0,0", "statistic must be written '0.001', got '1e-3'"),
+            ("1,s,0,fisher,0.5,0.010,0,0.0,0", "alpha must be written '0.01', got '0.010'"),
+            ("1,s,0,fisher,0.5,5.0,0,0.0,0", r"alpha must lie in \(0, 1\), got '5.0'"),
+            ("1,s,0,fisher,0.5,0.0,0,0.0,0", r"alpha must lie in \(0, 1\), got '0.0'"),
         ],
     )
     def test_bad_value_reports_line(self, tmp_path, row, problem):
@@ -1007,3 +1040,99 @@ class TestDecisionLog:
         )
         with pytest.raises(DataError, match=rf"bad\.csv:3: .*{problem}"):
             read_decision_log(path)
+
+
+def number_forms(text: str) -> list[str]:
+    """Forms of a written field that ``int`` or ``float`` may read but no
+    writer writes: surrounding spaces, a ``+``, a digit-group underscore,
+    a leading zero, ``-0`` and exponent forms."""
+    sign, digits = ("-", text[1:]) if text.startswith("-") else ("", text)
+    forms = [f" {text}", f"{text} ", f"+{text}", f"{sign}0{digits}", "-0", f"{text}e0", f"{sign}{digits}E+00"]
+    pairs = [i for i in range(1, len(text)) if text[i - 1].isdigit() and text[i].isdigit()]
+    return forms + [f"{text[:i]}_{text[i:]}" for i in pairs[:1]]
+
+
+# The two checked CSV formats: their columns, the columns that hold numbers
+# or flags, their reader, and a writer of ``rows`` to ``path``.
+CSV_FORMATS = {
+    "decisions": (
+        DECISION_COLUMNS, (0, 2, 4, 5, 6, 7, 8), read_decision_log,
+        lambda path, rows: write_decision_log(path, decision_array(rows)),
+    ),
+    "metrics_long": (
+        harness.METRICS_LONG_COLUMNS, (1, 2, 3, 4, 5, 6, 7, 8, 9), read_metrics_long,
+        lambda path, runs: path.write_text(metrics_long_text(MetricsReport(runs)), newline=""),
+    ),
+}
+
+
+@st.composite
+def run_metrics(draw):
+    """A row that ``run_experiment`` could write to ``metrics_long.csv``."""
+    mode = draw(st.sampled_from(HYPOTHESIS_MODES))
+    alpha = None if mode == "none" else draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    counts = draw(st.lists(st.integers(0, 3) | st.integers(0, 2**63 - 1), min_size=4, max_size=4))
+    collapsed = draw(st.booleans())
+    error = draw(st.floats(allow_infinity=False, allow_nan=collapsed))
+    mape_pct = draw(st.floats(allow_infinity=False, allow_nan=collapsed or sum(counts) == 0))
+    seed = draw(st.sampled_from([0, 11, 2**64 - 1]) | st.integers(0, 2**64 - 1))
+    return RunMetrics(mode, alpha, seed, *counts, error, mape_pct, collapsed)
+
+
+csv_rows = {"decisions": decision_rows, "metrics_long": st.lists(run_metrics(), max_size=6)}
+
+
+def written(tmp: str, name: str, rows) -> tuple[Path, list[list[str]], list[int]]:
+    """The file the writer of format ``name`` writes for ``rows``, its rows
+    as fields and each row's line."""
+    columns, _, _, write = CSV_FORMATS[name]
+    path = Path(tmp) / f"{name}.csv"
+    write(path, rows)
+    with path.open(newline="") as fh:
+        fields = list(csv.reader(fh))[1:]
+    _, lines = read_csv_rows(path, columns, name, lambda row: None)
+    return path, fields, lines
+
+
+class TestReadersAcceptOnlyWrittenText:
+    """A decision log or ``metrics_long.csv`` that its reader accepts is
+    one its writer writes: written back, it gives the same bytes."""
+
+    @pytest.mark.parametrize("name", sorted(CSV_FORMATS))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_an_accepted_file_writes_back_to_its_bytes(self, name, data):
+        columns, numbers, read, write = CSV_FORMATS[name]
+        with tempfile.TemporaryDirectory() as tmp:
+            path, fields, _ = written(tmp, name, data.draw(csv_rows[name].filter(bool)))
+            row = fields[data.draw(st.integers(0, len(fields) - 1))]
+            c = data.draw(st.sampled_from(numbers))
+            row[c] = data.draw(
+                st.just(row[c])
+                | st.sampled_from(number_forms(row[c]))
+                | st.text(alphabet="0123456789+-_.eEinfa ", max_size=5)
+            )
+            path.write_bytes(csv_text(columns, fields).encode())
+            try:
+                back = read(path)
+            except DataError as exc:
+                assert re.match(rf"{re.escape(str(path))}:[0-9]+: ", str(exc))
+                return
+            again = Path(tmp) / "again.csv"
+            write(again, back if name == "decisions" else back.runs)
+            assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(CSV_FORMATS))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_a_number_in_another_form_is_refused_at_its_line(self, name, data):
+        columns, numbers, read, _ = CSV_FORMATS[name]
+        with tempfile.TemporaryDirectory() as tmp:
+            path, fields, lines = written(tmp, name, data.draw(csv_rows[name].filter(bool)))
+            i = data.draw(st.integers(0, len(fields) - 1))
+            c = data.draw(st.sampled_from(numbers))
+            text = fields[i][c]
+            fields[i][c] = data.draw(st.sampled_from([f for f in number_forms(text) if f != text]))
+            path.write_bytes(csv_text(columns, fields).encode())
+            with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:{lines[i]}: "):
+                read(path)

@@ -10,7 +10,7 @@ import yaml
 from gatedpf.ctm import DemandProfile, FreewayNetwork, LinkParams
 from gatedpf.errors import ConfigurationError
 from gatedpf.harness import ExperimentConfig, FilterVariant, run_experiment
-from gatedpf.sensing import FaultConfig, GnssSpec, LoopDetectorSpec
+from gatedpf.sensing import FaultConfig, GnssSpec, LoopDetectors
 from gatedpf.scenario import (
     config_hash,
     default_scenario,
@@ -295,7 +295,7 @@ class TestStudyGrid:
         doc["filter"]["alphas"] = [0.001, 0.01, 0.1]
         doc["run"]["horizon"] = 10
         report = run_experiment(scenario_from_dict(doc).experiment_config(seeds=[7]))
-        assert report.variant_keys() == [
+        assert list(report.aggregate()) == [
             ("none", None), ("fisher", 0.001), ("fisher", 0.01), ("fisher", 0.1)
         ]
 
@@ -338,7 +338,7 @@ class TestDefaults:
             link.update(defaulted_fields(LinkParams))
         stated["network"].update(defaulted_fields(FreewayNetwork))
         stated["demand"]["upstream"].update(defaulted_fields(DemandProfile))
-        stated["sensors"]["loops"].update(defaulted_fields(LoopDetectorSpec))
+        stated["sensors"]["loops"].update(defaulted_fields(LoopDetectors))
         stated["sensors"]["gnss"].update(defaulted_fields(GnssSpec))
         stated["sensors"]["faults"].update(defaulted_fields(FaultConfig))
         for name, default in defaulted_fields(ExperimentConfig).items():

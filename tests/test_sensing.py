@@ -17,7 +17,7 @@ from gatedpf.rng import RandomSource
 from gatedpf.sensing import (
     FaultConfig,
     GnssSpec,
-    LoopDetectorSpec,
+    LoopDetectors,
     MeasurementLog,
     fault_log_density,
     gaussian_log_pdf,
@@ -39,8 +39,8 @@ from test_harness import micro_config
 class TestSpecs:
     def test_loop_spec_noise_exclusivity(self):
         with pytest.raises(ConfigurationError):
-            LoopDetectorSpec(link=0, noise_frac=0.1, noise_abs=0.01)
-        assert LoopDetectorSpec(link=0).noise_frac == 0.10  # default is relative
+            LoopDetectors(links=(0,), noise_frac=0.1, noise_abs=0.01)
+        assert LoopDetectors(links=(0,)).noise_frac == 0.10  # default is relative
 
     def test_gnss_spec_bounds(self):
         with pytest.raises(ConfigurationError):
@@ -67,22 +67,22 @@ class TestSpecs:
 class TestLoopSampling:
     def test_zero_noise_returns_truth(self):
         states = np.array([[0.03, 0.05], [0.01, 0.0]])
-        specs = [LoopDetectorSpec(link=1, noise_frac=0.0), LoopDetectorSpec(link=0, noise_frac=0.0)]
-        values = sample_loop_detectors(states, specs, RandomSource(1))
+        loops = LoopDetectors(links=(1, 0), noise_frac=0.0)
+        values = sample_loop_detectors(states, loops, RandomSource(1))
         assert values.tolist() == [[0.05, 0.03], [0.0, 0.01]]
 
     def test_sample_mean_matches_truth(self):
         # 1e4 draws at one detector: mean within 4 standard errors.
         states = np.full((10_000, 1), 0.05)
-        spec = LoopDetectorSpec(link=0, noise_frac=0.1)
-        values = sample_loop_detectors(states, [spec], RandomSource(5))[:, 0]
+        loops = LoopDetectors(links=(0,), noise_frac=0.1)
+        values = sample_loop_detectors(states, loops, RandomSource(5))[:, 0]
         sd = 0.1 * 0.05
         assert abs(np.mean(values) - 0.05) < 4 * sd / np.sqrt(len(values))
 
     def test_negative_draws_clamped(self):
         states = np.full((500, 1), 0.001)
-        spec = LoopDetectorSpec(link=0, noise_abs=0.05)
-        values = sample_loop_detectors(states, [spec], RandomSource(2))
+        loops = LoopDetectors(links=(0,), noise_abs=0.05)
+        values = sample_loop_detectors(states, loops, RandomSource(2))
         assert values.min() == 0.0  # clamping visibly active at this noise level
         assert np.all(values >= 0.0)
 
@@ -163,7 +163,7 @@ class TestFaultInjection:
 
 
 GENERATED = dict(
-    horizon=6, loops=[(2, None), (0, 0.01)], penetration=0.3, noise_frac=0.2,
+    horizon=6, loop_links=[2, 0], loop_noise_abs=0.01, penetration=0.3, noise_frac=0.2,
     probability=0.4, zero_weight=0.5, seed=3,
 )
 
@@ -174,10 +174,8 @@ class TestGeneratedLog:
 
     @given(
         horizon=st.integers(1, 10),
-        loops=st.lists(
-            st.tuples(st.integers(0, 3), st.sampled_from([None, 0.0, 0.01, 0.05])),
-            unique_by=lambda loop: loop[0],
-        ),
+        loop_links=st.lists(st.integers(0, 3), unique=True),
+        loop_noise_abs=st.sampled_from([None, 0.0, 0.01, 0.05]),
         penetration=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
         noise_frac=st.sampled_from([0.0, 0.2, 3.0]),
         probability=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
@@ -188,11 +186,11 @@ class TestGeneratedLog:
     @example(**dict(GENERATED, penetration=0.0))
     @example(**dict(GENERATED, penetration=1.0, probability=1.0))
     @example(**dict(GENERATED, probability=0.0))
-    @example(**dict(GENERATED, loops=[]))
-    @example(**dict(GENERATED, loops=[(1, 0.05), (3, 0.0)]))
+    @example(**dict(GENERATED, loop_links=[]))
+    @example(**dict(GENERATED, loop_links=[1, 3], loop_noise_abs=None))
     @settings(max_examples=60, deadline=None)
     def test_writes_the_reference_bytes(
-        self, horizon, loops, penetration, noise_frac, probability, zero_weight, seed
+        self, horizon, loop_links, loop_noise_abs, penetration, noise_frac, probability, zero_weight, seed
     ):
         # Truth states with empty links, so zero counts and clamped loop
         # readings occur; the speeds are any nonnegative values.
@@ -203,7 +201,7 @@ class TestGeneratedLog:
         args = (
             truth,
             small_network(4),
-            tuple(LoopDetectorSpec(link=link, noise_abs=noise_abs) for link, noise_abs in loops),
+            LoopDetectors(links=tuple(loop_links), noise_abs=loop_noise_abs),
             GnssSpec(penetration=penetration, noise_frac=noise_frac),
             FaultConfig(probability=probability, zero_weight=zero_weight),
             RandomSource(seed),
@@ -223,62 +221,62 @@ def speed_report(value, link=0):
     return Record(k=1, sensor_id="g", kind="gnss_speed", link=link, value=value, faulty=False)
 
 
-def step_rows(ms, particles, network, ramp_means=(), loop_specs=(), gnss_spec=GnssSpec()):
+def step_rows(ms, particles, network, ramp_means=(), loops=LoopDetectors(links=()), gnss_spec=GnssSpec()):
     """Rows of step 1 of the records ``ms``, compiled for a two-step config
     on ``network`` with the given sensors."""
-    config = replace(
-        micro_config(horizon=2), network=network, loop_specs=tuple(loop_specs), gnss_spec=gnss_spec
-    )
+    config = replace(micro_config(horizon=2), network=network, loops=loops, gnss_spec=gnss_spec)
     log = compile_log(config, log_of(ms))
     return measurement_rows(log, 1, particles, network, np.asarray(ramp_means, float))
 
 
 class TestMeasurementModels:
     def test_loop_model_moments(self):
-        spec = LoopDetectorSpec(link=1, noise_frac=0.1, min_std=0.002)
+        loops = LoopDetectors(links=(1,), noise_frac=0.1, min_std=0.002)
         states = np.array([[0.0, 0.0], [0.05, 0.001]])
         loop = Record(k=1, sensor_id="loop-1", kind="loop_density", link=1, value=0.04, faulty=False)
-        values, mean, std, tested = step_rows([loop], states, small_network(2), loop_specs=[spec])
+        values, mean, std, tested = step_rows([loop], states, small_network(2), loops=loops)
         np.testing.assert_allclose(mean, [[0.05, 0.001]])
         np.testing.assert_allclose(std, [[0.005, 0.002]])  # floor binds on particle 2
         assert values.tolist() == [0.04] and tested.size == 0
 
     def test_loop_model_absolute_noise(self):
-        spec = LoopDetectorSpec(link=0, noise_abs=0.004, min_std=0.002)
+        loops = LoopDetectors(links=(0,), noise_abs=0.004, min_std=0.002)
         loop = Record(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.04, faulty=False)
-        _, mean, std, _ = step_rows([loop], np.array([[0.05, 0.0]]), small_network(1), loop_specs=[spec])
+        _, mean, std, _ = step_rows([loop], np.array([[0.05, 0.0]]), small_network(1), loops=loops)
         np.testing.assert_array_equal(mean, [[0.05, 0.0]])
         np.testing.assert_array_equal(std, [[0.004, 0.004]])
-        floored = LoopDetectorSpec(link=0, noise_abs=0.001, min_std=0.002)
-        _, _, std, _ = step_rows([loop], np.array([[0.05]]), small_network(1), loop_specs=[floored])
+        floored = LoopDetectors(links=(0,), noise_abs=0.001, min_std=0.002)
+        _, _, std, _ = step_rows([loop], np.array([[0.05]]), small_network(1), loops=floored)
         np.testing.assert_array_equal(std, [[0.002]])
 
     def test_speed_rows_read_their_own_links(self):
         # Speed reports on links 2, 0, 2 among loop rows: each speed row's
         # mean is speed_map on that row's link alone, bit for bit, at the
         # given onramp means (link 0 discharges into link 1's onramp),
-        # although the compiled log evaluates link 2 only once.
+        # although the compiled log evaluates link 2 only once.  Each loop
+        # row takes the detectors' rule, whose floor binds on the particles
+        # below density 0.06, and each speed row the speed rule.
         net = small_network(3, onramps={1}, offramps={2}, beta=0.1)
         particles = np.random.default_rng(4).uniform(0.0, 0.125, (6, 3)).T
         ramp_means = np.array([0.7])
-        loops = [LoopDetectorSpec(link=0), LoopDetectorSpec(link=2, noise_abs=0.004)]
+        loops = LoopDetectors(links=(0, 2), noise_frac=0.1, min_std=0.006)
         gnss = GnssSpec(noise_frac=0.3, min_std=0.25)
         loop = Record(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.05, faulty=False)
         ms = [loop, speed_report(9.0, link=2), speed_report(7.0, link=0), replace(loop, link=2), speed_report(8.0, link=2)]
         values, mean, std, tested = step_rows(ms, particles, net, ramp_means, loops, gnss)
         assert tested.tolist() == [1, 2, 4]
         assert values.tolist() == [0.05, 9.0, 7.0, 0.05, 8.0]
-        rules = {0: (0.1, 0.0, 0.002), 2: (0.0, 0.004, 0.002)}
         for row, m in enumerate(ms):
             if row in tested:
                 expected = speed_map(particles, net, [m.link], ramp_means)[0]
                 frac, offset, floor = 0.3, 0.0, 0.25
             else:
                 expected = particles[m.link]
-                frac, offset, floor = rules[m.link]
+                frac, offset, floor = 0.1, 0.0, 0.006
             assert mean[row].tobytes() == expected.tobytes()
             assert std[row].tobytes() == np.maximum(frac * expected + offset, floor).tobytes()
         assert mean[1].tobytes() == mean[4].tobytes()
+        assert np.any(std[[0, 3]] == 0.006) and np.any(std[[0, 3]] > 0.006)
 
     def test_fault_mixture_favors_zero_reports(self):
         # Correct fault model at y = 0 dwarfs the null for any particle
@@ -327,7 +325,7 @@ class TestBuildSensorModels:
         loop = Record(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.05, faulty=False)
         particles = np.array([[0.04, 0.06]])
         return step_rows(
-            [loop, speed_report(12.0)], particles, small_network(1), loop_specs=[LoopDetectorSpec(link=0)]
+            [loop, speed_report(12.0)], particles, small_network(1), loops=LoopDetectors(links=(0,))
         )
 
     def test_fisher_mode(self):
