@@ -49,7 +49,6 @@ def likelihood_ratio_test(
     weights: np.ndarray,
     log_g0: np.ndarray,
     log_g1: np.ndarray,
-    mass_normalized: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Likelihood-ratio test of each row against the prior weights.
 
@@ -58,12 +57,9 @@ def likelihood_ratio_test(
     Returns ``(statistic, auxiliary)``: a row's statistic sums
     ``w_p * g0_p`` over the particles whose fault density strictly exceeds
     their null density, and its auxiliary counts those particles (as a
-    float).  ``mass_normalized`` divides the statistic by the row's
-    total null mass; the default keeps the raw mass, which lets uniformly
-    implausible measurements (tiny null density under every particle) be
-    rejected.  A particle of zero weight carries no mass, and a row whose
-    total null mass overflows takes its normalized statistic from masses
-    rescaled by the row's largest log mass.
+    float).  The raw mass lets uniformly implausible measurements (tiny
+    null density under every particle) be rejected.  A particle of zero
+    weight carries no mass.
     """
     weights = np.asarray(weights, dtype=float)
     log_g0 = np.asarray(log_g0, dtype=float)
@@ -84,19 +80,6 @@ def likelihood_ratio_test(
     statistic[full] = mass[full].sum(axis=1)
     for i in np.flatnonzero((count > 0) & ~full).tolist():
         statistic[i] = np.sum(mass[i][favors_h1[i]])
-    if mass_normalized:
-        total = mass.sum(axis=1)
-        finite = total < np.inf
-        statistic = np.divide(
-            statistic, total, out=np.zeros_like(statistic), where=finite & (total > 0.0)
-        )
-        if not finite.all():
-            # The ratio does not depend on the masses' common scale.
-            with np.errstate(divide="ignore"):
-                log_mass = np.log(weights) + log_g0[~finite]
-            scaled = np.exp(log_mass - log_mass.max(axis=1, keepdims=True))
-            favoring = np.where(favors_h1[~finite], scaled, 0.0).sum(axis=1)
-            statistic[~finite] = favoring / scaled.sum(axis=1)
     return statistic, count.astype(float)
 
 

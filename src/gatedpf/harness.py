@@ -177,7 +177,6 @@ class ExperimentConfig:
     variants: tuple[FilterVariant, ...]
     seeds: tuple[int, ...]
     resample_threshold: float = 0.5
-    np_mass_normalized: bool = False
     h1_zero_std: float = 0.5
     mape_floor: float = 1e-4
 
@@ -315,7 +314,7 @@ def simulate_seed(config: ExperimentConfig, seed: int) -> tuple[Trajectory, Meas
     return truth, measurements
 
 
-def _run_gate(config, variant, weights, z, log_g0, log, speeds):
+def _run_gate(variant, weights, z, log_g0, log, speeds):
     """Run the variant's gate on one step's tested rows, the ``speeds``
     rows of the compiled ``log``, and return its ``(statistic, auxiliary,
     rejected)`` columns: ``fisher`` runs the significance test with no
@@ -328,9 +327,7 @@ def _run_gate(config, variant, weights, z, log_g0, log, speeds):
         statistic, auxiliary = significance_test(weights, z)
     else:
         log_g1 = log.fault_log_g1[variant.mode][speeds]
-        statistic, auxiliary = likelihood_ratio_test(
-            weights, log_g0, log_g1[:, None], config.np_mass_normalized
-        )
+        statistic, auxiliary = likelihood_ratio_test(weights, log_g0, log_g1[:, None])
     rejected = level_rule(variant.kind, statistic, auxiliary, variant.alpha)
     return statistic, auxiliary, rejected | unexplained(weights, log_g0)
 
@@ -381,7 +378,7 @@ def compile_log(config: ExperimentConfig, log: MeasurementLog) -> CompiledLog:
     steps, links, values, is_speed = (
         log.steps[order], log.links[order], log.values[order], log.speed[order]
     )
-    rule_table = np.array([config.loops.std_rule, (gnss.noise_frac, 0.0, gnss.min_std)]).T
+    rule_table = np.array([config.loops.std_rule, (gnss.noise_frac, gnss.min_std)]).T
 
     speed = np.flatnonzero(is_speed)
     speed_steps = steps[speed]
@@ -483,7 +480,7 @@ def run_traffic_filter(
             # never are.
             if variant.mode != "none" and tested.size:
                 statistic[speeds], auxiliary[speeds], gate_rejected[speeds] = _run_gate(
-                    config, variant, prior.weights, z[tested], log_g0[tested], log, speeds
+                    variant, prior.weights, z[tested], log_g0[tested], log, speeds
                 )
                 accepted[tested] = ~gate_rejected[speeds]
             # A step whose every row is rejected keeps its prior.

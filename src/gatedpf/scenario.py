@@ -3,8 +3,10 @@
 A scenario is a YAML document with five sections (network, demand, sensors,
 filter, run) that fully determines an experiment: the loaded
 :class:`Scenario` is the study's :class:`~gatedpf.harness.ExperimentConfig`.
-An omitted optional field takes the default of the model type it
-configures; the loader states no default of its own.  Every module-level
+Every mapping holds only the fields its reader knows: an unknown key, or
+one written twice, is refused.  An omitted optional field takes the
+default of the model type it configures; the loader states no default of
+its own.  Every module-level
 invariant (CFL conditions, level ranges, spec consistency) is checked at
 load time, with the field's path, so an invalid scenario never produces
 output files.  The run manifest written at the start of every command
@@ -18,10 +20,11 @@ import functools
 import hashlib
 import json
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 import yaml
 
@@ -34,17 +37,9 @@ from .sensing import FaultConfig, GnssSpec, HYPOTHESIS_MODES, LoopDetectors
 
 DEFAULT_SCENARIO_FILE = "default_scenario.yaml"
 
-# The section that holds each field :class:`ExperimentConfig` checks itself.
-_CONFIG_SECTIONS = {
-    "particles": "filter",
-    "variants": "filter",
-    "resample_threshold": "filter",
-    "h1_zero_std": "filter",
-    "horizon": "run",
-    "seeds": "run",
-    "mape_floor": "run",
-}
-
+# The required and the optional fields of a link.
+_LINK = {"length": float, "vf": float, "w": float, "qmax": float, "rho_jam": float}
+_RAMPS = {"onramp": bool, "offramp": bool, "beta": float}
 
 @dataclass(frozen=True, kw_only=True)
 class Scenario(ExperimentConfig):
@@ -65,35 +60,31 @@ def _fail(path: str, message: str) -> None:
     raise ConfigurationError(f"{path}: {message}")
 
 
-def _section(doc: Mapping, key: str, path: str = "") -> Mapping:
-    where = f"{path}.{key}" if path else key
-    if key not in doc:
-        _fail(where, "missing section")
-    value = doc[key]
-    if not isinstance(value, Mapping):
-        _fail(where, "must be a mapping")
-    return value
-
-
-def _get(doc: Mapping, key: str, path: str, kind):
-    """The required field ``doc[key]``, checked against ``kind``."""
-    where = f"{path}.{key}"
-    if key not in doc:
-        _fail(where, "missing required field")
-    value = doc[key]
-    if kind is float:
-        return _finite(value, where)
-    if kind is int:
-        return _integer(value, where)
-    if not isinstance(value, kind):
-        _fail(where, f"expected {kind.__name__}, got {type(value).__name__}")
-    return value
-
-
-def _optional(doc: Mapping, path: str, **kinds) -> dict:
-    """The fields of ``kinds`` that ``doc`` holds, each checked against its
-    kind; an absent one is left to the default of the model type."""
-    return {key: _get(doc, key, path, kind) for key, kind in kinds.items() if key in doc}
+def _fields(doc, path: str, required: Mapping[str, type], optional: Mapping[str, type] = {}) -> dict:
+    """The fields of the mapping ``doc`` at ``path``, each checked against
+    its kind: every ``required`` key must be present, an ``optional`` one
+    may be omitted (the model type's default then applies), and any other
+    key is refused."""
+    if not isinstance(doc, Mapping):
+        _fail(path, "must be a mapping")
+    known = {**required, **optional}
+    fields = {}
+    for key, value in doc.items():
+        where = f"{path}.{key}" if path else str(key)
+        kind = known.get(key)
+        if kind is None:
+            _fail(where, f"unknown field; {path or 'a scenario'} takes {', '.join(known)}")
+        if kind is float:
+            value = _finite(value, where)
+        elif kind is int:
+            value = _integer(value, where)
+        elif not isinstance(value, kind):
+            _fail(where, f"expected {kind.__name__}, got {type(value).__name__}")
+        fields[key] = value
+    for key in required:
+        if key not in doc:
+            _fail(f"{path}.{key}" if path else key, "missing required field")
+    return fields
 
 
 def _build(model, path: str, **fields):
@@ -122,21 +113,14 @@ def _integer(value, where: str) -> int:
 
 
 def _profile(doc, path: str) -> DemandProfile:
-    if not isinstance(doc, Mapping):
-        _fail(path, "must be a mapping")
-    rise = _get(doc, "rise", path, list)
-    fall = _get(doc, "fall", path, list)
-    if len(rise) != 2 or len(fall) != 2:
-        _fail(path, "rise and fall must each be [start, end] times in seconds")
-    return _build(
-        DemandProfile,
-        path,
-        base=_get(doc, "base", path, float),
-        peak=_get(doc, "peak", path, float),
-        rise=tuple(_finite(t, f"{path}.rise[{i}]") for i, t in enumerate(rise)),
-        fall=tuple(_finite(t, f"{path}.fall[{i}]") for i, t in enumerate(fall)),
-        **_optional(doc, path, noise_frac=float),
+    fields = _fields(
+        doc, path, {"base": float, "peak": float, "rise": list, "fall": list}, {"noise_frac": float}
     )
+    for name in ("rise", "fall"):
+        if len(fields[name]) != 2:
+            _fail(path, "rise and fall must each be [start, end] times in seconds")
+        fields[name] = tuple(_finite(t, f"{path}.{name}[{i}]") for i, t in enumerate(fields[name]))
+    return _build(DemandProfile, path, **fields)
 
 
 def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
@@ -146,32 +130,30 @@ def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
     """
     if not isinstance(doc, Mapping):
         raise ConfigurationError(f"{source}: scenario document must be a mapping")
+    sections = _fields(
+        doc, "", dict.fromkeys(("network", "demand", "sensors", "filter", "run"), Mapping)
+    )
 
-    net_doc = _section(doc, "network")
-    dt = _get(net_doc, "dt", "network", float)
-    links_doc = _get(net_doc, "links", "network", list)
-    if not links_doc:
+    net = _fields(
+        sections["network"], "network", {"dt": float, "links": list}, {"onramp_priority": float}
+    )
+    if not net["links"]:
         _fail("network.links", "needs at least one link")
     links = []
-    for i, link_doc in enumerate(links_doc):
+    for i, link in enumerate(net["links"]):
         path = f"network.links[{i}]"
-        if not isinstance(link_doc, Mapping):
-            _fail(path, "must be a mapping")
-        shape = {k: _get(link_doc, k, path, float) for k in ("length", "vf", "w", "qmax", "rho_jam")}
-        ramps = _optional(link_doc, path, onramp=bool, offramp=bool, beta=float)
-        links.append(_build(LinkParams, path, **shape, **ramps))
-    priority = _optional(net_doc, "network", onramp_priority=float)
-    network = _build(FreewayNetwork, "network", links=tuple(links), dt=dt, **priority)
+        links.append(_build(LinkParams, path, **_fields(link, path, _LINK, _RAMPS)))
+    network = _build(FreewayNetwork, "network", **{**net, "links": tuple(links)})
 
-    demand_doc = _section(doc, "demand")
-    upstream = _profile(_section(demand_doc, "upstream", "demand"), "demand.upstream")
+    demand = _fields(
+        sections["demand"], "demand", {"upstream": Mapping},
+        {"onramp_default": Mapping, "onramp_overrides": Mapping},
+    )
+    upstream = _profile(demand["upstream"], "demand.upstream")
     onramp_links = network.onramp_links
-    overrides = demand_doc.get("onramp_overrides", {}) or {}
-    if not isinstance(overrides, Mapping):
-        _fail("demand.onramp_overrides", "must map link index to a profile")
     # A key names a link with an onramp, as an int or its decimal string.
     by_link: dict[int, Any] = {}
-    for key, override in overrides.items():
+    for key, override in demand.get("onramp_overrides", {}).items():
         where = f"demand.onramp_overrides.{key}"
         link = next((l for l in onramp_links if str(l) == str(key)), None)
         if link is None:
@@ -180,71 +162,68 @@ def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
             _fail(where, f"link {link} already has an override")
         by_link[link] = override
     onramp_profiles: list[DemandProfile] = []
-    default_doc = demand_doc.get("onramp_default")
     for link in onramp_links:
         if link in by_link:
             onramp_profiles.append(_profile(by_link[link], f"demand.onramp_overrides.{link}"))
-        elif default_doc is not None:
-            onramp_profiles.append(_profile(default_doc, "demand.onramp_default"))
+        elif "onramp_default" in demand:
+            onramp_profiles.append(_profile(demand["onramp_default"], "demand.onramp_default"))
         else:
             _fail("demand.onramp_default", f"required: link {link} has an onramp")
-    schedule = DemandSchedule(dt=dt, upstream=upstream, onramps=tuple(onramp_profiles))
+    schedule = DemandSchedule(dt=net["dt"], upstream=upstream, onramps=tuple(onramp_profiles))
 
-    sensors_doc = _section(doc, "sensors")
-    loops_doc = _section(sensors_doc, "loops", "sensors")
-    loop_links = _get(loops_doc, "links", "sensors.loops", list)
-    for i, link in enumerate(loop_links):
+    sensors = _fields(
+        sections["sensors"], "sensors", dict.fromkeys(("loops", "gnss", "faults"), Mapping)
+    )
+    loops = _fields(
+        sensors["loops"], "sensors.loops", {"links": list}, {"noise_frac": float, "min_std": float}
+    )
+    for i, link in enumerate(loops["links"]):
         if not 0 <= _integer(link, f"sensors.loops.links[{i}]") < network.n_links:
             _fail("sensors.loops.links", f"link index {link!r} out of range")
-        if link in loop_links[:i]:
+        if link in loops["links"][:i]:
             # A detector's sensor id is its link, so two would share one id.
             _fail(f"sensors.loops.links[{i}]", f"link {link} already has a loop detector")
-    noise = _optional(loops_doc, "sensors.loops", noise_frac=float, noise_abs=float, min_std=float)
-    loops = _build(LoopDetectors, "sensors.loops", links=tuple(loop_links), **noise)
-
-    gnss_doc = _section(sensors_doc, "gnss", "sensors")
-    gnss = _optional(gnss_doc, "sensors.gnss", penetration=float, noise_frac=float, min_std=float)
+    loops = _build(LoopDetectors, "sensors.loops", **{**loops, "links": tuple(loops["links"])})
+    gnss = _fields(
+        sensors["gnss"], "sensors.gnss", {},
+        {"penetration": float, "noise_frac": float, "min_std": float},
+    )
     gnss_spec = _build(GnssSpec, "sensors.gnss", **gnss)
-    faults_doc = _section(sensors_doc, "faults", "sensors")
-    faults = _optional(
-        faults_doc, "sensors.faults",
-        probability=float, zero_weight=float, speed_mean=float, speed_std=float,
+    faults = _fields(
+        sensors["faults"], "sensors.faults", {},
+        {"probability": float, "zero_weight": float, "speed_mean": float, "speed_std": float},
     )
     fault_config = _build(FaultConfig, "sensors.faults", **faults)
 
-    filter_doc = _section(doc, "filter")
-    particles = _get(filter_doc, "particles", "filter", int)
-    modes = _get(filter_doc, "variants", "filter", list)
+    filt = _fields(
+        sections["filter"], "filter",
+        {"particles": int, "variants": list, "alphas": list},
+        {"resample_threshold": float, "h1_zero_std": float},
+    )
+    modes = filt.pop("variants")
     for m in modes:
         if m not in HYPOTHESIS_MODES:
             _fail("filter.variants", f"unknown variant {m!r}; expected one of {HYPOTHESIS_MODES}")
-    alphas = tuple(
-        _finite(a, f"filter.alphas[{i}]")
-        for i, a in enumerate(_get(filter_doc, "alphas", "filter", list))
-    )
-    for i, a in enumerate(alphas):
+    levels = [_finite(a, f"filter.alphas[{i}]") for i, a in enumerate(filt.pop("alphas"))]
+    if not levels:
+        _fail("filter.alphas", "needs at least one level")
+    for i, a in enumerate(levels):
         if not (0.0 < a < 1.0):
             _fail("filter.alphas", f"levels must lie strictly in (0, 1), got {a}")
         # A run's files are named by its level's label, so two levels with
         # one label would overwrite each other's files.
-        twin = next((b for b in alphas[:i] if b != a and f"{b:g}" == f"{a:g}"), None)
+        twin = next((b for b in levels[:i] if b != a and f"{b:g}" == f"{a:g}"), None)
         if twin is not None:
             _fail(f"filter.alphas[{i}]", f"level {a!r} has the label {a:g} of level {twin!r}")
-    if not alphas:
-        _fail("filter.alphas", "needs at least one level")
+    # A level written twice is one level.
+    alphas = tuple(dict.fromkeys(levels))
 
-    run_doc = _section(doc, "run")
-    horizon = _get(run_doc, "horizon", "run", int)
-    seeds = tuple(
-        _integer(s, f"run.seeds[{i}]")
-        for i, s in enumerate(_get(run_doc, "seeds", "run", list))
-    )
+    run = _fields(sections["run"], "run", {"horizon": int, "seeds": list}, {"mape_floor": float})
+    run["seeds"] = tuple(_integer(s, f"run.seeds[{i}]") for i, s in enumerate(run["seeds"]))
 
     fields = dict(
         network=network,
         schedule=schedule,
-        horizon=horizon,
-        particles=particles,
         loops=loops,
         gnss_spec=gnss_spec,
         fault_config=fault_config,
@@ -255,15 +234,8 @@ def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
                 for a in ((None,) if m == "none" else alphas)
             )
         ),
-        seeds=seeds,
-        **_optional(
-            filter_doc,
-            "filter",
-            resample_threshold=float,
-            np_mass_normalized=bool,
-            h1_zero_std=float,
-        ),
-        **_optional(run_doc, "run", mape_floor=float),
+        **filt,
+        **run,
         alphas=alphas,
         raw=_as_plain(doc),
     )
@@ -272,13 +244,29 @@ def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
     except ConfigurationError as exc:
         # The config's own checks name the field; give it its section.
         field, _, message = str(exc).partition(": ")
-        _fail(f"{_CONFIG_SECTIONS[field]}.{field}", message)
+        _fail(f"{'run' if field in run else 'filter'}.{field}", message)
+
+
+class _ScenarioLoader(yaml.SafeLoader):
+    """The safe YAML loader, refusing a key written twice in one mapping
+    (``safe_load`` keeps the last one)."""
+
+    def construct_mapping(self, node, deep=False):
+        own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        keys = [self.construct_object(key, deep=deep) for key in own]
+        for i, key in enumerate(keys):
+            # A list, not a set: an unhashable key is the base class's error.
+            if key in keys[:i]:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"key {key!r} is repeated", own[i].start_mark
+                )
+        return super().construct_mapping(node, deep=deep)
 
 
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
-        doc = yaml.safe_load(path.read_text())
+        doc = yaml.load(path.read_text(), _ScenarioLoader)
     except FileNotFoundError:
         raise ConfigurationError(f"scenario file not found: {path}") from None
     except OSError as exc:

@@ -66,34 +66,24 @@ def _log_pdf_of_z(z, std):
 @dataclass(frozen=True)
 class LoopDetectors:
     """The loop detectors, one on each of ``links``, with one noise model:
-    relative to the true density unless an absolute std is given (default:
-    10% relative)."""
+    Gaussian noise relative to the true density, whose null model's std is
+    floored at ``min_std``."""
 
     links: tuple[int, ...]
-    noise_frac: float | None = None
-    noise_abs: float | None = None
+    noise_frac: float = 0.10
     min_std: float = 0.002
 
     def __post_init__(self) -> None:
-        if self.noise_frac is not None and self.noise_abs is not None:
-            raise ConfigurationError(
-                "at most one of noise_frac / noise_abs may be set for the loop detectors"
-            )
-        if self.noise_frac is None and self.noise_abs is None:
-            object.__setattr__(self, "noise_frac", 0.10)
-        chosen = self.noise_frac if self.noise_frac is not None else self.noise_abs
-        if chosen < 0.0:
+        if self.noise_frac < 0.0:
             raise ConfigurationError("loop detector noise must be nonnegative")
         if self.min_std <= 0.0:
             raise ConfigurationError("loop detector min_std must be positive")
 
     @property
-    def std_rule(self) -> tuple[float, float, float]:
-        """``(frac, offset, floor)`` of the null model's std,
-        ``max(frac * density + offset, floor)``."""
-        if self.noise_abs is not None:
-            return 0.0, self.noise_abs, self.min_std
-        return self.noise_frac, 0.0, self.min_std
+    def std_rule(self) -> tuple[float, float]:
+        """``(frac, floor)`` of the null model's std, ``max(frac * density,
+        floor)``."""
+        return self.noise_frac, self.min_std
 
 
 @dataclass(frozen=True)
@@ -192,8 +182,7 @@ def sample_loop_detectors(states: np.ndarray, loops: LoopDetectors, rng: RandomS
     (K, L) ``states``: a (K, len(loops.links)) block from one normal draw of
     that shape, clamped to nonnegative."""
     true = np.asarray(states, dtype=float)[:, list(loops.links)]
-    std = loops.noise_abs if loops.noise_abs is not None else loops.noise_frac * true
-    values = true + std * rng.normal(size=true.shape)
+    values = true + loops.noise_frac * true * rng.normal(size=true.shape)
     # Unlike np.maximum(0.0, values), never writes a -0.0.
     return np.where(values > 0.0, values, 0.0)
 
@@ -258,8 +247,8 @@ class CompiledLog:
     ``pair_links``.
 
     Row columns (N,): ``steps``, ``sensor_ids`` (object), ``links``,
-    ``values``, ``faulty`` and ``std_rules`` (3, N), each row's null-model
-    std rule ``(frac, offset, floor)``.  Speed columns (S,): ``speed_index``,
+    ``values``, ``faulty`` and ``std_rules`` (2, N), each row's null-model
+    std rule ``(frac, floor)``.  Speed columns (S,): ``speed_index``,
     each speed row's index among the rows; ``speed_pairs``, its index into
     its step's distinct links; and ``fault_log_g1``, each likelihood-ratio
     mode's fault log density.
@@ -299,8 +288,7 @@ def measurement_rows(
     mean is each particle's density on its link; a speed row's mean is each
     particle's predicted speed on its link, :func:`~gatedpf.ctm.speed_map`
     at the onramp demands ``ramp_means``, evaluated once per distinct link
-    of the step.  A row's std is its rule's ``max(frac * mean + offset,
-    floor)``.
+    of the step.  A row's std is its rule's ``max(frac * mean, floor)``.
     """
     rows, speeds, pairs = log.step(k)
     mean = particles[log.links[rows]]
@@ -308,8 +296,8 @@ def measurement_rows(
     if tested.size:
         speed = speed_map(particles, network, log.pair_links[pairs], ramp_means)
         mean[tested] = speed[log.speed_pairs[speeds]]
-    frac, offset, floor = log.std_rules[:, rows, None]
-    std = np.maximum(frac * mean + offset, floor)
+    frac, floor = log.std_rules[:, rows, None]
+    std = np.maximum(frac * mean, floor)
     return log.values[rows], mean, std, tested
 
 

@@ -72,8 +72,7 @@ def sample_loop_detectors(state, loops, rng, k) -> list[Record]:
     noise = rng.normal(size=len(loops.links))
     for link, z in zip(loops.links, noise):
         true = float(state[link])
-        std = loops.noise_abs if loops.noise_abs is not None else loops.noise_frac * true
-        value = max(0.0, true + std * float(z))
+        value = max(0.0, true + loops.noise_frac * true * float(z))
         out.append(Record(k, f"loop-{link}", LOOP_DENSITY, link, value, False))
     return out
 

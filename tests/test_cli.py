@@ -29,6 +29,9 @@ def scenario_path(tmp_path) -> Path:
     return path
 
 
+TINY_YAML = yaml.safe_dump(tiny_scenario_dict())
+
+
 def run_cli(*args) -> int:
     return main([str(a) for a in args])
 
@@ -322,6 +325,19 @@ class TestSweepAndReport:
         assert wide[0] == "variant,metric,alpha=0.01"
         assert all(line.endswith("±0.0") for line in wide[1:])
 
+    def test_repeated_level_is_one_column(self, tmp_path, capsys):
+        doc = tiny_scenario_dict()
+        doc["filter"]["variants"] = ["fisher"]
+        doc["filter"]["alphas"] = [0.1, 0.001, 0.1]
+        doc["run"].update(horizon=6, seeds=[7])
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "sweep"
+        assert run_cli("sweep", "--scenario", path, "--out", out, "--no-artifacts") == 0
+        assert "x 2 levels" in capsys.readouterr().err
+        wide = (out / "metrics.csv").read_text().splitlines()
+        assert wide[0] == "variant,metric,alpha=0.1,alpha=0.001"
+
     def test_sweep_rerun_identical(self, scenario_path, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         run_cli("sweep", "--scenario", scenario_path, "--out", out_a, "--quiet", "--no-artifacts")
@@ -491,6 +507,45 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert run_cli("simulate", "--scenario", path, "--out", out, "--quiet") == 2
         assert "sensors.loops.links[1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("filter", "np_mass_normalized", True), ("sensors.loops", "noise_abs", 0.01)],
+    )
+    def test_removed_option_exits_2(self, tmp_path, capsys, section, key, value):
+        # Neither option exists: a scenario that sets one is refused, not
+        # run as another study.
+        doc = tiny_scenario_dict()
+        node = doc
+        for part in section.split("."):
+            node = node[part]
+        node[key] = value
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--scenario", path, "--out", out, "--quiet") == 2
+        assert f"{section}.{key}: unknown field" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, key, line",
+        [
+            # A section written twice at the top level: the second one would
+            # silently replace the first.
+            (TINY_YAML + "run: {horizon: 5, seeds: [1]}\n", "run", TINY_YAML.count("\n") + 1),
+            ("filter:\n  particles: 400\n  particles: 10\n", "particles", 3),
+        ],
+        ids=["top_level", "nested"],
+    )
+    def test_repeated_key_exits_2(self, tmp_path, capsys, text, key, line):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--scenario", path, "--out", out, "--quiet") == 2
+        err = capsys.readouterr().err
+        assert f"key {key!r} is repeated" in err
+        assert f"line {line}," in err
         assert not out.exists()
 
     def test_config_error_maps_to_exit_2(self, tmp_path):
@@ -743,9 +798,8 @@ def accepted_scenario(draw) -> dict:
         "links": draw(st.lists(st.integers(0, len(links) - 1), unique=True)),
         "min_std": draw(log_uniform(1e-9, 0.1)),
     }
-    noise = draw(st.sampled_from(["noise_frac", "noise_abs", None]))
-    if noise is not None:
-        loops[noise] = draw(st.floats(0.0, 0.5))
+    if draw(st.booleans()):
+        loops["noise_frac"] = draw(st.floats(0.0, 0.5))
     speed_std = draw(st.floats(0.1, 50.0))
     return {
         "network": {
@@ -782,7 +836,6 @@ def accepted_scenario(draw) -> dict:
                 )
             ),
             "resample_threshold": draw(st.floats(0.01, 1.0)),
-            "np_mass_normalized": draw(st.booleans()),
             "h1_zero_std": draw(log_uniform(1e-3, 10.0)),
         },
         "run": {"horizon": horizon, "seeds": [draw(st.integers(0, 2**32 - 1))]},

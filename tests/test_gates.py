@@ -33,11 +33,9 @@ def first_row(kind, columns, alpha):
     )
 
 
-def lr_row(ens, g0, g1, alpha=0.05, normalized_mass=False):
+def lr_row(ens, g0, g1, alpha=0.05):
     """Likelihood-ratio test of one measurement from per-particle densities."""
-    return first_row(
-        NP, likelihood_ratio_test(ens.weights, log_rows(g0), log_rows(g1), normalized_mass), alpha
-    )
+    return first_row(NP, likelihood_ratio_test(ens.weights, log_rows(g0), log_rows(g1)), alpha)
 
 
 def significance_row(ens, value, mean=None, scale=1.0, alpha=0.05):
@@ -143,14 +141,6 @@ class TestNpGate:
         assert decision.auxiliary == 0.0
         assert not decision.rejected_h0
 
-    def test_normalized_mass_variant(self):
-        ens = scalar_ensemble([1.0, 2.0, 3.0])
-        decision = lr_row(
-            ens, [0.3, 0.2, 0.1], [0.4, 0.1, 0.05], alpha=0.2, normalized_mass=True
-        )
-        assert decision.statistic == pytest.approx(0.3 / 0.6, rel=1e-12)
-        assert not decision.rejected_h0
-
     @given(
         st.floats(min_value=1e-4, max_value=0.5),
         st.floats(min_value=1e-4, max_value=0.49),
@@ -172,16 +162,13 @@ class TestNpGate:
         ens = scalar_ensemble(np.arange(40.0), weights=weights / weights.sum())
         log_g0 = rng.normal(-2.0, 3.0, (7, 40))
         log_g1 = rng.normal(-3.0, 1.0, (7, 1))
-        for normalized in (False, True):
-            joint = likelihood_ratio_test(ens.weights, log_g0, log_g1, normalized)
-            rejected = level_rule(NP, *joint, 0.05)
-            for i in range(7):
-                one = likelihood_ratio_test(
-                    ens.weights, log_g0[i : i + 1], log_g1[i : i + 1], normalized
-                )
-                assert joint[0][i] == one[0][0]
-                assert joint[1][i] == one[1][0]
-                assert rejected[i] == level_rule(NP, *one, 0.05)[0]
+        joint = likelihood_ratio_test(ens.weights, log_g0, log_g1)
+        rejected = level_rule(NP, *joint, 0.05)
+        for i in range(7):
+            one = likelihood_ratio_test(ens.weights, log_g0[i : i + 1], log_g1[i : i + 1])
+            assert joint[0][i] == one[0][0]
+            assert joint[1][i] == one[1][0]
+            assert rejected[i] == level_rule(NP, *one, 0.05)[0]
 
 
 class TestFisherStatistic:
@@ -359,11 +346,10 @@ class TestLikelihoodRatioBits:
         st.sampled_from([1, 2, 7, 8, 9, 129, 400]),
         st.integers(min_value=0, max_value=6),
         st.booleans(),
-        st.booleans(),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=300, deadline=None)
-    def test_statistic_equals_row_by_row_sum(self, n, k, per_particle, mass_normalized, seed):
+    def test_statistic_equals_row_by_row_sum(self, n, k, per_particle, seed):
         # The statistic as it once was computed, one row at a time over the
         # favoring particles only, on rows no particle favors (0), all favor
         # (1) and, past P = 1, mostly some but not all favor.
@@ -378,33 +364,10 @@ class TestLikelihoodRatioBits:
         mass = weights * np.exp(log_g0)
         favors = log_g1 > log_g0
         expected = np.array([np.sum(m[f]) for m, f in zip(mass, favors)], dtype=float)
-        if mass_normalized:
-            total = np.array([np.sum(m) for m in mass], dtype=float)
-            expected = expected / total
-        statistic, auxiliary = likelihood_ratio_test(weights, log_g0, log_g1, mass_normalized)
+        statistic, auxiliary = likelihood_ratio_test(weights, log_g0, log_g1)
         assert statistic.tobytes() == expected.tobytes()
         assert auxiliary.tolist() == np.count_nonzero(favors, axis=1).tolist()
         assert auxiliary[:2].tolist() == [0.0, n]
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_normalized_statistic_of_an_overflowing_null_mass(self):
-        # exp(800) overflows, so the favoring and the total mass are both
-        # infinite: the ratio comes from masses rescaled by the row's
-        # largest log mass instead of inf / inf = NaN.
-        statistic, auxiliary = likelihood_ratio_test(
-            np.array([0.5, 0.5]), np.array([[800.0, 800.0]]), np.array([[900.0]]), True
-        )
-        assert statistic.tolist() == [1.0]
-        assert not level_rule(NP, statistic, auxiliary, 0.05)[0]
-        weights = np.array([0.25, 0.75])
-        log_g0 = np.array([[800.0, 700.0], [1.0, 2.0]])
-        log_g1 = np.array([[750.0], [1.5]])
-        statistic, auxiliary = likelihood_ratio_test(weights, log_g0, log_g1, True)
-        # Only particle 1 favors H1: 0.75 e^700 / (0.25 e^800 + 0.75 e^700).
-        assert statistic[0] == pytest.approx(3.0 * math.exp(-100.0), rel=1e-12)
-        assert level_rule(NP, statistic, auxiliary, 0.05).tolist() == [True, False]
-        mass = weights * np.exp(log_g0[1])
-        assert statistic[1] == mass[0] / np.sum(mass)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_null_mass_is_infinite_unnormalized(self):
@@ -415,14 +378,13 @@ class TestLikelihoodRatioBits:
         assert not level_rule(NP, statistic, auxiliary, 0.05)[0]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("mass_normalized", [False, True])
-    def test_zero_weight_particle_whose_null_mass_overflows(self, mass_normalized):
+    def test_zero_weight_particle_whose_null_mass_overflows(self):
         # 0 * exp(800) would be NaN: the zero-weight particle carries no
-        # mass, so only particle 1's mass e^-5 counts, whole or normalized.
+        # mass, so only particle 1's mass e^-5 counts.
         statistic, auxiliary = likelihood_ratio_test(
-            np.array([1.0, 0.0]), np.array([[-5.0, 800.0]]), np.array([[900.0]]), mass_normalized
+            np.array([1.0, 0.0]), np.array([[-5.0, 800.0]]), np.array([[900.0]])
         )
-        assert statistic.tolist() == [1.0 if mass_normalized else math.exp(-5.0)]
+        assert statistic.tolist() == [math.exp(-5.0)]
         assert auxiliary.tolist() == [2.0]
 
 
@@ -435,13 +397,12 @@ class TestLevelRule:
     @given(
         st.integers(min_value=1, max_value=9),
         st.integers(min_value=0, max_value=5),
-        st.booleans(),
         st.integers(min_value=0, max_value=2**32 - 1),
         st.floats(min_value=1e-6, max_value=0.999),
         st.floats(min_value=1e-6, max_value=0.999),
     )
     @settings(max_examples=200, deadline=None)
-    def test_reproduces_rejected_at_any_level(self, n, k, mass_normalized, seed, alpha, beta):
+    def test_reproduces_rejected_at_any_level(self, n, k, seed, alpha, beta):
         rng = np.random.default_rng(seed)
         weights = rng.random(n)
         weights[rng.random(n) < 0.3] = 0.0
@@ -466,15 +427,14 @@ class TestLevelRule:
         positive = weights > 0.0
         columns = {
             "fisher": significance_test(weights, z),
-            "np_correct": likelihood_ratio_test(weights, log_g0, log_g1, mass_normalized),
+            "np_correct": likelihood_ratio_test(weights, log_g0, log_g1),
         }
-        config = SimpleNamespace(np_mass_normalized=mass_normalized)
         log = SimpleNamespace(fault_log_g1={"np_correct": log_g1[:, 0]})
         for mode, (statistic, auxiliary) in columns.items():
             for level in (alpha, beta):
                 variant = harness.FilterVariant(mode, level)
                 gate_statistic, gate_auxiliary, rejected = harness._run_gate(
-                    config, variant, weights, z, log_g0, log, slice(None)
+                    variant, weights, z, log_g0, log, slice(None)
                 )
                 assert gate_statistic.tobytes() == statistic.tobytes()
                 assert gate_auxiliary.tobytes() == auxiliary.tobytes()
@@ -492,7 +452,7 @@ class TestLevelRule:
                 assert rejected[2:4].all()
         lr, fisher = columns["np_correct"], columns["fisher"]
         assert lr[1][0] == 0.0
-        assert lr[0][1] == np.inf or mass_normalized
+        assert lr[0][1] == np.inf
         assert fisher[1][1] == np.inf and fisher[0][1] == 0.0
 
 

@@ -270,12 +270,12 @@ class TestFilterLoop:
                 for m in ms:
                     if m.kind == GNSS_SPEED:
                         row = speed_map(prior.particles, config.network, [m.link], ramp_means)[0]
-                        frac, offset, floor = gnss.noise_frac, 0.0, gnss.min_std
+                        frac, floor = gnss.noise_frac, gnss.min_std
                     else:
                         row = prior.particles[m.link]
-                        frac, offset, floor = config.loops.std_rule
+                        frac, floor = config.loops.std_rule
                     mean_rows.append(row)
-                    std_rows.append(np.maximum(frac * row + offset, floor))
+                    std_rows.append(np.maximum(frac * row, floor))
                 values = np.array([m.value for m in ms])
                 z, log_g0 = standardize(values, np.array(mean_rows), np.array(std_rows))
                 rejected = np.zeros(len(ms), dtype=bool)
@@ -288,7 +288,7 @@ class TestFilterLoop:
                             values[tested], variant.mode, config.fault_config, config.h1_zero_std
                         )
                         statistic, auxiliary = likelihood_ratio_test(
-                            prior.weights, log_g0[tested], log_g1[:, None], config.np_mass_normalized
+                            prior.weights, log_g0[tested], log_g1[:, None]
                         )
                     gate_rejected = level_rule(
                         variant.kind, statistic, auxiliary, variant.alpha
@@ -505,7 +505,7 @@ class TestCompileLog:
         assert log.pair_links.tolist() == [0, 1, 0, 2]
         assert log.speed_pairs.tolist() == [1, 1, 0, 1, 0, 1]
         gnss, loops = config.gnss_spec, config.loops
-        speed_rule = [gnss.noise_frac, 0.0, gnss.min_std]
+        speed_rule = [gnss.noise_frac, gnss.min_std]
         expected = [
             speed_rule if m.kind == GNSS_SPEED else list(loops.std_rule) for m in ordered
         ]

@@ -3,9 +3,14 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gatedpf.ctm import DemandProfile, FreewayNetwork, LinkParams
 from gatedpf.errors import ConfigurationError
@@ -299,10 +304,74 @@ class TestStudyGrid:
             ("none", None), ("fisher", 0.001), ("fisher", 0.01), ("fisher", 0.1)
         ]
 
-    def test_run_out_is_not_read(self):
+    def test_run_out_is_refused(self):
+        # The output directory is the command's --out, never the scenario's.
         doc = tiny_scenario_dict()
         doc["run"]["out"] = 5
-        assert not hasattr(scenario_from_dict(doc), "out_dir")
+        message = r"^run\.out: unknown field; run takes horizon, seeds, mape_floor$"
+        with pytest.raises(ConfigurationError, match=message):
+            scenario_from_dict(doc)
+
+
+def full_scenario_dict():
+    """``tiny_scenario_dict`` with a mapping at every place a scenario can
+    hold one: onramps with a default profile and an override."""
+    doc = tiny_scenario_dict()
+    doc["network"]["onramp_priority"] = 0.5
+    doc["network"]["links"][0]["onramp"] = True
+    doc["network"]["links"][1]["onramp"] = True
+    profile = {"base": 0.2, "peak": 0.4, "rise": [50.0, 150.0], "fall": [400.0, 500.0]}
+    doc["demand"]["onramp_default"] = profile
+    doc["demand"]["onramp_overrides"] = {1: dict(profile, noise_frac=0.1)}
+    return doc
+
+
+def mappings(doc, path=""):
+    """``(path, mapping)`` of every mapping in ``doc``, itself first."""
+    found = [(path, doc)]
+    for key, value in doc.items():
+        where = f"{path}.{key}" if path else str(key)
+        if isinstance(value, dict):
+            found += mappings(value, where)
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                if isinstance(item, dict):
+                    found += mappings(item, f"{where}[{i}]")
+    return found
+
+
+class TestUnknownKeys:
+    def test_every_mapping_is_reached(self):
+        paths = [path for path, _ in mappings(full_scenario_dict())]
+        assert paths == [
+            "", "network", "network.links[0]", "network.links[1]", "network.links[2]",
+            "demand", "demand.upstream", "demand.onramp_default", "demand.onramp_overrides",
+            "demand.onramp_overrides.1", "sensors", "sensors.loops", "sensors.gnss",
+            "sensors.faults", "filter", "run",
+        ]
+        scenario_from_dict(full_scenario_dict())
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), key=st.from_regex(r"[a-z_]{1,12}", fullmatch=True))
+    def test_unknown_key_is_refused_naming_its_path(self, data, key):
+        # Any name that no mapping of a scenario and no model type uses, in
+        # any mapping; an override's key must name a link with an onramp.
+        doc = full_scenario_dict()
+        models = (LinkParams, FreewayNetwork, DemandProfile, LoopDetectors, GnssSpec, FaultConfig)
+        names = {f.name for model in models + (ExperimentConfig,) for f in dataclasses.fields(model)}
+        assume(key not in names.union(*(mapping for _, mapping in mappings(doc))))
+        path, mapping = data.draw(st.sampled_from(mappings(doc)))
+        mapping[key] = 1.0
+        where = re.escape(f"{path}.{key}" if path else key)
+        with pytest.raises(ConfigurationError, match=rf"^{where}: (unknown field|not a link with an onramp)"):
+            scenario_from_dict(doc)
+        from gatedpf.cli import main
+
+        with tempfile.TemporaryDirectory() as tmp:
+            scenario, out = Path(tmp) / "scenario.yaml", Path(tmp) / "out"
+            scenario.write_text(yaml.safe_dump(doc))
+            assert main(["sweep", "--scenario", str(scenario), "--out", str(out), "--quiet"]) == 2
+            assert not out.exists()
 
 
 def bare_scenario_dict():
@@ -320,14 +389,8 @@ def bare_scenario_dict():
 
 
 def defaulted_fields(model):
-    """``{name: default}`` of the fields of ``model`` that a document can
-    state: those with a default other than ``None`` (a ``None`` default
-    means the field is absent, which a document says by omitting it)."""
-    return {
-        f.name: f.default
-        for f in dataclasses.fields(model)
-        if f.default is not dataclasses.MISSING and f.default is not None
-    }
+    """``{name: default}`` of the fields of ``model`` that have a default."""
+    return {f.name: f.default for f in dataclasses.fields(model) if f.default is not dataclasses.MISSING}
 
 
 class TestDefaults:

@@ -37,10 +37,11 @@ from test_harness import micro_config
 
 
 class TestSpecs:
-    def test_loop_spec_noise_exclusivity(self):
+    def test_loop_spec_bounds(self):
         with pytest.raises(ConfigurationError):
-            LoopDetectors(links=(0,), noise_frac=0.1, noise_abs=0.01)
-        assert LoopDetectors(links=(0,)).noise_frac == 0.10  # default is relative
+            LoopDetectors(links=(0,), noise_frac=-0.1)
+        with pytest.raises(ConfigurationError):
+            LoopDetectors(links=(0,), min_std=0.0)
 
     def test_gnss_spec_bounds(self):
         with pytest.raises(ConfigurationError):
@@ -81,7 +82,7 @@ class TestLoopSampling:
 
     def test_negative_draws_clamped(self):
         states = np.full((500, 1), 0.001)
-        loops = LoopDetectors(links=(0,), noise_abs=0.05)
+        loops = LoopDetectors(links=(0,), noise_frac=1.0)
         values = sample_loop_detectors(states, loops, RandomSource(2))
         assert values.min() == 0.0  # clamping visibly active at this noise level
         assert np.all(values >= 0.0)
@@ -163,7 +164,7 @@ class TestFaultInjection:
 
 
 GENERATED = dict(
-    horizon=6, loop_links=[2, 0], loop_noise_abs=0.01, penetration=0.3, noise_frac=0.2,
+    horizon=6, loop_links=[2, 0], loop_noise_frac=0.5, penetration=0.3, noise_frac=0.2,
     probability=0.4, zero_weight=0.5, seed=3,
 )
 
@@ -175,7 +176,7 @@ class TestGeneratedLog:
     @given(
         horizon=st.integers(1, 10),
         loop_links=st.lists(st.integers(0, 3), unique=True),
-        loop_noise_abs=st.sampled_from([None, 0.0, 0.01, 0.05]),
+        loop_noise_frac=st.sampled_from([0.0, 0.1, 0.5, 3.0]),
         penetration=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
         noise_frac=st.sampled_from([0.0, 0.2, 3.0]),
         probability=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
@@ -187,10 +188,10 @@ class TestGeneratedLog:
     @example(**dict(GENERATED, penetration=1.0, probability=1.0))
     @example(**dict(GENERATED, probability=0.0))
     @example(**dict(GENERATED, loop_links=[]))
-    @example(**dict(GENERATED, loop_links=[1, 3], loop_noise_abs=None))
+    @example(**dict(GENERATED, loop_links=[1, 3], loop_noise_frac=0.1))
     @settings(max_examples=60, deadline=None)
     def test_writes_the_reference_bytes(
-        self, horizon, loop_links, loop_noise_abs, penetration, noise_frac, probability, zero_weight, seed
+        self, horizon, loop_links, loop_noise_frac, penetration, noise_frac, probability, zero_weight, seed
     ):
         # Truth states with empty links, so zero counts and clamped loop
         # readings occur; the speeds are any nonnegative values.
@@ -201,7 +202,7 @@ class TestGeneratedLog:
         args = (
             truth,
             small_network(4),
-            LoopDetectors(links=tuple(loop_links), noise_abs=loop_noise_abs),
+            LoopDetectors(links=tuple(loop_links), noise_frac=loop_noise_frac),
             GnssSpec(penetration=penetration, noise_frac=noise_frac),
             FaultConfig(probability=probability, zero_weight=zero_weight),
             RandomSource(seed),
@@ -239,13 +240,15 @@ class TestMeasurementModels:
         np.testing.assert_allclose(std, [[0.005, 0.002]])  # floor binds on particle 2
         assert values.tolist() == [0.04] and tested.size == 0
 
-    def test_loop_model_absolute_noise(self):
-        loops = LoopDetectors(links=(0,), noise_abs=0.004, min_std=0.002)
+    def test_loop_model_noise_floor(self):
+        # The std is the relative noise where it exceeds the floor, and the
+        # floor at an empty link or under a small enough noise fraction.
+        loops = LoopDetectors(links=(0,), noise_frac=0.08, min_std=0.002)
         loop = Record(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.04, faulty=False)
         _, mean, std, _ = step_rows([loop], np.array([[0.05, 0.0]]), small_network(1), loops=loops)
         np.testing.assert_array_equal(mean, [[0.05, 0.0]])
-        np.testing.assert_array_equal(std, [[0.004, 0.004]])
-        floored = LoopDetectors(links=(0,), noise_abs=0.001, min_std=0.002)
+        np.testing.assert_array_equal(std, [[0.08 * 0.05, 0.002]])
+        floored = LoopDetectors(links=(0,), noise_frac=0.02, min_std=0.002)
         _, _, std, _ = step_rows([loop], np.array([[0.05]]), small_network(1), loops=floored)
         np.testing.assert_array_equal(std, [[0.002]])
 
