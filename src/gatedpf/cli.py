@@ -220,6 +220,9 @@ def main(argv=None) -> int:
     except (ConfigurationError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 2
     except WeightCollapseError as exc:
         print(f"weight collapse: {exc}", file=sys.stderr)
         return 3

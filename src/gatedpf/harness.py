@@ -88,6 +88,11 @@ STREAM_FILTER_RESAMPLE = 5
 
 logger = logging.getLogger(__name__)
 
+# numpy shapes an array only while its size in bytes fits a signed
+# pointer-sized integer (2**63 - 1 on 64-bit builds): the most float64
+# elements one array can hold.
+_MAX_FLOATS = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
 # A run's gate decisions, one element per tested speed report; the field
 # names are the decision log's columns.
 DECISION_DTYPE = np.dtype(
@@ -187,6 +192,19 @@ class ExperimentConfig:
             raise ConfigurationError("particles: must be at least 2")
         if self.horizon < 1:
             raise ConfigurationError("horizon: must be at least 1")
+        # The largest arrays these size: the (L, P) particle block and the
+        # (horizon + 1, L) truth trajectory.
+        most = _MAX_FLOATS // self.network.n_links
+        if self.particles > most:
+            raise ConfigurationError(
+                f"particles: must be at most {most}, the most particles whose "
+                "(L, P) float64 block numpy can shape"
+            )
+        if self.horizon >= most:
+            raise ConfigurationError(
+                f"horizon: must be at most {most - 1}, the longest horizon whose "
+                "(horizon + 1, L) float64 trajectory numpy can shape"
+            )
         if not self.seeds:
             raise ConfigurationError("seeds: needs at least one seed")
         # A random stream keys on the seed modulo 2**64, and each seed is one
@@ -416,29 +434,75 @@ def compile_log(config: ExperimentConfig, log: MeasurementLog) -> CompiledLog:
     )
 
 
+def filter_step(
+    config: ExperimentConfig,
+    log: CompiledLog,
+    variant: FilterVariant,
+    ensemble: ParticleEnsemble,
+    k: int,
+    rng_demand: RandomSource,
+    rng_resample: RandomSource,
+) -> tuple[ParticleEnsemble, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
+    """Step ``k`` of a filter run of ``config`` over a compiled log.
+
+    Predict the ensemble through the traffic model on the step's own demand
+    draw, read the step's rows off the compiled columns against the prior,
+    gate the speed reports, assimilate the accepted measurements (a step
+    with none keeps its prior), take the posterior mean, and resample when
+    the effective sample size falls below the configured fraction.  Returns
+    the next ensemble, the posterior mean, and the gate's ``(statistic,
+    auxiliary, rejected)`` columns on the step's speed rows, or ``None``
+    when the step gated nothing.  Assimilated measurements that no particle
+    explains raise :class:`WeightCollapseError` carrying ``k`` and their
+    sensor ids.
+    """
+    network, demand = config.network, config.demand_table
+    # The filter embeds the truth's traffic model but draws its own demand
+    # noise, which is what spreads the particles.
+    upstream, ramps = config.schedule.sample(k - 1, rng_demand, config.particles, demand)
+    prior = posterior = predict(ensemble, advance(ensemble.particles, network, upstream, ramps))
+    gate = None
+    rows, speeds, _ = log.step(k)
+    if rows.start < rows.stop:
+        values, mean, std, tested = measurement_rows(log, k, prior.particles, network, demand[k, 0, 1:])
+        z, log_g0 = standardize(values, mean, std)
+        accepted = np.ones(len(values), dtype=bool)
+        # Speed reports are gated; first-party loop detectors never are.
+        if variant.mode != "none" and tested.size:
+            gate = _run_gate(variant, prior.weights, z[tested], log_g0[tested], log, speeds)
+            accepted[tested] = ~gate[2]
+        if accepted.any():
+            try:
+                posterior, _ = weight_update(prior, log_g0[accepted])
+            except WeightCollapseError as exc:
+                assimilated = log.sensor_ids[rows][accepted].tolist()
+                raise WeightCollapseError(
+                    f"step {k}: no particle explains the assimilated measurements {assimilated}",
+                    k=k,
+                    sensor_ids=assimilated,
+                ) from exc
+    estimate = posterior_mean(posterior)
+    if effective_sample_size(posterior) < config.resample_threshold * config.particles:
+        posterior = resample_systematic(posterior, rng_resample)
+    return posterior, estimate, gate
+
+
 def run_traffic_filter(
     config: ExperimentConfig,
     measurements: MeasurementLog | CompiledLog,
     variant: FilterVariant,
     rng: RandomSource,
 ) -> FilterRunResult:
-    """Run one gated filter over a measurement log.
+    """Run one gated filter over a measurement log: :func:`filter_step` for
+    k = 1 .. horizon - 1 from ``config.initial_state``.
 
     ``measurements`` is a log compiled for ``config`` by
     :func:`compile_log`, or a :class:`MeasurementLog`, which is compiled on
     entry (so a row the scenario cannot assimilate raises
     :class:`DataError`); a log compiled for another horizon or link count
-    raises :class:`ConfigurationError`.  Per step: predict the ensemble
-    through the traffic model, read the step's rows off the compiled
-    columns against the predicted ensemble, gate the speed reports,
-    assimilate the accepted measurements, record the posterior mean, and
-    resample when the effective sample size falls below the configured
-    fraction.  Each step
-    writes the gate's outcomes into per-run columns at its speed rows, and
-    one join after the last step adds each row's report and label (see
-    :class:`FilterRunResult`).  A step whose assimilated measurements no
-    particle explains raises :class:`WeightCollapseError` carrying the step
-    ``k`` and those measurements' sensor ids.
+    raises :class:`ConfigurationError`.  Each step writes its gate's
+    outcomes beside its speed rows' reports and labels (see
+    :class:`FilterRunResult`).
     """
     log = measurements if isinstance(measurements, CompiledLog) else compile_log(config, measurements)
     if (log.horizon, log.n_links) != (config.horizon, config.network.n_links):
@@ -446,72 +510,29 @@ def run_traffic_filter(
             f"measurement log compiled for horizon {log.horizon} on {log.n_links} links, "
             f"but the scenario has horizon {config.horizon} on {config.network.n_links} links"
         )
-    network, schedule, demand = config.network, config.schedule, config.demand_table
     ensemble = ParticleEnsemble.from_states(
         np.repeat(config.initial_state[:, None], config.particles, axis=1)
     )
     rng_demand = rng.derive(STREAM_FILTER_DEMAND)
     rng_resample = rng.derive(STREAM_FILTER_RESAMPLE)
-
-    def transition(states: np.ndarray, rng: RandomSource) -> np.ndarray:
-        # The filter embeds the truth's traffic model but draws its own
-        # demand noise, which is what spreads the particles; reads the
-        # current step ``k`` of the loop below.
-        upstream, ramps = schedule.sample(k - 1, rng, states.shape[1], demand)
-        return advance(states, network, upstream, ramps)
-
-    estimates = np.empty((config.horizon - 1, network.n_links))
-    # The gate's outcome on each speed row of the log; a completed gated run
-    # fills every row.
-    n_speeds = len(log.speed_index)
-    statistic, auxiliary = np.empty(n_speeds), np.empty(n_speeds)
-    gate_rejected = np.empty(n_speeds, dtype=bool)
-
+    estimates = np.empty((config.horizon - 1, config.network.n_links))
+    decisions = np.empty(0, DECISION_DTYPE)
+    if variant.mode != "none":
+        index = log.speed_index
+        decisions = np.empty(len(index), DECISION_DTYPE)
+        decisions["k"] = log.steps[index]
+        decisions["sensor_id"] = log.sensor_ids[index]
+        decisions["link"] = log.links[index]
+        decisions["test_kind"] = variant.kind.value
+        decisions["alpha"] = variant.alpha
+        decisions["faulty"] = log.faulty[index]
     for k in range(1, config.horizon):
-        prior = posterior = predict(ensemble, transition, rng_demand)
-        rows, speeds, _ = log.step(k)
-        if rows.start < rows.stop:
-            values, mean, std, tested = measurement_rows(
-                log, k, prior.particles, network, demand[k, 0, 1:]
-            )
-            z, log_g0 = standardize(values, mean, std)
-            accepted = np.ones(len(values), dtype=bool)
-            # Speed reports are gated; loop detectors are first-party and
-            # never are.
-            if variant.mode != "none" and tested.size:
-                statistic[speeds], auxiliary[speeds], gate_rejected[speeds] = _run_gate(
-                    variant, prior.weights, z[tested], log_g0[tested], log, speeds
-                )
-                accepted[tested] = ~gate_rejected[speeds]
-            # A step whose every row is rejected keeps its prior.
-            if accepted.any():
-                try:
-                    posterior, _ = weight_update(prior, log_g0[accepted])
-                except WeightCollapseError as exc:
-                    assimilated = log.sensor_ids[rows][accepted].tolist()
-                    raise WeightCollapseError(
-                        f"step {k}: no particle explains the assimilated measurements {assimilated}",
-                        k=k,
-                        sensor_ids=assimilated,
-                    ) from exc
-        estimates[k - 1] = posterior_mean(posterior)
-        if effective_sample_size(posterior) < config.resample_threshold * config.particles:
-            posterior = resample_systematic(posterior, rng_resample)
-        ensemble = posterior
-    if variant.mode == "none":
-        return FilterRunResult(estimates=estimates, decisions=np.empty(0, DECISION_DTYPE))
-    # Join the gate's columns with each speed row's report and label.
-    index = log.speed_index
-    decisions = np.empty(n_speeds, DECISION_DTYPE)
-    decisions["k"] = log.steps[index]
-    decisions["sensor_id"] = log.sensor_ids[index]
-    decisions["link"] = log.links[index]
-    decisions["test_kind"] = variant.kind.value
-    decisions["statistic"] = statistic
-    decisions["alpha"] = variant.alpha
-    decisions["rejected"] = gate_rejected
-    decisions["auxiliary"] = auxiliary
-    decisions["faulty"] = log.faulty[index]
+        ensemble, estimates[k - 1], gate = filter_step(
+            config, log, variant, ensemble, k, rng_demand, rng_resample
+        )
+        if gate is not None:
+            step = decisions[log.step(k)[1]]
+            step["statistic"], step["auxiliary"], step["rejected"] = gate
     return FilterRunResult(estimates=estimates, decisions=decisions)
 
 

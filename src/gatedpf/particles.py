@@ -4,7 +4,7 @@ The ensemble is the filter's entire state: ``P`` sampled state vectors with
 normalized weights approximating the filtering distribution.  The states
 form an (N, P) block, one column per particle (the particle axis last, as in
 the model's (L, P) density blocks and the gates' (M, P) rows).  Prediction
-pushes the whole block through a stochastic transition in one call, and the
+moves the whole ensemble to the successor block of one model step, and the
 weight update adds one log-likelihood row per assimilated measurement to the
 log weights and renormalizes, returning the posterior together with the log
 of the marginal likelihood of those measurements.
@@ -21,14 +21,13 @@ Ensembles are validated where their arrays come from outside this module:
 the weight sum and keep read-only copies.  ``predict``, ``weight_update``
 and ``resample_systematic`` build their results from arrays they computed
 themselves, read-only and without a second check; of what they are given,
-``predict`` checks the transition's output (shape and finiteness) and
+``predict`` checks the successor block (shape and finiteness) and
 ``weight_update`` the likelihood rows (shape, and a finite normalizer).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -40,8 +39,6 @@ WEIGHT_SUM_TOL = 1e-12
 # |max log weight| beyond which the peak is subtracted before exponentiating.
 # Inside this range the weights are literally prior weight * likelihood.
 _RESCALE_LOG = 600.0
-
-Transition = Callable[[np.ndarray, RandomSource], np.ndarray]
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -116,22 +113,19 @@ class ParticleEnsemble:
         return cls(states, weights)
 
 
-def predict(
-    ensemble: ParticleEnsemble, transition: Transition, rng: RandomSource
-) -> ParticleEnsemble:
-    """Propagate the whole particle block through a stochastic transition.
+def predict(ensemble: ParticleEnsemble, states) -> ParticleEnsemble:
+    """The ensemble moved to ``states``, the (N, P) block of each column's
+    successor draw; weights and particle order are untouched.
 
-    ``transition(states, rng)`` maps the (N, P) block to one independent
-    successor draw per column; weights and particle order are untouched.  It
-    must return a new array that it does not keep: the result holds that
-    array without a copy and makes it read-only, so a transition that
-    writes into the same buffer again fails on that write instead of
+    The caller must hand over a new array that it does not keep: the result
+    holds that array without a copy and makes it read-only, so a caller
+    that writes into the same buffer again fails on that write instead of
     changing an earlier ensemble.  The input block, or any view, is copied.
     """
-    new_states = np.asarray(transition(ensemble.particles, rng), dtype=float)
+    new_states = np.asarray(states, dtype=float)
     if new_states.shape != ensemble.particles.shape:
         raise ConfigurationError(
-            f"transition returned shape {new_states.shape}, "
+            f"successor block has shape {new_states.shape}, "
             f"expected {ensemble.particles.shape}"
         )
     if not np.isfinite(new_states).all():

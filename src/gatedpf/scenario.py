@@ -266,7 +266,9 @@ class _ScenarioLoader(yaml.SafeLoader):
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
-        doc = yaml.load(path.read_text(), _ScenarioLoader)
+        # Read from the file, which PyYAML names by its path in an error.
+        with path.open() as stream:
+            doc = yaml.load(stream, _ScenarioLoader)
     except FileNotFoundError:
         raise ConfigurationError(f"scenario file not found: {path}") from None
     except OSError as exc:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -545,8 +546,52 @@ class TestExitCodes:
         assert run_cli("sweep", "--scenario", path, "--out", out, "--quiet") == 2
         err = capsys.readouterr().err
         assert f"key {key!r} is repeated" in err
-        assert f"line {line}," in err
+        assert f'  in "{path}", line {line},' in err
+        assert "<unicode string>" not in err
         assert not out.exists()
+
+    def test_yaml_error_positions_name_the_file(self, tmp_path, capsys):
+        # An unclosed flow sequence: both of the error's positions name the
+        # scenario file.
+        path = tmp_path / "scenario.yaml"
+        path.write_text("filter:\n  alphas: [0.01, 0.1\n")
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--scenario", path, "--out", out, "--quiet") == 2
+        err = capsys.readouterr().err
+        positions = [line for line in err.splitlines() if line.startswith("  in ")]
+        assert len(positions) == 2
+        assert all(line.startswith(f'  in "{path}", line ') for line in positions)
+        assert "<unicode string>" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key", [("filter", "particles"), ("run", "horizon")])
+    def test_size_numpy_cannot_shape_exits_2(self, tmp_path, capsys, section, key):
+        # Refused on the loaded number alone: nothing of this size is
+        # allocated.
+        doc = tiny_scenario_dict()
+        doc[section][key] = 10**20
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--scenario", path, "--out", out, "--quiet", "--no-artifacts") == 2
+        err = capsys.readouterr().err
+        assert re.match(rf"error: {section}\.{key}: must be at most \d+, the (most|longest) ", err)
+        assert not out.exists()
+
+    def test_out_of_memory_exits_2(self, monkeypatch, scenario_path, tmp_path, capsys):
+        # An allocation the machine cannot serve, without making one: the
+        # study raises what numpy raises then.
+        from gatedpf import cli
+
+        def boom(*args, **kwargs):
+            raise MemoryError("Unable to allocate 175. TiB for an array with shape (24, 1000000000000)")
+
+        monkeypatch.setattr(cli, "run_experiment", boom)
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--scenario", scenario_path, "--out", out, "--quiet") == 2
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 175. TiB for an array with shape (24, 1000000000000)\n"
+        )
 
     def test_config_error_maps_to_exit_2(self, tmp_path):
         missing = tmp_path / "missing.yaml"

@@ -35,6 +35,7 @@ from gatedpf.harness import (
     TrajectoryPair,
     compile_log,
     confusion_metrics,
+    filter_step,
     generate_measurements,
     mape,
     metrics_long_text,
@@ -62,6 +63,7 @@ from gatedpf.sensing import (
     GnssSpec,
     LoopDetectors,
     fault_log_density,
+    measurement_rows,
     standardize,
 )
 
@@ -245,11 +247,6 @@ class TestFilterLoop:
 
         # Manual composition.
         ens = ParticleEnsemble.from_states(np.tile(init[:, None], (1, config.particles)))
-
-        def transition(states, rng):
-            upstream, ramps = config.schedule.sample(k - 1, rng, states.shape[1], demand)
-            return advance(states, config.network, upstream, ramps)
-
         demand = config.schedule.table(range(config.horizon))
         rng_demand = RandomSource(seed).derive(STREAM_FILTER_DEMAND)
         rng_resample = RandomSource(seed).derive(STREAM_FILTER_RESAMPLE)
@@ -261,7 +258,8 @@ class TestFilterLoop:
 
         estimates, decisions = [], []
         for k in range(1, config.horizon):
-            prior = predict(ens, transition, rng_demand)
+            upstream, ramps = config.schedule.sample(k - 1, rng_demand, config.particles, demand)
+            prior = predict(ens, advance(ens.particles, config.network, upstream, ramps))
             ms = by_step.get(k, [])
             if ms:
                 t = k * config.schedule.dt
@@ -313,6 +311,58 @@ class TestFilterLoop:
         assert result.decisions.dtype == DECISION_DTYPE
         assert result.decisions.tolist() == decisions
         assert (len(decisions) > 0) == (variant.mode != "none")
+
+    @pytest.mark.parametrize("mode", HYPOTHESIS_MODES)
+    def test_stepping_by_hand_reproduces_the_run(self, mode):
+        # filter_step taken by hand from the run's start on the run's two
+        # streams gives its estimates and every decision column bit for bit.
+        # Step 5 has no rows and step 6 loop readings only: neither gates.
+        variant = FilterVariant(mode, None if mode == "none" else 0.05)
+        config = micro_config(horizon=12, variants=(variant,))
+        records = records_of(simulate_seed(config, 5)[1])
+        records = [m for m in records if m.k != 5 and (m.k != 6 or m.kind != GNSS_SPEED)]
+        log = compile_log(config, log_of(records))
+        rows_5, (rows_6, speeds_6, _) = log.step(5)[0], log.step(6)
+        assert rows_5.start == rows_5.stop
+        assert rows_6.start < rows_6.stop and speeds_6.start == speeds_6.stop
+        result = run_traffic_filter(config, log, variant, RandomSource(5))
+
+        base = RandomSource(5)
+        rng_demand, rng_resample = base.derive(STREAM_FILTER_DEMAND), base.derive(STREAM_FILTER_RESAMPLE)
+        ensemble = ParticleEnsemble.from_states(
+            np.repeat(config.initial_state[:, None], config.particles, axis=1)
+        )
+        estimates, gates = [], []
+        for k in range(1, config.horizon):
+            ensemble, estimate, gate = filter_step(config, log, variant, ensemble, k, rng_demand, rng_resample)
+            estimates.append(estimate)
+            speeds = log.step(k)[1]
+            if mode == "none" or speeds.start == speeds.stop:
+                assert gate is None
+            else:
+                assert [len(column) for column in gate] == [speeds.stop - speeds.start] * 3
+                gates.append(gate)
+        assert bool(gates) == (mode != "none")
+        assert result.estimates.tobytes() == np.array(estimates).tobytes()
+
+        expected = np.empty(0, DECISION_DTYPE)
+        if mode != "none":
+            index = log.speed_index
+            expected = np.empty(len(index), DECISION_DTYPE)
+            expected["statistic"], expected["auxiliary"], expected["rejected"] = (
+                np.concatenate(column) for column in zip(*gates)
+            )
+            expected["k"], expected["sensor_id"], expected["link"], expected["faulty"] = (
+                log.steps[index], log.sensor_ids[index], log.links[index], log.faulty[index]
+            )
+            expected["test_kind"], expected["alpha"] = variant.kind.value, variant.alpha
+        assert len(expected) == len(result.decisions)
+        for name in DECISION_COLUMNS:
+            got, want = result.decisions[name], expected[name]
+            if got.dtype == object:
+                assert got.tolist() == want.tolist()
+            else:
+                assert got.tobytes() == want.tobytes()
 
     def test_horizon_one_runs_empty(self):
         config = micro_config(horizon=1)
@@ -386,44 +436,40 @@ class TestGatedStep:
         return log_of(records)
 
     @staticmethod
-    def _steps(monkeypatch, variant, far=True):
-        """Each step of one filter run: its prior, rows (null log densities,
-        positions of the tested rows, the gate's outcome on them) and the
-        posterior whose mean the run records."""
-        config = micro_config(horizon=8, variants=(variant,))
+    def _steps(variant, far=True):
+        """Each step of one filter run, taken with :func:`filter_step`: its
+        prior (predicted again on a twin of the run's demand stream), rows
+        (null log densities, positions of the tested rows, the gate's
+        outcome on them), gate and posterior.  The run never resamples, so
+        the ensemble a step returns is its posterior."""
+        config = dataclasses.replace(
+            micro_config(horizon=8, variants=(variant,)), resample_threshold=1e-9
+        )
+        log = compile_log(config, TestGatedStep._log(config, far))
+        base = RandomSource(5)
+        rng_demand, twin = base.derive(STREAM_FILTER_DEMAND), base.derive(STREAM_FILTER_DEMAND)
+        rng_resample = base.derive(STREAM_FILTER_RESAMPLE)
+        ensemble = ParticleEnsemble.from_states(
+            np.repeat(config.initial_state[:, None], config.particles, axis=1)
+        )
         steps = []
-        names = ("predict", "measurement_rows", "standardize", "posterior_mean")
-        calls = {name: getattr(harness, name) for name in names}
-
-        def predict(*args):
-            steps.append(SimpleNamespace(prior=calls["predict"](*args), tested=None, log_g0=None))
-            return steps[-1].prior
-
-        def measurement_rows(*args):
-            out = calls["measurement_rows"](*args)
-            steps[-1].tested = out[3]
-            return out
-
-        def standardize(*args):
-            out = calls["standardize"](*args)
-            steps[-1].log_g0 = out[1]
-            return out
-
-        def posterior_mean(ensemble):
-            steps[-1].posterior = ensemble
-            return calls["posterior_mean"](ensemble)
-
-        for name, wrapped in zip(names, (predict, measurement_rows, standardize, posterior_mean)):
-            monkeypatch.setattr(harness, name, wrapped)
-        result = run_traffic_filter(config, TestGatedStep._log(config, far), variant, RandomSource(5))
-        decisions = result.decisions
-        for k, step in enumerate(steps, start=1):
+        for k in range(1, config.horizon):
+            upstream, ramps = config.schedule.sample(k - 1, twin, config.particles, config.demand_table)
+            prior = predict(ensemble, advance(ensemble.particles, config.network, upstream, ramps))
+            ensemble, _, gate = filter_step(config, log, variant, ensemble, k, rng_demand, rng_resample)
+            step = SimpleNamespace(prior=prior, gate=gate, posterior=ensemble, tested=None, log_g0=None)
             # The step's rows the gate rejected; loop rows are never tested.
             step.rejected = None
-            if step.log_g0 is not None:
+            rows = log.step(k)[0]
+            if rows.start < rows.stop:
+                values, mean, std, step.tested = measurement_rows(
+                    log, k, prior.particles, config.network, config.demand_table[k, 0, 1:]
+                )
+                step.log_g0 = standardize(values, mean, std)[1]
                 step.rejected = np.zeros(len(step.log_g0), dtype=bool)
-                if variant.mode != "none":
-                    step.rejected[step.tested] = decisions["rejected"][decisions["k"] == k]
+                if gate is not None:
+                    step.rejected[step.tested] = gate[2]
+            steps.append(step)
         return steps
 
     @staticmethod
@@ -431,42 +477,42 @@ class TestGatedStep:
         assert ensemble.particles.tobytes() == expected.particles.tobytes()
         assert ensemble.weights.tobytes() == expected.weights.tobytes()
 
-    def test_step_without_rows_keeps_the_prior(self, monkeypatch):
+    def test_step_without_rows_keeps_the_prior(self):
         for variant in (FilterVariant("none"),) + GATED:
-            step = self._steps(monkeypatch, variant, far=False)[4]
-            assert step.log_g0 is None
-            assert step.posterior is step.prior
+            step = self._steps(variant, far=False)[4]
+            assert step.log_g0 is None and step.gate is None
+            self._assert_same(step.posterior, step.prior)
 
-    def test_every_row_rejected_keeps_the_prior(self, monkeypatch):
+    def test_every_row_rejected_keeps_the_prior(self):
         for variant in GATED:
-            step = self._steps(monkeypatch, variant)[2]
+            step = self._steps(variant)[2]
             assert len(step.tested) == len(step.log_g0) and step.rejected.all()
-            assert step.posterior is step.prior
+            self._assert_same(step.posterior, step.prior)
 
-    def test_some_rows_rejected_update_over_the_accepted_rows(self, monkeypatch):
+    def test_some_rows_rejected_update_over_the_accepted_rows(self):
         for variant in GATED:
-            steps = self._steps(monkeypatch, variant)
+            steps = self._steps(variant)
             assert steps[3].rejected.any() and not steps[3].rejected.all()
             for step in steps:
                 if step.log_g0 is not None and step.rejected.any() and not step.rejected.all():
                     expected, _ = weight_update(step.prior, step.log_g0[~step.rejected])
                     self._assert_same(step.posterior, expected)
 
-    def test_no_row_rejected_updates_over_every_row(self, monkeypatch):
+    def test_no_row_rejected_updates_over_every_row(self):
         for variant in (FilterVariant("none"),) + GATED:
             steps = [
-                step for step in self._steps(monkeypatch, variant, far=False)
+                step for step in self._steps(variant, far=False)
                 if step.log_g0 is not None and not step.rejected.any()
             ]
             assert steps
             for step in steps:
                 self._assert_same(step.posterior, weight_update(step.prior, step.log_g0)[0])
 
-    def test_loop_rows_are_never_gated(self, monkeypatch):
+    def test_loop_rows_are_never_gated(self):
         # Step 4's loop readings enter the update beside its accepted speed
         # reports: leaving them out gives another posterior.
         for variant in GATED:
-            step = self._steps(monkeypatch, variant)[3]
+            step = self._steps(variant)[3]
             loops = np.ones(len(step.log_g0), dtype=bool)
             loops[step.tested] = False
             assert loops.any()

@@ -22,16 +22,8 @@ from gatedpf.rng import RandomSource
 from conftest import log_rows, scalar_ensemble
 
 
-def identity(states, rng):
+def identity(states):
     return states
-
-
-def shift(states, rng):
-    return states + 1.0
-
-
-def noisy(states, rng):
-    return states + rng.normal(size=states.shape)
 
 
 weights_strategy = st.lists(
@@ -78,36 +70,21 @@ class TestEnsemble:
 class TestPredict:
     def test_identity_dynamics_preserves_everything(self):
         ens = scalar_ensemble([1.0, 2.0, 3.0], weights=[0.2, 0.3, 0.5])
-        out = predict(ens, identity, RandomSource(1))
+        out = predict(ens, ens.particles)
         np.testing.assert_array_equal(out.particles, ens.particles)
         np.testing.assert_array_equal(out.weights, ens.weights)
 
     def test_deterministic_shift_map(self):
         # P=3, states {1,2,3}, x' = x + 1, no noise.
         ens = scalar_ensemble([1.0, 2.0, 3.0])
-        out = predict(ens, shift, RandomSource(1))
+        out = predict(ens, ens.particles + 1.0)
         np.testing.assert_allclose(out.particles[0], [2.0, 3.0, 4.0])
         np.testing.assert_array_equal(out.weights, ens.weights)
 
-    def test_zero_mean_noise_law_of_large_numbers(self):
-        p = 10_000
-        ens = ParticleEnsemble.from_states(np.zeros((1, p)))
-        out = predict(ens, noisy, RandomSource(7))
-        se = 1.0 / np.sqrt(p)
-        assert abs(float(np.mean(out.particles))) < 4 * se
-
     def test_dimension_mismatch_rejected(self):
-        def wrong_shape(states, rng):
-            return np.concatenate([states, states], axis=0)
-
-        with pytest.raises(ConfigurationError):
-            predict(scalar_ensemble([1.0]), wrong_shape, RandomSource(1))
-
-    def test_bit_determinism(self):
-        ens = ParticleEnsemble.from_states(np.linspace(0, 1, 50)[None, :])
-        a = predict(ens, noisy, RandomSource(99, (4,)))
-        b = predict(ens, noisy, RandomSource(99, (4,)))
-        assert np.array_equal(a.particles, b.particles)
+        ens = scalar_ensemble([1.0])
+        with pytest.raises(ConfigurationError, match=r"successor block has shape \(2, 1\)"):
+            predict(ens, np.concatenate([ens.particles, ens.particles], axis=0))
 
 
 class TestWeightUpdate:
@@ -232,7 +209,7 @@ class TestBuiltEnsembles:
     def test_results_are_read_only(self):
         ens = scalar_ensemble([1.0, 2.0, 3.0], weights=[0.2, 0.3, 0.5])
         built = [
-            predict(ens, shift, RandomSource(1)),
+            predict(ens, ens.particles + 1.0),
             weight_update(ens, log_rows([0.3, 0.2, 0.1]))[0],
             resample_systematic(ens, RandomSource(2)),
         ]
@@ -244,49 +221,41 @@ class TestBuiltEnsembles:
             with pytest.raises(ValueError):
                 out.weights[0] = 9.0
 
-    def test_predict_keeps_a_fresh_transition_output(self):
-        made = []
+    def test_predict_keeps_a_fresh_block(self):
+        ens = scalar_ensemble([1.0, 2.0])
+        block = ens.particles + 1.0
+        out = predict(ens, block)
+        assert out.particles is block
+        assert not block.flags.writeable
 
-        def fresh(states, rng):
-            made.append(states + 1.0)
-            return made[-1]
-
-        out = predict(scalar_ensemble([1.0, 2.0]), fresh, RandomSource(1))
-        assert out.particles is made[0]
-        assert not made[0].flags.writeable
-
-    def test_transition_must_not_reuse_its_output(self):
-        # A transition that writes its draws into one kept buffer breaks the
-        # contract: the first ensemble holds the buffer, read-only, so the
-        # second call's write fails and the first ensemble is unchanged.
+    def test_caller_must_not_reuse_the_block(self):
+        # A caller that writes each step's successors into one kept buffer
+        # breaks the contract: the first ensemble holds the buffer,
+        # read-only, so the second write fails and the first ensemble is
+        # unchanged.
         buffer = np.empty((1, 2))
-
-        def reusing(states, rng):
-            np.add(states, 1.0, out=buffer)
-            return buffer
-
-        first = predict(scalar_ensemble([1.0, 2.0]), reusing, RandomSource(1))
+        ens = scalar_ensemble([1.0, 2.0])
+        np.add(ens.particles, 1.0, out=buffer)
+        first = predict(ens, buffer)
         with pytest.raises(ValueError, match="read-only"):
-            predict(first, reusing, RandomSource(1))
+            np.add(first.particles, 1.0, out=buffer)
         assert first.particles.ravel().tolist() == [2.0, 3.0]
 
-    @pytest.mark.parametrize("transition", [identity, lambda states, rng: states[:, :]])
-    def test_predict_copies_the_input_or_a_view(self, transition):
+    @pytest.mark.parametrize("successors", [identity, lambda states: states[:, :]])
+    def test_predict_copies_the_input_or_a_view(self, successors):
         ens = scalar_ensemble([1.0, 2.0])
-        out = predict(ens, transition, RandomSource(1))
+        out = predict(ens, successors(ens.particles))
         assert not np.shares_memory(out.particles, ens.particles)
         assert out.particles.base is None
         np.testing.assert_array_equal(out.particles, ens.particles)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_predict_rejects_non_finite_states(self, bad):
-        def broken(states, rng):
-            out = states + 1.0
-            out[0, -1] = bad
-            return out
-
+        ens = scalar_ensemble([1.0, 2.0])
+        block = ens.particles + 1.0
+        block[0, -1] = bad
         with pytest.raises(ConfigurationError, match="finite"):
-            predict(scalar_ensemble([1.0, 2.0]), broken, RandomSource(1))
+            predict(ens, block)
 
 
 class TestNormalize:
