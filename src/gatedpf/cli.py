@@ -1,14 +1,16 @@
 """Command-line front end: simulate, filter, sweep, and report.
 
-Exit codes: 0 on success, 2 for configuration or data errors, 3 when the
-filter's weights collapse (a meaningful experimental outcome, distinct
-from misconfiguration).  Every command writes its manifest before any
-result file, and all result files are written atomically.
+Exit codes: 0 on success, 2 for configuration or data errors and for
+writes that fail, 3 when the filter's weights collapse (a meaningful
+experimental outcome, distinct from misconfiguration).  Every command
+writes its manifest before any result file, and all result files are
+written atomically.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -147,23 +149,38 @@ def cmd_report(args) -> int:
         raise DataError(f"{manifest_path}: expected a JSON object")
     report = read_metrics_long(run_dir / "metrics_long.csv")
 
-    print(f"run {str(manifest.get('config_hash', '?'))[:12]} ({manifest.get('command')})")
-    print(f"seeds: {manifest.get('seeds')}")
+    lines = [
+        f"run {str(manifest.get('config_hash', '?'))[:12]} ({manifest.get('command')})",
+        f"seeds: {manifest.get('seeds')}",
+    ]
     aggregate = report.aggregate()
     for mode in dict.fromkeys(mode for mode, _ in aggregate):
         alphas = [a for m, a in aggregate if m == mode]
-        print(f"\n== {mode} ==")
-        header = f"{'metric':<22}" + "".join(
-            f"{('alpha=%g' % a) if a is not None else 'value':>20}" for a in alphas
+        lines.append(f"\n== {mode} ==")
+        lines.append(
+            f"{'metric':<22}"
+            + "".join(f"{('alpha=%g' % a) if a is not None else 'value':>20}" for a in alphas)
         )
-        print(header)
         for attr, _, label in METRIC_FIELDS:
             cells = []
             for alpha in alphas:
                 mean, std = aggregate[(mode, alpha)][attr]
                 cells.append(f"{mean:.2f} ± {std:.2f}")
-            print(f"{label:<22}" + "".join(f"{c:>20}" for c in cells))
+            lines.append(f"{label:<22}" + "".join(f"{c:>20}" for c in cells))
+    _write_stdout("\n".join(lines) + "\n")
     return 0
+
+
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to stdout and flush it.  If stdout cannot take it, the
+    error names ``<stdout>``, and stdout is pointed at the null device,
+    since Python flushes it again at exit."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise OSError(exc.errno, exc.strerror, "<stdout>") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,6 +236,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigurationError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # Every input is read through a ConfigurationError or a DataError,
+        # so this is a write that failed; a rename names its target second.
+        target = exc.filename if exc.filename2 is None else exc.filename2
+        where = "" if target is None else f" {target}"
+        print(f"error: cannot write{where}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)

@@ -32,7 +32,7 @@ metric columns directly comparable across test modes and levels.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
@@ -49,7 +49,21 @@ from .ctm import (
     simulate,
 )
 from .errors import ConfigurationError, DataError, WeightCollapseError
-from .fileio import _as_written, _count, _flag, _number, atomic_write_text, csv_text, read_csv_rows
+from .fileio import (
+    FLAG,
+    FLOAT,
+    INT,
+    LEVEL,
+    TEXT,
+    RecordFormat,
+    Rule,
+    atomic_write_text,
+    csv_text,
+    int_range,
+    one_of,
+    read_records,
+    record_text,
+)
 from .gates import GateKind, level_rule, likelihood_ratio_test, significance_test, unexplained
 from .particles import (
     ParticleEnsemble,
@@ -103,19 +117,6 @@ DECISION_DTYPE = np.dtype(
     ]
 )
 DECISION_COLUMNS = DECISION_DTYPE.names
-
-METRICS_LONG_COLUMNS = (
-    "mode",
-    "alpha",
-    "seed",
-    "tp",
-    "fp",
-    "tn",
-    "fn",
-    "labeling_error_pct",
-    "mape_pct",
-    "collapsed",
-)
 
 # The study's metrics: ``RunMetrics`` attribute, ``metrics.csv`` row name,
 # ``gatedpf report`` label.
@@ -727,49 +728,41 @@ def run_experiment(config: ExperimentConfig, on_run: RunSink | None = None) -> M
     return MetricsReport(runs=runs)
 
 
+def _in_open_unit(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    return (0.0 < values) & (values < 1.0)
+
+
+# The decision log's columns are the decision fields.  A gate's statistic
+# and auxiliary may be infinite (a residual too large to hold, a null mass
+# that overflows), never NaN; the level is a gated variant's.
+DECISION_FORMAT = RecordFormat(
+    "decision log",
+    tuple(zip(DECISION_COLUMNS, (INT, TEXT, INT, TEXT, FLOAT, FLOAT, FLAG, FLOAT, FLAG))),
+    (
+        int_range("k", 1, 2**63),
+        int_range("link", 0, 2**63),
+        one_of("test_kind", [kind.value for kind in GateKind]),
+        Rule("statistic", "not be nan", lambda c: ~np.isnan(c["statistic"])),
+        Rule("alpha", "lie in (0, 1)", lambda c: _in_open_unit(c["alpha"])),
+        Rule("auxiliary", "not be nan", lambda c: ~np.isnan(c["auxiliary"])),
+    ),
+)
+
+
 def write_decision_log(path: str | Path, decisions: np.ndarray) -> None:
-    """Write a ``DECISION_DTYPE`` array atomically, one row per decision:
-    floats as their ``repr``, flags as 0 or 1."""
-    k, sensor_id, link, kind, statistic, alpha, rejected, auxiliary, faulty = (
-        decisions[name].tolist() for name in DECISION_COLUMNS
-    )
-    rows = zip(
-        k, sensor_id, link, kind, map(repr, statistic), map(repr, alpha),
-        map(int, rejected), map(repr, auxiliary), map(int, faulty),
-    )
-    atomic_write_text(path, csv_text(DECISION_COLUMNS, rows))
+    """Write a ``DECISION_DTYPE`` array atomically in ``DECISION_FORMAT``,
+    one row per decision."""
+    columns = {name: decisions[name].tolist() for name in DECISION_COLUMNS}
+    atomic_write_text(path, record_text(DECISION_FORMAT, columns))
 
 
 def read_decision_log(path: str | Path) -> np.ndarray:
     """Read a decision log back as a ``DECISION_DTYPE`` array; a row that
     :func:`write_decision_log` cannot have written raises
-    :class:`DataError` naming ``path:line``.
-
-    A gate's statistic and auxiliary may be infinite (a residual too large
-    to hold, a null mass that overflows), never NaN; the level lies in
-    (0, 1), as a :class:`FilterVariant`'s does, and ``rejected`` and
-    ``faulty`` are 0 or 1.  Each number must be the writer's text of its
-    value.
-    """
-    rows, _ = read_csv_rows(path, DECISION_COLUMNS, "decision log", _decision)
-    return np.array(rows, dtype=DECISION_DTYPE)
-
-
-def _decision(row: list[str]) -> tuple:
-    alpha = _number(row[5], "alpha")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {row[5]!r}")
-    return (
-        _count(row[0], "k", least=1),
-        row[1],
-        _count(row[2], "link"),
-        GateKind(row[3]).value,
-        _number(row[4], "statistic", inf_ok=True),
-        alpha,
-        _flag(row[6], "rejected"),
-        _number(row[7], "auxiliary", inf_ok=True),
-        _flag(row[8], "faulty"),
-    )
+    :class:`DataError` naming ``path:line``."""
+    columns, _ = read_records(path, DECISION_FORMAT)
+    return np.array(list(zip(*columns.values())), dtype=DECISION_DTYPE)
 
 
 def metrics_wide_text(report: MetricsReport, alphas: Sequence[float]) -> str:
@@ -787,50 +780,58 @@ def metrics_wide_text(report: MetricsReport, alphas: Sequence[float]) -> str:
     return csv_text(["variant", "metric"] + [f"alpha={a:g}" for a in alphas], rows)
 
 
+def _makes_variant(mode: str, alpha: float | None) -> bool:
+    try:
+        FilterVariant(mode, alpha)
+    except ConfigurationError:
+        return False
+    return True
+
+
+def _finite_or_nan(values, nan_ok) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    return np.isfinite(values) | (np.isnan(values) & np.asarray(nan_ok, dtype=bool))
+
+
+# ``metrics_long.csv``'s columns are the ``RunMetrics`` fields.  A row's
+# (mode, level) makes a ``FilterVariant`` and its seed is a study's; NaN
+# stands only where a run writes it: both error percentages of a collapsed
+# run, and the MAPE of a run with no decisions (a run with no assimilated
+# steps has no MAPE).
+METRICS_LONG_FORMAT = RecordFormat(
+    "metrics",
+    tuple(zip((f.name for f in fields(RunMetrics)), (TEXT, LEVEL, *[INT] * 5, FLOAT, FLOAT, FLAG))),
+    (
+        one_of("mode", HYPOTHESIS_MODES),
+        Rule(
+            "alpha", "be empty for the ungated mode and lie in (0, 1) for a gated one",
+            lambda c: list(map(_makes_variant, c["mode"], c["alpha"])),
+        ),
+        int_range("seed", 0, 2**64),
+        *(int_range(name, 0, 2**63) for name in ("tp", "fp", "tn", "fn")),
+        Rule(
+            "labeling_error_pct", "be finite, or nan in a collapsed run",
+            lambda c: _finite_or_nan(c["labeling_error_pct"], c["collapsed"]),
+        ),
+        Rule(
+            "mape_pct", "be finite, or nan in a collapsed run or one with no decisions",
+            lambda c: _finite_or_nan(c["mape_pct"], [
+                collapsed or not any(counts)
+                for collapsed, *counts in zip(c["collapsed"], c["tp"], c["fp"], c["tn"], c["fn"])
+            ]),
+        ),
+    ),
+)
+METRICS_LONG_COLUMNS = METRICS_LONG_FORMAT.columns
+
+
 def metrics_long_text(report: MetricsReport) -> str:
-    rows = (
-        (
-            r.mode, "" if r.alpha is None else repr(r.alpha), r.seed, r.tp, r.fp, r.tn, r.fn,
-            repr(r.labeling_error_pct), repr(r.mape_pct), int(r.collapsed),
-        )
-        for r in report.runs
-    )
-    return csv_text(METRICS_LONG_COLUMNS, rows)
+    columns = {name: [getattr(run, name) for run in report.runs] for name in METRICS_LONG_COLUMNS}
+    return record_text(METRICS_LONG_FORMAT, columns)
 
 
 def read_metrics_long(path: str | Path) -> MetricsReport:
     """Read ``metrics_long.csv`` back; a row that :func:`metrics_long_text`
-    cannot have written raises :class:`DataError` naming ``path:line``.
-
-    Its (mode, level) must make a :class:`FilterVariant`, and its seed lie
-    in ``[0, 2**64)``, as a study's seeds do; each number must be the
-    writer's text of its value.  NaN is accepted
-    only where a run writes it: both error percentages of a collapsed run,
-    and the MAPE of a run with no decisions (a run with no assimilated
-    steps has no MAPE).
-    """
-    runs, _ = read_csv_rows(path, METRICS_LONG_COLUMNS, "metrics", _run_metrics)
-    return MetricsReport(runs=runs)
-
-
-def _run_metrics(row: list[str]) -> RunMetrics:
-    variant = FilterVariant(row[0], None if row[1] == "" else _number(row[1], "alpha"))
-    seed = int(row[2])
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed {row[2]!r} is outside [0, 2**64)")
-    _as_written(row[2], "seed", str(seed))
-    collapsed = _flag(row[9], "collapsed")
-    tp, fp, tn, fn = (_count(row[i], METRICS_LONG_COLUMNS[i]) for i in range(3, 7))
-    no_decisions = tp + fp + tn + fn == 0
-    return RunMetrics(
-        mode=variant.mode,
-        alpha=variant.alpha,
-        seed=seed,
-        tp=tp,
-        fp=fp,
-        tn=tn,
-        fn=fn,
-        labeling_error_pct=_number(row[7], "labeling_error_pct", nan_ok=collapsed),
-        mape_pct=_number(row[8], "mape_pct", nan_ok=collapsed or no_decisions),
-        collapsed=collapsed,
-    )
+    cannot have written raises :class:`DataError` naming ``path:line``."""
+    columns, _ = read_records(path, METRICS_LONG_FORMAT)
+    return MetricsReport(runs=[RunMetrics(*run) for run in zip(*columns.values())])

@@ -247,9 +247,10 @@ def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
         _fail(f"{'run' if field in run else 'filter'}.{field}", message)
 
 
-class _ScenarioLoader(yaml.SafeLoader):
-    """The safe YAML loader, refusing a key written twice in one mapping
-    (``safe_load`` keeps the last one)."""
+class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe YAML loader, in C where PyYAML was built with libyaml,
+    refusing a key written twice in one mapping (``safe_load`` keeps the
+    last one)."""
 
     def construct_mapping(self, node, deep=False):
         own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
@@ -260,7 +261,8 @@ class _ScenarioLoader(yaml.SafeLoader):
                 raise yaml.constructor.ConstructorError(
                     None, None, f"key {key!r} is repeated", own[i].start_mark
                 )
-        return super().construct_mapping(node, deep=deep)
+        # By name, not through ``super``: the method is the same on either base.
+        return yaml.constructor.SafeConstructor.construct_mapping(self, node, deep=deep)
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -30,7 +30,19 @@ from scipy.special import ndtr
 
 from .ctm import FreewayNetwork, speed_map
 from .errors import ConfigurationError, ContractViolation, ModelConsistencyError
-from .fileio import _flag, atomic_write_text, csv_text, read_csv_rows
+from .fileio import (
+    FLAG,
+    FLOAT,
+    INT,
+    TEXT,
+    RecordFormat,
+    Rule,
+    atomic_write_text,
+    int_range,
+    one_of,
+    read_records,
+    record_text,
+)
 from .rng import RandomSource
 
 LOOP_DENSITY = "loop_density"
@@ -43,7 +55,28 @@ LIKELIHOOD_RATIO_MODES = ("np_correct", "np_incorrect")
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-MEASUREMENT_COLUMNS = ("k", "sensor_id", "kind", "link", "value", "faulty")
+
+def _nonnegative(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    return np.isfinite(values) & (values >= 0.0)
+
+
+# The measurement log's columns; a step and a link are 64-bit integers, and
+# a value is a density or a speed: finite and nonnegative.
+MEASUREMENT_FORMAT = RecordFormat(
+    "measurement log",
+    (
+        ("k", INT), ("sensor_id", TEXT), ("kind", TEXT), ("link", INT), ("value", FLOAT),
+        ("faulty", FLAG),
+    ),
+    (
+        int_range("k", -(2**63), 2**63),
+        int_range("link", -(2**63), 2**63),
+        one_of("kind", MEASUREMENT_KINDS),
+        Rule("value", "be finite and nonnegative", lambda c: _nonnegative(c["value"])),
+    ),
+)
+MEASUREMENT_COLUMNS = MEASUREMENT_FORMAT.columns
 
 
 def gaussian_log_pdf(value, mean, std):
@@ -341,42 +374,26 @@ def fault_log_density(
 
 
 def write_measurement_log(path: str | Path, log: MeasurementLog) -> None:
-    """Write the measurement log atomically; column order is fixed and
-    documented in ``MEASUREMENT_COLUMNS``."""
-    rows = zip(
-        log.steps.tolist(), log.sensor_ids.tolist(), map(MEASUREMENT_KINDS.__getitem__, log.speed.tolist()),
-        log.links.tolist(), map(repr, log.values.tolist()), map(int, log.faulty.tolist()),
-    )
-    atomic_write_text(path, csv_text(MEASUREMENT_COLUMNS, rows))
+    """Write the measurement log atomically in ``MEASUREMENT_FORMAT``."""
+    columns = {
+        "k": log.steps.tolist(), "sensor_id": log.sensor_ids.tolist(),
+        "kind": map(MEASUREMENT_KINDS.__getitem__, log.speed.tolist()),
+        "link": log.links.tolist(), "value": log.values.tolist(), "faulty": log.faulty.tolist(),
+    }
+    atomic_write_text(path, record_text(MEASUREMENT_FORMAT, columns))
 
 
 def read_measurement_log(path: str | Path) -> MeasurementLog:
-    """Read a measurement log back; a row with an unknown kind, a step or
-    link outside the 64-bit integers, a value that is not finite and
-    nonnegative, or a faulty label other than 0 or 1 raises
-    :class:`DataError` naming ``path:line``.  Whether the rows fit a
+    """Read a measurement log back; a row that :func:`write_measurement_log`
+    cannot have written (an unknown kind, a step or link outside the 64-bit
+    integers, a value that is not finite and nonnegative, a faulty label
+    other than 0 or 1, a number in another form than its writer's text)
+    raises :class:`DataError` naming ``path:line``.  Whether the rows fit a
     scenario is :func:`~gatedpf.harness.compile_log`'s check, which names
     the row's line the same way."""
-    rows, lines = read_csv_rows(path, MEASUREMENT_COLUMNS, "measurement log", _measurement)
-    steps, sensor_ids, speed, links, values, faulty = zip(*rows) if rows else ((),) * 6
+    columns, lines = read_records(path, MEASUREMENT_FORMAT)
     return MeasurementLog(
-        steps, np.array(sensor_ids, dtype=object), speed, links, values, faulty,
-        source=str(Path(path)), lines=np.array(lines, dtype=np.intp),
+        columns["k"], columns["sensor_id"],
+        np.array(columns["kind"], dtype=object) == GNSS_SPEED, columns["link"], columns["value"],
+        columns["faulty"], source=str(Path(path)), lines=np.array(lines, dtype=np.intp),
     )
-
-
-_INT64 = range(-(2**63), 2**63)
-
-
-def _measurement(row: list[str]) -> tuple:
-    k, sensor_id, kind, link, value = int(row[0]), row[1], row[2], int(row[3]), float(row[4])
-    if k not in _INT64 or link not in _INT64:
-        raise ValueError(f"step {row[0]!r} or link {row[3]!r} outside the 64-bit integers")
-    if kind not in MEASUREMENT_KINDS:
-        raise ValueError(f"unknown measurement kind {kind!r}; expected one of {MEASUREMENT_KINDS}")
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {row[4]!r}")
-    if value < 0.0:
-        # Densities and speeds are nonnegative; no sensor writes one.
-        raise ValueError(f"negative value {row[4]!r}")
-    return k, sensor_id, kind == GNSS_SPEED, link, value, _flag(row[5], "faulty label")

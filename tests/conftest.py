@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import yaml
 
+from gatedpf import scenario
 from gatedpf.ctm import DemandProfile, DemandSchedule, FreewayNetwork, LinkParams
 from gatedpf.particles import ParticleEnsemble
 from gatedpf.sensing import standardize
@@ -60,3 +62,16 @@ def flat_schedule(level: float, n_onramps: int = 0, noise: float = 0.0) -> Deman
     profile = DemandProfile(base=level, peak=level, rise=(0.0, 0.0), fall=(1e9, 1e9), noise_frac=noise)
     ramp = DemandProfile(base=0.0, peak=0.0, rise=(0.0, 0.0), fall=(1e9, 1e9), noise_frac=0.0)
     return DemandSchedule(dt=10.0, upstream=profile, onramps=(ramp,) * n_onramps)
+
+
+@pytest.fixture(params=["libyaml", "python"])
+def scenario_loader(request, monkeypatch):
+    """Load scenarios on PyYAML's C parser (skipped where PyYAML was built
+    without libyaml) or on its Python one, with the scenario loader's own
+    ``construct_mapping``."""
+    base = getattr(yaml, "CSafeLoader", None) if request.param == "libyaml" else yaml.SafeLoader
+    if base is None:
+        pytest.skip("PyYAML was built without libyaml")
+    own = {"construct_mapping": scenario._ScenarioLoader.construct_mapping}
+    monkeypatch.setattr(scenario, "_ScenarioLoader", type("_ScenarioLoader", (base,), own))
+    return base

@@ -1,9 +1,16 @@
 """End-to-end tests of the command-line interface."""
 from __future__ import annotations
 
+import contextlib
+import errno
+import io
 import json
 import math
+import os
 import re
+import signal
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,6 +20,7 @@ import yaml
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import gatedpf
 from gatedpf import default_scenario_dict
 from gatedpf.cli import main
 from gatedpf.fileio import read_matrix_csv
@@ -264,7 +272,7 @@ class TestFilter:
             "--variant", variant, "--alpha", "0.01", "--out", out, "--quiet",
         )
         assert code == 2
-        assert "bad.csv:2: negative value '-3.5'" in capsys.readouterr().err
+        assert "bad.csv:2: value must be finite and nonnegative, got '-3.5'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("variant", ["none", "fisher", "np_correct", "np_incorrect"])
@@ -272,7 +280,7 @@ class TestFilter:
         # A finite loop reading no particle explains: every null density is
         # zero at step 1, reported as a collapse (exit 3) naming the step
         # and the assimilated sensors, without a numpy overflow warning.
-        bad = self._log_with_loop_value(scenario_path, tmp_path, "1e200")
+        bad = self._log_with_loop_value(scenario_path, tmp_path, "1e+200")
         code = run_cli(
             "filter", "--scenario", scenario_path, "--log", bad,
             "--variant", variant, "--alpha", "0.01", "--out", tmp_path / "o", "--quiet",
@@ -376,8 +384,8 @@ class TestSweepAndReport:
             (9, "7", "collapsed must be 0 or 1"),
             (8, "inf", "mape_pct must be finite"),
             (7, "nan", "labeling_error_pct must be finite"),
-            (0, "bogus", "unknown filter mode 'bogus'"),
-            (1, "", "variant 'fisher' needs alpha"),
+            (0, "bogus", "mode must be one of ('none', 'fisher', 'np_correct', 'np_incorrect'), got 'bogus'"),
+            (1, "", "alpha must be empty for the ungated mode and lie in (0, 1) for a gated one, got ''"),
         ],
     )
     def test_report_rejects_bad_metrics_row(self, scenario_path, tmp_path, capsys, field, value, problem):
@@ -415,6 +423,100 @@ class TestSweepAndReport:
         (run / name).mkdir()
         assert run_cli("report", "--run", run) == 2
         assert f"error: {run / name}: " in capsys.readouterr().err
+
+
+class TestOutputFailures:
+    """A write that fails exits 2 with one ``error:`` line naming what it
+    could not write, not with a traceback."""
+
+    @pytest.mark.parametrize("command", ["simulate", "filter", "sweep"])
+    def test_out_under_a_regular_file_exits_2(self, scenario_path, tmp_path, capsys, command):
+        extra = []
+        if command == "filter":
+            assert run_cli("simulate", "--scenario", scenario_path, "--out", tmp_path / "sim", "--quiet") == 0
+            extra = ["--log", tmp_path / "sim" / "measurements.csv", "--variant", "fisher", "--alpha", "0.01"]
+        blocker = tmp_path / "FILE"
+        blocker.write_text("x")
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        code = run_cli(command, "--scenario", scenario_path, "--out", blocker / "x", "--quiet", *extra)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot write {blocker / 'x'}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == "x"
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.integers(1, 35))
+    def test_full_disk_during_a_sweep_exits_2(self, n):
+        # The tiny sweep replaces 35 files into place: the manifest, two
+        # per seed, two per run and the two metrics tables.
+        targets = []
+        real_replace = os.replace
+
+        def replace(src, dst):
+            targets.append(dst)
+            if len(targets) == n:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), src, None, dst)
+            real_replace(src, dst)
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            scenario = Path(tmp) / "scenario.yaml"
+            scenario.write_text(TINY_YAML)
+            patch.setattr("gatedpf.fileio.os.replace", replace)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run_cli("sweep", "--scenario", scenario, "--out", Path(tmp) / "o", "--quiet")
+            assert code == 2
+            assert err.getvalue() == f"error: cannot write {targets[-1]}: No space left on device\n"
+            assert not list(Path(tmp).rglob("*.tmp"))
+
+    @staticmethod
+    def _python(*args, stdout=None) -> subprocess.Popen:
+        """A child Python process that imports this package."""
+        src = str(Path(gatedpf.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.Popen(
+            [sys.executable, *map(str, args)], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env
+        )
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file size limit on this system")
+    def test_write_past_the_file_size_limit_exits_2(self, scenario_path, tmp_path):
+        # The write fails on its data, not on its path: the error still
+        # names the file it was writing.
+        out = tmp_path / "sim"
+        child = self._python("-c", (
+            "import resource, signal, sys\n"
+            "from gatedpf.cli import main\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (2000, 2000))\n"
+            f"sys.exit(main(['simulate', '--scenario', {str(scenario_path)!r}, '--out', {str(out)!r}]))\n"
+        ))
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == 2
+        assert err.splitlines()[-1] == f"error: cannot write {out / 'measurements.csv'}: File too large"
+        assert "Traceback" not in err and not list(out.glob(".*.tmp"))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    def test_report_to_a_full_device_exits_2(self, scenario_path, tmp_path):
+        out = tmp_path / "sweep"
+        assert run_cli("sweep", "--scenario", scenario_path, "--out", out, "--quiet", "--no-artifacts") == 0
+        with open("/dev/full", "w") as full:
+            child = self._python("-m", "gatedpf.cli", "report", "--run", out, stdout=full)
+            _, err = child.communicate(timeout=120)
+        assert child.returncode == 2
+        assert err == "error: cannot write <stdout>: No space left on device\n"
+
+    def test_report_to_a_closed_pipe_exits_2(self, scenario_path, tmp_path):
+        # The reading end closes before the report is written; Python
+        # flushes stdout again at exit, which must not print more.
+        out = tmp_path / "sweep"
+        assert run_cli("sweep", "--scenario", scenario_path, "--out", out, "--quiet", "--no-artifacts") == 0
+        child = self._python("-m", "gatedpf.cli", "report", "--run", out, stdout=subprocess.PIPE)
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=120) == 2
+        assert err == "error: cannot write <stdout>: Broken pipe\n"
 
 
 class TestSimulateMatchesSweep:
@@ -539,7 +641,7 @@ class TestExitCodes:
         ],
         ids=["top_level", "nested"],
     )
-    def test_repeated_key_exits_2(self, tmp_path, capsys, text, key, line):
+    def test_repeated_key_exits_2(self, tmp_path, capsys, scenario_loader, text, key, line):
         path = tmp_path / "scenario.yaml"
         path.write_text(text)
         out = tmp_path / "o"
@@ -550,7 +652,7 @@ class TestExitCodes:
         assert "<unicode string>" not in err
         assert not out.exists()
 
-    def test_yaml_error_positions_name_the_file(self, tmp_path, capsys):
+    def test_yaml_error_positions_name_the_file(self, tmp_path, capsys, scenario_loader):
         # An unclosed flow sequence: both of the error's positions name the
         # scenario file.
         path = tmp_path / "scenario.yaml"

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from gatedpf.ctm import DemandProfile, DemandSchedule, advance, equilibrium_state, simulate, speed_map
 from gatedpf.errors import ConfigurationError, DataError, WeightCollapseError
-from gatedpf.fileio import csv_text, read_csv_rows
+from gatedpf.fileio import csv_text, read_records
 from gatedpf.gates import GateKind, level_rule, likelihood_ratio_test, significance_test, unexplained
 from gatedpf import harness
 from gatedpf.harness import (
@@ -59,12 +59,16 @@ from gatedpf.rng import RandomSource
 from gatedpf.sensing import (
     GNSS_SPEED,
     HYPOTHESIS_MODES,
+    MEASUREMENT_FORMAT,
+    MEASUREMENT_KINDS,
     FaultConfig,
     GnssSpec,
     LoopDetectors,
     fault_log_density,
     measurement_rows,
+    read_measurement_log,
     standardize,
+    write_measurement_log,
 )
 
 from conftest import small_network
@@ -913,24 +917,24 @@ class TestMetricsReport:
             ("fisher,0.01,1,1,2,3,4,10.0,3.0,2", "collapsed must be 0 or 1"),
             ("fisher,0.01,1,1,2,3,4,10.0,3.0,-1", "collapsed must be 0 or 1"),
             ("fisher,0.01,1,1,2,3,4,10.0,3.0,", "collapsed must be 0 or 1"),
-            ("fisher,inf,1,1,2,3,4,10.0,3.0,0", "alpha must be finite"),
+            ("fisher,inf,1,1,2,3,4,10.0,3.0,0", "alpha must be empty for the ungated mode and lie in \\(0, 1\\) for a gated one, got 'inf'"),
             ("fisher,0.01,1,1,2,3,4,-inf,3.0,0", "labeling_error_pct must be finite"),
             ("fisher,0.01,1,1,2,3,4,10.0,inf,1", "mape_pct must be finite"),
-            ("fisher,nan,1,0,0,0,0,nan,nan,1", "alpha must be finite"),
+            ("fisher,nan,1,0,0,0,0,nan,nan,1", "alpha must be empty for the ungated mode"),
             ("fisher,0.01,1,1,2,3,4,nan,3.0,0", "labeling_error_pct must be finite"),
             ("none,,1,0,0,0,0,nan,nan,0", "labeling_error_pct must be finite"),
             ("fisher,0.01,1,1,2,3,4,10.0,nan,0", "mape_pct must be finite"),
-            ("fisher,0.01,1,-1,2,3,4,10.0,3.0,0", "tp must be a count"),
-            ("fisher,0.01,1,1,2,3,1" + "0" * 400 + ",10.0,3.0,0", "fn must be a count"),
-            ("fisher,0.01,x,1,2,3,4,10.0,3.0,0", "invalid literal"),
-            ("fisher,0.01,-5,1,2,3,4,10.0,3.0,0", "seed '-5' is outside"),
-            ("fisher,0.01,18446744073709551616,1,2,3,4,10.0,3.0,0", "seed '18446744073709551616' is outside"),
+            ("fisher,0.01,1,-1,2,3,4,10.0,3.0,0", r"tp must lie in \[0, 2\*\*63\), got '-1'"),
+            ("fisher,0.01,1,1,2,3,1" + "0" * 400 + ",10.0,3.0,0", r"fn must lie in \[0, 2\*\*63\)"),
+            ("fisher,0.01,x,1,2,3,4,10.0,3.0,0", "seed must be an integer, got 'x'"),
+            ("fisher,0.01,-5,1,2,3,4,10.0,3.0,0", r"seed must lie in \[0, 2\*\*64\), got '-5'"),
+            ("fisher,0.01,18446744073709551616,1,2,3,4,10.0,3.0,0", r"seed must lie in \[0, 2\*\*64\), got '18446744073709551616'"),
             ("fisher,0.01,1,1,2,3,4,10.0,3.0", "expected 10 columns"),
             ("fisher,0.01,1,1,2,3,4,10.0,3.0,0,0", "expected 10 columns"),
-            ("bogus,0.01,1,1,2,3,4,10.0,3.0,0", "unknown filter mode 'bogus'"),
-            ("none,0.01,1,0,0,0,0,0.0,5.0,0", "ungated variant takes no alpha"),
-            ("fisher,,1,1,2,3,4,10.0,3.0,0", "variant 'fisher' needs alpha"),
-            ("np_correct,1.5,1,1,2,3,4,10.0,3.0,0", "variant 'np_correct' needs alpha"),
+            ("bogus,0.01,1,1,2,3,4,10.0,3.0,0", r"mode must be one of \('none', 'fisher', 'np_correct', 'np_incorrect'\), got 'bogus'"),
+            ("none,0.01,1,0,0,0,0,0.0,5.0,0", "alpha must be empty for the ungated mode .*, got '0.01'"),
+            ("fisher,,1,1,2,3,4,10.0,3.0,0", "alpha must be empty for the ungated mode .*, got ''"),
+            ("np_correct,1.5,1,1,2,3,4,10.0,3.0,0", "alpha must be empty for the ungated mode .*, got '1.5'"),
             # Numbers the writer does not write for their values.
             ("fisher, 0.01,+1_1,1_0, 2,3,4,1_0.0,3.0,0", "alpha must be written '0.01', got ' 0.01'"),
             ("fisher,0.01,+1_1,1,2,3,4,10.0,3.0,0", r"seed must be written '11', got '\+1_1'"),
@@ -1059,16 +1063,16 @@ class TestDecisionLog:
             ("1,s,0,fisher,0.5,0.01,,0.0,0", "rejected must be 0 or 1"),
             ("1,s,0,fisher,0.5,0.01,0,0.0,2", "faulty must be 0 or 1"),
             ("1,s,0,fisher,0.5,0.01,0,0.0,-1", "faulty must be 0 or 1"),
-            ("1,s,0,fisher,0.5,-inf,0,0.0,0", "alpha must be finite"),
-            ("1,s,0,fisher,nan,0.01,0,0.0,0", "statistic must be finite"),
-            ("1,s,0,fisher,0.5,NaN,0,0.0,0", "alpha must be finite"),
-            ("1,s,0,fisher,0.5,0.01,0,nan,0", "auxiliary must be finite"),
+            ("1,s,0,fisher,0.5,-inf,0,0.0,0", r"alpha must lie in \(0, 1\), got '-inf'"),
+            ("1,s,0,fisher,nan,0.01,0,0.0,0", "statistic must not be nan, got 'nan'"),
+            ("1,s,0,fisher,0.5,NaN,0,0.0,0", r"alpha must lie in \(0, 1\), got 'NaN'"),
+            ("1,s,0,fisher,0.5,0.01,0,nan,0", "auxiliary must not be nan, got 'nan'"),
             ("1,s,0,fisher,0.5,0.01,0,0.0", "expected 9 columns"),
             ("1,s,0,fisher,0.5,0.01,0,0.0,0,0", "expected 9 columns"),
-            ("1,s,0,bogus,0.5,0.01,0,0.0,0", "'bogus' is not a valid GateKind"),
-            ("-4,s,0,fisher,0.5,0.01,0,0.0,0", "k must be a count"),
-            ("0,s,0,fisher,0.5,0.01,0,0.0,0", "k must be a count"),
-            ("1,s,-7,fisher,0.5,0.01,0,0.0,0", "link must be a count"),
+            ("1,s,0,bogus,0.5,0.01,0,0.0,0", r"test_kind must be one of \('neyman_pearson', 'fisher'\), got 'bogus'"),
+            ("-4,s,0,fisher,0.5,0.01,0,0.0,0", r"k must lie in \[1, 2\*\*63\), got '-4'"),
+            ("0,s,0,fisher,0.5,0.01,0,0.0,0", r"k must lie in \[1, 2\*\*63\), got '0'"),
+            ("1,s,-7,fisher,0.5,0.01,0,0.0,0", r"link must lie in \[0, 2\*\*63\), got '-7'"),
             (" 0_7,s,0,fisher,0.5,0.01,0,0.0,0", "k must be written '7', got ' 0_7'"),
             ("1,s,+1,fisher,0.5,0.01,0,0.0,0", r"link must be written '1', got '\+1'"),
             ("1,s,0,fisher,1e-3,0.01,0,0.0,0", "statistic must be written '0.001', got '1e-3'"),
@@ -1098,18 +1102,39 @@ def number_forms(text: str) -> list[str]:
     return forms + [f"{text[:i]}_{text[i:]}" for i in pairs[:1]]
 
 
-# The two checked CSV formats: their columns, the columns that hold numbers
-# or flags, their reader, and a writer of ``rows`` to ``path``.
+# The checked CSV formats: their declaration, the columns that hold numbers
+# or flags, their reader, a writer of ``rows`` to ``path``, and the rows of
+# what the reader returns.
 CSV_FORMATS = {
     "decisions": (
-        DECISION_COLUMNS, (0, 2, 4, 5, 6, 7, 8), read_decision_log,
-        lambda path, rows: write_decision_log(path, decision_array(rows)),
+        harness.DECISION_FORMAT, (0, 2, 4, 5, 6, 7, 8), read_decision_log,
+        lambda path, rows: write_decision_log(path, decision_array(rows)), lambda decisions: decisions,
+    ),
+    "measurements": (
+        MEASUREMENT_FORMAT, (0, 3, 4, 5), read_measurement_log,
+        lambda path, records: write_measurement_log(path, log_of(records)), records_of,
     ),
     "metrics_long": (
-        harness.METRICS_LONG_COLUMNS, (1, 2, 3, 4, 5, 6, 7, 8, 9), read_metrics_long,
+        harness.METRICS_LONG_FORMAT, (1, 2, 3, 4, 5, 6, 7, 8, 9), read_metrics_long,
         lambda path, runs: path.write_text(metrics_long_text(MetricsReport(runs)), newline=""),
+        lambda report: report.runs,
     ),
 }
+
+# Every measurement a sensor can write: any 64-bit step and link, and a
+# finite nonnegative value, the edges included.
+measurement_records = st.lists(
+    st.builds(
+        Record,
+        k=st.integers(-(2**63), 2**63 - 1),
+        sensor_id=st.text(alphabet=string.printable, max_size=8),
+        kind=st.sampled_from(MEASUREMENT_KINDS),
+        link=st.integers(-(2**63), 2**63 - 1),
+        value=st.sampled_from([0.0, 5e-324, 1.7976931348623157e308]) | st.floats(0.0, allow_infinity=False),
+        faulty=st.booleans(),
+    ),
+    max_size=12,
+)
 
 
 @st.composite
@@ -1125,30 +1150,35 @@ def run_metrics(draw):
     return RunMetrics(mode, alpha, seed, *counts, error, mape_pct, collapsed)
 
 
-csv_rows = {"decisions": decision_rows, "metrics_long": st.lists(run_metrics(), max_size=6)}
+csv_rows = {
+    "decisions": decision_rows,
+    "measurements": measurement_records,
+    "metrics_long": st.lists(run_metrics(), max_size=6),
+}
 
 
 def written(tmp: str, name: str, rows) -> tuple[Path, list[list[str]], list[int]]:
     """The file the writer of format ``name`` writes for ``rows``, its rows
     as fields and each row's line."""
-    columns, _, _, write = CSV_FORMATS[name]
+    fmt, _, _, write, _ = CSV_FORMATS[name]
     path = Path(tmp) / f"{name}.csv"
     write(path, rows)
     with path.open(newline="") as fh:
         fields = list(csv.reader(fh))[1:]
-    _, lines = read_csv_rows(path, columns, name, lambda row: None)
+    _, lines = read_records(path, fmt)
     return path, fields, lines
 
 
 class TestReadersAcceptOnlyWrittenText:
-    """A decision log or ``metrics_long.csv`` that its reader accepts is
-    one its writer writes: written back, it gives the same bytes."""
+    """A measurement log, a decision log or ``metrics_long.csv`` that its
+    reader accepts is one its writer writes: written back, it gives the
+    same bytes."""
 
     @pytest.mark.parametrize("name", sorted(CSV_FORMATS))
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_an_accepted_file_writes_back_to_its_bytes(self, name, data):
-        columns, numbers, read, write = CSV_FORMATS[name]
+        fmt, numbers, read, write, rows_of = CSV_FORMATS[name]
         with tempfile.TemporaryDirectory() as tmp:
             path, fields, _ = written(tmp, name, data.draw(csv_rows[name].filter(bool)))
             row = fields[data.draw(st.integers(0, len(fields) - 1))]
@@ -1158,27 +1188,27 @@ class TestReadersAcceptOnlyWrittenText:
                 | st.sampled_from(number_forms(row[c]))
                 | st.text(alphabet="0123456789+-_.eEinfa ", max_size=5)
             )
-            path.write_bytes(csv_text(columns, fields).encode())
+            path.write_bytes(csv_text(fmt.columns, fields).encode())
             try:
                 back = read(path)
             except DataError as exc:
                 assert re.match(rf"{re.escape(str(path))}:[0-9]+: ", str(exc))
                 return
             again = Path(tmp) / "again.csv"
-            write(again, back if name == "decisions" else back.runs)
+            write(again, rows_of(back))
             assert again.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("name", sorted(CSV_FORMATS))
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_a_number_in_another_form_is_refused_at_its_line(self, name, data):
-        columns, numbers, read, _ = CSV_FORMATS[name]
+        fmt, numbers, read, _, _ = CSV_FORMATS[name]
         with tempfile.TemporaryDirectory() as tmp:
             path, fields, lines = written(tmp, name, data.draw(csv_rows[name].filter(bool)))
             i = data.draw(st.integers(0, len(fields) - 1))
             c = data.draw(st.sampled_from(numbers))
             text = fields[i][c]
             fields[i][c] = data.draw(st.sampled_from([f for f in number_forms(text) if f != text]))
-            path.write_bytes(csv_text(columns, fields).encode())
+            path.write_bytes(csv_text(fmt.columns, fields).encode())
             with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:{lines[i]}: "):
                 read(path)

@@ -436,6 +436,35 @@ class TestDefaultScenario:
         with resources.as_file(path) as file:
             assert load_scenario(file).raw == default_scenario().raw
 
+    def test_either_yaml_parser_loads_one_scenario(self, tmp_path, scenario_loader):
+        # The tiny scenario written with anchors, merge keys, flow and
+        # block styles and other number forms.
+        path = tmp_path / "scenario.yaml"
+        path.write_text(
+            "network:\n"
+            "  dt: 1.0e+1\n"
+            "  links:\n"
+            "    - &link {length: 400, vf: 20.0, w: 5.0, qmax: 4.0, rho_jam: 0.125}\n"
+            "    - {<<: *link, qmax: 2.0}\n"
+            "    - <<: *link\n"
+            "      offramp: true\n"
+            "      beta: .1\n"
+            "demand:\n"
+            "  upstream: {base: 1.0, peak: 2.5, rise: [50.0, 150.0], fall: [400.0, 500.0], noise_frac: 0.2}\n"
+            "sensors:\n"
+            "  loops: {links: [0, 2], noise_frac: 0.1}\n"
+            "  gnss: {penetration: 0.5, noise_frac: 0.2, min_std: 0.5}\n"
+            "  faults: {probability: 0.4}\n"
+            "filter:\n"
+            "  particles: 25\n"
+            "  variants: [none, fisher, np_correct, np_incorrect]\n"
+            "  alphas:\n"
+            "    - 0.01\n"
+            "    - 0.1\n"
+            "run: {horizon: 0x19, seeds: [7, 8]}\n"
+        )
+        assert load_scenario(path) == scenario_from_dict(tiny_scenario_dict())
+
 
 class TestConfigHash:
     def test_stable_and_sensitive(self):

@@ -399,13 +399,36 @@ class TestMeasurementLog:
         log = read_measurement_log(path)
         assert log.sensor_ids.tolist() == ["a\nb", "c"] and log.lines.tolist() == [3, 4]
 
-    @pytest.mark.parametrize("field", [0, 3])
-    def test_integer_outside_64_bits_reports_line(self, tmp_path, field):
+    @pytest.mark.parametrize("field, name", [(0, "k"), (3, "link")])
+    @pytest.mark.parametrize("number", [2**63, -(2**63) - 1])
+    def test_integer_outside_64_bits_reports_line(self, tmp_path, field, name, number):
         row = ["1", "s", "gnss_speed", "0", "12.5", "0"]
-        row[field] = str(2**63)
+        row[field] = str(number)
         path = tmp_path / "bad.csv"
         path.write_text("k,sensor_id,kind,link,value,faulty\n1,r,gnss_speed,0,1.0,1\n" + ",".join(row) + "\n")
-        with pytest.raises(DataError, match=r"bad\.csv:3: step .* or link .* outside the 64-bit integers"):
+        with pytest.raises(DataError, match=rf"bad\.csv:3: {name} must lie in \[-2\*\*63, 2\*\*63\), got '{number}'"):
+            read_measurement_log(path)
+
+    def test_numbers_in_another_form_are_refused(self, tmp_path):
+        # int() and float() read this row as step 7, link 0, value 0.001,
+        # which the writer writes back as another row.
+        path = tmp_path / "log.csv"
+        path.write_text("k,sensor_id,kind,link,value,faulty\n1,r,gnss_speed,0,1.0,1\n 0_7,loop-0,loop_density,+0,1e-3,0\n")
+        with pytest.raises(DataError, match=r"log\.csv:3: k must be written '7', got ' 0_7'$"):
+            read_measurement_log(path)
+
+    def test_first_refused_row_in_file_order_is_named(self, tmp_path):
+        # Row 3 breaks a rule in one column and row 4 holds an unreadable
+        # field in another: the reader names row 3, whatever the column.
+        path = tmp_path / "log.csv"
+        path.write_text(
+            "k,sensor_id,kind,link,value,faulty\n"
+            "1,r,gnss_speed,0,1.0,1\n"
+            "1,s,gnss_speed,0,-1.0,0\n"
+            "x,t,gnss_speed,0,1.0,0\n"
+            "1,u,gnss_speed,0,1.0,0,0\n"
+        )
+        with pytest.raises(DataError, match=r"log\.csv:3: value must be finite and nonnegative, got '-1.0'$"):
             read_measurement_log(path)
 
     def test_columns_must_match(self):
@@ -421,11 +444,11 @@ class TestMeasurementLog:
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         for row, problem in (
-            ("1,s,gnss_speed,0,notafloat,0", "notafloat"),
-            ("1,s,gnss_speed,0,12.5,2", "faulty label must be 0 or 1"),
-            ("1,s,gnss_speed,0,12.5,-1", "faulty label must be 0 or 1"),
-            ("1,s,gnss_speed,0,12.5,", "faulty label must be 0 or 1"),
-            ("1,s,radar,0,12.5,0", "unknown measurement kind 'radar'"),
+            ("1,s,gnss_speed,0,notafloat,0", "value must be a number, got 'notafloat'"),
+            ("1,s,gnss_speed,0,12.5,2", "faulty must be 0 or 1, got '2'"),
+            ("1,s,gnss_speed,0,12.5,-1", "faulty must be 0 or 1, got '-1'"),
+            ("1,s,gnss_speed,0,12.5,", "faulty must be 0 or 1, got ''"),
+            ("1,s,radar,0,12.5,0", r"kind must be one of \('loop_density', 'gnss_speed'\), got 'radar'"),
         ):
             path.write_text(f"k,sensor_id,kind,link,value,faulty\n1,r,gnss_speed,0,1.0,1\n{row}\n")
             with pytest.raises(DataError, match=rf"bad\.csv:3: .*{problem}"):
@@ -439,7 +462,7 @@ class TestMeasurementLog:
             "1,s,gnss_speed,0,12.5,0\n"
             f"1,t,gnss_speed,0,{value},0\n"
         )
-        with pytest.raises(DataError, match=r"bad\.csv:3: non-finite"):
+        with pytest.raises(DataError, match=rf"bad\.csv:3: value must be finite and nonnegative, got '{value}'"):
             read_measurement_log(path)
 
     @pytest.mark.parametrize("value", ["-3.5", "-1e-300", "-1e300"])
@@ -452,7 +475,7 @@ class TestMeasurementLog:
             "1,s,gnss_speed,0,0.0,0\n"
             f"1,loop-0,loop_density,0,{value},0\n"
         )
-        with pytest.raises(DataError, match=rf"bad\.csv:3: negative value '{value}'"):
+        with pytest.raises(DataError, match=rf"bad\.csv:3: value must be finite and nonnegative, got '{value}'"):
             read_measurement_log(path)
 
     def test_write_is_atomic(self, tmp_path, monkeypatch):
