@@ -35,7 +35,26 @@ from .sensing import HYPOTHESIS_MODES, read_measurement_log, write_measurement_l
 
 def _say(args, message: str) -> None:
     if not args.quiet:
-        print(message, file=sys.stderr)
+        _tell(message)
+
+
+def _tell(line: str) -> None:
+    """Print ``line`` to stderr.  A progress or error line is no result: if
+    stderr cannot take it, the line is dropped and stderr is pointed at the
+    null device, since Python flushes it again at exit, and the command's
+    exit code stands."""
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        _to_null_device(sys.stderr)
+
+
+def _to_null_device(stream) -> None:
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, stream.fileno())
+    finally:
+        os.close(null)
 
 
 def cmd_simulate(args) -> int:
@@ -179,7 +198,7 @@ def _write_stdout(text: str) -> None:
         sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _to_null_device(sys.stdout)
         raise OSError(exc.errno, exc.strerror, "<stdout>") from exc
 
 
@@ -235,20 +254,20 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigurationError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _tell(f"error: {exc}")
         return 2
     except OSError as exc:
         # Every input is read through a ConfigurationError or a DataError,
         # so this is a write that failed; a rename names its target second.
         target = exc.filename if exc.filename2 is None else exc.filename2
         where = "" if target is None else f" {target}"
-        print(f"error: cannot write{where}: {exc.strerror or exc}", file=sys.stderr)
+        _tell(f"error: cannot write{where}: {exc.strerror or exc}")
         return 2
     except MemoryError as exc:
-        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        _tell(f"error: out of memory: {str(exc) or 'an allocation failed'}")
         return 2
     except WeightCollapseError as exc:
-        print(f"weight collapse: {exc}", file=sys.stderr)
+        _tell(f"weight collapse: {exc}")
         return 3
 
 

@@ -26,6 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .buffers import StepBuffers
 from .errors import ConfigurationError, ModelConsistencyError
 from .rng import RandomSource
 
@@ -182,17 +183,18 @@ def _ramp_block(onramp_demand) -> np.ndarray:
     return ramp[:, None] if ramp.ndim == 1 else ramp
 
 
-def _flows(states, network: FreewayNetwork, upstream_demand, onramp_demand):
+def _flows(states, network: FreewayNetwork, upstream_demand, onramp_demand, work: StepBuffers):
     """The flows of a checked (L, P) block for one step, each ramp flow on
     its own link's row only.
 
-    Returns ``(q, r, s)``: the boundary flows ``q`` (L + 1, P), the onramp
-    inflows ``r`` (R, P) of ``network.onramp_links`` and the offramp
-    outflows ``s`` of the links with a positive split ratio; ``r`` or ``s``
-    is ``None`` when the network has no such link.  Every other link's
-    ramp flows are exactly zero.
+    Returns ``(q, r, s)``: the boundary flows ``q`` (L + 1, P), which is
+    ``work.flows``, the onramp inflows ``r`` (R, P) of
+    ``network.onramp_links`` and the offramp outflows ``s`` of the links
+    with a positive split ratio; ``r`` or ``s`` is ``None`` when the network
+    has no such link.  Every other link's ramp flows are exactly zero.  The
+    supplies are left in ``work.supply``.
     """
-    n_l, n_p = states.shape
+    n_l = states.shape[0]
     dt = network.dt
     ramp_rows = network._onramp_rows
     if len(ramp_rows) and onramp_demand is None:
@@ -202,7 +204,7 @@ def _flows(states, network: FreewayNetwork, upstream_demand, onramp_demand):
     # for b = 0 and link b-1's demand after the offramp split otherwise, so
     # q's rows 1..L take the links' demands; the last is the free outflow
     # at the downstream end.
-    q = np.empty((n_l + 1, n_p))
+    q = work.flows
     q[0] = upstream_demand
     demand = q[1:]
     np.multiply(network.vf[:, None] * dt, states, out=demand)
@@ -212,7 +214,7 @@ def _flows(states, network: FreewayNetwork, upstream_demand, onramp_demand):
     if len(off):
         s = network.beta[off, None] * demand[off]
         demand[off] -= s
-    supply = network.rho_jam[:, None] - states
+    supply = np.subtract(network.rho_jam[:, None], states, out=work.supply)
     supply *= network.w[:, None] * dt
     ramp = _ramp_block(onramp_demand) if len(ramp_rows) else None
     r = _boundary_flows(q[:n_l], supply, ramp_rows, ramp, network.onramp_priority)
@@ -224,19 +226,25 @@ def advance(
     network: FreewayNetwork,
     upstream_demand,
     onramp_demand=None,
+    work: StepBuffers | None = None,
 ):
     """One conservation update for an (L, P) block of density states.
 
-    Returns the new (L, P) block.  Link l gains ``q[l] - q[l + 1] + r[l] -
-    s[l]`` vehicles, in that order, from the step's boundary, onramp and
-    offramp flows (offramps split first, then each boundary passes
-    ``min(demand, supply)`` and onramps merge by priority); the ramp terms are added on their own links only, since they are
-    exactly zero elsewhere.  Raises if any post-step density leaves
-    ``[0, rho_jam]`` by more than the numerical tolerance, which indicates
-    inconsistent parameters rather than rounding.
+    Returns the new (L, P) block, a fresh array; the step's flows and
+    supplies are computed in ``work`` (allocated for this call when
+    ``None``).  Link l gains ``q[l] - q[l + 1] + r[l] - s[l]`` vehicles, in
+    that order, from the step's boundary, onramp and offramp flows
+    (offramps split first, then each boundary passes ``min(demand,
+    supply)`` and onramps merge by priority); the ramp terms are added on
+    their own links only, since they are exactly zero elsewhere.  Raises if
+    any post-step density leaves ``[0, rho_jam]`` by more than the
+    numerical tolerance, which indicates inconsistent parameters rather
+    than rounding.
     """
     states = _states_block(states, network)
-    q, r, s = _flows(states, network, upstream_demand, onramp_demand)
+    if work is None:
+        work = StepBuffers(states.shape[1], n_states=network.n_links)
+    q, r, s = _flows(states, network, upstream_demand, onramp_demand, work)
     gain = q[:-1] - q[1:]
     if r is not None:
         gain[network._onramp_rows] += r
@@ -247,7 +255,7 @@ def advance(
     rho_jam = network.rho_jam[:, None]
     if float(np.min(new_states)) < -DENSITY_TOL:
         raise ModelConsistencyError("negative density after step")
-    if float(np.max(new_states - rho_jam)) > DENSITY_TOL:
+    if float(np.max(np.subtract(new_states, rho_jam, out=work.supply))) > DENSITY_TOL:
         raise ModelConsistencyError("density above jam density after step")
     np.maximum(new_states, 0.0, out=new_states)
     np.minimum(new_states, rho_jam, out=new_states)
@@ -259,13 +267,16 @@ def speed_map(
     network: FreewayNetwork,
     links,
     onramp_demand=None,
+    work: StepBuffers | None = None,
 ) -> np.ndarray:
     """Model-predicted speeds of an (L, P) block of states on ``links`` only.
 
     Returns a ``(len(links), P)`` block whose row j is link ``links[j]``
-    (any order; repeats allowed).  A link's speed is its discharge, the
-    flow across its downstream boundary plus its offramp flow, over
-    ``rho * dt``, evaluated at the given (typically mean) onramp demands,
+    (any order; repeats allowed), computed in ``work`` (allocated for this
+    call when ``None``): the block is a view of ``work.discharge``.  A
+    link's speed is its discharge, the flow across its downstream boundary
+    plus its offramp flow, over ``rho * dt``, evaluated at the given
+    (typically mean) onramp demands,
     (R,) or (R, P); ``None`` means no onramp demand.  Link l's discharge
     reads only links l and l + 1 and the onramp demand at l + 1, so the
     upstream boundary demand never enters.  The boundary rule is
@@ -280,9 +291,16 @@ def speed_map(
     if links.size and not (0 <= links.min() and links.max() < n_l):
         raise ConfigurationError(f"links {links.tolist()} outside [0, {n_l - 1}]")
     dt = network.dt
+    n_k = links.size
+    if work is None:
+        work = StepBuffers(states.shape[1], max_links=n_k)
 
-    rho, vf = states[links], network.vf[links, None]
-    mainline = np.minimum(vf * dt * rho, network.qmax[links, None])
+    # The links were checked above, so a clipping take, which writes its
+    # out block directly, gathers the rows a raising one would.
+    rho = np.take(states, links, axis=0, out=work.link_density[:n_k], mode="clip")
+    vf = network.vf[links, None]
+    mainline = np.multiply(vf * dt, rho, out=work.discharge[:n_k])
+    np.minimum(mainline, network.qmax[links, None], out=mainline)
     beta = network.beta[links]
     off = np.flatnonzero(beta)
     s = beta[off, None] * mainline[off]
@@ -291,7 +309,8 @@ def speed_map(
     # Each link's downstream boundary is link l + 1's inflow; the last
     # link's end takes any outflow, so its supply is unbounded.
     down = np.minimum(links + 1, n_l - 1)
-    supply = network.rho_jam[down, None] - states[down]
+    supply = np.take(states, down, axis=0, out=work.link_supply[:n_k], mode="clip")
+    np.subtract(network.rho_jam[down, None], supply, out=supply)
     supply *= network.w[down, None] * dt
     supply[links == n_l - 1] = np.inf
     slot = network._onramp_slot[links + 1]
@@ -303,8 +322,9 @@ def speed_map(
     # uncongested link exactly at freeflow whatever its split ratio.
     mainline[off] += s
     with np.errstate(divide="ignore", invalid="ignore"):
-        v = mainline / (rho * dt)
-    v = np.where(rho > EMPTY_DENSITY, v, vf)
+        v = np.divide(mainline, np.multiply(rho, dt, out=supply), out=mainline)
+    occupied = np.greater(rho, EMPTY_DENSITY, out=work.occupied[:n_k])
+    np.copyto(v, vf, where=np.logical_not(occupied, out=occupied))
     np.maximum(v, 0.0, out=v)
     return np.minimum(v, vf, out=v)
 
@@ -424,8 +444,9 @@ def equilibrium_state(network: FreewayNetwork, schedule: DemandSchedule) -> np.n
         0.5 * float(np.min(network.rho_jam)),
     )
     states = np.full((network.n_links, 1), rho0)
+    work = StepBuffers(1, n_states=network.n_links)
     for _ in range(EQUILIBRIUM_ITERATIONS):
-        states = advance(states, network, upstream, ramps)
+        states = advance(states, network, upstream, ramps, work)
     return states[:, 0]
 
 
@@ -452,10 +473,11 @@ def simulate(
     ramps = np.empty((horizon, len(schedule.onramps)))
     states[0] = state
     table = schedule.table(range(horizon))
+    work = StepBuffers(1, n_states=n_l)
     for k in range(horizon):
         upstream, ramp = schedule.sample(k, rng, 1, table)
         ramps[k] = ramp[:, 0]
-        states[k + 1] = advance(states[k][:, None], network, upstream, ramp)[:, 0]
+        states[k + 1] = advance(states[k][:, None], network, upstream, ramp, work)[:, 0]
     # One call gives every step's speeds, step k's column at its own
     # realized onramp demands.
     speeds = speed_map(states[:-1].T, network, range(n_l), ramps.T)

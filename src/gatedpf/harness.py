@@ -40,6 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .buffers import StepBuffers
 from .ctm import (
     DemandSchedule,
     FreewayNetwork,
@@ -443,6 +444,7 @@ def filter_step(
     k: int,
     rng_demand: RandomSource,
     rng_resample: RandomSource,
+    work: StepBuffers | None = None,
 ) -> tuple[ParticleEnsemble, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
     """Step ``k`` of a filter run of ``config`` over a compiled log.
 
@@ -455,18 +457,24 @@ def filter_step(
     auxiliary, rejected)`` columns on the step's speed rows, or ``None``
     when the step gated nothing.  Assimilated measurements that no particle
     explains raise :class:`WeightCollapseError` carrying ``k`` and their
-    sensor ids.
+    sensor ids.  The step's temporaries are written into ``work``, the
+    run's buffers (:func:`step_buffers`; allocated for this step when
+    ``None``); nothing the step returns holds them.
     """
     network, demand = config.network, config.demand_table
+    if work is None:
+        work = step_buffers(config, log, k, k + 1)
     # The filter embeds the truth's traffic model but draws its own demand
     # noise, which is what spreads the particles.
     upstream, ramps = config.schedule.sample(k - 1, rng_demand, config.particles, demand)
-    prior = posterior = predict(ensemble, advance(ensemble.particles, network, upstream, ramps))
+    prior = posterior = predict(ensemble, advance(ensemble.particles, network, upstream, ramps, work))
     gate = None
     rows, speeds, _ = log.step(k)
     if rows.start < rows.stop:
-        values, mean, std, tested = measurement_rows(log, k, prior.particles, network, demand[k, 0, 1:])
-        z, log_g0 = standardize(values, mean, std)
+        values, mean, std, tested = measurement_rows(
+            log, k, prior.particles, network, demand[k, 0, 1:], work
+        )
+        z, log_g0 = standardize(values, mean, std, work)
         accepted = np.ones(len(values), dtype=bool)
         # Speed reports are gated; first-party loop detectors never are.
         if variant.mode != "none" and tested.size:
@@ -474,7 +482,9 @@ def filter_step(
             accepted[tested] = ~gate[2]
         if accepted.any():
             try:
-                posterior, _ = weight_update(prior, log_g0[accepted])
+                # An ungated step accepts every row: no copy of them.
+                accepted_rows = log_g0 if accepted.all() else log_g0[accepted]
+                posterior, _ = weight_update(prior, accepted_rows, work)
             except WeightCollapseError as exc:
                 assimilated = log.sensor_ids[rows][accepted].tolist()
                 raise WeightCollapseError(
@@ -482,10 +492,21 @@ def filter_step(
                     k=k,
                     sensor_ids=assimilated,
                 ) from exc
-    estimate = posterior_mean(posterior)
+    estimate = posterior_mean(posterior, work)
     if effective_sample_size(posterior) < config.resample_threshold * config.particles:
         posterior = resample_systematic(posterior, rng_resample)
     return posterior, estimate, gate
+
+
+def step_buffers(config: ExperimentConfig, log: CompiledLog, first: int, stop: int) -> StepBuffers:
+    """Work buffers for steps ``first .. stop - 1`` of a filter run of
+    ``config`` over ``log``: (L, P) blocks, sized by the most rows and the
+    most distinct speed links of any of those steps."""
+    sizes = np.diff(log.offsets[first : stop + 1], axis=0)
+    max_rows, _, max_links = sizes.max(axis=0, initial=0).tolist()
+    return StepBuffers(
+        config.particles, n_states=config.network.n_links, max_rows=max_rows, max_links=max_links
+    )
 
 
 def run_traffic_filter(
@@ -501,9 +522,10 @@ def run_traffic_filter(
     :func:`compile_log`, or a :class:`MeasurementLog`, which is compiled on
     entry (so a row the scenario cannot assimilate raises
     :class:`DataError`); a log compiled for another horizon or link count
-    raises :class:`ConfigurationError`.  Each step writes its gate's
-    outcomes beside its speed rows' reports and labels (see
-    :class:`FilterRunResult`).
+    raises :class:`ConfigurationError`.  The run allocates its work buffers
+    once (:func:`step_buffers`), and every step reuses them.  Each step
+    writes its gate's outcomes beside its speed rows' reports and labels
+    (see :class:`FilterRunResult`).
     """
     log = measurements if isinstance(measurements, CompiledLog) else compile_log(config, measurements)
     if (log.horizon, log.n_links) != (config.horizon, config.network.n_links):
@@ -527,9 +549,10 @@ def run_traffic_filter(
         decisions["test_kind"] = variant.kind.value
         decisions["alpha"] = variant.alpha
         decisions["faulty"] = log.faulty[index]
+    work = step_buffers(config, log, 1, config.horizon)
     for k in range(1, config.horizon):
         ensemble, estimates[k - 1], gate = filter_step(
-            config, log, variant, ensemble, k, rng_demand, rng_resample
+            config, log, variant, ensemble, k, rng_demand, rng_resample, work
         )
         if gate is not None:
             step = decisions[log.step(k)[1]]

@@ -14,7 +14,9 @@ underflow; when the largest log weight leaves the comfortably representable
 range it is subtracted before exponentiating.  Every reduction over the
 particles runs in a fixed order, so results are bit-reproducible for a
 fixed seed.  Every operation is pure (inputs are
-never mutated), and distinct ensembles may be processed concurrently.
+never mutated; a ``work`` argument's buffers are scratch space the call
+overwrites, and no result holds them), and distinct ensembles may be
+processed concurrently, each with its own buffers.
 
 Ensembles are validated where their arrays come from outside this module:
 ``ParticleEnsemble(...)`` and ``from_states`` check shapes, finiteness and
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .buffers import StepBuffers
 from .errors import ConfigurationError, ContractViolation, WeightCollapseError
 from .rng import RandomSource
 
@@ -136,7 +139,7 @@ def predict(ensemble: ParticleEnsemble, states) -> ParticleEnsemble:
 
 
 def weight_update(
-    ensemble: ParticleEnsemble, log_likelihood_rows
+    ensemble: ParticleEnsemble, log_likelihood_rows, work: StepBuffers | None = None
 ) -> tuple[ParticleEnsemble, float]:
     """Multiply measurement likelihoods into the weights and renormalize.
 
@@ -148,6 +151,9 @@ def weight_update(
         One row per conditionally independent measurement: its log density
         under each particle (-inf where zero).  Rows are added to the log
         weights in the order given.
+    work : StepBuffers, optional
+        Buffers whose ``stack`` holds ``[log w; rows]`` for the sum; when
+        ``None``, they are allocated for this call.
 
     Returns
     -------
@@ -170,6 +176,9 @@ def weight_update(
         raise ConfigurationError(
             f"log-likelihood rows have shape {rows.shape}, expected (K, {ensemble.size})"
         )
+    if work is None:
+        work = StepBuffers(ensemble.size, max_rows=len(rows))
+    stack = work.stack[: len(rows) + 1]
     # Log densities far out in the tail may sum past the float range to
     # -inf, which is their product's value.  A NaN or +inf row turns into a
     # NaN or infinite normalizer, which is checked below; the invalid
@@ -179,7 +188,9 @@ def weight_update(
         # loop of additions would.  (A single particle's column is
         # contiguous, and numpy sums it pairwise instead; the filter runs at
         # least two particles.)
-        log_w = np.add.reduce(np.concatenate((np.log(ensemble.weights)[None], rows)), axis=0)
+        np.log(ensemble.weights, out=stack[0])
+        stack[1:] = rows
+        log_w = np.add.reduce(stack, axis=0)
         peak = float(np.max(log_w))
         if peak == -np.inf:
             raise WeightCollapseError(
@@ -217,13 +228,17 @@ def resample_systematic(ensemble: ParticleEnsemble, rng: RandomSource) -> Partic
     return _ensemble(ensemble.particles[:, indices], np.full(n, 1.0 / n))
 
 
-def posterior_mean(ensemble: ParticleEnsemble) -> np.ndarray:
-    """Weighted mean of the particle states.
+def posterior_mean(ensemble: ParticleEnsemble, work: StepBuffers | None = None) -> np.ndarray:
+    """Weighted mean of the particle states, a fresh (N,) array.
 
-    The products are laid out one particle per row, and numpy reduces the
-    outer axis of a C-ordered block in order, so each component is ``w_0
-    x_0 + w_1 x_1 + ...`` added left to right.  (States of one component
-    give a contiguous column, which numpy sums pairwise instead.)
+    The products are laid out one particle per row, in ``work.products``
+    (allocated for this call when ``work`` is ``None``), and numpy reduces
+    the outer axis of a C-ordered block in order, so each component is
+    ``w_0 x_0 + w_1 x_1 + ...`` added left to right.  (States of one
+    component give a contiguous column, which numpy sums pairwise instead.)
     """
-    products = np.multiply(ensemble.weights[:, None], ensemble.particles.T, order="C")
+    n_states, n_particles = ensemble.particles.shape
+    if work is None:
+        work = StepBuffers(n_particles, n_states=n_states)
+    products = np.multiply(ensemble.weights[:, None], ensemble.particles.T, out=work.products)
     return products.sum(axis=0)

@@ -28,6 +28,7 @@ from typing import Mapping
 import numpy as np
 from scipy.special import ndtr
 
+from .buffers import StepBuffers
 from .ctm import FreewayNetwork, speed_map
 from .errors import ConfigurationError, ContractViolation, ModelConsistencyError
 from .fileio import (
@@ -85,15 +86,19 @@ def gaussian_log_pdf(value, mean, std):
 
 # A reading no Gaussian explains is no numerical error: a residual past the
 # float range is infinite, and one too large to square has log density
-# -inf, both without a warning.
-def _residual(value, mean, std):
+# -inf, both without a warning.  Given ``out`` (and ``log_std``), each
+# operation writes in place; the operations and their order are those of
+# ``(value - mean) / std`` and ``-0.5 * z * z - log(std) - log(sqrt(2 pi))``.
+def _residual(value, mean, std, out=None):
     with np.errstate(over="ignore"):
-        return (value - mean) / std
+        return np.divide(np.subtract(value, mean, out=out), std, out=out)
 
 
-def _log_pdf_of_z(z, std):
+def _log_pdf_of_z(z, std, out=None, log_std=None):
     with np.errstate(over="ignore"):
-        return -0.5 * z * z - np.log(std) - _LOG_SQRT_2PI
+        log_pdf = np.multiply(np.multiply(-0.5, z, out=out), z, out=out)
+        log_pdf = np.subtract(log_pdf, np.log(std, out=log_std), out=out)
+        return np.subtract(log_pdf, _LOG_SQRT_2PI, out=out)
 
 
 @dataclass(frozen=True)
@@ -313,37 +318,60 @@ def measurement_rows(
     particles: np.ndarray,
     network: FreewayNetwork,
     ramp_means: np.ndarray,
+    work: StepBuffers | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Null-model moments of step ``k``'s measurements against an (L, P) block.
 
     Returns ``values`` (M,), ``mean`` (M, P), ``std`` (M, P) and ``tested``,
-    the positions of the speed rows among the step's rows.  A loop row's
-    mean is each particle's density on its link; a speed row's mean is each
-    particle's predicted speed on its link, :func:`~gatedpf.ctm.speed_map`
-    at the onramp demands ``ramp_means``, evaluated once per distinct link
-    of the step.  A row's std is its rule's ``max(frac * mean, floor)``.
+    the positions of the speed rows among the step's rows; ``mean`` and
+    ``std`` are views of ``work.mean`` and ``work.std`` (allocated for this
+    call when ``work`` is ``None``).  A loop row's mean is each particle's
+    density on its link; a speed row's mean is each particle's predicted
+    speed on its link, :func:`~gatedpf.ctm.speed_map` at the onramp demands
+    ``ramp_means``, evaluated once per distinct link of the step.  A row's
+    std is its rule's ``max(frac * mean, floor)``.  A block whose link count
+    is not the log's raises :class:`ConfigurationError`.
     """
+    if particles.shape[0] != log.n_links:
+        raise ConfigurationError(
+            f"log compiled for {log.n_links} links, particles have {particles.shape[0]}"
+        )
     rows, speeds, pairs = log.step(k)
-    mean = particles[log.links[rows]]
+    n_rows = rows.stop - rows.start
+    if work is None:
+        work = StepBuffers(particles.shape[1], max_rows=n_rows, max_links=pairs.stop - pairs.start)
+    # compile_log checked every link against the log's n_links, which the
+    # block matches, so a clipping take (which writes its out block
+    # directly) gathers the rows a raising one would.
+    mean = np.take(particles, log.links[rows], axis=0, out=work.mean[:n_rows], mode="clip")
     tested = log.speed_index[speeds] - rows.start
     if tested.size:
-        speed = speed_map(particles, network, log.pair_links[pairs], ramp_means)
-        mean[tested] = speed[log.speed_pairs[speeds]]
+        speed = speed_map(particles, network, log.pair_links[pairs], ramp_means, work)
+        mean[tested] = np.take(
+            speed, log.speed_pairs[speeds], axis=0, out=work.scratch[: tested.size], mode="clip"
+        )
     frac, floor = log.std_rules[:, rows, None]
-    std = np.maximum(frac * mean, floor)
+    std = np.multiply(frac, mean, out=work.std[:n_rows])
+    np.maximum(std, floor, out=std)
     return log.values[rows], mean, std, tested
 
 
 def standardize(
-    values: np.ndarray, mean: np.ndarray, std: np.ndarray
+    values: np.ndarray, mean: np.ndarray, std: np.ndarray, work: StepBuffers | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Standardized residuals ``z = (value - mean) / std`` of each row and the
     null Gaussian log density ``-z^2 / 2 - log(std) - log(sqrt(2 pi))``
-    computed from the same ``z``."""
+    computed from the same ``z``: views of ``work.z`` and
+    ``work.log_density`` (allocated for this call when ``work`` is
+    ``None``)."""
     if not np.all(std > 0.0):
         raise ModelConsistencyError("null-model std must be positive")
-    z = _residual(np.asarray(values, dtype=float)[:, None], mean, std)
-    return z, _log_pdf_of_z(z, std)
+    n_rows, n_particles = np.shape(mean)
+    if work is None:
+        work = StepBuffers(n_particles, max_rows=n_rows)
+    z = _residual(np.asarray(values, dtype=float)[:, None], mean, std, out=work.z[:n_rows])
+    log_pdf = _log_pdf_of_z(z, std, out=work.log_density[:n_rows], log_std=work.scratch[:n_rows])
+    return z, log_pdf
 
 
 def fault_log_density(

@@ -6,6 +6,7 @@ import pytest
 import yaml
 
 from gatedpf import scenario
+from gatedpf.buffers import StepBuffers
 from gatedpf.ctm import DemandProfile, DemandSchedule, FreewayNetwork, LinkParams
 from gatedpf.particles import ParticleEnsemble
 from gatedpf.sensing import standardize
@@ -24,6 +25,20 @@ def gaussian_rows(values, states, std: float = 1.0) -> tuple[np.ndarray, np.ndar
     states = np.asarray(states, dtype=float)
     shape = (len(values), len(states))
     return standardize(values, np.broadcast_to(states, shape), np.full(shape, std))
+
+
+def dirty_buffers(n_particles, n_states=0, max_rows=0, max_links=0) -> StepBuffers:
+    """Work buffers as a run's earlier calls might leave them: every float
+    NaN and every flag set."""
+    work = StepBuffers(n_particles, n_states, max_rows, max_links)
+    for buffer in vars(work).values():
+        buffer.fill(True if buffer.dtype == bool else np.nan)
+    return work
+
+
+def shares_buffers(array, work: StepBuffers) -> bool:
+    """Whether ``array`` shares memory with any of the buffers."""
+    return any(np.shares_memory(array, buffer) for buffer in vars(work).values())
 
 
 def scalar_ensemble(values, weights=None) -> ParticleEnsemble:

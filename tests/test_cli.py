@@ -472,12 +472,12 @@ class TestOutputFailures:
             assert not list(Path(tmp).rglob("*.tmp"))
 
     @staticmethod
-    def _python(*args, stdout=None) -> subprocess.Popen:
+    def _python(*args, stdout=None, stderr=subprocess.PIPE) -> subprocess.Popen:
         """A child Python process that imports this package."""
         src = str(Path(gatedpf.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         return subprocess.Popen(
-            [sys.executable, *map(str, args)], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env
+            [sys.executable, *map(str, args)], stdout=stdout, stderr=stderr, text=True, env=env
         )
 
     @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file size limit on this system")
@@ -506,6 +506,41 @@ class TestOutputFailures:
             _, err = child.communicate(timeout=120)
         assert child.returncode == 2
         assert err == "error: cannot write <stdout>: No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    def test_progress_to_a_full_device_is_dropped(self, scenario_path, tmp_path):
+        # Progress is no result: a simulate whose stderr takes nothing
+        # writes every file a quiet run writes and exits 0.
+        quiet, out = tmp_path / "quiet", tmp_path / "o"
+        assert run_cli("simulate", "--scenario", scenario_path, "--out", quiet, "--quiet") == 0
+        with open("/dev/full", "w") as full:
+            child = self._python(
+                "-m", "gatedpf.cli", "simulate", "--scenario", scenario_path, "--out", out, stderr=full
+            )
+            child.communicate(timeout=120)
+        assert child.returncode == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in quiet.iterdir())
+        for name in ("true_density.csv", "true_speeds.csv", "measurements.csv"):
+            assert (out / name).read_bytes() == (quiet / name).read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    @pytest.mark.parametrize("failure, code", [("scenario", 2), ("collapse", 3)])
+    def test_an_unwritable_error_line_keeps_the_exit_code(self, scenario_path, tmp_path, failure, code):
+        # A repeated scenario key exits 2, a loop reading no particle
+        # explains collapses the ungated filter (exit 3); the error line
+        # stderr cannot take does not change either.
+        if failure == "scenario":
+            bad = tmp_path / "dup.yaml"
+            bad.write_text("filter:\n  particles: 400\n  particles: 10\n")
+            args = ["simulate", "--scenario", bad, "--out", tmp_path / "o"]
+        else:
+            log = TestFilter._log_with_loop_value(scenario_path, tmp_path, "1e+200")
+            args = ["filter", "--scenario", scenario_path, "--log", log, "--variant", "none",
+                    "--out", tmp_path / "o"]
+        with open("/dev/full", "w") as full:
+            child = self._python("-m", "gatedpf.cli", *args, stderr=full)
+            child.communicate(timeout=120)
+        assert child.returncode == code
 
     def test_report_to_a_closed_pipe_exits_2(self, scenario_path, tmp_path):
         # The reading end closes before the report is written; Python

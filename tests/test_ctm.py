@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gatedpf.buffers import StepBuffers
 from gatedpf.ctm import (
     DENSITY_TOL,
     EMPTY_DENSITY,
@@ -25,7 +26,7 @@ from gatedpf.ctm import (
 from gatedpf.errors import ConfigurationError, ModelConsistencyError
 from gatedpf.rng import RandomSource
 
-from conftest import flat_schedule, small_network
+from conftest import dirty_buffers, flat_schedule, shares_buffers, small_network
 
 
 def make_link(**kw):
@@ -92,7 +93,8 @@ def junction_flows(states, network, upstream_demand, onramp_demand=None):
     blocks, zero on links without that ramp.  ``onramp_demand`` is (R,) or
     (R, P), aligned with ``network.onramp_links``."""
     states = _states_block(states, network)
-    q, r_rows, s_rows = _flows(states, network, upstream_demand, onramp_demand)
+    work = StepBuffers(states.shape[1], n_states=network.n_links)
+    q, r_rows, s_rows = _flows(states, network, upstream_demand, onramp_demand, work)
     r, s = np.zeros_like(states), np.zeros_like(states)
     if r_rows is not None:
         r[network._onramp_rows] = r_rows
@@ -107,7 +109,8 @@ def link_flow(rho_up, up, rho_down, down, dt):
     ``w * dt * (rho_jam - rho)``, as ``ctm._flows`` computes it on the
     two-link network of ``up`` and ``down`` with their ramps removed."""
     plain = tuple(dataclasses.replace(link, onramp=False, offramp=False, beta=0.0) for link in (up, down))
-    q, _, _ = _flows(column([rho_up, rho_down]), FreewayNetwork(links=plain, dt=dt), 0.0, None)
+    network = FreewayNetwork(links=plain, dt=dt)
+    q, _, _ = _flows(column([rho_up, rho_down]), network, 0.0, None, StepBuffers(1, n_states=2))
     return float(q[1, 0])
 
 
@@ -460,6 +463,33 @@ class TestParticleColumns:
         _, r, _ = junction_flows(states, net, upstream, ramps)
         assert np.all(r[[0, 2]] < ramps)
         self.check_columns((net, states, upstream, ramps), [0, 1, 2, 1, 0])
+
+
+class TestRunBuffers:
+    """``advance`` and ``speed_map`` give the same bits with a run's work
+    buffers, dirty from earlier calls and sized for more links than a call
+    reads, as with buffers of their own."""
+
+    @given(junction_cases(), st.lists(st.integers(0, 5), max_size=10), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_buffered_calls_give_the_same_bits(self, case, links, spare):
+        net, states, upstream, ramps = case
+        n = net.n_links
+        links = [link % n for link in links]
+        work = dirty_buffers(states.shape[1], n_states=n, max_links=max(len(links), n) + spare)
+        # Two steps on the same buffers, each with its own set of links.
+        for step_links in (links, list(range(n))[::-1]):
+            expected = outcome(advance, states, net, upstream, ramps)
+            got = outcome(advance, states, net, upstream, ramps, work)
+            if isinstance(expected, type):
+                assert got is expected
+            else:
+                assert got.tobytes() == expected.tobytes() and not shares_buffers(got, work)
+            speeds = speed_map(states, net, step_links, ramps, work)
+            assert speeds.tobytes() == speed_map(states, net, step_links, ramps).tobytes()
+            if isinstance(expected, type):
+                break
+            states = expected
 
 
 def full_map_speeds(states, q, s, network):

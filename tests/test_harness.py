@@ -7,6 +7,7 @@ import logging
 import re
 import string
 import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
@@ -45,6 +46,7 @@ from gatedpf.harness import (
     run_experiment,
     run_traffic_filter,
     simulate_seed,
+    step_buffers,
     write_decision_log,
 )
 from gatedpf.particles import (
@@ -56,6 +58,7 @@ from gatedpf.particles import (
     weight_update,
 )
 from gatedpf.rng import RandomSource
+from gatedpf.scenario import default_scenario_dict, scenario_from_dict
 from gatedpf.sensing import (
     GNSS_SPEED,
     HYPOTHESIS_MODES,
@@ -71,7 +74,7 @@ from gatedpf.sensing import (
     write_measurement_log,
 )
 
-from conftest import small_network
+from conftest import shares_buffers, small_network
 from reference_log import Record, log_of, records_of
 
 
@@ -316,10 +319,13 @@ class TestFilterLoop:
         assert result.decisions.tolist() == decisions
         assert (len(decisions) > 0) == (variant.mode != "none")
 
+    @pytest.mark.parametrize("buffered", [False, True], ids=["own-buffers", "run-buffers"])
     @pytest.mark.parametrize("mode", HYPOTHESIS_MODES)
-    def test_stepping_by_hand_reproduces_the_run(self, mode):
+    def test_stepping_by_hand_reproduces_the_run(self, mode, buffered):
         # filter_step taken by hand from the run's start on the run's two
-        # streams gives its estimates and every decision column bit for bit.
+        # streams gives its estimates and every decision column bit for bit,
+        # whether each step allocates its buffers or reuses the run's; what
+        # a step returns never holds the run's buffers.
         # Step 5 has no rows and step 6 loop readings only: neither gates.
         variant = FilterVariant(mode, None if mode == "none" else 0.05)
         config = micro_config(horizon=12, variants=(variant,))
@@ -337,8 +343,14 @@ class TestFilterLoop:
             np.repeat(config.initial_state[:, None], config.particles, axis=1)
         )
         estimates, gates = [], []
+        work = step_buffers(config, log, 1, config.horizon) if buffered else None
         for k in range(1, config.horizon):
-            ensemble, estimate, gate = filter_step(config, log, variant, ensemble, k, rng_demand, rng_resample)
+            ensemble, estimate, gate = filter_step(
+                config, log, variant, ensemble, k, rng_demand, rng_resample, work
+            )
+            if buffered:
+                returned = (ensemble.particles, ensemble.weights, estimate, *(gate or ()))
+                assert not any(shares_buffers(array, work) for array in returned)
             estimates.append(estimate)
             speeds = log.step(k)[1]
             if mode == "none" or speeds.start == speeds.stop:
@@ -420,6 +432,41 @@ class TestFilterLoop:
 
 
 GATED = (FilterVariant("fisher", 0.05), FilterVariant("np_correct", 0.05), FilterVariant("np_incorrect", 0.05))
+
+
+class TestStepAllocations:
+    def test_a_wide_ungated_step_allocates_little_beyond_its_blocks(self):
+        # On the run's buffers, a step at P = 1600 allocates its successor
+        # block and, when it resamples, the resampled block; everything
+        # else it allocates is small.  Its traced peak, above the level it
+        # started at, stays within 2.5 (L, P) blocks (about 3.8 when every
+        # temporary of the CTM and the rows was allocated anew).
+        doc = default_scenario_dict()
+        doc["filter"]["particles"], doc["run"]["horizon"] = 1600, 60
+        config = scenario_from_dict(doc).experiment_config(seeds=[301])
+        log = compile_log(config, simulate_seed(config, 301)[1])
+        base = RandomSource(301)
+        rng_demand, rng_resample = base.derive(STREAM_FILTER_DEMAND), base.derive(STREAM_FILTER_RESAMPLE)
+        ensemble = ParticleEnsemble.from_states(
+            np.repeat(config.initial_state[:, None], config.particles, axis=1)
+        )
+        work = step_buffers(config, log, 1, config.horizon)
+        block = 8 * config.network.n_links * config.particles
+        variant = FilterVariant("none")
+        peaks, resampled = [], 0
+        tracemalloc.start()
+        try:
+            for k in range(1, config.horizon):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                ensemble, _, _ = filter_step(config, log, variant, ensemble, k, rng_demand, rng_resample, work)
+                if k > 10:  # after the warm-up steps
+                    peaks.append((tracemalloc.get_traced_memory()[1] - start) / block)
+                    resampled += bool(np.all(ensemble.weights == 1.0 / config.particles))
+        finally:
+            tracemalloc.stop()
+        assert resampled > 0
+        assert max(peaks) <= 2.5, peaks
 
 
 class TestGatedStep:

@@ -19,7 +19,7 @@ from gatedpf.particles import (
 )
 from gatedpf.rng import RandomSource
 
-from conftest import log_rows, scalar_ensemble
+from conftest import dirty_buffers, log_rows, scalar_ensemble, shares_buffers
 
 
 def identity(states):
@@ -170,11 +170,14 @@ class TestWeightUpdateBits:
         st.sampled_from([1.0, 50.0, 800.0]),
         st.sampled_from([0.0, 0.1, 0.6]),
         st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=3),
     )
     @settings(max_examples=300, deadline=None)
-    def test_equals_row_by_row_update(self, n, k, spread, p_zero, seed):
+    def test_equals_row_by_row_update(self, n, k, spread, p_zero, seed, spare):
         # Rows with -inf entries and zero prior weights included; peaks past
-        # the rescale bound too.
+        # the rescale bound too.  With a run's buffers, dirty and sized for
+        # more rows, and again on the same buffers: the same bits.
+        work = dirty_buffers(n, max_rows=k + spare)
         rng = np.random.default_rng(seed)
         weights = rng.random(n)
         weights[rng.random(n) < 0.2] = 0.0
@@ -184,13 +187,15 @@ class TestWeightUpdateBits:
         rows[rng.random((k, n)) < p_zero] = -np.inf
         expected = loop_weight_update(ens, rows)
         if expected is None:
-            with pytest.raises(WeightCollapseError):
-                weight_update(ens, rows)
+            for buffers in (None, work):
+                with pytest.raises(WeightCollapseError):
+                    weight_update(ens, rows, buffers)
             return
-        out, log_marginal = weight_update(ens, rows)
-        assert out.weights.tobytes() == expected[0].tobytes()
-        assert log_marginal == expected[1]
-        assert out.particles is ens.particles
+        for buffers in (None, work, work):
+            out, log_marginal = weight_update(ens, rows, buffers)
+            assert out.weights.tobytes() == expected[0].tobytes()
+            assert log_marginal == expected[1]
+            assert out.particles is ens.particles and not shares_buffers(out.weights, work)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nan_or_positive_infinite_row_is_a_configuration_error(self, bad):
@@ -407,7 +412,8 @@ class TestPosteriorMean:
     @settings(max_examples=150, deadline=None)
     def test_equals_left_to_right_sum(self, n, p, scale, seed):
         # Each component is w_0 x_0 + w_1 x_1 + ..., added in particle
-        # order, bit for bit; zero weights included.
+        # order, bit for bit; zero weights included.  With a run's dirty
+        # buffers, twice over: the same bits.
         rng = np.random.default_rng(seed)
         weights = rng.random(p)
         weights[rng.random(p) < 0.2] = 0.0
@@ -418,4 +424,7 @@ class TestPosteriorMean:
         expected = ens.weights[0] * ens.particles[:, 0]
         for i in range(1, p):
             expected = expected + ens.weights[i] * ens.particles[:, i]
-        assert posterior_mean(ens).tobytes() == expected.tobytes()
+        work = dirty_buffers(p, n_states=n)
+        for buffers in (None, work, work):
+            mean = posterior_mean(ens, buffers)
+            assert mean.tobytes() == expected.tobytes() and not shares_buffers(mean, work)

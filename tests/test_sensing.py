@@ -1,6 +1,7 @@
 """Unit tests for synthetic sensing, fault injection, and measurement models."""
 from __future__ import annotations
 
+import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +13,13 @@ from hypothesis import strategies as st
 
 from gatedpf.ctm import FreewayNetwork, LinkParams, Trajectory, speed_map
 from gatedpf.errors import ConfigurationError, ContractViolation, DataError
-from gatedpf.harness import FilterVariant, compile_log, generate_measurements, run_traffic_filter
+from gatedpf.harness import (
+    FilterVariant,
+    compile_log,
+    generate_measurements,
+    run_traffic_filter,
+    simulate_seed,
+)
 from gatedpf.rng import RandomSource
 from gatedpf.sensing import (
     FaultConfig,
@@ -31,7 +38,7 @@ from gatedpf.sensing import (
     write_measurement_log,
 )
 
-from conftest import small_network
+from conftest import dirty_buffers, small_network
 from reference_log import Record, generate_records, log_of, log_text, records_of
 from test_harness import micro_config
 
@@ -252,6 +259,20 @@ class TestMeasurementModels:
         _, _, std, _ = step_rows([loop], np.array([[0.05]]), small_network(1), loops=floored)
         np.testing.assert_array_equal(std, [[0.002]])
 
+    def test_block_with_fewer_links_than_the_log_is_refused(self):
+        # A loop row on link 2 of a log compiled for three links must not
+        # be gathered from a two-link block (a clipping take would read
+        # link 1); a step of loop rows alone never reaches speed_map.
+        loops = LoopDetectors(links=(2,))
+        loop = Record(k=1, sensor_id="loop-2", kind="loop_density", link=2, value=0.04, faulty=False)
+        network = small_network(3)
+        config = replace(micro_config(horizon=2), network=network, loops=loops)
+        log = compile_log(config, log_of([loop]))
+        assert log.n_links == 3
+        for n_links in (2, 4):
+            with pytest.raises(ConfigurationError, match="3 links"):
+                measurement_rows(log, 1, np.full((n_links, 2), 0.05), network, np.zeros(0))
+
     def test_speed_rows_read_their_own_links(self):
         # Speed reports on links 2, 0, 2 among loop rows: each speed row's
         # mean is speed_map on that row's link alone, bit for bit, at the
@@ -371,6 +392,68 @@ class TestBuildSensorModels:
         log = log_of([Record(k=4, sensor_id="loop-1", kind="loop_density", link=1, value=0.1, faulty=False)])
         with pytest.raises(DataError, match="'loop-1' at step 4: no 'loop_density' sensor configured on link 1"):
             run_traffic_filter(config, log, FilterVariant("fisher", 0.01), RandomSource(1))
+
+
+# Moments spread over the float range, with residuals near 1.5e154, where
+# (-0.5 * z) * z is finite but -0.5 * (z * z) is -inf.
+_wide = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([1.5e154, -1.5e154, 1.9e154, 1e200, -1e200, 1.7976931348623157e308]),
+)
+_stds = st.one_of(st.floats(1e-3, 1e3), st.sampled_from([1.0, 5e-324, 1e-300, 1e300]))
+
+
+class TestRunBuffers:
+    """``measurement_rows`` and ``standardize`` give the same bits with a
+    run's work buffers, dirty from earlier steps and sized for more rows
+    than a step has, as with buffers of their own."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_every_step_of_a_log_gives_the_same_bits(self, seed, n_particles, spare):
+        config = micro_config(horizon=8)
+        log = compile_log(config, simulate_seed(config, seed % 1000)[1])
+        max_rows, _, max_links = np.diff(log.offsets, axis=0).max(axis=0).tolist()
+        work = dirty_buffers(n_particles, max_rows=max_rows + spare, max_links=max_links + spare)
+        rng = np.random.default_rng(seed)
+        for k in range(1, config.horizon):
+            # Empty links (freeflow speeds) among the particles' densities.
+            particles = rng.uniform(0.0, 0.125, size=(config.network.n_links, n_particles))
+            particles[rng.random(particles.shape) < 0.2] = 0.0
+            ramp_means = config.demand_table[k, 0, 1:]
+            expected = measurement_rows(log, k, particles, config.network, ramp_means)
+            got = measurement_rows(log, k, particles, config.network, ramp_means, work)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+            if len(got[0]):
+                pairs = zip(standardize(*got[:3], work), standardize(*expected[:3]))
+                assert all(a.tobytes() == b.tobytes() for a, b in pairs)
+
+    @staticmethod
+    def check_standardize(values, mean, std, spare):
+        """Both forms of ``standardize`` give the bits of its expressions."""
+        with np.errstate(over="ignore"):
+            z = (values[:, None] - mean) / std
+            log_pdf = -0.5 * z * z - np.log(std) - 0.5 * math.log(2.0 * math.pi)
+        work = dirty_buffers(mean.shape[1], max_rows=len(values) + spare)
+        for got in (standardize(values, mean, std), standardize(values, mean, std, work)):
+            assert got[0].tobytes() == z.tobytes() and got[1].tobytes() == log_pdf.tobytes()
+        return log_pdf
+
+    @given(st.data(), st.integers(1, 4), st.integers(1, 3), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_standardize_keeps_the_expressions_order(self, data, n_rows, n_particles, spare):
+        row = st.lists(_wide, min_size=n_particles, max_size=n_particles)
+        values = np.array(data.draw(st.lists(_wide, min_size=n_rows, max_size=n_rows)))
+        mean = np.array(data.draw(st.lists(row, min_size=n_rows, max_size=n_rows)))
+        std_row = st.lists(_stds, min_size=n_particles, max_size=n_particles)
+        std = np.array(data.draw(st.lists(std_row, min_size=n_rows, max_size=n_rows)))
+        self.check_standardize(values, mean, std, spare)
+
+    def test_residuals_at_the_square_overflow_edge(self):
+        # z = 1.5e154: (-0.5 * z) * z is -1.125e308, while -0.5 * (z * z)
+        # would be -inf.
+        log_pdf = self.check_standardize(np.zeros(1), np.array([[-1.5e154, 1.5e154]]), np.ones((1, 2)), 1)
+        assert np.isfinite(log_pdf).all()
 
 
 class TestMeasurementLog:
