@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Run the full default study and print its summary table.
 
-Writes the bundled default scenario (unless --scenario points elsewhere),
-runs the variant x level x seed sweep through the CLI code path, and prints
-the report. Use --quick for a small smoke-scale run.
+Writes the bundled default scenario into the output directory, runs the
+variant x level x seed sweep through the CLI code path, and prints the
+report. Use --quick for a small smoke-scale run. To sweep another
+scenario, or without per-run artifacts, run `gatedpf sweep --scenario FILE
+--out DIR [--no-artifacts]`.
 """
 from __future__ import annotations
 
@@ -30,25 +32,17 @@ def quick_scenario_dict() -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scenario", type=Path, default=None, help="scenario YAML (default: bundled)")
     parser.add_argument("--out", type=Path, default=REPO_ROOT / "runs" / "default")
     parser.add_argument("--quick", action="store_true", help="small smoke-scale configuration")
-    parser.add_argument("--no-artifacts", action="store_true", help="skip per-run trajectory dumps")
     args = parser.parse_args()
 
-    if args.scenario is None:
-        doc = quick_scenario_dict() if args.quick else default_scenario_dict()
-        scenario_path = args.out / "scenario.yaml"
-        scenario_path.parent.mkdir(parents=True, exist_ok=True)
-        scenario_path.write_text(yaml.safe_dump(doc, sort_keys=False))
-    else:
-        scenario_path = args.scenario
+    doc = quick_scenario_dict() if args.quick else default_scenario_dict()
+    scenario_path = args.out / "scenario.yaml"
+    scenario_path.parent.mkdir(parents=True, exist_ok=True)
+    scenario_path.write_text(yaml.safe_dump(doc, sort_keys=False))
 
-    sweep_args = ["sweep", "--scenario", str(scenario_path), "--out", str(args.out)]
-    if args.no_artifacts:
-        sweep_args.append("--no-artifacts")
     start = time.time()
-    code = cli_main(sweep_args)
+    code = cli_main(["sweep", "--scenario", str(scenario_path), "--out", str(args.out)])
     if code != 0:
         return code
     print(f"sweep finished in {time.time() - start:.0f}s", file=sys.stderr)

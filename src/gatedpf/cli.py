@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .errors import ConfigurationError, DataError, WeightCollapseError
 from .fileio import atomic_write_text, write_matrix_csv
+from .gates import MODES
 from .harness import (
     METRIC_FIELDS,
     FilterVariant,
@@ -30,7 +31,7 @@ from .harness import (
 )
 from .rng import RandomSource
 from .scenario import load_scenario, write_manifest
-from .sensing import HYPOTHESIS_MODES, read_measurement_log, write_measurement_log
+from .sensing import read_measurement_log, write_measurement_log
 
 
 def _say(args, message: str) -> None:
@@ -82,9 +83,7 @@ def cmd_filter(args) -> int:
     seed = args.seed if args.seed is not None else scenario.seeds[0]
     config = scenario.experiment_config(seeds=[seed])
     alpha = args.alpha if args.alpha is not None else scenario.alphas[0]
-    variant = FilterVariant(
-        mode=args.variant, alpha=None if args.variant == "none" else float(alpha)
-    )
+    variant = FilterVariant(args.variant, None if MODES[args.variant] is None else float(alpha))
     log = compile_log(config, read_measurement_log(args.log))
     out = Path(args.out)
     artifacts = {
@@ -122,12 +121,7 @@ def cmd_sweep(args) -> int:
         "metrics_long": "metrics_long.csv",
     }
     write_manifest(out, "sweep", scenario, seeds, artifacts)
-    _say(
-        args,
-        f"sweep: {len({v.mode for v in scenario.variants})} variants "
-        f"x {len(scenario.alphas)} levels "
-        f"x {len(seeds)} seeds",
-    )
+    _say(args, f"sweep: {len(config.variants)} variants x {len(seeds)} seeds")
 
     sink = None
     if not args.no_artifacts:
@@ -222,11 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fil = sub.add_parser("filter", help="run one gated filter over a measurement log")
     common(p_fil)
     p_fil.add_argument("--log", required=True, help="measurement log CSV")
-    p_fil.add_argument(
-        "--variant",
-        required=True,
-        choices=HYPOTHESIS_MODES,
-    )
+    p_fil.add_argument("--variant", required=True, choices=tuple(MODES))
     p_fil.add_argument("--alpha", type=float, default=None, help="significance level")
     p_fil.add_argument("--out", required=True, help="output directory")
     p_fil.set_defaults(func=cmd_filter)

@@ -176,9 +176,15 @@ def _states_block(states, network: FreewayNetwork) -> np.ndarray:
     return states
 
 
-def _ramp_block(onramp_demand) -> np.ndarray:
+def _ramp_block(network: FreewayNetwork, onramp_demand) -> np.ndarray | None:
     """Onramp demands as rows: an (R,) vector shared by the particles
-    becomes an (R, 1) column, an (R, P) block is kept."""
+    becomes an (R, 1) column, an (R, P) block is kept; ``None`` on a network
+    without onramps.  A network with onramps given no demand raises
+    :class:`ConfigurationError`."""
+    if not len(network._onramp_rows):
+        return None
+    if onramp_demand is None:
+        raise ConfigurationError("network has onramps but no onramp demand given")
     ramp = np.asarray(onramp_demand, dtype=float)
     return ramp[:, None] if ramp.ndim == 1 else ramp
 
@@ -196,9 +202,7 @@ def _flows(states, network: FreewayNetwork, upstream_demand, onramp_demand, work
     """
     n_l = states.shape[0]
     dt = network.dt
-    ramp_rows = network._onramp_rows
-    if len(ramp_rows) and onramp_demand is None:
-        raise ConfigurationError("network has onramps but no onramp demand given")
+    ramp = _ramp_block(network, onramp_demand)
 
     # Boundary b feeds link b.  Its mainline demand is the upstream demand
     # for b = 0 and link b-1's demand after the offramp split otherwise, so
@@ -216,8 +220,7 @@ def _flows(states, network: FreewayNetwork, upstream_demand, onramp_demand, work
         demand[off] -= s
     supply = np.subtract(network.rho_jam[:, None], states, out=work.supply)
     supply *= network.w[:, None] * dt
-    ramp = _ramp_block(onramp_demand) if len(ramp_rows) else None
-    r = _boundary_flows(q[:n_l], supply, ramp_rows, ramp, network.onramp_priority)
+    r = _boundary_flows(q[:n_l], supply, network._onramp_rows, ramp, network.onramp_priority)
     return q, r, s
 
 
@@ -277,7 +280,8 @@ def speed_map(
     link's speed is its discharge, the flow across its downstream boundary
     plus its offramp flow, over ``rho * dt``, evaluated at the given
     (typically mean) onramp demands,
-    (R,) or (R, P); ``None`` means no onramp demand.  Link l's discharge
+    (R,) or (R, P), which a network without onramps may leave ``None``, as
+    for :func:`advance`.  Link l's discharge
     reads only links l and l + 1 and the onramp demand at l + 1, so the
     upstream boundary demand never enters.  The boundary rule is
     :func:`advance`'s, so every row equals the same link's speed computed
@@ -290,6 +294,7 @@ def speed_map(
     links = np.asarray(links, dtype=np.intp).reshape(-1)
     if links.size and not (0 <= links.min() and links.max() < n_l):
         raise ConfigurationError(f"links {links.tolist()} outside [0, {n_l - 1}]")
+    ramp = _ramp_block(network, onramp_demand)
     dt = network.dt
     n_k = links.size
     if work is None:
@@ -314,8 +319,8 @@ def speed_map(
     supply *= network.w[down, None] * dt
     supply[links == n_l - 1] = np.inf
     slot = network._onramp_slot[links + 1]
-    ramp_rows = np.flatnonzero(slot >= 0) if onramp_demand is not None else ()
-    ramp = _ramp_block(onramp_demand)[slot[ramp_rows]] if len(ramp_rows) else None
+    ramp_rows = np.flatnonzero(slot >= 0)
+    ramp = ramp[slot[ramp_rows]] if len(ramp_rows) else None
     _boundary_flows(mainline, supply, ramp_rows, ramp, network.onramp_priority)
     # Speed is discharge over rho * dt, clamped to [0, vf]; near-empty
     # links report freeflow.  Counting the offramp share keeps an

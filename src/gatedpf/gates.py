@@ -22,6 +22,9 @@ falls below the level and some particle favors the fault model, the
 significance test when its p-value falls below the level.  So a test's
 columns at one level give its outcomes at every other.
 
+``MODES`` maps each filter mode to its test, and ``gate_rows`` runs a
+step's gate: the test, then ``level_rule`` and ``unexplained``.
+
 The filter's gate also rejects every row that no positive-weight prior
 particle explains (``unexplained``), that is, whose null log density is
 ``-inf`` at each particle with ``w_p > 0``.  Such a row cannot be
@@ -35,6 +38,7 @@ collapses on that row.
 from __future__ import annotations
 
 from enum import Enum
+from types import MappingProxyType
 
 import numpy as np
 from scipy.special import ndtr
@@ -43,6 +47,14 @@ from scipy.special import ndtr
 class GateKind(str, Enum):
     NEYMAN_PEARSON = "neyman_pearson"
     FISHER = "fisher"
+
+
+# Each filter mode's test, ``None`` for the ungated filter; the two
+# likelihood-ratio modes differ only in their fault model.
+MODES = MappingProxyType({
+    "none": None, "fisher": GateKind.FISHER,
+    "np_correct": GateKind.NEYMAN_PEARSON, "np_incorrect": GateKind.NEYMAN_PEARSON,
+})
 
 
 def likelihood_ratio_test(
@@ -132,3 +144,20 @@ def unexplained(weights: np.ndarray, log_g0: np.ndarray) -> np.ndarray:
         log_g0 = log_g0[:, weights > 0.0]
     return log_g0.max(axis=1, initial=-np.inf) == -np.inf
 
+
+def gate_rows(
+    kind: GateKind, alpha: float, weights: np.ndarray, z: np.ndarray, log_g0: np.ndarray,
+    log_g1: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(statistic, auxiliary, rejected)`` columns of a step's gate on
+    its tested rows: the test of ``kind`` on the residuals ``z`` (K, P), or
+    on the null log densities ``log_g0`` (K, P) against the fault log
+    densities ``log_g1`` (K, 1), which only the likelihood-ratio test reads.
+    A row is rejected when level ``alpha`` rejects its statistic
+    (:func:`level_rule`) or no positive-weight particle explains it."""
+    if kind is GateKind.FISHER:
+        statistic, auxiliary = significance_test(weights, z)
+    else:
+        statistic, auxiliary = likelihood_ratio_test(weights, log_g0, log_g1)
+    rejected = level_rule(kind, statistic, auxiliary, alpha)
+    return statistic, auxiliary, rejected | unexplained(weights, log_g0)

@@ -65,7 +65,7 @@ from .fileio import (
     read_records,
     record_text,
 )
-from .gates import GateKind, level_rule, likelihood_ratio_test, significance_test, unexplained
+from .gates import MODES, GateKind, gate_rows, level_rule
 from .particles import (
     ParticleEnsemble,
     effective_sample_size,
@@ -76,12 +76,10 @@ from .particles import (
 )
 from .rng import RandomSource
 from .sensing import (
-    LIKELIHOOD_RATIO_MODES,
     LOOP_DENSITY,
     CompiledLog,
     FaultConfig,
     GnssSpec,
-    HYPOTHESIS_MODES,
     LoopDetectors,
     MeasurementLog,
     fault_log_density,
@@ -133,24 +131,21 @@ METRIC_FIELDS = (
 
 @dataclass(frozen=True)
 class FilterVariant:
-    """One filter configuration: a hypothesis mode plus its level."""
+    """One filter configuration: a mode of ``gates.MODES`` plus its level."""
 
     mode: str
     alpha: float | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in HYPOTHESIS_MODES:
+        if self.mode not in MODES:
             raise ConfigurationError(
-                f"unknown filter mode {self.mode!r}; expected one of {HYPOTHESIS_MODES}"
+                f"unknown filter mode {self.mode!r}; expected one of {tuple(MODES)}"
             )
-        if self.mode == "none":
+        if self.kind is None:
             if self.alpha is not None:
                 raise ConfigurationError("ungated variant takes no alpha")
-        else:
-            if self.alpha is None or not (0.0 < self.alpha < 1.0):
-                raise ConfigurationError(
-                    f"variant {self.mode!r} needs alpha in (0, 1), got {self.alpha}"
-                )
+        elif self.alpha is None or not (0.0 < self.alpha < 1.0):
+            raise ConfigurationError(f"variant {self.mode!r} needs alpha in (0, 1), got {self.alpha}")
 
     @property
     def label(self) -> str:
@@ -159,9 +154,7 @@ class FilterVariant:
     @property
     def kind(self) -> GateKind | None:
         """The variant's test; ``None`` for the ungated filter."""
-        if self.mode == "none":
-            return None
-        return GateKind.FISHER if self.mode == "fisher" else GateKind.NEYMAN_PEARSON
+        return MODES[self.mode]
 
 
 @dataclass(frozen=True)
@@ -334,24 +327,6 @@ def simulate_seed(config: ExperimentConfig, seed: int) -> tuple[Trajectory, Meas
     return truth, measurements
 
 
-def _run_gate(variant, weights, z, log_g0, log, speeds):
-    """Run the variant's gate on one step's tested rows, the ``speeds``
-    rows of the compiled ``log``, and return its ``(statistic, auxiliary,
-    rejected)`` columns: ``fisher`` runs the significance test with no
-    fault model, ``np_correct`` the likelihood-ratio test against the true
-    fault mixture, ``np_incorrect`` against the near-zero model only.  A
-    row is rejected when the variant's level rejects the test's statistic
-    (:func:`~gatedpf.gates.level_rule`) or no positive-weight particle
-    explains it."""
-    if variant.mode == "fisher":
-        statistic, auxiliary = significance_test(weights, z)
-    else:
-        log_g1 = log.fault_log_g1[variant.mode][speeds]
-        statistic, auxiliary = likelihood_ratio_test(weights, log_g0, log_g1[:, None])
-    rejected = level_rule(variant.kind, statistic, auxiliary, variant.alpha)
-    return statistic, auxiliary, rejected | unexplained(weights, log_g0)
-
-
 def _check_log(config: ExperimentConfig, log: MeasurementLog) -> None:
     """Raise :class:`DataError` naming the first row, in log order, that a
     filter run of ``config`` cannot assimilate: its step is outside the
@@ -430,7 +405,8 @@ def compile_log(config: ExperimentConfig, log: MeasurementLog) -> CompiledLog:
                 mode: fault_log_density(
                     values[speed], mode, config.fault_config, config.h1_zero_std
                 )
-                for mode in LIKELIHOOD_RATIO_MODES
+                for mode, kind in MODES.items()
+                if kind is GateKind.NEYMAN_PEARSON
             }
         ),
     )
@@ -444,7 +420,7 @@ def filter_step(
     k: int,
     rng_demand: RandomSource,
     rng_resample: RandomSource,
-    work: StepBuffers | None = None,
+    work: StepBuffers,
 ) -> tuple[ParticleEnsemble, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
     """Step ``k`` of a filter run of ``config`` over a compiled log.
 
@@ -458,12 +434,10 @@ def filter_step(
     when the step gated nothing.  Assimilated measurements that no particle
     explains raise :class:`WeightCollapseError` carrying ``k`` and their
     sensor ids.  The step's temporaries are written into ``work``, the
-    run's buffers (:func:`step_buffers`; allocated for this step when
-    ``None``); nothing the step returns holds them.
+    run's buffers (:func:`step_buffers`); nothing the step returns holds
+    them.
     """
     network, demand = config.network, config.demand_table
-    if work is None:
-        work = step_buffers(config, log, k, k + 1)
     # The filter embeds the truth's traffic model but draws its own demand
     # noise, which is what spreads the particles.
     upstream, ramps = config.schedule.sample(k - 1, rng_demand, config.particles, demand)
@@ -477,8 +451,12 @@ def filter_step(
         z, log_g0 = standardize(values, mean, std, work)
         accepted = np.ones(len(values), dtype=bool)
         # Speed reports are gated; first-party loop detectors never are.
-        if variant.mode != "none" and tested.size:
-            gate = _run_gate(variant, prior.weights, z[tested], log_g0[tested], log, speeds)
+        if variant.kind is not None and tested.size:
+            log_g1 = log.fault_log_g1.get(variant.mode)  # None without a fault model
+            gate = gate_rows(
+                variant.kind, variant.alpha, prior.weights, z[tested], log_g0[tested],
+                None if log_g1 is None else log_g1[speeds, None],
+            )
             accepted[tested] = ~gate[2]
         if accepted.any():
             try:
@@ -498,11 +476,11 @@ def filter_step(
     return posterior, estimate, gate
 
 
-def step_buffers(config: ExperimentConfig, log: CompiledLog, first: int, stop: int) -> StepBuffers:
-    """Work buffers for steps ``first .. stop - 1`` of a filter run of
-    ``config`` over ``log``: (L, P) blocks, sized by the most rows and the
-    most distinct speed links of any of those steps."""
-    sizes = np.diff(log.offsets[first : stop + 1], axis=0)
+def step_buffers(config: ExperimentConfig, log: CompiledLog) -> StepBuffers:
+    """Work buffers for the steps of a filter run of ``config`` over
+    ``log``: (L, P) blocks, sized by the most rows and the most distinct
+    speed links of any step."""
+    sizes = np.diff(log.offsets, axis=0)
     max_rows, _, max_links = sizes.max(axis=0, initial=0).tolist()
     return StepBuffers(
         config.particles, n_states=config.network.n_links, max_rows=max_rows, max_links=max_links
@@ -540,7 +518,7 @@ def run_traffic_filter(
     rng_resample = rng.derive(STREAM_FILTER_RESAMPLE)
     estimates = np.empty((config.horizon - 1, config.network.n_links))
     decisions = np.empty(0, DECISION_DTYPE)
-    if variant.mode != "none":
+    if variant.kind is not None:
         index = log.speed_index
         decisions = np.empty(len(index), DECISION_DTYPE)
         decisions["k"] = log.steps[index]
@@ -549,7 +527,7 @@ def run_traffic_filter(
         decisions["test_kind"] = variant.kind.value
         decisions["alpha"] = variant.alpha
         decisions["faulty"] = log.faulty[index]
-    work = step_buffers(config, log, 1, config.horizon)
+    work = step_buffers(config, log)
     for k in range(1, config.horizon):
         ensemble, estimates[k - 1], gate = filter_step(
             config, log, variant, ensemble, k, rng_demand, rng_resample, work
@@ -736,7 +714,7 @@ def run_experiment(config: ExperimentConfig, on_run: RunSink | None = None) -> M
                         )
                     )
                     continue
-                if variant.mode != "none":
+                if variant.kind is not None:
                     finished.append((variant, result))
             counts = confusion_metrics(result.decisions)
             error = mape(TrajectoryPair(true_slice, result.estimates), floor=config.mape_floor)
@@ -825,7 +803,7 @@ METRICS_LONG_FORMAT = RecordFormat(
     "metrics",
     tuple(zip((f.name for f in fields(RunMetrics)), (TEXT, LEVEL, *[INT] * 5, FLOAT, FLOAT, FLAG))),
     (
-        one_of("mode", HYPOTHESIS_MODES),
+        one_of("mode", MODES),
         Rule(
             "alpha", "be empty for the ungated mode and lie in (0, 1) for a gated one",
             lambda c: list(map(_makes_variant, c["mode"], c["alpha"])),

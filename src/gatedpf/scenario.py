@@ -32,8 +32,9 @@ from . import __version__
 from .ctm import DemandProfile, DemandSchedule, FreewayNetwork, LinkParams
 from .errors import ConfigurationError
 from .fileio import atomic_write_text
+from .gates import MODES
 from .harness import ExperimentConfig, FilterVariant
-from .sensing import FaultConfig, GnssSpec, HYPOTHESIS_MODES, LoopDetectors
+from .sensing import FaultConfig, GnssSpec, LoopDetectors
 
 DEFAULT_SCENARIO_FILE = "default_scenario.yaml"
 
@@ -202,8 +203,8 @@ def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
     )
     modes = filt.pop("variants")
     for m in modes:
-        if m not in HYPOTHESIS_MODES:
-            _fail("filter.variants", f"unknown variant {m!r}; expected one of {HYPOTHESIS_MODES}")
+        if m not in MODES:
+            _fail("filter.variants", f"unknown variant {m!r}; expected one of {tuple(MODES)}")
     levels = [_finite(a, f"filter.alphas[{i}]") for i, a in enumerate(filt.pop("alphas"))]
     if not levels:
         _fail("filter.alphas", "needs at least one level")
@@ -231,7 +232,7 @@ def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
             dict.fromkeys(
                 FilterVariant(mode=m, alpha=a)
                 for m in modes
-                for a in ((None,) if m == "none" else alphas)
+                for a in ((None,) if MODES[m] is None else alphas)
             )
         ),
         **filt,

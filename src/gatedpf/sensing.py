@@ -50,10 +50,6 @@ LOOP_DENSITY = "loop_density"
 GNSS_SPEED = "gnss_speed"
 MEASUREMENT_KINDS = (LOOP_DENSITY, GNSS_SPEED)
 
-HYPOTHESIS_MODES = ("none", "fisher", "np_correct", "np_incorrect")
-# The modes whose gate is the likelihood-ratio test against a fault model.
-LIKELIHOOD_RATIO_MODES = ("np_correct", "np_incorrect")
-
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 

@@ -335,15 +335,17 @@ class TestSweepAndReport:
         assert all(line.endswith("±0.0") for line in wide[1:])
 
     def test_repeated_level_is_one_column(self, tmp_path, capsys):
+        # The progress line counts the runs of a seed: the ungated filter
+        # has no level.
         doc = tiny_scenario_dict()
-        doc["filter"]["variants"] = ["fisher"]
+        doc["filter"]["variants"] = ["none", "fisher"]
         doc["filter"]["alphas"] = [0.1, 0.001, 0.1]
         doc["run"].update(horizon=6, seeds=[7])
         path = tmp_path / "scenario.yaml"
         path.write_text(yaml.safe_dump(doc))
         out = tmp_path / "sweep"
         assert run_cli("sweep", "--scenario", path, "--out", out, "--no-artifacts") == 0
-        assert "x 2 levels" in capsys.readouterr().err
+        assert "sweep: 3 variants x 1 seeds" in capsys.readouterr().err.splitlines()
         wide = (out / "metrics.csv").read_text().splitlines()
         assert wide[0] == "variant,metric,alpha=0.1,alpha=0.001"
 
@@ -610,6 +612,17 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert run_cli("sweep", "--scenario", path, "--out", out, "--quiet") == 2
         assert "run.seeds: seed 7 is repeated" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_mode_exits_2(self, tmp_path, capsys):
+        doc = tiny_scenario_dict()
+        doc["filter"]["variants"] = ["fisher", "bogus"]
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--scenario", path, "--out", out, "--quiet") == 2
+        err = capsys.readouterr().err
+        assert "filter.variants: unknown variant 'bogus'; expected one of ('none', 'fisher'," in err
         assert not out.exists()
 
     def test_levels_with_one_label_exit_2(self, tmp_path, capsys):

@@ -418,6 +418,31 @@ class TestStep:
             assert got.tobytes() == expected.tobytes()
 
 
+class TestOnrampDemand:
+    """``advance`` and ``speed_map`` share one onramp-demand rule: a network
+    with onramps needs the demand, one without them takes ``None``."""
+
+    def test_a_network_with_onramps_needs_the_demand(self):
+        net = small_network(3, onramps={1})
+        states = np.full((3, 2), 0.01)
+        with pytest.raises(ConfigurationError, match="^network has onramps but no onramp demand given$"):
+            advance(states, net, 0.4)
+        # Also for links whose discharge reads no onramp.
+        for links in ([0, 1, 2], [2], []):
+            with pytest.raises(ConfigurationError, match="^network has onramps but no onramp demand given$"):
+                speed_map(states, net, links)
+
+    def test_a_network_without_onramps_takes_none(self):
+        net = small_network(3, offramps={1}, beta=0.2)
+        states = column([0.01, 0.06, 0.02])
+        empty = np.empty(0)
+        assert advance(states, net, 0.4).tobytes() == advance(states, net, 0.4, empty).tobytes()
+        assert (
+            speed_map(states, net, [0, 1, 2]).tobytes()
+            == speed_map(states, net, [0, 1, 2], empty).tobytes()
+        )
+
+
 class TestParticleColumns:
     """A block of particles is the particles side by side: each column of
     ``advance`` and ``speed_map`` on an (L, P) block equals the same call

@@ -11,8 +11,15 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from gatedpf.errors import ModelConsistencyError
-from gatedpf import harness
-from gatedpf.gates import GateKind, level_rule, likelihood_ratio_test, significance_test, unexplained
+from gatedpf.gates import (
+    MODES,
+    GateKind,
+    gate_rows,
+    level_rule,
+    likelihood_ratio_test,
+    significance_test,
+    unexplained,
+)
 from gatedpf.rng import RandomSource
 from gatedpf.sensing import standardize
 
@@ -388,6 +395,13 @@ class TestLikelihoodRatioBits:
         assert auxiliary.tolist() == [2.0]
 
 
+class TestModes:
+    def test_each_mode_has_its_test(self):
+        # The ungated filter has none, and the two likelihood-ratio modes
+        # differ only in their fault model.
+        assert dict(MODES) == {"none": None, "fisher": FISHER, "np_correct": NP, "np_incorrect": NP}
+
+
 class TestLevelRule:
     """The tests read no level, and the filter's gate rejects a row when
     ``level_rule`` does at the variant's level or no positive-weight
@@ -426,31 +440,30 @@ class TestLevelRule:
         favoring = np.count_nonzero(log_g1 > log_g0, axis=1)
         positive = weights > 0.0
         columns = {
-            "fisher": significance_test(weights, z),
-            "np_correct": likelihood_ratio_test(weights, log_g0, log_g1),
+            FISHER: significance_test(weights, z),
+            NP: likelihood_ratio_test(weights, log_g0, log_g1),
         }
-        log = SimpleNamespace(fault_log_g1={"np_correct": log_g1[:, 0]})
-        for mode, (statistic, auxiliary) in columns.items():
+        for kind, (statistic, auxiliary) in columns.items():
             for level in (alpha, beta):
-                variant = harness.FilterVariant(mode, level)
-                gate_statistic, gate_auxiliary, rejected = harness._run_gate(
-                    variant, weights, z, log_g0, log, slice(None)
+                # The significance test reads no fault model.
+                gate_statistic, gate_auxiliary, rejected = gate_rows(
+                    kind, level, weights, z, log_g0, None if kind is FISHER else log_g1
                 )
                 assert gate_statistic.tobytes() == statistic.tobytes()
                 assert gate_auxiliary.tobytes() == auxiliary.tobytes()
                 assert np.array_equal(
                     rejected,
-                    level_rule(variant.kind, statistic, auxiliary, level) | unexplained(weights, log_g0),
+                    level_rule(kind, statistic, auxiliary, level) | unexplained(weights, log_g0),
                 )
                 # Row by row, as the tests' docstrings state the rule.
                 for i in range(rows):
                     rejects = bool(statistic[i] < level)
-                    if mode != "fisher":
+                    if kind is NP:
                         rejects &= bool(favoring[i] > 0)
                     no_explanation = bool(np.all(log_g0[i, positive] == -np.inf))
                     assert rejected[i] == (rejects or no_explanation)
                 assert rejected[2:4].all()
-        lr, fisher = columns["np_correct"], columns["fisher"]
+        lr, fisher = columns[NP], columns[FISHER]
         assert lr[1][0] == 0.0
         assert lr[0][1] == np.inf
         assert fisher[1][1] == np.inf and fisher[0][1] == 0.0

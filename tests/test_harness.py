@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from gatedpf.ctm import DemandProfile, DemandSchedule, advance, equilibrium_state, simulate, speed_map
 from gatedpf.errors import ConfigurationError, DataError, WeightCollapseError
 from gatedpf.fileio import csv_text, read_records
-from gatedpf.gates import GateKind, level_rule, likelihood_ratio_test, significance_test, unexplained
+from gatedpf.gates import MODES, GateKind, level_rule, likelihood_ratio_test, significance_test, unexplained
 from gatedpf import harness
 from gatedpf.harness import (
     DECISION_COLUMNS,
@@ -61,7 +61,6 @@ from gatedpf.rng import RandomSource
 from gatedpf.scenario import default_scenario_dict, scenario_from_dict
 from gatedpf.sensing import (
     GNSS_SPEED,
-    HYPOTHESIS_MODES,
     MEASUREMENT_FORMAT,
     MEASUREMENT_KINDS,
     FaultConfig,
@@ -104,8 +103,13 @@ class TestVariantsAndConfig:
             FilterVariant("none", 0.05)
         with pytest.raises(ConfigurationError):
             FilterVariant("fisher", None)
-        with pytest.raises(ConfigurationError):
+        # A mode outside the table is refused, with or without a level,
+        # naming the table's modes.
+        unknown = re.escape(f"unknown filter mode 'bogus'; expected one of {tuple(MODES)}")
+        with pytest.raises(ConfigurationError, match=f"^{unknown}$"):
             FilterVariant("bogus", 0.05)
+        with pytest.raises(ConfigurationError, match=f"^{unknown}$"):
+            FilterVariant("bogus")
         assert FilterVariant("np_correct", 0.01).label == "np_correct@0.01"
 
     @pytest.mark.parametrize("zero_std", [0.0, -1.0, float("nan")])
@@ -319,13 +323,12 @@ class TestFilterLoop:
         assert result.decisions.tolist() == decisions
         assert (len(decisions) > 0) == (variant.mode != "none")
 
-    @pytest.mark.parametrize("buffered", [False, True], ids=["own-buffers", "run-buffers"])
-    @pytest.mark.parametrize("mode", HYPOTHESIS_MODES)
-    def test_stepping_by_hand_reproduces_the_run(self, mode, buffered):
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_stepping_by_hand_reproduces_the_run(self, mode):
         # filter_step taken by hand from the run's start on the run's two
-        # streams gives its estimates and every decision column bit for bit,
-        # whether each step allocates its buffers or reuses the run's; what
-        # a step returns never holds the run's buffers.
+        # streams and on the run's buffers gives its estimates and every
+        # decision column bit for bit; what a step returns never holds the
+        # buffers.
         # Step 5 has no rows and step 6 loop readings only: neither gates.
         variant = FilterVariant(mode, None if mode == "none" else 0.05)
         config = micro_config(horizon=12, variants=(variant,))
@@ -343,14 +346,13 @@ class TestFilterLoop:
             np.repeat(config.initial_state[:, None], config.particles, axis=1)
         )
         estimates, gates = [], []
-        work = step_buffers(config, log, 1, config.horizon) if buffered else None
+        work = step_buffers(config, log)
         for k in range(1, config.horizon):
             ensemble, estimate, gate = filter_step(
                 config, log, variant, ensemble, k, rng_demand, rng_resample, work
             )
-            if buffered:
-                returned = (ensemble.particles, ensemble.weights, estimate, *(gate or ()))
-                assert not any(shares_buffers(array, work) for array in returned)
+            returned = (ensemble.particles, ensemble.weights, estimate, *(gate or ()))
+            assert not any(shares_buffers(array, work) for array in returned)
             estimates.append(estimate)
             speeds = log.step(k)[1]
             if mode == "none" or speeds.start == speeds.stop:
@@ -450,7 +452,7 @@ class TestStepAllocations:
         ensemble = ParticleEnsemble.from_states(
             np.repeat(config.initial_state[:, None], config.particles, axis=1)
         )
-        work = step_buffers(config, log, 1, config.horizon)
+        work = step_buffers(config, log)
         block = 8 * config.network.n_links * config.particles
         variant = FilterVariant("none")
         peaks, resampled = [], 0
@@ -503,11 +505,11 @@ class TestGatedStep:
         ensemble = ParticleEnsemble.from_states(
             np.repeat(config.initial_state[:, None], config.particles, axis=1)
         )
-        steps = []
+        steps, work = [], step_buffers(config, log)
         for k in range(1, config.horizon):
             upstream, ramps = config.schedule.sample(k - 1, twin, config.particles, config.demand_table)
             prior = predict(ensemble, advance(ensemble.particles, config.network, upstream, ramps))
-            ensemble, _, gate = filter_step(config, log, variant, ensemble, k, rng_demand, rng_resample)
+            ensemble, _, gate = filter_step(config, log, variant, ensemble, k, rng_demand, rng_resample, work)
             step = SimpleNamespace(prior=prior, gate=gate, posterior=ensemble, tested=None, log_g0=None)
             # The step's rows the gate rejected; loop rows are never tested.
             step.rejected = None
@@ -1187,8 +1189,8 @@ measurement_records = st.lists(
 @st.composite
 def run_metrics(draw):
     """A row that ``run_experiment`` could write to ``metrics_long.csv``."""
-    mode = draw(st.sampled_from(HYPOTHESIS_MODES))
-    alpha = None if mode == "none" else draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    mode = draw(st.sampled_from(list(MODES)))
+    alpha = None if MODES[mode] is None else draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     counts = draw(st.lists(st.integers(0, 3) | st.integers(0, 2**63 - 1), min_size=4, max_size=4))
     collapsed = draw(st.booleans())
     error = draw(st.floats(allow_infinity=False, allow_nan=collapsed))
