@@ -34,8 +34,10 @@ from .ctm import (
     DemandSchedule,
     FreewayNetwork,
     LinkParams,
+    LinkPlan,
     Trajectory,
     equilibrium_state,
+    link_plan,
     simulate,
     speed_map,
 )

@@ -36,12 +36,11 @@ class StepBuffers:
 
     def __init__(self, n_particles: int, n_states: int = 0, max_rows: int = 0, max_links: int = 0):
         p, n, m, k = n_particles, n_states, max_rows, max_links
-        # ctm.advance: the boundary flows (L + 1, P), the supplies (L, P),
-        # which the density check reuses once the flows are known.
+        # ctm.advance: the boundary flows (L + 1, P) and the supplies (L, P).
         self.flows = np.empty((n + 1, p))
         self.supply = np.empty((n, p))
-        # ctm.speed_map on up to K links: their densities, their discharges
-        # (which become the returned speeds), their downstream supplies
+        # ctm.speed_map on up to K links: their densities (which become
+        # the returned speeds), their discharges, their downstream supplies
         # (reused for rho * dt) and which of them are occupied.
         self.link_density = np.empty((k, p))
         self.discharge = np.empty((k, p))

@@ -82,8 +82,12 @@ def cmd_filter(args) -> int:
     scenario = load_scenario(args.scenario)
     seed = args.seed if args.seed is not None else scenario.seeds[0]
     config = scenario.experiment_config(seeds=[seed])
-    alpha = args.alpha if args.alpha is not None else scenario.alphas[0]
-    variant = FilterVariant(args.variant, None if MODES[args.variant] is None else float(alpha))
+    # A gated mode given no level takes the scenario's first; a given level
+    # is passed on, so the ungated mode refuses one.
+    alpha = args.alpha
+    if alpha is None and MODES[args.variant] is not None:
+        alpha = scenario.alphas[0]
+    variant = FilterVariant(args.variant, alpha)
     log = compile_log(config, read_measurement_log(args.log))
     out = Path(args.out)
     artifacts = {

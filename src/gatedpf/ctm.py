@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,6 +138,119 @@ class FreewayNetwork:
         slot[list(self.onramp_links)] = np.arange(len(self.onramp_links))
         return slot
 
+    # The step's per-link constants as read-only (L, 1) columns, computed
+    # once with the operations a step used to repeat on every call.
+
+    @cached_property
+    def _vf_dt(self) -> np.ndarray:
+        return _read_only(self.vf[:, None] * self.dt)
+
+    @cached_property
+    def _w_dt(self) -> np.ndarray:
+        return _read_only(self.w[:, None] * self.dt)
+
+    @cached_property
+    def _qmax_column(self) -> np.ndarray:
+        return _read_only(self.qmax[:, None])
+
+    @cached_property
+    def _rho_jam_column(self) -> np.ndarray:
+        return _read_only(self.rho_jam[:, None])
+
+    @cached_property
+    def _length_column(self) -> np.ndarray:
+        return _read_only(self.lengths[:, None])
+
+    @cached_property
+    def _offramp_share(self) -> np.ndarray:
+        # The split ratios of the ``_offramp_rows``, (O, 1).
+        return _read_only(self.beta[self._offramp_rows, None])
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+class LinkPlan(NamedTuple):
+    """The speed map's constants on a list of links, built by
+    :func:`link_plan` from a network and read by :func:`speed_map`.
+
+    Position j is link ``links[j]`` (any order; repeats allowed).  Per
+    position: ``down``, the downstream link whose density bounds the
+    discharge (the last link's own, since its end is free); ``vf``,
+    ``vf_dt`` (``vf * dt``) and ``qmax`` of the link; ``rho_jam_down`` and
+    ``w_dt_down`` (``w * dt``) of the downstream link, both ``inf`` on the
+    last link, whose supply is unbounded.  ``off`` holds the positions of
+    offramp links and ``off_share`` (O, 1) their split ratios;
+    ``ramp_rows`` the positions whose downstream boundary has an onramp and
+    ``ramp_slots`` that onramp's index in ``network.onramp_links``.  The
+    float columns are (K, 1) and (O, 1), the index columns 1-D; all are
+    read-only.
+    """
+
+    links: np.ndarray
+    down: np.ndarray
+    vf: np.ndarray
+    vf_dt: np.ndarray
+    qmax: np.ndarray
+    rho_jam_down: np.ndarray
+    w_dt_down: np.ndarray
+    off: np.ndarray
+    off_share: np.ndarray
+    ramp_rows: np.ndarray
+    ramp_slots: np.ndarray
+
+    def span(self, start: int, stop: int) -> LinkPlan:
+        """The plan of positions ``start:stop``, views of these columns (a
+        step's slice of a compiled log's whole-log plan)."""
+        rows, bounds = slice(start, stop), (start, stop)
+        o0, o1 = self.off.searchsorted(bounds).tolist()
+        r0, r1 = self.ramp_rows.searchsorted(bounds).tolist()
+        return LinkPlan(
+            self.links[rows], self.down[rows], self.vf[rows], self.vf_dt[rows], self.qmax[rows],
+            self.rho_jam_down[rows], self.w_dt_down[rows],
+            _rebased(self.off[o0:o1], start), self.off_share[o0:o1],
+            _rebased(self.ramp_rows[r0:r1], start), self.ramp_slots[r0:r1],
+        )
+
+
+def _rebased(positions: np.ndarray, start: int) -> np.ndarray:
+    # Positions counted from ``start``; an empty slice needs no arithmetic.
+    return positions - start if len(positions) else positions
+
+
+def link_plan(network: FreewayNetwork, links) -> LinkPlan:
+    """The :class:`LinkPlan` of ``network`` on ``links``, link indices in
+    any order with repeats allowed; a link outside the network raises
+    :class:`ConfigurationError`."""
+    n_l = network.n_links
+    links = np.array(links, dtype=np.intp).reshape(-1)
+    if links.size and not (0 <= links.min() and links.max() < n_l):
+        raise ConfigurationError(f"links {links.tolist()} outside [0, {n_l - 1}]")
+    # Each link's downstream boundary is link l + 1's inflow; the last
+    # link's end takes any outflow, so its supply is unbounded.
+    down = np.minimum(links + 1, n_l - 1)
+    free_end = (links == n_l - 1)[:, None]
+    share = network.beta[links]
+    off = np.flatnonzero(share)
+    slot = network._onramp_slot[links + 1]
+    ramp_rows = np.flatnonzero(slot >= 0)
+    columns = (
+        links,
+        down,
+        network.vf[links, None],
+        network._vf_dt[links],
+        network._qmax_column[links],
+        np.where(free_end, np.inf, network._rho_jam_column[down]),
+        np.where(free_end, np.inf, network._w_dt[down]),
+        off,
+        share[off, None],
+        ramp_rows,
+        slot[ramp_rows],
+    )
+    return LinkPlan(*map(_read_only, columns))
+
 
 def _median3(a, b, c):
     return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
@@ -153,7 +267,8 @@ def _boundary_flows(mainline, supply, ramp_rows, ramp, priority):
     supply, the ramp takes the median of its demand, its ``priority`` share
     of the supply, and what the mainline leaves, and the mainline takes the
     rest.  Returns the onramp inflows of the ``ramp_rows``, (R, P), or
-    ``None`` when there are none.
+    ``None`` when there are none; when no merge is congested they are the
+    demands, and ``ramp`` itself is returned.
     """
     if not len(ramp_rows):
         np.minimum(mainline, supply, out=mainline)
@@ -162,6 +277,9 @@ def _boundary_flows(mainline, supply, ramp_rows, ramp, priority):
     np.minimum(mainline, supply, out=mainline)
     room = supply[ramp_rows]
     congested = main + ramp > room
+    if not congested.any():
+        mainline[ramp_rows] = main
+        return ramp
     r = np.where(congested, _median3(ramp, priority * room, room - main), ramp)
     mainline[ramp_rows] = np.where(congested, room - r, main)
     return r
@@ -201,7 +319,6 @@ def _flows(states, network: FreewayNetwork, upstream_demand, onramp_demand, work
     supplies are left in ``work.supply``.
     """
     n_l = states.shape[0]
-    dt = network.dt
     ramp = _ramp_block(network, onramp_demand)
 
     # Boundary b feeds link b.  Its mainline demand is the upstream demand
@@ -211,17 +328,39 @@ def _flows(states, network: FreewayNetwork, upstream_demand, onramp_demand, work
     q = work.flows
     q[0] = upstream_demand
     demand = q[1:]
-    np.multiply(network.vf[:, None] * dt, states, out=demand)
-    np.minimum(demand, network.qmax[:, None], out=demand)
+    np.multiply(network._vf_dt, states, out=demand)
+    np.minimum(demand, network._qmax_column, out=demand)
     off = network._offramp_rows
     s = None
     if len(off):
-        s = network.beta[off, None] * demand[off]
+        s = network._offramp_share * demand[off]
         demand[off] -= s
-    supply = np.subtract(network.rho_jam[:, None], states, out=work.supply)
-    supply *= network.w[:, None] * dt
+    supply = np.subtract(network._rho_jam_column, states, out=work.supply)
+    supply *= network._w_dt
     r = _boundary_flows(q[:n_l], supply, network._onramp_rows, ramp, network.onramp_priority)
     return q, r, s
+
+
+def _clamp_densities(states: np.ndarray, network: FreewayNetwork) -> None:
+    """Clamp an (L, P) block to ``[0, rho_jam]`` in place, each row to its
+    link's jam density, after raising :class:`ModelConsistencyError` if a
+    density is below zero or above its jam density by more than
+    ``DENSITY_TOL``.  Subtracting a row's jam density is monotone under
+    rounding, so each row's largest excess is its maximum minus its jam
+    density, exactly as the largest of its elementwise excesses.  A NaN
+    passes both checks, as it does the elementwise ones, and stays.  A
+    bound that no density reaches leaves the block as the clamp would, so
+    that clamp is skipped."""
+    low = float(states.min())
+    if low < -DENSITY_TOL:
+        raise ModelConsistencyError("negative density after step")
+    excess = float(np.subtract(states.max(axis=1), network.rho_jam).max())
+    if excess > DENSITY_TOL:
+        raise ModelConsistencyError("density above jam density after step")
+    if not low > 0.0:
+        np.maximum(states, 0.0, out=states)
+    if not excess <= 0.0:
+        np.minimum(states, network._rho_jam_column, out=states)
 
 
 def advance(
@@ -253,85 +392,71 @@ def advance(
         gain[network._onramp_rows] += r
     if s is not None:
         gain[network._offramp_rows] -= s
-    gain /= network.lengths[:, None]
+    gain /= network._length_column
     new_states = np.add(states, gain, out=gain)
-    rho_jam = network.rho_jam[:, None]
-    if float(np.min(new_states)) < -DENSITY_TOL:
-        raise ModelConsistencyError("negative density after step")
-    if float(np.max(np.subtract(new_states, rho_jam, out=work.supply))) > DENSITY_TOL:
-        raise ModelConsistencyError("density above jam density after step")
-    np.maximum(new_states, 0.0, out=new_states)
-    np.minimum(new_states, rho_jam, out=new_states)
+    _clamp_densities(new_states, network)
     return new_states
 
 
 def speed_map(
     states: np.ndarray,
     network: FreewayNetwork,
-    links,
+    plan: LinkPlan,
     onramp_demand=None,
     work: StepBuffers | None = None,
 ) -> np.ndarray:
-    """Model-predicted speeds of an (L, P) block of states on ``links`` only.
+    """Model-predicted speeds of an (L, P) block of states on the links of
+    ``plan``, a :class:`LinkPlan` of ``network`` (:func:`link_plan`), only.
 
-    Returns a ``(len(links), P)`` block whose row j is link ``links[j]``
-    (any order; repeats allowed), computed in ``work`` (allocated for this
-    call when ``None``): the block is a view of ``work.discharge``.  A
-    link's speed is its discharge, the flow across its downstream boundary
-    plus its offramp flow, over ``rho * dt``, evaluated at the given
-    (typically mean) onramp demands,
+    Returns a (K, P) block whose row j is the plan's position j, computed
+    in ``work`` (allocated for this call when ``None``): the block is a
+    view of ``work.link_density``.  A link's speed is its discharge, the flow
+    across its downstream boundary plus its offramp flow, over
+    ``rho * dt``, evaluated at the given (typically mean) onramp demands,
     (R,) or (R, P), which a network without onramps may leave ``None``, as
-    for :func:`advance`.  Link l's discharge
-    reads only links l and l + 1 and the onramp demand at l + 1, so the
-    upstream boundary demand never enters.  The boundary rule is
-    :func:`advance`'s, so every row equals the same link's speed computed
-    from the step's full boundary flows bit for bit; :func:`simulate`
-    derives the truth speeds here too, one column per step at that step's
-    realized onramp demands.
+    for :func:`advance`.  Link l's discharge reads only links l and l + 1
+    and the onramp demand at l + 1, so the upstream boundary demand never
+    enters.  The boundary rule is :func:`advance`'s, so every row equals
+    the same link's speed computed from the step's full boundary flows bit
+    for bit; :func:`simulate` derives the truth speeds here too, one column
+    per step at that step's realized onramp demands.
     """
     states = _states_block(states, network)
-    n_l = network.n_links
-    links = np.asarray(links, dtype=np.intp).reshape(-1)
-    if links.size and not (0 <= links.min() and links.max() < n_l):
-        raise ConfigurationError(f"links {links.tolist()} outside [0, {n_l - 1}]")
     ramp = _ramp_block(network, onramp_demand)
-    dt = network.dt
-    n_k = links.size
+    n_k = len(plan.links)
     if work is None:
         work = StepBuffers(states.shape[1], max_links=n_k)
 
-    # The links were checked above, so a clipping take, which writes its
-    # out block directly, gathers the rows a raising one would.
-    rho = np.take(states, links, axis=0, out=work.link_density[:n_k], mode="clip")
-    vf = network.vf[links, None]
-    mainline = np.multiply(vf * dt, rho, out=work.discharge[:n_k])
-    np.minimum(mainline, network.qmax[links, None], out=mainline)
-    beta = network.beta[links]
-    off = np.flatnonzero(beta)
-    s = beta[off, None] * mainline[off]
-    mainline[off] -= s
+    # The plan's links were checked when it was built, so a clipping take,
+    # which writes its out block directly, gathers the rows a raising one
+    # would.
+    rho = np.take(states, plan.links, axis=0, out=work.link_density[:n_k], mode="clip")
+    mainline = np.multiply(plan.vf_dt, rho, out=work.discharge[:n_k])
+    np.minimum(mainline, plan.qmax, out=mainline)
+    off = plan.off
+    if len(off):
+        s = plan.off_share * mainline[off]
+        mainline[off] -= s
 
-    # Each link's downstream boundary is link l + 1's inflow; the last
-    # link's end takes any outflow, so its supply is unbounded.
-    down = np.minimum(links + 1, n_l - 1)
-    supply = np.take(states, down, axis=0, out=work.link_supply[:n_k], mode="clip")
-    np.subtract(network.rho_jam[down, None], supply, out=supply)
-    supply *= network.w[down, None] * dt
-    supply[links == n_l - 1] = np.inf
-    slot = network._onramp_slot[links + 1]
-    ramp_rows = np.flatnonzero(slot >= 0)
-    ramp = ramp[slot[ramp_rows]] if len(ramp_rows) else None
-    _boundary_flows(mainline, supply, ramp_rows, ramp, network.onramp_priority)
+    supply = np.take(states, plan.down, axis=0, out=work.link_supply[:n_k], mode="clip")
+    np.subtract(plan.rho_jam_down, supply, out=supply)
+    supply *= plan.w_dt_down
+    ramp = ramp[plan.ramp_slots] if len(plan.ramp_rows) else None
+    _boundary_flows(mainline, supply, plan.ramp_rows, ramp, network.onramp_priority)
     # Speed is discharge over rho * dt, clamped to [0, vf]; near-empty
-    # links report freeflow.  Counting the offramp share keeps an
-    # uncongested link exactly at freeflow whatever its split ratio.
-    mainline[off] += s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = np.divide(mainline, np.multiply(rho, dt, out=supply), out=mainline)
+    # links report freeflow, so the speeds start at freeflow (in the
+    # densities' block, once the densities are read) and only occupied
+    # links divide.  Counting the offramp share keeps an uncongested link
+    # exactly at freeflow whatever its split ratio.
+    if len(off):
+        mainline[off] += s
     occupied = np.greater(rho, EMPTY_DENSITY, out=work.occupied[:n_k])
-    np.copyto(v, vf, where=np.logical_not(occupied, out=occupied))
+    rho_dt = np.multiply(rho, network.dt, out=supply)
+    v = rho
+    np.copyto(v, plan.vf)
+    np.divide(mainline, rho_dt, out=v, where=occupied)
     np.maximum(v, 0.0, out=v)
-    return np.minimum(v, vf, out=v)
+    return np.minimum(v, plan.vf, out=v)
 
 
 @dataclass(frozen=True)
@@ -485,5 +610,5 @@ def simulate(
         states[k + 1] = advance(states[k][:, None], network, upstream, ramp, work)[:, 0]
     # One call gives every step's speeds, step k's column at its own
     # realized onramp demands.
-    speeds = speed_map(states[:-1].T, network, range(n_l), ramps.T)
+    speeds = speed_map(states[:-1].T, network, link_plan(network, range(n_l)), ramps.T)
     return Trajectory(states=states, speeds=np.ascontiguousarray(speeds.T))

@@ -47,6 +47,7 @@ from .ctm import (
     Trajectory,
     advance,
     equilibrium_state,
+    link_plan,
     simulate,
 )
 from .errors import ConfigurationError, DataError, WeightCollapseError
@@ -365,7 +366,9 @@ def compile_log(config: ExperimentConfig, log: MeasurementLog) -> CompiledLog:
     two-column table (the loop detectors' rule, the speed rule), the fault log
     densities of the likelihood-ratio modes are evaluated once for the
     whole log, and each step's speed rows share one entry per distinct
-    link, so a run evaluates the speed map once per reported link.
+    link, so a run evaluates the speed map once per reported link.  The
+    speed map's link constants of those entries are one
+    :class:`~gatedpf.ctm.LinkPlan`, built here once, that each step slices.
     """
     _check_log(config, log)
     n_links, gnss = config.network.n_links, config.gnss_spec
@@ -389,7 +392,7 @@ def compile_log(config: ExperimentConfig, log: MeasurementLog) -> CompiledLog:
     )
     return CompiledLog(
         horizon=config.horizon,
-        n_links=n_links,
+        network=config.network,
         offsets=offsets,
         steps=steps,
         sensor_ids=log.sensor_ids[order],
@@ -399,7 +402,7 @@ def compile_log(config: ExperimentConfig, log: MeasurementLog) -> CompiledLog:
         std_rules=rule_table[:, is_speed.astype(np.intp)],
         speed_index=speed,
         speed_pairs=speed_pairs - offsets[speed_steps, 2],
-        pair_links=pairs % n_links,
+        pair_plan=link_plan(config.network, pairs % n_links),
         fault_log_g1=MappingProxyType(
             {
                 mode: fault_log_density(
@@ -445,9 +448,7 @@ def filter_step(
     gate = None
     rows, speeds, _ = log.step(k)
     if rows.start < rows.stop:
-        values, mean, std, tested = measurement_rows(
-            log, k, prior.particles, network, demand[k, 0, 1:], work
-        )
+        values, mean, std, tested = measurement_rows(log, k, prior.particles, demand[k, 0, 1:], work)
         z, log_g0 = standardize(values, mean, std, work)
         accepted = np.ones(len(values), dtype=bool)
         # Speed reports are gated; first-party loop detectors never are.
@@ -499,17 +500,18 @@ def run_traffic_filter(
     ``measurements`` is a log compiled for ``config`` by
     :func:`compile_log`, or a :class:`MeasurementLog`, which is compiled on
     entry (so a row the scenario cannot assimilate raises
-    :class:`DataError`); a log compiled for another horizon or link count
+    :class:`DataError`); a log compiled for another horizon or network
     raises :class:`ConfigurationError`.  The run allocates its work buffers
     once (:func:`step_buffers`), and every step reuses them.  Each step
     writes its gate's outcomes beside its speed rows' reports and labels
     (see :class:`FilterRunResult`).
     """
     log = measurements if isinstance(measurements, CompiledLog) else compile_log(config, measurements)
-    if (log.horizon, log.n_links) != (config.horizon, config.network.n_links):
+    if log.horizon != config.horizon or log.network != config.network:
+        other = "" if log.network == config.network else " of another network"
         raise ConfigurationError(
             f"measurement log compiled for horizon {log.horizon} on {log.n_links} links, "
-            f"but the scenario has horizon {config.horizon} on {config.network.n_links} links"
+            f"but the scenario has horizon {config.horizon} on {config.network.n_links} links{other}"
         )
     ensemble = ParticleEnsemble.from_states(
         np.repeat(config.initial_state[:, None], config.particles, axis=1)

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .buffers import StepBuffers
-from .ctm import FreewayNetwork, speed_map
+from .ctm import FreewayNetwork, LinkPlan, speed_map
 from .errors import ConfigurationError, ContractViolation, ModelConsistencyError
 from .fileio import (
     FLAG,
@@ -270,7 +270,7 @@ def inject_faults(log: MeasurementLog, config: FaultConfig, rng: RandomSource) -
 @dataclass(frozen=True, eq=False)
 class CompiledLog:
     """A checked measurement log as whole-log columns in step order, for
-    filter runs of ``horizon`` steps on ``n_links`` links.
+    filter runs of ``horizon`` steps on ``network``.
 
     The rows are the log's measurements ordered by step (stable: a step
     keeps its measurements' order), and every column follows that order.
@@ -278,7 +278,9 @@ class CompiledLog:
     ``offsets[k, 0]:offsets[k + 1, 0]`` of the row columns, its speed rows
     ``offsets[k, 1]:offsets[k + 1, 1]`` of the speed columns and its
     distinct speed links ``offsets[k, 2]:offsets[k + 1, 2]`` of
-    ``pair_links``.
+    ``pair_plan``, the :class:`~gatedpf.ctm.LinkPlan` of every step's
+    distinct speed links (its ``links``), built once for the whole log
+    from ``network``'s constants.
 
     Row columns (N,): ``steps``, ``sensor_ids`` (object), ``links``,
     ``values``, ``faulty`` and ``std_rules`` (2, N), each row's null-model
@@ -289,7 +291,7 @@ class CompiledLog:
     """
 
     horizon: int
-    n_links: int
+    network: FreewayNetwork
     offsets: np.ndarray
     steps: np.ndarray
     sensor_ids: np.ndarray
@@ -299,8 +301,12 @@ class CompiledLog:
     std_rules: np.ndarray
     speed_index: np.ndarray
     speed_pairs: np.ndarray
-    pair_links: np.ndarray
+    pair_plan: LinkPlan
     fault_log_g1: Mapping[str, np.ndarray]
+
+    @property
+    def n_links(self) -> int:
+        return self.network.n_links
 
     def step(self, k: int) -> tuple[slice, slice, slice]:
         """The slices of step ``k``'s rows, speed rows and speed links."""
@@ -312,7 +318,6 @@ def measurement_rows(
     log: CompiledLog,
     k: int,
     particles: np.ndarray,
-    network: FreewayNetwork,
     ramp_means: np.ndarray,
     work: StepBuffers | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -323,10 +328,11 @@ def measurement_rows(
     ``std`` are views of ``work.mean`` and ``work.std`` (allocated for this
     call when ``work`` is ``None``).  A loop row's mean is each particle's
     density on its link; a speed row's mean is each particle's predicted
-    speed on its link, :func:`~gatedpf.ctm.speed_map` at the onramp demands
-    ``ramp_means``, evaluated once per distinct link of the step.  A row's
-    std is its rule's ``max(frac * mean, floor)``.  A block whose link count
-    is not the log's raises :class:`ConfigurationError`.
+    speed on its link, :func:`~gatedpf.ctm.speed_map` on ``log.network``
+    at the onramp demands ``ramp_means``, evaluated once per distinct link
+    of the step on the step's slice of ``log.pair_plan``.  A row's std is
+    its rule's ``max(frac * mean, floor)``.  A block whose link count is
+    not the log's raises :class:`ConfigurationError`.
     """
     if particles.shape[0] != log.n_links:
         raise ConfigurationError(
@@ -342,7 +348,8 @@ def measurement_rows(
     mean = np.take(particles, log.links[rows], axis=0, out=work.mean[:n_rows], mode="clip")
     tested = log.speed_index[speeds] - rows.start
     if tested.size:
-        speed = speed_map(particles, network, log.pair_links[pairs], ramp_means, work)
+        plan = log.pair_plan.span(pairs.start, pairs.stop)
+        speed = speed_map(particles, log.network, plan, ramp_means, work)
         mean[tested] = np.take(
             speed, log.speed_pairs[speeds], axis=0, out=work.scratch[: tested.size], mode="clip"
         )

@@ -73,6 +73,34 @@ def small_network(n_links: int = 3, qmax: float = 4.0, **overrides) -> FreewayNe
     return FreewayNetwork(links=links, dt=10.0, onramp_priority=overrides.get("priority", 0.5))
 
 
+def check_plan_columns(plan, network: FreewayNetwork, links) -> None:
+    """Assert that ``plan`` holds, position by position, the parameters of
+    ``network`` at ``links`` and at their downstream links: the last link's
+    downstream jam density and wave speed are infinite, an offramp link's
+    share is its split ratio, and a link whose downstream neighbour has an
+    onramp names that onramp's slot."""
+    n, dt = network.n_links, network.dt
+    assert plan.links.tolist() == list(links)
+    for j, l in enumerate(links):
+        link = network.links[l]
+        assert (plan.vf[j, 0], plan.vf_dt[j, 0], plan.qmax[j, 0]) == (link.vf, link.vf * dt, link.qmax)
+        if l == n - 1:
+            assert (plan.down[j], plan.rho_jam_down[j, 0], plan.w_dt_down[j, 0]) == (l, np.inf, np.inf)
+        else:
+            down = network.links[l + 1]
+            assert (plan.down[j], plan.rho_jam_down[j, 0], plan.w_dt_down[j, 0]) == (
+                l + 1, down.rho_jam, down.w * dt,
+            )
+    shares = {j: network.links[l].beta for j, l in enumerate(links) if network.links[l].beta > 0.0}
+    assert plan.off.tolist() == sorted(shares)
+    assert plan.off_share[:, 0].tolist() == [shares[j] for j in sorted(shares)]
+    slots = {
+        j: network.onramp_links.index(l + 1) for j, l in enumerate(links) if l + 1 in network.onramp_links
+    }
+    assert plan.ramp_rows.tolist() == sorted(slots)
+    assert plan.ramp_slots.tolist() == [slots[j] for j in sorted(slots)]
+
+
 def flat_schedule(level: float, n_onramps: int = 0, noise: float = 0.0) -> DemandSchedule:
     profile = DemandProfile(base=level, peak=level, rise=(0.0, 0.0), fall=(1e9, 1e9), noise_frac=noise)
     ramp = DemandProfile(base=0.0, peak=0.0, rise=(0.0, 0.0), fall=(1e9, 1e9), noise_frac=0.0)

@@ -1,0 +1,113 @@
+"""Tests of scripts/bench_record.py on a recorded benchmark result.
+
+The benchmark itself never runs here: the writer is fed the last output
+line and result file of one recorded ``study`` run, and the subprocess path
+runs a stand-in ``perfbench/run.py`` that replays them.
+"""
+from __future__ import annotations
+
+import copy
+import importlib.util
+import json
+import textwrap
+from pathlib import Path
+
+import pytest
+
+HERE = Path(__file__).resolve().parent
+RECORDED = json.loads((HERE / "data" / "bench_result_study.json").read_text())
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location("bench_record", HERE.parent / "scripts" / "bench_record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_record = _load_script()
+
+
+def recorded_run(seed, steps_per_s, faults, failed=0):
+    """The recorded run with its seed, ``steps_per_s`` value, fault count
+    and failure count replaced."""
+    result, record = copy.deepcopy(RECORDED["last_line"]), copy.deepcopy(RECORDED["result_trace0"])
+    record["metrics"]["steps_per_s"]["value"] = steps_per_s
+    result["failed"], result["correct"] = failed, failed == 0
+    return {"workload": "study", "seed": seed, "result": result, "record": record, "faults": faults}
+
+
+def test_document_holds_each_metric_s_spread_and_each_run():
+    runs = [recorded_run(1, 2400.0, 4784), recorded_run(2, 2500.0, 9568), recorded_run(3, 2300.0, 0, failed=2)]
+    doc = bench_record.bench_document(runs, "abc123", dirty=True, src_sha256="f00d")
+    assert (doc["commit"], doc["dirty"], doc["src_sha256"]) == ("abc123", True, "f00d")
+    assert doc["machine"] == RECORDED["result_trace0"]["machine"] and doc["machines_agree"]
+    study = doc["workloads"]["study"]
+    assert study["runs"] == [
+        {"seed": 1, "correct": True, "failed": 0, "attempted": RECORDED["last_line"]["attempted"]},
+        {"seed": 2, "correct": True, "failed": 0, "attempted": RECORDED["last_line"]["attempted"]},
+        {"seed": 3, "correct": False, "failed": 2, "attempted": RECORDED["last_line"]["attempted"]},
+    ]
+    steps = study["metrics"]["steps_per_s"]
+    assert steps == {"unit": "1/ref_s", "median": 2400.0, "iqr": 100.0, "n": 3, "values": [2400.0, 2500.0, 2300.0]}
+    # Faults per timed step: the recorded run timed 4784 steps.
+    assert RECORDED["result_trace0"]["metrics"]["steps_per_s"]["samples"] == 4784
+    assert study["metrics"]["faults_per_step"]["values"] == [1.0, 2.0, 0.0]
+    # Every metric of the result file is kept, raw and host-scaled.
+    assert set(study["metrics"]) == set(RECORDED["result_trace0"]["metrics"]) | {"faults_per_step"}
+    setup = RECORDED["result_trace0"]["metrics"]["setup_s"]["value"]
+    assert study["metrics"]["setup_s"] == {
+        "unit": "s", "median": setup, "iqr": 0.0, "n": 3, "values": [setup] * 3,
+    }
+
+
+def test_one_run_has_no_spread():
+    doc = bench_record.bench_document([recorded_run(1, 2400.0, 10)], "abc", dirty=False)
+    assert doc["workloads"]["study"]["metrics"]["steps_per_s"]["iqr"] == 0.0
+
+
+def test_compare_prints_each_change_and_warns_on_another_machine():
+    old = bench_record.bench_document([recorded_run(1, 2000.0, 0), recorded_run(2, 2000.0, 0)], "a", False)
+    new = bench_record.bench_document([recorded_run(1, 2200.0, 0), recorded_run(2, 2200.0, 0)], "b", False)
+    lines = bench_record.compare(old, new)
+    assert not any(line.startswith("warning") for line in lines)
+    (steps,) = [line for line in lines if " steps_per_s " in line]
+    assert "+10.00%" in steps
+    new["machine"] = {**new["machine"], "cpu_model": "another"}
+    lines = bench_record.compare(old, new)
+    assert lines[0] == "warning: machine records differ in cpu_model"
+
+
+def test_runs_read_the_last_line_and_the_result_file(tmp_path):
+    # A stand-in benchmark that prints a header and the recorded last
+    # line, and writes the recorded result file where run.py writes it.
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "recorded.json").write_text(json.dumps(RECORDED))
+    (tmp_path / "perfbench" / "run.py").write_text(textwrap.dedent("""
+        import json, sys
+        from pathlib import Path
+        args = sys.argv[1:]
+        assert args[args.index("--trace") + 1] == "0"
+        assert args[args.index("--seconds") + 1] == "8.0"
+        workload = args[args.index("--workload") + 1]
+        recorded = json.loads(Path("perfbench/recorded.json").read_text())
+        out = Path(".perfbench_runs") / workload
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "result_trace0.json").write_text(json.dumps(recorded["result_trace0"]))
+        print("# workload", workload, "seed", args[args.index("--seed") + 1])
+        print(json.dumps(recorded["last_line"]))
+    """))
+    run = bench_record.run_benchmark(tmp_path, "study", 7)
+    assert (run["workload"], run["seed"]) == ("study", 7)
+    assert run["result"] == RECORDED["last_line"]
+    assert run["record"] == RECORDED["result_trace0"]
+    assert run["faults"] >= 0
+    doc = bench_record.bench_document([run], "c", False)
+    assert doc["workloads"]["study"]["runs"][0]["correct"] is RECORDED["last_line"]["correct"]
+
+
+@pytest.mark.parametrize(
+    "values, median, iqr", [([1.0, 2.0, 3.0, 4.0], 2.5, 1.5), ([5.0, 1.0, 3.0], 3.0, 2.0)]
+)
+def test_spread_is_the_inclusive_quartile_range(values, median, iqr):
+    assert bench_record._spread(values) == {"median": median, "iqr": iqr, "n": len(values), "values": values}

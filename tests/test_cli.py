@@ -45,6 +45,12 @@ def run_cli(*args) -> int:
     return main([str(a) for a in args])
 
 
+def level(variant: str, alpha: str) -> tuple[str, ...]:
+    """A filter run's ``--alpha`` arguments: none for the ungated mode,
+    which refuses a level."""
+    return () if variant == "none" else ("--alpha", alpha)
+
+
 class TestSimulate:
     def test_writes_trajectory_and_log(self, scenario_path, tmp_path):
         out = tmp_path / "sim"
@@ -154,6 +160,28 @@ class TestFilter:
         assert len(decisions)
         assert decisions["rejected"].mean() > 0.5
 
+    @pytest.mark.parametrize(
+        "variant, alpha, message",
+        [
+            ("none", "0.7", "ungated variant takes no alpha"),
+            ("fisher", "1.5", "variant 'fisher' needs alpha in (0, 1), got 1.5"),
+        ],
+    )
+    def test_a_level_the_mode_cannot_take_exits_2(self, scenario_path, tmp_path, capsys, variant, alpha, message):
+        # The ungated mode refuses any level, as a gated mode refuses one
+        # outside (0, 1): one error line, before anything is written.
+        sim = tmp_path / "sim"
+        run_cli("simulate", "--scenario", scenario_path, "--out", sim, "--quiet")
+        capsys.readouterr()
+        out = tmp_path / "flt"
+        code = run_cli(
+            "filter", "--scenario", scenario_path, "--log", sim / "measurements.csv",
+            "--variant", variant, "--alpha", alpha, "--out", out, "--quiet",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_malformed_log_exits_2(self, scenario_path, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("k,sensor_id,kind,link,value,faulty\n1,s,gnss_speed,0,xx,0\n")
@@ -200,7 +228,7 @@ class TestFilter:
         for variant in ("none", "np_correct"):
             assert run_cli(
                 "filter", "--scenario", scenario_path, "--log", sim / "measurements.csv",
-                "--variant", variant, "--alpha", "0.01", "--out", tmp_path / variant, "--quiet",
+                "--variant", variant, *level(variant, "0.01"), "--out", tmp_path / variant, "--quiet",
             ) == 0
         n = len(read_measurement_log(sim / "measurements.csv"))
         assert calls == [n, n] and n > 0
@@ -269,7 +297,7 @@ class TestFilter:
         out = tmp_path / "o"
         code = run_cli(
             "filter", "--scenario", scenario_path, "--log", bad,
-            "--variant", variant, "--alpha", "0.01", "--out", out, "--quiet",
+            "--variant", variant, *level(variant, "0.01"), "--out", out, "--quiet",
         )
         assert code == 2
         assert "bad.csv:2: value must be finite and nonnegative, got '-3.5'" in capsys.readouterr().err
@@ -283,7 +311,7 @@ class TestFilter:
         bad = self._log_with_loop_value(scenario_path, tmp_path, "1e+200")
         code = run_cli(
             "filter", "--scenario", scenario_path, "--log", bad,
-            "--variant", variant, "--alpha", "0.01", "--out", tmp_path / "o", "--quiet",
+            "--variant", variant, *level(variant, "0.01"), "--out", tmp_path / "o", "--quiet",
         )
         err = capsys.readouterr().err
         assert code == 3
@@ -838,7 +866,7 @@ class TestCorruptedInputs:
         log.write_bytes(data.draw(corrupted((fuzz_dir / "sim" / "measurements.csv").read_text())))
         code = run_cli(
             "filter", "--scenario", fuzz_dir / "scenario.yaml", "--log", log,
-            "--variant", variant, "--alpha", "0.05", "--out", fuzz_dir / "flt", "--quiet",
+            "--variant", variant, *level(variant, "0.05"), "--out", fuzz_dir / "flt", "--quiet",
         )
         assert code in (0, 2, 3)
 
@@ -877,7 +905,7 @@ class TestExtremeSpeedValue:
         log.write_text("\n".join(lines) + "\n")
         code = run_cli(
             "filter", "--scenario", fuzz_dir / "scenario.yaml", "--log", log,
-            "--variant", variant, "--alpha", "0.05", "--out", fuzz_dir / "flt_extreme", "--quiet",
+            "--variant", variant, *level(variant, "0.05"), "--out", fuzz_dir / "flt_extreme", "--quiet",
         )
         assert code in ((0, 3) if variant == "none" else (0,))
 

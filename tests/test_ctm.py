@@ -17,16 +17,20 @@ from gatedpf.ctm import (
     FreewayNetwork,
     LinkParams,
     advance,
+    _boundary_flows,
+    _clamp_densities,
     _flows,
     _states_block,
     equilibrium_state,
+    link_plan,
     simulate,
     speed_map,
 )
 from gatedpf.errors import ConfigurationError, ModelConsistencyError
 from gatedpf.rng import RandomSource
+from gatedpf.scenario import default_scenario_dict, scenario_from_dict
 
-from conftest import dirty_buffers, flat_schedule, shares_buffers, small_network
+from conftest import check_plan_columns, dirty_buffers, flat_schedule, shares_buffers, small_network
 
 
 def make_link(**kw):
@@ -430,7 +434,7 @@ class TestOnrampDemand:
         # Also for links whose discharge reads no onramp.
         for links in ([0, 1, 2], [2], []):
             with pytest.raises(ConfigurationError, match="^network has onramps but no onramp demand given$"):
-                speed_map(states, net, links)
+                speed_map(states, net, link_plan(net, links))
 
     def test_a_network_without_onramps_takes_none(self):
         net = small_network(3, offramps={1}, beta=0.2)
@@ -438,8 +442,8 @@ class TestOnrampDemand:
         empty = np.empty(0)
         assert advance(states, net, 0.4).tobytes() == advance(states, net, 0.4, empty).tobytes()
         assert (
-            speed_map(states, net, [0, 1, 2]).tobytes()
-            == speed_map(states, net, [0, 1, 2], empty).tobytes()
+            speed_map(states, net, link_plan(net, [0, 1, 2])).tobytes()
+            == speed_map(states, net, link_plan(net, [0, 1, 2]), empty).tobytes()
         )
 
 
@@ -452,12 +456,12 @@ class TestParticleColumns:
     def check_columns(case, links):
         net, states, upstream, ramps = case
         block_next = outcome(advance, states, net, upstream, ramps)
-        block_speeds = speed_map(states, net, links, ramps)
+        block_speeds = speed_map(states, net, link_plan(net, links), ramps)
         alone_next = []
         for p in range(states.shape[1]):
             col, up, ramp = one_particle(case, p)
             alone_next.append(outcome(advance, col, net, up, ramp))
-            speeds = speed_map(col, net, links, ramp)
+            speeds = speed_map(col, net, link_plan(net, links), ramp)
             assert speeds.tobytes() == block_speeds[:, p : p + 1].tobytes()
         if isinstance(block_next, type):
             # The block's range check fails exactly when some column's does.
@@ -510,8 +514,9 @@ class TestRunBuffers:
                 assert got is expected
             else:
                 assert got.tobytes() == expected.tobytes() and not shares_buffers(got, work)
-            speeds = speed_map(states, net, step_links, ramps, work)
-            assert speeds.tobytes() == speed_map(states, net, step_links, ramps).tobytes()
+            plan = link_plan(net, step_links)
+            speeds = speed_map(states, net, plan, ramps, work)
+            assert speeds.tobytes() == speed_map(states, net, plan, ramps).tobytes()
             if isinstance(expected, type):
                 break
             states = expected
@@ -531,7 +536,7 @@ def full_map_speeds(states, q, s, network):
 
 class TestLinkSpeed:
     def test_empty_road_falls_back_to_freeflow(self, single_link_network):
-        v = speed_map(np.array([[0.0]]), single_link_network, [0])
+        v = speed_map(np.array([[0.0]]), single_link_network, link_plan(single_link_network, [0]))
         assert v[0, 0] == pytest.approx(10.0)
 
     def test_hand_value(self):
@@ -539,14 +544,14 @@ class TestLinkSpeed:
         # discharges min(vf dt rho, qmax) = min(20, 4) = 4 veh/step, so
         # v = 4 / (0.1 * 10) = 4 m/s.
         net = small_network(1)
-        v = speed_map(np.array([[0.1]]), net, [0])
+        v = speed_map(np.array([[0.1]]), net, link_plan(net, [0]))
         assert v[0, 0] == pytest.approx(4.0, rel=1e-12)
 
     def test_uncongested_speed_is_exactly_freeflow(self):
         # At demand flow: v = vf dt rho / (rho dt) = vf, also for offramp links.
         net = small_network(3, offramps={1}, beta=0.2)
         rho = column([0.005, 0.006, 0.004])
-        v = speed_map(rho, net, [0, 1, 2])
+        v = speed_map(rho, net, link_plan(net, [0, 1, 2]))
         np.testing.assert_allclose(v[:, 0], [net.links[i].vf for i in range(3)], rtol=1e-12)
 
     def test_speed_map_matches_link_speed(self):
@@ -556,7 +561,7 @@ class TestLinkSpeed:
         rho = column([0.01, 0.06, 0.02])
         q, r, s = junction_flows(rho, net, upstream_demand=0.4, onramp_demand=[0.2])
         expected = (q[1:] + s) / (rho * net.dt)
-        field = speed_map(rho, net, [0, 1, 2], [0.2])
+        field = speed_map(rho, net, link_plan(net, [0, 1, 2]), [0.2])
         np.testing.assert_allclose(field, expected, rtol=1e-12)
 
     @given(
@@ -602,20 +607,20 @@ class TestLinkSpeed:
         # Always cover the first and last link and every link next to an onramp.
         next_to_ramps = sorted({max(r - 1, 0) for r in onramps} | onramps)
         for chosen in (links, [0, n - 1], next_to_ramps, list(range(n))):
-            got = speed_map(states, net, chosen, ramps if onramps else None)
+            got = speed_map(states, net, link_plan(net, chosen), ramps if onramps else None)
             assert got.shape == (len(chosen), n_p)
             assert got.tobytes() == reference[chosen].tobytes()
 
     def test_speed_map_rejects_links_outside_network(self):
         net = small_network(3)
         with pytest.raises(ConfigurationError):
-            speed_map(np.full((3, 2), 0.01), net, [3])
+            speed_map(np.full((3, 2), 0.01), net, link_plan(net, [3]))
         with pytest.raises(ConfigurationError):
-            speed_map(np.full((3, 2), 0.01), net, [-1])
+            speed_map(np.full((3, 2), 0.01), net, link_plan(net, [-1]))
         with pytest.raises(ConfigurationError):
-            speed_map(np.full((4, 2), 0.01), net, [0])
+            speed_map(np.full((4, 2), 0.01), net, link_plan(net, [0]))
         with pytest.raises(ConfigurationError):
-            speed_map(np.full((2, 3), 0.01), net, [0])
+            speed_map(np.full((2, 3), 0.01), net, link_plan(net, [0]))
 
     def test_simulated_speeds_follow_the_realized_flows(self):
         # The reference re-draws each step's demands from the same stream
@@ -642,6 +647,207 @@ class TestLinkSpeed:
         reference = full_map_speeds(traj.states[:-1].T, q.T, s.T, net).T
         assert traj.speeds.shape == reference.shape
         assert traj.speeds.tobytes() == reference.tobytes()
+
+
+def gathered_speed_map(states, network, links, onramp_demand=None):
+    """How ``speed_map`` computed its speeds before link plans: every
+    network parameter gathered per link on each call.  Kept as the
+    reference for the plan path."""
+    n_l, dt = network.n_links, network.dt
+    links = np.asarray(links, dtype=np.intp).reshape(-1)
+    ramp = None
+    if network.onramp_links:
+        ramp = np.asarray(onramp_demand, dtype=float)
+        ramp = ramp[:, None] if ramp.ndim == 1 else ramp
+    rho = states[links]
+    vf = network.vf[links, None]
+    mainline = np.minimum((vf * dt) * rho, network.qmax[links, None])
+    beta = network.beta[links]
+    off = np.flatnonzero(beta)
+    s = beta[off, None] * mainline[off]
+    mainline[off] -= s
+    down = np.minimum(links + 1, n_l - 1)
+    supply = (network.rho_jam[down, None] - states[down]) * (network.w[down, None] * dt)
+    supply[links == n_l - 1] = np.inf
+    slot = network._onramp_slot[links + 1]
+    ramp_rows = np.flatnonzero(slot >= 0)
+    ramp = ramp[slot[ramp_rows]] if len(ramp_rows) else None
+    _boundary_flows(mainline, supply, ramp_rows, ramp, network.onramp_priority)
+    mainline[off] += s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = mainline / (rho * dt)
+    v = np.where(rho > EMPTY_DENSITY, v, vf)
+    return np.minimum(np.maximum(v, 0.0), vf)
+
+
+DEFAULT_NETWORK = scenario_from_dict(default_scenario_dict()).network
+
+
+@st.composite
+def varied_networks(draw):
+    """Up to six links, each with its own parameters and random ramps."""
+    n = draw(st.integers(1, 6))
+    onramps = draw(st.sets(st.integers(0, n - 1)))
+    offramps = draw(st.sets(st.integers(0, n - 1)))
+    links = tuple(
+        LinkParams(
+            length=500.0,
+            vf=draw(st.floats(10.0, 50.0)),
+            w=draw(st.floats(2.0, 12.0)),
+            qmax=draw(st.floats(1.0, 8.0)),
+            rho_jam=draw(st.floats(0.08, 0.2)),
+            onramp=i in onramps,
+            offramp=i in offramps,
+            beta=draw(st.floats(0.01, 0.5)) if i in offramps else 0.0,
+        )
+        for i in range(n)
+    )
+    return FreewayNetwork(links, dt=10.0, onramp_priority=draw(st.sampled_from([0.0, 0.3, 1.0])))
+
+
+@st.composite
+def small_networks(draw):
+    n = draw(st.integers(1, 6))
+    return small_network(
+        n, onramps=draw(st.sets(st.integers(0, n - 1))), offramps=draw(st.sets(st.integers(0, n - 1))),
+        beta=0.2, priority=draw(st.sampled_from([0.0, 0.3, 1.0])),
+    )
+
+
+@st.composite
+def plan_cases(draw):
+    """A network, a multiset of its links in any order (always the last
+    link and every link next to a ramp) split into consecutive groups, an
+    (L, P) block of zero, near-empty, jam and interior densities, and
+    onramp demands shared by the particles or one column each."""
+    net = draw(st.one_of(small_networks(), varied_networks(), st.just(DEFAULT_NETWORK)))
+    n = net.n_links
+    ramped = [i for i, link in enumerate(net.links) if link.onramp or link.offramp]
+    near = {n - 1} | {j for i in ramped for j in (i - 1, i, i + 1) if 0 <= j < n}
+    links = draw(st.permutations(sorted(near) + draw(st.lists(st.integers(0, n - 1), max_size=12))))
+    cuts = sorted(draw(st.lists(st.integers(0, len(links)), max_size=3)))
+    groups = [links[a:b] for a, b in zip([0, *cuts], [*cuts, len(links)])]
+    n_p = draw(st.integers(1, 4))
+    level = st.one_of(st.sampled_from([0.0, 1e-7, EMPTY_DENSITY, -1.0]), st.floats(0.0, 0.08))
+    states = np.array(draw(st.lists(st.lists(level, min_size=n_p, max_size=n_p), min_size=n, max_size=n)))
+    states = np.where(states < 0.0, net.rho_jam[:, None], states)  # -1.0 marks a jammed link
+    n_r = len(net.onramp_links)
+    ramp_row = st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=n_r, max_size=n_r)
+    if draw(st.booleans()):
+        ramps = np.array(draw(ramp_row))
+    else:
+        ramps = np.array(draw(st.lists(ramp_row, min_size=n_p, max_size=n_p))).reshape(n_p, n_r).T.copy()
+    return net, groups, states, ramps if n_r else None
+
+
+class TestLinkPlan:
+    """The speed map on a link plan, whole or a slice of a larger one,
+    gives the bits of gathering each link's parameters on every call."""
+
+    @given(plan_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_plan_speeds_equal_the_gathered_ones(self, case):
+        net, groups, states, ramps = case
+        every = [link for group in groups for link in group]
+        whole = link_plan(net, every)
+        check_plan_columns(whole, net, every)
+        work = dirty_buffers(states.shape[1], max_links=len(every))
+        start = 0
+        for group in groups:
+            expected = gathered_speed_map(states, net, group, ramps)
+            span = whole.span(start, start + len(group))
+            check_plan_columns(span, net, group)
+            for plan, buffers in ((span, work), (link_plan(net, group), None)):
+                got = speed_map(states, net, plan, ramps, buffers)
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+            start += len(group)
+
+    def test_plan_columns_are_read_only(self):
+        plan = link_plan(small_network(3, onramps={1}, offramps={0}), [2, 0, 0, 1])
+        for column in plan:
+            with pytest.raises(ValueError):
+                column[...] = 0
+
+    def test_links_outside_the_network_are_refused(self):
+        net = small_network(3)
+        for links in ([3], [-1], [0, 1, 2, 3]):
+            with pytest.raises(ConfigurationError, match=r"^links \[.*\] outside \[0, 2\]$"):
+                link_plan(net, links)
+
+    def test_the_caller_keeps_a_writable_link_array(self):
+        links = np.array([0, 2], dtype=np.intp)
+        link_plan(small_network(3), links)
+        links[0] = 1
+
+
+def block_rule(states, network):
+    """How ``advance`` used to check and clamp a step's densities: the block
+    minus its rows' jam densities, elementwise, then both clamps."""
+    if float(np.min(states)) < -DENSITY_TOL:
+        raise ModelConsistencyError("negative density after step")
+    if float(np.max(states - network.rho_jam[:, None])) > DENSITY_TOL:
+        raise ModelConsistencyError("density above jam density after step")
+    return np.minimum(np.maximum(states, 0.0), network.rho_jam[:, None])
+
+
+def row_rule(states, network):
+    """``_clamp_densities`` on a copy of the block."""
+    states = states.copy()
+    _clamp_densities(states, network)
+    return states
+
+
+def check_outcome(rule, states, network):
+    """The message of the model error ``rule`` raises on the block, or the
+    bytes of the block it returns."""
+    try:
+        return rule(states, network).tobytes()
+    except ModelConsistencyError as exc:
+        return str(exc)
+
+
+# Jam densities that differ by link, the smallest first and last.
+JAM_NETWORK = FreewayNetwork(
+    tuple(make_link(rho_jam=jam) for jam in (0.1, 0.15, 0.125, 0.1)), dt=10.0
+)
+
+
+class TestDensityCheck:
+    """The row-maxima jam check raises exactly where the elementwise one
+    did, with the same message, and the clamps it skips would have left
+    the block as it is."""
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_row_maxima_raise_where_the_block_did(self, data):
+        # Each density a few ulps from some link's jam density plus or
+        # minus the tolerance, from that jam density, from zero or
+        # -DENSITY_TOL, an interior density or NaN.
+        net = JAM_NETWORK
+        targets = [-DENSITY_TOL, -0.0, 0.0, 0.05, np.nan]
+        for jam in net.rho_jam.tolist():
+            targets += [jam - DENSITY_TOL, jam, jam + DENSITY_TOL]
+        n_p = data.draw(st.integers(1, 4))
+        states = np.empty((net.n_links, n_p))
+        for index in np.ndindex(states.shape):
+            x = data.draw(st.sampled_from(targets))
+            steps = data.draw(st.integers(-3, 3))
+            for _ in range(abs(steps)):
+                x = np.nextafter(x, np.inf if steps > 0 else -np.inf)
+            states[index] = x
+        assert check_outcome(row_rule, states, net) == check_outcome(block_rule, states, net)
+
+    def test_each_row_meets_its_own_jam_density(self):
+        # Above link 0's jam density, below link 1's: only the elementwise
+        # comparison with each row's own jam density raises here.
+        states = np.full((4, 2), 0.05)
+        states[0, 1] = 0.1 + 2 * DENSITY_TOL
+        assert check_outcome(block_rule, states, JAM_NETWORK) == "density above jam density after step"
+        assert check_outcome(row_rule, states, JAM_NETWORK) == "density above jam density after step"
+        states[0, 1] = 0.1
+        states[1, 0] = 0.15
+        assert check_outcome(row_rule, states, JAM_NETWORK) == states.tobytes()
 
 
 class TestSimulate:

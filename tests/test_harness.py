@@ -17,7 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatedpf.ctm import DemandProfile, DemandSchedule, advance, equilibrium_state, simulate, speed_map
+from gatedpf.ctm import (
+    DemandProfile, DemandSchedule, advance, equilibrium_state, link_plan, simulate, speed_map,
+)
 from gatedpf.errors import ConfigurationError, DataError, WeightCollapseError
 from gatedpf.fileio import csv_text, read_records
 from gatedpf.gates import MODES, GateKind, level_rule, likelihood_ratio_test, significance_test, unexplained
@@ -73,7 +75,7 @@ from gatedpf.sensing import (
     write_measurement_log,
 )
 
-from conftest import shares_buffers, small_network
+from conftest import check_plan_columns, shares_buffers, small_network
 from reference_log import Record, log_of, records_of
 
 
@@ -278,7 +280,7 @@ class TestFilterLoop:
                 mean_rows, std_rows = [], []
                 for m in ms:
                     if m.kind == GNSS_SPEED:
-                        row = speed_map(prior.particles, config.network, [m.link], ramp_means)[0]
+                        row = speed_map(prior.particles, config.network, link_plan(config.network, [m.link]), ramp_means)[0]
                         frac, floor = gnss.noise_frac, gnss.min_std
                     else:
                         row = prior.particles[m.link]
@@ -516,7 +518,7 @@ class TestGatedStep:
             rows = log.step(k)[0]
             if rows.start < rows.stop:
                 values, mean, std, step.tested = measurement_rows(
-                    log, k, prior.particles, config.network, config.demand_table[k, 0, 1:]
+                    log, k, prior.particles, config.demand_table[k, 0, 1:]
                 )
                 step.log_g0 = standardize(values, mean, std)[1]
                 step.rejected = np.zeros(len(step.log_g0), dtype=bool)
@@ -601,7 +603,7 @@ class TestCompileLog:
         # Step 2's speed rows sit at 1, 3, 4 on links 1, 1, 0: two
         # distinct links, in link order.
         assert log.speed_index.tolist() == [1, 3, 4, 5, 6, 7]
-        assert log.pair_links.tolist() == [0, 1, 0, 2]
+        assert log.pair_plan.links.tolist() == [0, 1, 0, 2]
         assert log.speed_pairs.tolist() == [1, 1, 0, 1, 0, 1]
         gnss, loops = config.gnss_spec, config.loops
         speed_rule = [gnss.noise_frac, gnss.min_std]
@@ -609,6 +611,22 @@ class TestCompileLog:
             speed_rule if m.kind == GNSS_SPEED else list(loops.std_rule) for m in ordered
         ]
         assert log.std_rules.T.tolist() == expected
+
+    def test_pair_plan_holds_the_network_at_each_step_s_links(self):
+        # On the default network, ramps on several links: each step's
+        # distinct speed links in link order, with their own and their
+        # downstream links' parameters.
+        doc = default_scenario_dict()
+        doc["run"]["horizon"] = 200
+        config = scenario_from_dict(doc).experiment_config(seeds=[5])
+        ms = simulate_seed(config, 5)[1]
+        pairs = [
+            link
+            for k in range(config.horizon)
+            for link in sorted(set(ms.links[ms.speed & (ms.steps == k)].tolist()))
+        ]
+        assert len(pairs) > config.horizon and config.network.n_links - 1 in pairs
+        check_plan_columns(compile_log(config, ms).pair_plan, config.network, pairs)
 
     def test_fault_densities_of_the_speed_rows(self):
         config, _, log = self._log()
@@ -678,6 +696,26 @@ class TestCompileLog:
         ):
             with pytest.raises(ConfigurationError, match="^measurement log compiled for horizon 6 on 3 links"):
                 run_traffic_filter(other, log, FilterVariant("np_correct", 0.01), RandomSource(9))
+
+    def test_log_compiled_for_another_network_of_the_same_size_is_refused(self):
+        # The compiled log's link plan holds its network's constants, so a
+        # run on a network of the same size with another capacity would
+        # mix the two networks' speeds: it is refused.  An equal network
+        # built anew runs as the log's own.
+        config = micro_config(horizon=6)
+        log = compile_log(config, simulate_seed(config, 9)[1])
+        assert log.network is config.network
+        variant = FilterVariant("np_correct", 0.01)
+        other = dataclasses.replace(config, network=small_network(3, qmax=4.0))
+        with pytest.raises(
+            ConfigurationError, match="^measurement log compiled for horizon 6 on 3 links, .* of another network$"
+        ):
+            run_traffic_filter(other, log, variant, RandomSource(9))
+        rebuilt = dataclasses.replace(config, network=small_network(3, qmax_1=1.6, qmax=4.0))
+        assert rebuilt.network is not config.network
+        expected = run_traffic_filter(config, log, variant, RandomSource(9))
+        got = run_traffic_filter(rebuilt, log, variant, RandomSource(9))
+        assert got.estimates.tobytes() == expected.estimates.tobytes()
 
     def test_empty_log(self):
         config = micro_config(horizon=4)
