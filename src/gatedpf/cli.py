@@ -21,13 +21,13 @@ from .harness import (
     METRIC_FIELDS,
     FilterVariant,
     compile_log,
-    metrics_long_text,
     metrics_wide_text,
     read_metrics_long,
     run_experiment,
     run_traffic_filter,
     simulate_seed,
     write_decision_log,
+    write_metrics_long,
 )
 from .rng import RandomSource
 from .scenario import load_scenario, write_manifest
@@ -143,7 +143,7 @@ def cmd_sweep(args) -> int:
 
     report = run_experiment(config, on_run=sink)
     atomic_write_text(out / artifacts["metrics"], metrics_wide_text(report, scenario.alphas))
-    atomic_write_text(out / artifacts["metrics_long"], metrics_long_text(report))
+    write_metrics_long(out / artifacts["metrics_long"], report)
     _say(args, f"wrote metrics table to {out / artifacts['metrics']}")
     return 0
 

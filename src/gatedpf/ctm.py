@@ -77,6 +77,13 @@ class FreewayNetwork:
             raise ConfigurationError("network needs at least one link")
         if not self.dt > 0.0:
             raise ConfigurationError("timestep dt must be positive")
+        # The speed rule divides by rho * dt on links above EMPTY_DENSITY;
+        # rounding is monotone, so none of those products is 0 exactly
+        # when EMPTY_DENSITY * dt is not.
+        if EMPTY_DENSITY * self.dt == 0.0:
+            raise ConfigurationError(
+                f"timestep dt {self.dt!r} is too small: an occupied link's rho * dt is 0"
+            )
         if not (0.0 <= self.onramp_priority <= 1.0):
             raise ConfigurationError("onramp priority must be in [0, 1]")
         for i, link in enumerate(self.links):
@@ -93,29 +100,40 @@ class FreewayNetwork:
     def n_links(self) -> int:
         return len(self.links)
 
+    # The per-link constants as read-only (L, 1) columns, one row per link,
+    # so that a step broadcasts them over its (L, P) blocks as they are.
+
     @cached_property
     def lengths(self) -> np.ndarray:
-        return np.array([l.length for l in self.links])
+        return _column(l.length for l in self.links)
 
     @cached_property
     def vf(self) -> np.ndarray:
-        return np.array([l.vf for l in self.links])
+        return _column(l.vf for l in self.links)
 
     @cached_property
     def w(self) -> np.ndarray:
-        return np.array([l.w for l in self.links])
+        return _column(l.w for l in self.links)
 
     @cached_property
     def qmax(self) -> np.ndarray:
-        return np.array([l.qmax for l in self.links])
+        return _column(l.qmax for l in self.links)
 
     @cached_property
     def rho_jam(self) -> np.ndarray:
-        return np.array([l.rho_jam for l in self.links])
+        return _column(l.rho_jam for l in self.links)
 
     @cached_property
     def beta(self) -> np.ndarray:
-        return np.array([l.beta if l.offramp else 0.0 for l in self.links])
+        return _column(l.beta if l.offramp else 0.0 for l in self.links)
+
+    @cached_property
+    def _vf_dt(self) -> np.ndarray:
+        return _read_only(self.vf * self.dt)
+
+    @cached_property
+    def _w_dt(self) -> np.ndarray:
+        return _read_only(self.w * self.dt)
 
     @cached_property
     def onramp_links(self) -> tuple[int, ...]:
@@ -138,33 +156,9 @@ class FreewayNetwork:
         slot[list(self.onramp_links)] = np.arange(len(self.onramp_links))
         return slot
 
-    # The step's per-link constants as read-only (L, 1) columns, computed
-    # once with the operations a step used to repeat on every call.
 
-    @cached_property
-    def _vf_dt(self) -> np.ndarray:
-        return _read_only(self.vf[:, None] * self.dt)
-
-    @cached_property
-    def _w_dt(self) -> np.ndarray:
-        return _read_only(self.w[:, None] * self.dt)
-
-    @cached_property
-    def _qmax_column(self) -> np.ndarray:
-        return _read_only(self.qmax[:, None])
-
-    @cached_property
-    def _rho_jam_column(self) -> np.ndarray:
-        return _read_only(self.rho_jam[:, None])
-
-    @cached_property
-    def _length_column(self) -> np.ndarray:
-        return _read_only(self.lengths[:, None])
-
-    @cached_property
-    def _offramp_share(self) -> np.ndarray:
-        # The split ratios of the ``_offramp_rows``, (O, 1).
-        return _read_only(self.beta[self._offramp_rows, None])
+def _column(values) -> np.ndarray:
+    return _read_only(np.array(list(values))[:, None])
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -176,17 +170,17 @@ class LinkPlan(NamedTuple):
     """The speed map's constants on a list of links, built by
     :func:`link_plan` from a network and read by :func:`speed_map`.
 
-    Position j is link ``links[j]`` (any order; repeats allowed).  Per
-    position: ``down``, the downstream link whose density bounds the
-    discharge (the last link's own, since its end is free); ``vf``,
-    ``vf_dt`` (``vf * dt``) and ``qmax`` of the link; ``rho_jam_down`` and
-    ``w_dt_down`` (``w * dt``) of the downstream link, both ``inf`` on the
-    last link, whose supply is unbounded.  ``off`` holds the positions of
-    offramp links and ``off_share`` (O, 1) their split ratios;
-    ``ramp_rows`` the positions whose downstream boundary has an onramp and
-    ``ramp_slots`` that onramp's index in ``network.onramp_links``.  The
-    float columns are (K, 1) and (O, 1), the index columns 1-D; all are
-    read-only.
+    Every column holds position j in row j, and position j is link
+    ``links[j]`` (any order; repeats allowed): ``down``, the downstream
+    link whose density bounds the discharge (the last link's own, since its
+    end is free); ``vf``, ``vf_dt`` (``vf * dt``), ``qmax`` and
+    ``off_share`` (the offramp split ratio, 0 without an offramp) of the
+    link; ``rho_jam_down`` and ``w_dt_down`` (``w * dt``) of the downstream
+    link, both ``inf`` on the last link, whose supply is unbounded; and
+    ``ramp_slot``, the index in ``network.onramp_links`` of the onramp at
+    the link's downstream boundary, -1 for none.  The float columns are
+    (K, 1), the index columns (K,); all are read-only, so the plan of
+    positions ``a:b`` is every column's slice ``a:b``.
     """
 
     links: np.ndarray
@@ -196,33 +190,14 @@ class LinkPlan(NamedTuple):
     qmax: np.ndarray
     rho_jam_down: np.ndarray
     w_dt_down: np.ndarray
-    off: np.ndarray
     off_share: np.ndarray
-    ramp_rows: np.ndarray
-    ramp_slots: np.ndarray
-
-    def span(self, start: int, stop: int) -> LinkPlan:
-        """The plan of positions ``start:stop``, views of these columns (a
-        step's slice of a compiled log's whole-log plan)."""
-        rows, bounds = slice(start, stop), (start, stop)
-        o0, o1 = self.off.searchsorted(bounds).tolist()
-        r0, r1 = self.ramp_rows.searchsorted(bounds).tolist()
-        return LinkPlan(
-            self.links[rows], self.down[rows], self.vf[rows], self.vf_dt[rows], self.qmax[rows],
-            self.rho_jam_down[rows], self.w_dt_down[rows],
-            _rebased(self.off[o0:o1], start), self.off_share[o0:o1],
-            _rebased(self.ramp_rows[r0:r1], start), self.ramp_slots[r0:r1],
-        )
-
-
-def _rebased(positions: np.ndarray, start: int) -> np.ndarray:
-    # Positions counted from ``start``; an empty slice needs no arithmetic.
-    return positions - start if len(positions) else positions
+    ramp_slot: np.ndarray
 
 
 def link_plan(network: FreewayNetwork, links) -> LinkPlan:
     """The :class:`LinkPlan` of ``network`` on ``links``, link indices in
-    any order with repeats allowed; a link outside the network raises
+    any order with repeats allowed: the network's columns gathered at each
+    link and its downstream link.  A link outside the network raises
     :class:`ConfigurationError`."""
     n_l = network.n_links
     links = np.array(links, dtype=np.intp).reshape(-1)
@@ -232,22 +207,16 @@ def link_plan(network: FreewayNetwork, links) -> LinkPlan:
     # link's end takes any outflow, so its supply is unbounded.
     down = np.minimum(links + 1, n_l - 1)
     free_end = (links == n_l - 1)[:, None]
-    share = network.beta[links]
-    off = np.flatnonzero(share)
-    slot = network._onramp_slot[links + 1]
-    ramp_rows = np.flatnonzero(slot >= 0)
     columns = (
         links,
         down,
-        network.vf[links, None],
+        network.vf[links],
         network._vf_dt[links],
-        network._qmax_column[links],
-        np.where(free_end, np.inf, network._rho_jam_column[down]),
+        network.qmax[links],
+        np.where(free_end, np.inf, network.rho_jam[down]),
         np.where(free_end, np.inf, network._w_dt[down]),
-        off,
-        share[off, None],
-        ramp_rows,
-        slot[ramp_rows],
+        network.beta[links],
+        network._onramp_slot[links + 1],
     )
     return LinkPlan(*map(_read_only, columns))
 
@@ -329,13 +298,13 @@ def _flows(states, network: FreewayNetwork, upstream_demand, onramp_demand, work
     q[0] = upstream_demand
     demand = q[1:]
     np.multiply(network._vf_dt, states, out=demand)
-    np.minimum(demand, network._qmax_column, out=demand)
+    np.minimum(demand, network.qmax, out=demand)
     off = network._offramp_rows
     s = None
     if len(off):
-        s = network._offramp_share * demand[off]
+        s = network.beta[off] * demand[off]
         demand[off] -= s
-    supply = np.subtract(network._rho_jam_column, states, out=work.supply)
+    supply = np.subtract(network.rho_jam, states, out=work.supply)
     supply *= network._w_dt
     r = _boundary_flows(q[:n_l], supply, network._onramp_rows, ramp, network.onramp_priority)
     return q, r, s
@@ -354,13 +323,13 @@ def _clamp_densities(states: np.ndarray, network: FreewayNetwork) -> None:
     low = float(states.min())
     if low < -DENSITY_TOL:
         raise ModelConsistencyError("negative density after step")
-    excess = float(np.subtract(states.max(axis=1), network.rho_jam).max())
+    excess = float(np.subtract(states.max(axis=1, keepdims=True), network.rho_jam).max())
     if excess > DENSITY_TOL:
         raise ModelConsistencyError("density above jam density after step")
     if not low > 0.0:
         np.maximum(states, 0.0, out=states)
     if not excess <= 0.0:
-        np.minimum(states, network._rho_jam_column, out=states)
+        np.minimum(states, network.rho_jam, out=states)
 
 
 def advance(
@@ -392,7 +361,7 @@ def advance(
         gain[network._onramp_rows] += r
     if s is not None:
         gain[network._offramp_rows] -= s
-    gain /= network._length_column
+    gain /= network.lengths
     new_states = np.add(states, gain, out=gain)
     _clamp_densities(new_states, network)
     return new_states
@@ -433,16 +402,17 @@ def speed_map(
     rho = np.take(states, plan.links, axis=0, out=work.link_density[:n_k], mode="clip")
     mainline = np.multiply(plan.vf_dt, rho, out=work.discharge[:n_k])
     np.minimum(mainline, plan.qmax, out=mainline)
-    off = plan.off
+    off = np.flatnonzero(plan.off_share)
     if len(off):
-        s = plan.off_share * mainline[off]
+        s = plan.off_share[off] * mainline[off]
         mainline[off] -= s
 
     supply = np.take(states, plan.down, axis=0, out=work.link_supply[:n_k], mode="clip")
     np.subtract(plan.rho_jam_down, supply, out=supply)
     supply *= plan.w_dt_down
-    ramp = ramp[plan.ramp_slots] if len(plan.ramp_rows) else None
-    _boundary_flows(mainline, supply, plan.ramp_rows, ramp, network.onramp_priority)
+    ramp_rows = np.flatnonzero(plan.ramp_slot >= 0)
+    ramp = ramp[plan.ramp_slot[ramp_rows]] if len(ramp_rows) else None
+    _boundary_flows(mainline, supply, ramp_rows, ramp, network.onramp_priority)
     # Speed is discharge over rho * dt, clamped to [0, vf]; near-empty
     # links report freeflow, so the speeds start at freeflow (in the
     # densities' block, once the densities are read) and only occupied
@@ -568,11 +538,13 @@ def equilibrium_state(network: FreewayNetwork, schedule: DemandSchedule) -> np.n
     means = schedule.table((0,))[0, 0]
     upstream, ramps = means[0], means[1:]
     # The floor keeps the start strictly positive; the jam-density cap comes
-    # last, so a network jammed below the floor still starts inside it.
-    rho0 = min(
-        max(upstream / (network.links[0].vf * network.dt), 1e-5),
-        0.5 * float(np.min(network.rho_jam)),
-    )
+    # last, so a network jammed below the floor still starts inside it, and
+    # takes the inf that a tiny vf * dt may give.
+    with np.errstate(over="ignore"):
+        rho0 = min(
+            max(upstream / (network.links[0].vf * network.dt), 1e-5),
+            0.5 * float(np.min(network.rho_jam)),
+        )
     states = np.full((network.n_links, 1), rho0)
     work = StepBuffers(1, n_states=network.n_links)
     for _ in range(EQUILIBRIUM_ITERATIONS):

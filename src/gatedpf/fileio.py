@@ -118,15 +118,47 @@ class RecordFormat(NamedTuple):
         return tuple(name for name, _ in self.fields)
 
 
-def record_text(fmt: RecordFormat, columns: Mapping[str, Iterable]) -> str:
-    """The text of a record file: ``fmt``'s header, then the rows of
-    ``columns`` (name -> values), each value written by its field's kind."""
+def record_text(fmt: RecordFormat, columns: Mapping[str, list], path: str | Path) -> str:
+    """The text of the record file at ``path``: ``fmt``'s header, then the
+    rows of ``columns`` (name -> list of values), each value written by its
+    field's kind.
+
+    The rules are applied first: the first row, in file order, that a rule
+    refuses raises :class:`DataError` naming ``path:line``, the line that
+    :func:`read_records` would name, and no text is built.
+    """
+    kinds = dict(fmt.fields)
+    refusals = _rule_refusals(fmt, columns, lambda name, i: kinds[name].write(columns[name][i]))
+    refused = min(refusals, default=None)
+    if refused is not None:
+        i, _, message = refused
+        # The line a reader ends the row on: a text field may hold a newline.
+        reader = csv.reader(io.StringIO(_csv_rows(fmt, columns, i + 1), newline=""))
+        for _ in reader:
+            pass
+        raise DataError(f"{path}:{reader.line_num}: {message}")
+    return _csv_rows(fmt, columns, None)
+
+
+def _csv_rows(fmt: RecordFormat, columns: Mapping[str, list], stop: int | None) -> str:
+    """The header and rows ``:stop`` of ``columns``, as CSV text."""
     # The CSV writer itself writes ``str`` of a value that is not text.
     written = (
         columns[name] if kind.write is str else map(kind.write, columns[name])
         for name, kind in fmt.fields
     )
-    return csv_text(fmt.columns, zip(*written))
+    return csv_text(fmt.columns, itertools.islice(zip(*written, strict=True), stop))
+
+
+def _rule_refusals(fmt: RecordFormat, columns: Mapping[str, list], field: Callable[[str, int], str]):
+    """``(row, order, message)`` of the first row each of ``fmt``'s rules
+    refuses in ``columns`` (name -> list of values), in rule order;
+    ``field(name, row)`` is the text the message quotes."""
+    for order, (column, must, accepts) in enumerate(fmt.rules):
+        accepted = np.asarray(accepts(columns), dtype=bool)
+        if not accepted.all():
+            i = int(np.argmin(accepted))
+            yield i, order, f"{column} must {must}, got {field(column, i)!r}"
 
 
 # The rows parsed at a time: a chunk's text is freed before the next is read.
@@ -218,11 +250,8 @@ def _parse(fmt: RecordFormat, rows: list[list[str]]) -> tuple[dict, tuple[int, s
     for name, column in texts.items():
         column = column[:n]
         columns[name] = list(map(reads[name].__getitem__, column)) if name in reads else column
-    for order, (column, must, accepts) in enumerate(fmt.rules):
-        accepted = np.asarray(accepts(columns), dtype=bool)
-        if not accepted.all():
-            i = int(np.argmin(accepted))
-            refusals.append((i, 1, order, f"{column} must {must}, got {texts[column][i]!r}"))
+    for i, order, message in _rule_refusals(fmt, columns, lambda name, i: texts[name][i]):
+        refusals.append((i, 1, order, message))
     if not refusals:
         return columns, None
     i, _, _, message = min(refusals)

@@ -421,11 +421,13 @@ def filter_step(
     variant: FilterVariant,
     ensemble: ParticleEnsemble,
     k: int,
+    step: tuple[slice, slice, slice],
     rng_demand: RandomSource,
     rng_resample: RandomSource,
     work: StepBuffers,
 ) -> tuple[ParticleEnsemble, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
-    """Step ``k`` of a filter run of ``config`` over a compiled log.
+    """Step ``k`` of a filter run of ``config`` over a compiled log, whose
+    slices of the log's columns are ``step`` (``log.step(k)``).
 
     Predict the ensemble through the traffic model on the step's own demand
     draw, read the step's rows off the compiled columns against the prior,
@@ -446,9 +448,9 @@ def filter_step(
     upstream, ramps = config.schedule.sample(k - 1, rng_demand, config.particles, demand)
     prior = posterior = predict(ensemble, advance(ensemble.particles, network, upstream, ramps, work))
     gate = None
-    rows, speeds, _ = log.step(k)
+    rows, speeds, _ = step
     if rows.start < rows.stop:
-        values, mean, std, tested = measurement_rows(log, k, prior.particles, demand[k, 0, 1:], work)
+        values, mean, std, tested = measurement_rows(log, step, prior.particles, demand[k, 0, 1:], work)
         z, log_g0 = standardize(values, mean, std, work)
         accepted = np.ones(len(values), dtype=bool)
         # Speed reports are gated; first-party loop detectors never are.
@@ -502,9 +504,10 @@ def run_traffic_filter(
     entry (so a row the scenario cannot assimilate raises
     :class:`DataError`); a log compiled for another horizon or network
     raises :class:`ConfigurationError`.  The run allocates its work buffers
-    once (:func:`step_buffers`), and every step reuses them.  Each step
-    writes its gate's outcomes beside its speed rows' reports and labels
-    (see :class:`FilterRunResult`).
+    once (:func:`step_buffers`), and every step reuses them.  Each step's
+    slices of the log are looked up once, and the step writes its gate's
+    outcomes through its speed slice, beside its speed rows' reports and
+    labels (see :class:`FilterRunResult`).
     """
     log = measurements if isinstance(measurements, CompiledLog) else compile_log(config, measurements)
     if log.horizon != config.horizon or log.network != config.network:
@@ -531,12 +534,13 @@ def run_traffic_filter(
         decisions["faulty"] = log.faulty[index]
     work = step_buffers(config, log)
     for k in range(1, config.horizon):
+        step = log.step(k)
         ensemble, estimates[k - 1], gate = filter_step(
-            config, log, variant, ensemble, k, rng_demand, rng_resample, work
+            config, log, variant, ensemble, k, step, rng_demand, rng_resample, work
         )
         if gate is not None:
-            step = decisions[log.step(k)[1]]
-            step["statistic"], step["auxiliary"], step["rejected"] = gate
+            decided = decisions[step[1]]
+            decided["statistic"], decided["auxiliary"], decided["rejected"] = gate
     return FilterRunResult(estimates=estimates, decisions=decisions)
 
 
@@ -755,9 +759,11 @@ DECISION_FORMAT = RecordFormat(
 
 def write_decision_log(path: str | Path, decisions: np.ndarray) -> None:
     """Write a ``DECISION_DTYPE`` array atomically in ``DECISION_FORMAT``,
-    one row per decision."""
+    one row per decision; a row that :func:`read_decision_log` would refuse
+    raises :class:`DataError` naming ``path:line``, and nothing is
+    written."""
     columns = {name: decisions[name].tolist() for name in DECISION_COLUMNS}
-    atomic_write_text(path, record_text(DECISION_FORMAT, columns))
+    atomic_write_text(path, record_text(DECISION_FORMAT, columns, path))
 
 
 def read_decision_log(path: str | Path) -> np.ndarray:
@@ -828,13 +834,16 @@ METRICS_LONG_FORMAT = RecordFormat(
 METRICS_LONG_COLUMNS = METRICS_LONG_FORMAT.columns
 
 
-def metrics_long_text(report: MetricsReport) -> str:
+def write_metrics_long(path: str | Path, report: MetricsReport) -> None:
+    """Write the report's runs atomically in ``METRICS_LONG_FORMAT``, one
+    row per run; a row that :func:`read_metrics_long` would refuse raises
+    :class:`DataError` naming ``path:line``, and nothing is written."""
     columns = {name: [getattr(run, name) for run in report.runs] for name in METRICS_LONG_COLUMNS}
-    return record_text(METRICS_LONG_FORMAT, columns)
+    atomic_write_text(path, record_text(METRICS_LONG_FORMAT, columns, path))
 
 
 def read_metrics_long(path: str | Path) -> MetricsReport:
-    """Read ``metrics_long.csv`` back; a row that :func:`metrics_long_text`
+    """Read ``metrics_long.csv`` back; a row that :func:`write_metrics_long`
     cannot have written raises :class:`DataError` naming ``path:line``."""
     columns, _ = read_records(path, METRICS_LONG_FORMAT)
     return MetricsReport(runs=[RunMetrics(*run) for run in zip(*columns.values())])

@@ -208,7 +208,7 @@ class MeasurementLog:
 def vehicle_counts(state: np.ndarray, network: FreewayNetwork) -> np.ndarray:
     """Integer vehicles per link: density times length, rounded to nearest.
     ``state`` is one state (L,) or one state per row (K, L)."""
-    return np.rint(np.asarray(state, dtype=float) * network.lengths).astype(int)
+    return np.rint(np.asarray(state, dtype=float) * network.lengths[:, 0]).astype(int)
 
 
 def sample_loop_detectors(states: np.ndarray, loops: LoopDetectors, rng: RandomSource) -> np.ndarray:
@@ -280,7 +280,7 @@ class CompiledLog:
     distinct speed links ``offsets[k, 2]:offsets[k + 1, 2]`` of
     ``pair_plan``, the :class:`~gatedpf.ctm.LinkPlan` of every step's
     distinct speed links (its ``links``), built once for the whole log
-    from ``network``'s constants.
+    from ``network``'s constants; :meth:`step` gives the three slices.
 
     Row columns (N,): ``steps``, ``sensor_ids`` (object), ``links``,
     ``values``, ``faulty`` and ``std_rules`` (2, N), each row's null-model
@@ -316,12 +316,13 @@ class CompiledLog:
 
 def measurement_rows(
     log: CompiledLog,
-    k: int,
+    step: tuple[slice, slice, slice],
     particles: np.ndarray,
     ramp_means: np.ndarray,
     work: StepBuffers | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Null-model moments of step ``k``'s measurements against an (L, P) block.
+    """Null-model moments of a step's measurements against an (L, P) block;
+    ``step`` is the step's slices, ``log.step(k)``.
 
     Returns ``values`` (M,), ``mean`` (M, P), ``std`` (M, P) and ``tested``,
     the positions of the speed rows among the step's rows; ``mean`` and
@@ -330,7 +331,7 @@ def measurement_rows(
     density on its link; a speed row's mean is each particle's predicted
     speed on its link, :func:`~gatedpf.ctm.speed_map` on ``log.network``
     at the onramp demands ``ramp_means``, evaluated once per distinct link
-    of the step on the step's slice of ``log.pair_plan``.  A row's std is
+    of the step on the plan of its slice of ``log.pair_plan``.  A row's std is
     its rule's ``max(frac * mean, floor)``.  A block whose link count is
     not the log's raises :class:`ConfigurationError`.
     """
@@ -338,7 +339,7 @@ def measurement_rows(
         raise ConfigurationError(
             f"log compiled for {log.n_links} links, particles have {particles.shape[0]}"
         )
-    rows, speeds, pairs = log.step(k)
+    rows, speeds, pairs = step
     n_rows = rows.stop - rows.start
     if work is None:
         work = StepBuffers(particles.shape[1], max_rows=n_rows, max_links=pairs.stop - pairs.start)
@@ -348,7 +349,7 @@ def measurement_rows(
     mean = np.take(particles, log.links[rows], axis=0, out=work.mean[:n_rows], mode="clip")
     tested = log.speed_index[speeds] - rows.start
     if tested.size:
-        plan = log.pair_plan.span(pairs.start, pairs.stop)
+        plan = LinkPlan(*[column[pairs] for column in log.pair_plan])
         speed = speed_map(particles, log.network, plan, ramp_means, work)
         mean[tested] = np.take(
             speed, log.speed_pairs[speeds], axis=0, out=work.scratch[: tested.size], mode="clip"
@@ -405,13 +406,15 @@ def fault_log_density(
 
 
 def write_measurement_log(path: str | Path, log: MeasurementLog) -> None:
-    """Write the measurement log atomically in ``MEASUREMENT_FORMAT``."""
+    """Write the measurement log atomically in ``MEASUREMENT_FORMAT``; a
+    row that :func:`read_measurement_log` would refuse raises
+    :class:`DataError` naming ``path:line``, and nothing is written."""
     columns = {
         "k": log.steps.tolist(), "sensor_id": log.sensor_ids.tolist(),
-        "kind": map(MEASUREMENT_KINDS.__getitem__, log.speed.tolist()),
+        "kind": list(map(MEASUREMENT_KINDS.__getitem__, log.speed.tolist())),
         "link": log.links.tolist(), "value": log.values.tolist(), "faulty": log.faulty.tolist(),
     }
-    atomic_write_text(path, record_text(MEASUREMENT_FORMAT, columns))
+    atomic_write_text(path, record_text(MEASUREMENT_FORMAT, columns, path))
 
 
 def read_measurement_log(path: str | Path) -> MeasurementLog:

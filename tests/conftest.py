@@ -75,15 +75,21 @@ def small_network(n_links: int = 3, qmax: float = 4.0, **overrides) -> FreewayNe
 
 def check_plan_columns(plan, network: FreewayNetwork, links) -> None:
     """Assert that ``plan`` holds, position by position, the parameters of
-    ``network`` at ``links`` and at their downstream links: the last link's
-    downstream jam density and wave speed are infinite, an offramp link's
-    share is its split ratio, and a link whose downstream neighbour has an
-    onramp names that onramp's slot."""
-    n, dt = network.n_links, network.dt
+    ``network`` at ``links`` and at their downstream links, position j in
+    row j of every column: the last link's downstream jam density and wave
+    speed are infinite, a link's offramp share is its split ratio (0
+    without an offramp), and its ramp slot names the onramp at its
+    downstream boundary (-1 for none)."""
+    n, dt, k = network.n_links, network.dt, len(links)
     assert plan.links.tolist() == list(links)
+    for name, column in plan._asdict().items():
+        assert column.shape == ((k,) if name in ("links", "down", "ramp_slot") else (k, 1)), name
     for j, l in enumerate(links):
         link = network.links[l]
         assert (plan.vf[j, 0], plan.vf_dt[j, 0], plan.qmax[j, 0]) == (link.vf, link.vf * dt, link.qmax)
+        assert plan.off_share[j, 0] == (link.beta if link.offramp else 0.0)
+        onramps = network.onramp_links
+        assert plan.ramp_slot[j] == (onramps.index(l + 1) if l + 1 in onramps else -1)
         if l == n - 1:
             assert (plan.down[j], plan.rho_jam_down[j, 0], plan.w_dt_down[j, 0]) == (l, np.inf, np.inf)
         else:
@@ -91,14 +97,6 @@ def check_plan_columns(plan, network: FreewayNetwork, links) -> None:
             assert (plan.down[j], plan.rho_jam_down[j, 0], plan.w_dt_down[j, 0]) == (
                 l + 1, down.rho_jam, down.w * dt,
             )
-    shares = {j: network.links[l].beta for j, l in enumerate(links) if network.links[l].beta > 0.0}
-    assert plan.off.tolist() == sorted(shares)
-    assert plan.off_share[:, 0].tolist() == [shares[j] for j in sorted(shares)]
-    slots = {
-        j: network.onramp_links.index(l + 1) for j, l in enumerate(links) if l + 1 in network.onramp_links
-    }
-    assert plan.ramp_rows.tolist() == sorted(slots)
-    assert plan.ramp_slots.tolist() == [slots[j] for j in sorted(slots)]
 
 
 def flat_schedule(level: float, n_onramps: int = 0, noise: float = 0.0) -> DemandSchedule:

@@ -632,6 +632,33 @@ class TestExitCodes:
         assert "run.seeds[0]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_fault_report_past_the_float_range_exits_2(self, tmp_path, capsys):
+        # Fault draws around 1e308 overflow to inf, a value the log's reader
+        # refuses: simulate exits 2 naming its line and writes no log.
+        doc = tiny_scenario_dict()
+        doc["sensors"]["faults"] = {"probability": 1.0, "zero_weight": 0.0, "speed_mean": 1.0e308,
+                                    "speed_std": 1.0e308}
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--scenario", path, "--out", out, "--quiet") == 2
+        err = capsys.readouterr().err
+        log = re.escape(str(out / "measurements.csv"))
+        assert re.fullmatch(rf"error: {log}:\d+: value must be finite and nonnegative, got 'inf'\n", err)
+        assert not (out / "measurements.csv").exists()
+
+    def test_a_timestep_that_zeroes_rho_dt_exits_2(self, tmp_path, capsys):
+        doc = tiny_scenario_dict()
+        doc["network"]["dt"] = 5.0e-324
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--scenario", path, "--out", out, "--no-artifacts", "--quiet") == 2
+        assert capsys.readouterr().err == (
+            "error: network: timestep dt 5e-324 is too small: an occupied link's rho * dt is 0\n"
+        )
+        assert not out.exists()
+
     def test_repeated_scenario_seed_exits_2(self, tmp_path, capsys):
         doc = tiny_scenario_dict()
         doc["run"]["seeds"] = [7, 7]

@@ -16,6 +16,7 @@ from gatedpf.ctm import (
     DemandSchedule,
     FreewayNetwork,
     LinkParams,
+    LinkPlan,
     advance,
     _boundary_flows,
     _clamp_densities,
@@ -37,6 +38,34 @@ def make_link(**kw):
     defaults = dict(length=500.0, vf=25.0, w=5.0, qmax=4.0, rho_jam=0.125)
     defaults.update(kw)
     return LinkParams(**defaults)
+
+
+# The smallest timestep whose EMPTY_DENSITY * dt is not 0.
+SMALLEST_DT = 2.470333e-318
+
+
+class TestTimestep:
+    """A timestep is refused exactly when an occupied link's ``rho * dt``,
+    the speed rule's divisor, can be 0."""
+
+    def test_a_timestep_that_zeroes_an_occupied_rho_dt_is_refused(self):
+        below = float(np.nextafter(SMALLEST_DT, 0.0))
+        assert EMPTY_DENSITY * SMALLEST_DT > 0.0 and EMPTY_DENSITY * below == 0.0
+        for dt in (5e-324, below):
+            with pytest.raises(ConfigurationError, match=r"^timestep dt .* is too small"):
+                FreewayNetwork(links=(make_link(),), dt=dt)
+
+    def test_the_smallest_timestep_gives_finite_speeds(self):
+        net = FreewayNetwork(
+            (make_link(onramp=True), make_link(offramp=True, beta=0.2), make_link()), dt=SMALLEST_DT
+        )
+        schedule = flat_schedule(2.0, n_onramps=1, noise=0.1)
+        truth = simulate(net, schedule, 20, RandomSource(3), equilibrium_state(net, schedule))
+        assert np.all(np.isfinite(truth.speeds))
+        # The least occupied density, an interior one and the jam density.
+        occupied = np.tile([float(np.nextafter(EMPTY_DENSITY, 1.0)), 0.05, 0.125], (3, 1))
+        speeds = speed_map(occupied, net, link_plan(net, range(3)), np.array([0.5]))
+        assert np.all(np.isfinite(speeds)) and np.all(speeds >= 0.0)
 
 
 class TestLinkParams:
@@ -127,10 +156,10 @@ def all_boundary_merge(states, network, upstream_demand, onramp_demand=None):
     old (P, L) one did."""
     n_l, n_p = states.shape
     dt = network.dt
-    demand = np.minimum(network.vf[:, None] * dt * states, network.qmax[:, None])
-    s = network.beta[:, None] * demand
+    demand = np.minimum(network.vf * dt * states, network.qmax)
+    s = network.beta * demand
     mainline_demand = demand - s
-    supply = network.w[:, None] * dt * (network.rho_jam[:, None] - states)
+    supply = network.w * dt * (network.rho_jam - states)
     dem_main = np.empty_like(states)
     dem_main[0] = np.asarray(upstream_demand, dtype=float)
     dem_main[1:] = mainline_demand[:-1]
@@ -159,8 +188,8 @@ def all_link_advance(states, network, upstream_demand, onramp_demand=None):
     flows included, then the result is checked and clamped to ``[0,
     rho_jam]``."""
     q, r, s = all_boundary_merge(states, network, upstream_demand, onramp_demand)
-    new_states = states + (q[:-1] - q[1:] + r - s) / network.lengths[:, None]
-    rho_jam = network.rho_jam[:, None]
+    new_states = states + (q[:-1] - q[1:] + r - s) / network.lengths
+    rho_jam = network.rho_jam
     if np.min(new_states) < -DENSITY_TOL or np.max(new_states - rho_jam) > DENSITY_TOL:
         raise ModelConsistencyError("density outside [0, rho_jam] after step")
     return np.minimum(np.maximum(new_states, 0.0), rho_jam)
@@ -320,7 +349,7 @@ class TestJunctionFlows:
                     assert q[b, p] == min(upstream[p], supply)
                 elif net.links[b - 1].offramp:
                     demand = min(net.links[b - 1].vf * net.dt * rho[b - 1], net.links[b - 1].qmax)
-                    assert q[b, p] == min(demand - net.beta[b - 1] * demand, supply)
+                    assert q[b, p] == min(demand - net.beta[b - 1, 0] * demand, supply)
                 else:
                     assert q[b, p] == link_flow(rho[b - 1], net.links[b - 1], rho[b], down, net.dt)
 
@@ -379,8 +408,8 @@ class TestStep:
         state = np.array(rho)
         schedule = constant_schedule(inflow_demand, 0.2, ramps=[(0.3, 0.1 / 0.3)])
         new, q, r, s = sampled_advance(state, net, schedule, RandomSource(seed))
-        before = float(np.sum(state * net.lengths))
-        after = float(np.sum(new * net.lengths))
+        before = float(np.sum(state * net.lengths[:, 0]))
+        after = float(np.sum(new * net.lengths[:, 0]))
         net_flow = float(q[0] - q[-1] + np.sum(r) - np.sum(s))
         assert after - before == pytest.approx(net_flow, abs=1e-9)
 
@@ -398,7 +427,7 @@ class TestStep:
         for b in range(1, len(rho) + 1):
             assert q[b] <= net.links[b - 1].qmax + 1e-12
         assert np.all(new >= 0.0)
-        assert np.all(new <= net.rho_jam + 1e-9)
+        assert np.all(new <= net.rho_jam[:, 0] + 1e-9)
 
     def test_advance_requires_a_states_block(self):
         net = small_network(3)
@@ -527,7 +556,7 @@ def full_map_speeds(states, q, s, network):
     the reference for ``speed_map`` and ``simulate``: discharge over
     ``rho * dt``, freeflow on near-empty links, clamped to ``[0, vf]``."""
     discharge = q[1:] + s
-    vf = network.vf[:, None]
+    vf = network.vf
     with np.errstate(divide="ignore", invalid="ignore"):
         v = discharge / (states * network.dt)
     v = np.where(states > EMPTY_DENSITY, v, vf)
@@ -643,7 +672,7 @@ class TestLinkSpeed:
             q_k, _, s_k = junction_flows(column(traj.states[k]), net, upstream, ramps)
             q[k], s[k] = q_k[:, 0], s_k[:, 0]
         expected = (q[:, 1:] + s) / (traj.states[:-1] * net.dt)
-        np.testing.assert_allclose(traj.speeds, np.clip(expected, 0.0, net.vf), rtol=1e-12)
+        np.testing.assert_allclose(traj.speeds, np.clip(expected, 0.0, net.vf[:, 0]), rtol=1e-12)
         reference = full_map_speeds(traj.states[:-1].T, q.T, s.T, net).T
         assert traj.speeds.shape == reference.shape
         assert traj.speeds.tobytes() == reference.tobytes()
@@ -660,14 +689,14 @@ def gathered_speed_map(states, network, links, onramp_demand=None):
         ramp = np.asarray(onramp_demand, dtype=float)
         ramp = ramp[:, None] if ramp.ndim == 1 else ramp
     rho = states[links]
-    vf = network.vf[links, None]
-    mainline = np.minimum((vf * dt) * rho, network.qmax[links, None])
-    beta = network.beta[links]
+    vf = network.vf[links]
+    mainline = np.minimum((vf * dt) * rho, network.qmax[links])
+    beta = network.beta[links, 0]
     off = np.flatnonzero(beta)
     s = beta[off, None] * mainline[off]
     mainline[off] -= s
     down = np.minimum(links + 1, n_l - 1)
-    supply = (network.rho_jam[down, None] - states[down]) * (network.w[down, None] * dt)
+    supply = (network.rho_jam[down] - states[down]) * (network.w[down] * dt)
     supply[links == n_l - 1] = np.inf
     slot = network._onramp_slot[links + 1]
     ramp_rows = np.flatnonzero(slot >= 0)
@@ -730,7 +759,7 @@ def plan_cases(draw):
     n_p = draw(st.integers(1, 4))
     level = st.one_of(st.sampled_from([0.0, 1e-7, EMPTY_DENSITY, -1.0]), st.floats(0.0, 0.08))
     states = np.array(draw(st.lists(st.lists(level, min_size=n_p, max_size=n_p), min_size=n, max_size=n)))
-    states = np.where(states < 0.0, net.rho_jam[:, None], states)  # -1.0 marks a jammed link
+    states = np.where(states < 0.0, net.rho_jam, states)  # -1.0 marks a jammed link
     n_r = len(net.onramp_links)
     ramp_row = st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=n_r, max_size=n_r)
     if draw(st.booleans()):
@@ -755,9 +784,13 @@ class TestLinkPlan:
         start = 0
         for group in groups:
             expected = gathered_speed_map(states, net, group, ramps)
-            span = whole.span(start, start + len(group))
-            check_plan_columns(span, net, group)
-            for plan, buffers in ((span, work), (link_plan(net, group), None)):
+            # A step's plan: every column of the whole plan sliced alike.
+            part = LinkPlan(*[column[start : start + len(group)] for column in whole])
+            own = link_plan(net, group)
+            check_plan_columns(part, net, group)
+            for a, b in zip(part, own):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            for plan, buffers in ((part, work), (own, None)):
                 got = speed_map(states, net, plan, ramps, buffers)
                 assert got.shape == expected.shape
                 assert got.tobytes() == expected.tobytes()
@@ -786,9 +819,9 @@ def block_rule(states, network):
     minus its rows' jam densities, elementwise, then both clamps."""
     if float(np.min(states)) < -DENSITY_TOL:
         raise ModelConsistencyError("negative density after step")
-    if float(np.max(states - network.rho_jam[:, None])) > DENSITY_TOL:
+    if float(np.max(states - network.rho_jam)) > DENSITY_TOL:
         raise ModelConsistencyError("density above jam density after step")
-    return np.minimum(np.maximum(states, 0.0), network.rho_jam[:, None])
+    return np.minimum(np.maximum(states, 0.0), network.rho_jam)
 
 
 def row_rule(states, network):
@@ -826,7 +859,7 @@ class TestDensityCheck:
         # -DENSITY_TOL, an interior density or NaN.
         net = JAM_NETWORK
         targets = [-DENSITY_TOL, -0.0, 0.0, 0.05, np.nan]
-        for jam in net.rho_jam.tolist():
+        for jam in net.rho_jam[:, 0].tolist():
             targets += [jam - DENSITY_TOL, jam, jam + DENSITY_TOL]
         n_p = data.draw(st.integers(1, 4))
         states = np.empty((net.n_links, n_p))

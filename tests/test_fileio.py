@@ -25,8 +25,16 @@ from gatedpf.fileio import (
     read_records,
     record_text,
 )
-from gatedpf.harness import read_decision_log, read_metrics_long
-from gatedpf.sensing import read_measurement_log
+from gatedpf.harness import (
+    DECISION_DTYPE,
+    MetricsReport,
+    RunMetrics,
+    read_decision_log,
+    read_metrics_long,
+    write_decision_log,
+    write_metrics_long,
+)
+from gatedpf.sensing import MeasurementLog, read_measurement_log, write_measurement_log
 
 
 def test_writes_text_verbatim(tmp_path):
@@ -131,7 +139,7 @@ def test_record_file_round_trip(tmp_path, monkeypatch, chunk):
         "level": [None, 0.05, None, 0.05], "name": ["a", "b", "a\nb", "a"],
     }
     path = tmp_path / "toy.csv"
-    path.write_text(record_text(TOY, columns), newline="")
+    path.write_text(record_text(TOY, columns, path), newline="")
     assert path.read_bytes() == (
         b'n,x,on,level,name\r\n0,0.1,1,,a\r\n9,nan,0,0.05,b\r\n9,2.5,0,,"a\nb"\r\n1,0.1,1,0.05,a\r\n'
     )
@@ -139,6 +147,84 @@ def test_record_file_round_trip(tmp_path, monkeypatch, chunk):
     assert lines == [2, 3, 5, 6]
     assert back.keys() == columns.keys() and np.isnan(back["x"][1])
     assert {**back, "x": None} == {**columns, "x": None}
+
+
+@pytest.mark.parametrize(
+    "columns, line, message",
+    [
+        # A row after a text field that spans two lines ends on line 5.
+        (
+            {"n": [1, 2, 10], "x": [0.5] * 3, "on": [True] * 3, "level": [None] * 3, "name": ["a", "a\nb", "a"]},
+            5, r"n must lie in \[0, 10\), got '10'",
+        ),
+        # The first refused row in file order, whatever its rule.
+        (
+            {"n": [1, 11, 1], "x": [0.5] * 3, "on": [True] * 3, "level": [None] * 3, "name": ["a", "a", "c"]},
+            3, r"n must lie in \[0, 10\), got '11'",
+        ),
+        (
+            {"n": [1, 1, 11], "x": [0.5] * 3, "on": [True] * 3, "level": [None] * 3, "name": ["a", "c", "a"]},
+            3, r"name must be one of \('a', 'b', 'a\\nb'\), got 'c'",
+        ),
+    ],
+)
+def test_writer_refuses_what_its_reader_refuses(tmp_path, columns, line, message):
+    # The writer names the line and message the reader would name in the
+    # text written without the rules.
+    path = tmp_path / "toy.csv"
+    refused = rf"^{re.escape(str(path))}:{line}: {message}$"
+    with pytest.raises(DataError, match=refused):
+        record_text(TOY, columns, path)
+    path.write_text(fileio._csv_rows(TOY, columns, None), newline="")
+    with pytest.raises(DataError, match=refused):
+        read_records(path, TOY)
+
+
+def _decisions(statistic):
+    decisions = np.zeros(2, DECISION_DTYPE)
+    decisions["k"], decisions["sensor_id"], decisions["test_kind"] = 1, "g", "fisher"
+    decisions["alpha"], decisions["statistic"] = 0.05, [0.5, statistic]
+    return decisions
+
+
+def _log(value):
+    return MeasurementLog([1, 1], ["l", "g"], [False, True], [0, 0], [0.04, value], [False, True])
+
+
+def _report(mape_pct):
+    runs = [(1, 1.0), (2, mape_pct)]
+    return MetricsReport([RunMetrics("fisher", 0.05, seed, 1, 0, 1, 0, 50.0, mape) for seed, mape in runs])
+
+
+# Each record writer, its reader, and its columns holding a value the
+# reader refuses on line 3.
+WRITERS = {
+    "measurements": (
+        lambda path, value: write_measurement_log(path, _log(value)), read_measurement_log,
+        r"value must be finite and nonnegative, got 'inf'", float("inf"),
+    ),
+    "decisions": (
+        lambda path, value: write_decision_log(path, _decisions(value)), read_decision_log,
+        r"statistic must not be nan, got 'nan'", float("nan"),
+    ),
+    "metrics_long": (
+        lambda path, value: write_metrics_long(path, _report(value)), read_metrics_long,
+        r"mape_pct must be finite, or nan in a collapsed run or one with no decisions, got 'inf'",
+        float("inf"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_each_writer_writes_nothing_its_reader_refuses(tmp_path, name):
+    write, read, message, refused = WRITERS[name]
+    path = tmp_path / "out" / f"{name}.csv"
+    write(path, 1.0)
+    read(path)
+    path.unlink()
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:3: {message}$"):
+        write(path, refused)
+    assert list(tmp_path.rglob("*")) == [path.parent]
 
 
 @pytest.mark.parametrize(

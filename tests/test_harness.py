@@ -41,7 +41,6 @@ from gatedpf.harness import (
     filter_step,
     generate_measurements,
     mape,
-    metrics_long_text,
     metrics_wide_text,
     read_decision_log,
     read_metrics_long,
@@ -50,6 +49,7 @@ from gatedpf.harness import (
     simulate_seed,
     step_buffers,
     write_decision_log,
+    write_metrics_long,
 )
 from gatedpf.particles import (
     ParticleEnsemble,
@@ -65,6 +65,7 @@ from gatedpf.sensing import (
     GNSS_SPEED,
     MEASUREMENT_FORMAT,
     MEASUREMENT_KINDS,
+    CompiledLog,
     FaultConfig,
     GnssSpec,
     LoopDetectors,
@@ -351,7 +352,7 @@ class TestFilterLoop:
         work = step_buffers(config, log)
         for k in range(1, config.horizon):
             ensemble, estimate, gate = filter_step(
-                config, log, variant, ensemble, k, rng_demand, rng_resample, work
+                config, log, variant, ensemble, k, log.step(k), rng_demand, rng_resample, work
             )
             returned = (ensemble.particles, ensemble.weights, estimate, *(gate or ()))
             assert not any(shares_buffers(array, work) for array in returned)
@@ -383,6 +384,20 @@ class TestFilterLoop:
                 assert got.tolist() == want.tolist()
             else:
                 assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mode", ["fisher", "np_correct"])
+    def test_a_run_looks_up_each_step_once(self, mode, monkeypatch):
+        # The run looks up step k's slices once and hands them to the step,
+        # the rows and the decision columns alike.
+        variant = FilterVariant(mode, 0.05)
+        config = micro_config(horizon=12, variants=(variant,))
+        log = compile_log(config, simulate_seed(config, 5)[1])
+        assert len(log.speed_index) > 0
+        looked_up = []
+        step = CompiledLog.step
+        monkeypatch.setattr(CompiledLog, "step", lambda self, k: looked_up.append(k) or step(self, k))
+        run_traffic_filter(config, log, variant, RandomSource(5))
+        assert looked_up == list(range(1, config.horizon))
 
     def test_horizon_one_runs_empty(self):
         config = micro_config(horizon=1)
@@ -461,9 +476,12 @@ class TestStepAllocations:
         tracemalloc.start()
         try:
             for k in range(1, config.horizon):
+                step = log.step(k)
                 tracemalloc.reset_peak()
                 start = tracemalloc.get_traced_memory()[0]
-                ensemble, _, _ = filter_step(config, log, variant, ensemble, k, rng_demand, rng_resample, work)
+                ensemble, _, _ = filter_step(
+                    config, log, variant, ensemble, k, step, rng_demand, rng_resample, work
+                )
                 if k > 10:  # after the warm-up steps
                     peaks.append((tracemalloc.get_traced_memory()[1] - start) / block)
                     resampled += bool(np.all(ensemble.weights == 1.0 / config.particles))
@@ -511,14 +529,16 @@ class TestGatedStep:
         for k in range(1, config.horizon):
             upstream, ramps = config.schedule.sample(k - 1, twin, config.particles, config.demand_table)
             prior = predict(ensemble, advance(ensemble.particles, config.network, upstream, ramps))
-            ensemble, _, gate = filter_step(config, log, variant, ensemble, k, rng_demand, rng_resample, work)
+            ensemble, _, gate = filter_step(
+                config, log, variant, ensemble, k, log.step(k), rng_demand, rng_resample, work
+            )
             step = SimpleNamespace(prior=prior, gate=gate, posterior=ensemble, tested=None, log_g0=None)
             # The step's rows the gate rejected; loop rows are never tested.
             step.rejected = None
             rows = log.step(k)[0]
             if rows.start < rows.stop:
                 values, mean, std, step.tested = measurement_rows(
-                    log, k, prior.particles, config.demand_table[k, 0, 1:]
+                    log, log.step(k), prior.particles, config.demand_table[k, 0, 1:]
                 )
                 step.log_g0 = standardize(values, mean, std)[1]
                 step.rejected = np.zeros(len(step.log_g0), dtype=bool)
@@ -974,14 +994,14 @@ class TestMetricsReport:
     def test_long_round_trip(self, tmp_path):
         report = self._report()
         path = tmp_path / "long.csv"
-        path.write_text(metrics_long_text(report))
+        write_metrics_long(path, report)
         back = read_metrics_long(path)
         assert back == report
 
     def test_long_round_trip_at_the_seed_bounds(self, tmp_path):
         runs = [RunMetrics("none", None, seed, 0, 0, 0, 0, 0.0, 5.0) for seed in (0, 2**64 - 1)]
         path = tmp_path / "long.csv"
-        path.write_text(metrics_long_text(MetricsReport(runs)))
+        write_metrics_long(path, MetricsReport(runs))
         assert read_metrics_long(path).runs == runs
 
     def test_long_round_trip_keeps_written_nans(self, tmp_path):
@@ -992,7 +1012,7 @@ class TestMetricsReport:
             RunMetrics("none", None, 1, 0, 0, 0, 0, 0.0, float("nan")),
         ]
         path = tmp_path / "long.csv"
-        path.write_text(metrics_long_text(MetricsReport(runs)))
+        write_metrics_long(path, MetricsReport(runs))
         back = read_metrics_long(path).runs
         assert [r.collapsed for r in back] == [True, False]
         assert np.isnan(back[0].labeling_error_pct) and np.isnan(back[0].mape_pct)
@@ -1032,7 +1052,7 @@ class TestMetricsReport:
     )
     def test_long_malformed_row_reports_line(self, tmp_path, row, problem):
         path = tmp_path / "long.csv"
-        header = metrics_long_text(MetricsReport([])).strip()
+        header = ",".join(harness.METRICS_LONG_COLUMNS)
         path.write_text(f"{header}\nnone,,1,0,0,0,0,0.0,5.0,0\n{row}\n")
         with pytest.raises(DataError, match=rf"long\.csv:3: .*{problem}"):
             read_metrics_long(path)
@@ -1203,7 +1223,7 @@ CSV_FORMATS = {
     ),
     "metrics_long": (
         harness.METRICS_LONG_FORMAT, (1, 2, 3, 4, 5, 6, 7, 8, 9), read_metrics_long,
-        lambda path, runs: path.write_text(metrics_long_text(MetricsReport(runs)), newline=""),
+        lambda path, runs: write_metrics_long(path, MetricsReport(runs)),
         lambda report: report.runs,
     ),
 }

@@ -234,7 +234,7 @@ def step_rows(ms, particles, network, ramp_means=(), loops=LoopDetectors(links=(
     on ``network`` with the given sensors."""
     config = replace(micro_config(horizon=2), network=network, loops=loops, gnss_spec=gnss_spec)
     log = compile_log(config, log_of(ms))
-    return measurement_rows(log, 1, particles, np.asarray(ramp_means, float))
+    return measurement_rows(log, log.step(1), particles, np.asarray(ramp_means, float))
 
 
 class TestMeasurementModels:
@@ -271,7 +271,7 @@ class TestMeasurementModels:
         assert log.n_links == 3
         for n_links in (2, 4):
             with pytest.raises(ConfigurationError, match="3 links"):
-                measurement_rows(log, 1, np.full((n_links, 2), 0.05), np.zeros(0))
+                measurement_rows(log, log.step(1), np.full((n_links, 2), 0.05), np.zeros(0))
 
     def test_speed_rows_read_their_own_links(self):
         # Speed reports on links 2, 0, 2 among loop rows: each speed row's
@@ -421,8 +421,8 @@ class TestRunBuffers:
             particles = rng.uniform(0.0, 0.125, size=(config.network.n_links, n_particles))
             particles[rng.random(particles.shape) < 0.2] = 0.0
             ramp_means = config.demand_table[k, 0, 1:]
-            expected = measurement_rows(log, k, particles, ramp_means)
-            got = measurement_rows(log, k, particles, ramp_means, work)
+            expected = measurement_rows(log, log.step(k), particles, ramp_means)
+            got = measurement_rows(log, log.step(k), particles, ramp_means, work)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
             if len(got[0]):
                 pairs = zip(standardize(*got[:3], work), standardize(*expected[:3]))
