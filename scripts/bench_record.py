@@ -20,8 +20,22 @@ run's seed, ``correct`` and ``failed``.  With ``--compare`` it then prints
 each metric's change against an earlier file, and warns when the two
 machine records differ.
 
+With ``--pair PARENT_ROOT`` it benchmarks the parent checkout at
+PARENT_ROOT beside ``--root``: ten pairs per workload, pair i on seed i
+(from 1), the two runs of a pair in alternating order.  The file holds the
+change's series as above and the parent's under ``"parent"``.  Per
+workload and end-to-end metric of ``BENCHMARK.json`` it prints both
+medians, the parent's IQR as a % of its median, the change in %, the pairs
+the change won and one verdict against the metric's bound: ``better``
+(won at least 9 of 10 pairs, and the medians differ by more than the
+parent's IQR), ``unresolved`` (the parent's IQR exceeds the bound),
+``worse`` (the median moved the wrong way by more than the bound) or
+``within bound``.  Last, per workload, each tree's smallest set-up
+(``series.setup_s`` of every run).
+
     python scripts/bench_record.py --out BENCH_24.json
     python scripts/bench_record.py --out BENCH_25.json --compare BENCH_24.json
+    python scripts/bench_record.py --out BENCH_27.json --pair ../parent
 """
 from __future__ import annotations
 
@@ -37,6 +51,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("study", "dense_probes", "wide_ensemble")
 RUNS = 5  # per workload
+PAIRS = 10  # per workload, with --pair
 FIRST_SEED = 1
 SECONDS = 8.0
 # The metric whose sample count is the number of timed filter steps.
@@ -73,8 +88,9 @@ def bench_document(runs: list[dict], commit: str, dirty: bool, src_sha256: str =
     workloads and metrics in first-seen order."""
     workloads: dict[str, dict] = {}
     for run in runs:
-        entry = workloads.setdefault(run["workload"], {"runs": [], "units": {}, "values": {}})
+        entry = workloads.setdefault(run["workload"], {"runs": [], "units": {}, "values": {}, "setups": []})
         result, record = run["result"], run["record"]
+        entry["setups"] += record["series"]["setup_s"]
         entry["runs"].append(
             {"seed": run["seed"], "correct": result["correct"], "failed": result["failed"],
              "attempted": result["attempted"]}
@@ -94,6 +110,7 @@ def bench_document(runs: list[dict], commit: str, dirty: bool, src_sha256: str =
         "workloads": {
             name: {
                 "runs": entry["runs"],
+                "setup_s_min": min(entry["setups"]),
                 "metrics": {
                     metric: {"unit": entry["units"][metric], **_spread(values)}
                     for metric, values in entry["values"].items()
@@ -127,6 +144,59 @@ def compare(old: dict, new: dict) -> list[str]:
     return lines
 
 
+def pair_runs(parent: Path, change: Path) -> tuple[list[dict], list[dict]]:
+    """``PAIRS`` runs per workload of each checkout, as :func:`run_benchmark`
+    returns them: pair i on seed ``FIRST_SEED + i``, the parent first in the
+    even pairs and the change first in the odd ones."""
+    parent_runs, change_runs = [], []
+    for i in range(PAIRS):
+        for workload in WORKLOADS:
+            order = [(parent, parent_runs), (change, change_runs)]
+            for root, runs in order if i % 2 == 0 else order[::-1]:
+                runs.append(run_benchmark(root, workload, FIRST_SEED + i))
+                print(f"{root} {workload} seed {FIRST_SEED + i}: {json.dumps(runs[-1]['result'])[:100]}",
+                      file=sys.stderr)
+    return parent_runs, change_runs
+
+
+def verdict(was: dict, now: dict, better: str, bound: float) -> tuple[str, float, float, int]:
+    """The verdict on one metric's paired series ``was`` (parent) and
+    ``now`` (change), as :func:`bench_document` holds them, with the
+    parent's IQR and the change as fractions of the parent's median and the
+    pairs the change won."""
+    sign = 1.0 if better == "lower" else -1.0
+    spread = was["iqr"] / abs(was["median"]) if was["median"] else float("inf")
+    change = now["median"] / was["median"] - 1.0 if was["median"] else float("nan")
+    wins = sum(sign * (n - w) < 0 for w, n in zip(was["values"], now["values"]))
+    if wins >= 0.9 * len(was["values"]) and sign * (was["median"] - now["median"]) > was["iqr"]:
+        return "better", spread, change, wins
+    if spread > bound:
+        return "unresolved", spread, change, wins
+    if sign * change > bound:
+        return "worse", spread, change, wins
+    return "within bound", spread, change, wins
+
+
+def paired_lines(parent: dict, change: dict, end_to_end: list[dict]) -> list[str]:
+    """Per workload, a line for each end-to-end metric of ``BENCHMARK.json``
+    (``end_to_end``) with its verdict, then each tree's smallest set-up."""
+    lines = []
+    for workload, entry in change["workloads"].items():
+        before = parent["workloads"][workload]
+        for metric in end_to_end:
+            was, now = before["metrics"][metric["name"]], entry["metrics"][metric["name"]]
+            word, spread, moved, wins = verdict(was, now, metric["better"], metric["bound"])
+            lines.append(
+                f"{workload:<14} {metric['name']:<17} {was['median']:>11.5g} -> {now['median']:<11.5g} "
+                f"(parent IQR {spread * 100:.1f}%) {moved * 100:+6.1f}%  won {wins}/{len(was['values'])}  "
+                f"{word} (bound {metric['bound'] * 100:g}%)"
+            )
+        lines.append(
+            f"{workload:<14} setup_s minimum   {before['setup_s_min']:>11.5g} -> {entry['setup_s_min']:<11.5g} s"
+        )
+    return lines
+
+
 def source_digest(root: Path) -> str:
     """The digest of the checkout's package sources, from its own
     ``perfbench/run.py`` (as a traced run records it)."""
@@ -140,23 +210,37 @@ def _git(root: Path, *args: str) -> str:
     return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True, check=True).stdout
 
 
+def checkout_document(root: Path, runs: list[dict]) -> dict:
+    """The BENCH document of ``runs`` of the checkout at ``root``."""
+    commit = _git(root, "rev-parse", "HEAD").strip()
+    dirty = bool(_git(root, "status", "--porcelain", "--untracked-files=no").strip())
+    return bench_document(runs, commit, dirty, source_digest(root))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True, help="BENCH file to write")
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout to benchmark")
     parser.add_argument("--compare", type=Path, help="earlier BENCH file to compare with")
+    parser.add_argument("--pair", type=Path, metavar="PARENT_ROOT", help="parent checkout to pair runs with")
     args = parser.parse_args(argv)
-    runs = []
-    for seed in range(FIRST_SEED, FIRST_SEED + RUNS):
-        for workload in WORKLOADS:
-            runs.append(run_benchmark(args.root, workload, seed))
-            print(f"{workload} seed {seed}: {json.dumps(runs[-1]['result'])[:120]}", file=sys.stderr)
-    commit = _git(args.root, "rev-parse", "HEAD").strip()
-    dirty = bool(_git(args.root, "status", "--porcelain", "--untracked-files=no").strip())
-    new = bench_document(runs, commit, dirty, source_digest(args.root))
+    if args.pair is None:
+        runs = []
+        for seed in range(FIRST_SEED, FIRST_SEED + RUNS):
+            for workload in WORKLOADS:
+                runs.append(run_benchmark(args.root, workload, seed))
+                print(f"{workload} seed {seed}: {json.dumps(runs[-1]['result'])[:120]}", file=sys.stderr)
+    else:
+        parent_runs, runs = pair_runs(args.pair, args.root)
+    new = checkout_document(args.root, runs)
+    if args.pair is not None:
+        new["parent"] = checkout_document(args.pair, parent_runs)
     args.out.write_text(json.dumps(new, indent=2) + "\n")
     if args.compare is not None:
         print("\n".join(compare(json.loads(args.compare.read_text()), new)))
+    if args.pair is not None:
+        end_to_end = json.loads((args.root / "BENCHMARK.json").read_text())["end_to_end"]
+        print("\n".join(paired_lines(new["parent"], new, end_to_end)))
     return 0
 
 

@@ -11,14 +11,12 @@ rather than arithmetic.  A filter run therefore owns one
 temporaries into it in place, with ufunc ``out=`` and ``np.take(...,
 out=)``.
 
-The functions that take a ``work`` argument (``ctm.advance``,
+A result of a function that takes a ``work`` argument (``ctm.advance``,
 ``ctm.speed_map``, ``sensing.measurement_rows``, ``sensing.standardize``,
-``particles.weight_update`` and ``particles.posterior_mean``) allocate a
-``StepBuffers`` sized for that one call when none is given, so there is one
-implementation of each.  A result they return is either a fresh array or a
-view of the buffers, valid until the next call that is given the same
-buffers; ensembles never hold a view of them.  The buffers belong to one
-caller: two runs processed concurrently each have their own.
+``particles.weight_update`` and ``particles.posterior_mean``) is either a
+fresh array or a view of the buffers, valid until the next call that is
+given the same buffers; ensembles never hold a view of them.  The buffers
+belong to one caller: two runs processed concurrently each have their own.
 """
 from __future__ import annotations
 

@@ -71,9 +71,11 @@ def cmd_simulate(args) -> int:
     write_manifest(out, "simulate", scenario, [seed], artifacts)
     _say(args, f"simulating {scenario.horizon} steps with seed {seed}")
     truth, log = simulate_seed(config, seed)
+    # The log goes first: a log its reader would refuse is refused before
+    # any result file is written, so the run leaves only its manifest.
+    write_measurement_log(out / artifacts["measurements"], log)
     write_matrix_csv(out / artifacts["true_density"], truth.states.T)
     write_matrix_csv(out / artifacts["true_speeds"], truth.speeds.T)
-    write_measurement_log(out / artifacts["measurements"], log)
     _say(args, f"wrote {len(log)} measurements to {out}")
     return 0
 
@@ -151,11 +153,7 @@ def cmd_sweep(args) -> int:
 def cmd_report(args) -> int:
     run_dir = Path(args.run)
     manifest_path = run_dir / "manifest.json"
-    missing = [
-        str(p)
-        for p in (manifest_path, run_dir / "metrics.csv", run_dir / "metrics_long.csv")
-        if not p.exists()
-    ]
+    missing = [str(p) for p in (manifest_path, run_dir / "metrics_long.csv") if not p.exists()]
     if missing:
         raise DataError("missing run artifacts: " + ", ".join(missing))
     try:

@@ -62,6 +62,14 @@ class LinkParams:
             raise ConfigurationError(f"offramp split beta must be in [0, 1), got {self.beta}")
         if self.beta > 0.0 and not self.offramp:
             raise ConfigurationError("beta > 0 requires offramp=True")
+        # A link's vehicle count, rint(rho * length), is a 64-bit integer;
+        # a density is at most rho_jam and rounding is monotone, so every
+        # count fits when the jam count does.
+        if not self.rho_jam * self.length < 2.0**63:
+            raise ConfigurationError(
+                f"link length {self.length!r} holds {self.rho_jam * self.length!r} vehicles at "
+                f"rho_jam {self.rho_jam!r}; a link's vehicle count must be below 2**63"
+            )
 
 
 @dataclass(frozen=True)
@@ -336,25 +344,22 @@ def advance(
     states: np.ndarray,
     network: FreewayNetwork,
     upstream_demand,
-    onramp_demand=None,
-    work: StepBuffers | None = None,
+    onramp_demand,
+    work: StepBuffers,
 ):
     """One conservation update for an (L, P) block of density states.
 
     Returns the new (L, P) block, a fresh array; the step's flows and
-    supplies are computed in ``work`` (allocated for this call when
-    ``None``).  Link l gains ``q[l] - q[l + 1] + r[l] - s[l]`` vehicles, in
-    that order, from the step's boundary, onramp and offramp flows
-    (offramps split first, then each boundary passes ``min(demand,
-    supply)`` and onramps merge by priority); the ramp terms are added on
-    their own links only, since they are exactly zero elsewhere.  Raises if
-    any post-step density leaves ``[0, rho_jam]`` by more than the
-    numerical tolerance, which indicates inconsistent parameters rather
-    than rounding.
+    supplies are computed in ``work``.  Link l gains ``q[l] - q[l + 1] +
+    r[l] - s[l]`` vehicles, in that order, from the step's boundary, onramp
+    and offramp flows (offramps split first, then each boundary passes
+    ``min(demand, supply)`` and onramps merge by priority); the ramp terms
+    are added on their own links only, since they are exactly zero
+    elsewhere.  Raises if any post-step density leaves ``[0, rho_jam]`` by
+    more than the numerical tolerance, which indicates inconsistent
+    parameters rather than rounding.
     """
     states = _states_block(states, network)
-    if work is None:
-        work = StepBuffers(states.shape[1], n_states=network.n_links)
     q, r, s = _flows(states, network, upstream_demand, onramp_demand, work)
     gain = q[:-1] - q[1:]
     if r is not None:
@@ -371,30 +376,27 @@ def speed_map(
     states: np.ndarray,
     network: FreewayNetwork,
     plan: LinkPlan,
-    onramp_demand=None,
-    work: StepBuffers | None = None,
+    onramp_demand,
+    work: StepBuffers,
 ) -> np.ndarray:
     """Model-predicted speeds of an (L, P) block of states on the links of
     ``plan``, a :class:`LinkPlan` of ``network`` (:func:`link_plan`), only.
 
     Returns a (K, P) block whose row j is the plan's position j, computed
-    in ``work`` (allocated for this call when ``None``): the block is a
-    view of ``work.link_density``.  A link's speed is its discharge, the flow
-    across its downstream boundary plus its offramp flow, over
-    ``rho * dt``, evaluated at the given (typically mean) onramp demands,
-    (R,) or (R, P), which a network without onramps may leave ``None``, as
-    for :func:`advance`.  Link l's discharge reads only links l and l + 1
-    and the onramp demand at l + 1, so the upstream boundary demand never
-    enters.  The boundary rule is :func:`advance`'s, so every row equals
-    the same link's speed computed from the step's full boundary flows bit
-    for bit; :func:`simulate` derives the truth speeds here too, one column
-    per step at that step's realized onramp demands.
+    in ``work``: the block is a view of ``work.link_density``.  A link's
+    speed is its discharge, the flow across its downstream boundary plus
+    its offramp flow, over ``rho * dt``, evaluated at the given (typically
+    mean) onramp demands, (R,) or (R, P), which a network without onramps
+    gives as ``None``, as for :func:`advance`.  Link l's discharge reads
+    only links l and l + 1 and the onramp demand at l + 1, so the upstream
+    boundary demand never enters.  The boundary rule is :func:`advance`'s,
+    so every row equals the same link's speed computed from the step's full
+    boundary flows bit for bit; :func:`simulate` derives the truth speeds
+    here too, one column per step at that step's realized onramp demands.
     """
     states = _states_block(states, network)
     ramp = _ramp_block(network, onramp_demand)
     n_k = len(plan.links)
-    if work is None:
-        work = StepBuffers(states.shape[1], max_links=n_k)
 
     # The plan's links were checked when it was built, so a clipping take,
     # which writes its out block directly, gathers the rows a raising one
@@ -582,5 +584,6 @@ def simulate(
         states[k + 1] = advance(states[k][:, None], network, upstream, ramp, work)[:, 0]
     # One call gives every step's speeds, step k's column at its own
     # realized onramp demands.
-    speeds = speed_map(states[:-1].T, network, link_plan(network, range(n_l)), ramps.T)
+    plan = link_plan(network, range(n_l))
+    speeds = speed_map(states[:-1].T, network, plan, ramps.T, StepBuffers(horizon, max_links=n_l))
     return Trajectory(states=states, speeds=np.ascontiguousarray(speeds.T))

@@ -139,7 +139,7 @@ def predict(ensemble: ParticleEnsemble, states) -> ParticleEnsemble:
 
 
 def weight_update(
-    ensemble: ParticleEnsemble, log_likelihood_rows, work: StepBuffers | None = None
+    ensemble: ParticleEnsemble, log_likelihood_rows, work: StepBuffers
 ) -> tuple[ParticleEnsemble, float]:
     """Multiply measurement likelihoods into the weights and renormalize.
 
@@ -151,9 +151,8 @@ def weight_update(
         One row per conditionally independent measurement: its log density
         under each particle (-inf where zero).  Rows are added to the log
         weights in the order given.
-    work : StepBuffers, optional
-        Buffers whose ``stack`` holds ``[log w; rows]`` for the sum; when
-        ``None``, they are allocated for this call.
+    work : StepBuffers
+        Buffers whose ``stack`` holds ``[log w; rows]`` for the sum.
 
     Returns
     -------
@@ -176,8 +175,6 @@ def weight_update(
         raise ConfigurationError(
             f"log-likelihood rows have shape {rows.shape}, expected (K, {ensemble.size})"
         )
-    if work is None:
-        work = StepBuffers(ensemble.size, max_rows=len(rows))
     stack = work.stack[: len(rows) + 1]
     # Log densities far out in the tail may sum past the float range to
     # -inf, which is their product's value.  A NaN or +inf row turns into a
@@ -228,17 +225,14 @@ def resample_systematic(ensemble: ParticleEnsemble, rng: RandomSource) -> Partic
     return _ensemble(ensemble.particles[:, indices], np.full(n, 1.0 / n))
 
 
-def posterior_mean(ensemble: ParticleEnsemble, work: StepBuffers | None = None) -> np.ndarray:
+def posterior_mean(ensemble: ParticleEnsemble, work: StepBuffers) -> np.ndarray:
     """Weighted mean of the particle states, a fresh (N,) array.
 
-    The products are laid out one particle per row, in ``work.products``
-    (allocated for this call when ``work`` is ``None``), and numpy reduces
-    the outer axis of a C-ordered block in order, so each component is
-    ``w_0 x_0 + w_1 x_1 + ...`` added left to right.  (States of one
-    component give a contiguous column, which numpy sums pairwise instead.)
+    The products are laid out one particle per row, in ``work.products``,
+    and numpy reduces the outer axis of a C-ordered block in order, so each
+    component is ``w_0 x_0 + w_1 x_1 + ...`` added left to right.  (States
+    of one component give a contiguous column, which numpy sums pairwise
+    instead.)
     """
-    n_states, n_particles = ensemble.particles.shape
-    if work is None:
-        work = StepBuffers(n_particles, n_states=n_states)
     products = np.multiply(ensemble.weights[:, None], ensemble.particles.T, out=work.products)
     return products.sum(axis=0)

@@ -20,6 +20,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -97,9 +98,20 @@ def _build(model, path: str, **fields):
 
 
 def _finite(value, where: str) -> float:
-    """``value`` as a finite float; ints convert, booleans do not."""
+    """``value`` as a finite float; ints convert, booleans do not.  A number
+    YAML 1.1 reads as text (``1e1``: an exponent without a dot and a sign)
+    is refused naming the spelling YAML reads as a float."""
     if isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
+    number = isinstance(value, str) and re.fullmatch(r"([-+]?(?:\d+\.?\d*|\.\d+))[eE]([-+]?)(\d+)", value)
+    if number:
+        mantissa, sign, exponent = number.groups()
+        spelling = f"{mantissa}{'' if '.' in mantissa else '.0'}e{sign or '+'}{exponent}"
+        _fail(
+            where,
+            f"expected float, got str {value!r}; write {spelling}: "
+            "YAML reads an exponent without a dot and a sign as text",
+        )
     if not isinstance(value, float):
         _fail(where, f"expected float, got {type(value).__name__}")
     if not math.isfinite(value):

@@ -319,21 +319,21 @@ def measurement_rows(
     step: tuple[slice, slice, slice],
     particles: np.ndarray,
     ramp_means: np.ndarray,
-    work: StepBuffers | None = None,
+    work: StepBuffers,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Null-model moments of a step's measurements against an (L, P) block;
     ``step`` is the step's slices, ``log.step(k)``.
 
     Returns ``values`` (M,), ``mean`` (M, P), ``std`` (M, P) and ``tested``,
     the positions of the speed rows among the step's rows; ``mean`` and
-    ``std`` are views of ``work.mean`` and ``work.std`` (allocated for this
-    call when ``work`` is ``None``).  A loop row's mean is each particle's
-    density on its link; a speed row's mean is each particle's predicted
-    speed on its link, :func:`~gatedpf.ctm.speed_map` on ``log.network``
-    at the onramp demands ``ramp_means``, evaluated once per distinct link
-    of the step on the plan of its slice of ``log.pair_plan``.  A row's std is
-    its rule's ``max(frac * mean, floor)``.  A block whose link count is
-    not the log's raises :class:`ConfigurationError`.
+    ``std`` are views of ``work.mean`` and ``work.std``.  A loop row's mean
+    is each particle's density on its link; a speed row's mean is each
+    particle's predicted speed on its link, :func:`~gatedpf.ctm.speed_map`
+    on ``log.network`` at the onramp demands ``ramp_means``, evaluated once
+    per distinct link of the step on the plan of its slice of
+    ``log.pair_plan``.  A row's std is its rule's ``max(frac * mean,
+    floor)``.  A block whose link count is not the log's raises
+    :class:`ConfigurationError`.
     """
     if particles.shape[0] != log.n_links:
         raise ConfigurationError(
@@ -341,8 +341,6 @@ def measurement_rows(
         )
     rows, speeds, pairs = step
     n_rows = rows.stop - rows.start
-    if work is None:
-        work = StepBuffers(particles.shape[1], max_rows=n_rows, max_links=pairs.stop - pairs.start)
     # compile_log checked every link against the log's n_links, which the
     # block matches, so a clipping take (which writes its out block
     # directly) gathers the rows a raising one would.
@@ -361,18 +359,15 @@ def measurement_rows(
 
 
 def standardize(
-    values: np.ndarray, mean: np.ndarray, std: np.ndarray, work: StepBuffers | None = None
+    values: np.ndarray, mean: np.ndarray, std: np.ndarray, work: StepBuffers
 ) -> tuple[np.ndarray, np.ndarray]:
     """Standardized residuals ``z = (value - mean) / std`` of each row and the
     null Gaussian log density ``-z^2 / 2 - log(std) - log(sqrt(2 pi))``
     computed from the same ``z``: views of ``work.z`` and
-    ``work.log_density`` (allocated for this call when ``work`` is
-    ``None``)."""
+    ``work.log_density``."""
     if not np.all(std > 0.0):
         raise ModelConsistencyError("null-model std must be positive")
-    n_rows, n_particles = np.shape(mean)
-    if work is None:
-        work = StepBuffers(n_particles, max_rows=n_rows)
+    n_rows = len(mean)
     z = _residual(np.asarray(values, dtype=float)[:, None], mean, std, out=work.z[:n_rows])
     log_pdf = _log_pdf_of_z(z, std, out=work.log_density[:n_rows], log_std=work.scratch[:n_rows])
     return z, log_pdf

@@ -7,8 +7,8 @@ import yaml
 
 from gatedpf import scenario
 from gatedpf.buffers import StepBuffers
-from gatedpf.ctm import DemandProfile, DemandSchedule, FreewayNetwork, LinkParams
-from gatedpf.particles import ParticleEnsemble
+from gatedpf.ctm import DemandProfile, DemandSchedule, FreewayNetwork, LinkParams, advance, speed_map
+from gatedpf.particles import ParticleEnsemble, posterior_mean, weight_update
 from gatedpf.sensing import standardize
 
 
@@ -24,7 +24,7 @@ def gaussian_rows(values, states, std: float = 1.0) -> tuple[np.ndarray, np.ndar
     a Gaussian of fixed ``std`` around each particle's scalar state."""
     states = np.asarray(states, dtype=float)
     shape = (len(values), len(states))
-    return standardize(values, np.broadcast_to(states, shape), np.full(shape, std))
+    return dirty_standardize(values, np.broadcast_to(states, shape), np.full(shape, std))
 
 
 def dirty_buffers(n_particles, n_states=0, max_rows=0, max_links=0) -> StepBuffers:
@@ -34,6 +34,32 @@ def dirty_buffers(n_particles, n_states=0, max_rows=0, max_links=0) -> StepBuffe
     for buffer in vars(work).values():
         buffer.fill(True if buffer.dtype == bool else np.nan)
     return work
+
+
+# The step functions on fresh dirty buffers sized for the one call.
+
+
+def dirty_advance(states, network, upstream_demand, onramp_demand=None) -> np.ndarray:
+    work = dirty_buffers(np.shape(states)[-1], n_states=network.n_links)
+    return advance(states, network, upstream_demand, onramp_demand, work)
+
+
+def dirty_speed_map(states, network, plan, onramp_demand=None) -> np.ndarray:
+    work = dirty_buffers(np.shape(states)[-1], max_links=len(plan.links))
+    return speed_map(states, network, plan, onramp_demand, work)
+
+
+def dirty_standardize(values, mean, std) -> tuple[np.ndarray, np.ndarray]:
+    n_rows, n_particles = np.shape(mean)
+    return standardize(values, mean, std, dirty_buffers(n_particles, max_rows=n_rows))
+
+
+def dirty_weight_update(ensemble, rows) -> tuple[ParticleEnsemble, float]:
+    return weight_update(ensemble, rows, dirty_buffers(ensemble.size, max_rows=len(rows)))
+
+
+def dirty_posterior_mean(ensemble) -> np.ndarray:
+    return posterior_mean(ensemble, dirty_buffers(ensemble.size, n_states=len(ensemble.particles)))
 
 
 def shares_buffers(array, work: StepBuffers) -> bool:

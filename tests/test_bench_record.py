@@ -28,11 +28,13 @@ def _load_script():
 bench_record = _load_script()
 
 
-def recorded_run(seed, steps_per_s, faults, failed=0):
-    """The recorded run with its seed, ``steps_per_s`` value, fault count
-    and failure count replaced."""
+def recorded_run(seed, steps_per_s, faults, failed=0, setups=None):
+    """The recorded run with its seed, ``steps_per_s`` value, fault count,
+    failure count and (if given) set-up series replaced."""
     result, record = copy.deepcopy(RECORDED["last_line"]), copy.deepcopy(RECORDED["result_trace0"])
     record["metrics"]["steps_per_s"]["value"] = steps_per_s
+    if setups is not None:
+        record["series"]["setup_s"] = setups
     result["failed"], result["correct"] = failed, failed == 0
     return {"workload": "study", "seed": seed, "result": result, "record": record, "faults": faults}
 
@@ -111,3 +113,89 @@ def test_runs_read_the_last_line_and_the_result_file(tmp_path):
 )
 def test_spread_is_the_inclusive_quartile_range(values, median, iqr):
     assert bench_record._spread(values) == {"median": median, "iqr": iqr, "n": len(values), "values": values}
+
+
+END_TO_END = json.loads((HERE.parent / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def paired(parent_steps, change_steps, parent_setups=None, change_setups=None):
+    """The printed lines of two series of recorded runs, one per
+    ``steps_per_s`` value, the set-up series of each tree given or recorded."""
+    def document(values, setups):
+        runs = [recorded_run(i + 1, v, 0, setups=setups and setups[i]) for i, v in enumerate(values)]
+        return bench_record.bench_document(runs, "c", False)
+    return bench_record.paired_lines(
+        document(parent_steps, parent_setups), document(change_steps, change_setups), END_TO_END
+    )
+
+
+def steps_line(lines):
+    (line,) = [line for line in lines if " steps_per_s " in line]
+    return line
+
+
+PARENT = [2000.0, 2010.0, 1990.0, 2005.0, 1995.0, 2000.0, 2002.0, 1998.0, 2001.0, 1999.0]
+
+
+@pytest.mark.parametrize(
+    "change, verdict, wins",
+    [
+        # 10% more steps per second in every pair: better.
+        ([v * 1.1 for v in PARENT], "better", 10),
+        # Better in 8 of 10 pairs only: not a claim, within the bound.
+        ([v * 1.1 for v in PARENT[:8]] + [v * 0.9 for v in PARENT[8:]], "within bound", 8),
+        # 30% fewer in every pair: the 24% bound is exceeded.
+        ([v * 0.7 for v in PARENT], "worse", 0),
+        ([v * 0.9 for v in PARENT], "within bound", 0),
+    ],
+)
+def test_a_paired_metric_gets_one_verdict(change, verdict, wins):
+    line = steps_line(paired(PARENT, change))
+    assert line.endswith(f"{verdict} (bound 24%)")
+    assert f"won {wins}/10" in line
+    assert "2000 -> " in line and "(parent IQR 0.2%)" in line
+
+
+def test_a_parent_spread_past_the_bound_is_unresolved():
+    wide = [1000.0, 3000.0] * 5
+    line = steps_line(paired(wide, [v * 0.7 for v in wide]))
+    assert "(parent IQR 100.0%)" in line and line.endswith("unresolved (bound 24%)")
+
+
+def test_unchanged_metrics_are_within_bound_and_each_tree_s_smallest_setup_is_printed():
+    lines = paired(PARENT[:2], PARENT[:2], [[0.3, 0.2], [0.25, 0.4]], [[0.5, 0.6], [0.15, 0.7]])
+    assert [line.split()[1] for line in lines] == [m["name"] for m in END_TO_END] + ["setup_s"]
+    assert all(line.endswith(f"within bound (bound {m['bound'] * 100:g}%)") for line, m in zip(lines, END_TO_END))
+    assert lines[-1].split() == ["study", "setup_s", "minimum", "0.2", "->", "0.15", "s"]
+
+
+def test_pairs_alternate_between_the_checkouts(tmp_path, monkeypatch):
+    # Two stand-in checkouts that log each run: pair i runs seed i on
+    # both, the parent first in the even pairs.
+    calls = tmp_path / "calls.txt"
+    roots = []
+    for name in ("parent", "change"):
+        root = tmp_path / name
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "recorded.json").write_text(json.dumps(RECORDED))
+        (root / "perfbench" / "run.py").write_text(textwrap.dedent(f"""
+            import json, sys
+            from pathlib import Path
+            args = sys.argv[1:]
+            workload, seed = args[args.index("--workload") + 1], args[args.index("--seed") + 1]
+            with open({str(calls)!r}, "a") as fh:
+                fh.write(f"{name} {{workload}} {{seed}}\\n")
+            recorded = json.loads(Path("perfbench/recorded.json").read_text())
+            out = Path(".perfbench_runs") / workload
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "result_trace0.json").write_text(json.dumps(recorded["result_trace0"]))
+            print(json.dumps(recorded["last_line"]))
+        """))
+        roots.append(root)
+    monkeypatch.setattr(bench_record, "PAIRS", 3)
+    monkeypatch.setattr(bench_record, "WORKLOADS", ("study",))
+    parent_runs, change_runs = bench_record.pair_runs(*roots)
+    assert calls.read_text().split("\n")[:-1] == [
+        "parent study 1", "change study 1", "change study 2", "parent study 2", "parent study 3", "change study 3",
+    ]
+    assert [run["seed"] for run in parent_runs] == [run["seed"] for run in change_runs] == [1, 2, 3]

@@ -408,6 +408,18 @@ class TestSweepAndReport:
         mean, _ = report.aggregate()[("fisher", 0.01)]["mape_pct"]
         assert f"{mean:.2f}" in text
 
+    def test_report_does_not_need_the_wide_table(self, scenario_path, tmp_path, capsys):
+        # report reads metrics_long.csv alone: without metrics.csv it prints
+        # the same text.
+        out = tmp_path / "sweep"
+        assert run_cli("sweep", "--scenario", scenario_path, "--out", out, "--quiet", "--no-artifacts") == 0
+        capsys.readouterr()
+        assert run_cli("report", "--run", out) == 0
+        text = capsys.readouterr().out
+        (out / "metrics.csv").unlink()
+        assert run_cli("report", "--run", out) == 0
+        assert capsys.readouterr().out == text
+
     @pytest.mark.parametrize(
         "field, value, problem",
         [
@@ -443,7 +455,9 @@ class TestSweepAndReport:
         empty.mkdir()
         assert run_cli("report", "--run", empty) == 2
         err = capsys.readouterr().err
-        assert "manifest.json" in err and "metrics.csv" in err
+        assert err == (
+            f"error: missing run artifacts: {empty / 'manifest.json'}, {empty / 'metrics_long.csv'}\n"
+        )
 
     @pytest.mark.parametrize("name", ["metrics_long.csv", "manifest.json"])
     def test_report_on_a_directory_exits_2(self, scenario_path, tmp_path, capsys, name):
@@ -634,7 +648,8 @@ class TestExitCodes:
 
     def test_a_fault_report_past_the_float_range_exits_2(self, tmp_path, capsys):
         # Fault draws around 1e308 overflow to inf, a value the log's reader
-        # refuses: simulate exits 2 naming its line and writes no log.
+        # refuses: simulate exits 2 naming its line and writes no result
+        # file, the truth matrices included.
         doc = tiny_scenario_dict()
         doc["sensors"]["faults"] = {"probability": 1.0, "zero_weight": 0.0, "speed_mean": 1.0e308,
                                     "speed_std": 1.0e308}
@@ -645,7 +660,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         log = re.escape(str(out / "measurements.csv"))
         assert re.fullmatch(rf"error: {log}:\d+: value must be finite and nonnegative, got 'inf'\n", err)
-        assert not (out / "measurements.csv").exists()
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
     def test_a_timestep_that_zeroes_rho_dt_exits_2(self, tmp_path, capsys):
         doc = tiny_scenario_dict()
@@ -656,6 +671,22 @@ class TestExitCodes:
         assert run_cli("sweep", "--scenario", path, "--out", out, "--no-artifacts", "--quiet") == 2
         assert capsys.readouterr().err == (
             "error: network: timestep dt 5e-324 is too small: an occupied link's rho * dt is 0\n"
+        )
+        assert not out.exists()
+
+    def test_a_link_whose_vehicle_count_overflows_exits_2(self, tmp_path, capsys):
+        # A vehicle count past 2**63 would cast to a negative count and
+        # drop every probe report of the link; the link is refused.
+        doc = tiny_scenario_dict()
+        for link in doc["network"]["links"]:
+            link["length"] = 1.0e300
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--scenario", path, "--out", out, "--quiet") == 2
+        assert capsys.readouterr().err == (
+            "error: network.links[0]: link length 1e+300 holds 1.25e+299 vehicles at rho_jam 0.125; "
+            "a link's vehicle count must be below 2**63\n"
         )
         assert not out.exists()
 
@@ -902,8 +933,7 @@ class TestCorruptedInputs:
     def test_report_on_corrupted_metrics(self, fuzz_dir, data):
         run = fuzz_dir / "report_run"
         run.mkdir(exist_ok=True)
-        for name in ("manifest.json", "metrics.csv"):
-            (run / name).write_bytes((fuzz_dir / "sweep" / name).read_bytes())
+        (run / "manifest.json").write_bytes((fuzz_dir / "sweep" / "manifest.json").read_bytes())
         clean = (fuzz_dir / "sweep" / "metrics_long.csv").read_text()
         (run / "metrics_long.csv").write_bytes(data.draw(corrupted(clean)))
         assert run_cli("report", "--run", run) in (0, 2)

@@ -30,8 +30,11 @@ from gatedpf.ctm import (
 from gatedpf.errors import ConfigurationError, ModelConsistencyError
 from gatedpf.rng import RandomSource
 from gatedpf.scenario import default_scenario_dict, scenario_from_dict
+from gatedpf.sensing import vehicle_counts
 
-from conftest import check_plan_columns, dirty_buffers, flat_schedule, shares_buffers, small_network
+from conftest import (
+    check_plan_columns, dirty_advance, dirty_buffers, dirty_speed_map, flat_schedule, shares_buffers, small_network,
+)
 
 
 def make_link(**kw):
@@ -64,7 +67,7 @@ class TestTimestep:
         assert np.all(np.isfinite(truth.speeds))
         # The least occupied density, an interior one and the jam density.
         occupied = np.tile([float(np.nextafter(EMPTY_DENSITY, 1.0)), 0.05, 0.125], (3, 1))
-        speeds = speed_map(occupied, net, link_plan(net, range(3)), np.array([0.5]))
+        speeds = dirty_speed_map(occupied, net, link_plan(net, range(3)), np.array([0.5]))
         assert np.all(np.isfinite(speeds)) and np.all(speeds >= 0.0)
 
 
@@ -79,6 +82,19 @@ class TestLinkParams:
         with pytest.raises(ConfigurationError):
             make_link(beta=0.1)
         make_link(offramp=True, beta=0.1)
+
+    def test_a_jam_vehicle_count_past_int64_is_refused(self):
+        # At rho_jam 2**-3 a length of 2**66 holds 2**63 vehicles, the
+        # smallest refused count; the next length below holds the largest
+        # accepted one, which vehicle_counts casts without a warning.
+        with pytest.raises(ConfigurationError, match=r"^link length 7\.378697629483821e\+19 holds .* below 2\*\*63$"):
+            make_link(length=2.0**66)
+        for length in (1e300, np.inf):
+            with pytest.raises(ConfigurationError, match=r"^link length .* below 2\*\*63$"):
+                make_link(length=length)
+        longest = float(np.nextafter(2.0**66, 0.0))
+        network = FreewayNetwork(links=(make_link(length=longest),), dt=10.0)
+        assert vehicle_counts(np.array([0.125]), network).tolist() == [2**63 - 1024]
 
     def test_cfl_enforced_by_network(self):
         link = make_link(vf=60.0)  # 60 * 10 > 500
@@ -377,7 +393,7 @@ def sampled_advance(state, network, schedule, rng):
     upstream, ramps = schedule.sample(0, rng, 1, schedule.table((0,)))
     block = column(state)
     q, r, s = junction_flows(block, network, upstream, ramps)
-    return advance(block, network, upstream, ramps)[:, 0], q[:, 0], r[:, 0], s[:, 0]
+    return dirty_advance(block, network, upstream, ramps)[:, 0], q[:, 0], r[:, 0], s[:, 0]
 
 
 class TestStep:
@@ -432,9 +448,9 @@ class TestStep:
     def test_advance_requires_a_states_block(self):
         net = small_network(3)
         with pytest.raises(ConfigurationError):
-            advance(np.full(3, 0.01), net, 0.5)
+            dirty_advance(np.full(3, 0.01), net, 0.5)
         with pytest.raises(ConfigurationError):
-            advance(np.full((2, 3), 0.01), net, 0.5)
+            dirty_advance(np.full((2, 3), 0.01), net, 0.5)
 
     @given(junction_cases())
     @settings(max_examples=300, deadline=None)
@@ -442,7 +458,7 @@ class TestStep:
         # Ramp flows are added on their own links only; elsewhere they are
         # exactly zero, so every link's update keeps its bits.
         net, states, upstream, ramps = case
-        got = outcome(advance, states, net, upstream, ramps)
+        got = outcome(dirty_advance, states, net, upstream, ramps)
         expected = outcome(all_link_advance, states, net, upstream, ramps)
         if isinstance(expected, type):
             assert got is expected
@@ -459,20 +475,20 @@ class TestOnrampDemand:
         net = small_network(3, onramps={1})
         states = np.full((3, 2), 0.01)
         with pytest.raises(ConfigurationError, match="^network has onramps but no onramp demand given$"):
-            advance(states, net, 0.4)
+            dirty_advance(states, net, 0.4)
         # Also for links whose discharge reads no onramp.
         for links in ([0, 1, 2], [2], []):
             with pytest.raises(ConfigurationError, match="^network has onramps but no onramp demand given$"):
-                speed_map(states, net, link_plan(net, links))
+                dirty_speed_map(states, net, link_plan(net, links))
 
     def test_a_network_without_onramps_takes_none(self):
         net = small_network(3, offramps={1}, beta=0.2)
         states = column([0.01, 0.06, 0.02])
         empty = np.empty(0)
-        assert advance(states, net, 0.4).tobytes() == advance(states, net, 0.4, empty).tobytes()
+        assert dirty_advance(states, net, 0.4).tobytes() == dirty_advance(states, net, 0.4, empty).tobytes()
         assert (
-            speed_map(states, net, link_plan(net, [0, 1, 2])).tobytes()
-            == speed_map(states, net, link_plan(net, [0, 1, 2]), empty).tobytes()
+            dirty_speed_map(states, net, link_plan(net, [0, 1, 2])).tobytes()
+            == dirty_speed_map(states, net, link_plan(net, [0, 1, 2]), empty).tobytes()
         )
 
 
@@ -484,13 +500,13 @@ class TestParticleColumns:
     @staticmethod
     def check_columns(case, links):
         net, states, upstream, ramps = case
-        block_next = outcome(advance, states, net, upstream, ramps)
-        block_speeds = speed_map(states, net, link_plan(net, links), ramps)
+        block_next = outcome(dirty_advance, states, net, upstream, ramps)
+        block_speeds = dirty_speed_map(states, net, link_plan(net, links), ramps)
         alone_next = []
         for p in range(states.shape[1]):
             col, up, ramp = one_particle(case, p)
-            alone_next.append(outcome(advance, col, net, up, ramp))
-            speeds = speed_map(col, net, link_plan(net, links), ramp)
+            alone_next.append(outcome(dirty_advance, col, net, up, ramp))
+            speeds = dirty_speed_map(col, net, link_plan(net, links), ramp)
             assert speeds.tobytes() == block_speeds[:, p : p + 1].tobytes()
         if isinstance(block_next, type):
             # The block's range check fails exactly when some column's does.
@@ -526,7 +542,7 @@ class TestParticleColumns:
 class TestRunBuffers:
     """``advance`` and ``speed_map`` give the same bits with a run's work
     buffers, dirty from earlier calls and sized for more links than a call
-    reads, as with buffers of their own."""
+    reads, as with fresh buffers of the call's own size."""
 
     @given(junction_cases(), st.lists(st.integers(0, 5), max_size=10), st.integers(0, 3))
     @settings(max_examples=200, deadline=None)
@@ -537,7 +553,8 @@ class TestRunBuffers:
         work = dirty_buffers(states.shape[1], n_states=n, max_links=max(len(links), n) + spare)
         # Two steps on the same buffers, each with its own set of links.
         for step_links in (links, list(range(n))[::-1]):
-            expected = outcome(advance, states, net, upstream, ramps)
+            exact = StepBuffers(states.shape[1], n_states=n, max_links=len(step_links))
+            expected = outcome(advance, states, net, upstream, ramps, exact)
             got = outcome(advance, states, net, upstream, ramps, work)
             if isinstance(expected, type):
                 assert got is expected
@@ -545,7 +562,7 @@ class TestRunBuffers:
                 assert got.tobytes() == expected.tobytes() and not shares_buffers(got, work)
             plan = link_plan(net, step_links)
             speeds = speed_map(states, net, plan, ramps, work)
-            assert speeds.tobytes() == speed_map(states, net, plan, ramps).tobytes()
+            assert speeds.tobytes() == speed_map(states, net, plan, ramps, exact).tobytes()
             if isinstance(expected, type):
                 break
             states = expected
@@ -565,7 +582,7 @@ def full_map_speeds(states, q, s, network):
 
 class TestLinkSpeed:
     def test_empty_road_falls_back_to_freeflow(self, single_link_network):
-        v = speed_map(np.array([[0.0]]), single_link_network, link_plan(single_link_network, [0]))
+        v = dirty_speed_map(np.array([[0.0]]), single_link_network, link_plan(single_link_network, [0]))
         assert v[0, 0] == pytest.approx(10.0)
 
     def test_hand_value(self):
@@ -573,14 +590,14 @@ class TestLinkSpeed:
         # discharges min(vf dt rho, qmax) = min(20, 4) = 4 veh/step, so
         # v = 4 / (0.1 * 10) = 4 m/s.
         net = small_network(1)
-        v = speed_map(np.array([[0.1]]), net, link_plan(net, [0]))
+        v = dirty_speed_map(np.array([[0.1]]), net, link_plan(net, [0]))
         assert v[0, 0] == pytest.approx(4.0, rel=1e-12)
 
     def test_uncongested_speed_is_exactly_freeflow(self):
         # At demand flow: v = vf dt rho / (rho dt) = vf, also for offramp links.
         net = small_network(3, offramps={1}, beta=0.2)
         rho = column([0.005, 0.006, 0.004])
-        v = speed_map(rho, net, link_plan(net, [0, 1, 2]))
+        v = dirty_speed_map(rho, net, link_plan(net, [0, 1, 2]))
         np.testing.assert_allclose(v[:, 0], [net.links[i].vf for i in range(3)], rtol=1e-12)
 
     def test_speed_map_matches_link_speed(self):
@@ -590,7 +607,7 @@ class TestLinkSpeed:
         rho = column([0.01, 0.06, 0.02])
         q, r, s = junction_flows(rho, net, upstream_demand=0.4, onramp_demand=[0.2])
         expected = (q[1:] + s) / (rho * net.dt)
-        field = speed_map(rho, net, link_plan(net, [0, 1, 2]), [0.2])
+        field = dirty_speed_map(rho, net, link_plan(net, [0, 1, 2]), [0.2])
         np.testing.assert_allclose(field, expected, rtol=1e-12)
 
     @given(
@@ -636,20 +653,20 @@ class TestLinkSpeed:
         # Always cover the first and last link and every link next to an onramp.
         next_to_ramps = sorted({max(r - 1, 0) for r in onramps} | onramps)
         for chosen in (links, [0, n - 1], next_to_ramps, list(range(n))):
-            got = speed_map(states, net, link_plan(net, chosen), ramps if onramps else None)
+            got = dirty_speed_map(states, net, link_plan(net, chosen), ramps if onramps else None)
             assert got.shape == (len(chosen), n_p)
             assert got.tobytes() == reference[chosen].tobytes()
 
     def test_speed_map_rejects_links_outside_network(self):
         net = small_network(3)
         with pytest.raises(ConfigurationError):
-            speed_map(np.full((3, 2), 0.01), net, link_plan(net, [3]))
+            dirty_speed_map(np.full((3, 2), 0.01), net, link_plan(net, [3]))
         with pytest.raises(ConfigurationError):
-            speed_map(np.full((3, 2), 0.01), net, link_plan(net, [-1]))
+            dirty_speed_map(np.full((3, 2), 0.01), net, link_plan(net, [-1]))
         with pytest.raises(ConfigurationError):
-            speed_map(np.full((4, 2), 0.01), net, link_plan(net, [0]))
+            dirty_speed_map(np.full((4, 2), 0.01), net, link_plan(net, [0]))
         with pytest.raises(ConfigurationError):
-            speed_map(np.full((2, 3), 0.01), net, link_plan(net, [0]))
+            dirty_speed_map(np.full((2, 3), 0.01), net, link_plan(net, [0]))
 
     def test_simulated_speeds_follow_the_realized_flows(self):
         # The reference re-draws each step's demands from the same stream
@@ -790,7 +807,7 @@ class TestLinkPlan:
             check_plan_columns(part, net, group)
             for a, b in zip(part, own):
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-            for plan, buffers in ((part, work), (own, None)):
+            for plan, buffers in ((part, work), (own, StepBuffers(states.shape[1], max_links=len(group)))):
                 got = speed_map(states, net, plan, ramps, buffers)
                 assert got.shape == expected.shape
                 assert got.tobytes() == expected.tobytes()
@@ -1028,5 +1045,5 @@ class TestEquilibrium:
         schedule = flat_schedule(1.5)
         eq = equilibrium_state(net, schedule)
         assert np.all(eq > 0.0)
-        after = advance(column(eq), net, 1.5, None)
+        after = dirty_advance(column(eq), net, 1.5, None)
         np.testing.assert_allclose(after[:, 0], eq, atol=1e-9)

@@ -17,9 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatedpf.ctm import (
-    DemandProfile, DemandSchedule, advance, equilibrium_state, link_plan, simulate, speed_map,
-)
+from gatedpf.ctm import DemandProfile, DemandSchedule, equilibrium_state, link_plan, simulate
 from gatedpf.errors import ConfigurationError, DataError, WeightCollapseError
 from gatedpf.fileio import csv_text, read_records
 from gatedpf.gates import MODES, GateKind, level_rule, likelihood_ratio_test, significance_test, unexplained
@@ -54,10 +52,8 @@ from gatedpf.harness import (
 from gatedpf.particles import (
     ParticleEnsemble,
     effective_sample_size,
-    posterior_mean,
     predict,
     resample_systematic,
-    weight_update,
 )
 from gatedpf.rng import RandomSource
 from gatedpf.scenario import default_scenario_dict, scenario_from_dict
@@ -76,7 +72,17 @@ from gatedpf.sensing import (
     write_measurement_log,
 )
 
-from conftest import check_plan_columns, shares_buffers, small_network
+from conftest import (
+    check_plan_columns,
+    dirty_advance,
+    dirty_buffers,
+    dirty_posterior_mean,
+    dirty_speed_map,
+    dirty_standardize,
+    dirty_weight_update,
+    shares_buffers,
+    small_network,
+)
 from reference_log import Record, log_of, records_of
 
 
@@ -273,7 +279,7 @@ class TestFilterLoop:
         estimates, decisions = [], []
         for k in range(1, config.horizon):
             upstream, ramps = config.schedule.sample(k - 1, rng_demand, config.particles, demand)
-            prior = predict(ens, advance(ens.particles, config.network, upstream, ramps))
+            prior = predict(ens, dirty_advance(ens.particles, config.network, upstream, ramps))
             ms = by_step.get(k, [])
             if ms:
                 t = k * config.schedule.dt
@@ -281,7 +287,8 @@ class TestFilterLoop:
                 mean_rows, std_rows = [], []
                 for m in ms:
                     if m.kind == GNSS_SPEED:
-                        row = speed_map(prior.particles, config.network, link_plan(config.network, [m.link]), ramp_means)[0]
+                        plan = link_plan(config.network, [m.link])
+                        row = dirty_speed_map(prior.particles, config.network, plan, ramp_means)[0]
                         frac, floor = gnss.noise_frac, gnss.min_std
                     else:
                         row = prior.particles[m.link]
@@ -289,7 +296,7 @@ class TestFilterLoop:
                     mean_rows.append(row)
                     std_rows.append(np.maximum(frac * row, floor))
                 values = np.array([m.value for m in ms])
-                z, log_g0 = standardize(values, np.array(mean_rows), np.array(std_rows))
+                z, log_g0 = dirty_standardize(values, np.array(mean_rows), np.array(std_rows))
                 rejected = np.zeros(len(ms), dtype=bool)
                 tested = np.flatnonzero([m.kind == GNSS_SPEED for m in ms])
                 if variant.mode != "none" and tested.size:
@@ -314,10 +321,10 @@ class TestFilterLoop:
                                 float(stat), variant.alpha, bool(rej), float(aux), m.faulty,
                             )
                         )
-                post = prior if rejected.all() else weight_update(prior, log_g0[~rejected])[0]
+                post = prior if rejected.all() else dirty_weight_update(prior, log_g0[~rejected])[0]
             else:
                 post = prior
-            estimates.append(posterior_mean(post))
+            estimates.append(dirty_posterior_mean(post))
             if effective_sample_size(post) < config.resample_threshold * config.particles:
                 post = resample_systematic(post, rng_resample)
             ens = post
@@ -528,19 +535,22 @@ class TestGatedStep:
         steps, work = [], step_buffers(config, log)
         for k in range(1, config.horizon):
             upstream, ramps = config.schedule.sample(k - 1, twin, config.particles, config.demand_table)
-            prior = predict(ensemble, advance(ensemble.particles, config.network, upstream, ramps))
+            prior = predict(ensemble, dirty_advance(ensemble.particles, config.network, upstream, ramps))
             ensemble, _, gate = filter_step(
                 config, log, variant, ensemble, k, log.step(k), rng_demand, rng_resample, work
             )
             step = SimpleNamespace(prior=prior, gate=gate, posterior=ensemble, tested=None, log_g0=None)
             # The step's rows the gate rejected; loop rows are never tested.
             step.rejected = None
-            rows = log.step(k)[0]
+            rows, _, pairs = log.step(k)
             if rows.start < rows.stop:
-                values, mean, std, step.tested = measurement_rows(
-                    log, log.step(k), prior.particles, config.demand_table[k, 0, 1:]
+                own = dirty_buffers(
+                    config.particles, max_rows=rows.stop - rows.start, max_links=pairs.stop - pairs.start
                 )
-                step.log_g0 = standardize(values, mean, std)[1]
+                values, mean, std, step.tested = measurement_rows(
+                    log, log.step(k), prior.particles, config.demand_table[k, 0, 1:], own
+                )
+                step.log_g0 = standardize(values, mean, std, own)[1]
                 step.rejected = np.zeros(len(step.log_g0), dtype=bool)
                 if gate is not None:
                     step.rejected[step.tested] = gate[2]
@@ -570,7 +580,7 @@ class TestGatedStep:
             assert steps[3].rejected.any() and not steps[3].rejected.all()
             for step in steps:
                 if step.log_g0 is not None and step.rejected.any() and not step.rejected.all():
-                    expected, _ = weight_update(step.prior, step.log_g0[~step.rejected])
+                    expected, _ = dirty_weight_update(step.prior, step.log_g0[~step.rejected])
                     self._assert_same(step.posterior, expected)
 
     def test_no_row_rejected_updates_over_every_row(self):
@@ -581,7 +591,7 @@ class TestGatedStep:
             ]
             assert steps
             for step in steps:
-                self._assert_same(step.posterior, weight_update(step.prior, step.log_g0)[0])
+                self._assert_same(step.posterior, dirty_weight_update(step.prior, step.log_g0)[0])
 
     def test_loop_rows_are_never_gated(self):
         # Step 4's loop readings enter the update beside its accepted speed
@@ -591,8 +601,8 @@ class TestGatedStep:
             loops = np.ones(len(step.log_g0), dtype=bool)
             loops[step.tested] = False
             assert loops.any()
-            self._assert_same(step.posterior, weight_update(step.prior, step.log_g0[~step.rejected])[0])
-            speeds_only, _ = weight_update(step.prior, step.log_g0[~step.rejected & ~loops])
+            self._assert_same(step.posterior, dirty_weight_update(step.prior, step.log_g0[~step.rejected])[0])
+            speeds_only, _ = dirty_weight_update(step.prior, step.log_g0[~step.rejected & ~loops])
             assert step.posterior.weights.tobytes() != speeds_only.weights.tobytes()
 
 

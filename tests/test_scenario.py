@@ -465,6 +465,28 @@ class TestDefaultScenario:
         )
         assert load_scenario(path) == scenario_from_dict(tiny_scenario_dict())
 
+    @pytest.mark.parametrize(
+        "text, spelling",
+        [("1e1", "1.0e+1"), ("1.0e308", "1.0e+308"), ("2E-3", "2.0e-3"), (".5e3", ".5e+3"), ("1.e1", "1.e+1")],
+    )
+    def test_an_exponent_read_as_text_names_the_float_spelling(self, tmp_path, scenario_loader, text, spelling):
+        # YAML 1.1 reads an exponent without a dot and a sign as text: the
+        # refusal names the spelling it reads as a float, which loads.
+        doc = tiny_scenario_dict()
+        doc["sensors"]["faults"]["speed_std"] = 10.0
+        assert yaml.safe_dump(doc).count("speed_std: 10.0") == 1
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(doc).replace("speed_std: 10.0", f"speed_std: {text}"))
+        message = (
+            f"sensors.faults.speed_std: expected float, got str '{text}'; write {spelling}: "
+            "YAML reads an exponent without a dot and a sign as text"
+        )
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            load_scenario(path)
+        path.write_text(yaml.safe_dump(doc).replace("speed_std: 10.0", f"speed_std: {spelling}"))
+        doc["sensors"]["faults"]["speed_std"] = float(text)
+        assert load_scenario(path) == scenario_from_dict(doc)
+
 
 class TestConfigHash:
     def test_stable_and_sensitive(self):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gatedpf.buffers import StepBuffers
 from gatedpf.ctm import FreewayNetwork, LinkParams, Trajectory, link_plan, speed_map
 from gatedpf.errors import ConfigurationError, ContractViolation, DataError
 from gatedpf.harness import (
@@ -38,7 +39,7 @@ from gatedpf.sensing import (
     write_measurement_log,
 )
 
-from conftest import dirty_buffers, small_network
+from conftest import dirty_buffers, small_network, dirty_standardize
 from reference_log import Record, generate_records, log_of, log_text, records_of
 from test_harness import micro_config
 
@@ -231,10 +232,11 @@ def speed_report(value, link=0):
 
 def step_rows(ms, particles, network, ramp_means=(), loops=LoopDetectors(links=()), gnss_spec=GnssSpec()):
     """Rows of step 1 of the records ``ms``, compiled for a two-step config
-    on ``network`` with the given sensors."""
+    on ``network`` with the given sensors, on dirty buffers."""
     config = replace(micro_config(horizon=2), network=network, loops=loops, gnss_spec=gnss_spec)
     log = compile_log(config, log_of(ms))
-    return measurement_rows(log, log.step(1), particles, np.asarray(ramp_means, float))
+    work = dirty_buffers(particles.shape[1], max_rows=len(ms), max_links=len(ms))
+    return measurement_rows(log, log.step(1), particles, np.asarray(ramp_means, float), work)
 
 
 class TestMeasurementModels:
@@ -271,7 +273,9 @@ class TestMeasurementModels:
         assert log.n_links == 3
         for n_links in (2, 4):
             with pytest.raises(ConfigurationError, match="3 links"):
-                measurement_rows(log, log.step(1), np.full((n_links, 2), 0.05), np.zeros(0))
+                measurement_rows(
+                    log, log.step(1), np.full((n_links, 2), 0.05), np.zeros(0), dirty_buffers(2, max_rows=1)
+                )
 
     def test_speed_rows_read_their_own_links(self):
         # Speed reports on links 2, 0, 2 among loop rows: each speed row's
@@ -292,7 +296,8 @@ class TestMeasurementModels:
         assert values.tolist() == [0.05, 9.0, 7.0, 0.05, 8.0]
         for row, m in enumerate(ms):
             if row in tested:
-                expected = speed_map(particles, net, link_plan(net, [m.link]), ramp_means)[0]
+                plan = link_plan(net, [m.link])
+                expected = speed_map(particles, net, plan, ramp_means, dirty_buffers(6, max_links=1))[0]
                 frac, offset, floor = 0.3, 0.0, 0.25
             else:
                 expected = particles[m.link]
@@ -309,7 +314,7 @@ class TestMeasurementModels:
         particles = np.array([[0.08, 0.4 / 15.0, 0.01]])
         values, mean, std, _ = step_rows([speed_report(0.0)], particles, small_network(1))
         np.testing.assert_allclose(mean, [[5.0, 15.0, 20.0]])
-        _, log_g0 = standardize(values, mean, std)
+        _, log_g0 = dirty_standardize(values, mean, std)
         log_g1 = fault_log_density(values, "np_correct", FaultConfig(), zero_std=0.5)
         ratio = np.exp(log_g1[:, None] - log_g0)
         assert np.all(ratio > 1e3)
@@ -332,7 +337,7 @@ class TestMeasurementModels:
     def test_unexplainable_value_has_zero_density_without_warning(self, value):
         # z * z (and for the largest floats z itself) overflows: the log
         # density is -inf, and a RuntimeWarning would fail the test.
-        z, log_g0 = standardize(np.array([value]), np.array([[0.01]]), np.array([[0.002]]))
+        z, log_g0 = dirty_standardize(np.array([value]), np.array([[0.01]]), np.array([[0.002]]))
         assert z[0, 0] > 1e200
         assert log_g0[0, 0] == -np.inf
         for mode in ("np_correct", "np_incorrect"):
@@ -381,7 +386,7 @@ class TestBuildSensorModels:
         np.testing.assert_allclose(mean[1], [10.0, 20.0 / 3.0])
         np.testing.assert_allclose(std[1], [2.0, 4.0 / 3.0])
         np.testing.assert_allclose(mean[0], [0.04, 0.06])
-        z, log_g0 = standardize(values, mean, std)
+        z, log_g0 = dirty_standardize(values, mean, std)
         np.testing.assert_allclose(z[1], [1.0, 4.0])
         np.testing.assert_allclose(log_g0, gaussian_log_pdf(values[:, None], mean, std))
 
@@ -406,7 +411,7 @@ _stds = st.one_of(st.floats(1e-3, 1e3), st.sampled_from([1.0, 5e-324, 1e-300, 1e
 class TestRunBuffers:
     """``measurement_rows`` and ``standardize`` give the same bits with a
     run's work buffers, dirty from earlier steps and sized for more rows
-    than a step has, as with buffers of their own."""
+    than a step has, as with fresh buffers of the step's own size."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
@@ -421,21 +426,25 @@ class TestRunBuffers:
             particles = rng.uniform(0.0, 0.125, size=(config.network.n_links, n_particles))
             particles[rng.random(particles.shape) < 0.2] = 0.0
             ramp_means = config.demand_table[k, 0, 1:]
-            expected = measurement_rows(log, log.step(k), particles, ramp_means)
-            got = measurement_rows(log, log.step(k), particles, ramp_means, work)
+            rows, _, pairs = step = log.step(k)
+            exact = StepBuffers(n_particles, max_rows=rows.stop - rows.start, max_links=pairs.stop - pairs.start)
+            expected = measurement_rows(log, step, particles, ramp_means, exact)
+            got = measurement_rows(log, step, particles, ramp_means, work)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
             if len(got[0]):
-                pairs = zip(standardize(*got[:3], work), standardize(*expected[:3]))
+                pairs = zip(standardize(*got[:3], work), standardize(*expected[:3], exact))
                 assert all(a.tobytes() == b.tobytes() for a, b in pairs)
 
     @staticmethod
     def check_standardize(values, mean, std, spare):
-        """Both forms of ``standardize`` give the bits of its expressions."""
+        """``standardize`` on fresh buffers of its size and on dirty, larger
+        ones gives the bits of its expressions."""
         with np.errstate(over="ignore"):
             z = (values[:, None] - mean) / std
             log_pdf = -0.5 * z * z - np.log(std) - 0.5 * math.log(2.0 * math.pi)
         work = dirty_buffers(mean.shape[1], max_rows=len(values) + spare)
-        for got in (standardize(values, mean, std), standardize(values, mean, std, work)):
+        exact = StepBuffers(mean.shape[1], max_rows=len(values))
+        for got in (standardize(values, mean, std, exact), standardize(values, mean, std, work)):
             assert got[0].tobytes() == z.tobytes() and got[1].tobytes() == log_pdf.tobytes()
         return log_pdf
 
