@@ -27,8 +27,8 @@ class StepBuffers:
     """Work buffers for steps on (L, P) blocks of ``n_particles`` columns.
 
     ``n_states`` is L, the state rows of a block; ``max_rows`` the most
-    measurement rows of a step, and ``max_links`` the most links whose
-    speeds one speed map evaluates.  Every buffer is overwritten by the call
+    measurement rows of a step, and ``max_links`` the most positions of a
+    link plan (a step's speed reports) one speed map evaluates.  Every buffer is overwritten by the call
     that uses it; none carries a value from one call to the next.
     """
 
@@ -45,8 +45,8 @@ class StepBuffers:
         self.link_supply = np.empty((k, p))
         self.occupied = np.empty((k, p), dtype=bool)
         # sensing.measurement_rows and standardize on up to M rows: the null
-        # model's mean and std, the residuals z, the log densities and one
-        # scratch block (the speed rows' gather, then log(std)).
+        # model's mean and std, the residuals z, the log densities and
+        # log(std).
         self.mean = np.empty((m, p))
         self.std = np.empty((m, p))
         self.z = np.empty((m, p))

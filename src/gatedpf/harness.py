@@ -363,46 +363,39 @@ def compile_log(config: ExperimentConfig, log: MeasurementLog) -> CompiledLog:
     A row the scenario cannot assimilate raises :class:`DataError`
     (:func:`_check_log`).  The rows are sorted by step (stably, so a step
     keeps its rows' log order).  Each row's std rule is gathered from a
-    two-column table (the loop detectors' rule, the speed rule), the fault log
-    densities of the likelihood-ratio modes are evaluated once for the
-    whole log, and each step's speed rows share one entry per distinct
-    link, so a run evaluates the speed map once per reported link.  The
-    speed map's link constants of those entries are one
-    :class:`~gatedpf.ctm.LinkPlan`, built here once, that each step slices.
+    two-column table (the loop detectors' rule, the speed rule).  Each
+    speed report gets its link's row of one
+    :class:`~gatedpf.ctm.LinkPlan`, which each step slices, and its
+    decision record, which each gated run copies; the fault log densities
+    of the likelihood-ratio modes are evaluated once for the whole log.
     """
     _check_log(config, log)
-    n_links, gnss = config.network.n_links, config.gnss_spec
+    gnss = config.gnss_spec
     order = np.argsort(log.steps, kind="stable")
-    steps, links, values, is_speed = (
-        log.steps[order], log.links[order], log.values[order], log.speed[order]
+    steps, sensor_ids, links, values, is_speed = (
+        log.steps[order], log.sensor_ids[order], log.links[order], log.values[order], log.speed[order]
     )
     rule_table = np.array([config.loops.std_rule, (gnss.noise_frac, gnss.min_std)]).T
 
     speed = np.flatnonzero(is_speed)
-    speed_steps = steps[speed]
-    pairs, speed_pairs = np.unique(speed_steps * n_links + links[speed], return_inverse=True)
     bounds = np.arange(config.horizon + 1)
-    offsets = np.stack(
-        [
-            np.searchsorted(steps, bounds),
-            np.searchsorted(speed_steps, bounds),
-            np.searchsorted(pairs // n_links, bounds),
-        ],
-        axis=1,
+    offsets = np.stack([np.searchsorted(steps, bounds), np.searchsorted(steps[speed], bounds)], axis=1)
+    decisions = np.empty(len(speed), DECISION_DTYPE)
+    decisions["k"], decisions["sensor_id"], decisions["link"], decisions["faulty"] = (
+        steps[speed], sensor_ids[speed], links[speed], log.faulty[order[speed]]
     )
+    decisions.setflags(write=False)
     return CompiledLog(
         horizon=config.horizon,
         network=config.network,
         offsets=offsets,
-        steps=steps,
-        sensor_ids=log.sensor_ids[order],
+        sensor_ids=sensor_ids,
         links=links,
         values=values,
-        faulty=log.faulty[order],
         std_rules=rule_table[:, is_speed.astype(np.intp)],
         speed_index=speed,
-        speed_pairs=speed_pairs - offsets[speed_steps, 2],
-        pair_plan=link_plan(config.network, pairs % n_links),
+        speed_plan=link_plan(config.network, links[speed]),
+        decisions=decisions,
         fault_log_g1=MappingProxyType(
             {
                 mode: fault_log_density(
@@ -421,7 +414,7 @@ def filter_step(
     variant: FilterVariant,
     ensemble: ParticleEnsemble,
     k: int,
-    step: tuple[slice, slice, slice],
+    step: tuple[slice, slice],
     rng_demand: RandomSource,
     rng_resample: RandomSource,
     work: StepBuffers,
@@ -448,7 +441,7 @@ def filter_step(
     upstream, ramps = config.schedule.sample(k - 1, rng_demand, config.particles, demand)
     prior = posterior = predict(ensemble, advance(ensemble.particles, network, upstream, ramps, work))
     gate = None
-    rows, speeds, _ = step
+    rows, speeds = step
     if rows.start < rows.stop:
         values, mean, std, tested = measurement_rows(log, step, prior.particles, demand[k, 0, 1:], work)
         z, log_g0 = standardize(values, mean, std, work)
@@ -481,10 +474,9 @@ def filter_step(
 
 def step_buffers(config: ExperimentConfig, log: CompiledLog) -> StepBuffers:
     """Work buffers for the steps of a filter run of ``config`` over
-    ``log``: (L, P) blocks, sized by the most rows and the most distinct
-    speed links of any step."""
-    sizes = np.diff(log.offsets, axis=0)
-    max_rows, _, max_links = sizes.max(axis=0, initial=0).tolist()
+    ``log``: (L, P) blocks, sized by the most rows and the most speed
+    reports of any step."""
+    max_rows, max_links = np.diff(log.offsets, axis=0).max(axis=0, initial=0).tolist()
     return StepBuffers(
         config.particles, n_states=config.network.n_links, max_rows=max_rows, max_links=max_links
     )
@@ -505,9 +497,9 @@ def run_traffic_filter(
     :class:`DataError`); a log compiled for another horizon or network
     raises :class:`ConfigurationError`.  The run allocates its work buffers
     once (:func:`step_buffers`), and every step reuses them.  Each step's
-    slices of the log are looked up once, and the step writes its gate's
-    outcomes through its speed slice, beside its speed rows' reports and
-    labels (see :class:`FilterRunResult`).
+    slices of the log are looked up once.  A gated run copies the log's
+    decision records, sets its test and level, and writes each step's gate
+    outcomes through the step's speed slice (see :class:`FilterRunResult`).
     """
     log = measurements if isinstance(measurements, CompiledLog) else compile_log(config, measurements)
     if log.horizon != config.horizon or log.network != config.network:
@@ -524,14 +516,8 @@ def run_traffic_filter(
     estimates = np.empty((config.horizon - 1, config.network.n_links))
     decisions = np.empty(0, DECISION_DTYPE)
     if variant.kind is not None:
-        index = log.speed_index
-        decisions = np.empty(len(index), DECISION_DTYPE)
-        decisions["k"] = log.steps[index]
-        decisions["sensor_id"] = log.sensor_ids[index]
-        decisions["link"] = log.links[index]
-        decisions["test_kind"] = variant.kind.value
-        decisions["alpha"] = variant.alpha
-        decisions["faulty"] = log.faulty[index]
+        decisions = log.decisions.copy()
+        decisions["test_kind"], decisions["alpha"] = variant.kind.value, variant.alpha
     work = step_buffers(config, log)
     for k in range(1, config.horizon):
         step = log.step(k)

@@ -274,49 +274,47 @@ class CompiledLog:
 
     The rows are the log's measurements ordered by step (stable: a step
     keeps its measurements' order), and every column follows that order.
-    ``offsets`` (K + 1, 3) locates each step: the rows of step ``k`` are
-    ``offsets[k, 0]:offsets[k + 1, 0]`` of the row columns, its speed rows
-    ``offsets[k, 1]:offsets[k + 1, 1]`` of the speed columns and its
-    distinct speed links ``offsets[k, 2]:offsets[k + 1, 2]`` of
-    ``pair_plan``, the :class:`~gatedpf.ctm.LinkPlan` of every step's
-    distinct speed links (its ``links``), built once for the whole log
-    from ``network``'s constants; :meth:`step` gives the three slices.
+    ``offsets`` (K + 1, 2) locates each step: the rows of step ``k`` are
+    ``offsets[k, 0]:offsets[k + 1, 0]`` of the row columns and its speed
+    reports ``offsets[k, 1]:offsets[k + 1, 1]`` of the speed columns;
+    :meth:`step` gives the two slices.
 
-    Row columns (N,): ``steps``, ``sensor_ids`` (object), ``links``,
-    ``values``, ``faulty`` and ``std_rules`` (2, N), each row's null-model
-    std rule ``(frac, floor)``.  Speed columns (S,): ``speed_index``,
-    each speed row's index among the rows; ``speed_pairs``, its index into
-    its step's distinct links; and ``fault_log_g1``, each likelihood-ratio
-    mode's fault log density.
+    Row columns (N,): ``sensor_ids`` (object), ``links``, ``values`` and
+    ``std_rules`` (2, N), each row's null-model std rule ``(frac,
+    floor)``.  Speed columns (S,), one entry per speed report:
+    ``speed_index``, its index among the rows; ``speed_plan``, the
+    :class:`~gatedpf.ctm.LinkPlan` of its link, built once for the whole
+    log from ``network``'s constants; ``decisions``, its read-only gate
+    decision record with the report's step, sensor id, link and
+    ground-truth label filled in; and ``fault_log_g1``, each
+    likelihood-ratio mode's fault log density.
     """
 
     horizon: int
     network: FreewayNetwork
     offsets: np.ndarray
-    steps: np.ndarray
     sensor_ids: np.ndarray
     links: np.ndarray
     values: np.ndarray
-    faulty: np.ndarray
     std_rules: np.ndarray
     speed_index: np.ndarray
-    speed_pairs: np.ndarray
-    pair_plan: LinkPlan
+    speed_plan: LinkPlan
+    decisions: np.ndarray
     fault_log_g1: Mapping[str, np.ndarray]
 
     @property
     def n_links(self) -> int:
         return self.network.n_links
 
-    def step(self, k: int) -> tuple[slice, slice, slice]:
-        """The slices of step ``k``'s rows, speed rows and speed links."""
-        (r0, s0, p0), (r1, s1, p1) = self.offsets[k : k + 2].tolist()
-        return slice(r0, r1), slice(s0, s1), slice(p0, p1)
+    def step(self, k: int) -> tuple[slice, slice]:
+        """The slices of step ``k``'s rows and speed reports."""
+        (r0, s0), (r1, s1) = self.offsets[k : k + 2].tolist()
+        return slice(r0, r1), slice(s0, s1)
 
 
 def measurement_rows(
     log: CompiledLog,
-    step: tuple[slice, slice, slice],
+    step: tuple[slice, slice],
     particles: np.ndarray,
     ramp_means: np.ndarray,
     work: StepBuffers,
@@ -328,18 +326,17 @@ def measurement_rows(
     the positions of the speed rows among the step's rows; ``mean`` and
     ``std`` are views of ``work.mean`` and ``work.std``.  A loop row's mean
     is each particle's density on its link; a speed row's mean is each
-    particle's predicted speed on its link, :func:`~gatedpf.ctm.speed_map`
-    on ``log.network`` at the onramp demands ``ramp_means``, evaluated once
-    per distinct link of the step on the plan of its slice of
-    ``log.pair_plan``.  A row's std is its rule's ``max(frac * mean,
-    floor)``.  A block whose link count is not the log's raises
-    :class:`ConfigurationError`.
+    particle's predicted speed on its link, one row of
+    :func:`~gatedpf.ctm.speed_map` on ``log.network`` at the onramp demands
+    ``ramp_means``, evaluated on the step's slice of ``log.speed_plan``.  A
+    row's std is its rule's ``max(frac * mean, floor)``.  A block whose
+    link count is not the log's raises :class:`ConfigurationError`.
     """
     if particles.shape[0] != log.n_links:
         raise ConfigurationError(
             f"log compiled for {log.n_links} links, particles have {particles.shape[0]}"
         )
-    rows, speeds, pairs = step
+    rows, speeds = step
     n_rows = rows.stop - rows.start
     # compile_log checked every link against the log's n_links, which the
     # block matches, so a clipping take (which writes its out block
@@ -347,11 +344,8 @@ def measurement_rows(
     mean = np.take(particles, log.links[rows], axis=0, out=work.mean[:n_rows], mode="clip")
     tested = log.speed_index[speeds] - rows.start
     if tested.size:
-        plan = LinkPlan(*[column[pairs] for column in log.pair_plan])
-        speed = speed_map(particles, log.network, plan, ramp_means, work)
-        mean[tested] = np.take(
-            speed, log.speed_pairs[speeds], axis=0, out=work.scratch[: tested.size], mode="clip"
-        )
+        plan = LinkPlan(*[column[speeds] for column in log.speed_plan])
+        mean[tested] = speed_map(particles, log.network, plan, ramp_means, work)
     frac, floor = log.std_rules[:, rows, None]
     std = np.multiply(frac, mean, out=work.std[:n_rows])
     np.maximum(std, floor, out=std)

@@ -345,7 +345,7 @@ class TestFilterLoop:
         records = records_of(simulate_seed(config, 5)[1])
         records = [m for m in records if m.k != 5 and (m.k != 6 or m.kind != GNSS_SPEED)]
         log = compile_log(config, log_of(records))
-        rows_5, (rows_6, speeds_6, _) = log.step(5)[0], log.step(6)
+        rows_5, (rows_6, speeds_6) = log.step(5)[0], log.step(6)
         assert rows_5.start == rows_5.stop
         assert rows_6.start < rows_6.stop and speeds_6.start == speeds_6.stop
         result = run_traffic_filter(config, log, variant, RandomSource(5))
@@ -375,13 +375,9 @@ class TestFilterLoop:
 
         expected = np.empty(0, DECISION_DTYPE)
         if mode != "none":
-            index = log.speed_index
-            expected = np.empty(len(index), DECISION_DTYPE)
+            expected = log.decisions.copy()
             expected["statistic"], expected["auxiliary"], expected["rejected"] = (
                 np.concatenate(column) for column in zip(*gates)
-            )
-            expected["k"], expected["sensor_id"], expected["link"], expected["faulty"] = (
-                log.steps[index], log.sensor_ids[index], log.links[index], log.faulty[index]
             )
             expected["test_kind"], expected["alpha"] = variant.kind.value, variant.alpha
         assert len(expected) == len(result.decisions)
@@ -542,10 +538,10 @@ class TestGatedStep:
             step = SimpleNamespace(prior=prior, gate=gate, posterior=ensemble, tested=None, log_g0=None)
             # The step's rows the gate rejected; loop rows are never tested.
             step.rejected = None
-            rows, _, pairs = log.step(k)
+            rows, speeds = log.step(k)
             if rows.start < rows.stop:
                 own = dirty_buffers(
-                    config.particles, max_rows=rows.stop - rows.start, max_links=pairs.stop - pairs.start
+                    config.particles, max_rows=rows.stop - rows.start, max_links=speeds.stop - speeds.start
                 )
                 values, mean, std, step.tested = measurement_rows(
                     log, log.step(k), prior.particles, config.demand_table[k, 0, 1:], own
@@ -620,21 +616,18 @@ class TestCompileLog:
     def test_columns_in_step_order(self):
         config, ms, log = self._log()
         ordered = [ms[1], ms[2], ms[4], ms[5], ms[7], ms[0], ms[3], ms[6]]
-        assert log.steps.tolist() == [m.k for m in ordered]
         assert log.sensor_ids.tolist() == [m.sensor_id for m in ordered]
         assert log.links.tolist() == [m.link for m in ordered]
         assert log.values.tolist() == [m.value for m in ordered]
-        assert log.faulty.tolist() == [m.faulty for m in ordered]
-        # Steps 1, 3 and 5 have no rows; step 2 has 5, step 4 has 3.
-        assert log.offsets[:, 0].tolist() == [0, 0, 0, 5, 5, 8, 8]
-        rows, speeds, pairs = log.step(2)
-        assert (rows, speeds, pairs) == (slice(0, 5), slice(0, 3), slice(0, 2))
-        assert log.step(3) == (slice(5, 5), slice(3, 3), slice(2, 2))
-        # Step 2's speed rows sit at 1, 3, 4 on links 1, 1, 0: two
-        # distinct links, in link order.
+        # Steps 1, 3 and 5 have no rows; step 2 has 5 rows, 3 of them speed
+        # reports, and step 4 has 3, all speed reports.
+        assert log.offsets.tolist() == [[0, 0], [0, 0], [0, 0], [5, 3], [5, 3], [8, 6], [8, 6]]
+        assert log.step(2) == (slice(0, 5), slice(0, 3))
+        assert log.step(3) == (slice(5, 5), slice(3, 3))
+        # Step 2's speed rows sit at 1, 3, 4 on links 1, 1, 0: one plan
+        # position per report, the repeated link included.
         assert log.speed_index.tolist() == [1, 3, 4, 5, 6, 7]
-        assert log.pair_plan.links.tolist() == [0, 1, 0, 2]
-        assert log.speed_pairs.tolist() == [1, 1, 0, 1, 0, 1]
+        assert log.speed_plan.links.tolist() == [1, 1, 0, 2, 0, 2]
         gnss, loops = config.gnss_spec, config.loops
         speed_rule = [gnss.noise_frac, gnss.min_std]
         expected = [
@@ -642,21 +635,37 @@ class TestCompileLog:
         ]
         assert log.std_rules.T.tolist() == expected
 
-    def test_pair_plan_holds_the_network_at_each_step_s_links(self):
-        # On the default network, ramps on several links: each step's
-        # distinct speed links in link order, with their own and their
-        # downstream links' parameters.
+    def test_speed_plan_holds_the_network_at_each_report_s_link(self):
+        # On the default network, ramps on several links: each speed
+        # report's link in step order, a link reported twice in one step
+        # twice, with its own and its downstream link's parameters.
         doc = default_scenario_dict()
         doc["run"]["horizon"] = 200
         config = scenario_from_dict(doc).experiment_config(seeds=[5])
         ms = simulate_seed(config, 5)[1]
-        pairs = [
-            link
-            for k in range(config.horizon)
-            for link in sorted(set(ms.links[ms.speed & (ms.steps == k)].tolist()))
+        reports = [
+            (k, link) for k in range(config.horizon) for link in ms.links[ms.speed & (ms.steps == k)].tolist()
         ]
-        assert len(pairs) > config.horizon and config.network.n_links - 1 in pairs
-        check_plan_columns(compile_log(config, ms).pair_plan, config.network, pairs)
+        links = [link for _, link in reports]
+        assert len(set(reports)) < len(reports) and config.network.n_links - 1 in links
+        check_plan_columns(compile_log(config, ms).speed_plan, config.network, links)
+
+    def test_decision_records_are_the_speed_reports_in_step_order(self):
+        # One record per speed report, in step order (a step's reports in
+        # log order), with its step, sensor id, link and label; the table
+        # is read-only, and a gated run leaves it as compiled.
+        config, ms, log = self._log()
+        ms[5], ms[7] = dataclasses.replace(ms[5], faulty=True), dataclasses.replace(ms[7], faulty=True)
+        log = compile_log(config, log_of(ms))
+        speed = [ms[2], ms[5], ms[7], ms[0], ms[3], ms[6]]
+        assert log.decisions.dtype == DECISION_DTYPE
+        assert log.decisions[["k", "sensor_id", "link", "faulty"]].tolist() == [
+            (m.k, m.sensor_id, m.link, m.faulty) for m in speed
+        ]
+        assert not log.decisions.flags.writeable
+        compiled = log.decisions[["k", "sensor_id", "link", "faulty"]].tolist()
+        run_traffic_filter(config, log, FilterVariant("fisher", 0.05), RandomSource(9))
+        assert log.decisions[["k", "sensor_id", "link", "faulty"]].tolist() == compiled
 
     def test_fault_densities_of_the_speed_rows(self):
         config, _, log = self._log()
@@ -690,15 +699,9 @@ class TestCompileLog:
         if mode == "none":
             assert decisions.shape == (0,)
             return
-        speed = log.speed_index
-        assert speed.size > 0
-        for name, column in (
-            ("k", log.steps),
-            ("sensor_id", log.sensor_ids),
-            ("link", log.links),
-            ("faulty", log.faulty),
-        ):
-            assert decisions[name].tolist() == column[speed].tolist()
+        assert len(log.decisions) > 0
+        for name in ("k", "sensor_id", "link", "faulty"):
+            assert decisions[name].tolist() == log.decisions[name].tolist()
         in_step_order = [
             (m.k, m.sensor_id, m.link, m.faulty)
             for m in sorted(ms, key=lambda m: m.k)
@@ -750,8 +753,9 @@ class TestCompileLog:
     def test_empty_log(self):
         config = micro_config(horizon=4)
         log = compile_log(config, log_of([]))
-        assert log.offsets.tolist() == [[0, 0, 0]] * 5
-        assert log.values.shape == log.speed_index.shape == (0,)
+        assert log.offsets.tolist() == [[0, 0]] * 5
+        assert log.values.shape == log.speed_index.shape == log.speed_plan.links.shape == (0,)
+        assert log.decisions.dtype == DECISION_DTYPE and log.decisions.shape == (0,)
 
 
 class TestRunExperiment:

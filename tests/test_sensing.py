@@ -280,9 +280,8 @@ class TestMeasurementModels:
     def test_speed_rows_read_their_own_links(self):
         # Speed reports on links 2, 0, 2 among loop rows: each speed row's
         # mean is speed_map on that row's link alone, bit for bit, at the
-        # given onramp means (link 0 discharges into link 1's onramp),
-        # although the compiled log evaluates link 2 only once.  Each loop
-        # row takes the detectors' rule, whose floor binds on the particles
+        # given onramp means (link 0 discharges into link 1's onramp).
+        # Each loop row takes the detectors' rule, whose floor binds on the particles
         # below density 0.06, and each speed row the speed rule.
         net = small_network(3, onramps={1}, offramps={2}, beta=0.1)
         particles = np.random.default_rng(4).uniform(0.0, 0.125, (6, 3)).T
@@ -306,6 +305,25 @@ class TestMeasurementModels:
             assert std[row].tobytes() == np.maximum(frac * expected + offset, floor).tobytes()
         assert mean[1].tobytes() == mean[4].tobytes()
         assert np.any(std[[0, 3]] == 0.006) and np.any(std[[0, 3]] > 0.006)
+
+    @pytest.mark.parametrize("link", [0, 1, 2])
+    def test_reports_on_one_link_share_its_speed_map_row(self, link):
+        # Two reports on one link, next to each other and beside a report
+        # on another link: both rows of mean are the link's own speed map
+        # row bit for bit.  Link 0 discharges into link 1's onramp, whose
+        # merge the jammed particles congest; link 1 has the offramp and
+        # link 2 the free end.
+        net = small_network(3, onramps={1}, offramps={1}, beta=0.1)
+        rng = np.random.default_rng(11)
+        particles = rng.uniform(0.0, 0.125, (8, 3)).T
+        particles[:, :3] = 0.125
+        ramp_means = np.array([0.9])
+        other = (link + 1) % 3
+        ms = [speed_report(9.0, link), speed_report(8.0, link), speed_report(7.0, other)]
+        _, mean, _, tested = step_rows(ms, particles, net, ramp_means)
+        assert tested.tolist() == [0, 1, 2]
+        expected = speed_map(particles, net, link_plan(net, [link]), ramp_means, dirty_buffers(8, max_links=1))[0]
+        assert mean[0].tobytes() == mean[1].tobytes() == expected.tobytes()
 
     def test_fault_mixture_favors_zero_reports(self):
         # Correct fault model at y = 0 dwarfs the null for any particle
@@ -418,7 +436,7 @@ class TestRunBuffers:
     def test_every_step_of_a_log_gives_the_same_bits(self, seed, n_particles, spare):
         config = micro_config(horizon=8)
         log = compile_log(config, simulate_seed(config, seed % 1000)[1])
-        max_rows, _, max_links = np.diff(log.offsets, axis=0).max(axis=0).tolist()
+        max_rows, max_links = np.diff(log.offsets, axis=0).max(axis=0).tolist()
         work = dirty_buffers(n_particles, max_rows=max_rows + spare, max_links=max_links + spare)
         rng = np.random.default_rng(seed)
         for k in range(1, config.horizon):
@@ -426,8 +444,8 @@ class TestRunBuffers:
             particles = rng.uniform(0.0, 0.125, size=(config.network.n_links, n_particles))
             particles[rng.random(particles.shape) < 0.2] = 0.0
             ramp_means = config.demand_table[k, 0, 1:]
-            rows, _, pairs = step = log.step(k)
-            exact = StepBuffers(n_particles, max_rows=rows.stop - rows.start, max_links=pairs.stop - pairs.start)
+            rows, speeds = step = log.step(k)
+            exact = StepBuffers(n_particles, max_rows=rows.stop - rows.start, max_links=speeds.stop - speeds.start)
             expected = measurement_rows(log, step, particles, ramp_means, exact)
             got = measurement_rows(log, step, particles, ramp_means, work)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
