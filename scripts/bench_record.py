@@ -31,7 +31,11 @@ the change won and one verdict against the metric's bound: ``better``
 parent's IQR), ``unresolved`` (the parent's IQR exceeds the bound),
 ``worse`` (the median moved the wrong way by more than the bound) or
 ``within bound``.  Last, per workload, each tree's smallest set-up
-(``series.setup_s`` of every run).
+(``series.setup_s`` of every run) and the median of every filter run it
+timed (``series.filter_run_s`` of every run, pooled).  That median is in
+seconds of the benchmark's probe-free clock, which stops while the
+calibration probe runs, not on the reference scale of
+``filter_run_s.p50``.
 
     python scripts/bench_record.py --out BENCH_24.json
     python scripts/bench_record.py --out BENCH_25.json --compare BENCH_24.json
@@ -88,9 +92,12 @@ def bench_document(runs: list[dict], commit: str, dirty: bool, src_sha256: str =
     workloads and metrics in first-seen order."""
     workloads: dict[str, dict] = {}
     for run in runs:
-        entry = workloads.setdefault(run["workload"], {"runs": [], "units": {}, "values": {}, "setups": []})
+        entry = workloads.setdefault(
+            run["workload"], {"runs": [], "units": {}, "values": {}, "setups": [], "filter_runs": []}
+        )
         result, record = run["result"], run["record"]
         entry["setups"] += record["series"]["setup_s"]
+        entry["filter_runs"] += record["series"]["filter_run_s"]
         entry["runs"].append(
             {"seed": run["seed"], "correct": result["correct"], "failed": result["failed"],
              "attempted": result["attempted"]}
@@ -111,6 +118,7 @@ def bench_document(runs: list[dict], commit: str, dirty: bool, src_sha256: str =
             name: {
                 "runs": entry["runs"],
                 "setup_s_min": min(entry["setups"]),
+                "filter_run_s_pooled_median": statistics.median(entry["filter_runs"]),
                 "metrics": {
                     metric: {"unit": entry["units"][metric], **_spread(values)}
                     for metric, values in entry["values"].items()
@@ -179,7 +187,8 @@ def verdict(was: dict, now: dict, better: str, bound: float) -> tuple[str, float
 
 def paired_lines(parent: dict, change: dict, end_to_end: list[dict]) -> list[str]:
     """Per workload, a line for each end-to-end metric of ``BENCHMARK.json``
-    (``end_to_end``) with its verdict, then each tree's smallest set-up."""
+    (``end_to_end``) with its verdict, then each tree's smallest set-up and
+    pooled filter-run median."""
     lines = []
     for workload, entry in change["workloads"].items():
         before = parent["workloads"][workload]
@@ -193,6 +202,11 @@ def paired_lines(parent: dict, change: dict, end_to_end: list[dict]) -> list[str
             )
         lines.append(
             f"{workload:<14} setup_s minimum   {before['setup_s_min']:>11.5g} -> {entry['setup_s_min']:<11.5g} s"
+        )
+        was, now = before["filter_run_s_pooled_median"], entry["filter_run_s_pooled_median"]
+        lines.append(
+            f"{workload:<14} filter_run_s pooled median {was:>11.5g} -> {now:<11.5g} s "
+            f"{(now / was - 1.0) * 100:+6.1f}% (probe-free clock, not ref_s)"
         )
     return lines
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .buffers import StepBuffers
 from .errors import ConfigurationError, ModelConsistencyError
-from .rng import RandomSource
+from .rng import NORMAL_BOUND, RandomSource, relative_draws_fit
 
 DENSITY_TOL = 1e-9
 EMPTY_DENSITY = 1e-6  # below this, speed falls back to freeflow
@@ -455,6 +455,15 @@ class DemandProfile:
         if not (t0 <= t1 <= t2 <= t3):
             raise ConfigurationError(
                 f"demand profile breakpoints must be ordered, got {self.rise} and {self.fall}"
+            )
+        # A mean interpolates between base and peak, and a draw is mean +
+        # noise_frac * mean * z (DemandSchedule.sample).
+        if not relative_draws_fit(max(self.base, self.peak), self.noise_frac):
+            level = "base" if self.base >= self.peak else "peak"
+            raise ConfigurationError(
+                f"{level} {max(self.base, self.peak)!r} with noise_frac {self.noise_frac!r} draws "
+                f"demands past the float range: mean + noise_frac * mean * z must be finite "
+                f"for |z| up to {NORMAL_BOUND:g}"
             )
 
     def mean(self, t: float) -> float:

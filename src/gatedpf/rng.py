@@ -1,9 +1,26 @@
 """Seeded, stream-addressable random sources for reproducible experiments."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _UINT64_MASK = 0xFFFFFFFFFFFFFFFF
+
+# No standard normal draw of a RandomSource is this large.  numpy's
+# ziggurat returns |z| below its base-strip edge r = 3.6541528853610088,
+# or r + x from the tail, where x = -log(u1) / r is accepted only if
+# -2 log(u2) > x**2; a 53-bit uniform stays at least 2**-53 below 1, so
+# -log(u) <= 53 log 2 and x < sqrt(106 log 2) = 8.572.  So |z| < 12.23.
+NORMAL_BOUND = 13.0
+
+
+def relative_draws_fit(mean: float, noise_frac: float) -> bool:
+    """Whether every draw ``v + noise_frac * v * z`` of a value ``v`` in
+    ``[0, mean]``, with a standard normal ``z``, is finite.  Rounding is
+    monotone, so the draws are bounded by ``mean + noise_frac * mean *
+    NORMAL_BOUND``, evaluated in that order, and below by its negation."""
+    return math.isfinite(mean + noise_frac * mean * NORMAL_BOUND)
 
 
 class RandomSource:

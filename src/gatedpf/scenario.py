@@ -35,6 +35,7 @@ from .errors import ConfigurationError
 from .fileio import atomic_write_text
 from .gates import MODES
 from .harness import ExperimentConfig, FilterVariant
+from .rng import NORMAL_BOUND, relative_draws_fit
 from .sensing import FaultConfig, GnssSpec, LoopDetectors
 
 DEFAULT_SCENARIO_FILE = "default_scenario.yaml"
@@ -202,6 +203,17 @@ def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
         {"penetration": float, "noise_frac": float, "min_std": float},
     )
     gnss_spec = _build(GnssSpec, "sensors.gnss", **gnss)
+    # A reading is v + noise_frac * v * z of a true value v: a density up to
+    # the largest jam density, a speed up to the largest freeflow speed.
+    for path, spec, name in (("sensors.loops", loops, "rho_jam"), ("sensors.gnss", gnss_spec, "vf")):
+        largest = max(getattr(link, name) for link in network.links)
+        if not relative_draws_fit(largest, spec.noise_frac):
+            _fail(
+                path,
+                f"noise_frac {spec.noise_frac!r} at the largest link {name} {largest!r} draws "
+                f"readings past the float range: v + noise_frac * v * z must be finite "
+                f"for |z| up to {NORMAL_BOUND:g}",
+            )
     faults = _fields(
         sensors["faults"], "sensors.faults", {},
         {"probability": float, "zero_weight": float, "speed_mean": float, "speed_std": float},

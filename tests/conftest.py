@@ -125,6 +125,19 @@ def check_plan_columns(plan, network: FreewayNetwork, links) -> None:
             )
 
 
+def largest_float(holds, low: float, high: float) -> float:
+    """The largest nonnegative float in ``[low, high)`` at which ``holds``
+    is true, for a ``holds`` true at ``low``, false at ``high`` and
+    switching once between them: a bisection over the floats' bit
+    patterns, which order nonnegative floats as integers."""
+    a, b = np.array([low, high]).view(np.int64).tolist()
+    assert holds(low) and not holds(high)
+    while b - a > 1:
+        mid = (a + b) // 2
+        a, b = (mid, b) if holds(float(np.array(mid).view(np.float64))) else (a, mid)
+    return float(np.array(a).view(np.float64))
+
+
 def flat_schedule(level: float, n_onramps: int = 0, noise: float = 0.0) -> DemandSchedule:
     profile = DemandProfile(base=level, peak=level, rise=(0.0, 0.0), fall=(1e9, 1e9), noise_frac=noise)
     ramp = DemandProfile(base=0.0, peak=0.0, rise=(0.0, 0.0), fall=(1e9, 1e9), noise_frac=0.0)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import copy
 import importlib.util
 import json
+import statistics
 import textwrap
 from pathlib import Path
 
@@ -28,13 +29,15 @@ def _load_script():
 bench_record = _load_script()
 
 
-def recorded_run(seed, steps_per_s, faults, failed=0, setups=None):
+def recorded_run(seed, steps_per_s, faults, failed=0, setups=None, filter_runs=None):
     """The recorded run with its seed, ``steps_per_s`` value, fault count,
-    failure count and (if given) set-up series replaced."""
+    failure count and (if given) set-up and filter-run series replaced."""
     result, record = copy.deepcopy(RECORDED["last_line"]), copy.deepcopy(RECORDED["result_trace0"])
     record["metrics"]["steps_per_s"]["value"] = steps_per_s
     if setups is not None:
         record["series"]["setup_s"] = setups
+    if filter_runs is not None:
+        record["series"]["filter_run_s"] = filter_runs
     result["failed"], result["correct"] = failed, failed == 0
     return {"workload": "study", "seed": seed, "result": result, "record": record, "faults": faults}
 
@@ -61,6 +64,17 @@ def test_document_holds_each_metric_s_spread_and_each_run():
     assert study["metrics"]["setup_s"] == {
         "unit": "s", "median": setup, "iqr": 0.0, "n": 3, "values": [setup] * 3,
     }
+
+
+def test_document_holds_the_median_of_every_filter_run_pooled():
+    # The recorded run's 16 filter runs, and two runs of 3 and 2 whose
+    # pooled median (0.3) is the median of neither run's own (0.2, 0.45).
+    recorded = RECORDED["result_trace0"]["series"]["filter_run_s"]
+    doc = bench_record.bench_document([recorded_run(1, 2400.0, 0)], "c", False)
+    assert doc["workloads"]["study"]["filter_run_s_pooled_median"] == statistics.median(recorded)
+    runs = [recorded_run(1, 2400.0, 0, filter_runs=[0.1, 0.2, 0.3]), recorded_run(2, 2400.0, 0, filter_runs=[0.4, 0.5])]
+    doc = bench_record.bench_document(runs, "c", False)
+    assert doc["workloads"]["study"]["filter_run_s_pooled_median"] == 0.3
 
 
 def test_one_run_has_no_spread():
@@ -118,14 +132,20 @@ def test_spread_is_the_inclusive_quartile_range(values, median, iqr):
 END_TO_END = json.loads((HERE.parent / "BENCHMARK.json").read_text())["end_to_end"]
 
 
-def paired(parent_steps, change_steps, parent_setups=None, change_setups=None):
+def paired(parent_steps, change_steps, parent_setups=None, change_setups=None, parent_runs=None, change_runs=None):
     """The printed lines of two series of recorded runs, one per
-    ``steps_per_s`` value, the set-up series of each tree given or recorded."""
-    def document(values, setups):
-        runs = [recorded_run(i + 1, v, 0, setups=setups and setups[i]) for i, v in enumerate(values)]
+    ``steps_per_s`` value, the set-up and filter-run series of each tree
+    given or recorded."""
+    def document(values, setups, filter_runs):
+        runs = [
+            recorded_run(i + 1, v, 0, setups=setups and setups[i], filter_runs=filter_runs and filter_runs[i])
+            for i, v in enumerate(values)
+        ]
         return bench_record.bench_document(runs, "c", False)
     return bench_record.paired_lines(
-        document(parent_steps, parent_setups), document(change_steps, change_setups), END_TO_END
+        document(parent_steps, parent_setups, parent_runs),
+        document(change_steps, change_setups, change_runs),
+        END_TO_END,
     )
 
 
@@ -162,11 +182,18 @@ def test_a_parent_spread_past_the_bound_is_unresolved():
     assert "(parent IQR 100.0%)" in line and line.endswith("unresolved (bound 24%)")
 
 
-def test_unchanged_metrics_are_within_bound_and_each_tree_s_smallest_setup_is_printed():
-    lines = paired(PARENT[:2], PARENT[:2], [[0.3, 0.2], [0.25, 0.4]], [[0.5, 0.6], [0.15, 0.7]])
-    assert [line.split()[1] for line in lines] == [m["name"] for m in END_TO_END] + ["setup_s"]
+def test_unchanged_metrics_are_within_bound_and_each_tree_s_setup_and_filter_runs_are_printed():
+    lines = paired(
+        PARENT[:2], PARENT[:2], [[0.3, 0.2], [0.25, 0.4]], [[0.5, 0.6], [0.15, 0.7]],
+        [[0.1, 0.2, 0.3], [0.4, 0.5]], [[0.2, 0.3], [0.4]],
+    )
+    assert [line.split()[1] for line in lines] == [m["name"] for m in END_TO_END] + ["setup_s", "filter_run_s"]
     assert all(line.endswith(f"within bound (bound {m['bound'] * 100:g}%)") for line, m in zip(lines, END_TO_END))
-    assert lines[-1].split() == ["study", "setup_s", "minimum", "0.2", "->", "0.15", "s"]
+    assert lines[-2].split() == ["study", "setup_s", "minimum", "0.2", "->", "0.15", "s"]
+    assert lines[-1].split() == [
+        "study", "filter_run_s", "pooled", "median", "0.3", "->", "0.3", "s", "+0.0%",
+        "(probe-free", "clock,", "not", "ref_s)",
+    ]
 
 
 def test_pairs_alternate_between_the_checkouts(tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -689,6 +690,38 @@ class TestExitCodes:
             "a link's vehicle count must be below 2**63\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, name, field, message",
+        [
+            ("sensors", "gnss", "noise_frac",
+             "sensors.gnss: noise_frac 1.7976931348623157e+308 at the largest link vf 20.0 draws "
+             "readings past the float range: v + noise_frac * v * z must be finite for |z| up to 13"),
+            ("demand", "upstream", "base",
+             "demand.upstream: base 1.7976931348623157e+308 with noise_frac 0.2 draws demands past "
+             "the float range: mean + noise_frac * mean * z must be finite for |z| up to 13"),
+            ("demand", "upstream", "noise_frac",
+             "demand.upstream: peak 2.5 with noise_frac 1.7976931348623157e+308 draws demands past "
+             "the float range: mean + noise_frac * mean * z must be finite for |z| up to 13"),
+        ],
+    )
+    def test_a_draw_past_the_float_range_exits_2(self, tmp_path, capsys, section, name, field, message):
+        # At the largest float, these draws would overflow: the probe
+        # speeds, and the upstream demands through their mean and their
+        # noise.  Each is refused with one error line naming its field,
+        # before anything is written, with warnings as errors.
+        doc = tiny_scenario_dict()
+        doc[section][name][field] = sys.float_info.max
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        for command in (("simulate",), ("sweep", "--no-artifacts")):
+            out = tmp_path / command[0]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run_cli(*command, "--scenario", path, "--out", out, "--quiet")
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
 
     def test_repeated_scenario_seed_exits_2(self, tmp_path, capsys):
         doc = tiny_scenario_dict()

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -28,12 +29,13 @@ from gatedpf.ctm import (
     speed_map,
 )
 from gatedpf.errors import ConfigurationError, ModelConsistencyError
-from gatedpf.rng import RandomSource
+from gatedpf.rng import NORMAL_BOUND, RandomSource
 from gatedpf.scenario import default_scenario_dict, scenario_from_dict
 from gatedpf.sensing import vehicle_counts
 
 from conftest import (
-    check_plan_columns, dirty_advance, dirty_buffers, dirty_speed_map, flat_schedule, shares_buffers, small_network,
+    check_plan_columns, dirty_advance, dirty_buffers, dirty_speed_map, flat_schedule, largest_float,
+    shares_buffers, small_network,
 )
 
 
@@ -1030,6 +1032,33 @@ class TestDemandProfile:
     def test_breakpoint_order_validated(self):
         with pytest.raises(ConfigurationError):
             DemandProfile(base=1.0, peak=2.0, rise=(200.0, 100.0), fall=(300.0, 400.0))
+
+    @pytest.mark.parametrize("field", ["base", "peak", "noise_frac"])
+    def test_a_draw_past_the_float_range_is_refused(self, field):
+        # A draw is mean + noise_frac * mean * z with the mean up to the
+        # larger of base and peak: the largest accepted value keeps that
+        # expression finite at |z| = NORMAL_BOUND, and the next float is
+        # refused.  Its demands draw without a warning, also at the bound.
+        values = {"base": 1.0, "peak": 2.5, "noise_frac": 0.2}
+
+        def draw_bound(value):
+            level = {**values, field: value}
+            mean = max(level["base"], level["peak"])
+            return math.isfinite(mean + level["noise_frac"] * mean * NORMAL_BOUND)
+
+        largest = largest_float(draw_bound, values[field], float(np.finfo(float).max))
+        profile = DemandProfile(rise=(0.0, 0.0), fall=(1e9, 1e9), **{**values, field: largest})
+        refused = float(np.nextafter(largest, np.inf))
+        level = "base" if field == "base" else "peak"
+        with pytest.raises(ConfigurationError, match=rf"^{level} .* draws demands past the float range"):
+            DemandProfile(rise=(0.0, 0.0), fall=(1e9, 1e9), **{**values, field: refused})
+        schedule = DemandSchedule(dt=10.0, upstream=profile, onramps=(profile,))
+        table = schedule.table((0,))
+        with np.errstate(all="raise"):
+            upstream, ramps = schedule.sample(0, RandomSource(1), 1000, table)
+            mean, scale = table[0, :, 0]
+            assert np.isfinite(mean + scale * np.array([-NORMAL_BOUND, NORMAL_BOUND])).all()
+        assert np.isfinite(upstream).all() and np.isfinite(ramps).all()
 
     def test_sampling_clipped_at_zero(self):
         p = DemandProfile(base=0.01, peak=0.01, rise=(0.0, 0.0), fall=(1e9, 1e9), noise_frac=50.0)

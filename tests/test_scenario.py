@@ -3,10 +3,12 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import assume, given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from gatedpf.ctm import DemandProfile, FreewayNetwork, LinkParams
 from gatedpf.errors import ConfigurationError
 from gatedpf.harness import ExperimentConfig, FilterVariant, run_experiment
+from gatedpf.rng import NORMAL_BOUND
 from gatedpf.sensing import FaultConfig, GnssSpec, LoopDetectors
 from gatedpf.scenario import (
     config_hash,
@@ -23,6 +26,8 @@ from gatedpf.scenario import (
     load_scenario,
     scenario_from_dict,
 )
+
+from conftest import largest_float
 
 
 def tiny_scenario_dict():
@@ -103,6 +108,29 @@ class TestValidation:
         doc = tiny_scenario_dict()
         doc["sensors"]["loops"]["links"] = [0, 9]
         with pytest.raises(ConfigurationError, match=r"sensors\.loops"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("sensor, field", [("gnss", "vf"), ("loops", "rho_jam")])
+    def test_a_reading_past_the_float_range_is_refused(self, sensor, field):
+        # A reading is v + noise_frac * v * z of a true speed up to the
+        # largest freeflow speed, or of a density up to the largest jam
+        # density: the largest accepted noise_frac keeps that expression
+        # finite at |z| = NORMAL_BOUND, and the next float is refused.
+        doc = tiny_scenario_dict()
+        doc["network"]["links"][1][field] *= 1.5  # the largest of the links
+        largest_true = doc["network"]["links"][1][field]
+        largest = largest_float(
+            lambda frac: math.isfinite(largest_true + frac * largest_true * NORMAL_BOUND),
+            0.0, float(np.finfo(float).max),
+        )
+        doc["sensors"][sensor]["noise_frac"] = largest
+        scenario_from_dict(doc)
+        doc["sensors"][sensor]["noise_frac"] = float(np.nextafter(largest, np.inf))
+        message = (
+            rf"^sensors\.{sensor}: noise_frac \S+ at the largest link {field} {largest_true!r} "
+            r"draws readings past the float range"
+        )
+        with pytest.raises(ConfigurationError, match=message):
             scenario_from_dict(doc)
 
     def test_duplicate_loop_link_rejected(self):
