@@ -28,8 +28,9 @@ class StepBuffers:
 
     ``n_states`` is L, the state rows of a block; ``max_rows`` the most
     measurement rows of a step, and ``max_links`` the most positions of a
-    link plan (a step's speed reports) one speed map evaluates.  Every buffer is overwritten by the call
-    that uses it; none carries a value from one call to the next.
+    link plan (a step's speed reports) one speed map evaluates.  Every
+    buffer is overwritten by the call that uses it; none carries a value
+    from one call to the next.
     """
 
     def __init__(self, n_particles: int, n_states: int = 0, max_rows: int = 0, max_links: int = 0):

@@ -282,12 +282,12 @@ class CompiledLog:
     Row columns (N,): ``sensor_ids`` (object), ``links``, ``values`` and
     ``std_rules`` (2, N), each row's null-model std rule ``(frac,
     floor)``.  Speed columns (S,), one entry per speed report:
-    ``speed_index``, its index among the rows; ``speed_plan``, the
-    :class:`~gatedpf.ctm.LinkPlan` of its link, built once for the whole
-    log from ``network``'s constants; ``decisions``, its read-only gate
-    decision record with the report's step, sensor id, link and
-    ground-truth label filled in; and ``fault_log_g1``, each
-    likelihood-ratio mode's fault log density.
+    ``speed_index``, its index among the rows; ``speed_plan``, one
+    :class:`~gatedpf.ctm.LinkPlan` built from ``network``'s constants,
+    whose position j is report j's link; ``decisions``, read-only, its
+    gate decision record with its step, sensor id, link and ground-truth
+    label filled in; and ``fault_log_g1``, each likelihood-ratio mode's
+    fault log density.
     """
 
     horizon: int
