@@ -380,6 +380,7 @@ def compile_log(config: ExperimentConfig, log: MeasurementLog) -> CompiledLog:
     speed = np.flatnonzero(is_speed)
     bounds = np.arange(config.horizon + 1)
     offsets = np.stack([np.searchsorted(steps, bounds), np.searchsorted(steps[speed], bounds)], axis=1)
+    # np.zeros, not np.empty, which fills the object fields one at a time.
     decisions = np.zeros(len(speed), DECISION_DTYPE)
     decisions["k"], decisions["sensor_id"], decisions["link"], decisions["faulty"] = (
         steps[speed], sensor_ids[speed], links[speed], log.faulty[order[speed]]
