@@ -52,7 +52,6 @@ from .sensing import (
     measurement_rows,
     sample_gnss_speeds,
     sample_loop_detectors,
-    standardize,
 )
 from .harness import (
     ExperimentConfig,

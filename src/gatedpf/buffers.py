@@ -12,10 +12,13 @@ temporaries into it in place, with ufunc ``out=`` and ``np.take(...,
 out=)``.
 
 A result of a function that takes a ``work`` argument (``ctm.advance``,
-``ctm.speed_map``, ``sensing.measurement_rows``, ``sensing.standardize``,
+``ctm.speed_map``, ``sensing.measurement_rows``,
 ``particles.weight_update`` and ``particles.posterior_mean``) is either a
 fresh array or a view of the buffers, valid until the next call that is
-given the same buffers; ensembles never hold a view of them.  The buffers
+given the same buffers; ensembles never hold a view of them.  A step makes
+one sensing call, ``measurement_rows``, which builds its rows' moments in
+two buffers and overwrites them with what both gates read: the residuals
+over the means and log(std) over the stds, beside the log densities.  The buffers
 belong to one caller: two runs processed concurrently each have their own.
 """
 from __future__ import annotations
@@ -45,14 +48,12 @@ class StepBuffers:
         self.discharge = np.empty((k, p))
         self.link_supply = np.empty((k, p))
         self.occupied = np.empty((k, p), dtype=bool)
-        # sensing.measurement_rows and standardize on up to M rows: the null
-        # model's mean and std, the residuals z, the log densities and
-        # log(std).
+        # sensing.measurement_rows on up to M rows: the null model's mean
+        # (which becomes the residuals z) and std (which becomes log(std)),
+        # and the log densities.
         self.mean = np.empty((m, p))
         self.std = np.empty((m, p))
-        self.z = np.empty((m, p))
         self.log_density = np.empty((m, p))
-        self.scratch = np.empty((m, p))
         # particles.weight_update's [log w; rows] and posterior_mean's
         # products, one particle per row.
         self.stack = np.empty((m + 1, p))

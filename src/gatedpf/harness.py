@@ -88,7 +88,6 @@ from .sensing import (
     measurement_rows,
     sample_gnss_speeds,
     sample_loop_detectors,
-    standardize,
     vehicle_counts,
 )
 
@@ -444,9 +443,8 @@ def filter_step(
     gate = None
     rows, speeds = step
     if rows.start < rows.stop:
-        values, mean, std, tested = measurement_rows(log, step, prior.particles, demand[k, 0, 1:], work)
-        z, log_g0 = standardize(values, mean, std, work)
-        accepted = np.ones(len(values), dtype=bool)
+        z, log_g0, tested = measurement_rows(log, step, prior.particles, demand[k, 0, 1:], work)
+        accepted = np.ones(len(z), dtype=bool)
         # Speed reports are gated; first-party loop detectors never are.
         if variant.kind is not None and tested.size:
             log_g1 = log.fault_log_g1.get(variant.mode)  # None without a fault model

@@ -3,8 +3,8 @@
 Generates loop-detector density measurements and per-vehicle speed reports
 from a simulated ground truth, injects labeled faults into the speed
 reports, and evaluates the measurement models the statistical gates test:
-for the M measurements of one step, the null model's moments, residuals and
-log densities as (M, P) arrays over the particles, read straight off the
+for the M measurements of one step, the null model's residuals and log
+densities as (M, P) arrays over the particles, read straight off the
 ensemble's (L, P) density block (link-major, particle axis last), and the
 fault models' log densities, which do not depend on the state, as (M,)
 arrays.
@@ -318,19 +318,23 @@ def measurement_rows(
     particles: np.ndarray,
     ramp_means: np.ndarray,
     work: StepBuffers,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Null-model moments of a step's measurements against an (L, P) block;
-    ``step`` is the step's slices, ``log.step(k)``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Standardized residuals and null log densities of a step's
+    measurements against an (L, P) block; ``step`` is the step's slices,
+    ``log.step(k)``.
 
-    Returns ``values`` (M,), ``mean`` (M, P), ``std`` (M, P) and ``tested``,
-    the positions of the speed rows among the step's rows; ``mean`` and
-    ``std`` are views of ``work.mean`` and ``work.std``.  A loop row's mean
-    is each particle's density on its link; a speed row's mean is each
-    particle's predicted speed on its link, one row of
+    Returns ``z`` (M, P), the residuals ``(value - mean) / std``; ``log_g0``
+    (M, P), the null Gaussian log density ``-z^2 / 2 - log(std) -
+    log(sqrt(2 pi))`` computed from the same ``z``; and ``tested``, the
+    positions of the speed rows among the step's rows.  ``z`` and
+    ``log_g0`` are views of ``work.mean`` and ``work.log_density``.  A loop
+    row's mean is each particle's density on its link; a speed row's mean
+    is each particle's predicted speed on its link, one row of
     :func:`~gatedpf.ctm.speed_map` on ``log.network`` at the onramp demands
     ``ramp_means``, evaluated on the step's slice of ``log.speed_plan``.  A
-    row's std is its rule's ``max(frac * mean, floor)``.  A block whose
-    link count is not the log's raises :class:`ConfigurationError`.
+    row's std is its rule's ``max(frac * mean, floor)``, and a std that is
+    not positive raises :class:`ModelConsistencyError`.  A block whose link
+    count is not the log's raises :class:`ConfigurationError`.
     """
     if particles.shape[0] != log.n_links:
         raise ConfigurationError(
@@ -349,22 +353,11 @@ def measurement_rows(
     frac, floor = log.std_rules[:, rows, None]
     std = np.multiply(frac, mean, out=work.std[:n_rows])
     np.maximum(std, floor, out=std)
-    return log.values[rows], mean, std, tested
-
-
-def standardize(
-    values: np.ndarray, mean: np.ndarray, std: np.ndarray, work: StepBuffers
-) -> tuple[np.ndarray, np.ndarray]:
-    """Standardized residuals ``z = (value - mean) / std`` of each row and the
-    null Gaussian log density ``-z^2 / 2 - log(std) - log(sqrt(2 pi))``
-    computed from the same ``z``: views of ``work.z`` and
-    ``work.log_density``."""
     if not np.all(std > 0.0):
         raise ModelConsistencyError("null-model std must be positive")
-    n_rows = len(mean)
-    z = _residual(np.asarray(values, dtype=float)[:, None], mean, std, out=work.z[:n_rows])
-    log_pdf = _log_pdf_of_z(z, std, out=work.log_density[:n_rows], log_std=work.scratch[:n_rows])
-    return z, log_pdf
+    # z over the means, then log(std) over the stds.
+    z = _residual(log.values[rows, None], mean, std, out=mean)
+    return z, _log_pdf_of_z(z, std, out=work.log_density[:n_rows], log_std=std), tested
 
 
 def fault_log_density(

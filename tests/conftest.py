@@ -9,7 +9,7 @@ from gatedpf import scenario
 from gatedpf.buffers import StepBuffers
 from gatedpf.ctm import DemandProfile, DemandSchedule, FreewayNetwork, LinkParams, advance, speed_map
 from gatedpf.particles import ParticleEnsemble, posterior_mean, weight_update
-from gatedpf.sensing import standardize
+from gatedpf.sensing import _log_pdf_of_z, _residual
 
 
 def log_rows(*rows) -> np.ndarray:
@@ -24,7 +24,7 @@ def gaussian_rows(values, states, std: float = 1.0) -> tuple[np.ndarray, np.ndar
     a Gaussian of fixed ``std`` around each particle's scalar state."""
     states = np.asarray(states, dtype=float)
     shape = (len(values), len(states))
-    return dirty_standardize(values, np.broadcast_to(states, shape), np.full(shape, std))
+    return null_rows(values, np.broadcast_to(states, shape), np.full(shape, std))
 
 
 def dirty_buffers(n_particles, n_states=0, max_rows=0, max_links=0) -> StepBuffers:
@@ -49,9 +49,19 @@ def dirty_speed_map(states, network, plan, onramp_demand=None) -> np.ndarray:
     return speed_map(states, network, plan, onramp_demand, work)
 
 
-def dirty_standardize(values, mean, std) -> tuple[np.ndarray, np.ndarray]:
+def null_rows(values, mean, std) -> tuple[np.ndarray, np.ndarray]:
+    """Standardized residuals and null log densities of ``values`` under
+    Gaussians of (K, P) ``mean`` and ``std``, as ``measurement_rows``
+    computes them: the moments copied into dirty buffers, z written over
+    the means, log(std) over the stds and the log densities into the third
+    buffer."""
     n_rows, n_particles = np.shape(mean)
-    return standardize(values, mean, std, dirty_buffers(n_particles, max_rows=n_rows))
+    work = dirty_buffers(n_particles, max_rows=n_rows)
+    z, log_std = work.mean, work.std
+    np.copyto(z, mean)
+    np.copyto(log_std, std)
+    z = _residual(np.asarray(values, dtype=float)[:, None], z, log_std, out=z)
+    return z, _log_pdf_of_z(z, log_std, out=work.log_density, log_std=log_std)
 
 
 def dirty_weight_update(ensemble, rows) -> tuple[ParticleEnsemble, float]:

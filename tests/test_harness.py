@@ -68,7 +68,6 @@ from gatedpf.sensing import (
     fault_log_density,
     measurement_rows,
     read_measurement_log,
-    standardize,
     write_measurement_log,
 )
 
@@ -78,8 +77,8 @@ from conftest import (
     dirty_buffers,
     dirty_posterior_mean,
     dirty_speed_map,
-    dirty_standardize,
     dirty_weight_update,
+    null_rows,
     shares_buffers,
     small_network,
 )
@@ -296,7 +295,7 @@ class TestFilterLoop:
                     mean_rows.append(row)
                     std_rows.append(np.maximum(frac * row, floor))
                 values = np.array([m.value for m in ms])
-                z, log_g0 = dirty_standardize(values, np.array(mean_rows), np.array(std_rows))
+                z, log_g0 = null_rows(values, np.array(mean_rows), np.array(std_rows))
                 rejected = np.zeros(len(ms), dtype=bool)
                 tested = np.flatnonzero([m.kind == GNSS_SPEED for m in ms])
                 if variant.mode != "none" and tested.size:
@@ -543,10 +542,9 @@ class TestGatedStep:
                 own = dirty_buffers(
                     config.particles, max_rows=rows.stop - rows.start, max_links=speeds.stop - speeds.start
                 )
-                values, mean, std, step.tested = measurement_rows(
+                _, step.log_g0, step.tested = measurement_rows(
                     log, log.step(k), prior.particles, config.demand_table[k, 0, 1:], own
                 )
-                step.log_g0 = standardize(values, mean, std, own)[1]
                 step.rejected = np.zeros(len(step.log_g0), dtype=bool)
                 if gate is not None:
                     step.rejected[step.tested] = gate[2]

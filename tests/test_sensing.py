@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from gatedpf.buffers import StepBuffers
 from gatedpf.ctm import FreewayNetwork, LinkParams, Trajectory, link_plan, speed_map
-from gatedpf.errors import ConfigurationError, ContractViolation, DataError
+from gatedpf.errors import ConfigurationError, ContractViolation, DataError, ModelConsistencyError
 from gatedpf.harness import (
     FilterVariant,
     compile_log,
@@ -27,6 +27,8 @@ from gatedpf.sensing import (
     GnssSpec,
     LoopDetectors,
     MeasurementLog,
+    _log_pdf_of_z,
+    _residual,
     fault_log_density,
     gaussian_log_pdf,
     inject_faults,
@@ -34,12 +36,11 @@ from gatedpf.sensing import (
     read_measurement_log,
     sample_gnss_speeds,
     sample_loop_detectors,
-    standardize,
     vehicle_counts,
     write_measurement_log,
 )
 
-from conftest import dirty_buffers, small_network, dirty_standardize
+from conftest import dirty_buffers, small_network
 from reference_log import Record, generate_records, log_of, log_text, records_of
 from test_harness import micro_config
 
@@ -232,34 +233,64 @@ def speed_report(value, link=0):
 
 def step_rows(ms, particles, network, ramp_means=(), loops=LoopDetectors(links=()), gnss_spec=GnssSpec()):
     """Rows of step 1 of the records ``ms``, compiled for a two-step config
-    on ``network`` with the given sensors, on dirty buffers."""
+    on ``network`` with the given sensors, on dirty buffers: ``(z, log_g0,
+    tested)``."""
     config = replace(micro_config(horizon=2), network=network, loops=loops, gnss_spec=gnss_spec)
     log = compile_log(config, log_of(ms))
     work = dirty_buffers(particles.shape[1], max_rows=len(ms), max_links=len(ms))
     return measurement_rows(log, log.step(1), particles, np.asarray(ramp_means, float), work)
 
 
+def null_expressions(values, mean, std) -> tuple[np.ndarray, np.ndarray]:
+    """The residuals and null log densities of ``values`` under Gaussians
+    of (M, P) ``mean`` and ``std``, by their expressions."""
+    with np.errstate(over="ignore"):
+        z = (np.asarray(values, dtype=float)[:, None] - mean) / std
+        return z, -0.5 * z * z - np.log(std) - 0.5 * math.log(2.0 * math.pi)
+
+
+def assert_null_rows(rows, values, mean, std) -> None:
+    """``rows``' residuals and log densities are those of the expressions
+    at ``mean`` and ``std``, bit for bit."""
+    z, log_g0 = null_expressions(values, np.asarray(mean, dtype=float), np.asarray(std, dtype=float))
+    assert rows[0].tobytes() == z.tobytes() and rows[1].tobytes() == log_g0.tobytes()
+
+
 class TestMeasurementModels:
     def test_loop_model_moments(self):
+        # The mean is each particle's density on the link, the std the
+        # relative noise, here floored on particle 2.
         loops = LoopDetectors(links=(1,), noise_frac=0.1, min_std=0.002)
         states = np.array([[0.0, 0.0], [0.05, 0.001]])
         loop = Record(k=1, sensor_id="loop-1", kind="loop_density", link=1, value=0.04, faulty=False)
-        values, mean, std, tested = step_rows([loop], states, small_network(2), loops=loops)
-        np.testing.assert_allclose(mean, [[0.05, 0.001]])
-        np.testing.assert_allclose(std, [[0.005, 0.002]])  # floor binds on particle 2
-        assert values.tolist() == [0.04] and tested.size == 0
+        rows = step_rows([loop], states, small_network(2), loops=loops)
+        assert_null_rows(rows, [0.04], [[0.05, 0.001]], [[0.1 * 0.05, 0.002]])
+        np.testing.assert_allclose(rows[0], [[-2.0, 19.5]])
+        assert rows[2].size == 0
 
     def test_loop_model_noise_floor(self):
         # The std is the relative noise where it exceeds the floor, and the
         # floor at an empty link or under a small enough noise fraction.
         loops = LoopDetectors(links=(0,), noise_frac=0.08, min_std=0.002)
         loop = Record(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.04, faulty=False)
-        _, mean, std, _ = step_rows([loop], np.array([[0.05, 0.0]]), small_network(1), loops=loops)
-        np.testing.assert_array_equal(mean, [[0.05, 0.0]])
-        np.testing.assert_array_equal(std, [[0.08 * 0.05, 0.002]])
+        rows = step_rows([loop], np.array([[0.05, 0.0]]), small_network(1), loops=loops)
+        assert_null_rows(rows, [0.04], [[0.05, 0.0]], [[0.08 * 0.05, 0.002]])
         floored = LoopDetectors(links=(0,), noise_frac=0.02, min_std=0.002)
-        _, _, std, _ = step_rows([loop], np.array([[0.05]]), small_network(1), loops=floored)
-        np.testing.assert_array_equal(std, [[0.002]])
+        rows = step_rows([loop], np.array([[0.05]]), small_network(1), loops=floored)
+        assert_null_rows(rows, [0.04], [[0.05]], [[0.002]])
+
+    @pytest.mark.parametrize("density, floor", [(np.nan, 0.002), (0.0, 0.0)])
+    def test_a_std_that_is_not_positive_is_refused(self, density, floor):
+        # A NaN density gives a NaN std, and an empty link under a zero
+        # floor (which the detectors themselves refuse) a zero one: no
+        # Gaussian takes either.
+        loop = Record(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.04, faulty=False)
+        config = replace(micro_config(horizon=2), network=small_network(1), loops=LoopDetectors(links=(0,)))
+        log = replace(compile_log(config, log_of([loop])), std_rules=np.array([[0.1], [floor]]))
+        with pytest.raises(ModelConsistencyError, match="std must be positive"):
+            measurement_rows(
+                log, log.step(1), np.array([[0.05, density]]), np.zeros(0), dirty_buffers(2, max_rows=1)
+            )
 
     def test_block_with_fewer_links_than_the_log_is_refused(self):
         # A loop row on link 2 of a log compiled for three links must not
@@ -282,7 +313,8 @@ class TestMeasurementModels:
         # mean is speed_map on that row's link alone, bit for bit, at the
         # given onramp means (link 0 discharges into link 1's onramp).
         # Each loop row takes the detectors' rule, whose floor binds on the particles
-        # below density 0.06, and each speed row the speed rule.
+        # below density 0.06, and each speed row the speed rule.  Each row's
+        # residuals and log densities are the expressions' at those moments.
         net = small_network(3, onramps={1}, offramps={2}, beta=0.1)
         particles = np.random.default_rng(4).uniform(0.0, 0.125, (6, 3)).T
         ramp_means = np.array([0.7])
@@ -290,50 +322,51 @@ class TestMeasurementModels:
         gnss = GnssSpec(noise_frac=0.3, min_std=0.25)
         loop = Record(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=0.05, faulty=False)
         ms = [loop, speed_report(9.0, link=2), speed_report(7.0, link=0), replace(loop, link=2), speed_report(8.0, link=2)]
-        values, mean, std, tested = step_rows(ms, particles, net, ramp_means, loops, gnss)
-        assert tested.tolist() == [1, 2, 4]
-        assert values.tolist() == [0.05, 9.0, 7.0, 0.05, 8.0]
+        rows = step_rows(ms, particles, net, ramp_means, loops, gnss)
+        assert rows[2].tolist() == [1, 2, 4]
+        mean = []
         for row, m in enumerate(ms):
-            if row in tested:
+            if row in rows[2]:
                 plan = link_plan(net, [m.link])
-                expected = speed_map(particles, net, plan, ramp_means, dirty_buffers(6, max_links=1))[0]
-                frac, offset, floor = 0.3, 0.0, 0.25
+                mean.append(speed_map(particles, net, plan, ramp_means, dirty_buffers(6, max_links=1))[0])
             else:
-                expected = particles[m.link]
-                frac, offset, floor = 0.1, 0.0, 0.006
-            assert mean[row].tobytes() == expected.tobytes()
-            assert std[row].tobytes() == np.maximum(frac * expected + offset, floor).tobytes()
-        assert mean[1].tobytes() == mean[4].tobytes()
+                mean.append(particles[m.link])
+        rules = np.array([[0.1, 0.006], [0.3, 0.25], [0.3, 0.25], [0.1, 0.006], [0.3, 0.25]])
+        std = np.maximum(rules[:, :1] * mean, rules[:, 1:])
+        assert_null_rows(rows, [m.value for m in ms], mean, std)
         assert np.any(std[[0, 3]] == 0.006) and np.any(std[[0, 3]] > 0.006)
 
     @pytest.mark.parametrize("link", [0, 1, 2])
     def test_reports_on_one_link_share_its_speed_map_row(self, link):
         # Two reports on one link, next to each other and beside a report
-        # on another link: both rows of mean are the link's own speed map
-        # row bit for bit.  Link 0 discharges into link 1's onramp, whose
-        # merge the jammed particles congest; link 1 has the offramp and
-        # link 2 the free end.
+        # on another link: both rows' moments are the link's own speed map
+        # row bit for bit, so equal readings give equal rows.  Link 0
+        # discharges into link 1's onramp, whose merge the jammed particles
+        # congest; link 1 has the offramp and link 2 the free end.
         net = small_network(3, onramps={1}, offramps={1}, beta=0.1)
         rng = np.random.default_rng(11)
         particles = rng.uniform(0.0, 0.125, (8, 3)).T
         particles[:, :3] = 0.125
         ramp_means = np.array([0.9])
         other = (link + 1) % 3
-        ms = [speed_report(9.0, link), speed_report(8.0, link), speed_report(7.0, other)]
-        _, mean, _, tested = step_rows(ms, particles, net, ramp_means)
+        ms = [speed_report(9.0, link), speed_report(9.0, link), speed_report(7.0, other)]
+        z, log_g0, tested = rows = step_rows(ms, particles, net, ramp_means)
         assert tested.tolist() == [0, 1, 2]
         expected = speed_map(particles, net, link_plan(net, [link]), ramp_means, dirty_buffers(8, max_links=1))[0]
-        assert mean[0].tobytes() == mean[1].tobytes() == expected.tobytes()
+        std = np.maximum(GnssSpec().noise_frac * expected, GnssSpec().min_std)
+        assert_null_rows((z[:2], log_g0[:2]), [9.0, 9.0], [expected] * 2, [std] * 2)
+        assert z[0].tobytes() == z[1].tobytes() and log_g0[0].tobytes() == log_g0[1].tobytes()
 
     def test_fault_mixture_favors_zero_reports(self):
         # Correct fault model at y = 0 dwarfs the null for any particle
         # predicting at least 5 m/s: on one link with qmax 4 and dt 10 the
         # predicted speed is min(vf, 0.4 / rho), here 5, 15 and vf = 20.
+        # With the speed rule's std max(0.2 * mean, 0.5), every residual of
+        # a zero reading is -5.
         particles = np.array([[0.08, 0.4 / 15.0, 0.01]])
-        values, mean, std, _ = step_rows([speed_report(0.0)], particles, small_network(1))
-        np.testing.assert_allclose(mean, [[5.0, 15.0, 20.0]])
-        _, log_g0 = dirty_standardize(values, mean, std)
-        log_g1 = fault_log_density(values, "np_correct", FaultConfig(), zero_std=0.5)
+        z, log_g0, _ = step_rows([speed_report(0.0)], particles, small_network(1))
+        np.testing.assert_allclose(z, [[-5.0, -5.0, -5.0]])
+        log_g1 = fault_log_density(np.zeros(1), "np_correct", FaultConfig(), zero_std=0.5)
         ratio = np.exp(log_g1[:, None] - log_g0)
         assert np.all(ratio > 1e3)
 
@@ -355,7 +388,9 @@ class TestMeasurementModels:
     def test_unexplainable_value_has_zero_density_without_warning(self, value):
         # z * z (and for the largest floats z itself) overflows: the log
         # density is -inf, and a RuntimeWarning would fail the test.
-        z, log_g0 = dirty_standardize(np.array([value]), np.array([[0.01]]), np.array([[0.002]]))
+        loop = Record(k=1, sensor_id="loop-0", kind="loop_density", link=0, value=value, faulty=False)
+        loops = LoopDetectors(links=(0,), noise_frac=0.1, min_std=0.002)
+        z, log_g0, _ = step_rows([loop], np.array([[0.01]]), small_network(1), loops=loops)
         assert z[0, 0] > 1e200
         assert log_g0[0, 0] == -np.inf
         for mode in ("np_correct", "np_incorrect"):
@@ -399,14 +434,15 @@ class TestBuildSensorModels:
             fault_log_density(np.array([12.0]), "bogus", FaultConfig(), zero_std=0.5)
 
     def test_h0_uses_predicted_speeds(self):
-        values, mean, std, tested = self._rows()
+        # The loop row's std is the detectors' 0.1 * density, the speed
+        # row's the probes' 0.2 * speed.
+        z, log_g0, tested = self._rows()
         assert tested.tolist() == [1]
-        np.testing.assert_allclose(mean[1], [10.0, 20.0 / 3.0])
-        np.testing.assert_allclose(std[1], [2.0, 4.0 / 3.0])
-        np.testing.assert_allclose(mean[0], [0.04, 0.06])
-        z, log_g0 = dirty_standardize(values, mean, std)
-        np.testing.assert_allclose(z[1], [1.0, 4.0])
-        np.testing.assert_allclose(log_g0, gaussian_log_pdf(values[:, None], mean, std))
+        mean = np.array([[0.04, 0.06], [10.0, 20.0 / 3.0]])
+        std = np.array([[0.004, 0.006], [2.0, 4.0 / 3.0]])
+        values = np.array([[0.05], [12.0]])
+        np.testing.assert_allclose(z, [[2.5, -5.0 / 3.0], [1.0, 4.0]])
+        np.testing.assert_allclose(log_g0, gaussian_log_pdf(values, mean, std))
 
     def test_unconfigured_loop_rejected(self):
         # A log's kind is a bool column, so an unknown kind cannot reach the
@@ -427,9 +463,10 @@ _stds = st.one_of(st.floats(1e-3, 1e3), st.sampled_from([1.0, 5e-324, 1e-300, 1e
 
 
 class TestRunBuffers:
-    """``measurement_rows`` and ``standardize`` give the same bits with a
-    run's work buffers, dirty from earlier steps and sized for more rows
-    than a step has, as with fresh buffers of the step's own size."""
+    """``measurement_rows`` and the in-place helpers it writes its rows with
+    give the same bits with a run's work buffers, dirty from earlier steps
+    and sized for more rows than a step has, as with fresh buffers of the
+    step's own size."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
@@ -449,37 +486,40 @@ class TestRunBuffers:
             expected = measurement_rows(log, step, particles, ramp_means, exact)
             got = measurement_rows(log, step, particles, ramp_means, work)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
-            if len(got[0]):
-                pairs = zip(standardize(*got[:3], work), standardize(*expected[:3], exact))
-                assert all(a.tobytes() == b.tobytes() for a, b in pairs)
 
     @staticmethod
-    def check_standardize(values, mean, std, spare):
-        """``standardize`` on fresh buffers of its size and on dirty, larger
-        ones gives the bits of its expressions."""
-        with np.errstate(over="ignore"):
-            z = (values[:, None] - mean) / std
-            log_pdf = -0.5 * z * z - np.log(std) - 0.5 * math.log(2.0 * math.pi)
-        work = dirty_buffers(mean.shape[1], max_rows=len(values) + spare)
-        exact = StepBuffers(mean.shape[1], max_rows=len(values))
-        for got in (standardize(values, mean, std, exact), standardize(values, mean, std, work)):
-            assert got[0].tobytes() == z.tobytes() and got[1].tobytes() == log_pdf.tobytes()
+    def check_in_place(values, mean, std, spare):
+        """``_residual`` writing z over the means and ``_log_pdf_of_z``
+        writing log(std) over the stds, as ``measurement_rows`` calls them,
+        give the bits of their expressions on fresh buffers of their size
+        and on dirty, larger ones."""
+        z, log_pdf = null_expressions(values, mean, std)
+        n_rows, n_particles = mean.shape
+        for work in (StepBuffers(n_particles, max_rows=n_rows), dirty_buffers(n_particles, max_rows=n_rows + spare)):
+            z_out, log_std = work.mean[:n_rows], work.std[:n_rows]
+            np.copyto(z_out, mean)
+            np.copyto(log_std, std)
+            got = _residual(values[:, None], z_out, log_std, out=z_out)
+            assert got.tobytes() == z.tobytes()
+            got = _log_pdf_of_z(got, log_std, out=work.log_density[:n_rows], log_std=log_std)
+            assert got.tobytes() == log_pdf.tobytes()
+            assert log_std.tobytes() == np.log(std).tobytes()
         return log_pdf
 
     @given(st.data(), st.integers(1, 4), st.integers(1, 3), st.integers(0, 3))
     @settings(max_examples=200, deadline=None)
-    def test_standardize_keeps_the_expressions_order(self, data, n_rows, n_particles, spare):
+    def test_in_place_helpers_keep_the_expressions_order(self, data, n_rows, n_particles, spare):
         row = st.lists(_wide, min_size=n_particles, max_size=n_particles)
         values = np.array(data.draw(st.lists(_wide, min_size=n_rows, max_size=n_rows)))
         mean = np.array(data.draw(st.lists(row, min_size=n_rows, max_size=n_rows)))
         std_row = st.lists(_stds, min_size=n_particles, max_size=n_particles)
         std = np.array(data.draw(st.lists(std_row, min_size=n_rows, max_size=n_rows)))
-        self.check_standardize(values, mean, std, spare)
+        self.check_in_place(values, mean, std, spare)
 
     def test_residuals_at_the_square_overflow_edge(self):
         # z = 1.5e154: (-0.5 * z) * z is -1.125e308, while -0.5 * (z * z)
         # would be -inf.
-        log_pdf = self.check_standardize(np.zeros(1), np.array([[-1.5e154, 1.5e154]]), np.ones((1, 2)), 1)
+        log_pdf = self.check_in_place(np.zeros(1), np.array([[-1.5e154, 1.5e154]]), np.ones((1, 2)), 1)
         assert np.isfinite(log_pdf).all()
 
 
