@@ -30,10 +30,18 @@ the change won and one verdict against the metric's bound: ``better``
 (won at least 9 of 10 pairs, and the medians differ by more than the
 parent's IQR), ``unresolved`` (the parent's IQR exceeds the bound),
 ``worse`` (the median moved the wrong way by more than the bound) or
-``within bound``.  Last, per workload, each tree's smallest set-up
-(``series.setup_s`` of every run) and the median of every filter run it
-timed (``series.filter_run_s`` of every run, pooled).  That median is in
-seconds of the benchmark's probe-free clock, which stops while the
+``within bound``.  A metric on the reference scale is a raw time divided
+by the calibration probe's mean time, so a change that moves the probe
+(whose page faults depend on the program's heap) moves every such metric
+without changing its work.  So each workload's lines start with both
+trees' median ``probe.mean_us``; when they differ by more than the
+parent's probe IQR, every metric with a ``raw.*`` twin (``run_s``,
+``filter_run_s.p50``, ``steps_per_s``, ``step_ms.*``) is reported
+``unresolved (calibration moved)`` with its raw medians beside it, and
+``setup_s`` and ``peak_rss_mb`` keep their verdicts.  Last, per workload,
+each tree's smallest set-up (``series.setup_s`` of every run) and the
+median of every filter run it timed (``series.filter_run_s`` of every
+run, pooled).  That median is in seconds of the benchmark's probe-free clock, which stops while the
 calibration probe runs, not on the reference scale of
 ``filter_run_s.p50``.
 
@@ -61,6 +69,10 @@ SECONDS = 8.0
 # The metric whose sample count is the number of timed filter steps.
 STEPS_METRIC = "steps_per_s"
 FAULTS_METRIC = "faults_per_step"
+# The calibration probe's mean time, which divides every reference-scaled
+# metric; each of those has its unscaled twin under RAW_PREFIX.
+PROBE_METRIC = "probe.mean_us"
+RAW_PREFIX = "raw."
 
 
 def run_benchmark(root: Path, workload: str, seed: int) -> dict:
@@ -186,19 +198,35 @@ def verdict(was: dict, now: dict, better: str, bound: float) -> tuple[str, float
 
 
 def paired_lines(parent: dict, change: dict, end_to_end: list[dict]) -> list[str]:
-    """Per workload, a line for each end-to-end metric of ``BENCHMARK.json``
-    (``end_to_end``) with its verdict, then each tree's smallest set-up and
-    pooled filter-run median."""
+    """Per workload, both trees' median probe time and whether the
+    calibration moved, a line for each end-to-end metric of
+    ``BENCHMARK.json`` (``end_to_end``) with its verdict, then each tree's
+    smallest set-up and pooled filter-run median."""
     lines = []
     for workload, entry in change["workloads"].items():
         before = parent["workloads"][workload]
+        probe_was, probe_now = before["metrics"][PROBE_METRIC], entry["metrics"][PROBE_METRIC]
+        calibration_moved = abs(probe_now["median"] - probe_was["median"]) > probe_was["iqr"]
+        lines.append(
+            f"{workload:<14} {PROBE_METRIC:<17} {probe_was['median']:>11.5g} -> {probe_now['median']:<11.5g} "
+            f"(parent IQR {probe_was['iqr']:.5g}) us  calibration {'moved' if calibration_moved else 'held'}"
+        )
         for metric in end_to_end:
             was, now = before["metrics"][metric["name"]], entry["metrics"][metric["name"]]
             word, spread, moved, wins = verdict(was, now, metric["better"], metric["bound"])
+            raw = RAW_PREFIX + metric["name"]
+            beside = ""
+            if calibration_moved and raw in entry["metrics"]:
+                raw_was, raw_now = before["metrics"][raw]["median"], entry["metrics"][raw]["median"]
+                word = "unresolved (calibration moved)"
+                beside = (
+                    f"  raw {raw_was:.5g} -> {raw_now:.5g} {entry['metrics'][raw]['unit']} "
+                    f"{(raw_now / raw_was - 1.0) * 100:+.1f}%"
+                )
             lines.append(
                 f"{workload:<14} {metric['name']:<17} {was['median']:>11.5g} -> {now['median']:<11.5g} "
                 f"(parent IQR {spread * 100:.1f}%) {moved * 100:+6.1f}%  won {wins}/{len(was['values'])}  "
-                f"{word} (bound {metric['bound'] * 100:g}%)"
+                f"{word} (bound {metric['bound'] * 100:g}%){beside}"
             )
         lines.append(
             f"{workload:<14} setup_s minimum   {before['setup_s_min']:>11.5g} -> {entry['setup_s_min']:<11.5g} s"

@@ -29,11 +29,14 @@ def _load_script():
 bench_record = _load_script()
 
 
-def recorded_run(seed, steps_per_s, faults, failed=0, setups=None, filter_runs=None):
+def recorded_run(seed, steps_per_s, faults, failed=0, setups=None, filter_runs=None, probe_us=None):
     """The recorded run with its seed, ``steps_per_s`` value, fault count,
-    failure count and (if given) set-up and filter-run series replaced."""
+    failure count and (if given) set-up and filter-run series and probe
+    time replaced."""
     result, record = copy.deepcopy(RECORDED["last_line"]), copy.deepcopy(RECORDED["result_trace0"])
     record["metrics"]["steps_per_s"]["value"] = steps_per_s
+    if probe_us is not None:
+        record["metrics"]["probe.mean_us"]["value"] = probe_us
     if setups is not None:
         record["series"]["setup_s"] = setups
     if filter_runs is not None:
@@ -132,21 +135,33 @@ def test_spread_is_the_inclusive_quartile_range(values, median, iqr):
 END_TO_END = json.loads((HERE.parent / "BENCHMARK.json").read_text())["end_to_end"]
 
 
-def paired(parent_steps, change_steps, parent_setups=None, change_setups=None, parent_runs=None, change_runs=None):
+def paired(
+    parent_steps, change_steps, parent_setups=None, change_setups=None, parent_runs=None, change_runs=None,
+    parent_probes=None, change_probes=None,
+):
     """The printed lines of two series of recorded runs, one per
-    ``steps_per_s`` value, the set-up and filter-run series of each tree
-    given or recorded."""
-    def document(values, setups, filter_runs):
+    ``steps_per_s`` value, the set-up and filter-run series and the probe
+    times of each tree given or recorded."""
+    def document(values, setups, filter_runs, probes):
         runs = [
-            recorded_run(i + 1, v, 0, setups=setups and setups[i], filter_runs=filter_runs and filter_runs[i])
+            recorded_run(
+                i + 1, v, 0, setups=setups and setups[i], filter_runs=filter_runs and filter_runs[i],
+                probe_us=probes and probes[i],
+            )
             for i, v in enumerate(values)
         ]
         return bench_record.bench_document(runs, "c", False)
     return bench_record.paired_lines(
-        document(parent_steps, parent_setups, parent_runs),
-        document(change_steps, change_setups, change_runs),
+        document(parent_steps, parent_setups, parent_runs, parent_probes),
+        document(change_steps, change_setups, change_runs, change_probes),
         END_TO_END,
     )
+
+
+def metric_line(lines, name):
+    """The verdict line of the metric ``name``."""
+    (line,) = [line for line in lines if line.split()[1] == name and "(bound " in line]
+    return line
 
 
 def steps_line(lines):
@@ -187,8 +202,10 @@ def test_unchanged_metrics_are_within_bound_and_each_tree_s_setup_and_filter_run
         PARENT[:2], PARENT[:2], [[0.3, 0.2], [0.25, 0.4]], [[0.5, 0.6], [0.15, 0.7]],
         [[0.1, 0.2, 0.3], [0.4, 0.5]], [[0.2, 0.3], [0.4]],
     )
-    assert [line.split()[1] for line in lines] == [m["name"] for m in END_TO_END] + ["setup_s", "filter_run_s"]
-    assert all(line.endswith(f"within bound (bound {m['bound'] * 100:g}%)") for line, m in zip(lines, END_TO_END))
+    names = ["probe.mean_us"] + [m["name"] for m in END_TO_END] + ["setup_s", "filter_run_s"]
+    assert [line.split()[1] for line in lines] == names
+    assert lines[0].endswith("us  calibration held")
+    assert all(line.endswith(f"within bound (bound {m['bound'] * 100:g}%)") for line, m in zip(lines[1:], END_TO_END))
     assert lines[-2].split() == ["study", "setup_s", "minimum", "0.2", "->", "0.15", "s"]
     assert lines[-1].split() == [
         "study", "filter_run_s", "pooled", "median", "0.3", "->", "0.3", "s", "+0.0%",
@@ -226,3 +243,38 @@ def test_pairs_alternate_between_the_checkouts(tmp_path, monkeypatch):
         "parent study 1", "change study 1", "change study 2", "parent study 2", "parent study 3", "change study 3",
     ]
     assert [run["seed"] for run in parent_runs] == [run["seed"] for run in change_runs] == [1, 2, 3]
+
+
+PROBES = [1000.0, 1010.0, 990.0, 1005.0, 995.0, 1000.0, 1002.0, 998.0, 1001.0, 999.0]  # IQR 3.5 us
+
+
+def test_a_moved_calibration_leaves_the_reference_scaled_metrics_unresolved():
+    # 30% fewer steps per second would be worse, but the probe got 38%
+    # faster in every pair, which alone moves every metric on the
+    # reference scale: those read unresolved, with their raw medians, and
+    # the set-up and memory keep their verdicts.
+    faster = [p * 0.62 for p in PROBES]
+    lines = paired(PARENT, [v * 0.7 for v in PARENT], parent_probes=PROBES, change_probes=faster)
+    assert lines[0].split() == [
+        "study", "probe.mean_us", "1000", "->", "620", "(parent", "IQR", "3.5)", "us", "calibration", "moved",
+    ]
+    raw = RECORDED["result_trace0"]["metrics"]
+    for metric in END_TO_END:
+        line = metric_line(lines, metric["name"])
+        if "raw." + metric["name"] in raw:
+            value, unit = raw["raw." + metric["name"]]["value"], raw["raw." + metric["name"]]["unit"]
+            beside = f"raw {value:.5g} -> {value:.5g} {unit} +0.0%"
+            assert line.endswith(f"unresolved (calibration moved) (bound 24%)  {beside}")
+        else:
+            assert metric["name"] in ("setup_s", "peak_rss_mb")
+            assert line.endswith(f"within bound (bound {metric['bound'] * 100:g}%)")
+    assert "won 0/10" in metric_line(lines, "steps_per_s")
+
+
+def test_a_probe_within_the_parent_s_spread_keeps_the_verdicts():
+    # The change's probe median moves 3 us, less than the parent's IQR.
+    slower = [p + 3.0 for p in PROBES]
+    lines = paired(PARENT, [v * 0.7 for v in PARENT], parent_probes=PROBES, change_probes=slower)
+    assert lines[0].endswith("calibration held")
+    assert metric_line(lines, "steps_per_s").endswith("worse (bound 24%)")
+    assert not any("calibration moved" in line for line in lines)

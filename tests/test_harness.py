@@ -910,6 +910,26 @@ class TestSharedRuns:
         scored = [r for r in report.runs if (r.seed, r.mode, r.alpha) == (5, "np_incorrect", 0.01)]
         assert scored == [r for r in unshared.runs if r.seed == 5]
 
+    def test_a_taken_run_s_records_are_a_new_array_at_the_variant_s_level(self):
+        # np_incorrect@0.01 takes the 0.1 run of seed 5 (SHARED): its
+        # records are a fresh array, equal to the finished run's but for
+        # the level, which the finished run keeps.
+        config = micro_config(horizon=12, seeds=(5,))
+        base, variant = FilterVariant("np_incorrect", 0.1), FilterVariant("np_incorrect", 0.01)
+        finished = run_traffic_filter(config, simulate_seed(config, 5)[1], base, RandomSource(5))
+        before = finished.decisions.tobytes()
+        taken, result = harness._shared_run(variant, [(base, finished)])
+        assert taken == base and result.estimates is finished.estimates
+        decisions = result.decisions
+        assert decisions.base is None and not np.shares_memory(decisions, finished.decisions)
+        assert decisions.dtype == DECISION_DTYPE and len(decisions) == len(finished.decisions) > 0
+        assert set(decisions["alpha"].tolist()) == {0.01}
+        assert set(decisions["test_kind"].tolist()) == {variant.kind.value}
+        for name in DECISION_COLUMNS:
+            if name != "alpha":
+                assert np.array_equal(decisions[name], finished.decisions[name]), name
+        assert finished.decisions.tobytes() == before
+
     def test_each_shared_run_logs_one_info_record(self, caplog, monkeypatch):
         self._study(monkeypatch)
         assert not [r for r in caplog.records if r.name == "gatedpf.harness"]
