@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 import gatedpf
 from gatedpf import default_scenario_dict
 from gatedpf.cli import main
+from gatedpf.errors import ConfigurationError
 from gatedpf.fileio import read_matrix_csv
 from gatedpf.harness import read_decision_log, read_metrics_long
 from gatedpf.scenario import scenario_from_dict
@@ -1155,16 +1156,117 @@ def accepted_scenario(draw) -> dict:
     }
 
 
+def extremes_base_dict() -> dict:
+    """The packaged default over five steps of one seed with 20 particles."""
+    doc = default_scenario_dict()
+    doc["run"]["horizon"] = 5
+    doc["run"]["seeds"] = doc["run"]["seeds"][:1]
+    doc["filter"]["particles"] = 20
+    return doc
+
+
+def with_extreme(field: str, value: float) -> dict:
+    """:func:`extremes_base_dict` with ``field`` set to ``value``.  A link
+    field (``network.links.NAME``) is set on every link that has it, the
+    offramp share on the offramp links; ``rise[1]`` names an entry of its
+    list."""
+    doc = extremes_base_dict()
+    section, holder, name = field.split(".")
+    if section == "network":
+        holders = [link for link in doc["network"]["links"] if name != "beta" or link.get("offramp")]
+    else:
+        holders = [doc[section][holder]]
+    entry = re.fullmatch(r"(\w+)\[(\d)\]", name)
+    for holder in holders:
+        if entry:
+            holder[entry[1]][int(entry[2])] = value
+        else:
+            holder[name] = value
+    return doc
+
+
+# The table of extremes: each numeric link, demand and sensor field with the
+# largest value the validator accepts in extremes_base_dict (the next float
+# is refused, past the largest float none is).
+LARGEST_ACCEPTED = {
+    "network.links.length": 7.37869762948382e19,  # rho_jam * length < 2**63
+    "network.links.vf": 50.0000000000001,  # vf * dt <= length
+    "network.links.w": 50.0000000000001,
+    "network.links.qmax": sys.float_info.max,
+    "network.links.rho_jam": 1.8446744073709548e16,  # rho_jam * length < 2**63
+    "network.links.beta": 0.9999999999999999,
+    "demand.upstream.base": 4.993592041284209e307,  # base * (1 + 0.2 * 13) finite
+    "demand.upstream.peak": 4.993592041284209e307,
+    "demand.upstream.noise_frac": 2.5608164314278002e306,  # at peak 5.4
+    "demand.upstream.rise[0]": 2700.0,  # the breakpoints are ordered
+    "demand.upstream.rise[1]": 14400.0,
+    "demand.upstream.fall[0]": 16200.0,
+    "demand.upstream.fall[1]": sys.float_info.max,
+    "demand.onramp_default.base": 3.6687614997190116e307,  # base * (1 + 0.3 * 13) finite
+    "demand.onramp_default.peak": 3.6687614997190116e307,
+    "demand.onramp_default.noise_frac": 3.45710218242753e307,  # at peak 0.4
+    "demand.onramp_default.rise[0]": 2700.0,
+    "demand.onramp_default.rise[1]": 14400.0,
+    "demand.onramp_default.fall[0]": 16200.0,
+    "demand.onramp_default.fall[1]": sys.float_info.max,
+    "sensors.loops.noise_frac": 1.1062726983768097e308,  # at rho_jam 0.125
+    "sensors.loops.min_std": sys.float_info.max,
+    "sensors.gnss.penetration": 1.0,
+    "sensors.gnss.noise_frac": 5.531363491884048e305,  # at vf 25
+    "sensors.gnss.min_std": sys.float_info.max,
+    "sensors.faults.probability": 1.0,
+    "sensors.faults.zero_weight": 1.0,
+    "sensors.faults.speed_mean": sys.float_info.max,
+    "sensors.faults.speed_std": sys.float_info.max,
+}
+# The extremes that stop before a filter runs, each with the exit-2 error
+# line's start: 5e-324 where the validator refuses it, and the largest
+# accepted length, whose probe count no array holds.
+STOPPED_EXTREMES = {
+    ("network.links.length", 5e-324): "error: network: links[0]: CFL violated",
+    ("network.links.length", LARGEST_ACCEPTED["network.links.length"]): "error: out of memory: ",
+    **{
+        (f"demand.{profile}.{name}", 5e-324):
+        f"error: demand.{profile}: demand profile breakpoints must be ordered"
+        for profile in ("upstream", "onramp_default")
+        for name in ("rise[1]", "fall[0]", "fall[1]")
+    },
+}
+EXTREMES = [
+    (field, value)
+    for field, largest in LARGEST_ACCEPTED.items()
+    for value in (largest, 5e-324)
+    if (field, value) not in STOPPED_EXTREMES
+]
+
+
+def with_extremes(test):
+    """``test`` with an ``@example`` for each case of ``EXTREMES``."""
+    for field, value in EXTREMES:
+        test = example(doc=with_extreme(field, value))(test)
+    return test
+
+
+def accepted(doc) -> bool:
+    try:
+        scenario_from_dict(doc)
+    except ConfigurationError:
+        return False
+    return True
+
+
 class TestAcceptedScenarios:
     """Every scenario the validator accepts simulates and filters with a
-    documented exit code; a numpy warning fails the test."""
+    documented exit code; a warning fails the test."""
 
     @settings(max_examples=40, deadline=None)
     @example(doc=jammed_default_dict())
+    @with_extremes
     @given(doc=accepted_scenario())
     def test_simulate_and_filter_exit_documented_codes(self, doc):
-        scenario_from_dict(doc)  # the strategy draws only accepted documents
-        with tempfile.TemporaryDirectory() as tmp:
+        scenario_from_dict(doc)  # the strategy and the table hold only accepted documents
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error")
             root = Path(tmp)
             scenario = root / "scenario.yaml"
             scenario.write_text(yaml.safe_dump(doc))
@@ -1175,3 +1277,22 @@ class TestAcceptedScenarios:
                     "--variant", variant, "--out", root / variant, "--quiet",
                 )
                 assert code in (0, 2, 3)
+
+    @pytest.mark.parametrize("field, largest", LARGEST_ACCEPTED.items())
+    def test_the_table_holds_each_field_s_largest_accepted_value(self, field, largest):
+        assert accepted(with_extreme(field, largest))
+        if largest < sys.float_info.max:
+            assert not accepted(with_extreme(field, float(np.nextafter(largest, np.inf))))
+
+    @pytest.mark.parametrize(
+        "case, error", STOPPED_EXTREMES.items(), ids=[f"{field}={value:g}" for field, value in STOPPED_EXTREMES]
+    )
+    def test_the_stopped_extremes_exit_2_before_writing_a_log(self, tmp_path, capsys, case, error):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(yaml.safe_dump(with_extreme(*case)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("simulate", "--scenario", scenario, "--out", tmp_path / "sim", "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(error)
+        assert not (tmp_path / "sim" / "measurements.csv").exists()
