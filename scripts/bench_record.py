@@ -41,9 +41,9 @@ parent's probe IQR, every metric with a ``raw.*`` twin (``run_s``,
 ``setup_s`` and ``peak_rss_mb`` keep their verdicts.  Last, per workload,
 each tree's smallest set-up (``series.setup_s`` of every run) and the
 median of every filter run it timed (``series.filter_run_s`` of every
-run, pooled).  That median is in seconds of the benchmark's probe-free clock, which stops while the
-calibration probe runs, not on the reference scale of
-``filter_run_s.p50``.
+run, pooled).  That median is in seconds of the benchmark's probe-free
+clock, which stops while the calibration probe runs, not on the
+reference scale of ``filter_run_s.p50``.
 
     python scripts/bench_record.py --out BENCH_24.json
     python scripts/bench_record.py --out BENCH_25.json --compare BENCH_24.json

@@ -18,8 +18,9 @@ fresh array or a view of the buffers, valid until the next call that is
 given the same buffers; ensembles never hold a view of them.  A step makes
 one sensing call, ``measurement_rows``, which builds its rows' moments in
 two buffers and overwrites them with what both gates read: the residuals
-over the means and log(std) over the stds, beside the log densities.  The buffers
-belong to one caller: two runs processed concurrently each have their own.
+over the means and log(std) over the stds, beside the log densities.  The
+buffers belong to one caller: two runs processed concurrently each have
+their own.
 """
 from __future__ import annotations
 
