@@ -70,9 +70,8 @@ SECONDS = 8.0
 STEPS_METRIC = "steps_per_s"
 FAULTS_METRIC = "faults_per_step"
 # The calibration probe's mean time, which divides every reference-scaled
-# metric; each of those has its unscaled twin under RAW_PREFIX.
+# metric; each of those has its unscaled twin under "raw.".
 PROBE_METRIC = "probe.mean_us"
-RAW_PREFIX = "raw."
 
 
 def run_benchmark(root: Path, workload: str, seed: int) -> dict:
@@ -214,7 +213,7 @@ def paired_lines(parent: dict, change: dict, end_to_end: list[dict]) -> list[str
         for metric in end_to_end:
             was, now = before["metrics"][metric["name"]], entry["metrics"][metric["name"]]
             word, spread, moved, wins = verdict(was, now, metric["better"], metric["bound"])
-            raw = RAW_PREFIX + metric["name"]
+            raw = f"raw.{metric['name']}"
             beside = ""
             if calibration_moved and raw in entry["metrics"]:
                 raw_was, raw_now = before["metrics"][raw]["median"], entry["metrics"][raw]["median"]
