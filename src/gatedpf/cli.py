@@ -21,6 +21,7 @@ from .harness import (
     METRIC_FIELDS,
     FilterVariant,
     compile_log,
+    decision_columns,
     metrics_wide_text,
     read_metrics_long,
     run_experiment,
@@ -107,7 +108,7 @@ def cmd_filter(args) -> int:
     _say(args, f"running {variant.label} filter with seed {seed}")
     result = run_traffic_filter(config, log, variant, RandomSource(seed))
     write_matrix_csv(out / artifacts["estimated_density"], result.estimates.T)
-    write_decision_log(out / artifacts["decisions"], result.decisions)
+    write_decision_log(out / artifacts["decisions"], decision_columns(log, variant, result.decisions))
     rejected = int(result.decisions["rejected"].sum())
     _say(
         args,
@@ -133,15 +134,15 @@ def cmd_sweep(args) -> int:
     if not args.no_artifacts:
         written_truth: set[int] = set()
 
-        def sink(seed, truth, log, variant, result) -> None:
+        def sink(seed, truth, measurements, log, variant, result) -> None:
             run_dir = out / f"seed_{seed}"
             if seed not in written_truth:
                 write_matrix_csv(run_dir / "true_density.csv", truth.states.T)
-                write_measurement_log(run_dir / "measurements.csv", log)
+                write_measurement_log(run_dir / "measurements.csv", measurements)
                 written_truth.add(seed)
             tag = variant.label.replace("@", "_a")
             write_matrix_csv(run_dir / f"estimated_density_{tag}.csv", result.estimates.T)
-            write_decision_log(run_dir / f"decisions_{tag}.csv", result.decisions)
+            write_decision_log(run_dir / f"decisions_{tag}.csv", decision_columns(log, variant, result.decisions))
 
     report = run_experiment(config, on_run=sink)
     atomic_write_text(out / artifacts["metrics"], metrics_wide_text(report, scenario.alphas))

@@ -6,10 +6,11 @@ then runs the gated particle filter for each configured (test mode, level)
 variant against the same measurement log; ``gatedpf simulate`` builds a
 seed's truth and log on the same path, :func:`simulate_seed`.  The log is
 checked and compiled once per seed (:func:`compile_log`) into step-ordered
-columns that every variant's filter run reads.  Detection
-quality is scored as a confusion matrix over the gate decisions; estimation
-quality as the mean absolute percentage error of the posterior-mean density
-trajectory.
+columns that every variant's filter run reads; a run keeps its gate
+outcomes, which its decision log joins to the log's and the variant's
+columns (:func:`decision_columns`).  Detection quality is scored as a
+confusion matrix over the gate decisions; estimation quality as the mean
+absolute percentage error of the posterior-mean density trajectory.
 
 A variant whose filter run would repeat a finished run of its seed bit for
 bit takes that run's results instead of filtering again.  Both gates'
@@ -20,8 +21,8 @@ induction over the steps: from the same prior and the same demand draws,
 both compute the same statistics, take the same test outcomes and reject
 the same rows (the ``unexplained`` rule does not read the level), so they
 reach the same posterior, effective sample size, resample draws and next
-prior.  The finished run's decision log records each row's statistic and
-auxiliary, so the check reads them and filters nothing.
+prior.  The finished run's gate outcomes hold each row's statistic and
+auxiliary and no level, so the variant takes the run's result itself.
 
 Randomness is organized into named streams off each seed, so the truth,
 the sensing noise, the fault draws, and the filter's own model noise are
@@ -36,7 +37,7 @@ from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -106,16 +107,9 @@ logger = logging.getLogger(__name__)
 # elements one array can hold.
 _MAX_FLOATS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
-# A run's gate decisions, one element per tested speed report; the field
-# names are the decision log's columns.
-DECISION_DTYPE = np.dtype(
-    [
-        ("k", np.int64), ("sensor_id", object), ("link", np.int64), ("test_kind", object),
-        ("statistic", float), ("alpha", float), ("rejected", bool), ("auxiliary", float),
-        ("faulty", bool),
-    ]
-)
-DECISION_COLUMNS = DECISION_DTYPE.names
+# The decision log's columns, and those a run holds for each speed report.
+DECISION_COLUMNS = ("k", "sensor_id", "link", "test_kind", "statistic", "alpha", "rejected", "auxiliary", "faulty")
+GATE_DTYPE = np.dtype([("statistic", float), ("auxiliary", float), ("rejected", bool), ("faulty", bool)])
 
 # The study's metrics: ``RunMetrics`` attribute, ``metrics.csv`` row name,
 # ``gatedpf report`` label.
@@ -242,9 +236,9 @@ class FilterRunResult:
     """Posterior-mean trajectory and gate decisions of one filter run.
 
     ``estimates`` has one row per assimilated step, k = 1 .. horizon - 1.
-    ``decisions`` is a ``DECISION_DTYPE`` array: for a gated run one element
-    per speed report of the log, in step order, each with its report's
-    ground-truth label; empty for the ungated run.
+    ``decisions`` is a ``GATE_DTYPE`` array, one element per speed report
+    of the log for a gated run and none for the ungated run.  Both arrays
+    are read-only: a variant that takes the run shares them.
     """
 
     estimates: np.ndarray
@@ -365,7 +359,7 @@ def compile_log(config: ExperimentConfig, log: MeasurementLog) -> CompiledLog:
     two-column table (the loop detectors' rule, the speed rule).  Each
     speed report gets its link's row of one
     :class:`~gatedpf.ctm.LinkPlan`, which each step slices, and its
-    decision record, which each gated run copies; the fault log densities
+    ``labels`` entry, which each gated run copies; the fault log densities
     of the likelihood-ratio modes are evaluated once for the whole log.
     """
     _check_log(config, log)
@@ -379,12 +373,9 @@ def compile_log(config: ExperimentConfig, log: MeasurementLog) -> CompiledLog:
     speed = np.flatnonzero(is_speed)
     bounds = np.arange(config.horizon + 1)
     offsets = np.stack([np.searchsorted(steps, bounds), np.searchsorted(steps[speed], bounds)], axis=1)
-    # np.zeros, not np.empty, which fills the object fields one at a time.
-    decisions = np.zeros(len(speed), DECISION_DTYPE)
-    decisions["k"], decisions["sensor_id"], decisions["link"], decisions["faulty"] = (
-        steps[speed], sensor_ids[speed], links[speed], log.faulty[order[speed]]
-    )
-    decisions.setflags(write=False)
+    labels = np.zeros(len(speed), GATE_DTYPE)
+    labels["faulty"] = log.faulty[order[speed]]
+    labels.setflags(write=False)
     return CompiledLog(
         horizon=config.horizon,
         network=config.network,
@@ -395,7 +386,7 @@ def compile_log(config: ExperimentConfig, log: MeasurementLog) -> CompiledLog:
         std_rules=rule_table[:, is_speed.astype(np.intp)],
         speed_index=speed,
         speed_plan=link_plan(config.network, links[speed]),
-        decisions=decisions,
+        labels=labels,
         fault_log_g1=MappingProxyType(
             {
                 mode: fault_log_density(
@@ -471,16 +462,6 @@ def filter_step(
     return posterior, estimate, gate
 
 
-def _records_at(decisions: np.ndarray, variant: FilterVariant) -> np.ndarray:
-    """A copy of the decision records ``decisions`` at ``variant``'s test
-    and level.  numpy copies records with object fields one at a time in
-    ``ndarray.copy`` and in bulk in ``concatenate``, which is about 9 times
-    as fast on a log's worth of them."""
-    decisions = np.concatenate([decisions])
-    decisions["test_kind"], decisions["alpha"] = variant.kind.value, variant.alpha
-    return decisions
-
-
 def step_buffers(config: ExperimentConfig, log: CompiledLog) -> StepBuffers:
     """Work buffers for the steps of a filter run of ``config`` over
     ``log``: (L, P) blocks, sized by the most rows and the most speed
@@ -507,8 +488,8 @@ def run_traffic_filter(
     raises :class:`ConfigurationError`.  The run allocates its work buffers
     once (:func:`step_buffers`), and every step reuses them.  Each step's
     slices of the log are looked up once.  A gated run copies the log's
-    decision records, sets its test and level, and writes each step's gate
-    outcomes through the step's speed slice (see :class:`FilterRunResult`).
+    ``labels`` and writes each step's gate outcomes through the step's
+    speed slice (see :class:`FilterRunResult`).
     """
     log = measurements if isinstance(measurements, CompiledLog) else compile_log(config, measurements)
     if log.horizon != config.horizon or log.network != config.network:
@@ -523,9 +504,7 @@ def run_traffic_filter(
     rng_demand = rng.derive(STREAM_FILTER_DEMAND)
     rng_resample = rng.derive(STREAM_FILTER_RESAMPLE)
     estimates = np.empty((config.horizon - 1, config.network.n_links))
-    decisions = np.empty(0, DECISION_DTYPE)
-    if variant.kind is not None:
-        decisions = _records_at(log.decisions, variant)
+    decisions = np.empty(0, GATE_DTYPE) if variant.kind is None else log.labels.copy()
     work = step_buffers(config, log)
     for k in range(1, config.horizon):
         step = log.step(k)
@@ -535,6 +514,8 @@ def run_traffic_filter(
         if gate is not None:
             decided = decisions[step[1]]
             decided["statistic"], decided["auxiliary"], decided["rejected"] = gate
+    for array in (estimates, decisions):
+        array.setflags(write=False)
     return FilterRunResult(estimates=estimates, decisions=decisions)
 
 
@@ -557,8 +538,8 @@ class ConfusionCounts:
 
 
 def confusion_metrics(decisions: np.ndarray) -> ConfusionCounts:
-    """Score gate decisions (a ``DECISION_DTYPE`` array) against their
-    ground-truth labels.  A positive is a rejection."""
+    """Score gate decisions (``rejected`` and ``faulty`` columns) against
+    their ground-truth labels.  A positive is a rejection."""
     rejected, faulty = decisions["rejected"], decisions["faulty"]
     return ConfusionCounts(
         tp=int(np.count_nonzero(rejected & faulty)),
@@ -640,31 +621,29 @@ class MetricsReport:
         return out
 
 
-RunSink = Callable[[int, Trajectory, MeasurementLog, FilterVariant, FilterRunResult], None]
+RunSink = Callable[[int, Trajectory, MeasurementLog, CompiledLog, FilterVariant, FilterRunResult], None]
 
 
 def _shared_run(
     variant: FilterVariant, finished: Sequence[tuple[FilterVariant, FilterRunResult]]
 ) -> tuple[FilterVariant, FilterRunResult] | None:
     """The first of a seed's ``finished`` runs that ``variant``'s filter run
-    would repeat bit for bit, with its results at ``variant``'s level; or
-    ``None``.
+    would repeat bit for bit, with its result; or ``None``.
 
     A run qualifies when it has the variant's test mode and its recorded
     statistics give the same test outcome on every row at both levels (see
-    the module docstring): the variant takes its estimates and a copy of
-    its decisions with ``alpha`` set to the variant's level.
+    the module docstring): the variant takes its result object itself,
+    whose arrays are read-only and hold no level.
     """
     for base, result in finished:
         if base.mode != variant.mode:
             continue
-        decisions = result.decisions
-        statistic, auxiliary = decisions["statistic"], decisions["auxiliary"]
+        statistic, auxiliary = result.decisions["statistic"], result.decisions["auxiliary"]
         if np.array_equal(
             level_rule(variant.kind, statistic, auxiliary, base.alpha),
             level_rule(variant.kind, statistic, auxiliary, variant.alpha),
         ):
-            return base, FilterRunResult(result.estimates, _records_at(decisions, variant))
+            return base, result
     return None
 
 
@@ -682,7 +661,7 @@ def run_experiment(config: ExperimentConfig, on_run: RunSink | None = None) -> M
     variant left to run has that mode.  A weight collapse in one variant is
     recorded (all-NaN metrics, ``collapsed`` set) and the remaining
     variants still run.  ``on_run`` receives each finished run, in variant
-    order, with the seed's measurement log, e.g. for writing artifacts.
+    order, with the seed's measurement and compiled logs, e.g. for artifacts.
     """
     runs: list[RunMetrics] = []
     last = {variant.mode: i for i, variant in enumerate(config.variants)}
@@ -723,7 +702,7 @@ def run_experiment(config: ExperimentConfig, on_run: RunSink | None = None) -> M
                 )
             )
             if on_run is not None:
-                on_run(seed, truth, measurements, variant, result)
+                on_run(seed, truth, measurements, log, variant, result)
     return MetricsReport(runs=runs)
 
 
@@ -732,9 +711,9 @@ def _in_open_unit(values) -> np.ndarray:
     return (0.0 < values) & (values < 1.0)
 
 
-# The decision log's columns are the decision fields.  A gate's statistic
-# and auxiliary may be infinite (a residual too large to hold, a null mass
-# that overflows), never NaN; the level is a gated variant's.
+# A gate's statistic and auxiliary may be infinite (a residual too large to
+# hold, a null mass that overflows), never NaN; the level is a gated
+# variant's.
 DECISION_FORMAT = RecordFormat(
     "decision log",
     tuple(zip(DECISION_COLUMNS, (INT, TEXT, INT, TEXT, FLOAT, FLOAT, FLAG, FLOAT, FLAG))),
@@ -749,21 +728,39 @@ DECISION_FORMAT = RecordFormat(
 )
 
 
-def write_decision_log(path: str | Path, decisions: np.ndarray) -> None:
-    """Write a ``DECISION_DTYPE`` array atomically in ``DECISION_FORMAT``,
-    one row per decision; a row that :func:`read_decision_log` would refuse
-    raises :class:`DataError` naming ``path:line``, and nothing is
-    written."""
-    columns = {name: decisions[name].tolist() for name in DECISION_COLUMNS}
+def decision_columns(log: CompiledLog, variant: FilterVariant, decisions: np.ndarray) -> dict:
+    """The decision log of a run of ``variant`` over ``log`` with gate
+    outcomes ``decisions``: each speed report's step, sensor id and link,
+    the variant's test and level, and the run's columns."""
+    n = len(decisions)  # every speed report in a gated run, none in the ungated run
+    speed = log.speed_index[:n]
+    return {
+        "k": np.repeat(np.arange(log.horizon), np.diff(log.offsets[:, 1]))[:n],
+        "sensor_id": log.sensor_ids[speed],
+        "link": log.links[speed],
+        "test_kind": np.full(n, variant.kind and variant.kind.value, dtype=object),
+        "alpha": np.full(n, variant.alpha),
+        **{name: decisions[name] for name in GATE_DTYPE.names},
+    }
+
+
+def write_decision_log(path: str | Path, columns: Mapping[str, Sequence]) -> None:
+    """Write decision-log columns (name -> one value per row, as
+    :func:`decision_columns` joins or :func:`read_decision_log` reads)
+    atomically in ``DECISION_FORMAT``; a row that :func:`read_decision_log`
+    would refuse raises :class:`DataError` naming ``path:line``, and
+    nothing is written."""
+    columns = {name: np.asarray(columns[name]).tolist() for name in DECISION_COLUMNS}
     atomic_write_text(path, record_text(DECISION_FORMAT, columns, path))
 
 
-def read_decision_log(path: str | Path) -> np.ndarray:
-    """Read a decision log back as a ``DECISION_DTYPE`` array; a row that
-    :func:`write_decision_log` cannot have written raises
-    :class:`DataError` naming ``path:line``."""
+def read_decision_log(path: str | Path) -> dict[str, np.ndarray]:
+    """Read a decision log back as its columns, one array each, which
+    :func:`write_decision_log` writes to the same bytes; a row that it
+    cannot have written raises :class:`DataError` naming ``path:line``."""
     columns, _ = read_records(path, DECISION_FORMAT)
-    return np.array(list(zip(*columns.values())), dtype=DECISION_DTYPE)
+    types = {INT: np.int64, TEXT: object, FLOAT: float, FLAG: bool}
+    return {name: np.array(columns[name], types[kind]) for name, kind in DECISION_FORMAT.fields}
 
 
 def metrics_wide_text(report: MetricsReport, alphas: Sequence[float]) -> str:

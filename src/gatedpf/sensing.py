@@ -284,10 +284,10 @@ class CompiledLog:
     floor)``.  Speed columns (S,), one entry per speed report:
     ``speed_index``, its index among the rows; ``speed_plan``, one
     :class:`~gatedpf.ctm.LinkPlan` built from ``network``'s constants,
-    whose position j is report j's link; ``decisions``, read-only, its
-    gate decision record with its step, sensor id, link and ground-truth
-    label filled in; and ``fault_log_g1``, each likelihood-ratio mode's
-    fault log density.
+    whose position j is report j's link; ``labels``, read-only, its
+    ``GATE_DTYPE`` entry with its ground-truth label and a zero gate
+    outcome, which each gated run copies; and ``fault_log_g1``, each
+    likelihood-ratio mode's fault log density.
     """
 
     horizon: int
@@ -299,7 +299,7 @@ class CompiledLog:
     std_rules: np.ndarray
     speed_index: np.ndarray
     speed_plan: LinkPlan
-    decisions: np.ndarray
+    labels: np.ndarray
     fault_log_g1: Mapping[str, np.ndarray]
 
     @property

@@ -16,7 +16,14 @@ import numpy as np
 import pytest
 
 from gatedpf.gates import GateKind, level_rule, significance_test
-from gatedpf.harness import FilterVariant, MetricsReport, RunMetrics, run_experiment, simulate_seed
+from gatedpf.harness import (
+    FilterVariant,
+    MetricsReport,
+    RunMetrics,
+    decision_columns,
+    run_experiment,
+    simulate_seed,
+)
 from gatedpf.particles import ParticleEnsemble, resample_systematic
 from gatedpf.rng import RandomSource
 from gatedpf.scenario import default_scenario, scenario_from_dict
@@ -41,11 +48,14 @@ def study():
     config = scenario.experiment_config()
     selectivity_runs = {}
 
-    def keep_selectivity_run(seed, truth, log, variant, result):
-        # Criterion 5 scores the incorrect-model gate at the middle level.
+    def keep_selectivity_run(seed, truth, measurements, log, variant, result):
+        # Criterion 5 scores the incorrect-model gate at the middle level,
+        # each decision naming its report by the joined sensor id.
         if variant == SELECTIVITY_VARIANT:
-            values = dict(zip(log.sensor_ids[log.speed].tolist(), log.values[log.speed].tolist()))
-            selectivity_runs[seed] = (values, result.decisions)
+            speed = measurements.speed
+            values = dict(zip(measurements.sensor_ids[speed].tolist(), measurements.values[speed].tolist()))
+            sensor_ids = decision_columns(log, variant, result.decisions)["sensor_id"]
+            selectivity_runs[seed] = (values, sensor_ids, result.decisions)
 
     # Each shared run logs (seed, variant, the run it takes).
     shared = []
@@ -210,13 +220,14 @@ class TestCriterion5IncorrectModelSelectivity:
         # middle level of the sweep, on the decisions the study kept.
         zero_total = zero_rejected = gauss_total = gauss_rejected = 0
         for seed in study["config"].seeds:
-            values, decisions = study["selectivity_runs"][seed]
-            faulty = decisions[decisions["faulty"]]
-            zero = np.array([values[s] == 0.0 for s in faulty["sensor_id"].tolist()], dtype=bool)
+            values, sensor_ids, decisions = study["selectivity_runs"][seed]
+            faulty = decisions["faulty"]
+            zero = np.array([values[s] == 0.0 for s in sensor_ids[faulty].tolist()], dtype=bool)
+            rejected = decisions["rejected"][faulty]
             zero_total += int(zero.sum())
-            zero_rejected += int(faulty["rejected"][zero].sum())
+            zero_rejected += int(rejected[zero].sum())
             gauss_total += int((~zero).sum())
-            gauss_rejected += int(faulty["rejected"][~zero].sum())
+            gauss_rejected += int(rejected[~zero].sum())
         zero_rate = zero_rejected / zero_total
         gauss_rate = gauss_rejected / gauss_total
         assert zero_rate >= 0.95, f"stopped-car rejection rate {zero_rate:.3f} below 0.95"

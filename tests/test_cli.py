@@ -116,7 +116,7 @@ class TestFilter:
         estimates = read_matrix_csv(out / "estimated_density.csv")
         assert estimates.shape == (3, 24)  # links x assimilated steps
         decisions = read_decision_log(out / "decisions.csv")
-        assert len(decisions) and set(decisions["test_kind"].tolist()) == {"fisher"}
+        assert len(decisions["k"]) and set(decisions["test_kind"].tolist()) == {"fisher"}
 
     def test_variant_none_has_no_decisions(self, scenario_path, tmp_path):
         sim = tmp_path / "sim"
@@ -126,7 +126,8 @@ class TestFilter:
             "filter", "--scenario", scenario_path, "--log", sim / "measurements.csv",
             "--variant", "none", "--out", out, "--quiet",
         )
-        assert read_decision_log(out / "decisions.csv").shape == (0,)
+        decisions = read_decision_log(out / "decisions.csv")
+        assert all(column.shape == (0,) for column in decisions.values()) and len(decisions) == 9
 
     def test_tiny_alpha_rejects_almost_nothing(self, scenario_path, tmp_path):
         sim = tmp_path / "sim"
@@ -159,7 +160,7 @@ class TestFilter:
             "--variant", "np_correct", "--alpha", "0.01", "--out", out, "--quiet",
         )
         decisions = read_decision_log(out / "decisions.csv")
-        assert len(decisions)
+        assert len(decisions["rejected"])
         assert decisions["rejected"].mean() > 0.5
 
     @pytest.mark.parametrize(
@@ -1025,8 +1026,8 @@ class TestExtremeSpeedValue:
         )
         assert code == 0
         decisions = read_decision_log(out / "decisions.csv")
-        (decision,) = decisions[decisions["sensor_id"] == fields[1]]
-        assert (decision["statistic"], decision["auxiliary"], decision["rejected"]) == (0.0, np.inf, True)
+        (i,) = np.flatnonzero(decisions["sensor_id"] == fields[1])
+        assert (decisions["statistic"][i], decisions["auxiliary"][i], decisions["rejected"][i]) == (0.0, np.inf, True)
 
     @pytest.mark.parametrize("variant", ["fisher", "np_correct", "np_incorrect"])
     def test_largest_float_speed_is_rejected(self, fuzz_dir, variant):
@@ -1046,8 +1047,8 @@ class TestExtremeSpeedValue:
         )
         assert code == 0
         decisions = read_decision_log(out / "decisions.csv")
-        (decision,) = decisions[decisions["sensor_id"] == fields[1]]
-        assert decision["rejected"]
+        (i,) = np.flatnonzero(decisions["sensor_id"] == fields[1])
+        assert decisions["rejected"][i]
 
 
 def jammed_default_dict() -> dict:
@@ -1257,7 +1258,8 @@ def accepted(doc) -> bool:
 
 class TestAcceptedScenarios:
     """Every scenario the validator accepts simulates and filters with a
-    documented exit code; a warning fails the test."""
+    documented exit code, and a filter that exits 0 writes finite
+    estimates; a warning fails the test."""
 
     @settings(max_examples=40, deadline=None)
     @example(doc=jammed_default_dict())
@@ -1277,6 +1279,9 @@ class TestAcceptedScenarios:
                     "--variant", variant, "--out", root / variant, "--quiet",
                 )
                 assert code in (0, 2, 3)
+                if code == 0:
+                    written = (root / variant / "estimated_density.csv").read_text()
+                    assert np.isfinite(np.array(written.replace(",", " ").split(), dtype=float)).all()
 
     @pytest.mark.parametrize("field, largest", LARGEST_ACCEPTED.items())
     def test_the_table_holds_each_field_s_largest_accepted_value(self, field, largest):

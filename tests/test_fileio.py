@@ -26,7 +26,6 @@ from gatedpf.fileio import (
     record_text,
 )
 from gatedpf.harness import (
-    DECISION_DTYPE,
     MetricsReport,
     RunMetrics,
     read_decision_log,
@@ -181,10 +180,12 @@ def test_writer_refuses_what_its_reader_refuses(tmp_path, columns, line, message
 
 
 def _decisions(statistic):
-    decisions = np.zeros(2, DECISION_DTYPE)
-    decisions["k"], decisions["sensor_id"], decisions["test_kind"] = 1, "g", "fisher"
-    decisions["alpha"], decisions["statistic"] = 0.05, [0.5, statistic]
-    return decisions
+    # The writer takes any column mapping: here, lists of Python values.
+    return {
+        "k": [1, 1], "sensor_id": ["g", "g"], "link": [0, 0], "test_kind": ["fisher", "fisher"],
+        "statistic": [0.5, statistic], "alpha": [0.05, 0.05], "rejected": [False, False],
+        "auxiliary": [0.0, 0.0], "faulty": [False, False],
+    }
 
 
 def _log(value):

@@ -27,7 +27,7 @@ from gatedpf.harness import (
     STREAM_FILTER_DEMAND,
     STREAM_FILTER_RESAMPLE,
     STREAM_TRUTH,
-    DECISION_DTYPE,
+    GATE_DTYPE,
     ConfusionCounts,
     ExperimentConfig,
     FilterVariant,
@@ -36,6 +36,7 @@ from gatedpf.harness import (
     TrajectoryPair,
     compile_log,
     confusion_metrics,
+    decision_columns,
     filter_step,
     generate_measurements,
     mape,
@@ -155,17 +156,28 @@ class TestVariantsAndConfig:
             micro_config(seeds=(-1,))
 
 
-def decision_array(rows) -> np.ndarray:
-    """A decision array of ``(k, sensor_id, link, test_kind, statistic,
+# Each decision-log column's array type, as ``read_decision_log`` reads it.
+DECISION_TYPES = (np.int64, object, np.int64, object, float, float, bool, float, bool)
+
+
+def decision_log_columns(rows) -> dict[str, np.ndarray]:
+    """Decision-log columns of ``(k, sensor_id, link, test_kind, statistic,
     alpha, rejected, auxiliary, faulty)`` tuples."""
-    return np.array(list(rows), dtype=DECISION_DTYPE)
+    rows = list(rows)
+    return {
+        name: np.array([row[j] for row in rows], dtype)
+        for j, (name, dtype) in enumerate(zip(DECISION_COLUMNS, DECISION_TYPES))
+    }
+
+
+def decision_rows_of(columns) -> list[tuple]:
+    """The rows of decision-log columns, as tuples of Python values."""
+    return list(zip(*(np.asarray(columns[name]).tolist() for name in DECISION_COLUMNS)))
 
 
 class TestConfusionMetrics:
     def _decisions(self, outcomes):
-        return decision_array(
-            (1, "s", 0, "fisher", 0.5, 0.05, rejected, 0.0, faulty) for rejected, faulty in outcomes
-        )
+        return np.array([(0.5, 0.0, rejected, faulty) for rejected, faulty in outcomes], GATE_DTYPE)
 
     def test_all_accepted_clean(self):
         counts = confusion_metrics(self._decisions([(False, False)] * 7))
@@ -184,7 +196,7 @@ class TestConfusionMetrics:
         assert counts.labeling_error_pct == 0.0
 
     def test_no_decisions(self):
-        counts = confusion_metrics(np.empty(0, DECISION_DTYPE))
+        counts = confusion_metrics(np.empty(0, GATE_DTYPE))
         assert counts.total == 0 and counts.labeling_error_pct == 0.0
 
     def test_count_identity(self):
@@ -328,8 +340,9 @@ class TestFilterLoop:
                 post = resample_systematic(post, rng_resample)
             ens = post
         assert result.estimates.tobytes() == np.array(estimates).tobytes()
-        assert result.decisions.dtype == DECISION_DTYPE
-        assert result.decisions.tolist() == decisions
+        assert result.decisions.dtype == GATE_DTYPE
+        log = compile_log(config, log_of(shuffled))
+        assert decision_rows_of(decision_columns(log, variant, result.decisions)) == decisions
         assert (len(decisions) > 0) == (variant.mode != "none")
 
     @pytest.mark.parametrize("mode", list(MODES))
@@ -372,20 +385,15 @@ class TestFilterLoop:
         assert bool(gates) == (mode != "none")
         assert result.estimates.tobytes() == np.array(estimates).tobytes()
 
-        expected = np.empty(0, DECISION_DTYPE)
+        expected = np.empty(0, GATE_DTYPE)
         if mode != "none":
-            expected = log.decisions.copy()
+            expected = log.labels.copy()
             expected["statistic"], expected["auxiliary"], expected["rejected"] = (
                 np.concatenate(column) for column in zip(*gates)
             )
-            expected["test_kind"], expected["alpha"] = variant.kind.value, variant.alpha
+        assert result.decisions.dtype == GATE_DTYPE
         assert len(expected) == len(result.decisions)
-        for name in DECISION_COLUMNS:
-            got, want = result.decisions[name], expected[name]
-            if got.dtype == object:
-                assert got.tolist() == want.tolist()
-            else:
-                assert got.tobytes() == want.tobytes()
+        assert result.decisions.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("mode", ["fisher", "np_correct"])
     def test_a_run_looks_up_each_step_once(self, mode, monkeypatch):
@@ -405,7 +413,7 @@ class TestFilterLoop:
         config = micro_config(horizon=1)
         result = run_traffic_filter(config, log_of([]), FilterVariant("none"), RandomSource(1))
         assert result.estimates.shape == (0, 3)
-        assert result.decisions.dtype == DECISION_DTYPE and result.decisions.shape == (0,)
+        assert result.decisions.dtype == GATE_DTYPE and result.decisions.shape == (0,)
 
     def test_measurement_outside_window_rejected(self):
         config = micro_config(horizon=5)
@@ -648,22 +656,25 @@ class TestCompileLog:
         assert len(set(reports)) < len(reports) and config.network.n_links - 1 in links
         check_plan_columns(compile_log(config, ms).speed_plan, config.network, links)
 
-    def test_decision_records_are_the_speed_reports_in_step_order(self):
-        # One record per speed report, in step order (a step's reports in
-        # log order), with its step, sensor id, link and label; the table
-        # is read-only, and a gated run leaves it as compiled.
+    def test_labels_are_the_speed_reports_in_step_order(self):
+        # One label entry per speed report, in step order (a step's reports
+        # in log order), with a zero gate outcome; the joined decision log
+        # gives each its step, sensor id and link.  The template is
+        # read-only, and a gated run leaves it as compiled.
         config, ms, log = self._log()
         ms[5], ms[7] = dataclasses.replace(ms[5], faulty=True), dataclasses.replace(ms[7], faulty=True)
         log = compile_log(config, log_of(ms))
         speed = [ms[2], ms[5], ms[7], ms[0], ms[3], ms[6]]
-        assert log.decisions.dtype == DECISION_DTYPE
-        assert log.decisions[["k", "sensor_id", "link", "faulty"]].tolist() == [
+        assert log.labels.dtype == GATE_DTYPE
+        assert log.labels.tolist() == [(0.0, 0.0, False, m.faulty) for m in speed]
+        assert not log.labels.flags.writeable
+        columns = decision_columns(log, FilterVariant("fisher", 0.05), log.labels)
+        assert list(zip(*(columns[name].tolist() for name in ("k", "sensor_id", "link", "faulty")))) == [
             (m.k, m.sensor_id, m.link, m.faulty) for m in speed
         ]
-        assert not log.decisions.flags.writeable
-        compiled = log.decisions[["k", "sensor_id", "link", "faulty"]].tolist()
+        compiled = log.labels.tobytes()
         run_traffic_filter(config, log, FilterVariant("fisher", 0.05), RandomSource(9))
-        assert log.decisions[["k", "sensor_id", "link", "faulty"]].tolist() == compiled
+        assert log.labels.tobytes() == compiled
 
     def test_fault_densities_of_the_speed_rows(self):
         config, _, log = self._log()
@@ -681,7 +692,8 @@ class TestCompileLog:
         plain = run_traffic_filter(config, ms, variant, RandomSource(9))
         compiled = run_traffic_filter(config, compile_log(config, ms), variant, RandomSource(9))
         assert plain.estimates.tobytes() == compiled.estimates.tobytes()
-        assert plain.decisions.tolist() == compiled.decisions.tolist()
+        assert plain.decisions.dtype == compiled.decisions.dtype == GATE_DTYPE
+        assert plain.decisions.tobytes() == compiled.decisions.tobytes()
 
     @pytest.mark.parametrize("mode", ["none", "fisher", "np_correct", "np_incorrect"])
     def test_decisions_are_the_speed_rows_in_step_order(self, mode):
@@ -693,22 +705,24 @@ class TestCompileLog:
         ms = sorted(records_of(ms), key=lambda m: -m.k)
         log = compile_log(config, log_of(ms))
         decisions = run_traffic_filter(config, log, variant, RandomSource(9)).decisions
-        assert decisions.dtype == DECISION_DTYPE
+        assert decisions.dtype == GATE_DTYPE
+        columns = decision_columns(log, variant, decisions)
+        assert sorted(columns) == sorted(DECISION_COLUMNS)
         if mode == "none":
             assert decisions.shape == (0,)
+            assert all(column.shape == (0,) for column in columns.values())
             return
-        assert len(log.decisions) > 0
-        for name in ("k", "sensor_id", "link", "faulty"):
-            assert decisions[name].tolist() == log.decisions[name].tolist()
+        assert len(log.labels) > 0
+        assert decisions["faulty"].tolist() == log.labels["faulty"].tolist()
         in_step_order = [
             (m.k, m.sensor_id, m.link, m.faulty)
             for m in sorted(ms, key=lambda m: m.k)
             if m.kind == GNSS_SPEED
         ]
-        assert decisions[["k", "sensor_id", "link", "faulty"]].tolist() == in_step_order
+        assert list(zip(*(columns[name].tolist() for name in ("k", "sensor_id", "link", "faulty")))) == in_step_order
         kind = "fisher" if mode == "fisher" else "neyman_pearson"
-        assert set(decisions["test_kind"].tolist()) == {kind}
-        assert set(decisions["alpha"].tolist()) == {0.05}
+        assert set(columns["test_kind"].tolist()) == {kind}
+        assert set(columns["alpha"].tolist()) == {0.05}
 
     def test_bad_measurement_names_itself(self):
         config, ms, _ = self._log()
@@ -753,7 +767,7 @@ class TestCompileLog:
         log = compile_log(config, log_of([]))
         assert log.offsets.tolist() == [[0, 0]] * 5
         assert log.values.shape == log.speed_index.shape == log.speed_plan.links.shape == (0,)
-        assert log.decisions.dtype == DECISION_DTYPE and log.decisions.shape == (0,)
+        assert log.labels.dtype == GATE_DTYPE and log.labels.shape == (0,)
 
 
 class TestRunExperiment:
@@ -779,7 +793,7 @@ class TestRunExperiment:
         config = micro_config(horizon=10)
         seen = {}
 
-        def sink(seed, truth, measurements, variant, result):
+        def sink(seed, truth, measurements, log, variant, result):
             if seed in seen:
                 assert np.array_equal(seen[seed], truth.states)
             else:
@@ -797,7 +811,8 @@ class TestRunExperiment:
     def test_each_measurement_checked_once_per_seed(self, monkeypatch):
         # The seed's log is checked (one vectorized check) and compiled
         # once, not once per variant, and every variant's run still reads
-        # it; on_run gets the seed's own measurement log.
+        # it; on_run gets the seed's own measurement log and its compiled
+        # log, one per seed.
         config = micro_config(
             horizon=8,
             seeds=(5, 6),
@@ -813,12 +828,19 @@ class TestRunExperiment:
         check = harness._check_log
         monkeypatch.setattr(harness, "_check_log", lambda c, log: (calls.append(log), check(c, log)))
         received = []
-        report = run_experiment(config, on_run=lambda seed, t, log, v, r: received.append((seed, log)))
+        report = run_experiment(
+            config, on_run=lambda seed, t, ms, log, v, r: received.append((seed, ms, log))
+        )
         assert [len(log) for log in calls] == [len(logs[5]), len(logs[6])]
         assert len(report.runs) == 8 and not any(r.collapsed for r in report.runs)
-        assert [seed for seed, _ in received] == [5] * 4 + [6] * 4
-        assert all(log is calls[seed - 5] for seed, log in received)
-        assert all(records_of(log) == records_of(logs[seed]) for seed, log in received)
+        assert [seed for seed, _, _ in received] == [5] * 4 + [6] * 4
+        assert all(ms is calls[seed - 5] for seed, ms, _ in received)
+        assert all(records_of(ms) == records_of(logs[seed]) for seed, ms, _ in received)
+        compiled = {seed: log for seed, _, log in received}
+        assert all(log is compiled[seed] for seed, _, log in received)
+        for seed, log in compiled.items():
+            assert isinstance(log, CompiledLog) and log.horizon == config.horizon
+            assert len(log.speed_index) == np.count_nonzero(logs[seed].speed)
 
     def test_fault_free_log_identical_to_clean_stream(self):
         # Setting the fault probability to zero must reproduce the clean
@@ -868,16 +890,15 @@ class TestSharedRuns:
             return direct(config, log, variant, rng)
 
         monkeypatch.setattr(harness, "run_traffic_filter", counted)
-        report = run_experiment(config, on_run=lambda seed, t, log, v, r: received.append((seed, v, r)))
+        report = run_experiment(config, on_run=lambda seed, t, ms, log, v, r: received.append((seed, v, r)))
         return config, report, calls, received
 
     @staticmethod
     def _assert_direct(config, seed, variant, result):
         expected = run_traffic_filter(config, simulate_seed(config, seed)[1], variant, RandomSource(seed))
         assert np.array_equal(result.estimates, expected.estimates)
-        assert result.decisions.dtype == DECISION_DTYPE
-        for name in DECISION_COLUMNS:
-            assert np.array_equal(result.decisions[name], expected.decisions[name]), name
+        assert result.decisions.dtype == GATE_DTYPE
+        assert result.decisions.tobytes() == expected.decisions.tobytes()
 
     def test_every_run_equals_its_direct_filter_run(self, monkeypatch):
         config, report, calls, received = self._study(monkeypatch)
@@ -887,14 +908,11 @@ class TestSharedRuns:
         assert calls == [(seed, v) for seed, v in everything if v not in SHARED]
         for seed, variant, result in received:
             self._assert_direct(config, seed, variant, result)
-        # A shared run's decisions are its own copy.
+        # A shared run's result is the run it takes.
         by_run = {(seed, v.label): r for seed, v, r in received}
         for seed in (5, 6):
             for variant, taken in SHARED.items():
-                shared, base = by_run[seed, variant.label], by_run[seed, taken]
-                assert set(shared.decisions["alpha"].tolist()) == {variant.alpha}
-                assert base.decisions["alpha"][0] != variant.alpha
-                assert shared.decisions is not base.decisions
+                assert by_run[seed, variant.label] is by_run[seed, taken]
 
     def test_later_levels_of_a_collapsed_run_run_directly(self, monkeypatch):
         first = FilterVariant("np_incorrect", 0.1)
@@ -910,25 +928,28 @@ class TestSharedRuns:
         scored = [r for r in report.runs if (r.seed, r.mode, r.alpha) == (5, "np_incorrect", 0.01)]
         assert scored == [r for r in unshared.runs if r.seed == 5]
 
-    def test_a_taken_run_s_records_are_a_new_array_at_the_variant_s_level(self):
-        # np_incorrect@0.01 takes the 0.1 run of seed 5 (SHARED): its
-        # records are a fresh array, equal to the finished run's but for
-        # the level, which the finished run keeps.
+    def test_a_taken_run_s_result_is_its_base_run_s_with_read_only_columns(self):
+        # np_incorrect@0.01 takes the 0.1 run of seed 5 (SHARED): it gets
+        # the finished run's result object, whose arrays no one can write.
+        # The two decision logs joined from it differ only in the level.
         config = micro_config(horizon=12, seeds=(5,))
         base, variant = FilterVariant("np_incorrect", 0.1), FilterVariant("np_incorrect", 0.01)
-        finished = run_traffic_filter(config, simulate_seed(config, 5)[1], base, RandomSource(5))
-        before = finished.decisions.tobytes()
+        log = compile_log(config, simulate_seed(config, 5)[1])
+        finished = run_traffic_filter(config, log, base, RandomSource(5))
         taken, result = harness._shared_run(variant, [(base, finished)])
-        assert taken == base and result.estimates is finished.estimates
-        decisions = result.decisions
-        assert decisions.base is None and not np.shares_memory(decisions, finished.decisions)
-        assert decisions.dtype == DECISION_DTYPE and len(decisions) == len(finished.decisions) > 0
-        assert set(decisions["alpha"].tolist()) == {0.01}
-        assert set(decisions["test_kind"].tolist()) == {variant.kind.value}
+        assert taken == base and result is finished
+        assert result.decisions.dtype == GATE_DTYPE and len(result.decisions) > 0
+        for array in (result.estimates, result.decisions):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = array[1]
+        for name in GATE_DTYPE.names:
+            assert not result.decisions[name].flags.writeable
+        at_base, at_variant = (decision_columns(log, v, result.decisions) for v in (base, variant))
+        assert set(at_base["alpha"].tolist()) == {0.1} and set(at_variant["alpha"].tolist()) == {0.01}
         for name in DECISION_COLUMNS:
             if name != "alpha":
-                assert np.array_equal(decisions[name], finished.decisions[name]), name
-        assert finished.decisions.tobytes() == before
+                assert np.array_equal(at_variant[name], at_base[name]), name
 
     def test_each_shared_run_logs_one_info_record(self, caplog, monkeypatch):
         self._study(monkeypatch)
@@ -959,7 +980,7 @@ class TestHeldRuns:
         config = micro_config(horizon=8, seeds=(5, 6), variants=variants)
         refs, held = [], []
 
-        def on_run(seed, truth, log, variant, result):
+        def on_run(seed, truth, measurements, log, variant, result):
             refs.append((seed, variant, weakref.ref(result)))
             held.append([(s, v) for s, v, ref in refs if ref() is not None])
 
@@ -1138,24 +1159,44 @@ class TestDecisionLog:
             (4, "g-2", 0, "fisher", 0.5, 0.001, False, -1.25, False),
         ]
         path = tmp_path / "decisions.csv"
-        write_decision_log(path, decision_array(rows))
+        write_decision_log(path, decision_log_columns(rows))
         back = read_decision_log(path)
-        assert back.dtype == DECISION_DTYPE
-        assert back.tolist() == rows
+        assert list(back) == list(DECISION_COLUMNS)
+        assert [back[name].dtype for name in DECISION_COLUMNS] == list(map(np.dtype, DECISION_TYPES))
+        assert decision_rows_of(back) == rows
 
     def test_empty_log_reads_back_empty(self, tmp_path):
         path = tmp_path / "decisions.csv"
-        write_decision_log(path, np.empty(0, DECISION_DTYPE))
+        write_decision_log(path, decision_log_columns([]))
         assert path.read_bytes() == b"k,sensor_id,link,test_kind,statistic,alpha,rejected,auxiliary,faulty\r\n"
         back = read_decision_log(path)
-        assert back.dtype == DECISION_DTYPE and back.shape == (0,)
+        assert [back[name].dtype for name in DECISION_COLUMNS] == list(map(np.dtype, DECISION_TYPES))
+        assert all(back[name].shape == (0,) for name in DECISION_COLUMNS)
+        assert confusion_metrics(back).total == 0
+
+    @pytest.mark.parametrize("mode", ["fisher", "np_correct", "np_incorrect"])
+    def test_a_written_run_scores_as_its_columns(self, tmp_path, mode):
+        # The decision log a run's columns join to, written and read back,
+        # gives the run's confusion counts, and writes back to its bytes.
+        variant = FilterVariant(mode, 0.1)
+        config = micro_config(horizon=12, seeds=(5,))
+        log = compile_log(config, simulate_seed(config, 5)[1])
+        result = run_traffic_filter(config, log, variant, RandomSource(5))
+        path, again = tmp_path / "decisions.csv", tmp_path / "again.csv"
+        write_decision_log(path, decision_columns(log, variant, result.decisions))
+        counts = confusion_metrics(result.decisions)
+        assert counts.total == len(log.speed_index) > 0 and counts.tp + counts.fp > 0
+        back = read_decision_log(path)
+        assert confusion_metrics(back) == counts
+        write_decision_log(again, back)
+        assert again.read_bytes() == path.read_bytes()
 
     @settings(max_examples=150, deadline=None)
     @given(rows=decision_rows)
     def test_writer_bytes_match_the_per_row_reference(self, rows):
         with tempfile.TemporaryDirectory() as tmp:
             path, again = Path(tmp) / "decisions.csv", Path(tmp) / "again.csv"
-            write_decision_log(path, decision_array(rows))
+            write_decision_log(path, decision_log_columns(rows))
             text = path.read_bytes()
             assert text == reference_decision_text(rows).encode()
             write_decision_log(again, read_decision_log(path))
@@ -1179,8 +1220,8 @@ class TestDecisionLog:
             (3, "g-2", 2, "neyman_pearson", np.inf, 0.05, False, 4.0, False),
         ]
         path = tmp_path / "decisions.csv"
-        write_decision_log(path, decision_array(rows))
-        assert read_decision_log(path).tolist() == rows
+        write_decision_log(path, decision_log_columns(rows))
+        assert decision_rows_of(read_decision_log(path)) == rows
 
     def test_unlabeled_decision_is_refused(self, tmp_path):
         # Every measurement carries a 0/1 label, so no writer leaves
@@ -1247,7 +1288,7 @@ def number_forms(text: str) -> list[str]:
 CSV_FORMATS = {
     "decisions": (
         harness.DECISION_FORMAT, (0, 2, 4, 5, 6, 7, 8), read_decision_log,
-        lambda path, rows: write_decision_log(path, decision_array(rows)), lambda decisions: decisions,
+        lambda path, rows: write_decision_log(path, decision_log_columns(rows)), decision_rows_of,
     ),
     "measurements": (
         MEASUREMENT_FORMAT, (0, 3, 4, 5), read_measurement_log,
