@@ -16,7 +16,9 @@ The file holds the checkout's commit, whether its tracked files differ
 from it, the digest of its package sources (as the benchmark's traced runs
 compute it), the machine record, and per workload and metric the median,
 the interquartile range, the sample count and every run's value, plus each
-run's seed, ``correct`` and ``failed``.  With ``--compare`` it then prints
+run's seed, ``correct`` and ``failed``.  Each checkout's commit, flag and
+digest are read before the first run, so a root without ``.git`` exits
+non-zero at once, naming it.  With ``--compare`` it then prints
 each metric's change against an earlier file, and warns when the two
 machine records differ.
 
@@ -251,11 +253,15 @@ def _git(root: Path, *args: str) -> str:
     return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True, check=True).stdout
 
 
-def checkout_document(root: Path, runs: list[dict]) -> dict:
-    """The BENCH document of ``runs`` of the checkout at ``root``."""
+def checkout_identity(root: Path) -> tuple[str, bool, str]:
+    """The commit of the checkout at ``root``, whether its tracked files
+    differ from it, and the digest of its package sources.  A root without
+    ``.git`` exits at once, naming it."""
+    if not (root / ".git").exists():
+        raise SystemExit(f"error: {root}: not a git checkout (no .git)")
     commit = _git(root, "rev-parse", "HEAD").strip()
     dirty = bool(_git(root, "status", "--porcelain", "--untracked-files=no").strip())
-    return bench_document(runs, commit, dirty, source_digest(root))
+    return commit, dirty, source_digest(root)
 
 
 def main(argv=None) -> int:
@@ -265,6 +271,10 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", type=Path, help="earlier BENCH file to compare with")
     parser.add_argument("--pair", type=Path, metavar="PARENT_ROOT", help="parent checkout to pair runs with")
     args = parser.parse_args(argv)
+    # Both checkouts are read before the first run, so a wrong root fails
+    # before any time is spent.
+    identity = checkout_identity(args.root)
+    parent_identity = None if args.pair is None else checkout_identity(args.pair)
     if args.pair is None:
         runs = []
         for seed in range(FIRST_SEED, FIRST_SEED + RUNS):
@@ -273,9 +283,9 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed}: {json.dumps(runs[-1]['result'])[:120]}", file=sys.stderr)
     else:
         parent_runs, runs = pair_runs(args.pair, args.root)
-    new = checkout_document(args.root, runs)
+    new = bench_document(runs, *identity)
     if args.pair is not None:
-        new["parent"] = checkout_document(args.pair, parent_runs)
+        new["parent"] = bench_document(parent_runs, *parent_identity)
     args.out.write_text(json.dumps(new, indent=2) + "\n")
     if args.compare is not None:
         print("\n".join(compare(json.loads(args.compare.read_text()), new)))

@@ -20,11 +20,13 @@ from .gates import MODES
 from .harness import (
     METRIC_FIELDS,
     FilterVariant,
+    MetricsReport,
+    RunMetrics,
     compile_log,
     decision_columns,
     metrics_wide_text,
     read_metrics_long,
-    run_experiment,
+    run_seed,
     run_traffic_filter,
     simulate_seed,
     write_decision_log,
@@ -118,6 +120,23 @@ def cmd_filter(args) -> int:
     return 0
 
 
+def _sweep_seed(config, seed: int, run_dir: Path | None) -> tuple[RunMetrics, ...]:
+    """The metrics of :func:`run_seed`.  With a ``run_dir``, it first writes
+    the seed's truth and log, then each finished run's estimates and decision
+    log in variant order; a seed whose every run collapsed writes nothing."""
+    unit = run_seed(config, seed)
+    finished = [(v, r) for v, r in zip(config.variants, unit.results) if r is not None]
+    if run_dir is not None and finished:
+        write_matrix_csv(run_dir / "true_density.csv", unit.truth.states.T)
+        write_measurement_log(run_dir / "measurements.csv", unit.measurements)
+        for variant, result in finished:
+            tag = variant.label.replace("@", "_a")
+            write_matrix_csv(run_dir / f"estimated_density_{tag}.csv", result.estimates.T)
+            columns = decision_columns(unit.log, variant, result.decisions)
+            write_decision_log(run_dir / f"decisions_{tag}.csv", columns)
+    return unit.metrics
+
+
 def cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
     seeds = [args.seed] if args.seed is not None else list(scenario.seeds)
@@ -130,21 +149,10 @@ def cmd_sweep(args) -> int:
     write_manifest(out, "sweep", scenario, seeds, artifacts)
     _say(args, f"sweep: {len(config.variants)} variants x {len(seeds)} seeds")
 
-    sink = None
-    if not args.no_artifacts:
-        written_truth: set[int] = set()
-
-        def sink(seed, truth, measurements, log, variant, result) -> None:
-            run_dir = out / f"seed_{seed}"
-            if seed not in written_truth:
-                write_matrix_csv(run_dir / "true_density.csv", truth.states.T)
-                write_measurement_log(run_dir / "measurements.csv", measurements)
-                written_truth.add(seed)
-            tag = variant.label.replace("@", "_a")
-            write_matrix_csv(run_dir / f"estimated_density_{tag}.csv", result.estimates.T)
-            write_decision_log(run_dir / f"decisions_{tag}.csv", decision_columns(log, variant, result.decisions))
-
-    report = run_experiment(config, on_run=sink)
+    # A seed's results are dropped before the next seed runs.
+    report = MetricsReport(runs=[])
+    for seed in seeds:
+        report.runs += _sweep_seed(config, seed, None if args.no_artifacts else out / f"seed_{seed}")
     atomic_write_text(out / artifacts["metrics"], metrics_wide_text(report, scenario.alphas))
     write_metrics_long(out / artifacts["metrics_long"], report)
     _say(args, f"wrote metrics table to {out / artifacts['metrics']}")

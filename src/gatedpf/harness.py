@@ -1,10 +1,10 @@
 """End-to-end experiment orchestration for the freeway testbed.
 
-One experiment run simulates a ground-truth traffic realization, generates
-labeled measurements (loop densities plus fault-injected speed reports),
-then runs the gated particle filter for each configured (test mode, level)
-variant against the same measurement log; ``gatedpf simulate`` builds a
-seed's truth and log on the same path, :func:`simulate_seed`.  The log is
+A study maps one seed's run (:func:`run_seed`) over its seeds: a seed's
+truth run, its labeled measurements (loop densities plus fault-injected
+speed reports), and the gated particle filter run for each (test mode,
+level) variant against that log; ``gatedpf simulate`` builds a seed's
+truth and log on the same path, :func:`simulate_seed`.  The log is
 checked and compiled once per seed (:func:`compile_log`) into step-ordered
 columns that every variant's filter run reads; a run keeps its gate
 outcomes, which its decision log joins to the log's and the variant's
@@ -33,11 +33,11 @@ metric columns directly comparable across test modes and levels.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -193,6 +193,16 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"horizon: must be at most {most - 1}, the longest horizon whose "
                 "(horizon + 1, L) float64 trajectory numpy can shape"
+            )
+        # And the measurement log's columns: a step holds one reading per
+        # loop detector and at most one report per vehicle (a binomial draw
+        # never exceeds its count), and a link holds at most its jam count.
+        per_step = len(self.loops.links) + sum(round(l.rho_jam * l.length) for l in self.network.links)
+        if (self.horizon - 1) * per_step > _MAX_FLOATS:
+            raise ConfigurationError(
+                f"horizon: must be at most {_MAX_FLOATS // per_step + 1}, the longest horizon whose "
+                f"measurement log numpy can shape: a step may hold {per_step} rows, one per loop "
+                "detector and one per vehicle of each link at its jam density"
             )
         if not self.seeds:
             raise ConfigurationError("seeds: needs at least one seed")
@@ -621,22 +631,34 @@ class MetricsReport:
         return out
 
 
-RunSink = Callable[[int, Trajectory, MeasurementLog, CompiledLog, FilterVariant, FilterRunResult], None]
+@dataclass(frozen=True)
+class SeedRun:
+    """What one seed delivers: its truth, its log and the log compiled from
+    it, and per variant in config order the run's result (``None`` for a
+    collapse; a taken run's is its base run's) and the run's metrics."""
+
+    seed: int
+    truth: Trajectory
+    measurements: MeasurementLog
+    log: CompiledLog
+    results: tuple[FilterRunResult | None, ...]
+    metrics: tuple[RunMetrics, ...]
 
 
 def _shared_run(
-    variant: FilterVariant, finished: Sequence[tuple[FilterVariant, FilterRunResult]]
+    variant: FilterVariant, runs: Iterable[tuple[FilterVariant, FilterRunResult | None]]
 ) -> tuple[FilterVariant, FilterRunResult] | None:
-    """The first of a seed's ``finished`` runs that ``variant``'s filter run
+    """The first of a seed's finished ``runs`` that ``variant``'s filter run
     would repeat bit for bit, with its result; or ``None``.
 
     A run qualifies when it has the variant's test mode and its recorded
     statistics give the same test outcome on every row at both levels (see
     the module docstring): the variant takes its result object itself,
-    whose arrays are read-only and hold no level.
+    whose arrays are read-only and hold no level.  A taken run decides as
+    its base, which comes first; collapsed and ungated runs are skipped.
     """
-    for base, result in finished:
-        if base.mode != variant.mode:
+    for base, result in runs:
+        if base.mode != variant.mode or base.kind is None or result is None:
             continue
         statistic, auxiliary = result.decisions["statistic"], result.decisions["auxiliary"]
         if np.array_equal(
@@ -647,63 +669,43 @@ def _shared_run(
     return None
 
 
-def run_experiment(config: ExperimentConfig, on_run: RunSink | None = None) -> MetricsReport:
-    """Full study: per seed, simulate truth once and run every variant on it.
+def run_seed(config: ExperimentConfig, seed: int) -> SeedRun:
+    """One seed of the study: its truth, its log checked and compiled once
+    (:func:`compile_log`), and every variant's run on it.  A gated variant
+    takes a finished run of its mode that decides every recorded row alike
+    at both levels (:func:`_shared_run`) and logs one ``INFO`` record naming
+    it; any other runs :func:`run_traffic_filter`.  A weight collapse leaves
+    no result and all-NaN metrics with ``collapsed`` set; the variants after
+    it still run."""
+    truth, measurements = simulate_seed(config, seed)
+    log = compile_log(config, measurements)
+    results, metrics = [], []
+    for variant in config.variants:
+        shared = _shared_run(variant, zip(config.variants, results))
+        if shared is not None:
+            taken, result = shared
+            logger.info("seed %d: %s takes the run of %s", seed, variant.label, taken.label)
+        else:
+            try:
+                result = run_traffic_filter(config, log, variant, RandomSource(seed))
+            except WeightCollapseError:
+                nan = float("nan")
+                results.append(None)
+                metrics.append(RunMetrics(variant.mode, variant.alpha, seed, 0, 0, 0, 0, nan, nan, True))
+                continue
+        results.append(result)
+        counts = confusion_metrics(result.decisions)
+        error = mape(TrajectoryPair(truth.states[1 : config.horizon], result.estimates), floor=config.mape_floor)
+        metrics.append(
+            RunMetrics(variant.mode, variant.alpha, seed, *astuple(counts), counts.labeling_error_pct, error)
+        )
+    return SeedRun(seed, truth, measurements, log, tuple(results), tuple(metrics))
 
-    Each seed's log is checked and compiled once (:func:`compile_log`) and
-    every variant's run reads the compiled log.  A gated variant whose test
-    mode has a finished run in the seed that decides every recorded row
-    alike at both levels takes that run's results (:func:`_shared_run`, by
-    the induction in the module docstring) and logs one ``INFO`` record
-    naming the run it takes; any other variant runs
-    :func:`run_traffic_filter`.  The ungated variant and a run that
-    collapsed are never taken, and a mode's runs are held only while a
-    variant left to run has that mode.  A weight collapse in one variant is
-    recorded (all-NaN metrics, ``collapsed`` set) and the remaining
-    variants still run.  ``on_run`` receives each finished run, in variant
-    order, with the seed's measurement and compiled logs, e.g. for artifacts.
-    """
-    runs: list[RunMetrics] = []
-    last = {variant.mode: i for i, variant in enumerate(config.variants)}
-    for seed in config.seeds:
-        base = RandomSource(seed)
-        truth, measurements = simulate_seed(config, seed)
-        log = compile_log(config, measurements)
-        true_slice = truth.states[1 : config.horizon]
-        # The seed's filtered, finished gated runs that a later level may
-        # take: a mode's runs are dropped once no variant left has its mode.
-        finished: list[tuple[FilterVariant, FilterRunResult]] = []
-        for i, variant in enumerate(config.variants):
-            finished = [run for run in finished if last[run[0].mode] >= i]
-            shared = _shared_run(variant, finished)
-            if shared is not None:
-                taken, result = shared
-                logger.info("seed %d: %s takes the run of %s", seed, variant.label, taken.label)
-            else:
-                try:
-                    result = run_traffic_filter(config, log, variant, base)
-                except WeightCollapseError:
-                    nan = float("nan")
-                    runs.append(
-                        RunMetrics(
-                            mode=variant.mode, alpha=variant.alpha, seed=seed, tp=0, fp=0, tn=0, fn=0,
-                            labeling_error_pct=nan, mape_pct=nan, collapsed=True,
-                        )
-                    )
-                    continue
-                if variant.kind is not None:
-                    finished.append((variant, result))
-            counts = confusion_metrics(result.decisions)
-            error = mape(TrajectoryPair(true_slice, result.estimates), floor=config.mape_floor)
-            runs.append(
-                RunMetrics(
-                    mode=variant.mode, alpha=variant.alpha, seed=seed, **asdict(counts),
-                    labeling_error_pct=counts.labeling_error_pct, mape_pct=error,
-                )
-            )
-            if on_run is not None:
-                on_run(seed, truth, measurements, log, variant, result)
-    return MetricsReport(runs=runs)
+
+def run_experiment(config: ExperimentConfig) -> MetricsReport:
+    """Full study: the metrics of :func:`run_seed` over ``config.seeds``, in
+    seed, then variant, order."""
+    return MetricsReport(runs=[m for seed in config.seeds for m in run_seed(config, seed).metrics])
 
 
 def _in_open_unit(values) -> np.ndarray:

@@ -22,6 +22,7 @@ from gatedpf.harness import (
     RunMetrics,
     decision_columns,
     run_experiment,
+    run_seed,
     simulate_seed,
 )
 from gatedpf.particles import ParticleEnsemble, resample_systematic
@@ -46,16 +47,7 @@ def study():
     """Full default sweep plus fault-free baseline, shared by all criteria."""
     scenario = default_scenario()
     config = scenario.experiment_config()
-    selectivity_runs = {}
-
-    def keep_selectivity_run(seed, truth, measurements, log, variant, result):
-        # Criterion 5 scores the incorrect-model gate at the middle level,
-        # each decision naming its report by the joined sensor id.
-        if variant == SELECTIVITY_VARIANT:
-            speed = measurements.speed
-            values = dict(zip(measurements.sensor_ids[speed].tolist(), measurements.values[speed].tolist()))
-            sensor_ids = decision_columns(log, variant, result.decisions)["sensor_id"]
-            selectivity_runs[seed] = (values, sensor_ids, result.decisions)
+    runs, selectivity_runs = [], {}
 
     # Each shared run logs (seed, variant, the run it takes).
     shared = []
@@ -67,10 +59,23 @@ def study():
     harness_log.setLevel(logging.INFO)
     start = time.time()
     try:
-        report = run_experiment(config, on_run=keep_selectivity_run)
+        for seed in config.seeds:
+            unit = run_seed(config, seed)
+            runs += unit.metrics
+            # Criterion 5 scores the incorrect-model gate at the middle
+            # level, each decision naming its report by the joined sensor id.
+            result = unit.results[config.variants.index(SELECTIVITY_VARIANT)]
+            if result is not None:
+                speed = unit.measurements.speed
+                values = dict(
+                    zip(unit.measurements.sensor_ids[speed].tolist(), unit.measurements.values[speed].tolist())
+                )
+                sensor_ids = decision_columns(unit.log, SELECTIVITY_VARIANT, result.decisions)["sensor_id"]
+                selectivity_runs[seed] = (values, sensor_ids, result.decisions)
     finally:
         harness_log.removeHandler(handler)
         harness_log.setLevel(level)
+    report = MetricsReport(runs=runs)
     baseline_config = dataclasses.replace(
         config,
         fault_config=dataclasses.replace(config.fault_config, probability=0.0),

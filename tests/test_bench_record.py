@@ -245,6 +245,27 @@ def test_pairs_alternate_between_the_checkouts(tmp_path, monkeypatch):
     assert [run["seed"] for run in parent_runs] == [run["seed"] for run in change_runs] == [1, 2, 3]
 
 
+@pytest.mark.parametrize("bare", ["root", "pair"])
+def test_a_checkout_without_git_exits_before_any_run(tmp_path, monkeypatch, bare):
+    # The change's checkout (a stand-in with .git) is read, then the
+    # parent's; the one without .git stops the script before any run,
+    # naming its root, and no BENCH file is written.
+    ran = []
+    monkeypatch.setattr(bench_record, "run_benchmark", lambda *args: ran.append(args))
+    monkeypatch.setattr(bench_record, "_git", lambda root, *args: "abc123\n" if args[0] == "rev-parse" else "")
+    monkeypatch.setattr(bench_record, "source_digest", lambda root: "f00d")
+    roots = {name: tmp_path / name for name in ("root", "pair")}
+    for name, root in roots.items():
+        root.mkdir()
+        if name != bare:
+            (root / ".git").mkdir()
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(["--out", str(out), "--root", str(roots["root"]), "--pair", str(roots["pair"])])
+    assert exc.value.code == f"error: {roots[bare]}: not a git checkout (no .git)"
+    assert not ran and not out.exists()
+
+
 PROBES = [1000.0, 1010.0, 990.0, 1005.0, 995.0, 1000.0, 1002.0, 998.0, 1001.0, 999.0]  # IQR 3.5 us
 
 

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import gatedpf
 from gatedpf import default_scenario_dict
 from gatedpf.cli import main
-from gatedpf.errors import ConfigurationError
+from gatedpf.errors import ConfigurationError, WeightCollapseError
 from gatedpf.fileio import read_matrix_csv
 from gatedpf.harness import read_decision_log, read_metrics_long
 from gatedpf.scenario import scenario_from_dict
@@ -364,6 +364,21 @@ class TestSweepAndReport:
         wide = (out / "metrics.csv").read_text().splitlines()
         assert wide[0] == "variant,metric,alpha=0.01"
         assert all(line.endswith("±0.0") for line in wide[1:])
+
+    def test_a_seed_whose_every_run_collapses_writes_no_run_files(self, scenario_path, tmp_path, monkeypatch):
+        # Every run is scored as collapsed, and the seed writes neither its
+        # truth and log nor any run's files.
+        from gatedpf import harness
+
+        def collapse(*args):
+            raise WeightCollapseError("collapsed", k=1)
+
+        monkeypatch.setattr(harness, "run_traffic_filter", collapse)
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--scenario", scenario_path, "--out", out, "--quiet", "--seed", 11) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "metrics.csv", "metrics_long.csv"]
+        runs = read_metrics_long(out / "metrics_long.csv").runs
+        assert runs and all(r.collapsed and r.seed == 11 for r in runs)
 
     def test_repeated_level_is_one_column(self, tmp_path, capsys):
         # The progress line counts the runs of a seed: the ungated filter
@@ -857,7 +872,7 @@ class TestExitCodes:
         def boom(*args, **kwargs):
             raise MemoryError("Unable to allocate 175. TiB for an array with shape (24, 1000000000000)")
 
-        monkeypatch.setattr(cli, "run_experiment", boom)
+        monkeypatch.setattr(cli, "run_seed", boom)
         out = tmp_path / "o"
         assert run_cli("sweep", "--scenario", scenario_path, "--out", out, "--quiet") == 2
         assert capsys.readouterr().err == (
@@ -1190,11 +1205,11 @@ def with_extreme(field: str, value: float) -> dict:
 # largest value the validator accepts in extremes_base_dict (the next float
 # is refused, past the largest float none is).
 LARGEST_ACCEPTED = {
-    "network.links.length": 7.37869762948382e19,  # rho_jam * length < 2**63
+    "network.links.length": 9.607679205057058e16,  # 4 steps of jam vehicles' rows fit an array
     "network.links.vf": 50.0000000000001,  # vf * dt <= length
     "network.links.w": 50.0000000000001,
     "network.links.qmax": sys.float_info.max,
-    "network.links.rho_jam": 1.8446744073709548e16,  # rho_jam * length < 2**63
+    "network.links.rho_jam": 24019198012642.645,  # 4 steps of jam vehicles' rows fit an array
     "network.links.beta": 0.9999999999999999,
     "demand.upstream.base": 4.993592041284209e307,  # base * (1 + 0.2 * 13) finite
     "demand.upstream.peak": 4.993592041284209e307,
@@ -1222,7 +1237,7 @@ LARGEST_ACCEPTED = {
 }
 # The extremes that stop before a filter runs, each with the exit-2 error
 # line's start: 5e-324 where the validator refuses it, and the largest
-# accepted length, whose probe count no array holds.
+# accepted length, whose log numpy can shape but no machine can hold.
 STOPPED_EXTREMES = {
     ("network.links.length", 5e-324): "error: network: links[0]: CFL violated",
     ("network.links.length", LARGEST_ACCEPTED["network.links.length"]): "error: out of memory: ",
@@ -1288,6 +1303,21 @@ class TestAcceptedScenarios:
         assert accepted(with_extreme(field, largest))
         if largest < sys.float_info.max:
             assert not accepted(with_extreme(field, float(np.nextafter(largest, np.inf))))
+
+    @pytest.mark.parametrize("field", ["network.links.length", "network.links.rho_jam"])
+    def test_the_smallest_refused_jam_count_exits_2_naming_the_horizon(self, tmp_path, capsys, field):
+        # One float past the table's value, a step's rows over the horizon's
+        # steps are more than numpy can shape: refused before any output.
+        scenario = tmp_path / "scenario.yaml"
+        refused = float(np.nextafter(LARGEST_ACCEPTED[field], np.inf))
+        scenario.write_text(yaml.safe_dump(with_extreme(field, refused)))
+        for command in ("simulate", "sweep"):
+            assert run_cli(command, "--scenario", scenario, "--out", tmp_path / command, "--quiet") == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith(
+                "error: run.horizon: must be at most 4, the longest horizon whose measurement log numpy can shape"
+            )
+            assert not (tmp_path / command).exists()
 
     @pytest.mark.parametrize(
         "case, error", STOPPED_EXTREMES.items(), ids=[f"{field}={value:g}" for field, value in STOPPED_EXTREMES]

@@ -8,7 +8,6 @@ import re
 import string
 import tempfile
 import tracemalloc
-import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -33,6 +32,7 @@ from gatedpf.harness import (
     FilterVariant,
     MetricsReport,
     RunMetrics,
+    SeedRun,
     TrajectoryPair,
     compile_log,
     confusion_metrics,
@@ -44,6 +44,7 @@ from gatedpf.harness import (
     read_decision_log,
     read_metrics_long,
     run_experiment,
+    run_seed,
     run_traffic_filter,
     simulate_seed,
     step_buffers,
@@ -139,9 +140,8 @@ class TestVariantsAndConfig:
 
     def test_runs_start_from_the_initial_state(self):
         config = micro_config(horizon=4, variants=(FilterVariant("none"),))
-        starts = []
-        run_experiment(config, on_run=lambda seed, truth, *_: starts.append(truth.states[0]))
-        assert starts[0].tobytes() == config.initial_state.tobytes()
+        unit = run_seed(config, config.seeds[0])
+        assert unit.truth.states[0].tobytes() == config.initial_state.tobytes()
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -789,30 +789,22 @@ class TestRunExperiment:
         assert a == b
 
     def test_shared_truth_across_variants(self):
-        # Paired columns reuse bit-identical ground truth per seed.
-        config = micro_config(horizon=10)
-        seen = {}
-
-        def sink(seed, truth, measurements, log, variant, result):
-            if seed in seen:
-                assert np.array_equal(seen[seed], truth.states)
-            else:
-                seen[seed] = truth.states
-
-        run_experiment(
-            dataclasses.replace(
-                config,
-                variants=(FilterVariant("fisher", 0.01), FilterVariant("fisher", 0.1)),
-            ),
-            on_run=sink,
+        # Paired columns reuse bit-identical ground truth per seed: the
+        # seed's one truth run scores every variant's estimates.
+        config = micro_config(
+            horizon=10, variants=(FilterVariant("fisher", 0.01), FilterVariant("fisher", 0.1))
         )
-        assert len(seen) == 1
+        unit = run_seed(config, config.seeds[0])
+        assert unit.truth.states.tobytes() == simulate_seed(config, config.seeds[0])[0].states.tobytes()
+        true = unit.truth.states[1 : config.horizon]
+        for result, run in zip(unit.results, unit.metrics):
+            assert run.mape_pct == mape(TrajectoryPair(true, result.estimates), floor=config.mape_floor)
 
     def test_each_measurement_checked_once_per_seed(self, monkeypatch):
         # The seed's log is checked (one vectorized check) and compiled
         # once, not once per variant, and every variant's run still reads
-        # it; on_run gets the seed's own measurement log and its compiled
-        # log, one per seed.
+        # it; a seed's run holds its own measurement log and the log
+        # compiled from it.
         config = micro_config(
             horizon=8,
             seeds=(5, 6),
@@ -827,20 +819,17 @@ class TestRunExperiment:
         calls = []
         check = harness._check_log
         monkeypatch.setattr(harness, "_check_log", lambda c, log: (calls.append(log), check(c, log)))
-        received = []
-        report = run_experiment(
-            config, on_run=lambda seed, t, ms, log, v, r: received.append((seed, ms, log))
-        )
+        report = run_experiment(config)
         assert [len(log) for log in calls] == [len(logs[5]), len(logs[6])]
         assert len(report.runs) == 8 and not any(r.collapsed for r in report.runs)
-        assert [seed for seed, _, _ in received] == [5] * 4 + [6] * 4
-        assert all(ms is calls[seed - 5] for seed, ms, _ in received)
-        assert all(records_of(ms) == records_of(logs[seed]) for seed, ms, _ in received)
-        compiled = {seed: log for seed, _, log in received}
-        assert all(log is compiled[seed] for seed, _, log in received)
-        for seed, log in compiled.items():
-            assert isinstance(log, CompiledLog) and log.horizon == config.horizon
-            assert len(log.speed_index) == np.count_nonzero(logs[seed].speed)
+        calls.clear()
+        units = [run_seed(config, seed) for seed in config.seeds]
+        assert [unit.seed for unit in units] == [5, 6] and len(calls) == 2
+        for unit, checked in zip(units, calls):
+            assert unit.measurements is checked
+            assert records_of(unit.measurements) == records_of(logs[unit.seed])
+            assert isinstance(unit.log, CompiledLog) and unit.log.horizon == config.horizon
+            assert len(unit.log.speed_index) == np.count_nonzero(logs[unit.seed].speed)
 
     def test_fault_free_log_identical_to_clean_stream(self):
         # Setting the fault probability to zero must reproduce the clean
@@ -878,9 +867,10 @@ class TestSharedRuns:
 
     def _study(self, monkeypatch, collapse=frozenset()):
         # Counts the filter runs, and collapses the (seed, variant) runs in
-        # ``collapse``.
+        # ``collapse``; ``received`` holds each finished run's (seed,
+        # variant, result), in seed, then variant, order.
         config = micro_config(horizon=12, seeds=(5, 6), variants=SHARING_VARIANTS)
-        calls, received = [], []
+        calls = []
         direct = harness.run_traffic_filter
 
         def counted(config, log, variant, rng):
@@ -890,7 +880,11 @@ class TestSharedRuns:
             return direct(config, log, variant, rng)
 
         monkeypatch.setattr(harness, "run_traffic_filter", counted)
-        report = run_experiment(config, on_run=lambda seed, t, ms, log, v, r: received.append((seed, v, r)))
+        units = [run_seed(config, seed) for seed in config.seeds]
+        report = MetricsReport(runs=[run for unit in units for run in unit.metrics])
+        received = [
+            (unit.seed, v, r) for unit in units for v, r in zip(config.variants, unit.results) if r is not None
+        ]
         return config, report, calls, received
 
     @staticmethod
@@ -951,6 +945,50 @@ class TestSharedRuns:
             if name != "alpha":
                 assert np.array_equal(at_variant[name], at_base[name]), name
 
+    def test_the_study_joins_each_seed_s_metrics_and_a_taken_entry_is_its_base_run_s(self):
+        config = micro_config(horizon=12, seeds=(5, 6), variants=SHARING_VARIANTS)
+        units = [run_seed(config, seed) for seed in config.seeds]
+        assert all(isinstance(unit, SeedRun) for unit in units)
+        assert run_experiment(config).runs == [run for unit in units for run in unit.metrics]
+        for unit in units:
+            assert len(unit.results) == len(unit.metrics) == len(SHARING_VARIANTS)
+            assert [(r.seed, r.mode, r.alpha) for r in unit.metrics] == [
+                (unit.seed, v.mode, v.alpha) for v in SHARING_VARIANTS
+            ]
+            by_label = {v.label: r for v, r in zip(SHARING_VARIANTS, unit.results)}
+            for variant, taken in SHARED.items():
+                assert by_label[variant.label] is by_label[taken]
+            filtered = [r for v, r in zip(SHARING_VARIANTS, unit.results) if v not in SHARED]
+            assert len({id(r) for r in filtered}) == len(filtered)
+
+    def test_a_collapse_leaves_no_result(self, monkeypatch):
+        first = FilterVariant("np_incorrect", 0.1)
+        direct = harness.run_traffic_filter
+
+        def collapsing(config, log, variant, rng):
+            if variant == first:
+                raise WeightCollapseError("collapsed", k=1)
+            return direct(config, log, variant, rng)
+
+        monkeypatch.setattr(harness, "run_traffic_filter", collapsing)
+        unit = run_seed(micro_config(horizon=12, seeds=(5,), variants=SHARING_VARIANTS), 5)
+        assert [r is None for r in unit.results] == [v == first for v in SHARING_VARIANTS]
+        assert [r.collapsed for r in unit.metrics] == [v == first for v in SHARING_VARIANTS]
+
+    def test_a_scan_skips_collapsed_and_ungated_runs_and_a_taken_entry_finds_its_base(self):
+        # np_incorrect@0.01 decides as @0.1 on seed 5 (SHARED), and so does
+        # every level between them: a scan that meets the taken @0.01
+        # entry has met its base first.
+        config = micro_config(horizon=12, seeds=(5,))
+        base, taken, between = (FilterVariant("np_incorrect", a) for a in (0.1, 0.01, 0.05))
+        log = compile_log(config, simulate_seed(config, 5)[1])
+        finished = run_traffic_filter(config, log, base, RandomSource(5))
+        ungated = FilterVariant("none")
+        assert harness._shared_run(between, [(base, finished), (taken, finished)]) == (base, finished)
+        assert harness._shared_run(between, [(base, None), (ungated, finished)]) is None
+        none_run = run_traffic_filter(config, log, ungated, RandomSource(5))
+        assert harness._shared_run(ungated, [(ungated, none_run)]) is None
+
     def test_each_shared_run_logs_one_info_record(self, caplog, monkeypatch):
         self._study(monkeypatch)
         assert not [r for r in caplog.records if r.name == "gatedpf.harness"]
@@ -963,35 +1001,6 @@ class TestSharedRuns:
             for seed in (5, 6)
             for variant, taken in SHARED.items()
         ]
-
-
-class TestHeldRuns:
-    def test_a_mode_s_runs_are_dropped_after_its_last_level(self):
-        # A seed holds its filtered gated runs for later levels of their
-        # mode only: once the fisher levels are done, no fisher run is held.
-        variants = (
-            FilterVariant("none"),
-            FilterVariant("fisher", 0.001),
-            FilterVariant("fisher", 0.01),
-            FilterVariant("fisher", 0.1),
-            FilterVariant("np_correct", 0.001),
-            FilterVariant("np_correct", 0.01),
-        )
-        config = micro_config(horizon=8, seeds=(5, 6), variants=variants)
-        refs, held = [], []
-
-        def on_run(seed, truth, measurements, log, variant, result):
-            refs.append((seed, variant, weakref.ref(result)))
-            held.append([(s, v) for s, v, ref in refs if ref() is not None])
-
-        report = run_experiment(config, on_run=on_run)
-        assert not any(r.collapsed for r in report.runs) and len(held) == 12
-        for i, seed in enumerate((5, 6)):
-            at = dict(zip(variants, held[6 * i : 6 * i + 6]))
-            # The first level of a mode always filters, and is held until
-            # the mode's last level.
-            assert (seed, variants[1]) in at[variants[3]]
-            assert at[variants[4]] == [(seed, variants[4])]
 
 
 class TestMetricsReport:
