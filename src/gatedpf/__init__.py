@@ -18,6 +18,7 @@ from .errors import (
     GatedPfError,
     ModelConsistencyError,
     WeightCollapseError,
+    WorkerError,
 )
 from .rng import RandomSource
 from .particles import (
@@ -61,6 +62,7 @@ from .harness import (
     TrajectoryPair,
     compile_log,
     confusion_metrics,
+    map_seeds,
     mape,
     run_experiment,
     run_traffic_filter,

@@ -1,10 +1,10 @@
 """Command-line front end: simulate, filter, sweep, and report.
 
-Exit codes: 0 on success, 2 for configuration or data errors and for
-writes that fail, 3 when the filter's weights collapse (a meaningful
-experimental outcome, distinct from misconfiguration).  Every command
-writes its manifest before any result file, and all result files are
-written atomically.
+Exit codes: 0 on success, 2 for configuration or data errors, for writes
+that fail and for a sweep worker that ends without a result, 3 when the
+filter's weights collapse (a meaningful experimental outcome, distinct from
+misconfiguration).  Every command writes its manifest before any result
+file, and all result files are written atomically.
 """
 from __future__ import annotations
 
@@ -12,9 +12,10 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
-from .errors import ConfigurationError, DataError, WeightCollapseError
+from .errors import ConfigurationError, DataError, WeightCollapseError, WorkerError
 from .fileio import atomic_write_text, write_matrix_csv
 from .gates import MODES
 from .harness import (
@@ -22,8 +23,10 @@ from .harness import (
     FilterVariant,
     MetricsReport,
     RunMetrics,
+    available_cpus,
     compile_log,
     decision_columns,
+    map_seeds,
     metrics_wide_text,
     read_metrics_long,
     run_seed,
@@ -120,13 +123,15 @@ def cmd_filter(args) -> int:
     return 0
 
 
-def _sweep_seed(config, seed: int, run_dir: Path | None) -> tuple[RunMetrics, ...]:
-    """The metrics of :func:`run_seed`.  With a ``run_dir``, it first writes
-    the seed's truth and log, then each finished run's estimates and decision
-    log in variant order; a seed whose every run collapsed writes nothing."""
+def _sweep_seed(config, out: Path | None, seed: int) -> tuple[RunMetrics, ...]:
+    """The metrics of :func:`run_seed`.  With an ``out`` directory, it first
+    writes the seed's truth and log into ``out/seed_<seed>``, then each
+    finished run's estimates and decision log in variant order; a seed whose
+    every run collapsed writes nothing."""
     unit = run_seed(config, seed)
     finished = [(v, r) for v, r in zip(config.variants, unit.results) if r is not None]
-    if run_dir is not None and finished:
+    if out is not None and finished:
+        run_dir = out / f"seed_{seed}"
         write_matrix_csv(run_dir / "true_density.csv", unit.truth.states.T)
         write_measurement_log(run_dir / "measurements.csv", unit.measurements)
         for variant, result in finished:
@@ -137,7 +142,21 @@ def _sweep_seed(config, seed: int, run_dir: Path | None) -> tuple[RunMetrics, ..
     return unit.metrics
 
 
+def _jobs(text: str | None) -> int:
+    """``--jobs``: a positive integer, or the CPUs available when not given."""
+    if text is None:
+        return available_cpus()
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ConfigurationError(f"--jobs: must be a positive integer, got {text!r}")
+    return jobs
+
+
 def cmd_sweep(args) -> int:
+    jobs = _jobs(args.jobs)
     scenario = load_scenario(args.scenario)
     seeds = [args.seed] if args.seed is not None else list(scenario.seeds)
     config = scenario.experiment_config(seeds=seeds)
@@ -149,10 +168,9 @@ def cmd_sweep(args) -> int:
     write_manifest(out, "sweep", scenario, seeds, artifacts)
     _say(args, f"sweep: {len(config.variants)} variants x {len(seeds)} seeds")
 
-    # A seed's results are dropped before the next seed runs.
-    report = MetricsReport(runs=[])
-    for seed in seeds:
-        report.runs += _sweep_seed(config, seed, None if args.no_artifacts else out / f"seed_{seed}")
+    # Each process writes its own seeds' files and keeps only their metrics.
+    work = partial(_sweep_seed, config, None if args.no_artifacts else out)
+    report = MetricsReport(runs=[run for metrics in map_seeds(work, seeds, jobs) for run in metrics])
     atomic_write_text(out / artifacts["metrics"], metrics_wide_text(report, scenario.alphas))
     write_metrics_long(out / artifacts["metrics_long"], report)
     _say(args, f"wrote metrics table to {out / artifacts['metrics']}")
@@ -240,6 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="write only the metrics tables, not per-run trajectories",
     )
+    p_swp.add_argument(
+        "--jobs",
+        default=None,
+        metavar="N",
+        help="run the seeds on up to N processes (default: the CPUs available)",
+    )
     p_swp.set_defaults(func=cmd_sweep)
 
     p_rep = sub.add_parser("report", help="print a summary of a finished run")
@@ -254,7 +278,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, DataError) as exc:
+    except (ConfigurationError, DataError, WorkerError) as exc:
         _tell(f"error: {exc}")
         return 2
     except OSError as exc:

@@ -35,3 +35,7 @@ class ModelConsistencyError(GatedPfError):
 
 class DataError(GatedPfError):
     """Malformed or incomplete measurement / decision data."""
+
+
+class WorkerError(GatedPfError):
+    """A worker process of a seed map ended without sending its result."""

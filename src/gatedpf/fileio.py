@@ -30,13 +30,15 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     Each call writes ``text`` verbatim to its own uniquely named sibling,
     created with the permissions a plain write would give, and renames it
     over ``path``; on failure the sibling is removed and ``path`` is left
-    as it was.
+    as it was.  The sibling is created inside the ``try``: a signal handler
+    that raises (an interrupt, or a sweep worker being stopped) may run as
+    soon as ``os.open`` returns.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with open(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)

@@ -4,7 +4,9 @@ A study maps one seed's run (:func:`run_seed`) over its seeds: a seed's
 truth run, its labeled measurements (loop densities plus fault-injected
 speed reports), and the gated particle filter run for each (test mode,
 level) variant against that log; ``gatedpf simulate`` builds a seed's
-truth and log on the same path, :func:`simulate_seed`.  The log is
+truth and log on the same path, :func:`simulate_seed`.  The seeds are
+independent, so the map (:func:`map_seeds`) may share them out over
+processes; the caller merges in seed order.  The log is
 checked and compiled once per seed (:func:`compile_log`) into step-ordered
 columns that every variant's filter run reads; a run keeps its gate
 outcomes, which its decision log joins to the log's and the variant's
@@ -33,11 +35,16 @@ metric columns directly comparable across test modes and levels.
 from __future__ import annotations
 
 import logging
+import multiprocessing
+import os
+import signal
+import sys
 from dataclasses import astuple, dataclass, fields
 from functools import cached_property
+from multiprocessing.connection import wait
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -51,7 +58,7 @@ from .ctm import (
     link_plan,
     simulate,
 )
-from .errors import ConfigurationError, DataError, WeightCollapseError
+from .errors import ConfigurationError, DataError, WeightCollapseError, WorkerError
 from .fileio import (
     FLAG,
     FLOAT,
@@ -101,6 +108,8 @@ STREAM_FILTER_DEMAND = 4
 STREAM_FILTER_RESAMPLE = 5
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 # numpy shapes an array only while its size in bytes fits a signed
 # pointer-sized integer (2**63 - 1 on 64-bit builds): the most float64
@@ -702,10 +711,153 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedRun:
     return SeedRun(seed, truth, measurements, log, tuple(results), tuple(metrics))
 
 
-def run_experiment(config: ExperimentConfig) -> MetricsReport:
+def run_experiment(config: ExperimentConfig, jobs: int = 1) -> MetricsReport:
     """Full study: the metrics of :func:`run_seed` over ``config.seeds``, in
-    seed, then variant, order."""
-    return MetricsReport(runs=[m for seed in config.seeds for m in run_seed(config, seed).metrics])
+    seed, then variant, order, on up to ``jobs`` processes
+    (:func:`map_seeds`)."""
+    units = map_seeds(lambda seed: run_seed(config, seed).metrics, config.seeds, jobs)
+    return MetricsReport(runs=[m for metrics in units for m in metrics])
+
+
+def available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+class _Share(NamedTuple):
+    """What one process's share of a seed map delivers: each finished
+    seed's result and the package's log records it emitted, in share order,
+    and the first failure as (position in the share, exception), or
+    ``None``."""
+
+    results: list
+    records: list[list[logging.LogRecord]]
+    failure: tuple[int, BaseException] | None
+
+
+def _run_share(work: Callable[[int], T], seeds: Sequence[int]) -> _Share:
+    """``work(seed)`` for each seed in order, holding the records that the
+    package's loggers emit, until a seed raises an :class:`Exception`."""
+    loggers = [
+        named for name, named in logging.root.manager.loggerDict.items()
+        if isinstance(named, logging.Logger) and name.partition(".")[0] == __package__
+    ]
+    held: list[logging.LogRecord] = []
+
+    def hold(record: logging.LogRecord) -> bool:
+        held.append(record)
+        return False  # not handled here
+
+    share = _Share([], [], None)
+    for named in loggers:
+        named.addFilter(hold)
+    try:
+        for position, seed in enumerate(seeds):
+            try:
+                share.results.append(work(seed))
+            except Exception as exc:
+                return share._replace(failure=(position, exc))
+            share.records.append(held.copy())
+            held.clear()
+    finally:
+        for named in loggers:
+            named.removeFilter(hold)
+    return share
+
+
+def _stop(signum, frame) -> None:
+    """End a worker at its next bytecode, unwinding its ``finally`` blocks;
+    a stop sent again finds it ending and is ignored."""
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    raise SystemExit(128 + signum)
+
+
+def _worker(work: Callable[[int], T], seeds: Sequence[int], connection) -> None:
+    """A forked worker's share of a seed map, sent through ``connection``.
+    The caller stops the workers on an interrupt, so a worker ignores it;
+    ``SIGTERM`` stops a worker as an exception, so that a file it was
+    writing removes its temporary sibling."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, _stop)
+    connection.send(_run_share(work, seeds))
+
+
+def map_seeds(work: Callable[[int], T], seeds: Sequence[int], jobs: int = 1) -> list[T]:
+    """``[work(seed) for seed in seeds]`` on up to ``jobs`` processes.
+
+    The map uses n = min(``jobs``, :func:`available_cpus`, seeds) processes:
+    the calling process runs ``seeds[0::n]`` itself, and n - 1 workers
+    forked from it run ``seeds[i::n]``.  Each share holds the records its
+    seeds emit on the package's loggers, and a worker sends them back with
+    its results through a pipe.  The caller then handles every seed's
+    records in seed order, so the results and the records are the loop's
+    for any ``jobs``.  With n = 1, or where the ``fork`` start method is
+    unavailable, the map is the loop.
+
+    A share stops at its first seed that raises.  The caller then stops
+    every worker it has not heard from, joins them all, and raises the
+    exception of the earliest failing seed it saw; a worker that ended
+    without sending its result fails as :class:`WorkerError`.  On an
+    interrupt, too, every worker is stopped and joined before the map
+    returns.
+    """
+    seeds = list(seeds)
+    n = min(jobs, available_cpus(), len(seeds))
+    if n <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [work(seed) for seed in seeds]
+    # A worker starts with a copy of the caller's buffers: empty them first.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    context = multiprocessing.get_context("fork")
+    workers = {}  # receiving end -> (share index, process)
+    shares: dict[int, _Share] = {}
+    try:
+        for i in range(1, n):
+            receive, send = context.Pipe(duplex=False)
+            process = context.Process(target=_worker, args=(work, seeds[i::n], send))
+            process.start()
+            send.close()
+            workers[receive] = (i, process)
+        shares[0] = _run_share(work, seeds[0::n])
+        pending = list(workers)
+        while pending:
+            failed = any(share.failure for share in shares.values())
+            ready = wait(pending, timeout=0 if failed else None)
+            for receive in ready:
+                pending.remove(receive)
+                i, process = workers[receive]
+                try:
+                    shares[i] = receive.recv()
+                except EOFError:
+                    process.join()
+                    lost = WorkerError(
+                        f"the worker for seeds {seeds[i::n]} ended without a result "
+                        f"(exit code {process.exitcode})"
+                    )
+                    shares[i] = _Share([], [], (0, lost))
+            if failed:
+                break
+    finally:
+        for receive, (i, process) in workers.items():
+            # A stop that arrives just before a blocking call is handled
+            # only when the call returns, so it is sent until the worker ends.
+            while i not in shares and process.exitcode is None:
+                process.terminate()
+                process.join(0.1)
+            process.join()
+            receive.close()
+    failures = [(i + n * share.failure[0], share.failure[1]) for i, share in shares.items() if share.failure]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results, records = [None] * len(seeds), [None] * len(seeds)
+    for i, share in shares.items():
+        results[i::n], records[i::n] = share.results, share.records
+    for record in (record for seed_records in records for record in seed_records):
+        logging.getLogger(record.name).handle(record)
+    return results
 
 
 def _in_open_unit(values) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Shared fixtures and test helpers."""
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 import yaml
@@ -165,3 +167,9 @@ def scenario_loader(request, monkeypatch):
     own = {"construct_mapping": scenario._ScenarioLoader.construct_mapping}
     monkeypatch.setattr(scenario, "_ScenarioLoader", type("_ScenarioLoader", (base,), own))
     return base
+
+
+def pretend_cpus(monkeypatch, n: int) -> None:
+    """Make this process appear to run on ``n`` CPUs, so that a seed map
+    takes up to ``n`` processes on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)

@@ -11,6 +11,7 @@ import dataclasses
 import logging
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from gatedpf.harness import (
     FilterVariant,
     MetricsReport,
     RunMetrics,
+    available_cpus,
     decision_columns,
+    map_seeds,
     run_experiment,
     run_seed,
     simulate_seed,
@@ -42,11 +45,29 @@ def say(line: str) -> None:
     print(f"\n[acceptance] {line}")
 
 
+def study_seed(config, seed: int):
+    """One seed of the study: its metrics and, unless the run collapsed,
+    criterion 5's (values by sensor id, sensor ids, decisions) of the
+    incorrect-model gate at the middle level, each decision naming its
+    report by the joined sensor id.  A ``SeedRun`` holds more than a worker
+    can send back (its compiled log's mappings do not pickle)."""
+    unit = run_seed(config, seed)
+    result = unit.results[config.variants.index(SELECTIVITY_VARIANT)]
+    if result is None:
+        return unit.metrics, None
+    speed = unit.measurements.speed
+    values = dict(zip(unit.measurements.sensor_ids[speed].tolist(), unit.measurements.values[speed].tolist()))
+    sensor_ids = decision_columns(unit.log, SELECTIVITY_VARIANT, result.decisions)["sensor_id"]
+    return unit.metrics, (values, sensor_ids, result.decisions)
+
+
 @pytest.fixture(scope="session")
 def study():
-    """Full default sweep plus fault-free baseline, shared by all criteria."""
+    """Full default sweep plus fault-free baseline, shared by all criteria,
+    with the seeds mapped over the CPUs available."""
     scenario = default_scenario()
     config = scenario.experiment_config()
+    jobs = available_cpus()
     runs, selectivity_runs = [], {}
 
     # Each shared run logs (seed, variant, the run it takes).
@@ -59,19 +80,12 @@ def study():
     harness_log.setLevel(logging.INFO)
     start = time.time()
     try:
-        for seed in config.seeds:
-            unit = run_seed(config, seed)
-            runs += unit.metrics
-            # Criterion 5 scores the incorrect-model gate at the middle
-            # level, each decision naming its report by the joined sensor id.
-            result = unit.results[config.variants.index(SELECTIVITY_VARIANT)]
-            if result is not None:
-                speed = unit.measurements.speed
-                values = dict(
-                    zip(unit.measurements.sensor_ids[speed].tolist(), unit.measurements.values[speed].tolist())
-                )
-                sensor_ids = decision_columns(unit.log, SELECTIVITY_VARIANT, result.decisions)["sensor_id"]
-                selectivity_runs[seed] = (values, sensor_ids, result.decisions)
+        for seed, (metrics, selectivity) in zip(
+            config.seeds, map_seeds(partial(study_seed, config), config.seeds, jobs)
+        ):
+            runs += metrics
+            if selectivity is not None:
+                selectivity_runs[seed] = selectivity
     finally:
         harness_log.removeHandler(handler)
         harness_log.setLevel(level)
@@ -81,7 +95,7 @@ def study():
         fault_config=dataclasses.replace(config.fault_config, probability=0.0),
         variants=(FilterVariant("none"),),
     )
-    baseline = run_experiment(baseline_config)
+    baseline = run_experiment(baseline_config, jobs=jobs)
     elapsed = time.time() - start
     return {
         "scenario": scenario,

@@ -5,7 +5,9 @@ import contextlib
 import errno
 import io
 import json
+import logging
 import math
+import multiprocessing
 import os
 import re
 import signal
@@ -24,12 +26,13 @@ from hypothesis import strategies as st
 import gatedpf
 from gatedpf import default_scenario_dict
 from gatedpf.cli import main
-from gatedpf.errors import ConfigurationError, WeightCollapseError
+from gatedpf.errors import ConfigurationError, DataError, WeightCollapseError
 from gatedpf.fileio import read_matrix_csv
 from gatedpf.harness import read_decision_log, read_metrics_long
 from gatedpf.scenario import scenario_from_dict
 from gatedpf.sensing import read_measurement_log
 
+from conftest import pretend_cpus
 from test_scenario import tiny_scenario_dict
 
 
@@ -508,30 +511,38 @@ class TestOutputFailures:
         assert "Traceback" not in err
         assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == "x"
 
+    @pytest.mark.parametrize("jobs", [1, 2])
     @settings(max_examples=10, deadline=None)
     @given(n=st.integers(1, 35))
-    def test_full_disk_during_a_sweep_exits_2(self, n):
+    def test_full_disk_during_a_sweep_exits_2(self, jobs, n):
         # The tiny sweep replaces 35 files into place: the manifest, two
-        # per seed, two per run and the two metrics tables.
-        targets = []
+        # per seed, two per run and the two metrics tables.  The count is
+        # shared with the sweep's worker, which writes its seed's files, and
+        # the failed target is kept in a file that both processes can write.
+        count = multiprocessing.Value("i", 0)
         real_replace = os.replace
 
         def replace(src, dst):
-            targets.append(dst)
-            if len(targets) == n:
+            with count.get_lock():
+                count.value += 1
+                full = count.value == n
+            if full:
+                failed.write_text(str(dst))
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), src, None, dst)
             real_replace(src, dst)
 
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
-            scenario = Path(tmp) / "scenario.yaml"
+            scenario, failed = Path(tmp) / "scenario.yaml", Path(tmp) / "failed"
             scenario.write_text(TINY_YAML)
             patch.setattr("gatedpf.fileio.os.replace", replace)
+            pretend_cpus(patch, 2)
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
-                code = run_cli("sweep", "--scenario", scenario, "--out", Path(tmp) / "o", "--quiet")
+                code = run_cli("sweep", "--scenario", scenario, "--out", Path(tmp) / "o", "--quiet", "--jobs", jobs)
             assert code == 2
-            assert err.getvalue() == f"error: cannot write {targets[-1]}: No space left on device\n"
+            assert err.getvalue() == f"error: cannot write {failed.read_text()}: No space left on device\n"
             assert not list(Path(tmp).rglob("*.tmp"))
+            assert multiprocessing.active_children() == []
 
     @staticmethod
     def _python(*args, stdout=None, stderr=subprocess.PIPE) -> subprocess.Popen:
@@ -614,6 +625,112 @@ class TestOutputFailures:
         err = child.stderr.read()
         assert child.wait(timeout=120) == 2
         assert err == "error: cannot write <stdout>: Broken pipe\n"
+
+
+def three_seed_scenario(tmp_path) -> Path:
+    """The tiny scenario on seeds 7, 8 and 9, whose levels include pairs
+    that share runs."""
+    doc = tiny_scenario_dict()
+    doc["filter"]["alphas"] = [0.1, 0.001, 0.01, 0.5]
+    doc["run"]["seeds"] = [7, 8, 9]
+    path = tmp_path / "three_seeds.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return path
+
+
+class TestParallelSweep:
+    """``sweep --jobs N`` maps the seeds over up to N processes and writes
+    what the sequential sweep writes."""
+
+    def test_any_jobs_writes_the_same_files_and_logs_the_same_records(self, tmp_path, monkeypatch, caplog):
+        # Three seeds split unevenly over two processes.
+        pretend_cpus(monkeypatch, 3)
+        path = three_seed_scenario(tmp_path)
+        caplog.set_level(logging.INFO, logger="gatedpf.harness")
+        trees, messages = {}, {}
+        for jobs in (1, 2, 3):
+            caplog.clear()
+            out = tmp_path / f"jobs_{jobs}"
+            assert run_cli("sweep", "--scenario", path, "--out", out, "--quiet", "--jobs", jobs) == 0
+            assert multiprocessing.active_children() == []
+            trees[jobs] = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            messages[jobs] = [r.getMessage() for r in caplog.records if r.name == "gatedpf.harness"]
+        assert trees[1] == trees[2] == trees[3]
+        assert {name.split("/")[0] for name in trees[1]} >= {"seed_7", "seed_8", "seed_9"}
+        assert messages[1] == messages[2] == messages[3] and messages[1]
+
+    @pytest.mark.parametrize(
+        "error, line",
+        [
+            (DataError("bad row"), "error: bad row"),
+            (ConfigurationError("bad field"), "error: bad field"),
+            (OSError(errno.ENOSPC, "No space left on device", "x.csv"), "error: cannot write x.csv: No space left on device"),
+            (MemoryError("Unable to allocate 1 TiB"), "error: out of memory: Unable to allocate 1 TiB"),
+        ],
+    )
+    def test_a_worker_s_error_exits_as_the_sequential_sweep_does(self, tmp_path, monkeypatch, capsys, error, line):
+        from gatedpf import cli
+
+        pretend_cpus(monkeypatch, 3)
+        direct = cli.run_seed
+
+        def failing(config, seed):
+            if seed == 8:  # a worker's seed when the sweep takes three processes
+                raise error
+            return direct(config, seed)
+
+        monkeypatch.setattr(cli, "run_seed", failing)
+        path = three_seed_scenario(tmp_path)
+        for jobs in (1, 3):
+            assert run_cli("sweep", "--scenario", path, "--out", tmp_path / f"o{jobs}", "--quiet", "--jobs", jobs) == 2
+            assert capsys.readouterr().err == line + "\n"
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("how, code", [("exit", 7), ("kill", -signal.SIGKILL)])
+    def test_a_worker_that_ends_without_a_result_exits_2(self, tmp_path, monkeypatch, capsys, how, code):
+        from gatedpf import cli
+
+        pretend_cpus(monkeypatch, 2)
+        direct = cli.run_seed
+
+        def ending(config, seed):
+            if seed == 8:
+                if how == "exit":
+                    os._exit(7)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return direct(config, seed)
+
+        monkeypatch.setattr(cli, "run_seed", ending)
+        path = three_seed_scenario(tmp_path)
+        assert run_cli("sweep", "--scenario", path, "--out", tmp_path / "o", "--quiet", "--jobs", 2) == 2
+        assert capsys.readouterr().err == f"error: the worker for seeds [8] ended without a result (exit code {code})\n"
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", ["0", "-1", "1.5", "two", ""])
+    def test_jobs_that_is_not_a_positive_integer_exits_2_before_the_manifest(self, scenario_path, tmp_path, capsys, jobs):
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--scenario", scenario_path, "--out", out, "--quiet", f"--jobs={jobs}") == 2
+        assert capsys.readouterr().err == f"error: --jobs: must be a positive integer, got {jobs!r}\n"
+        assert not out.exists()
+
+    def test_jobs_is_capped_by_the_seeds(self, tmp_path, monkeypatch):
+        # Three seeds on a host that seems to have 4096 CPUs: the caller
+        # and two workers.  The spy refuses a third worker.
+        pretend_cpus(monkeypatch, 4096)
+        started = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def spy(process):
+            assert len(started) < 2, "a third worker"
+            started.append(process)
+            start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", spy)
+        path = three_seed_scenario(tmp_path)
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--scenario", path, "--out", out, "--quiet", "--no-artifacts", "--jobs", 1000000) == 0
+        assert len(started) == 2
+        assert multiprocessing.active_children() == []
 
 
 class TestSimulateMatchesSweep:

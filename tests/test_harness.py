@@ -4,9 +4,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import logging
+import multiprocessing
+import os
 import re
 import string
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatedpf.ctm import DemandProfile, DemandSchedule, equilibrium_state, link_plan, simulate
-from gatedpf.errors import ConfigurationError, DataError, WeightCollapseError
+from gatedpf.errors import ConfigurationError, DataError, WeightCollapseError, WorkerError
 from gatedpf.fileio import csv_text, read_records
 from gatedpf.gates import MODES, GateKind, level_rule, likelihood_ratio_test, significance_test, unexplained
 from gatedpf import harness
@@ -39,6 +42,7 @@ from gatedpf.harness import (
     decision_columns,
     filter_step,
     generate_measurements,
+    map_seeds,
     mape,
     metrics_wide_text,
     read_decision_log,
@@ -81,6 +85,7 @@ from conftest import (
     dirty_speed_map,
     dirty_weight_update,
     null_rows,
+    pretend_cpus,
     shares_buffers,
     small_network,
 )
@@ -1001,6 +1006,103 @@ class TestSharedRuns:
             for seed in (5, 6)
             for variant, taken in SHARED.items()
         ]
+
+
+class TestMapSeeds:
+    """A seed map returns the loop's results and handles its records in
+    the loop's order for any ``jobs``; a failure stops every worker."""
+
+    def test_the_results_and_records_are_the_loop_s_for_any_jobs(self, caplog, monkeypatch):
+        # Three seeds on two or three processes split unevenly.
+        pretend_cpus(monkeypatch, 3)
+        config = micro_config(horizon=12, seeds=(5, 6, 7), variants=SHARING_VARIANTS)
+        caplog.set_level(logging.INFO, logger="gatedpf.harness")
+        runs, messages = {}, {}
+        for jobs in (1, 2, 3):
+            caplog.clear()
+            runs[jobs] = run_experiment(config, jobs=jobs).runs
+            messages[jobs] = [r.getMessage() for r in caplog.records if r.name == "gatedpf.harness"]
+            assert multiprocessing.active_children() == []
+        assert runs[1] == runs[2] == runs[3]
+        assert messages[1] == messages[2] == messages[3]
+        assert messages[1][:4] == [
+            f"seed {seed}: {variant.label} takes the run of {taken}"
+            for seed in (5, 6)
+            for variant, taken in SHARED.items()
+        ]
+
+    def test_the_map_takes_no_more_processes_than_cpus_or_seeds(self, monkeypatch):
+        # The caller runs seeds[0::n] itself.
+        def work(seed):
+            return seed, os.getpid()
+
+        pretend_cpus(monkeypatch, 2)
+        (_, first), (_, second), (_, third) = map_seeds(work, [3, 4, 5], jobs=8)
+        assert first == third == os.getpid() != second
+        pretend_cpus(monkeypatch, 8)
+        results = map_seeds(work, [3, 4, 5], jobs=8)
+        assert [seed for seed, _ in results] == [3, 4, 5]
+        assert results[0][1] == os.getpid() and len({pid for _, pid in results}) == 3
+        assert map_seeds(work, [3, 4, 5], jobs=1) == [(seed, os.getpid()) for seed in (3, 4, 5)]
+
+    def test_a_worker_s_exception_reaches_the_caller_as_itself(self, monkeypatch):
+        pretend_cpus(monkeypatch, 2)
+
+        def work(seed):
+            if seed == 4:
+                raise DataError(f"seed {seed} is bad")
+            return seed
+
+        with pytest.raises(DataError, match="^seed 4 is bad$"):
+            map_seeds(work, [3, 4, 5], jobs=2)
+        assert multiprocessing.active_children() == []
+
+    def test_the_error_is_the_earliest_failing_seed_s_seen(self, tmp_path, monkeypatch):
+        # Workers 1 and 2 fail at seeds 4 and 2; the caller's seed 3 waits
+        # until both have failed, and its share then ends.
+        pretend_cpus(monkeypatch, 3)
+
+        def work(seed):
+            if seed in (2, 4):
+                (tmp_path / str(seed)).touch()
+                raise DataError(f"seed {seed}")
+            if seed == 3:
+                while not all((tmp_path / name).exists() for name in ("2", "4")):
+                    time.sleep(0.01)
+                time.sleep(0.5)
+            return seed
+
+        with pytest.raises(DataError, match="^seed 2$"):
+            map_seeds(work, range(6), jobs=3)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("end, code", [(lambda: os._exit(7), 7), (lambda: os.kill(os.getpid(), 9), -9)])
+    def test_a_worker_that_ends_without_a_result_names_its_seeds(self, monkeypatch, end, code):
+        pretend_cpus(monkeypatch, 2)
+
+        def work(seed):
+            if seed == 6:
+                end()
+            return seed
+
+        message = f"the worker for seeds [4, 6] ended without a result (exit code {code})"
+        with pytest.raises(WorkerError, match=f"^{re.escape(message)}$"):
+            map_seeds(work, [3, 4, 5, 6], jobs=2)
+        assert multiprocessing.active_children() == []
+
+    def test_an_interrupt_stops_and_joins_every_worker(self, monkeypatch):
+        pretend_cpus(monkeypatch, 3)
+
+        def work(seed):
+            if seed == 3:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            map_seeds(work, [3, 4, 5], jobs=3)
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - start < 30
 
 
 class TestMetricsReport:
