@@ -34,6 +34,7 @@ metric columns directly comparable across test modes and levels.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import multiprocessing
 import os
@@ -711,12 +712,10 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedRun:
     return SeedRun(seed, truth, measurements, log, tuple(results), tuple(metrics))
 
 
-def run_experiment(config: ExperimentConfig, jobs: int = 1) -> MetricsReport:
+def run_experiment(config: ExperimentConfig) -> MetricsReport:
     """Full study: the metrics of :func:`run_seed` over ``config.seeds``, in
-    seed, then variant, order, on up to ``jobs`` processes
-    (:func:`map_seeds`)."""
-    units = map_seeds(lambda seed: run_seed(config, seed).metrics, config.seeds, jobs)
-    return MetricsReport(runs=[m for metrics in units for m in metrics])
+    seed, then variant, order."""
+    return MetricsReport(runs=[m for seed in config.seeds for m in run_seed(config, seed).metrics])
 
 
 def available_cpus() -> int:
@@ -729,9 +728,9 @@ def available_cpus() -> int:
 
 class _Share(NamedTuple):
     """What one process's share of a seed map delivers: each finished
-    seed's result and the package's log records it emitted, in share order,
-    and the first failure as (position in the share, exception), or
-    ``None``."""
+    seed's result, the records each seed emitted on :data:`logger` (the
+    failing seed's too), in share order, and the first failure as
+    (position in the share, exception), or ``None``."""
 
     results: list
     records: list[list[logging.LogRecord]]
@@ -739,12 +738,8 @@ class _Share(NamedTuple):
 
 
 def _run_share(work: Callable[[int], T], seeds: Sequence[int]) -> _Share:
-    """``work(seed)`` for each seed in order, holding the records that the
-    package's loggers emit, until a seed raises an :class:`Exception`."""
-    loggers = [
-        named for name, named in logging.root.manager.loggerDict.items()
-        if isinstance(named, logging.Logger) and name.partition(".")[0] == __package__
-    ]
+    """``work(seed)`` for each seed in order, holding the records emitted on
+    :data:`logger`, until a seed raises an :class:`Exception`."""
     held: list[logging.LogRecord] = []
 
     def hold(record: logging.LogRecord) -> bool:
@@ -752,19 +747,19 @@ def _run_share(work: Callable[[int], T], seeds: Sequence[int]) -> _Share:
         return False  # not handled here
 
     share = _Share([], [], None)
-    for named in loggers:
-        named.addFilter(hold)
+    logger.addFilter(hold)
     try:
         for position, seed in enumerate(seeds):
             try:
                 share.results.append(work(seed))
             except Exception as exc:
-                return share._replace(failure=(position, exc))
-            share.records.append(held.copy())
-            held.clear()
+                share = share._replace(failure=(position, exc))
+                break
+            finally:
+                share.records.append(held.copy())
+                held.clear()
     finally:
-        for named in loggers:
-            named.removeFilter(hold)
+        logger.removeFilter(hold)
     return share
 
 
@@ -791,17 +786,20 @@ def map_seeds(work: Callable[[int], T], seeds: Sequence[int], jobs: int = 1) -> 
     The map uses n = min(``jobs``, :func:`available_cpus`, seeds) processes:
     the calling process runs ``seeds[0::n]`` itself, and n - 1 workers
     forked from it run ``seeds[i::n]``.  Each share holds the records its
-    seeds emit on the package's loggers, and a worker sends them back with
-    its results through a pipe.  The caller then handles every seed's
-    records in seed order, so the results and the records are the loop's
-    for any ``jobs``.  With n = 1, or where the ``fork`` start method is
+    seeds emit on :data:`logger`, and a worker sends them back with its
+    results through a pipe.  The caller then handles every seed's records
+    in seed order, so the results and the records are the loop's for any
+    ``jobs``.  With n = 1, or where the ``fork`` start method is
     unavailable, the map is the loop.
 
     A share stops at its first seed that raises.  The caller then stops
-    every worker it has not heard from, joins them all, and raises the
-    exception of the earliest failing seed it saw; a worker that ended
-    without sending its result fails as :class:`WorkerError`.  On an
-    interrupt, too, every worker is stopped and joined before the map
+    every worker it has not heard from, joins them all, handles the
+    records in seed order up to the earliest failing seed it saw (that
+    seed's included) or up to the first seed of a share it did not
+    receive, and raises that seed's exception; a worker that ended without
+    sending its result fails as :class:`WorkerError`.  When every seed
+    before the failing one was received, the records are the loop's.  On
+    an interrupt, too, every worker is stopped and joined before the map
     returns.
     """
     seeds = list(seeds)
@@ -849,15 +847,20 @@ def map_seeds(work: Callable[[int], T], seeds: Sequence[int], jobs: int = 1) -> 
                 process.join(0.1)
             process.join()
             receive.close()
-    failures = [(i + n * share.failure[0], share.failure[1]) for i, share in shares.items() if share.failure]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    results, records = [None] * len(seeds), [None] * len(seeds)
+    results, records = {}, {}  # seed index -> what its share delivered
     for i, share in shares.items():
-        results[i::n], records[i::n] = share.results, share.records
-    for record in (record for seed_records in records for record in seed_records):
-        logging.getLogger(record.name).handle(record)
-    return results
+        results.update(zip(range(i, len(seeds), n), share.results))
+        records.update(zip(range(i, len(seeds), n), share.records))
+    failures = {i + n * share.failure[0]: share.failure[1] for i, share in shares.items() if share.failure}
+    last = min(failures, default=len(seeds) - 1)
+    # The loop's records up to the earliest failing seed (its own included),
+    # or up to the first seed whose share was not received.
+    for index in itertools.takewhile(records.__contains__, range(last + 1)):
+        for record in records[index]:
+            logger.handle(record)
+    if failures:
+        raise failures[last]
+    return [results[index] for index in range(len(seeds))]
 
 
 def _in_open_unit(values) -> np.ndarray:

@@ -95,7 +95,8 @@ def study():
         fault_config=dataclasses.replace(config.fault_config, probability=0.0),
         variants=(FilterVariant("none"),),
     )
-    baseline = run_experiment(baseline_config, jobs=jobs)
+    baseline_runs = map_seeds(lambda seed: run_seed(baseline_config, seed).metrics, baseline_config.seeds, jobs)
+    baseline = MetricsReport(runs=[run for metrics in baseline_runs for run in metrics])
     elapsed = time.time() - start
     return {
         "scenario": scenario,

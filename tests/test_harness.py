@@ -1020,7 +1020,7 @@ class TestMapSeeds:
         runs, messages = {}, {}
         for jobs in (1, 2, 3):
             caplog.clear()
-            runs[jobs] = run_experiment(config, jobs=jobs).runs
+            runs[jobs] = map_seeds(lambda seed: run_seed(config, seed).metrics, config.seeds, jobs)
             messages[jobs] = [r.getMessage() for r in caplog.records if r.name == "gatedpf.harness"]
             assert multiprocessing.active_children() == []
         assert runs[1] == runs[2] == runs[3]
@@ -1076,11 +1076,37 @@ class TestMapSeeds:
             map_seeds(work, range(6), jobs=3)
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("end, code", [(lambda: os._exit(7), 7), (lambda: os.kill(os.getpid(), 9), -9)])
-    def test_a_worker_that_ends_without_a_result_names_its_seeds(self, monkeypatch, end, code):
-        pretend_cpus(monkeypatch, 2)
+    def test_a_failing_map_handles_the_loop_s_records_up_to_the_failing_seed(self, caplog, monkeypatch):
+        # With three processes, worker 1 fails at seed 6; the caller's
+        # seed 5 is received, and seed 7's records are never handled.
+        pretend_cpus(monkeypatch, 3)
+        caplog.set_level(logging.INFO, logger="gatedpf.harness")
 
         def work(seed):
+            harness.logger.info("seed %d begins", seed)
+            if seed == 6:
+                raise DataError(f"seed {seed}")
+            harness.logger.info("seed %d ends", seed)
+            return seed
+
+        messages = {}
+        for jobs in (1, 3):
+            caplog.clear()
+            with pytest.raises(DataError, match="^seed 6$"):
+                map_seeds(work, [5, 6, 7], jobs)
+            assert multiprocessing.active_children() == []
+            messages[jobs] = [r.getMessage() for r in caplog.records if r.name == "gatedpf.harness"]
+        assert messages[1] == messages[3] == ["seed 5 begins", "seed 5 ends", "seed 6 begins"]
+
+    @pytest.mark.parametrize("end, code", [(lambda: os._exit(7), 7), (lambda: os.kill(os.getpid(), 9), -9)])
+    def test_a_worker_that_ends_without_a_result_names_its_seeds(self, caplog, monkeypatch, end, code):
+        # The worker's seed 4 ran but was never received: the records stop
+        # before it.
+        pretend_cpus(monkeypatch, 2)
+        caplog.set_level(logging.INFO, logger="gatedpf.harness")
+
+        def work(seed):
+            harness.logger.info("seed %d", seed)
             if seed == 6:
                 end()
             return seed
@@ -1089,6 +1115,7 @@ class TestMapSeeds:
         with pytest.raises(WorkerError, match=f"^{re.escape(message)}$"):
             map_seeds(work, [3, 4, 5, 6], jobs=2)
         assert multiprocessing.active_children() == []
+        assert [r.getMessage() for r in caplog.records if r.name == "gatedpf.harness"] == ["seed 3"]
 
     def test_an_interrupt_stops_and_joins_every_worker(self, monkeypatch):
         pretend_cpus(monkeypatch, 3)
