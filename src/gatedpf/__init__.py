@@ -7,7 +7,6 @@ only the nominal sensor model is known.  A macroscopic freeway simulator,
 synthetic sensing with labeled fault injection, and an experiment harness
 reproduce the accompanying fault-detection/estimation study at desk scale.
 """
-from __future__ import annotations
 
 __version__ = "0.1.0"
 

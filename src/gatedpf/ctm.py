@@ -482,24 +482,25 @@ class DemandProfile:
 
 @dataclass(frozen=True)
 class DemandSchedule:
-    """Demand profiles for the upstream boundary and every onramp link."""
+    """Demand profiles for the upstream boundary and every onramp link;
+    the clock they run on is the network's timestep."""
 
-    dt: float
     upstream: DemandProfile
     onramps: tuple[DemandProfile, ...] = ()
 
-    def table(self, steps) -> np.ndarray:
-        """Mean demands and noise scales of each step in ``steps``.
+    def table(self, steps, dt: float) -> np.ndarray:
+        """Mean demands and noise scales of each step in ``steps`` of
+        ``dt`` seconds, the network's timestep.
 
         Returns a ``(len(steps), 2, 1 + R)`` array: row ``i`` holds step
-        ``steps[i]``'s means (upstream first, then the onramps in order) and
-        their noise scales ``noise_frac * mean``.  Callers that draw many
-        steps build it once, over ``range(horizon)``.
+        ``steps[i]``'s means at time ``steps[i] * dt`` (upstream first, then
+        the onramps in order) and their noise scales ``noise_frac * mean``.
+        Callers that draw many steps build it once, over ``range(horizon)``.
         """
         profiles = (self.upstream, *self.onramps)
         out = np.empty((len(steps), 2, len(profiles)))
         for i, k in enumerate(steps):
-            means = [p.mean(k * self.dt) for p in profiles]
+            means = [p.mean(k * dt) for p in profiles]
             out[i, 0] = means
             out[i, 1] = [p.noise_frac * m for p, m in zip(profiles, means)]
         return out
@@ -546,7 +547,7 @@ def equilibrium_state(network: FreewayNetwork, schedule: DemandSchedule) -> np.n
     Used to initialize both the truth simulation and the filter ensemble so
     runs start from a consistent, strictly positive density field.
     """
-    means = schedule.table((0,))[0, 0]
+    means = schedule.table((0,), network.dt)[0, 0]
     upstream, ramps = means[0], means[1:]
     # The floor keeps the start strictly positive; the jam-density cap comes
     # last, so a network jammed below the floor still starts inside it, and
@@ -585,7 +586,7 @@ def simulate(
     states = np.empty((horizon + 1, n_l))
     ramps = np.empty((horizon, len(schedule.onramps)))
     states[0] = state
-    table = schedule.table(range(horizon))
+    table = schedule.table(range(horizon), network.dt)
     work = StepBuffers(1, n_states=n_l)
     for k in range(horizon):
         upstream, ramp = schedule.sample(k, rng, 1, table)

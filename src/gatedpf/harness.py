@@ -191,6 +191,11 @@ class ExperimentConfig:
             raise ConfigurationError("particles: must be at least 2")
         if self.horizon < 1:
             raise ConfigurationError("horizon: must be at least 1")
+        if len(self.schedule.onramps) != len(self.network.onramp_links):
+            raise ConfigurationError(
+                f"schedule: has {len(self.schedule.onramps)} onramp profiles, but the network "
+                f"has {len(self.network.onramp_links)} onramp links"
+            )
         # The largest arrays these size: the (L, P) particle block and the
         # (horizon + 1, L) truth trajectory.
         most = _MAX_FLOATS // self.network.n_links
@@ -244,9 +249,10 @@ class ExperimentConfig:
 
     @cached_property
     def demand_table(self) -> np.ndarray:
-        """``schedule.table(range(horizon))``, read-only: the demand draws
-        and the speed map's onramp means of every filter run read it."""
-        table = self.schedule.table(range(self.horizon))
+        """``schedule.table(range(horizon), network.dt)``, read-only: the
+        demand draws and the speed map's onramp means of every filter run
+        read it."""
+        table = self.schedule.table(range(self.horizon), self.network.dt)
         table.setflags(write=False)
         return table
 
@@ -383,12 +389,11 @@ def compile_log(config: ExperimentConfig, log: MeasurementLog) -> CompiledLog:
     of the likelihood-ratio modes are evaluated once for the whole log.
     """
     _check_log(config, log)
-    gnss = config.gnss_spec
     order = np.argsort(log.steps, kind="stable")
     steps, sensor_ids, links, values, is_speed = (
         log.steps[order], log.sensor_ids[order], log.links[order], log.values[order], log.speed[order]
     )
-    rule_table = np.array([config.loops.std_rule, (gnss.noise_frac, gnss.min_std)]).T
+    rule_table = np.array([(s.noise_frac, s.min_std) for s in (config.loops, config.gnss_spec)]).T
 
     speed = np.flatnonzero(is_speed)
     bounds = np.arange(config.horizon + 1)
@@ -515,7 +520,7 @@ def run_traffic_filter(
     if log.horizon != config.horizon or log.network != config.network:
         other = "" if log.network == config.network else " of another network"
         raise ConfigurationError(
-            f"measurement log compiled for horizon {log.horizon} on {log.n_links} links, "
+            f"measurement log compiled for horizon {log.horizon} on {log.network.n_links} links, "
             f"but the scenario has horizon {config.horizon} on {config.network.n_links} links{other}"
         )
     ensemble = ParticleEnsemble.from_states(
@@ -587,7 +592,7 @@ class TrajectoryPair:
         object.__setattr__(self, "estimated", est)
 
 
-def mape(pair: TrajectoryPair, floor: float = 1e-4) -> float:
+def mape(pair: TrajectoryPair, floor: float) -> float:
     """Mean absolute percentage error with a small denominator floor.
 
     The floor protects near-empty links; true densities are expected to sit
@@ -780,7 +785,7 @@ def _worker(work: Callable[[int], T], seeds: Sequence[int], connection) -> None:
     connection.send(_run_share(work, seeds))
 
 
-def map_seeds(work: Callable[[int], T], seeds: Sequence[int], jobs: int = 1) -> list[T]:
+def map_seeds(work: Callable[[int], T], seeds: Sequence[int], jobs: int) -> list[T]:
     """``[work(seed) for seed in seeds]`` on up to ``jobs`` processes.
 
     The map uses n = min(``jobs``, :func:`available_cpus`, seeds) processes:

@@ -183,7 +183,7 @@ def scenario_from_dict(doc: Mapping, source: str = "<dict>") -> Scenario:
             onramp_profiles.append(_profile(demand["onramp_default"], "demand.onramp_default"))
         else:
             _fail("demand.onramp_default", f"required: link {link} has an onramp")
-    schedule = DemandSchedule(dt=net["dt"], upstream=upstream, onramps=tuple(onramp_profiles))
+    schedule = DemandSchedule(upstream=upstream, onramps=tuple(onramp_profiles))
 
     sensors = _fields(
         sections["sensors"], "sensors", dict.fromkeys(("loops", "gnss", "faults"), Mapping)

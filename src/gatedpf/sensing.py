@@ -113,12 +113,6 @@ class LoopDetectors:
         if self.min_std <= 0.0:
             raise ConfigurationError("loop detector min_std must be positive")
 
-    @property
-    def std_rule(self) -> tuple[float, float]:
-        """``(frac, floor)`` of the null model's std, ``max(frac * density,
-        floor)``."""
-        return self.noise_frac, self.min_std
-
 
 @dataclass(frozen=True)
 class GnssSpec:
@@ -302,10 +296,6 @@ class CompiledLog:
     labels: np.ndarray
     fault_log_g1: Mapping[str, np.ndarray]
 
-    @property
-    def n_links(self) -> int:
-        return self.network.n_links
-
     def step(self, k: int) -> tuple[slice, slice]:
         """The slices of step ``k``'s rows and speed reports."""
         (r0, s0), (r1, s1) = self.offsets[k : k + 2].tolist()
@@ -336,14 +326,14 @@ def measurement_rows(
     not positive raises :class:`ModelConsistencyError`.  A block whose link
     count is not the log's raises :class:`ConfigurationError`.
     """
-    if particles.shape[0] != log.n_links:
+    if particles.shape[0] != log.network.n_links:
         raise ConfigurationError(
-            f"log compiled for {log.n_links} links, particles have {particles.shape[0]}"
+            f"log compiled for {log.network.n_links} links, particles have {particles.shape[0]}"
         )
     rows, speeds = step
     n_rows = rows.stop - rows.start
-    # compile_log checked every link against the log's n_links, which the
-    # block matches, so a clipping take (which writes its out block
+    # compile_log checked every link against the network, whose link count
+    # the block matches, so a clipping take (which writes its out block
     # directly) gathers the rows a raising one would.
     mean = np.take(particles, log.links[rows], axis=0, out=work.mean[:n_rows], mode="clip")
     tested = log.speed_index[speeds] - rows.start

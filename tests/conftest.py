@@ -153,7 +153,7 @@ def largest_float(holds, low: float, high: float) -> float:
 def flat_schedule(level: float, n_onramps: int = 0, noise: float = 0.0) -> DemandSchedule:
     profile = DemandProfile(base=level, peak=level, rise=(0.0, 0.0), fall=(1e9, 1e9), noise_frac=noise)
     ramp = DemandProfile(base=0.0, peak=0.0, rise=(0.0, 0.0), fall=(1e9, 1e9), noise_frac=0.0)
-    return DemandSchedule(dt=10.0, upstream=profile, onramps=(ramp,) * n_onramps)
+    return DemandSchedule(upstream=profile, onramps=(ramp,) * n_onramps)
 
 
 @pytest.fixture(params=["libyaml", "python"])

@@ -320,10 +320,8 @@ class TestCriterion6PropertySuites:
         net = small_network(5, onramps={2}, offramps={3}, beta=0.12)
         for trial in range(300):
             state = rng.uniform(0.0, 0.12, (1, 5)).T
-            schedule = DemandSchedule(
-                dt=net.dt, upstream=flat(float(rng.uniform(0, 5)), 0.3), onramps=(flat(0.4, 0.2),)
-            )
-            upstream, ramps = schedule.sample(0, RandomSource(trial), 1, schedule.table((0,)))
+            schedule = DemandSchedule(upstream=flat(float(rng.uniform(0, 5)), 0.3), onramps=(flat(0.4, 0.2),))
+            upstream, ramps = schedule.sample(0, RandomSource(trial), 1, schedule.table((0,), net.dt))
             q, r, s = junction_flows(state, net, upstream, ramps)
             new = dirty_advance(state, net, upstream, ramps)
             balance = float(

@@ -383,7 +383,6 @@ def constant_schedule(upstream, upstream_noise=0.0, ramps=()):
         return DemandProfile(level, level, (0.0, 0.0), (1e9, 1e9), noise)
 
     return DemandSchedule(
-        dt=10.0,
         upstream=flat(upstream, upstream_noise),
         onramps=tuple(flat(m, f) for m, f in ramps),
     )
@@ -392,7 +391,7 @@ def constant_schedule(upstream, upstream_noise=0.0, ramps=()):
 def sampled_advance(state, network, schedule, rng):
     """One step of a single state with demands drawn from ``schedule``:
     the new state and the step's junction flows ``q``, ``r``, ``s``."""
-    upstream, ramps = schedule.sample(0, rng, 1, schedule.table((0,)))
+    upstream, ramps = schedule.sample(0, rng, 1, schedule.table((0,), network.dt))
     block = column(state)
     q, r, s = junction_flows(block, network, upstream, ramps)
     return dirty_advance(block, network, upstream, ramps)[:, 0], q[:, 0], r[:, 0], s[:, 0]
@@ -677,14 +676,13 @@ class TestLinkSpeed:
         # onramp merge, so the realized ramp demands decide link 0's speed.
         net = small_network(3, onramps={1}, offramps={2}, beta=0.1, qmax_2=1.0)
         schedule = DemandSchedule(
-            dt=10.0,
             upstream=DemandProfile(1.0, 3.0, (100.0, 300.0), (600.0, 900.0), 0.3),
             onramps=(DemandProfile(0.1, 0.4, (100.0, 300.0), (600.0, 900.0), 0.5),),
         )
         horizon = 120
         start = equilibrium_state(net, schedule)
         traj = simulate(net, schedule, horizon, RandomSource(5), start)
-        rng, table = RandomSource(5), schedule.table(range(horizon))
+        rng, table = RandomSource(5), schedule.table(range(horizon), net.dt)
         q, s = np.empty((horizon, 4)), np.empty((horizon, 3))
         for k in range(horizon):
             upstream, ramps = schedule.sample(k, rng, 1, table)
@@ -933,7 +931,6 @@ class TestSimulate:
     def test_determinism_under_fixed_seed(self):
         net = small_network(3, onramps={1})
         schedule = DemandSchedule(
-            dt=10.0,
             upstream=DemandProfile(1.0, 3.0, (100.0, 300.0), (600.0, 900.0), 0.3),
             onramps=(DemandProfile(0.1, 0.4, (100.0, 300.0), (600.0, 900.0), 0.5),),
         )
@@ -944,12 +941,12 @@ class TestSimulate:
         assert np.array_equal(a.speeds, b.speeds)
 
 
-def broadcast_sample(schedule: DemandSchedule, k: int, rng: RandomSource, size: int):
-    """How step ``k``'s demands used to be drawn: the schedule's means and
-    stds (``noise_frac * mean``) handed to ``Generator.normal`` as broadcast
-    arrays."""
-    up_mean = schedule.upstream.mean(k * schedule.dt)
-    ramp_mean = np.array([p.mean(k * schedule.dt) for p in schedule.onramps])
+def broadcast_sample(schedule: DemandSchedule, k: int, dt: float, rng: RandomSource, size: int):
+    """How step ``k`` of ``dt`` seconds used to draw its demands: the
+    schedule's means and stds (``noise_frac * mean``) handed to
+    ``Generator.normal`` as broadcast arrays."""
+    up_mean = schedule.upstream.mean(k * dt)
+    ramp_mean = np.array([p.mean(k * dt) for p in schedule.onramps])
     up_std = schedule.upstream.noise_frac * up_mean
     ramp_std = np.array([p.noise_frac * m for p, m in zip(schedule.onramps, ramp_mean)])
     upstream = np.clip(rng.normal(up_mean, up_std, size=size), 0.0, None)
@@ -987,10 +984,10 @@ class TestDemandScheduleSample:
     def test_equals_broadcast_draws(self, upstream, onramps, k, size, seed):
         # Zero stds (noise_frac 0) included; the streams must also be left
         # in the same state, so the next draw matches too.
-        schedule = DemandSchedule(dt=10.0, upstream=upstream, onramps=tuple(onramps))
+        schedule = DemandSchedule(upstream=upstream, onramps=tuple(onramps))
         rng_new, rng_old = RandomSource(seed), RandomSource(seed)
-        got = schedule.sample(k, rng_new, size, schedule.table(range(k + 1)))
-        expected = broadcast_sample(schedule, k, rng_old, size)
+        got = schedule.sample(k, rng_new, size, schedule.table(range(k + 1), 10.0))
+        expected = broadcast_sample(schedule, k, 10.0, rng_old, size)
         assert got[0].tobytes() == expected[0].tobytes()
         # One column per particle: the (size, R) draws transposed.
         assert got[1].shape == (len(onramps), size)
@@ -1000,11 +997,10 @@ class TestDemandScheduleSample:
 
     def test_table_rows_are_profile_means_and_noise_scales(self):
         schedule = DemandSchedule(
-            dt=10.0,
             upstream=DemandProfile(1.0, 3.0, (100.0, 300.0), (600.0, 900.0), 0.3),
             onramps=(DemandProfile(0.1, 0.4, (100.0, 300.0), (600.0, 900.0), 0.5),),
         )
-        table = schedule.table(range(100))
+        table = schedule.table(range(100), 10.0)
         for k in (0, 15, 20, 45, 75, 99):
             means = [p.mean(k * 10.0) for p in (schedule.upstream, *schedule.onramps)]
             assert table[k, 0].tolist() == means
@@ -1012,8 +1008,8 @@ class TestDemandScheduleSample:
 
     def test_schedule_without_noise_draws_the_means(self):
         schedule = flat_schedule(1.5, n_onramps=2, noise=0.0)
-        upstream, ramps = schedule.sample(3, RandomSource(4), 5, schedule.table(range(4)))
-        expected = broadcast_sample(schedule, 3, RandomSource(4), 5)
+        upstream, ramps = schedule.sample(3, RandomSource(4), 5, schedule.table(range(4), 10.0))
+        expected = broadcast_sample(schedule, 3, 10.0, RandomSource(4), 5)
         assert upstream.tobytes() == expected[0].tobytes()
         assert ramps.T.tobytes() == expected[1].tobytes()
         np.testing.assert_array_equal(upstream, 1.5)
@@ -1052,8 +1048,8 @@ class TestDemandProfile:
         level = "base" if field == "base" else "peak"
         with pytest.raises(ConfigurationError, match=rf"^{level} .* draws demands past the float range"):
             DemandProfile(rise=(0.0, 0.0), fall=(1e9, 1e9), **{**values, field: refused})
-        schedule = DemandSchedule(dt=10.0, upstream=profile, onramps=(profile,))
-        table = schedule.table((0,))
+        schedule = DemandSchedule(upstream=profile, onramps=(profile,))
+        table = schedule.table((0,), 10.0)
         with np.errstate(all="raise"):
             upstream, ramps = schedule.sample(0, RandomSource(1), 1000, table)
             mean, scale = table[0, :, 0]
@@ -1062,8 +1058,8 @@ class TestDemandProfile:
 
     def test_sampling_clipped_at_zero(self):
         p = DemandProfile(base=0.01, peak=0.01, rise=(0.0, 0.0), fall=(1e9, 1e9), noise_frac=50.0)
-        schedule = DemandSchedule(dt=10.0, upstream=p, onramps=())
-        table = schedule.table((0,))
+        schedule = DemandSchedule(upstream=p, onramps=())
+        table = schedule.table((0,), 10.0)
         draws = [schedule.sample(0, RandomSource(s), 4, table)[0] for s in range(50)]
         assert np.min(draws) >= 0.0
 

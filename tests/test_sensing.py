@@ -40,7 +40,7 @@ from gatedpf.sensing import (
     write_measurement_log,
 )
 
-from conftest import dirty_buffers, small_network
+from conftest import dirty_buffers, flat_schedule, small_network
 from reference_log import Record, generate_records, log_of, log_text, records_of
 from test_harness import micro_config
 
@@ -233,9 +233,12 @@ def speed_report(value, link=0):
 
 def step_rows(ms, particles, network, ramp_means=(), loops=LoopDetectors(links=()), gnss_spec=GnssSpec()):
     """Rows of step 1 of the records ``ms``, compiled for a two-step config
-    on ``network`` with the given sensors, on dirty buffers: ``(z, log_g0,
-    tested)``."""
-    config = replace(micro_config(horizon=2), network=network, loops=loops, gnss_spec=gnss_spec)
+    on ``network`` (a flat demand on each of its onramps) with the given
+    sensors, on dirty buffers: ``(z, log_g0, tested)``."""
+    schedule = flat_schedule(1.0, n_onramps=len(network.onramp_links))
+    config = replace(
+        micro_config(horizon=2), network=network, schedule=schedule, loops=loops, gnss_spec=gnss_spec
+    )
     log = compile_log(config, log_of(ms))
     work = dirty_buffers(particles.shape[1], max_rows=len(ms), max_links=len(ms))
     return measurement_rows(log, log.step(1), particles, np.asarray(ramp_means, float), work)
@@ -301,7 +304,7 @@ class TestMeasurementModels:
         network = small_network(3)
         config = replace(micro_config(horizon=2), network=network, loops=loops)
         log = compile_log(config, log_of([loop]))
-        assert log.n_links == 3
+        assert log.network.n_links == 3
         for n_links in (2, 4):
             with pytest.raises(ConfigurationError, match="3 links"):
                 measurement_rows(
